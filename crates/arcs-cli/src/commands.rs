@@ -10,11 +10,11 @@ use arcs_core::engine::rule_grid;
 use arcs_core::optimizer::ThresholdLattice;
 use arcs_core::render::render_clusters;
 use arcs_core::select::{rank_attributes, select_pair_joint};
-use arcs_core::{Arcs, ArcsConfig, ArcsError, Binner, SegmentRequest};
+use arcs_core::{Arcs, ArcsConfig, ArcsError, Binner, GroupRef, SegmentRequest};
 use arcs_data::csv::{load_csv_inferred_with_policy, save_csv};
 use arcs_data::generator::{AgrawalGenerator, GeneratorConfig};
 use arcs_data::schema::AttrKind;
-use arcs_data::{Dataset, IngestPolicy, IngestReport};
+use arcs_data::{Dataset, IngestPolicy, IngestReport, Schema};
 
 use crate::args::{Args, ArgsError};
 
@@ -310,6 +310,19 @@ fn ingest_summary(out: &mut String, report: &IngestReport) {
     }
 }
 
+/// Resolves `--group` to its code on the binner's criterion attribute.
+/// An unknown label is a data error (exit 3), as [`pipeline_err`] maps
+/// every [`ArcsError::UnknownGroup`].
+fn group_code(schema: &Schema, binner: &Binner, group: &str) -> Result<u32, CliError> {
+    let labels = match schema.attribute(binner.criterion_idx()).map(|a| &a.kind) {
+        Some(AttrKind::Categorical { labels }) => labels.as_slice(),
+        _ => &[],
+    };
+    GroupRef::Label(group.to_string())
+        .resolve(labels)
+        .map_err(pipeline_err)
+}
+
 /// `arcs segment`: the paper's end-to-end pipeline over a CSV file.
 /// Returns the rendered output plus the exit status (0 clean,
 /// [`EXIT_BUDGET_DEGRADED`] when a memory budget forced a coarser grid).
@@ -467,7 +480,7 @@ fn segment_with_status(argv: &[String]) -> Result<(String, u8), CliError> {
     };
 
     let request = SegmentRequest::new(&x_attr, &y_attr, criterion).group(group);
-    let (seg, stats_json, budget_steps) = if let Some(ckpt) = ckpt_path {
+    let mut session = if let Some(ckpt) = ckpt_path {
         let every: u64 = args.get_or("checkpoint-every", 100_000u64)?;
         let binner = Binner::equi_width(ds.schema(), &x_attr, &y_attr, criterion, bins, bins)
             .map_err(pipeline_err)?;
@@ -491,17 +504,13 @@ fn segment_with_status(argv: &[String]) -> Result<(String, u8), CliError> {
         for row in rows {
             sample.push_tuple(row.clone());
         }
-        let mut session =
-            arcs.open_binned(array, binner, &sample, request).map_err(pipeline_err)?;
-        let seg = session.segment().map_err(pipeline_err)?;
-        let steps = session.budget_coarsening_steps();
-        (seg, want_stats.then(|| session.report().to_json()), steps)
+        arcs.open_binned(array, binner, &sample, request)
+            .map_err(pipeline_err)?
     } else {
-        let mut session = arcs.open(&ds, request).map_err(pipeline_err)?;
-        let seg = session.segment().map_err(pipeline_err)?;
-        let steps = session.budget_coarsening_steps();
-        (seg, want_stats.then(|| session.report().to_json()), steps)
+        arcs.open(&ds, request).map_err(pipeline_err)?
     };
+    let seg = session.segment().map_err(pipeline_err)?;
+    let budget_steps = session.budget_coarsening_steps();
 
     if budget_steps > 0 {
         let _ = writeln!(
@@ -551,20 +560,10 @@ fn segment_with_status(argv: &[String]) -> Result<(String, u8), CliError> {
     );
 
     if args.has("grid") || args.get("svg").is_some() {
-        let binner = Binner::equi_width(ds.schema(), &x_attr, &y_attr, criterion, bins, bins)
-            .map_err(run_err)?;
-        let array = binner.bin_rows(ds.iter()).map_err(run_err)?;
-        let gk = ds
-            .schema()
-            .attribute(binner.criterion_idx())
-            .and_then(|a| match &a.kind {
-                AttrKind::Categorical { labels } => {
-                    labels.iter().position(|l| l == group)
-                }
-                _ => None,
-            })
-            .unwrap_or(0) as u32;
-        let grid = rule_grid(&array, gk, seg.thresholds).map_err(run_err)?;
+        // Render the grid that was clustered: the session's own array,
+        // which a memory budget may have coarsened below `--bins`.
+        let gk = group_code(ds.schema(), session.binner(), group)?;
+        let grid = rule_grid(session.bin_array(), gk, seg.thresholds).map_err(run_err)?;
         if args.has("grid") {
             let _ = writeln!(out, "\nrule grid ({y_attr} rows x {x_attr} columns):");
             out.push_str(&render_clusters(&grid, &seg.clusters));
@@ -575,8 +574,8 @@ fn segment_with_status(argv: &[String]) -> Result<(String, u8), CliError> {
             let _ = writeln!(out, "wrote cluster plot to {svg_path}");
         }
     }
-    if let Some(json) = stats_json {
-        let _ = writeln!(out, "{json}");
+    if want_stats {
+        let _ = writeln!(out, "{}", session.report().to_json());
     }
     let status = if budget_steps > 0 { EXIT_BUDGET_DEGRADED } else { 0 };
     Ok((out, status))
@@ -612,15 +611,7 @@ pub fn explore(argv: &[String]) -> Result<String, CliError> {
 
     let binner =
         Binner::equi_width(ds.schema(), x, y, criterion, bins, bins).map_err(run_err)?;
-    let gk = ds
-        .schema()
-        .attribute(binner.criterion_idx())
-        .and_then(|a| match &a.kind {
-            AttrKind::Categorical { labels } => labels.iter().position(|l| l == group),
-            _ => None,
-        })
-        .ok_or_else(|| CliError::Run(format!("group `{group}` not found on `{criterion}`")))?
-        as u32;
+    let gk = group_code(ds.schema(), &binner, group)?;
     let array = binner.bin_rows(ds.iter()).map_err(run_err)?;
     let lattice = ThresholdLattice::build(&array, gk);
 
@@ -761,15 +752,7 @@ pub fn serve(argv: &[String]) -> Result<String, CliError> {
     };
     let binner = Binner::equi_width(ds.schema(), &x_attr, &y_attr, criterion, bins, bins)
         .map_err(pipeline_err)?;
-    let gk = ds
-        .schema()
-        .attribute(binner.criterion_idx())
-        .and_then(|a| match &a.kind {
-            AttrKind::Categorical { labels } => labels.iter().position(|l| l == group),
-            _ => None,
-        })
-        .ok_or_else(|| CliError::Data(format!("group `{group}` not found on `{criterion}`")))?
-        as u32;
+    let gk = group_code(ds.schema(), &binner, group)?;
 
     // Split the rows: the first chunk seeds epoch 0, the rest become
     // streaming appends racing the readers as snapshot swaps.
@@ -986,6 +969,31 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
+    /// Under a memory budget the render shows the grid that was
+    /// clustered: 20 requested bins coarsened to 10 x 10, not a fresh
+    /// 20 x 20 re-bin of the data.
+    #[test]
+    fn budget_coarsened_grid_renders_at_the_clustered_resolution() {
+        let path = tmp("f2_budget_grid.csv");
+        let path_str = path.to_str().expect("utf-8 path");
+        dispatch(&argv(&["generate", "--out", path_str, "--n", "20000", "--seed", "3"])).unwrap();
+        let (out, status) = dispatch_with_status(&argv(&[
+            "segment", path_str, "--x", "age", "--y", "salary", "--criterion", "group",
+            "--group", "A", "--bins", "20", "--memory-budget", "1500", "--grid",
+        ]))
+        .unwrap();
+        assert_eq!(status, EXIT_BUDGET_DEGRADED);
+        let rows: Vec<&str> = out
+            .lines()
+            .skip_while(|l| !l.starts_with("rule grid"))
+            .skip(1)
+            .take_while(|l| !l.is_empty())
+            .collect();
+        assert_eq!(rows.len(), 10, "{out}");
+        assert!(rows.iter().all(|r| r.chars().count() == 10), "{out}");
+        std::fs::remove_file(&path).ok();
+    }
+
     #[test]
     fn segment_writes_svg() {
         let path = tmp("f2_svg_data.csv");
@@ -1018,6 +1026,15 @@ mod tests {
         .unwrap();
         assert!(out.contains("distinct support levels"), "{out}");
         assert!(out.contains("BinArray"), "{out}");
+
+        // An unknown group is a data error (exit 3), as in segment/serve.
+        let err = dispatch(&argv(&[
+            "explore", path_str, "--x", "age", "--y", "salary", "--criterion", "group",
+            "--group", "Z",
+        ]))
+        .unwrap_err();
+        assert!(matches!(err, CliError::Data(_)), "{err}");
+        assert_eq!(err.exit_code(), 3);
         std::fs::remove_file(&path).ok();
     }
 

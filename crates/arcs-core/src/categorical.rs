@@ -10,22 +10,23 @@
 //! Implementation: the categorical axis is *re-ordered by density* — the
 //! per-category confidence of the criterion group — so that categories
 //! likely to co-occur in a cluster become adjacent columns. The standard
-//! machinery (rule grid → smoothing → BitOp → pruning → MDL) then runs on
-//! the reordered grid, and each cluster's column span decodes to a *set*
-//! of category values rather than a range.
+//! machinery (the shared query body `serve::answer`: mine → rule grid →
+//! smoothing → BitOp → pruning, then MDL) runs on the reordered grid, and
+//! each cluster's column span decodes to a *set* of category values
+//! rather than a range.
 
 use arcs_data::schema::AttrKind;
 use arcs_data::Dataset;
 
 use crate::binarray::BinArray;
 use crate::binning::BinMap;
-use crate::bitop;
 use crate::cluster::Rect;
-use crate::engine::{rule_grid, Thresholds};
+use crate::engine::Thresholds;
 use crate::error::ArcsError;
+use crate::index::OccupancyIndex;
 use crate::mdl::MdlScore;
 use crate::optimizer::{OptimizerConfig, ThresholdLattice};
-use crate::smooth::smooth;
+use crate::serve::{answer, ClusterSpec};
 use crate::verify::ErrorCounts;
 
 /// A clustered rule whose LHS combines a category *set* with a
@@ -228,6 +229,11 @@ pub fn segment_categorical(
     };
 
     let opt = &config.optimizer;
+    let index = OccupancyIndex::build(&array);
+    let spec = ClusterSpec {
+        smoothing: opt.smoothing,
+        bitop: opt.bitop,
+    };
     type Candidate = (Thresholds, Vec<Rect>, ErrorCounts, MdlScore);
     let mut best: Option<Candidate> = None;
     let mut best_any: Option<Candidate> = None;
@@ -238,9 +244,9 @@ pub fn segment_categorical(
                 break 'search;
             }
             let thresholds = Thresholds::new((s - 1e-12).max(0.0), (c - 1e-12).max(0.0))?;
-            let grid = rule_grid(&array, gk, thresholds)?;
-            let smoothed = smooth(&grid, &opt.smoothing)?;
-            let clusters = bitop::cluster(&smoothed, &opt.bitop)?;
+            let clusters = answer(&index, gk, thresholds, Some(&spec), None)?
+                .clusters
+                .unwrap_or_default();
             evaluations += 1;
             if clusters.is_empty() {
                 continue;

@@ -17,7 +17,7 @@
 //! | `binner.checkpoint-load` | before reading a streaming checkpoint |
 //! | `binarray.snapshot-write` | at [`BinArray::save`] entry |
 //! | `binarray.snapshot-read` | at [`BinArray::load`] entry |
-//! | `engine.mine` | at [`rule_grid`]/[`rule_grid_into`] entry |
+//! | `engine.mine` | at the rule-bitmap build: [`rule_grid`]/[`rule_grid_into`] entry, each optimizer evaluation, and the clustering step of the shared query body `serve::answer` |
 //! | `smooth.pass` | before each smoothing pass |
 //! | `bitop.enumerate` | at [`cluster_with_stats`] entry |
 //! | `bitop.stripe` | inside each parallel enumeration stripe worker |

@@ -19,7 +19,6 @@ pub mod budget;
 pub mod categorical;
 pub mod cluster;
 pub mod cover;
-pub mod edges;
 pub mod engine;
 pub mod error;
 pub mod exec;
@@ -63,7 +62,7 @@ pub use metrics::{
 pub use optimizer::{optimize, OptimizerConfig, SearchStats, ThresholdLattice};
 pub use pipeline::{Arcs, ArcsConfig, Segmentation};
 pub use repl::{ReplCursor, ReplMetrics, ShippedRecord};
-pub use request::{AttrBinding, GroupRef, Request};
+pub use request::{GroupRef, Request};
 pub use serve::{
     AdmissionGate, ClusterSpec, QueryRequest, QueryResponse, QueryResult, ServeConfig, Server,
     ServerStats, Snapshot, SnapshotStore,

@@ -4,10 +4,12 @@
 //! search → decode); this module gives each a wall-clock timing, a set of
 //! work counters that make the parallel execution layer's speedups
 //! measurable, an [`Observer`] trait the pipeline reports into, and a
-//! dependency-free JSON rendering for `arcs segment --stats json` and the
-//! benchmark harness.
+//! JSON rendering (through [`crate::jsonio`]) for `arcs segment --stats
+//! json` and the benchmark harness.
 
 use std::time::Duration;
+
+use crate::jsonio::{obj, Json};
 
 /// Resolves the default worker-thread count for the execution layer:
 /// [`std::thread::available_parallelism`], or 1 when the platform cannot
@@ -75,136 +77,138 @@ impl StageTimings {
     }
 }
 
-/// Work counters accumulated across a session's pipeline runs. Parallel
-/// execution reports exactly the same values as sequential execution —
-/// the counters describe the work, not the schedule — except the
-/// delta-mining tallies (`cells_visited`, `remine_delta_hits`), which
-/// depend on how the search's threshold walk was chained across workers
-/// (see [`SearchStats`](crate::optimizer::SearchStats)).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct PipelineCounters {
-    /// Tuples streamed into the `BinArray`.
-    pub tuples_binned: u64,
-    /// Occupied `BinArray` cells scanned while building threshold
-    /// lattices.
-    pub occupied_cells: u64,
-    /// Rules emitted by the engine at the winning (or requested)
-    /// thresholds.
-    pub rules_emitted: u64,
-    /// Candidate rectangles enumerated by BitOp across all evaluations.
-    pub candidates_enumerated: u64,
-    /// Residual candidates suppressed by the minimum-area prune when the
-    /// greedy loop terminated.
-    pub clusters_pruned: u64,
-    /// `(support, confidence)` evaluations the threshold search ran.
-    pub evaluations: u64,
-    /// Indexed cells the output-sensitive re-miner examined (delta
-    /// updates plus explicit re-mines). A full-rescan miner would report
-    /// `nx · ny` per re-mine; this stays proportional to occupied and
-    /// threshold-crossing cells.
-    pub cells_visited: u64,
-    /// Cells whose rule qualification actually flipped during delta
-    /// re-mining.
-    pub remine_delta_hits: u64,
-    /// Packed 64-bit row words the word-parallel smoothing kernel
-    /// processed.
-    pub smooth_words_processed: u64,
-    /// Verifier false positives of the winning segmentations.
-    pub verifier_false_positives: u64,
-    /// Verifier false negatives of the winning segmentations.
-    pub verifier_false_negatives: u64,
-    /// Parallel worker panics caught and isolated (0 in healthy runs).
-    pub worker_panics: u64,
-    /// Bounded retries of panicked shards/batches.
-    pub shard_retries: u64,
-    /// Shards/batches that exhausted retries and were recomputed on the
-    /// sequential fallback path.
-    pub sequential_fallbacks: u64,
-    /// Bin-halving steps the resource governor took to fit the grid into
-    /// the configured memory budget (0 when no coarsening was needed).
-    pub budget_coarsening_steps: u64,
-    /// Requests the serving core admitted past its in-flight gate.
-    pub requests_admitted: u64,
-    /// Requests the serving core shed with a typed `Overloaded` error
-    /// because both the in-flight slots and the wait queue were full.
-    pub requests_shed: u64,
-    /// Requests that failed with a typed `DeadlineExceeded` error, either
-    /// while queued for admission or between pipeline stages.
-    pub requests_timed_out: u64,
-    /// Request retries after an isolated worker panic in the serving core.
-    pub request_retries: u64,
-    /// Serving-core result-cache hits (a repeated `(epoch, thresholds,
-    /// cluster config)` lattice point answered without re-mining).
-    pub cache_hits: u64,
-    /// Serving-core result-cache misses (fresh computations).
-    pub cache_misses: u64,
-    /// Copy-on-write snapshot swaps the serving core published (streaming
-    /// appends merged into a new epoch).
-    pub snapshot_swaps: u64,
-    /// WAL records a replication primary shipped to standbys.
-    pub repl_records_shipped: u64,
-    /// Shipped WAL records a standby verified and applied.
-    pub repl_records_applied: u64,
-    /// Shipped batches a standby refused over a sequence gap or a failed
-    /// checksum (each triggers a re-sync, never a partial apply).
-    pub repl_gaps_refused: u64,
-    /// Full checkpoint transfers a standby installed (bootstrap included).
-    pub repl_resyncs: u64,
-    /// Replication heartbeat rounds served or completed.
-    pub repl_heartbeats: u64,
-    /// Shard tasks executed through the persistent worker pool
-    /// ([`ExecPool`](crate::exec::ExecPool)) across all parallel calls.
-    pub pool_tasks_run: u64,
-    /// Pool shard tasks executed by pool workers rather than the
-    /// submitting thread (schedule-dependent; see
-    /// [`PoolStats`](crate::exec::PoolStats)).
-    pub pool_steals: u64,
-    /// Deepest injector backlog observed at submit time across all pool
-    /// calls (merged by maximum, not summed).
-    pub pool_max_queue_depth: u64,
-    /// Largest effective worker count any parallel call actually used
-    /// after input-size clamping (merged by maximum). When this stays at
-    /// 1 despite `threads > 1`, every input was small enough to take the
-    /// sequential path.
-    pub workers_effective: u64,
+/// Generates [`PipelineCounters`] from one table: each entry is a doc
+/// comment, a field name and how [`PipelineCounters::merge`] combines it
+/// (`sum`, or `max` for high-water marks). The struct, `merge`, and the
+/// JSON object [`PipelineCounters::to_json`] (keys in table order) all
+/// come from the table, so a new counter is declared once.
+macro_rules! pipeline_counters {
+    (@sum $a:expr, $b:expr) => { $a += $b };
+    (@max $a:expr, $b:expr) => { $a = $a.max($b) };
+    (
+        $(#[$meta:meta])*
+        pub struct PipelineCounters {
+            $( $(#[$doc:meta])* $name:ident: $merge:ident, )*
+        }
+    ) => {
+        $(#[$meta])*
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+        pub struct PipelineCounters {
+            $( $(#[$doc])* pub $name: u64, )*
+        }
+
+        impl PipelineCounters {
+            /// Adds `other`'s tallies into `self` (`max` for the
+            /// high-water fields `pool_max_queue_depth` /
+            /// `workers_effective`).
+            pub fn merge(&mut self, other: &PipelineCounters) {
+                $( pipeline_counters!(@$merge self.$name, other.$name); )*
+            }
+
+            /// The counters as one JSON object, keys in table order.
+            pub fn to_json(&self) -> Json {
+                obj(vec![$( (stringify!($name), Json::Num(self.$name as f64)) ),*])
+            }
+        }
+    };
+}
+
+pipeline_counters! {
+    /// Work counters accumulated across a session's pipeline runs. Parallel
+    /// execution reports exactly the same values as sequential execution —
+    /// the counters describe the work, not the schedule — except the
+    /// delta-mining tallies (`cells_visited`, `remine_delta_hits`), which
+    /// depend on how the search's threshold walk was chained across workers
+    /// (see [`SearchStats`](crate::optimizer::SearchStats)).
+    pub struct PipelineCounters {
+        /// Tuples streamed into the `BinArray`.
+        tuples_binned: sum,
+        /// Occupied `BinArray` cells scanned while building threshold
+        /// lattices.
+        occupied_cells: sum,
+        /// Rules emitted by the engine at the winning (or requested)
+        /// thresholds.
+        rules_emitted: sum,
+        /// Candidate rectangles enumerated by BitOp across all evaluations.
+        candidates_enumerated: sum,
+        /// Residual candidates suppressed by the minimum-area prune when the
+        /// greedy loop terminated.
+        clusters_pruned: sum,
+        /// `(support, confidence)` evaluations the threshold search ran.
+        evaluations: sum,
+        /// Indexed cells the output-sensitive re-miner examined (delta
+        /// updates plus explicit re-mines). A full-rescan miner would report
+        /// `nx · ny` per re-mine; this stays proportional to occupied and
+        /// threshold-crossing cells.
+        cells_visited: sum,
+        /// Cells whose rule qualification actually flipped during delta
+        /// re-mining.
+        remine_delta_hits: sum,
+        /// Packed 64-bit row words the word-parallel smoothing kernel
+        /// processed.
+        smooth_words_processed: sum,
+        /// Verifier false positives of the winning segmentations.
+        verifier_false_positives: sum,
+        /// Verifier false negatives of the winning segmentations.
+        verifier_false_negatives: sum,
+        /// Parallel worker panics caught and isolated (0 in healthy runs).
+        worker_panics: sum,
+        /// Bounded retries of panicked shards/batches.
+        shard_retries: sum,
+        /// Shards/batches that exhausted retries and were recomputed on the
+        /// sequential fallback path.
+        sequential_fallbacks: sum,
+        /// Bin-halving steps the resource governor took to fit the grid into
+        /// the configured memory budget (0 when no coarsening was needed).
+        budget_coarsening_steps: sum,
+        /// Requests the serving core admitted past its in-flight gate.
+        requests_admitted: sum,
+        /// Requests the serving core shed with a typed `Overloaded` error
+        /// because both the in-flight slots and the wait queue were full.
+        requests_shed: sum,
+        /// Requests that failed with a typed `DeadlineExceeded` error, either
+        /// while queued for admission or between pipeline stages.
+        requests_timed_out: sum,
+        /// Request retries after an isolated worker panic in the serving core.
+        request_retries: sum,
+        /// Serving-core result-cache hits (a repeated `(epoch, thresholds,
+        /// cluster config)` lattice point answered without re-mining).
+        cache_hits: sum,
+        /// Serving-core result-cache misses (fresh computations).
+        cache_misses: sum,
+        /// Copy-on-write snapshot swaps the serving core published (streaming
+        /// appends merged into a new epoch).
+        snapshot_swaps: sum,
+        /// WAL records a replication primary shipped to standbys.
+        repl_records_shipped: sum,
+        /// Shipped WAL records a standby verified and applied.
+        repl_records_applied: sum,
+        /// Shipped batches a standby refused over a sequence gap or a failed
+        /// checksum (each triggers a re-sync, never a partial apply).
+        repl_gaps_refused: sum,
+        /// Full checkpoint transfers a standby installed (bootstrap included).
+        repl_resyncs: sum,
+        /// Replication heartbeat rounds served or completed.
+        repl_heartbeats: sum,
+        /// Shard tasks executed through the persistent worker pool
+        /// ([`ExecPool`](crate::exec::ExecPool)) across all parallel calls.
+        pool_tasks_run: sum,
+        /// Pool shard tasks executed by pool workers rather than the
+        /// submitting thread (schedule-dependent; see
+        /// [`PoolStats`](crate::exec::PoolStats)).
+        pool_steals: sum,
+        /// Deepest injector backlog observed at submit time across all pool
+        /// calls (merged by maximum, not summed).
+        pool_max_queue_depth: max,
+        /// Largest effective worker count any parallel call actually used
+        /// after input-size clamping (merged by maximum). When this stays at
+        /// 1 despite `threads > 1`, every input was small enough to take the
+        /// sequential path.
+        workers_effective: max,
+    }
 }
 
 impl PipelineCounters {
-    /// Adds `other`'s tallies into `self`.
-    pub fn merge(&mut self, other: &PipelineCounters) {
-        self.tuples_binned += other.tuples_binned;
-        self.occupied_cells += other.occupied_cells;
-        self.rules_emitted += other.rules_emitted;
-        self.candidates_enumerated += other.candidates_enumerated;
-        self.clusters_pruned += other.clusters_pruned;
-        self.evaluations += other.evaluations;
-        self.cells_visited += other.cells_visited;
-        self.remine_delta_hits += other.remine_delta_hits;
-        self.smooth_words_processed += other.smooth_words_processed;
-        self.verifier_false_positives += other.verifier_false_positives;
-        self.verifier_false_negatives += other.verifier_false_negatives;
-        self.worker_panics += other.worker_panics;
-        self.shard_retries += other.shard_retries;
-        self.sequential_fallbacks += other.sequential_fallbacks;
-        self.budget_coarsening_steps += other.budget_coarsening_steps;
-        self.requests_admitted += other.requests_admitted;
-        self.requests_shed += other.requests_shed;
-        self.requests_timed_out += other.requests_timed_out;
-        self.request_retries += other.request_retries;
-        self.cache_hits += other.cache_hits;
-        self.cache_misses += other.cache_misses;
-        self.snapshot_swaps += other.snapshot_swaps;
-        self.repl_records_shipped += other.repl_records_shipped;
-        self.repl_records_applied += other.repl_records_applied;
-        self.repl_gaps_refused += other.repl_gaps_refused;
-        self.repl_resyncs += other.repl_resyncs;
-        self.repl_heartbeats += other.repl_heartbeats;
-        self.pool_tasks_run += other.pool_tasks_run;
-        self.pool_steals += other.pool_steals;
-        self.pool_max_queue_depth = self.pool_max_queue_depth.max(other.pool_max_queue_depth);
-        self.workers_effective = self.workers_effective.max(other.workers_effective);
-    }
-
     /// Folds panic-isolation and pool-scheduling tallies from one
     /// parallel call into the session counters.
     pub fn record_recovery(&mut self, recovery: &RecoveryStats) {
@@ -344,92 +348,29 @@ pub struct PipelineReport {
 /// bumped on any incompatible key change (CI validates against it).
 pub const REPORT_SCHEMA_VERSION: u32 = 1;
 
-fn push_ms(out: &mut String, key: &str, d: Duration, trailing_comma: bool) {
-    out.push_str(&format!(
-        "\"{key}\":{:.3}{}",
-        d.as_secs_f64() * 1e3,
-        if trailing_comma { "," } else { "" }
-    ));
-}
-
 impl PipelineReport {
-    /// Renders the report as a single-line JSON object (hand-rolled — the
-    /// offline build has no serde). Key set is stable under
-    /// [`REPORT_SCHEMA_VERSION`].
+    /// Renders the report as a single-line JSON object. Keys and their
+    /// order are stable under [`REPORT_SCHEMA_VERSION`]; timings are in
+    /// milliseconds, rounded to the microsecond.
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(512);
-        out.push('{');
-        out.push_str(&format!("\"schema_version\":{REPORT_SCHEMA_VERSION},"));
-        out.push_str(&format!("\"threads\":{},", self.threads));
-        out.push_str("\"timings_ms\":{");
-        push_ms(&mut out, "binning", self.timings.binning, true);
-        push_ms(&mut out, "sampling", self.timings.sampling, true);
-        push_ms(&mut out, "search", self.timings.search, true);
-        push_ms(&mut out, "decode", self.timings.decode, true);
-        push_ms(&mut out, "total", self.timings.total(), false);
-        out.push_str("},");
-        let c = &self.counters;
-        out.push_str("\"counters\":{");
-        out.push_str(&format!("\"tuples_binned\":{},", c.tuples_binned));
-        out.push_str(&format!("\"occupied_cells\":{},", c.occupied_cells));
-        out.push_str(&format!("\"rules_emitted\":{},", c.rules_emitted));
-        out.push_str(&format!(
-            "\"candidates_enumerated\":{},",
-            c.candidates_enumerated
-        ));
-        out.push_str(&format!("\"clusters_pruned\":{},", c.clusters_pruned));
-        out.push_str(&format!("\"evaluations\":{},", c.evaluations));
-        out.push_str(&format!("\"cells_visited\":{},", c.cells_visited));
-        out.push_str(&format!("\"remine_delta_hits\":{},", c.remine_delta_hits));
-        out.push_str(&format!(
-            "\"smooth_words_processed\":{},",
-            c.smooth_words_processed
-        ));
-        out.push_str(&format!(
-            "\"verifier_false_positives\":{},",
-            c.verifier_false_positives
-        ));
-        out.push_str(&format!(
-            "\"verifier_false_negatives\":{},",
-            c.verifier_false_negatives
-        ));
-        out.push_str(&format!("\"worker_panics\":{},", c.worker_panics));
-        out.push_str(&format!("\"shard_retries\":{},", c.shard_retries));
-        out.push_str(&format!(
-            "\"sequential_fallbacks\":{},",
-            c.sequential_fallbacks
-        ));
-        out.push_str(&format!(
-            "\"budget_coarsening_steps\":{},",
-            c.budget_coarsening_steps
-        ));
-        out.push_str(&format!("\"requests_admitted\":{},", c.requests_admitted));
-        out.push_str(&format!("\"requests_shed\":{},", c.requests_shed));
-        out.push_str(&format!("\"requests_timed_out\":{},", c.requests_timed_out));
-        out.push_str(&format!("\"request_retries\":{},", c.request_retries));
-        out.push_str(&format!("\"cache_hits\":{},", c.cache_hits));
-        out.push_str(&format!("\"cache_misses\":{},", c.cache_misses));
-        out.push_str(&format!("\"snapshot_swaps\":{},", c.snapshot_swaps));
-        out.push_str(&format!(
-            "\"repl_records_shipped\":{},",
-            c.repl_records_shipped
-        ));
-        out.push_str(&format!(
-            "\"repl_records_applied\":{},",
-            c.repl_records_applied
-        ));
-        out.push_str(&format!("\"repl_gaps_refused\":{},", c.repl_gaps_refused));
-        out.push_str(&format!("\"repl_resyncs\":{},", c.repl_resyncs));
-        out.push_str(&format!("\"repl_heartbeats\":{},", c.repl_heartbeats));
-        out.push_str(&format!("\"pool_tasks_run\":{},", c.pool_tasks_run));
-        out.push_str(&format!("\"pool_steals\":{},", c.pool_steals));
-        out.push_str(&format!(
-            "\"pool_max_queue_depth\":{},",
-            c.pool_max_queue_depth
-        ));
-        out.push_str(&format!("\"workers_effective\":{}", c.workers_effective));
-        out.push_str("}}");
-        out
+        let ms = |d: Duration| Json::Num((d.as_secs_f64() * 1e6).round() / 1e3);
+        let t = &self.timings;
+        obj(vec![
+            ("schema_version", Json::Num(REPORT_SCHEMA_VERSION as f64)),
+            ("threads", Json::Num(self.threads as f64)),
+            (
+                "timings_ms",
+                obj(vec![
+                    ("binning", ms(t.binning)),
+                    ("sampling", ms(t.sampling)),
+                    ("search", ms(t.search)),
+                    ("decode", ms(t.decode)),
+                    ("total", ms(t.total())),
+                ]),
+            ),
+            ("counters", self.counters.to_json()),
+        ])
+        .to_string()
     }
 }
 
@@ -467,11 +408,19 @@ mod tests {
 
     #[test]
     fn counters_merge() {
-        let mut a = PipelineCounters { tuples_binned: 10, evaluations: 2, ..Default::default() };
+        let mut a = PipelineCounters {
+            tuples_binned: 10,
+            evaluations: 2,
+            pool_max_queue_depth: 7,
+            workers_effective: 1,
+            ..Default::default()
+        };
         let b = PipelineCounters {
             tuples_binned: 5,
             rules_emitted: 3,
             verifier_false_negatives: 1,
+            pool_max_queue_depth: 4,
+            workers_effective: 3,
             ..Default::default()
         };
         a.merge(&b);
@@ -479,6 +428,9 @@ mod tests {
         assert_eq!(a.rules_emitted, 3);
         assert_eq!(a.evaluations, 2);
         assert_eq!(a.verifier_false_negatives, 1);
+        // The two high-water fields merge by maximum, not by sum.
+        assert_eq!(a.pool_max_queue_depth, 7);
+        assert_eq!(a.workers_effective, 3);
     }
 
     #[test]
@@ -492,11 +444,11 @@ mod tests {
             counters: PipelineCounters { tuples_binned: 100, ..Default::default() },
         };
         let json = report.to_json();
-        for key in [
+        let keys = [
             "\"schema_version\":1",
             "\"threads\":4",
             "\"timings_ms\"",
-            "\"binning\":12.000",
+            "\"binning\":12",
             "\"sampling\"",
             "\"search\"",
             "\"decode\"",
@@ -533,10 +485,20 @@ mod tests {
             "\"pool_steals\"",
             "\"pool_max_queue_depth\"",
             "\"workers_effective\"",
-        ] {
+        ];
+        for key in keys {
             assert!(json.contains(key), "missing {key} in {json}");
         }
-        assert!(json.starts_with('{') && json.ends_with('}'));
+        // The list is in emission order: pin the key order too.
+        let positions: Vec<usize> = keys.iter().filter_map(|k| json.find(k)).collect();
+        assert!(
+            positions.windows(2).all(|w| w[0] < w[1]),
+            "keys out of order in {json}"
+        );
+        assert!(
+            crate::jsonio::parse(&json).is_ok(),
+            "not valid JSON: {json}"
+        );
     }
 
     #[test]

@@ -4,27 +4,20 @@
 //! (smooth + BitOp + prune) → verifier → heuristic optimizer, and decodes
 //! the winning clusters into user-facing [`ClusteredRule`]s.
 //!
-//! The primary entry points are the session constructors —
-//! [`Arcs::open`], [`Arcs::open_stream`] and [`Arcs::open_binned`] — which
-//! bin once and return a [`Session`](crate::session::Session) for mining,
-//! re-mining, and re-clustering. The deprecated five-argument `segment_*`
-//! wrappers compile only under the `legacy-api` feature.
+//! The entry points are the session constructors — [`Arcs::open`],
+//! [`Arcs::open_stream`] and [`Arcs::open_binned`] — which bin once and
+//! return a [`Session`](crate::session::Session) for mining, re-mining,
+//! and re-clustering.
 
 use arcs_data::{Dataset, Schema};
-#[cfg(feature = "legacy-api")]
-use arcs_data::Tuple;
 
 use crate::binner::{Binner, BinningStrategy};
 use crate::binning::BinMap;
 use crate::cluster::{ClusteredRule, Rect};
 use crate::engine::Thresholds;
 use crate::error::ArcsError;
-#[cfg(feature = "legacy-api")]
-use crate::binarray::BinArray;
 use crate::mdl::MdlScore;
 use crate::optimizer::OptimizerConfig;
-#[cfg(any(feature = "legacy-api", test))]
-use crate::session::SegmentRequest;
 use crate::verify::ErrorCounts;
 
 /// Configuration of the whole ARCS system.
@@ -59,7 +52,8 @@ pub struct ArcsConfig {
     /// fits (marking the session's segmentations degraded), and refuses
     /// admission with [`ArcsError::BudgetExceeded`] when even the
     /// coarsest useful grid cannot fit. A per-session override is
-    /// available via [`SegmentRequest::memory_budget`].
+    /// available via
+    /// [`SegmentRequest::memory_budget`](crate::session::SegmentRequest::memory_budget).
     pub memory_budget: Option<usize>,
 }
 
@@ -190,110 +184,12 @@ impl Arcs {
             }
         }
     }
-
-    /// Segments an in-memory dataset: clusters the `(x_attr, y_attr)`
-    /// space for the tuples whose `criterion_attr` equals `group_label`.
-    ///
-    /// Only compiled under the `legacy-api` feature; use the session API,
-    /// which names the attributes once and keeps the binned state for
-    /// re-mining:
-    /// `arcs.open(&ds, SegmentRequest::new(x, y, criterion).group(label))?.segment()`.
-    #[cfg(feature = "legacy-api")]
-    #[deprecated(note = "use Arcs::open + Session::segment (see the session module)")]
-    pub fn segment_dataset(
-        &self,
-        dataset: &Dataset,
-        x_attr: &str,
-        y_attr: &str,
-        criterion_attr: &str,
-        group_label: &str,
-    ) -> Result<Segmentation, ArcsError> {
-        let request =
-            SegmentRequest::new(x_attr, y_attr, criterion_attr).group(group_label);
-        self.open(dataset, request)?.segment()
-    }
-
-    /// Segments the dataset once per criterion group, re-using a single
-    /// `BinArray` and verification sample — the paper's §3.1 point that
-    /// keeping per-group counts lets "an entirely new segmentation for a
-    /// different value of the segmentation criteria" be computed "without
-    /// the need to re-bin the original data". Returns
-    /// `(group_label, segmentation result)` per group; groups for which no
-    /// segmentation exists (e.g. no rule ever qualifies) report their
-    /// error.
-    ///
-    /// Only compiled under the `legacy-api` feature; use
-    /// `arcs.open(&ds, SegmentRequest::new(x, y, criterion))?.segment_all()`.
-    #[cfg(feature = "legacy-api")]
-    #[deprecated(note = "use Arcs::open + Session::segment_all")]
-    pub fn segment_all_groups(
-        &self,
-        dataset: &Dataset,
-        x_attr: &str,
-        y_attr: &str,
-        criterion_attr: &str,
-    ) -> Result<GroupSegmentations, ArcsError> {
-        self.open(dataset, SegmentRequest::new(x_attr, y_attr, criterion_attr))?
-            .segment_all()
-    }
-
-    /// Segments a tuple stream in one pass with an explicit verification
-    /// sample (which must share `schema`). Only [`BinningStrategy::EquiWidth`]
-    /// is possible here — the alternatives need a second look at the data.
-    ///
-    /// Only compiled under the `legacy-api` feature; use
-    /// [`Arcs::open_stream`] + a [`SegmentRequest`].
-    #[cfg(feature = "legacy-api")]
-    #[deprecated(note = "use Arcs::open_stream + Session::segment")]
-    #[allow(clippy::too_many_arguments)]
-    pub fn segment_stream<I>(
-        &self,
-        schema: &Schema,
-        tuples: I,
-        x_attr: &str,
-        y_attr: &str,
-        criterion_attr: &str,
-        group_label: &str,
-        sample: &Dataset,
-    ) -> Result<Segmentation, ArcsError>
-    where
-        I: IntoIterator<Item = Tuple>,
-    {
-        let request =
-            SegmentRequest::new(x_attr, y_attr, criterion_attr).group(group_label);
-        self.open_stream(schema, tuples, request, sample)?.segment()
-    }
-
-    /// Segments a pre-built [`BinArray`] (e.g. one resumed from a
-    /// checkpoint) against an explicit verification sample. The `binner`
-    /// must be the one that produced the array — its bin maps decode the
-    /// clusters back to attribute ranges.
-    ///
-    /// Only compiled under the `legacy-api` feature; use
-    /// [`Arcs::open_binned`] + a [`SegmentRequest`] (which take ownership
-    /// and avoid this clone).
-    #[cfg(feature = "legacy-api")]
-    #[deprecated(note = "use Arcs::open_binned + Session::segment")]
-    #[allow(clippy::too_many_arguments)]
-    pub fn segment_binned(
-        &self,
-        array: &BinArray,
-        binner: &Binner,
-        sample: &Dataset,
-        x_attr: &str,
-        y_attr: &str,
-        criterion_attr: &str,
-        group_label: &str,
-    ) -> Result<Segmentation, ArcsError> {
-        let request =
-            SegmentRequest::new(x_attr, y_attr, criterion_attr).group(group_label);
-        self.open_binned(array.clone(), binner.clone(), sample, request)?.segment()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::session::SegmentRequest;
     use arcs_data::agrawal::{self, AgrawalFunction};
     use arcs_data::generator::{AgrawalGenerator, GeneratorConfig};
     use arcs_data::schema::Attribute;
@@ -339,8 +235,7 @@ mod tests {
         }
     }
 
-    /// One-shot session segment, the shape the legacy five-argument
-    /// wrapper used to provide.
+    /// One-shot session segment: open, then run the threshold search.
     fn segment_once(
         arcs: &Arcs,
         ds: &Dataset,

@@ -1,36 +1,31 @@
-//! The unified request schema shared by library, wire, and CLI.
+//! The canonical request schema shared by library, wire, and CLI.
 //!
-//! Before this module, three shapes described "one segmentation ask":
-//! [`SegmentRequest`] (attribute binding for opening a session),
-//! [`QueryRequest`] (group code + thresholds for the serving core), and
-//! [`ClusterSpec`] (smooth + cluster configuration) — and the serving
-//! cache keyed cluster configs by their `Debug` rendering, a second,
-//! drift-prone encoding of the same data. [`Request`] unifies them:
+//! [`Request`] is the one serde-able shape of a query
+//! ([`Request::to_json`] / [`Request::from_json`]): the daemon's wire
+//! protocol, the CLI client and the library all carry it, so the wire
+//! payload *is* the request. It names a criterion group (by label or
+//! code), explicit thresholds, an optional [`ClusterSpec`], a deadline
+//! and a memory budget.
 //!
-//! * one serde-able shape ([`Request::to_json`] / [`Request::from_json`])
-//!   that the daemon's wire protocol, the CLI client, and the library all
-//!   share — the wire payload *is* the canonical request schema;
-//! * one canonical encoding of [`ClusterSpec`]
-//!   ([`ClusterSpec::to_json`] / [`ClusterSpec::from_json`] /
-//!   [`ClusterSpec::cache_token`]) used by both the result cache key and
-//!   the wire payload, with round-trip tests so the two can never drift
-//!   from the library structs;
-//! * conversions to and from the old shapes, which remain as thin
-//!   execution-plane aliases: [`Request::to_query_request`] resolves a
-//!   group reference against a tenant's label table, and
-//!   [`Request::to_segment_request`] extracts the attribute binding. The
-//!   old builders keep working.
+//! [`ClusterSpec`] has one canonical encoding ([`ClusterSpec::to_json`] /
+//! [`ClusterSpec::from_json`] / [`ClusterSpec::cache_token`]), used by
+//! both the result cache key and the wire payload, with round-trip tests
+//! so the two can never drift from the library structs. It deliberately
+//! **excludes** [`BitOpConfig::threads`]: the engine guarantees
+//! bit-identical results at any thread count, so the thread count is an
+//! execution knob, not part of a query's identity.
 //!
-//! The canonical [`ClusterSpec`] encoding deliberately **excludes**
-//! [`BitOpConfig::threads`]: the engine guarantees bit-identical results
-//! at any thread count, so the thread count is an execution knob, not
-//! part of a query's identity. (The previous `Debug`-rendered cache key
-//! included it, splitting the cache across thread counts for identical
-//! results.)
+//! Two narrower shapes remain beside it. [`SegmentRequest`] binds the
+//! attributes when a session is opened, and [`QueryRequest`] is what the
+//! serving core runs once the group is resolved to a code
+//! ([`Request::to_query_request`]). Both stay public because downstream
+//! code, the benchmark among it, builds them directly.
 //!
 //! Entry points over a `Request`: [`crate::serve::Server::query_unified`]
 //! for the serving core and [`crate::session::Session::query`] for an
-//! owned session.
+//! owned session. Both end in the same query body, `serve::answer`.
+//!
+//! [`SegmentRequest`]: crate::session::SegmentRequest
 
 use std::time::Duration;
 
@@ -40,23 +35,10 @@ use crate::engine::{BinnedRule, Thresholds};
 use crate::error::ArcsError;
 use crate::jsonio::{obj, Json};
 use crate::serve::{ClusterSpec, QueryRequest, QueryResult};
-use crate::session::SegmentRequest;
 use crate::smooth::{BorderMode, Kernel, SmoothConfig};
 
 fn bad(message: impl Into<String>) -> ArcsError {
     ArcsError::InvalidConfig(message.into())
-}
-
-/// The two LHS attributes and the segmentation criterion a request binds
-/// to — the information a [`SegmentRequest`] carried positionally.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct AttrBinding {
-    /// The x (first LHS) attribute name.
-    pub x: String,
-    /// The y (second LHS) attribute name.
-    pub y: String,
-    /// The categorical criterion attribute name.
-    pub criterion: String,
 }
 
 /// A criterion group referenced either by label (human-facing: CLI, wire)
@@ -90,18 +72,15 @@ impl GroupRef {
     }
 }
 
-/// One segmentation request — the canonical shape shared by the library
-/// entry points, the daemon wire protocol, and the CLI.
+/// One query — the canonical shape shared by the library entry points,
+/// the daemon wire protocol, and the CLI.
 ///
-/// Every field is optional because different consumers need different
-/// halves: opening a session needs `attrs`; querying an already-open
-/// tenant needs `group` + `thresholds`; `cluster`, `deadline`, and
-/// `memory_budget` refine either. The conversion methods state which
-/// fields they require.
+/// Every field is optional: a session falls back to the group it was
+/// opened with, while the serving core needs `group` and `thresholds`
+/// ([`Request::to_query_request`] states what it requires); `cluster`,
+/// `deadline`, and `memory_budget` refine either.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct Request {
-    /// Attribute binding, required to open a session / tenant.
-    pub attrs: Option<AttrBinding>,
     /// The criterion group to mine.
     pub group: Option<GroupRef>,
     /// Explicit thresholds. `None` means "run the threshold search"
@@ -120,18 +99,6 @@ impl Request {
     /// An empty request; chain builders to fill it in.
     pub fn new() -> Self {
         Request::default()
-    }
-
-    /// Binds the LHS attributes and criterion (what [`SegmentRequest`]
-    /// carried).
-    pub fn attrs(
-        mut self,
-        x: impl Into<String>,
-        y: impl Into<String>,
-        criterion: impl Into<String>,
-    ) -> Self {
-        self.attrs = Some(AttrBinding { x: x.into(), y: y.into(), criterion: criterion.into() });
-        self
     }
 
     /// Targets a criterion group by label.
@@ -170,8 +137,6 @@ impl Request {
         self
     }
 
-    // -- conversions to/from the thin execution-plane shapes ---------------
-
     /// Lowers to the serving core's [`QueryRequest`], resolving the group
     /// reference against `labels`. Requires `group` and `thresholds`.
     pub fn to_query_request(&self, labels: &[String]) -> Result<QueryRequest, ArcsError> {
@@ -186,72 +151,12 @@ impl Request {
         Ok(query)
     }
 
-    /// Lifts a [`QueryRequest`] into the canonical shape (group kept as a
-    /// code; no attribute binding — the server is already bound).
-    pub fn from_query_request(query: &QueryRequest) -> Self {
-        Request {
-            attrs: None,
-            group: Some(GroupRef::Code(query.gk)),
-            thresholds: Some(query.thresholds),
-            cluster: query.cluster.clone(),
-            deadline: query.deadline,
-            memory_budget: query.memory_budget,
-        }
-    }
-
-    /// Extracts the session-opening [`SegmentRequest`]. Requires `attrs`;
-    /// a group *label* and the memory budget carry over (a group *code*
-    /// cannot — sessions resolve labels at open time).
-    pub fn to_segment_request(&self) -> Result<SegmentRequest, ArcsError> {
-        let attrs = self
-            .attrs
-            .as_ref()
-            .ok_or_else(|| bad("request has no attribute binding (x/y/criterion)"))?;
-        let mut seg = SegmentRequest::new(&attrs.x, &attrs.y, &attrs.criterion);
-        match &self.group {
-            Some(GroupRef::Label(label)) => seg = seg.group(label.clone()),
-            Some(GroupRef::Code(_)) => {
-                return Err(bad(
-                    "a session open needs the group by label, not code \
-                     (codes are assigned at open time)",
-                ))
-            }
-            None => {}
-        }
-        if let Some(bytes) = self.memory_budget {
-            seg = seg.memory_budget(bytes);
-        }
-        Ok(seg)
-    }
-
-    /// Lifts a [`SegmentRequest`] into the canonical shape.
-    pub fn from_segment_request(seg: &SegmentRequest) -> Self {
-        let mut request = Request::new().attrs(seg.x_attr(), seg.y_attr(), seg.criterion_attr());
-        if let Some(label) = seg.group_label() {
-            request = request.group(label);
-        }
-        if let Some(bytes) = seg.memory_budget_bytes() {
-            request = request.memory_budget(bytes);
-        }
-        request
-    }
-
     // -- the canonical JSON encoding ---------------------------------------
 
     /// Serializes to the canonical JSON object (the wire payload shape).
     /// Absent fields are omitted, so the encoding is minimal and stable.
     pub fn to_json(&self) -> Json {
         let mut pairs: Vec<(&str, Json)> = Vec::new();
-        if let Some(attrs) = &self.attrs {
-            pairs.push((
-                "attrs",
-                obj(vec![
-                    ("x", Json::Str(attrs.x.clone())),
-                    ("y", Json::Str(attrs.y.clone())),
-                    ("criterion", Json::Str(attrs.criterion.clone())),
-                ]),
-            ));
-        }
         match &self.group {
             Some(GroupRef::Label(label)) => {
                 pairs.push(("group", obj(vec![("label", Json::Str(label.clone()))])));
@@ -284,14 +189,6 @@ impl Request {
         if !matches!(json, Json::Obj(_)) {
             return Err(bad("request must be a JSON object"));
         }
-        let attrs = match json.get("attrs") {
-            None => None,
-            Some(a) => Some(AttrBinding {
-                x: require_str(a, "x", "attrs.x")?,
-                y: require_str(a, "y", "attrs.y")?,
-                criterion: require_str(a, "criterion", "attrs.criterion")?,
-            }),
-        };
         let group = match json.get("group") {
             None => None,
             Some(g) => Some(match (g.get("label"), g.get("code")) {
@@ -322,15 +219,14 @@ impl Request {
                     .ok_or_else(|| bad("memory_budget must be a non-negative integer"))?,
             ),
         };
-        Ok(Request { attrs, group, thresholds, cluster, deadline, memory_budget })
+        Ok(Request {
+            group,
+            thresholds,
+            cluster,
+            deadline,
+            memory_budget,
+        })
     }
-}
-
-fn require_str(json: &Json, key: &str, what: &str) -> Result<String, ArcsError> {
-    json.get(key)
-        .and_then(Json::as_str)
-        .map(str::to_string)
-        .ok_or_else(|| bad(format!("{what} must be a string")))
 }
 
 fn require_f64(json: &Json, key: &str, what: &str) -> Result<f64, ArcsError> {
@@ -552,7 +448,6 @@ mod tests {
 
     fn full_request() -> Request {
         Request::new()
-            .attrs("age", "salary", "group")
             .group("excellent")
             .thresholds(Thresholds::new(0.017, 0.53).unwrap())
             .cluster(ClusterSpec {
@@ -593,8 +488,15 @@ mod tests {
         let text = request.to_json().to_string();
         let back = Request::from_json(&crate::jsonio::parse(&text).unwrap()).unwrap();
         assert_eq!(back, request);
-        assert!(back.attrs.is_none());
         assert!(back.cluster.is_none());
+
+        // Unknown keys are ignored, such as the `attrs` binding older
+        // clients still send.
+        let older = crate::jsonio::parse(r#"{"attrs": {"x": "a"}, "group": {"code": 3}}"#).unwrap();
+        assert_eq!(
+            Request::from_json(&older).unwrap(),
+            Request::new().group_code(3)
+        );
     }
 
     #[test]
@@ -644,7 +546,7 @@ mod tests {
     }
 
     #[test]
-    fn conversions_to_the_thin_shapes() {
+    fn lowering_to_a_query_request() {
         let request = full_request();
         let labels = vec!["excellent".to_string(), "other".to_string()];
         let query = request.to_query_request(&labels).unwrap();
@@ -652,20 +554,10 @@ mod tests {
         assert_eq!(query.thresholds, request.thresholds.unwrap());
         assert_eq!(query.deadline, request.deadline);
         assert_eq!(query.memory_budget, request.memory_budget);
-        assert_eq!(Request::from_query_request(&query).to_query_request(&labels).unwrap().gk, 0);
-
-        let seg = request.to_segment_request().unwrap();
-        assert_eq!(seg.x_attr(), "age");
-        assert_eq!(seg.group_label(), Some("excellent"));
-        assert_eq!(seg.memory_budget_bytes(), Some(1 << 20));
-        let lifted = Request::from_segment_request(&seg);
-        assert_eq!(lifted.attrs, request.attrs);
-        assert_eq!(lifted.group, request.group);
 
         // Missing required halves are typed errors.
         assert!(Request::new().to_query_request(&labels).is_err());
         assert!(Request::new().group("x").to_query_request(&labels).is_err());
-        assert!(Request::new().to_segment_request().is_err());
         assert!(matches!(
             Request::new().group("nope").thresholds(Thresholds::new(0.1, 0.1).unwrap())
                 .to_query_request(&labels),
@@ -691,7 +583,6 @@ mod tests {
             r#"{"cluster": {}}"#,
             r#"{"deadline_ms": -5}"#,
             r#"{"memory_budget": 0.5}"#,
-            r#"{"attrs": {"x": "a"}}"#,
         ] {
             let parsed = crate::jsonio::parse(bad_doc).unwrap();
             assert!(

@@ -36,6 +36,13 @@
 //!   are free; because the epoch is part of the key, a snapshot swap can
 //!   never serve a stale entry even if active invalidation is faulted.
 //!
+//! Inside that envelope the query itself is `answer`, the one query
+//! body of the crate: mine through the snapshot's [`OccupancyIndex`],
+//! then, for clustered queries, set the mined cells in a bitmap, smooth
+//! it and BitOp-cluster it. [`Session`](crate::session::Session) calls
+//! the same function, so a session and a server asked the same question
+//! answer it the same way by construction.
+//!
 //! # Failpoints
 //!
 //! The serving paths are threaded with named failpoints (active under the
@@ -52,12 +59,13 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, RwLock};
 use std::time::{Duration, Instant};
 
 use crate::binarray::BinArray;
-use crate::bitop::{self, BitOpConfig};
+use crate::bitop::{self, BitOpConfig, ClusterStats};
 use crate::budget::{plan_bins, BinPlan};
 use crate::cluster::Rect;
 use crate::engine::{self, BinnedRule, Thresholds};
 use crate::error::{panic_message, ArcsError};
 use crate::faults;
+use crate::grid::Grid;
 use crate::index::OccupancyIndex;
 use crate::metrics::{PipelineCounters, PipelineReport};
 use crate::smooth::{smooth, SmoothConfig};
@@ -808,9 +816,9 @@ impl Server {
         })
     }
 
-    /// The query body: coarsen under the budget plan if needed, mine via
-    /// the occupancy index, optionally smooth + cluster. Runs inside
-    /// `catch_unwind`; deadline-checked between stages.
+    /// The query body under the serving envelope: coarsen under the
+    /// budget plan if needed, then [`answer`]. Runs inside
+    /// `catch_unwind`.
     fn execute(
         snapshot: &Snapshot,
         request: &QueryRequest,
@@ -819,42 +827,31 @@ impl Server {
     ) -> Result<(QueryResult, u64), ArcsError> {
         faults::check("serve.worker")?;
         // The budget ladder: serve a coarser grid rather than refuse. The
-        // coarsened array and its index are per-request scratch; repeated
-        // budgeted queries hit the cache (coarsening is part of the key).
-        let scratch: Option<(BinArray, OccupancyIndex)> = if plan.degraded() {
-            let coarse = snapshot.array().coarsened(plan.nx, plan.ny)?;
-            let index = OccupancyIndex::build(&coarse);
-            Some((coarse, index))
+        // coarsened index is per-request scratch; repeated budgeted
+        // queries hit the cache (coarsening is part of the key).
+        let coarse = if plan.degraded() {
+            Some(OccupancyIndex::build(
+                &snapshot.array().coarsened(plan.nx, plan.ny)?,
+            ))
         } else {
             None
         };
-        let (array, index): (&BinArray, &OccupancyIndex) = match &scratch {
-            Some((coarse, index)) => (coarse, index),
-            None => (snapshot.array(), snapshot.index()),
-        };
-
-        check_deadline_at(deadline, "serve.mine")?;
-        let (rules, visited) = engine::mine_rules_indexed(index, request.gk, request.thresholds);
-
-        let clusters = match &request.cluster {
-            None => None,
-            Some(spec) => {
-                check_deadline_at(deadline, "serve.cluster")?;
-                let grid = engine::rule_grid(array, request.gk, request.thresholds)?;
-                let smoothed = smooth(&grid, &spec.smoothing)?;
-                let (rects, _stats) = bitop::cluster_with_stats(&smoothed, &spec.bitop)?;
-                Some(rects)
-            }
-        };
-
+        let index = coarse.as_ref().unwrap_or(snapshot.index());
+        let answer = answer(
+            index,
+            request.gk,
+            request.thresholds,
+            request.cluster.as_ref(),
+            deadline,
+        )?;
         Ok((
             QueryResult {
                 epoch: snapshot.epoch(),
-                rules,
-                clusters,
+                rules: answer.rules,
+                clusters: answer.clusters,
                 coarsening_steps: plan.coarsening_steps,
             },
-            visited,
+            answer.cells_visited,
         ))
     }
 
@@ -940,6 +937,63 @@ impl Server {
             ..PipelineReport::default()
         }
     }
+}
+
+// ---------------------------------------------------------------------------
+// The query body
+// ---------------------------------------------------------------------------
+
+/// What [`answer`] computes for one query: the mined rules, the clusters
+/// when a [`ClusterSpec`] was given, and the work counters its callers
+/// fold into their own reports.
+#[derive(Debug)]
+pub(crate) struct Answer {
+    /// Rules mined at the query's thresholds, in row-major cell order.
+    pub rules: Vec<BinnedRule>,
+    /// BitOp clusters of the smoothed rule bitmap, when asked for.
+    pub clusters: Option<Vec<Rect>>,
+    /// Indexed cells the miner examined.
+    pub cells_visited: u64,
+    /// BitOp's work counters (all zero without clustering).
+    pub cluster_stats: ClusterStats,
+}
+
+/// The one query body (paper §3.2) behind [`Server::query`] and the
+/// session's `query`, `remine_group` and `recluster_group`: mine group
+/// `gk` at `thresholds` through `index`, and, given a `cluster` spec, set
+/// the mined rules' cells in a bitmap, smooth it and BitOp-cluster it.
+/// The bitmap holds exactly the cells [`rule_grid`](engine::rule_grid)
+/// would set, taken from the rules already in hand instead of a second
+/// `nx · ny` scan. `deadline` is checked before mining (`serve.mine`)
+/// and before clustering (`serve.cluster`); the `engine.mine` failpoint
+/// guards the bitmap build.
+pub(crate) fn answer(
+    index: &OccupancyIndex,
+    gk: u32,
+    thresholds: Thresholds,
+    cluster: Option<&ClusterSpec>,
+    deadline: Option<Instant>,
+) -> Result<Answer, ArcsError> {
+    check_deadline_at(deadline, "serve.mine")?;
+    let (rules, cells_visited) = engine::mine_rules_indexed(index, gk, thresholds);
+    let (clusters, cluster_stats) = match cluster {
+        None => (None, ClusterStats::default()),
+        Some(spec) => {
+            check_deadline_at(deadline, "serve.cluster")?;
+            faults::check("engine.mine")?;
+            let cells = rules.iter().map(|r| (r.x, r.y));
+            let grid = Grid::from_cells(index.nx(), index.ny(), cells)?;
+            let smoothed = smooth(&grid, &spec.smoothing)?;
+            let (rects, stats) = bitop::cluster_with_stats(&smoothed, &spec.bitop)?;
+            (Some(rects), stats)
+        }
+    };
+    Ok(Answer {
+        rules,
+        clusters,
+        cells_visited,
+        cluster_stats,
+    })
 }
 
 fn check_deadline_at(deadline: Option<Instant>, stage: &'static str) -> Result<(), ArcsError> {

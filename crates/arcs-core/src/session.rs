@@ -10,21 +10,24 @@
 //! "an entirely new segmentation" is available "without the need to re-bin
 //! the original data".
 //!
-//! A [`SegmentRequest`] names the attributes once, up front, replacing the
-//! stringly five-argument calls of the original API:
+//! A [`SegmentRequest`] names the attributes once, up front:
 //!
 //! ```text
-//! // before:
-//! arcs.segment_dataset(&ds, "age", "salary", "group", "A")?
-//! // after:
 //! let mut session = arcs.open(&ds, SegmentRequest::new("age", "salary", "group").group("A"))?;
 //! let seg = session.segment()?;
 //! let rules = session.remine(Thresholds::new(0.01, 0.5)?)?;   // instant, §3.2
 //! ```
 //!
-//! Sessions also carry the observability state of PR 2: a
-//! [`PipelineReport`] of per-stage wall-clock timings and work counters,
-//! and an optional [`Observer`] notified as stages complete.
+//! The threshold search ([`Session::segment`]) runs the optimizer. The
+//! explicit-threshold operations — [`Session::query`],
+//! [`Session::remine_group`] and [`Session::recluster_group`] — all run
+//! `serve::answer`, the query body the serving core
+//! ([`Server`](crate::serve::Server)) runs too, over the session's lazily
+//! built [`OccupancyIndex`].
+//!
+//! Sessions also carry a [`PipelineReport`] of per-stage wall-clock
+//! timings and work counters, and an optional [`Observer`] notified as
+//! stages complete.
 
 use std::time::{Duration, Instant};
 
@@ -37,7 +40,7 @@ use arcs_data::{Dataset, Schema, Tuple};
 
 use crate::binarray::BinArray;
 use crate::binner::Binner;
-use crate::bitop::{self, BitOpConfig};
+use crate::bitop::BitOpConfig;
 use crate::cluster::{ClusteredRule, Rect};
 use crate::engine::{self, BinnedRule, Thresholds};
 use crate::error::ArcsError;
@@ -45,15 +48,14 @@ use crate::index::OccupancyIndex;
 use crate::metrics::{Observer, PipelineReport, Stage};
 use crate::optimizer::{evaluate, optimize, Evaluation, OptimizerConfig, SearchStats};
 use crate::pipeline::{Arcs, ArcsConfig, GroupSegmentations, Segmentation};
-use crate::smooth::smooth;
+use crate::serve::{answer, Answer, ClusterSpec, QueryResult};
 
 /// Names the attributes of one segmentation task: the two quantitative
 /// LHS attributes (`x`, `y`), the categorical segmentation criterion, and
 /// optionally the criterion group to target.
 ///
-/// Built once and handed to [`Arcs::open`]; replaces the positional
-/// `(x_attr, y_attr, criterion_attr, group_label)` string arguments of
-/// the deprecated `segment_*` methods.
+/// Built once and handed to [`Arcs::open`] (or its stream and binned
+/// variants).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SegmentRequest {
     x: String,
@@ -533,17 +535,10 @@ impl Session {
         thresholds: Thresholds,
     ) -> Result<Vec<BinnedRule>, ArcsError> {
         let gk = self.group_code(group_label)?;
-        let start = Instant::now();
-        let (rules, visited) = {
-            let index = self.occupancy_index();
-            engine::mine_rules_indexed(index, gk, thresholds)
-        };
-        self.record_stage(Stage::Search, start.elapsed());
-        self.report.counters.rules_emitted += rules.len() as u64;
-        self.report.counters.cells_visited += visited;
+        let answer = self.query_body(gk, thresholds, None)?;
         self.notify_counters();
         self.thresholds = Some(thresholds);
-        Ok(rules)
+        Ok(answer.rules)
     }
 
     /// Re-clusters at the session's current thresholds (from the last
@@ -568,27 +563,27 @@ impl Session {
             )
         })?;
 
-        let start = Instant::now();
-        let grid = engine::rule_grid(&self.array, gk, thresholds)?;
-        let smoothed = smooth(&grid, &self.config.optimizer.smoothing)?;
-        let (clusters, stats) = bitop::cluster_with_stats(&smoothed, bitop_config)?;
-        self.record_stage(Stage::Search, start.elapsed());
-        self.report.counters.candidates_enumerated += stats.candidates_enumerated;
-        self.report.counters.clusters_pruned += stats.clusters_pruned;
+        let spec = ClusterSpec {
+            smoothing: self.config.optimizer.smoothing,
+            bitop: *bitop_config,
+        };
+        let clusters = self
+            .query_body(gk, thresholds, Some(&spec))?
+            .clusters
+            .unwrap_or_default();
 
         let start = Instant::now();
         let rules = self.decode(&clusters, gk, group_label)?;
-        self.report.counters.rules_emitted += rules.len() as u64;
         self.record_stage(Stage::Decode, start.elapsed());
         self.notify_counters();
         Ok(rules)
     }
 
     /// Serves a canonical [`Request`](crate::request::Request) against
-    /// the session's owned bin array — the same request shape (and the
-    /// same mining path) the daemon serves over the wire, so a library
-    /// caller and a wire client asking the same question get bit-identical
-    /// answers.
+    /// the session's owned bin array — the same request shape the daemon
+    /// serves over the wire, answered by the same query body
+    /// (`serve::answer`), so a library caller and a wire client asking
+    /// the same question get bit-identical answers.
     ///
     /// Requires explicit `thresholds` (threshold *search* stays on
     /// [`segment`](Session::segment), which returns the richer
@@ -597,10 +592,7 @@ impl Session {
     /// `memory_budget` are serving-core admission concerns and are
     /// ignored here — the session caller owns its own resources. The
     /// returned result's `epoch` is 0: sessions are not epoch-versioned.
-    pub fn query(
-        &mut self,
-        request: &crate::request::Request,
-    ) -> Result<crate::serve::QueryResult, ArcsError> {
+    pub fn query(&mut self, request: &crate::request::Request) -> Result<QueryResult, ArcsError> {
         let thresholds = request.thresholds.ok_or_else(|| {
             ArcsError::InvalidConfig(
                 "session query needs explicit thresholds — use segment() for \
@@ -615,37 +607,35 @@ impl Session {
                 self.group_code(&label)?
             }
         };
-
-        let start = Instant::now();
-        let (rules, visited) = {
-            let index = self.occupancy_index();
-            engine::mine_rules_indexed(index, gk, thresholds)
-        };
-        self.record_stage(Stage::Search, start.elapsed());
-        self.report.counters.rules_emitted += rules.len() as u64;
-        self.report.counters.cells_visited += visited;
-
-        let clusters = match &request.cluster {
-            None => None,
-            Some(spec) => {
-                let start = Instant::now();
-                let grid = engine::rule_grid(&self.array, gk, thresholds)?;
-                let smoothed = smooth(&grid, &spec.smoothing)?;
-                let (rects, stats) = bitop::cluster_with_stats(&smoothed, &spec.bitop)?;
-                self.record_stage(Stage::Search, start.elapsed());
-                self.report.counters.candidates_enumerated += stats.candidates_enumerated;
-                self.report.counters.clusters_pruned += stats.clusters_pruned;
-                Some(rects)
-            }
-        };
+        let answer = self.query_body(gk, thresholds, request.cluster.as_ref())?;
         self.notify_counters();
         self.thresholds = Some(thresholds);
-        Ok(crate::serve::QueryResult {
+        Ok(QueryResult {
             epoch: 0,
-            rules,
-            clusters,
+            rules: answer.rules,
+            clusters: answer.clusters,
             coarsening_steps: self.budget_coarsening,
         })
+    }
+
+    /// Runs the shared query body ([`answer`]) over the session's index,
+    /// timed as a search stage, and folds its work counters into the
+    /// report.
+    fn query_body(
+        &mut self,
+        gk: u32,
+        thresholds: Thresholds,
+        cluster: Option<&ClusterSpec>,
+    ) -> Result<Answer, ArcsError> {
+        let start = Instant::now();
+        let answer = answer(self.occupancy_index(), gk, thresholds, cluster, None)?;
+        self.record_stage(Stage::Search, start.elapsed());
+        let c = &mut self.report.counters;
+        c.rules_emitted += answer.rules.len() as u64;
+        c.cells_visited += answer.cells_visited;
+        c.candidates_enumerated += answer.cluster_stats.candidates_enumerated;
+        c.clusters_pruned += answer.cluster_stats.clusters_pruned;
+        Ok(answer)
     }
 
     /// Decodes cluster rectangles into [`ClusteredRule`]s with aggregate
@@ -859,22 +849,6 @@ mod tests {
             },
             ..ArcsConfig::default()
         }
-    }
-
-    /// The deprecated five-argument wrapper (behind `legacy-api`) must
-    /// stay a thin alias of the session path.
-    #[cfg(feature = "legacy-api")]
-    #[test]
-    fn session_matches_the_deprecated_entry_point() {
-        let ds = blocky_dataset();
-        let arcs = Arcs::new(small_config()).unwrap();
-        #[allow(deprecated)]
-        let legacy = arcs.segment_dataset(&ds, "x", "y", "g", "A").unwrap();
-        let mut session = arcs
-            .open(&ds, SegmentRequest::new("x", "y", "g").group("A"))
-            .unwrap();
-        let seg = session.segment().unwrap();
-        assert_eq!(seg, legacy);
     }
 
     #[test]

@@ -275,3 +275,30 @@ fn snapshot_failpoints_guard_checkpoint_io() {
     faults::clear();
     std::fs::remove_file(&path).ok();
 }
+
+/// `engine.mine` guards the bitmap build of the shared query body: it
+/// fires on a clustered serving query (typed, never retried, nothing
+/// cached) and never on a mine-only one, which builds no bitmap.
+#[test]
+fn engine_mine_fires_on_clustered_serving_queries() {
+    let _g = guard();
+    let ds = f2_dataset(12_000);
+    let session = arcs_with_threads(1).open(&ds, request()).unwrap();
+    let server = Server::new(session.bin_array().clone(), ServeConfig::default()).unwrap();
+    let t = Thresholds::new(0.001, 0.5).unwrap();
+    let clustered = QueryRequest::new(0, t).cluster(ClusterSpec::default());
+
+    faults::configure_from_spec("engine.mine=error@1+").unwrap();
+    assert!(server.query(&QueryRequest::new(0, t)).is_ok());
+    let err = server.query(&clustered).unwrap_err();
+    assert!(
+        matches!(err, ArcsError::FaultInjected { point: "engine.mine" }),
+        "{err}"
+    );
+    assert_eq!(faults::hits("engine.mine"), 1);
+    faults::clear();
+
+    let served = server.query(&clustered).unwrap();
+    assert!(!served.cache_hit, "a failed query must not be cached");
+    assert!(served.result.clusters.is_some());
+}

@@ -1,11 +1,13 @@
 //! Property-based tests (proptest) for the core data structures and
 //! invariants: the bitmap grid, BitOp cover properties, binning, the
-//! BinArray/engine consistency, MDL monotonicity, and the verifier.
+//! BinArray/engine consistency, MDL monotonicity, the verifier, and the
+//! query body shared by sessions and the serving core.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
 
 use arcs::core::bitop::{self, BitOpConfig};
+use arcs::core::budget::{grid_bytes, plan_bins, MIN_BINS};
 use arcs::core::cover::{connected_components, optimal_cover};
 use arcs::core::engine::{
     mine_rules, mine_rules_indexed, mine_rules_reference, rule_grid, support_grid,
@@ -14,6 +16,7 @@ use arcs::core::grid::{for_each_run, for_each_run_reference};
 use arcs::core::index::{DeltaMiner, OccupancyIndex};
 use arcs::core::mdl::{mdl_cost, MdlWeights};
 use arcs::core::smooth::{smooth, smooth_reference, BorderMode, Kernel, SmoothConfig};
+use arcs::core::Request;
 use arcs::prelude::*;
 
 /// Strategy: a small random grid as (width, height, cell bits).
@@ -53,6 +56,58 @@ fn wide_grid_strategy() -> impl Strategy<Value = Grid> {
                 grid
             })
         })
+}
+
+/// Strategy: no cluster spec, or one varying the smoothing (kernel,
+/// threshold, passes, border) and the pruning (area fraction and floor).
+fn cluster_spec_strategy() -> impl Strategy<Value = Option<ClusterSpec>> {
+    (
+        any::<bool>(),
+        (any::<bool>(), 0.0f64..1.0, 0usize..3, any::<bool>()),
+        (0.0f64..0.2, 1usize..4),
+    )
+        .prop_map(
+            |(on, (box3, threshold, passes, in_bounds), (fraction, cells))| {
+                on.then(|| ClusterSpec {
+                    smoothing: SmoothConfig {
+                        kernel: if box3 {
+                            Kernel::Box3
+                        } else {
+                            Kernel::Gaussian3
+                        },
+                        threshold,
+                        passes,
+                        border: if in_bounds {
+                            BorderMode::InBounds
+                        } else {
+                            BorderMode::FullKernel
+                        },
+                    },
+                    bitop: BitOpConfig {
+                        min_area_fraction: fraction,
+                        min_area_cells: cells,
+                        ..BitOpConfig::default()
+                    },
+                })
+            },
+        )
+}
+
+/// The reference composition of one query on `array`: the full-scan
+/// miner for the rules; the full-scan bitmap, the scalar smoother and
+/// BitOp for the clusters.
+fn reference_answer(
+    array: &BinArray,
+    gk: u32,
+    t: Thresholds,
+    spec: Option<&ClusterSpec>,
+) -> (Vec<BinnedRule>, Option<Vec<Rect>>) {
+    let clusters = spec.map(|spec| {
+        let grid = rule_grid(array, gk, t).unwrap();
+        let smoothed = smooth_reference(&grid, &spec.smoothing).unwrap();
+        bitop::cluster(&smoothed, &spec.bitop).unwrap()
+    });
+    (mine_rules_reference(array, gk, t), clusters)
 }
 
 proptest! {
@@ -514,5 +569,62 @@ proptest! {
         for t in gen.by_ref().take(50) {
             prop_assert!(Tuple::validated(t.values().to_vec(), &schema).is_ok());
         }
+    }
+
+    /// One query body behind both front doors: `Session::query` and
+    /// `Server::query` answer exactly what the reference composition
+    /// computes, and a server under a memory budget answers what the same
+    /// reference computes on the coarsened array.
+    #[test]
+    fn session_and_server_answer_like_the_reference_composition(
+        data in (vec((0.0f64..10.0, 0.0f64..10.0, 0u32..3), 1..300), 4usize..12, 4usize..12),
+        query in (0u32..3, 0.0f64..0.3, 0.0f64..1.0),
+        spec in cluster_spec_strategy(),
+        budget_share in 0.0f64..1.0,
+    ) {
+        let (rows, nx, ny) = data;
+        let (gk, s, c) = query;
+        let schema = Schema::new(vec![
+            Attribute::quantitative("x", 0.0, 10.0),
+            Attribute::quantitative("y", 0.0, 10.0),
+            Attribute::categorical("g", ["a", "b", "c"]),
+        ]).unwrap();
+        let mut ds = Dataset::new(schema);
+        for &(x, y, g) in &rows {
+            ds.push(vec![Value::Quant(x), Value::Quant(y), Value::Cat(g)]).unwrap();
+        }
+        let config = ArcsConfig { n_x_bins: nx, n_y_bins: ny, ..ArcsConfig::default() };
+        let mut session = Arcs::new(config).unwrap()
+            .open(&ds, SegmentRequest::new("x", "y", "g")).unwrap();
+        let array = session.bin_array().clone();
+        let t = Thresholds::new(s, c).unwrap();
+
+        let mut request = Request::new().group_code(gk).thresholds(t);
+        let mut query = QueryRequest::new(gk, t);
+        if let Some(spec) = &spec {
+            request = request.cluster(spec.clone());
+            query = query.cluster(spec.clone());
+        }
+        let (rules, clusters) = reference_answer(&array, gk, t, spec.as_ref());
+        let local = session.query(&request).unwrap();
+        prop_assert_eq!(&local.rules, &rules);
+        prop_assert_eq!(&local.clusters, &clusters);
+        let server = Server::new(array.clone(), ServeConfig::default()).unwrap();
+        let served = server.query(&query).unwrap();
+        prop_assert_eq!(&served.result.rules, &rules);
+        prop_assert_eq!(&served.result.clusters, &clusters);
+
+        // A budget between the coarsest grid and the full one makes the
+        // ladder coarsen at least once.
+        let (floor, full) = (grid_bytes(MIN_BINS, MIN_BINS, 3).unwrap(), grid_bytes(nx, ny, 3).unwrap());
+        let budget = floor + ((full - 1 - floor) as f64 * budget_share) as usize;
+        let plan = plan_bins(nx, ny, 3, Some(budget)).unwrap();
+        let coarse = array.coarsened(plan.nx, plan.ny).unwrap();
+        let (rules, clusters) = reference_answer(&coarse, gk, t, spec.as_ref());
+        let degraded = server.query(&query.memory_budget(budget)).unwrap();
+        prop_assert!(plan.coarsening_steps >= 1);
+        prop_assert_eq!(degraded.result.coarsening_steps, plan.coarsening_steps);
+        prop_assert_eq!(&degraded.result.rules, &rules);
+        prop_assert_eq!(&degraded.result.clusters, &clusters);
     }
 }
