@@ -16,9 +16,9 @@ use crate::binning::BinMap;
 use crate::error::ArcsError;
 use crate::metrics::RecoveryStats;
 
-/// Maximum times a panicked shard (or a panicking chunk-entry failpoint)
-/// is retried before the sequential fallback takes over. Re-exported
-/// from the execution engine, which owns the shared recovery contract.
+/// Maximum times a panicked shard or stream chunk is retried before the
+/// sequential fallback takes over. Re-exported from the execution
+/// engine, which owns the shared recovery contract.
 pub use crate::exec::MAX_SHARD_RETRIES;
 
 /// How a resilient streaming run treats tuples that fail validation.
@@ -317,21 +317,21 @@ impl Binner {
     /// chunk of `rows`; the shards are then merged in chunk order via
     /// [`BinArray::merge`]. Because the merge is an element-wise sum, the
     /// result is bit-identical to [`Binner::bin_rows`] regardless of
-    /// thread count or scheduling. Small inputs fall back to the
-    /// sequential path — sharding has no payoff below a few chunks' worth
-    /// of tuples.
+    /// thread count or scheduling. Small inputs bin as a single shard —
+    /// sharding has no payoff below a few chunks' worth of tuples.
     pub fn bin_rows_parallel(&self, rows: &[Tuple], threads: usize) -> Result<BinArray, ArcsError> {
         Ok(self.bin_rows_parallel_with_stats(rows, threads)?.0)
     }
 
     /// [`Binner::bin_rows_parallel`] plus panic-isolation tallies.
     ///
-    /// Worker panics are caught per shard: a panicked shard is retried up
-    /// to [`MAX_SHARD_RETRIES`] times, then recomputed on the calling
-    /// thread via the plain sequential routine. Every attempt rebuilds
-    /// the shard's private array from scratch, so recovery can never
-    /// double-count a tuple and the merged result stays bit-identical to
-    /// the fault-free run.
+    /// Every shard, the single shard of a small input included, runs
+    /// under [`ExecPool::run_isolated`](crate::exec::ExecPool::run_isolated)
+    /// behind the `binner.shard` failpoint: a panicked shard is retried
+    /// up to [`MAX_SHARD_RETRIES`] times, then recomputed without the
+    /// failpoint. Every attempt rebuilds the shard's private array from
+    /// scratch, so recovery can never double-count a tuple and the
+    /// merged result stays bit-identical to the fault-free run.
     pub fn bin_rows_parallel_with_stats(
         &self,
         rows: &[Tuple],
@@ -343,80 +343,51 @@ impl Binner {
             ));
         }
         // Below this many rows per worker, queue + merge overhead exceeds
-        // the binning work itself.
+        // the binning work itself. The clamp is observable: a `threads > 1`
+        // request that ran as one shard reports `effective_workers == 1`.
         const MIN_ROWS_PER_WORKER: usize = 4_096;
         let workers = threads.min(rows.len() / MIN_ROWS_PER_WORKER).max(1);
-        if workers == 1 {
-            // Small input: sequential path. The recorded worker count
-            // makes the clamp observable — a `threads > 1` request that
-            // ran sequentially reports `effective_workers == 1` instead
-            // of silently masquerading as a parallel run.
-            let stats = RecoveryStats { effective_workers: 1, ..RecoveryStats::default() };
-            return Ok((self.bin_rows(rows.iter())?, stats));
-        }
-        let chunk = rows.len().div_ceil(workers);
-        let shards: Vec<&[Tuple]> = rows.chunks(chunk).collect();
-        let (attempts, pool_stats) =
-            crate::exec::ExecPool::global().run_shards(workers, &shards, |_, shard| {
-                crate::faults::check("binner.shard")?;
-                self.bin_rows(shard.iter())
-            });
-        let mut stats = RecoveryStats::default();
-        stats.record_pool(&pool_stats);
-        let mut merged: Option<BinArray> = None;
-        for (attempt, shard) in attempts.into_iter().zip(shards) {
-            let shard_array = match attempt {
-                // Typed errors are deterministic — retrying cannot help.
-                Ok(result) => result?,
-                Err(_) => {
-                    stats.worker_panics += 1;
-                    self.recover_shard(shard, &mut stats)?
-                }
-            };
-            match merged.as_mut() {
-                None => merged = Some(shard_array),
-                Some(acc) => acc.merge(&shard_array)?,
-            }
-        }
-        match merged {
-            Some(array) => Ok((array, stats)),
-            // workers > 1 implies at least one chunk; keep the path typed.
-            None => Ok((self.new_bin_array()?, stats)),
-        }
+        let shards: Vec<&[Tuple]> = rows.chunks(rows.len().div_ceil(workers).max(1)).collect();
+        self.bin_shards("binner.shard", workers, &shards)
     }
 
-    /// Re-runs a panicked shard: bounded retries through the (still
-    /// armed) `binner.shard` failpoint, then one final pass on the plain
-    /// sequential routine with the failpoint out of the loop. Delegates
-    /// to [`run_recovered`](crate::exec::run_recovered) — the one retry
-    /// contract shared by every parallel stage (see
-    /// [`RecoveryStats`]). A panic on the final pass is unrecoverable
-    /// and surfaces as [`ArcsError::WorkerPanicked`].
-    fn recover_shard(
+    /// Bins `shards` as isolated units behind `failpoint` and merges them
+    /// in shard order into one array.
+    fn bin_shards(
         &self,
-        shard: &[Tuple],
-        stats: &mut RecoveryStats,
-    ) -> Result<BinArray, ArcsError> {
-        crate::exec::run_recovered(
-            stats,
+        failpoint: &'static str,
+        threads: usize,
+        shards: &[&[Tuple]],
+    ) -> Result<(BinArray, RecoveryStats), ArcsError> {
+        let (arrays, stats) = crate::exec::ExecPool::global().run_isolated(
             "binning",
-            || {
-                crate::faults::check("binner.shard")?;
+            threads,
+            shards,
+            |shard| {
+                crate::faults::check(failpoint)?;
                 self.bin_rows(shard.iter())
             },
-            || self.bin_rows(shard.iter()),
-        )
+            |shard| self.bin_rows(shard.iter()),
+        )?;
+        let mut arrays = arrays.into_iter();
+        let mut merged = match arrays.next() {
+            Some(first) => first,
+            None => self.new_bin_array()?,
+        };
+        for array in arrays {
+            merged.merge(&array)?;
+        }
+        Ok((merged, stats))
     }
 
-    /// Streams `tuples` into a fresh [`BinArray`] using `threads`
-    /// persistent pool workers fed over a bounded channel.
+    /// Streams `tuples` into a fresh [`BinArray`] using up to `threads`
+    /// persistent pool workers.
     ///
-    /// The calling thread plays producer: it pulls the iterator in chunks
-    /// and hands each chunk to whichever worker is free; every worker
-    /// fills a private array, and the shards are merged deterministically
-    /// at the end (see [`BinArray::merge`]). The result is bit-identical
-    /// to [`Binner::bin_stream`] for any thread count. With `threads == 1`
-    /// this *is* [`Binner::bin_stream`].
+    /// The calling thread pulls the iterator in windows of `threads`
+    /// 16 384-tuple chunks, bins each window's chunks as shards (see
+    /// [`Binner::bin_rows_parallel`]) and merges them in chunk order, so
+    /// the result is bit-identical to [`Binner::bin_stream`] for any
+    /// thread count.
     pub fn bin_stream_parallel<I>(&self, tuples: I, threads: usize) -> Result<BinArray, ArcsError>
     where
         I: IntoIterator<Item = Tuple>,
@@ -426,14 +397,10 @@ impl Binner {
 
     /// [`Binner::bin_stream_parallel`] plus panic-isolation tallies.
     ///
-    /// The unit of isolation is the chunk-entry `binner.stream-chunk`
-    /// failpoint, which fires *before* any of the chunk's tuples touch
-    /// the worker's private array — so a caught panic there is retried
-    /// (bounded) and finally disarmed without any risk of double-counted
-    /// tuples. A panic from the binning arithmetic itself cannot be
-    /// replayed safely (the private array may hold a partial chunk) and
-    /// surfaces as [`ArcsError::WorkerPanicked`] instead of aborting the
-    /// process.
+    /// Each chunk is an isolated unit behind the `binner.stream-chunk`
+    /// failpoint, under the same contract as the row shards: the window
+    /// is held in memory until it is merged, so a panic anywhere in a
+    /// chunk replays that chunk from scratch.
     pub fn bin_stream_parallel_with_stats<I>(
         &self,
         tuples: I,
@@ -447,103 +414,19 @@ impl Binner {
                 "binning thread count must be positive".into(),
             ));
         }
-        let pool = crate::exec::ExecPool::global();
-        if threads == 1 || !pool.has_workers() {
-            // The producer/consumer split needs at least one pool worker
-            // (the caller is busy producing); without one, stream
-            // sequentially instead of deadlocking on a full channel.
-            let stats = RecoveryStats { effective_workers: 1, ..RecoveryStats::default() };
-            return Ok((self.bin_stream(tuples)?, stats));
-        }
-        // Chunk size balances channel traffic (bigger = fewer sends)
-        // against producer/worker overlap (smaller = earlier start).
         const CHUNK: usize = 16_384;
-        use std::sync::mpsc;
-        use std::sync::Mutex;
-        type Shard = Result<(BinArray, RecoveryStats), ArcsError>;
-        let (tx, rx) = mpsc::sync_channel::<Vec<Tuple>>(threads * 2);
-        let rx = Mutex::new(rx);
-        let (attempts, (), pool_stats) = pool.run_with_producer(
-            threads,
-            |_| -> Shard {
-                let mut array = self.new_bin_array()?;
-                let mut stats = RecoveryStats::default();
-                loop {
-                    // Hold the lock only for the receive itself so other
-                    // workers can pick up chunks while this one bins.
-                    // Nothing panics while holding it; recover the guard
-                    // if a sibling test thread ever poisoned the mutex
-                    // anyway.
-                    let chunk = match rx
-                        .lock()
-                        .unwrap_or_else(|poisoned| poisoned.into_inner())
-                        .recv()
-                    {
-                        Ok(chunk) => chunk,
-                        Err(_) => break, // producer done
-                    };
-                    self.pass_stream_chunk_failpoint(&mut stats)?;
-                    for tuple in &chunk {
-                        self.bin_into(tuple, &mut array);
-                    }
-                }
-                Ok((array, stats))
-            },
-            move || {
-                let mut iter = tuples.into_iter();
-                loop {
-                    let chunk: Vec<Tuple> = iter.by_ref().take(CHUNK).collect();
-                    if chunk.is_empty() || tx.send(chunk).is_err() {
-                        break;
-                    }
-                }
-            },
-        );
+        let window_len = threads.saturating_mul(CHUNK);
+        let mut iter = tuples.into_iter();
+        let mut array = self.new_bin_array()?;
         let mut stats = RecoveryStats::default();
-        stats.record_pool(&pool_stats);
-        let mut merged: Option<BinArray> = None;
-        for attempt in attempts {
-            let shard: Shard = attempt.unwrap_or_else(|panic| {
-                Err(ArcsError::WorkerPanicked {
-                    stage: "binning",
-                    message: crate::error::panic_message(panic),
-                })
-            });
-            let (array, shard_stats) = shard?;
-            stats.merge(&shard_stats);
-            match merged.as_mut() {
-                None => merged = Some(array),
-                Some(acc) => acc.merge(&array)?,
-            }
-        }
-        match merged {
-            Some(array) => Ok((array, stats)),
-            None => Ok((self.new_bin_array()?, stats)),
-        }
-    }
-
-    /// Clears the `binner.stream-chunk` failpoint before a chunk is
-    /// binned: panics are caught and retried up to [`MAX_SHARD_RETRIES`]
-    /// times, after which the failpoint is disarmed for this chunk (the
-    /// stream equivalent of the sequential fallback). Typed errors
-    /// propagate immediately. Accounting follows the shared
-    /// [`run_recovered`](crate::exec::run_recovered) contract documented
-    /// on [`RecoveryStats`]: the initial panic counts one
-    /// `worker_panics`, each retry counts `shard_retries` before it
-    /// runs, and the disarm counts one `sequential_fallbacks`.
-    fn pass_stream_chunk_failpoint(&self, stats: &mut RecoveryStats) -> Result<(), ArcsError> {
-        match std::panic::catch_unwind(|| crate::faults::check("binner.stream-chunk")) {
-            Ok(result) => result,
-            Err(_) => {
-                stats.worker_panics += 1;
-                crate::exec::run_recovered(
-                    stats,
-                    "binning",
-                    || crate::faults::check("binner.stream-chunk"),
-                    // The "fallback" for a chunk-entry fault is simply to
-                    // proceed: no tuple has touched the array yet.
-                    || Ok(()),
-                )
+        loop {
+            let window: Vec<Tuple> = iter.by_ref().take(window_len).collect();
+            let chunks: Vec<&[Tuple]> = window.chunks(CHUNK).collect();
+            let (binned, window_stats) = self.bin_shards("binner.stream-chunk", threads, &chunks)?;
+            array.merge(&binned)?;
+            stats.merge(&window_stats);
+            if window.len() < window_len {
+                return Ok((array, stats));
             }
         }
     }

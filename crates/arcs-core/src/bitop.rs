@@ -107,53 +107,46 @@ pub fn enumerate_candidates_parallel(grid: &Grid, threads: usize) -> Vec<Rect> {
 
 /// [`enumerate_candidates_parallel`] plus panic-isolation tallies.
 ///
-/// Stripes run on the persistent worker pool
-/// ([`ExecPool`](crate::exec::ExecPool)). A panicked stripe worker is
-/// retried up to [`MAX_SHARD_RETRIES`](crate::exec::MAX_SHARD_RETRIES)
-/// times, then recomputed on the calling thread with the `bitop.stripe`
-/// failpoint out of the loop. Each attempt rescans the stripe from the
-/// read-only grid, so recovery is side-effect free and the concatenated
-/// result stays bit-identical, stripe order included. A panic from the
-/// scan itself on the final attempt propagates: enumeration has no
-/// typed-error channel, and the caller's `catch_unwind`-free path would
-/// abort anyway.
+/// Stripes run on the persistent worker pool under
+/// [`ExecPool::run_isolated`](crate::exec::ExecPool::run_isolated) — one
+/// stripe at `threads == 1` included. A panicked stripe is retried up to
+/// [`MAX_SHARD_RETRIES`](crate::exec::MAX_SHARD_RETRIES) times, then
+/// recomputed with the `bitop.stripe` failpoint out of the loop. Each
+/// attempt rescans the stripe from the read-only grid, so recovery is
+/// side-effect free and the concatenated result stays bit-identical,
+/// stripe order included. Enumeration has no typed-error channel, so an
+/// unrecoverable final-pass panic re-raises as a panic carrying the
+/// [`ArcsError::WorkerPanicked`] message.
 pub fn enumerate_candidates_parallel_with_stats(
     grid: &Grid,
     threads: usize,
 ) -> (Vec<Rect>, RecoveryStats) {
     let height = grid.height();
-    let threads = threads.max(1).min(height.max(1));
-    if height == 0 || threads == 1 {
-        // `height == 0` is unreachable through the validated `Grid`
-        // constructors but must not divide by zero below (the clamp
-        // would yield `threads == 0`); a degenerate grid simply has no
-        // candidates and takes the sequential path.
-        let stats = RecoveryStats { effective_workers: 1, ..RecoveryStats::default() };
-        return (enumerate_candidates(grid), stats);
+    // `max(1)` keeps a zero-height grid (unreachable through the
+    // validated `Grid` constructors) from dividing by zero: it simply
+    // has no stripes and no candidates.
+    let stripe = height.div_ceil(threads.max(1)).max(1);
+    let ranges: Vec<(usize, usize)> =
+        (0..height).step_by(stripe).map(|lo| (lo, (lo + stripe).min(height))).collect();
+    let scan = |&(lo, hi): &(usize, usize)| Ok(enumerate_rows(grid, lo, hi));
+    let (stripes, stats) = crate::exec::ExecPool::global()
+        .run_isolated(
+            "bitop",
+            threads,
+            &ranges,
+            |range| {
+                fault_check_stripe();
+                scan(range)
+            },
+            scan,
+        )
+        .unwrap_or_else(|err| panic!("{err}"));
+    let mut stripes = stripes.into_iter();
+    let mut rects = stripes.next().unwrap_or_default();
+    for stripe in stripes {
+        rects.extend(stripe);
     }
-    let stripe = height.div_ceil(threads);
-    let ranges: Vec<(usize, usize)> = (0..threads)
-        .map(|t| (t * stripe, ((t + 1) * stripe).min(height)))
-        .collect();
-    let (attempts, pool_stats) =
-        crate::exec::ExecPool::global().run_shards(threads, &ranges, |_, &(lo, hi)| {
-            fault_check_stripe();
-            enumerate_rows(grid, lo, hi)
-        });
-    let mut stats = RecoveryStats::default();
-    stats.record_pool(&pool_stats);
-    let mut stripes: Vec<Vec<Rect>> = Vec::with_capacity(threads);
-    for (attempt, &(lo, hi)) in attempts.into_iter().zip(&ranges) {
-        let rects = match attempt {
-            Ok(rects) => rects,
-            Err(_) => {
-                stats.worker_panics += 1;
-                recover_stripe(grid, lo, hi, &mut stats)
-            }
-        };
-        stripes.push(rects);
-    }
-    (stripes.concat(), stats)
+    (rects, stats)
 }
 
 /// The `bitop.stripe` failpoint, panic-only by construction: enumeration
@@ -164,25 +157,6 @@ fn fault_check_stripe() {
     if let Err(err) = crate::faults::check("bitop.stripe") {
         panic!("injected fault at failpoint `bitop.stripe`: {err}");
     }
-}
-
-/// Retries a panicked stripe scan, then recomputes it without the
-/// failpoint — through [`run_recovered`](crate::exec::run_recovered), so
-/// the binner and BitOp tally identical fault schedules identically (the
-/// contract documented on [`RecoveryStats`]). Enumeration has no typed
-/// error channel, so an unrecoverable final-pass panic re-raises as a
-/// panic carrying the [`ArcsError::WorkerPanicked`] message.
-fn recover_stripe(grid: &Grid, lo: usize, hi: usize, stats: &mut RecoveryStats) -> Vec<Rect> {
-    crate::exec::run_recovered(
-        stats,
-        "bitop",
-        || {
-            fault_check_stripe();
-            Ok(enumerate_rows(grid, lo, hi))
-        },
-        || Ok(enumerate_rows(grid, lo, hi)),
-    )
-    .unwrap_or_else(|err| panic!("{err}"))
 }
 
 /// Figure 6 scan restricted to start rows `r0 ∈ [row_lo, row_hi)` (each

@@ -40,9 +40,10 @@
 //!   bit-identical at any thread count and any pool size.
 //!
 //! The bounded-retry/sequential-fallback contract shared by all parallel
-//! stages lives here too ([`run_recovered`]), so the binner, BitOp and
-//! optimizer account for faults identically (see
-//! [`RecoveryStats`](crate::metrics::RecoveryStats) for the contract).
+//! stages lives here too ([`ExecPool::run_isolated`]) — the only shard
+//! panic handling in the pipeline — so the binner, BitOp and optimizer
+//! account for faults identically at every thread count and input size
+//! (see [`RecoveryStats`] for the contract).
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -53,7 +54,7 @@ use crate::error::ArcsError;
 use crate::metrics::{default_threads, RecoveryStats};
 
 /// Maximum bounded retries for a panicked shard before the sequential
-/// fallback path recomputes it (see [`run_recovered`]).
+/// fallback path recomputes it (see [`ExecPool::run_isolated`]).
 pub const MAX_SHARD_RETRIES: usize = 2;
 
 /// Configuration for an owned [`ExecPool`].
@@ -378,70 +379,49 @@ impl ExecPool {
         (results, stats)
     }
 
-    /// Producer/consumer variant for streams that cannot be sliced into
-    /// shards: submits `units` long-running consumer tasks to the pool,
-    /// runs `producer` on the calling thread (feeding them, e.g. through
-    /// a bounded channel), and returns the per-unit results in unit order
-    /// once everything has drained.
+    /// Runs `unit` over every item under the one panic-isolation
+    /// contract every parallel stage shares (documented on
+    /// [`RecoveryStats`]), at any thread count and input size:
     ///
-    /// Requires at least one live pool worker — the caller is busy
-    /// producing and cannot steal. Callers must check
-    /// [`has_workers`](ExecPool::has_workers) first and fall back to a
-    /// sequential path when the pool could not spawn any threads.
-    pub fn run_with_producer<R, O, F, P>(
+    /// * a typed error from `unit` propagates — deterministic failures
+    ///   are not retried;
+    /// * a panicked item is retried up to [`MAX_SHARD_RETRIES`] times
+    ///   through `unit` (so any failpoint in it stays armed), then
+    ///   recomputed once by `fallback`, which leaves the failpoint out;
+    /// * a panic in `fallback` becomes [`ArcsError::WorkerPanicked`]
+    ///   labelled `stage`.
+    ///
+    /// Every attempt recomputes the item from scratch, so the results —
+    /// returned in item order — are bit-identical to a fault-free run.
+    pub fn run_isolated<T, R, U, F>(
         &self,
-        units: usize,
-        worker: F,
-        producer: P,
-    ) -> (Vec<std::thread::Result<R>>, O, PoolStats)
+        stage: &'static str,
+        threads: usize,
+        items: &[T],
+        unit: U,
+        fallback: F,
+    ) -> Result<(Vec<R>, RecoveryStats), ArcsError>
     where
+        T: Sync,
         R: Send,
-        F: Fn(usize) -> R + Sync,
-        P: FnOnce() -> O,
+        U: Fn(&T) -> Result<R, ArcsError> + Sync,
+        F: Fn(&T) -> Result<R, ArcsError>,
     {
-        self.ensure_workers();
-        let slots: Vec<OnceLock<std::thread::Result<R>>> =
-            (0..units).map(|_| OnceLock::new()).collect();
-        let mut stats = PoolStats {
-            tasks_run: units as u64,
-            steals: units as u64,
-            effective_workers: units as u64,
-            ..PoolStats::default()
-        };
-        let ctx = ProducerCtx { worker: &worker, slots: &slots };
-        let ctx_addr = &ctx as *const ProducerCtx<'_, R, F> as usize;
-        let latch = Arc::new(Latch::default());
-        let output = {
-            let completion = CompletionGuard(&latch);
-            for i in 0..units {
-                let guard = LatchGuard::register(&latch);
-                let depth = self.submit(Box::new(move || {
-                    let _guard = guard;
-                    // SAFETY: as in `run_shards` — the CompletionGuard
-                    // pins `ctx` until every unit's guard has dropped.
-                    let ctx = unsafe { &*(ctx_addr as *const ProducerCtx<'_, R, F>) };
-                    ctx.run(i);
-                }));
-                stats.max_queue_depth = stats.max_queue_depth.max(depth as u64);
-            }
-            let output = producer();
-            drop(completion);
-            output
-        };
-        let results = slots
-            .into_iter()
-            .map(|slot| {
-                slot.into_inner()
-                    .expect("every consumer unit fills its slot exactly once")
-            })
-            .collect();
-        (results, output, stats)
-    }
-
-    /// Whether the pool has (or can spawn) at least one live worker.
-    /// `run_shards` works either way; [`run_with_producer`] requires it.
-    pub fn has_workers(&self) -> bool {
-        self.ensure_workers() > 0
+        let (attempts, pool_stats) = self.run_shards(threads, items, |_, item| unit(item));
+        let mut stats = RecoveryStats::default();
+        stats.record_pool(&pool_stats);
+        let mut results = Vec::with_capacity(items.len());
+        for (attempt, item) in attempts.into_iter().zip(items) {
+            let result = match attempt {
+                Ok(result) => result?,
+                Err(_) => {
+                    stats.worker_panics += 1;
+                    run_recovered(&mut stats, stage, || unit(item), || fallback(item))?
+                }
+            };
+            results.push(result);
+        }
+        Ok((results, stats))
     }
 }
 
@@ -499,28 +479,9 @@ where
     }
 }
 
-/// Shared per-call context for `run_with_producer`.
-struct ProducerCtx<'a, R, F> {
-    worker: &'a F,
-    slots: &'a [OnceLock<std::thread::Result<R>>],
-}
-
-impl<R, F> ProducerCtx<'_, R, F>
-where
-    R: Send,
-    F: Fn(usize) -> R + Sync,
-{
-    fn run(&self, i: usize) {
-        let result = catch_unwind(AssertUnwindSafe(|| (self.worker)(i)));
-        let _ = self.slots[i].set(result);
-    }
-}
-
-/// The one bounded-retry/sequential-fallback contract shared by every
-/// parallel stage (binner shards, BitOp stripes, optimizer batch points).
-///
-/// The caller has already caught the shard's *initial* panic and counted
-/// it in `stats.worker_panics`. This helper then:
+/// The retry ladder behind [`ExecPool::run_isolated`]. The caller has
+/// already caught the item's *initial* panic and counted it in
+/// `stats.worker_panics`. This helper then:
 ///
 /// 1. retries `attempt` up to [`MAX_SHARD_RETRIES`] times, incrementing
 ///    `shard_retries` **before** each attempt and `worker_panics` for
@@ -532,7 +493,7 @@ where
 ///
 /// Typed errors (`Err`) returned by either closure propagate immediately
 /// — only panics are retried.
-pub fn run_recovered<R>(
+fn run_recovered<R>(
     stats: &mut RecoveryStats,
     stage: &'static str,
     mut attempt: impl FnMut() -> Result<R, ArcsError>,
@@ -658,39 +619,33 @@ mod tests {
     }
 
     #[test]
-    fn run_with_producer_feeds_consumers_through_a_channel() {
+    fn run_isolated_applies_one_contract_at_any_thread_count() {
         let pool = ExecPool::new(ExecConfig { threads: 2 });
-        assert!(pool.has_workers());
-        let (tx, rx) = std::sync::mpsc::sync_channel::<u64>(4);
-        let rx = Mutex::new(rx);
-        let (results, produced, stats) = pool.run_with_producer(
-            2,
-            |_| {
-                let mut sum = 0u64;
-                loop {
-                    let value = {
-                        let guard = rx.lock().unwrap_or_else(|p| p.into_inner());
-                        guard.recv()
-                    };
-                    match value {
-                        Ok(v) => sum += v,
-                        Err(_) => return sum,
-                    }
-                }
-            },
-            move || {
-                let mut total = 0u64;
-                for v in 1..=100 {
-                    tx.send(v).expect("consumers are draining");
-                    total += v;
-                }
-                total
-            },
-        );
-        assert_eq!(produced, 5050);
-        let consumed: u64 = results.into_iter().map(|r| r.unwrap()).sum();
-        assert_eq!(consumed, 5050, "every produced value is consumed once");
-        assert_eq!(stats.tasks_run, 2);
+        let items: Vec<u32> = (0..4).collect();
+        for threads in [1, 4] {
+            // Item 2 panics on every pooled attempt; the fallback recomputes it.
+            let (values, stats) = pool
+                .run_isolated(
+                    "test",
+                    threads,
+                    &items,
+                    |&x| if x == 2 { panic!("persistent") } else { Ok(x * 10) },
+                    |&x| Ok(x * 10),
+                )
+                .unwrap();
+            assert_eq!(values, vec![0, 10, 20, 30], "threads = {threads}");
+            let tally = (stats.worker_panics, stats.shard_retries, stats.sequential_fallbacks);
+            assert_eq!(tally, (3, 2, 1), "threads = {threads}");
+
+            let typed = pool.run_isolated(
+                "test",
+                threads,
+                &items,
+                |_| Err::<u32, _>(ArcsError::InvalidConfig("typed".to_string())),
+                |&x| Ok(x),
+            );
+            assert!(matches!(typed, Err(ArcsError::InvalidConfig(_))), "threads = {threads}");
+        }
     }
 
     #[test]

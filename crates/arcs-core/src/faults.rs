@@ -11,8 +11,8 @@
 //!
 //! | name | site |
 //! |------|------|
-//! | `binner.shard` | inside each parallel `bin_rows` shard worker |
-//! | `binner.stream-chunk` | per chunk inside each parallel stream worker |
+//! | `binner.shard` | inside each `bin_rows_parallel` shard, the single shard of a one-worker run included |
+//! | `binner.stream-chunk` | inside each `bin_stream_parallel` chunk, at any thread count |
 //! | `binner.checkpoint-save` | before writing a streaming checkpoint |
 //! | `binner.checkpoint-load` | before reading a streaming checkpoint |
 //! | `binarray.snapshot-write` | at [`BinArray::save`] entry |
@@ -20,9 +20,9 @@
 //! | `engine.mine` | at the rule-bitmap build: [`rule_grid`]/[`rule_grid_into`] entry, each optimizer evaluation, and the clustering step of the shared query body `serve::answer` |
 //! | `smooth.pass` | before each smoothing pass |
 //! | `bitop.enumerate` | at [`cluster_with_stats`] entry |
-//! | `bitop.stripe` | inside each parallel enumeration stripe worker |
+//! | `bitop.stripe` | inside each enumeration stripe, the single stripe of a one-worker run included |
 //! | `verify.sample` | at [`verify_sampled`] entry |
-//! | `optimizer.evaluate` | per point inside each parallel evaluation worker |
+//! | `optimizer.evaluate` | before each point of a search chunk, at any thread count |
 //! | `serve.swap` | at [`SnapshotStore::append`] entry, before the merge |
 //! | `serve.swap-publish` | after building the new snapshot, before publishing it |
 //! | `serve.admission` | at [`AdmissionGate::admit`] entry |

@@ -202,8 +202,8 @@ pipeline_counters! {
         pool_max_queue_depth: max,
         /// Largest effective worker count any parallel call actually used
         /// after input-size clamping (merged by maximum). When this stays at
-        /// 1 despite `threads > 1`, every input was small enough to take the
-        /// sequential path.
+        /// 1 despite `threads > 1`, every input was small enough to run as
+        /// one unit.
         workers_effective: max,
     }
 }
@@ -228,11 +228,12 @@ impl PipelineCounters {
 ///
 /// # The retry-accounting contract
 ///
-/// Every parallel stage (binner shards, BitOp stripes, optimizer batch
-/// points, stream chunks) accounts for a panicked work unit through one
-/// shared helper ([`run_recovered`](crate::exec::run_recovered)) with one
-/// order, so identical fault schedules produce identical tallies across
-/// stages:
+/// Every parallel stage (binner shards, stream chunks, BitOp stripes,
+/// optimizer point chunks) runs its work units through one entry,
+/// [`ExecPool::run_isolated`](crate::exec::ExecPool::run_isolated), at
+/// every thread count and input size — a single unit on the calling
+/// thread included — so identical fault schedules produce identical
+/// tallies across stages:
 ///
 /// 1. the *initial* caught panic increments `worker_panics` once;
 /// 2. each bounded retry increments `shard_retries` **before** the
@@ -245,7 +246,8 @@ impl PipelineCounters {
 /// `(worker_panics, shard_retries, sequential_fallbacks)` =
 /// `(1 + MAX_SHARD_RETRIES, MAX_SHARD_RETRIES, 1)`; a single transient
 /// panic tallies `(1, 1, 0)`. `tests/faults.rs` asserts this contract
-/// holds identically for the binner and BitOp under the same schedule.
+/// holds identically for binner rows, binner streams and BitOp under the
+/// same schedule.
 ///
 /// The pool fields (`pool_*`, `effective_workers`) describe the
 /// *schedule*, not the work: they legitimately differ across thread
@@ -255,9 +257,9 @@ impl PipelineCounters {
 pub struct RecoveryStats {
     /// Worker panics caught by the isolation layer.
     pub worker_panics: u64,
-    /// Retry attempts for panicked shards/batches.
+    /// Retry attempts for panicked work units.
     pub shard_retries: u64,
-    /// Shards/batches recomputed sequentially after retries were
+    /// Work units recomputed by the fallback after retries were
     /// exhausted.
     pub sequential_fallbacks: u64,
     /// Shard tasks this call executed through the persistent pool.
@@ -267,9 +269,9 @@ pub struct RecoveryStats {
     /// Deepest injector backlog observed while submitting (merge: max).
     pub pool_max_queue_depth: u64,
     /// Worker slots the call actually used after input-size clamping
-    /// (merge: max). Stays 1 when the input was too small to go
-    /// parallel — the observable signal that a `threads > 1` request
-    /// took the sequential path.
+    /// (merge: max). Stays 1 when the input was too small to split —
+    /// the observable signal that a `threads > 1` request ran as one
+    /// unit.
     pub effective_workers: u64,
 }
 

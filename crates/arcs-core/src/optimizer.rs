@@ -11,8 +11,6 @@
 //! the verifier sees no significant improvement (within `epsilon`) or the
 //! evaluation budget expires.
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
-
 use arcs_data::Tuple;
 
 use crate::binarray::BinArray;
@@ -153,21 +151,24 @@ pub struct OptimizerConfig {
     /// Hard cap on (support, confidence) evaluations — the paper's
     /// "budgeted time".
     pub max_evaluations: usize,
-    /// Optional wall-clock budget: the search stops starting new
-    /// evaluations once this much time has elapsed (the paper's literal
-    /// "the verifier determines that the budgeted time has expired").
+    /// Optional wall-clock budget (the paper's literal "the verifier
+    /// determines that the budgeted time has expired"): every worker
+    /// checks the clock before each point and evaluates nothing once it
+    /// has expired; the search ends at the first point in search order
+    /// that was not evaluated. Which point that is depends on timing,
+    /// at any thread count.
     pub max_wall_time: Option<std::time::Duration>,
     /// Cap on distinct support levels searched (evenly subsampled).
     pub max_support_levels: usize,
     /// Cap on distinct confidence levels searched per support level.
     pub max_confidence_levels: usize,
     /// Worker threads for the lattice search: a support level's
-    /// confidence cells are independent re-mines of the shared immutable
-    /// `BinArray`, so they evaluate concurrently. Defaults to
+    /// confidence points are independent re-mines of the shared immutable
+    /// `BinArray`, so they split into at most `threads` chunks that
+    /// evaluate concurrently. Defaults to
     /// [`available_parallelism`](std::thread::available_parallelism);
-    /// results are bit-identical for any value. A `max_wall_time` budget
-    /// forces the sequential path (which evaluation the clock cuts off is
-    /// inherently timing-dependent).
+    /// results are bit-identical for any value. With more than one
+    /// thread the search keeps BitOp single-threaded inside each chunk.
     pub threads: usize,
 }
 
@@ -234,13 +235,13 @@ pub struct Evaluation {
     pub score: MdlScore,
 }
 
-/// Work counters from one threshold search. Schedule-independent — the
-/// parallel and sequential paths report identical values — except:
-/// `recovery` tallies the faults this particular run actually encountered
-/// and survived, and `cells_visited` / `remine_delta_hits` depend on the
-/// delta-mining chains (each parallel worker starts its own chain from an
-/// empty grid, so the crossing sets differ from one sequential chain even
-/// though every produced grid is bit-identical).
+/// Work counters from one threshold search. Schedule-independent — every
+/// thread count reports identical values — except: `recovery` tallies
+/// the faults this particular run actually encountered and survived, and
+/// `cells_visited` / `remine_delta_hits` depend on the delta-mining
+/// chains (each chunk of a support level starts its own chain from an
+/// empty grid, so the crossing sets depend on how the level was split
+/// even though every produced grid is bit-identical).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SearchStats {
     /// Occupied cells scanned while building the threshold lattice.
@@ -278,22 +279,6 @@ pub struct OptimizeResult {
     pub stats: SearchStats,
 }
 
-/// Per-worker re-mining state of the search: a [`DeltaMiner`] bound to
-/// the shared [`OccupancyIndex`]. The delta grid carries over between the
-/// points a worker evaluates, so consecutive lattice points pay only for
-/// threshold crossings; after a caught panic the miner is rebuilt (the
-/// panic may have left its grid mid-update).
-struct Reminer<'a> {
-    index: &'a OccupancyIndex,
-    delta: DeltaMiner,
-}
-
-impl<'a> Reminer<'a> {
-    fn new(index: &'a OccupancyIndex, gk: u32) -> Result<Self, ArcsError> {
-        Ok(Reminer { index, delta: DeltaMiner::new(index, gk)? })
-    }
-}
-
 /// Work counters of one evaluation, alongside its [`Evaluation`].
 #[derive(Debug, Clone, Copy, Default)]
 struct EvalStats {
@@ -303,10 +288,21 @@ struct EvalStats {
     smooth_words: u64,
 }
 
+impl SearchStats {
+    /// Folds one evaluation's work counters in.
+    fn record(&mut self, eval: &EvalStats) {
+        self.candidates_enumerated += eval.cluster.candidates_enumerated;
+        self.clusters_pruned += eval.cluster.clusters_pruned;
+        self.recovery.merge(&eval.cluster.recovery);
+        self.cells_visited += eval.cells_visited;
+        self.remine_delta_hits += eval.delta_hits;
+        self.smooth_words_processed += eval.smooth_words;
+    }
+}
+
 /// Evaluates a single `(support, confidence)` point: mine → smooth →
 /// cluster → verify → score. One-shot convenience — builds a throwaway
-/// [`OccupancyIndex`]; the search itself shares one index across all
-/// evaluations via [`evaluate_into`].
+/// [`OccupancyIndex`]; a session evaluates over the index it keeps.
 pub fn evaluate(
     array: &BinArray,
     gk: u32,
@@ -316,8 +312,25 @@ pub fn evaluate(
     config: &OptimizerConfig,
 ) -> Result<Evaluation, ArcsError> {
     let index = OccupancyIndex::build(array);
-    let mut reminer = Reminer::new(&index, gk)?;
-    evaluate_into(binner, sample, thresholds, config, &mut reminer).map(|(eval, _)| eval)
+    let mut stats = SearchStats::default();
+    evaluate_indexed(&index, gk, binner, sample, thresholds, config, &mut stats)
+}
+
+/// [`evaluate`] over a prebuilt index, folding the point's work counters
+/// into `stats`.
+pub(crate) fn evaluate_indexed(
+    index: &OccupancyIndex,
+    gk: u32,
+    binner: &Binner,
+    sample: &[&Tuple],
+    thresholds: Thresholds,
+    config: &OptimizerConfig,
+    stats: &mut SearchStats,
+) -> Result<Evaluation, ArcsError> {
+    let mut miner = DeltaMiner::new(index, gk)?;
+    let (eval, eval_stats) = evaluate_into(index, &mut miner, binner, sample, thresholds, config)?;
+    stats.record(&eval_stats);
+    Ok(eval)
 }
 
 /// The hot path of the search: every lattice point re-mines through here.
@@ -326,17 +339,18 @@ pub fn evaluate(
 /// threshold-crossing cells, then the word-parallel smoother and BitOp
 /// run as before.
 fn evaluate_into(
+    index: &OccupancyIndex,
+    miner: &mut DeltaMiner,
     binner: &Binner,
     sample: &[&Tuple],
     thresholds: Thresholds,
     config: &OptimizerConfig,
-    reminer: &mut Reminer<'_>,
 ) -> Result<(Evaluation, EvalStats), ArcsError> {
     crate::faults::check("engine.mine")?;
-    let (cells_visited, delta_hits) = reminer.delta.update(reminer.index, thresholds);
-    let (smoothed, smooth_stats) = smooth_with_stats(reminer.delta.grid(), &config.smoothing)?;
+    let (cells_visited, delta_hits) = miner.update(index, thresholds);
+    let (smoothed, smooth_stats) = smooth_with_stats(miner.grid(), &config.smoothing)?;
     let (clusters, cluster_stats) = bitop::cluster_with_stats(&smoothed, &config.bitop)?;
-    let errors = verify_tuples(&clusters, binner, sample.iter().copied(), reminer.delta.gk());
+    let errors = verify_tuples(&clusters, binner, sample.iter().copied(), miner.gk());
     let score = MdlScore::compute(clusters.len(), errors.total(), config.mdl_weights);
     let stats = EvalStats {
         cluster: cluster_stats,
@@ -347,150 +361,8 @@ fn evaluate_into(
     Ok((Evaluation { thresholds, clusters, errors, score }, stats))
 }
 
-/// [`evaluate_into`] behind the `optimizer.evaluate` failpoint — the unit
-/// of panic-isolated work in [`evaluate_batch`].
-fn evaluate_point(
-    binner: &Binner,
-    sample: &[&Tuple],
-    point: Thresholds,
-    config: &OptimizerConfig,
-    reminer: &mut Reminer<'_>,
-) -> Result<(Evaluation, EvalStats), ArcsError> {
-    crate::faults::check("optimizer.evaluate")?;
-    evaluate_into(binner, sample, point, config, reminer)
-}
-
-/// Evaluates `points` in order across up to `threads` persistent pool
-/// workers (see [`ExecPool`](crate::exec::ExecPool)), each chunk holding
-/// a private [`Reminer`] against the shared immutable
-/// [`OccupancyIndex`]. Results come back in `points` order, so callers
-/// can replay the sequential selection logic over them unchanged.
-///
-/// Each point is individually panic-isolated: a worker that panics on one
-/// point leaves that slot empty (and rebuilds its delta miner, which the
-/// panic may have left mid-update) and carries on with the rest of its
-/// chunk. Empty slots are recovered after the join — bounded retries with
-/// any failpoint still armed, then a fault-free sequential recompute —
-/// so a surviving batch is bit-identical to a fault-free one. Recovery
-/// tallies come back separately from the evaluations: the caller's replay
-/// may discard evaluations past an early-stop point, but a panic that was
-/// absorbed must still reach the report.
-fn evaluate_batch(
-    index: &OccupancyIndex,
-    gk: u32,
-    binner: &Binner,
-    sample: &[&Tuple],
-    points: &[Thresholds],
-    config: &OptimizerConfig,
-    threads: usize,
-) -> Result<(Vec<(Evaluation, EvalStats)>, RecoveryStats), ArcsError> {
-    let workers = threads.min(points.len()).max(1);
-    if workers == 1 {
-        let mut reminer = Reminer::new(index, gk)?;
-        let stats = RecoveryStats { effective_workers: 1, ..RecoveryStats::default() };
-        return points
-            .iter()
-            .map(|&t| evaluate_point(binner, sample, t, config, &mut reminer))
-            .collect::<Result<_, _>>()
-            .map(|results| (results, stats));
-    }
-    type Slots = Vec<Option<Result<(Evaluation, EvalStats), ArcsError>>>;
-    let per_worker = points.len().div_ceil(workers);
-    let chunks: Vec<&[Thresholds]> = points.chunks(per_worker).collect();
-    let (attempts, pool_stats) =
-        crate::exec::ExecPool::global().run_shards(workers, &chunks, |_, point_chunk| {
-            let mut chunk_slots: Slots = (0..point_chunk.len()).map(|_| None).collect();
-            let mut reminer = match Reminer::new(index, gk) {
-                Ok(reminer) => reminer,
-                Err(err) => {
-                    // Surface through the first slot; the chunk's
-                    // remaining empty slots are recovered by the
-                    // caller (and will hit the same error there).
-                    chunk_slots[0] = Some(Err(err));
-                    return chunk_slots;
-                }
-            };
-            for (&point, slot) in point_chunk.iter().zip(chunk_slots.iter_mut()) {
-                let outcome = catch_unwind(AssertUnwindSafe(|| {
-                    evaluate_point(binner, sample, point, config, &mut reminer)
-                }));
-                match outcome {
-                    Ok(result) => *slot = Some(result),
-                    Err(_) => match Reminer::new(index, gk) {
-                        Ok(fresh) => reminer = fresh,
-                        Err(err) => {
-                            *slot = Some(Err(err));
-                            return chunk_slots;
-                        }
-                    },
-                }
-            }
-            chunk_slots
-        });
-    let mut slots: Slots = Vec::with_capacity(points.len());
-    for (attempt, chunk) in attempts.into_iter().zip(&chunks) {
-        match attempt {
-            Ok(chunk_slots) => slots.extend(chunk_slots),
-            // The chunk body is panic-isolated per point, so a
-            // whole-chunk panic is out-of-envelope; treat every point in
-            // the chunk as panicked and recover them individually below.
-            Err(_) => slots.extend((0..chunk.len()).map(|_| None)),
-        }
-    }
-    let mut results = Vec::with_capacity(points.len());
-    let mut batch_recovery = RecoveryStats::default();
-    batch_recovery.record_pool(&pool_stats);
-    for (slot_index, slot) in slots.into_iter().enumerate() {
-        match slot {
-            Some(result) => results.push(result?),
-            None => {
-                let mut recovery =
-                    RecoveryStats { worker_panics: 1, ..RecoveryStats::default() };
-                let recovered = recover_point(
-                    index, gk, binner, sample, points[slot_index], config, &mut recovery,
-                );
-                batch_recovery.merge(&recovery);
-                results.push(recovered?);
-            }
-        }
-    }
-    Ok((results, batch_recovery))
-}
-
-/// Recovers one evaluation point whose worker panicked: bounded retries
-/// with any failpoint still armed, then a final sequential attempt with
-/// the failpoint disarmed — through
-/// [`run_recovered`](crate::exec::run_recovered), the retry contract
-/// shared by every parallel stage (see [`RecoveryStats`]). A panic on
-/// the final attempt is genuine and surfaces as
-/// [`ArcsError::WorkerPanicked`]. Every attempt starts from a fresh
-/// [`Reminer`] so a half-updated delta grid can never leak in.
-fn recover_point(
-    index: &OccupancyIndex,
-    gk: u32,
-    binner: &Binner,
-    sample: &[&Tuple],
-    point: Thresholds,
-    config: &OptimizerConfig,
-    recovery: &mut RecoveryStats,
-) -> Result<(Evaluation, EvalStats), ArcsError> {
-    crate::exec::run_recovered(
-        recovery,
-        "optimizer",
-        || {
-            let mut reminer = Reminer::new(index, gk)?;
-            evaluate_point(binner, sample, point, config, &mut reminer)
-        },
-        || {
-            let mut reminer = Reminer::new(index, gk)?;
-            evaluate_into(binner, sample, point, config, &mut reminer)
-        },
-    )
-}
-
 /// Mutable state of the greedy selection replayed over evaluations in
-/// search order — shared verbatim by the sequential and parallel paths so
-/// they cannot diverge.
+/// search order.
 struct Selection<'a> {
     config: &'a OptimizerConfig,
     /// Best evaluation meeting the recall guard.
@@ -512,12 +384,7 @@ impl Selection<'_> {
         improved: &mut bool,
         conf_stale: &mut usize,
     ) -> bool {
-        self.stats.candidates_enumerated += eval_stats.cluster.candidates_enumerated;
-        self.stats.clusters_pruned += eval_stats.cluster.clusters_pruned;
-        self.stats.recovery.merge(&eval_stats.cluster.recovery);
-        self.stats.cells_visited += eval_stats.cells_visited;
-        self.stats.remine_delta_hits += eval_stats.delta_hits;
-        self.stats.smooth_words_processed += eval_stats.smooth_words;
+        self.stats.record(&eval_stats);
         self.trace.push(eval.clone());
         if eval.clusters.is_empty() {
             return false; // never a candidate, never counts as stale progress
@@ -550,10 +417,10 @@ impl Selection<'_> {
 /// exhaustion. Returns [`ArcsError::NoSegmentation`] when the lattice is
 /// empty or no evaluation produced any cluster.
 ///
-/// With `config.threads > 1` each support level's confidence cells are
-/// evaluated concurrently against the shared immutable occupancy index,
-/// then consumed in their sequential order — `best`, `trace`, and `stats`
-/// are bit-identical to a single-threaded run, except the
+/// Each support level's confidence points are evaluated concurrently in
+/// at most `config.threads` chunks against the shared immutable occupancy
+/// index, then consumed in their sequential order — `best`, `trace`, and
+/// `stats` are bit-identical at any thread count, except the
 /// schedule-dependent `stats` fields called out on [`SearchStats`].
 /// (Speculative evaluations past an early-stop point are discarded,
 /// trading some redundant work for wall-clock time.)
@@ -564,28 +431,64 @@ pub fn optimize(
     sample: &[&Tuple],
     config: &OptimizerConfig,
 ) -> Result<OptimizeResult, ArcsError> {
+    let index = OccupancyIndex::build(array);
+    let search = search(array, &index, gk, binner, sample, config)?;
+    match search.best {
+        Some(best) => Ok(OptimizeResult { best, trace: search.trace, stats: search.stats }),
+        None => Err(ArcsError::NoSegmentation),
+    }
+}
+
+/// What [`search`] found: the best evaluation, if any produced a cluster,
+/// plus the full trace and the work counters either way.
+pub(crate) struct Search {
+    pub(crate) best: Option<Evaluation>,
+    pub(crate) trace: Vec<Evaluation>,
+    pub(crate) stats: SearchStats,
+}
+
+/// The search behind [`optimize`], over a prebuilt `index` of `array`.
+pub(crate) fn search(
+    array: &BinArray,
+    index: &OccupancyIndex,
+    gk: u32,
+    binner: &Binner,
+    sample: &[&Tuple],
+    config: &OptimizerConfig,
+) -> Result<Search, ArcsError> {
     config.validate()?;
     let lattice = ThresholdLattice::build(array, gk);
-    if lattice.is_empty() {
-        return Err(ArcsError::NoSegmentation);
-    }
-
     let support_levels =
         ThresholdLattice::subsample(lattice.supports(), config.max_support_levels);
-    // A wall-clock budget forces the sequential path: which evaluation
-    // the clock cuts off cannot be reproduced by a parallel batch.
-    let sequential = config.threads == 1 || config.max_wall_time.is_some();
-    // Parallel-path workers keep BitOp single-threaded — the level batch
-    // already saturates `threads` cores; nested enumeration threads would
-    // only oversubscribe. The sequential path honours the caller's BitOp
-    // thread count unchanged.
-    let worker_config = if sequential {
-        config.clone()
-    } else {
-        OptimizerConfig {
-            bitop: BitOpConfig { threads: 1, ..config.bitop },
-            ..config.clone()
+    // With several search workers each keeps BitOp single-threaded — the
+    // level's chunks already saturate `threads` cores; nested enumeration
+    // threads would only oversubscribe.
+    let worker_config = OptimizerConfig {
+        bitop: BitOpConfig {
+            threads: if config.threads > 1 { 1 } else { config.bitop.threads },
+            ..config.bitop
+        },
+        ..config.clone()
+    };
+    let started = std::time::Instant::now();
+    let expired = || config.max_wall_time.is_some_and(|budget| started.elapsed() >= budget);
+    // Evaluates one chunk of a level's points on its own delta-mining
+    // chain, stopping before the first point the clock cuts off. Only the
+    // pooled attempts pass the `optimizer.evaluate` failpoint; the
+    // fallback recomputes the chunk without it.
+    let evaluate_chunk = |points: &[Thresholds], armed: bool| -> Result<Vec<_>, ArcsError> {
+        let mut miner = DeltaMiner::new(index, gk)?;
+        let mut evals = Vec::with_capacity(points.len());
+        for &point in points {
+            if expired() {
+                break;
+            }
+            if armed {
+                crate::faults::check("optimizer.evaluate")?;
+            }
+            evals.push(evaluate_into(index, &mut miner, binner, sample, point, &worker_config)?);
         }
+        Ok(evals)
     };
     // Two-tier best: candidates meeting the recall guard are preferred;
     // `best_any` is the fallback when nothing qualifies.
@@ -600,13 +503,8 @@ pub fn optimize(
         },
     };
     let mut stale = 0usize;
-    let started = std::time::Instant::now();
-    // One index for the whole search; the sequential walk threads a single
-    // delta-mining chain through every lattice point it evaluates.
-    let index = OccupancyIndex::build(array);
-    let mut reminer = Reminer::new(&index, gk)?;
 
-    'search: for &s in &support_levels {
+    for &s in &support_levels {
         // Map back to the lattice index to fetch this level's confidences.
         let li = lattice
             .supports()
@@ -616,65 +514,53 @@ pub fn optimize(
         let conf_levels =
             ThresholdLattice::subsample(lattice.confidences_for(li), config.max_confidence_levels);
 
+        // Evaluate up to the remaining budget concurrently, then replay
+        // the level in order. Evaluations past a confidence-patience stop
+        // are computed but discarded — exactly what a one-point-at-a-time
+        // walk would never have run.
+        let budget_left = config.max_evaluations.saturating_sub(sel.trace.len());
+        if budget_left == 0 {
+            break;
+        }
+        let take = conf_levels.len().min(budget_left);
+        let points: Vec<Thresholds> = conf_levels[..take]
+            .iter()
+            .map(|&c| level_thresholds(s, c))
+            .collect::<Result<_, _>>()?;
+        let chunks: Vec<&[Thresholds]> =
+            points.chunks(take.div_ceil(config.threads).max(1)).collect();
+        let (batch, recovery) = crate::exec::ExecPool::global().run_isolated(
+            "optimizer",
+            config.threads,
+            &chunks,
+            |points| evaluate_chunk(points, true),
+            |points| evaluate_chunk(points, false),
+        )?;
+        // Merged before the replay: evaluations past an early-stop point
+        // are discarded, but an absorbed panic is not.
+        sel.stats.recovery.merge(&recovery);
+
         let mut improved = false;
         let mut conf_stale = 0usize;
-        if sequential {
-            for &c in &conf_levels {
-                if sel.trace.len() >= config.max_evaluations {
-                    break 'search;
-                }
-                if config
-                    .max_wall_time
-                    .is_some_and(|budget| started.elapsed() >= budget)
-                {
-                    break 'search;
-                }
-                let thresholds = level_thresholds(s, c)?;
-                let (eval, eval_stats) =
-                    evaluate_into(binner, sample, thresholds, &worker_config, &mut reminer)?;
-                if sel.consume(eval, eval_stats, &mut improved, &mut conf_stale) {
-                    break;
-                }
-            }
-        } else {
-            let budget_left = config.max_evaluations.saturating_sub(sel.trace.len());
-            if budget_left == 0 {
-                break 'search;
-            }
-            // Evaluate up to the remaining budget concurrently, then
-            // replay the batch in order. Evaluations past a
-            // confidence-patience stop are computed but discarded —
-            // exactly what the sequential walk would never have run.
-            let take = conf_levels.len().min(budget_left);
-            let points: Vec<Thresholds> = conf_levels[..take]
-                .iter()
-                .map(|&c| level_thresholds(s, c))
-                .collect::<Result<_, _>>()?;
-            let (batch, batch_recovery) = evaluate_batch(
-                &index,
-                gk,
-                binner,
-                sample,
-                &points,
-                &worker_config,
-                config.threads,
-            )?;
-            // Merged before the replay: evaluations past an early-stop
-            // point are discarded, but an absorbed panic is not.
-            sel.stats.recovery.merge(&batch_recovery);
-            let mut stopped_early = false;
-            for (eval, eval_stats) in batch {
+        let mut consumed = 0usize;
+        let mut stopped_early = false;
+        'replay: for (chunk, evals) in chunks.iter().zip(batch) {
+            let evaluated = evals.len();
+            for (eval, eval_stats) in evals {
+                consumed += 1;
                 if sel.consume(eval, eval_stats, &mut improved, &mut conf_stale) {
                     stopped_early = true;
-                    break;
+                    break 'replay;
                 }
             }
-            // The budget truncated this level's walk mid-way: the
-            // sequential search stops the whole run here, before any
-            // staleness bookkeeping.
-            if !stopped_early && take < conf_levels.len() {
-                break 'search;
+            if evaluated < chunk.len() {
+                break; // the clock cut this chunk short
             }
+        }
+        // The budget or the clock truncated this level's walk mid-way:
+        // the search stops here, before any staleness bookkeeping.
+        if !stopped_early && consumed < conf_levels.len() {
+            break;
         }
 
         if improved {
@@ -688,10 +574,7 @@ pub fn optimize(
         }
     }
 
-    match sel.best.or(sel.best_any) {
-        Some(best) => Ok(OptimizeResult { best, trace: sel.trace, stats: sel.stats }),
-        None => Err(ArcsError::NoSegmentation),
-    }
+    Ok(Search { best: sel.best.or(sel.best_any), trace: sel.trace, stats: sel.stats })
 }
 
 /// Backs a lattice point off a hair below the observed values so cells
@@ -1072,23 +955,27 @@ mod tests {
         let b = binner();
         let ba = b.bin_rows(ds.iter()).unwrap();
         let sample: Vec<&Tuple> = ds.iter().collect();
-        // An already-expired budget: at most one confidence loop entry per
-        // support level is even attempted — in fact none, so the optimizer
-        // reports NoSegmentation.
-        let config = OptimizerConfig {
-            max_wall_time: Some(std::time::Duration::ZERO),
-            ..OptimizerConfig::default()
-        };
-        let result = optimize(&ba, 0, &b, &sample, &config);
-        assert!(matches!(result, Err(ArcsError::NoSegmentation)));
-        // A generous budget behaves like no budget.
-        let config = OptimizerConfig {
-            max_wall_time: Some(std::time::Duration::from_secs(3600)),
-            bitop: BitOpConfig::no_pruning(),
-            ..OptimizerConfig::default()
-        };
-        let result = optimize(&ba, 0, &b, &sample, &config).unwrap();
-        assert_eq!(result.best.clusters.len(), 1);
+        for threads in [1, 4] {
+            // An already-expired budget: at most one confidence loop entry
+            // per support level is even attempted — in fact none, so the
+            // optimizer reports NoSegmentation.
+            let config = OptimizerConfig {
+                max_wall_time: Some(std::time::Duration::ZERO),
+                threads,
+                ..OptimizerConfig::default()
+            };
+            let result = optimize(&ba, 0, &b, &sample, &config);
+            assert!(matches!(result, Err(ArcsError::NoSegmentation)), "threads = {threads}");
+            // A generous budget behaves like no budget.
+            let config = OptimizerConfig {
+                max_wall_time: Some(std::time::Duration::from_secs(3600)),
+                bitop: BitOpConfig::no_pruning(),
+                threads,
+                ..OptimizerConfig::default()
+            };
+            let result = optimize(&ba, 0, &b, &sample, &config).unwrap();
+            assert_eq!(result.best.clusters.len(), 1, "threads = {threads}");
+        }
     }
 
     #[test]

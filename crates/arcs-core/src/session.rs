@@ -22,8 +22,8 @@
 //! explicit-threshold operations — [`Session::query`],
 //! [`Session::remine_group`] and [`Session::recluster_group`] — all run
 //! `serve::answer`, the query body the serving core
-//! ([`Server`](crate::serve::Server)) runs too, over the session's lazily
-//! built [`OccupancyIndex`].
+//! ([`Server`](crate::serve::Server)) runs too. Both run over the
+//! session's one lazily built [`OccupancyIndex`].
 //!
 //! Sessions also carry a [`PipelineReport`] of per-stage wall-clock
 //! timings and work counters, and an optional [`Observer`] notified as
@@ -46,7 +46,7 @@ use crate::engine::{self, BinnedRule, Thresholds};
 use crate::error::ArcsError;
 use crate::index::OccupancyIndex;
 use crate::metrics::{Observer, PipelineReport, Stage};
-use crate::optimizer::{evaluate, optimize, Evaluation, OptimizerConfig, SearchStats};
+use crate::optimizer::{evaluate_indexed, search, Evaluation, OptimizerConfig, SearchStats};
 use crate::pipeline::{Arcs, ArcsConfig, GroupSegmentations, Segmentation};
 use crate::serve::{answer, Answer, ClusterSpec, QueryResult};
 
@@ -130,69 +130,68 @@ impl SegmentRequest {
 }
 
 /// Outcome of the threshold search, including degradation-ladder
-/// bookkeeping and the work counters accumulated along the way.
+/// bookkeeping and the work counters accumulated along the way. `best` is
+/// `None` when neither the search nor the ladder found a cluster.
 struct SearchOutcome {
-    best: Evaluation,
+    best: Option<Evaluation>,
     evaluations: usize,
     degraded: bool,
     relaxation_steps: Vec<String>,
     stats: SearchStats,
 }
 
-/// Runs the threshold search; when it finds nothing and degradation is
-/// enabled, walks a bounded ladder of relaxations: (1) floor the
-/// support/confidence thresholds at zero, (2) additionally disable
-/// smoothing (whose low-pass filter can erase every sparse qualifying
-/// cell), (3) additionally disable cluster pruning. The first step
-/// yielding any cluster wins; each evaluation still runs the full
-/// smooth → cluster → verify → score path.
+/// Runs the threshold search over the session's `index`; when it finds
+/// nothing and degradation is enabled, walks a bounded ladder of
+/// relaxations: (1) floor the support/confidence thresholds at zero,
+/// (2) additionally disable smoothing (whose low-pass filter can erase
+/// every sparse qualifying cell), (3) additionally disable cluster
+/// pruning. The first step yielding any cluster wins; each evaluation
+/// still runs the full smooth → cluster → verify → score path, and the
+/// search's and the ladder's work both count in the outcome.
 fn run_search(
     config: &ArcsConfig,
     array: &BinArray,
+    index: &OccupancyIndex,
     gk: u32,
     binner: &Binner,
     sample: &[&Tuple],
 ) -> Result<SearchOutcome, ArcsError> {
-    match optimize(array, gk, binner, sample, &config.optimizer) {
-        Ok(result) => Ok(SearchOutcome {
-            best: result.best,
-            evaluations: result.trace.len(),
-            degraded: false,
-            relaxation_steps: Vec::new(),
-            stats: result.stats,
-        }),
-        Err(ArcsError::NoSegmentation) if config.degrade_on_no_segmentation => {
-            let floor = Thresholds::new(0.0, 0.0)?;
-            let mut relaxed = config.optimizer.clone();
-            type Relax = fn(&mut OptimizerConfig);
-            let ladder: [(&str, Relax); 3] = [
-                ("floor-thresholds", |_| {}),
-                ("disable-smoothing", |c| {
-                    c.smoothing = crate::smooth::SmoothConfig::disabled();
-                }),
-                ("disable-pruning", |c| {
-                    c.bitop = crate::bitop::BitOpConfig::no_pruning();
-                }),
-            ];
-            let mut steps = Vec::new();
-            for (i, (name, relax)) in ladder.iter().enumerate() {
-                relax(&mut relaxed);
-                steps.push(name.to_string());
-                let eval = evaluate(array, gk, binner, sample, floor, &relaxed)?;
-                if !eval.clusters.is_empty() {
-                    return Ok(SearchOutcome {
-                        best: eval,
-                        evaluations: i + 1,
-                        degraded: true,
-                        relaxation_steps: steps,
-                        stats: SearchStats::default(),
-                    });
-                }
-            }
-            Err(ArcsError::NoSegmentation)
-        }
-        Err(err) => Err(err),
+    let search = search(array, index, gk, binner, sample, &config.optimizer)?;
+    let mut outcome = SearchOutcome {
+        evaluations: search.trace.len(),
+        degraded: false,
+        relaxation_steps: Vec::new(),
+        stats: search.stats,
+        best: search.best,
+    };
+    if outcome.best.is_some() || !config.degrade_on_no_segmentation {
+        return Ok(outcome);
     }
+    let floor = Thresholds::new(0.0, 0.0)?;
+    let mut relaxed = config.optimizer.clone();
+    type Relax = fn(&mut OptimizerConfig);
+    let ladder: [(&str, Relax); 3] = [
+        ("floor-thresholds", |_| {}),
+        ("disable-smoothing", |c| {
+            c.smoothing = crate::smooth::SmoothConfig::disabled();
+        }),
+        ("disable-pruning", |c| {
+            c.bitop = crate::bitop::BitOpConfig::no_pruning();
+        }),
+    ];
+    for (name, relax) in ladder {
+        relax(&mut relaxed);
+        outcome.relaxation_steps.push(name.to_string());
+        outcome.evaluations += 1;
+        let eval =
+            evaluate_indexed(index, gk, binner, sample, floor, &relaxed, &mut outcome.stats)?;
+        if !eval.clusters.is_empty() {
+            outcome.best = Some(eval);
+            outcome.degraded = true;
+            break;
+        }
+    }
+    Ok(outcome)
 }
 
 /// The labels of a categorical criterion attribute, or an error when the
@@ -235,7 +234,8 @@ pub struct Session {
     /// Thresholds of the most recent mine (search winner or explicit
     /// `remine` argument); `recluster` reuses them.
     thresholds: Option<Thresholds>,
-    /// Occupancy index over `array`, built lazily on the first re-mine.
+    /// Occupancy index over `array`, built lazily on the first search or
+    /// re-mine.
     /// Per the index invalidation contract, every mutation of `array`
     /// ([`merge_delta`](Session::merge_delta)) must reset this to `None`
     /// so the next re-mine rebuilds it.
@@ -423,6 +423,16 @@ impl Arcs {
     }
 }
 
+/// The session's occupancy index over `array`, built on first use and
+/// rebuilt after any append (which resets `slot` to `None` — the
+/// invalidation contract). A free function so callers can borrow the
+/// session's other fields alongside it.
+fn lazy_index<'a>(slot: &'a mut Option<OccupancyIndex>, array: &BinArray) -> &'a OccupancyIndex {
+    let index = slot.get_or_insert_with(|| OccupancyIndex::build(array));
+    debug_assert!(index.matches(array));
+    index
+}
+
 /// Fails fast when the request targets a group the criterion does not have.
 fn check_group(labels: &[String], request: &SegmentRequest) -> Result<(), ArcsError> {
     if let Some(group) = request.group_label() {
@@ -450,38 +460,41 @@ impl Session {
 
         let start = Instant::now();
         let outcome = {
+            let index = lazy_index(&mut self.index, &self.array);
             let sample_refs: Vec<&Tuple> = self.sample.iter().collect();
-            run_search(&self.config, &self.array, gk, &self.binner, &sample_refs)
+            run_search(&self.config, &self.array, index, gk, &self.binner, &sample_refs)
         };
         self.record_stage(Stage::Search, start.elapsed());
         let outcome = outcome?;
 
-        {
-            let c = &mut self.report.counters;
-            c.occupied_cells += outcome.stats.occupied_cells;
-            c.candidates_enumerated += outcome.stats.candidates_enumerated;
-            c.clusters_pruned += outcome.stats.clusters_pruned;
-            c.cells_visited += outcome.stats.cells_visited;
-            c.remine_delta_hits += outcome.stats.remine_delta_hits;
-            c.smooth_words_processed += outcome.stats.smooth_words_processed;
-            c.record_recovery(&outcome.stats.recovery);
-            c.evaluations += outcome.evaluations as u64;
-            c.verifier_false_positives += outcome.best.errors.false_positives as u64;
-            c.verifier_false_negatives += outcome.best.errors.false_negatives as u64;
-        }
+        let c = &mut self.report.counters;
+        c.occupied_cells += outcome.stats.occupied_cells;
+        c.candidates_enumerated += outcome.stats.candidates_enumerated;
+        c.clusters_pruned += outcome.stats.clusters_pruned;
+        c.cells_visited += outcome.stats.cells_visited;
+        c.remine_delta_hits += outcome.stats.remine_delta_hits;
+        c.smooth_words_processed += outcome.stats.smooth_words_processed;
+        c.record_recovery(&outcome.stats.recovery);
+        c.evaluations += outcome.evaluations as u64;
+        let Some(best) = outcome.best else {
+            self.notify_counters();
+            return Err(ArcsError::NoSegmentation);
+        };
+        c.verifier_false_positives += best.errors.false_positives as u64;
+        c.verifier_false_negatives += best.errors.false_negatives as u64;
 
         let start = Instant::now();
-        let rules = self.decode(&outcome.best.clusters, gk, group_label)?;
+        let rules = self.decode(&best.clusters, gk, group_label)?;
         let (mined, visited) = {
-            let index = self.occupancy_index();
-            engine::mine_rules_indexed(index, gk, outcome.best.thresholds)
+            let index = lazy_index(&mut self.index, &self.array);
+            engine::mine_rules_indexed(index, gk, best.thresholds)
         };
         self.report.counters.rules_emitted += mined.len() as u64;
         self.report.counters.cells_visited += visited;
         self.record_stage(Stage::Decode, start.elapsed());
         self.notify_counters();
 
-        self.thresholds = Some(outcome.best.thresholds);
+        self.thresholds = Some(best.thresholds);
         // Budget coarsening at open time is a quality degradation too:
         // surface it through the same channel as the threshold ladder.
         let mut relaxation_steps = outcome.relaxation_steps;
@@ -491,10 +504,10 @@ impl Session {
         }
         Ok(Segmentation {
             rules,
-            clusters: outcome.best.clusters,
-            thresholds: outcome.best.thresholds,
-            score: outcome.best.score,
-            errors: outcome.best.errors,
+            clusters: best.clusters,
+            thresholds: best.thresholds,
+            score: best.score,
+            errors: best.errors,
             n_tuples: self.array.n_tuples(),
             evaluations: outcome.evaluations,
             degraded: outcome.degraded || self.budget_coarsening > 0,
@@ -628,7 +641,8 @@ impl Session {
         cluster: Option<&ClusterSpec>,
     ) -> Result<Answer, ArcsError> {
         let start = Instant::now();
-        let answer = answer(self.occupancy_index(), gk, thresholds, cluster, None)?;
+        let index = lazy_index(&mut self.index, &self.array);
+        let answer = answer(index, gk, thresholds, cluster, None)?;
         self.record_stage(Stage::Search, start.elapsed());
         let c = &mut self.report.counters;
         c.rules_emitted += answer.rules.len() as u64;
@@ -764,21 +778,6 @@ impl Session {
                  request or use {op}_group / segment_all"
             ))
         })
-    }
-
-    /// The session's occupancy index, built on first use and rebuilt
-    /// after any append (which resets it to `None` — the invalidation
-    /// contract).
-    fn occupancy_index(&mut self) -> &OccupancyIndex {
-        if self.index.is_none() {
-            self.index = Some(OccupancyIndex::build(&self.array));
-        }
-        debug_assert!(self.index.as_ref().is_some_and(|i| i.matches(&self.array)));
-        match self.index.as_ref() {
-            Some(index) => index,
-            // Freshly inserted above; unreachable without a panic channel.
-            None => unreachable!("occupancy index initialised above"),
-        }
     }
 
     fn group_code(&self, label: &str) -> Result<u32, ArcsError> {

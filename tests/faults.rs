@@ -70,13 +70,15 @@ fn persistent_shard_panics_recover_to_a_bit_identical_bin_array() {
 fn a_transient_shard_panic_is_retried_without_fallback() {
     let _g = guard();
     let ds = f2_dataset(12_000);
-    faults::configure_from_spec("binner.shard=panic@1").unwrap();
-    let session = arcs_with_threads(2).open(&ds, request()).unwrap();
-    faults::clear();
-    let c = &session.report().counters;
-    assert_eq!(c.worker_panics, 1, "{c:?}");
-    assert_eq!(c.shard_retries, 1, "{c:?}");
-    assert_eq!(c.sequential_fallbacks, 0, "{c:?}");
+    for threads in [1, 2] {
+        faults::configure_from_spec("binner.shard=panic@1").unwrap();
+        let session = arcs_with_threads(threads).open(&ds, request()).unwrap();
+        faults::clear();
+        let c = &session.report().counters;
+        assert_eq!(c.worker_panics, 1, "{threads} threads: {c:?}");
+        assert_eq!(c.shard_retries, 1, "{threads} threads: {c:?}");
+        assert_eq!(c.sequential_fallbacks, 0, "{threads} threads: {c:?}");
+    }
 }
 
 /// Typed faults (errors, simulated allocation failures) are deterministic,
@@ -116,8 +118,8 @@ fn typed_faults_surface_as_clean_errors() {
     faults::clear();
 }
 
-/// A panicking evaluation worker in the parallel threshold search: the
-/// point is retried after the batch joins, and the search result stays
+/// A panicking evaluation worker in the threshold search: its chunk of
+/// points is retried after the level joins, and the search result stays
 /// bit-identical to the fault-free run.
 #[test]
 fn optimizer_worker_panics_recover_bit_identically() {
@@ -128,16 +130,86 @@ fn optimizer_worker_panics_recover_bit_identically() {
         session.segment().unwrap()
     };
 
+    for threads in [1, 4] {
+        faults::configure_from_spec("optimizer.evaluate=panic@1").unwrap();
+        let mut session = arcs_with_threads(threads).open(&ds, request()).unwrap();
+        let seg = session.segment().unwrap();
+        assert!(
+            faults::hits("optimizer.evaluate") > 0,
+            "{threads} threads: failpoint was never reached"
+        );
+        faults::clear();
+
+        assert_eq!(seg, clean_seg, "{threads} threads");
+        let c = &session.report().counters;
+        assert!(c.worker_panics >= 1, "{threads} threads: {c:?}");
+        assert!(c.shard_retries >= 1, "{threads} threads: {c:?}");
+    }
+}
+
+/// The pipeline's speck fixture: group A's only mass sits in one cell
+/// of a 10 x 10 grid while the pruner demands clusters of four cells, so
+/// the search finds nothing and only the degradation ladder (whose last
+/// step disables pruning) segments it.
+fn speck_session(threads: usize) -> Session {
+    let schema = Schema::new(vec![
+        Attribute::quantitative("x", 0.0, 10.0),
+        Attribute::quantitative("y", 0.0, 10.0),
+        Attribute::categorical("g", ["A", "other"]),
+    ])
+    .unwrap();
+    let mut ds = Dataset::new(schema);
+    for _ in 0..30 {
+        ds.push(vec![Value::Quant(5.5), Value::Quant(5.5), Value::Cat(0)]).unwrap();
+    }
+    for ix in 0..10 {
+        for iy in 0..10 {
+            for _ in 0..3 {
+                let (x, y) = (ix as f64 + 0.5, iy as f64 + 0.5);
+                ds.push(vec![Value::Quant(x), Value::Quant(y), Value::Cat(1)]).unwrap();
+            }
+        }
+    }
+    let optimizer = OptimizerConfig {
+        threads,
+        bitop: BitOpConfig {
+            min_area_fraction: 0.0,
+            min_area_cells: 4,
+            max_clusters: 100,
+            threads: 1,
+        },
+        ..OptimizerConfig::default()
+    };
+    let config = ArcsConfig {
+        n_x_bins: 10,
+        n_y_bins: 10,
+        threads,
+        optimizer,
+        ..ArcsConfig::default()
+    };
+    let arcs = Arcs::new(config).unwrap();
+    arcs.open(&ds, SegmentRequest::new("x", "y", "g").group("A")).unwrap()
+}
+
+/// A panic absorbed by a search that then finds nothing still reaches
+/// the report of the degraded segmentation, and the report counts the
+/// search's work beside the ladder's: one search point plus three ladder
+/// steps.
+#[test]
+fn a_degraded_segmentation_reports_the_failed_search() {
+    let _g = guard();
+    let mut session = speck_session(2);
     faults::configure_from_spec("optimizer.evaluate=panic@1").unwrap();
-    let mut session = arcs_with_threads(4).open(&ds, request()).unwrap();
     let seg = session.segment().unwrap();
-    assert!(faults::hits("optimizer.evaluate") > 0, "failpoint was never reached");
     faults::clear();
 
-    assert_eq!(seg, clean_seg);
+    assert!(seg.degraded, "{seg:?}");
+    assert_eq!(seg.evaluations, 4, "{seg:?}");
     let c = &session.report().counters;
     assert!(c.worker_panics >= 1, "{c:?}");
     assert!(c.shard_retries >= 1, "{c:?}");
+    assert_eq!(c.evaluations, 4, "{c:?}");
+    assert!(c.candidates_enumerated > 0, "{c:?}");
 }
 
 /// Persistent panics at the stream-chunk failpoint: every chunk retries,
@@ -163,9 +235,9 @@ fn stream_chunk_panics_disarm_and_the_stream_completes() {
 }
 
 /// The retry-accounting contract documented on `RecoveryStats`: the
-/// binner and BitOp route recovery through the same
-/// `exec::run_recovered` helper, so an identical persistent fault
-/// schedule produces identical tallies in both stages — per failing
+/// binner's rows and streams and BitOp route recovery through the same
+/// `ExecPool::run_isolated` entry, so an identical persistent fault
+/// schedule produces identical tallies in every stage — per failing
 /// unit, `1 + MAX_SHARD_RETRIES` worker panics, `MAX_SHARD_RETRIES`
 /// retries, and one sequential fallback.
 #[test]
@@ -176,7 +248,9 @@ fn binner_and_bitop_tally_identical_fault_schedules_identically() {
 
     let _g = guard();
     // 12_000 rows / MIN_ROWS_PER_WORKER (4_096) → exactly 2 binning
-    // shards at 2 threads; the 4-row grid splits into exactly 2 stripes.
+    // shards at 2 threads; streaming the rows twice (24_000 tuples) fills
+    // exactly 2 chunks of 16_384; the 4-row grid splits into exactly 2
+    // stripes.
     let ds = f2_dataset(12_000);
     let schema = ds.schema().clone();
     let binner = Binner::equi_width(&schema, "age", "salary", "group", 8, 8).unwrap();
@@ -187,11 +261,20 @@ fn binner_and_bitop_tally_identical_fault_schedules_identically() {
     let (_, binner_stats) = binner.bin_rows_parallel_with_stats(ds.rows(), 2).unwrap();
     faults::clear();
 
+    faults::configure_from_spec("binner.stream-chunk=panic@1+").unwrap();
+    let twice = ds.rows().iter().chain(ds.rows()).cloned();
+    let (_, stream_stats) = binner.bin_stream_parallel_with_stats(twice, 2).unwrap();
+    faults::clear();
+
     faults::configure_from_spec("bitop.stripe=panic@1+").unwrap();
     let (_, bitop_stats) = bitop::enumerate_candidates_parallel_with_stats(&grid, 2);
     faults::clear();
 
-    for (stage, stats) in [("binner", &binner_stats), ("bitop", &bitop_stats)] {
+    for (stage, stats) in [
+        ("binner", &binner_stats),
+        ("stream", &stream_stats),
+        ("bitop", &bitop_stats),
+    ] {
         assert_eq!(
             stats.worker_panics,
             units * (1 + MAX_SHARD_RETRIES as u64),
@@ -204,6 +287,11 @@ fn binner_and_bitop_tally_identical_fault_schedules_identically() {
         binner_stats.faults_only(),
         bitop_stats.faults_only(),
         "the two stages diverged on an identical schedule"
+    );
+    assert_eq!(
+        binner_stats.faults_only(),
+        stream_stats.faults_only(),
+        "rows and streams diverged on an identical schedule"
     );
 }
 
@@ -222,24 +310,16 @@ fn pool_survives_fault_schedules_across_all_stages() {
     };
 
     for threads in [1, 2, 4, 8] {
-        // Panic isolation is a parallel-path contract: at one thread the
-        // stage failpoints sit behind the sequential early-returns (and a
-        // sequential evaluation panic would rightly propagate), so the
-        // optimizer clause is armed for pooled runs only.
-        let spec = if threads == 1 {
-            "binner.shard=panic@1+;bitop.stripe=panic@1+"
-        } else {
-            "binner.shard=panic@1+;bitop.stripe=panic@1+;optimizer.evaluate=panic@1"
-        };
-        faults::configure_from_spec(spec).unwrap();
+        faults::configure_from_spec(
+            "binner.shard=panic@1+;bitop.stripe=panic@1+;optimizer.evaluate=panic@1",
+        )
+        .unwrap();
         let mut session = arcs_with_threads(threads).open(&ds, request()).unwrap();
         let seg = session.segment().unwrap();
         faults::clear();
         assert_eq!(seg, clean_seg, "faulted run diverged at {threads} threads");
-        if threads > 1 {
-            let c = &session.report().counters;
-            assert!(c.worker_panics > 0, "{threads} threads: {c:?}");
-        }
+        let c = &session.report().counters;
+        assert!(c.worker_panics > 0, "{threads} threads: {c:?}");
     }
 
     // The pool absorbed every injected panic without losing a worker:
