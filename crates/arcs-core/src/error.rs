@@ -216,6 +216,13 @@ impl From<std::io::Error> for ArcsError {
     }
 }
 
+/// Malformed JSON is invalid input, like a document of the wrong shape.
+impl From<crate::jsonio::JsonError> for ArcsError {
+    fn from(err: crate::jsonio::JsonError) -> Self {
+        ArcsError::InvalidConfig(err.to_string())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

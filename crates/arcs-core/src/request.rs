@@ -33,7 +33,7 @@ use crate::bitop::BitOpConfig;
 use crate::cluster::Rect;
 use crate::engine::{BinnedRule, Thresholds};
 use crate::error::ArcsError;
-use crate::jsonio::{obj, Json};
+use crate::jsonio::{exact_u64, obj, write_number, Json, Kind, Reader};
 use crate::serve::{ClusterSpec, QueryRequest, QueryResult};
 use crate::smooth::{BorderMode, Kernel, SmoothConfig};
 
@@ -173,7 +173,10 @@ impl Request {
             pairs.push(("cluster", spec.to_json()));
         }
         if let Some(deadline) = self.deadline {
-            pairs.push(("deadline_ms", Json::Num(deadline.as_millis() as f64)));
+            // Whole milliseconds, rounded up: a nonzero deadline must not
+            // arrive as an already-expired `0`.
+            let millis = deadline.as_nanos().div_ceil(1_000_000);
+            pairs.push(("deadline_ms", Json::Num(millis as f64)));
         }
         if let Some(bytes) = self.memory_budget {
             pairs.push(("memory_budget", Json::Num(bytes as f64)));
@@ -230,15 +233,15 @@ impl Request {
 }
 
 fn require_f64(json: &Json, key: &str, what: &str) -> Result<f64, ArcsError> {
-    json.get(key)
-        .and_then(Json::as_f64)
-        .ok_or_else(|| bad(format!("{what} must be a number")))
+    number(json.get(key).and_then(Json::as_f64), what)
 }
 
 fn require_usize(json: &Json, key: &str, what: &str) -> Result<usize, ArcsError> {
-    json.get(key)
-        .and_then(Json::as_usize)
-        .ok_or_else(|| bad(format!("{what} must be a non-negative integer")))
+    index(json.get(key).and_then(Json::as_f64), what)
+}
+
+fn require_u32(json: &Json, key: &str, what: &str) -> Result<u32, ArcsError> {
+    index_u32(json.get(key).and_then(Json::as_f64), what)
 }
 
 /// Canonical JSON for [`Thresholds`] (`{"min_support", "min_confidence"}`).
@@ -350,7 +353,9 @@ impl ClusterSpec {
 }
 
 /// Canonical JSON for a served [`QueryResult`] — the response payload
-/// shape shared by the daemon and the CLI client.
+/// shape shared by the daemon and the CLI client. The tree form of
+/// [`write_query_result`], which prints the same text without building it;
+/// kept as the reference the codec tests compare against.
 pub fn query_result_to_json(result: &QueryResult) -> Json {
     let rules = result
         .rules
@@ -397,7 +402,7 @@ pub fn query_result_to_json(result: &QueryResult) -> Json {
 /// Decodes a [`QueryResult`] from its canonical JSON. Floats round-trip
 /// bit-identically (see [`crate::jsonio`]), so a decoded result compares
 /// `==` against the in-process original — the property the daemon's
-/// end-to-end oracle test rests on.
+/// end-to-end oracle test rests on. The tree form of [`read_query_result`].
 pub fn query_result_from_json(json: &Json) -> Result<QueryResult, ArcsError> {
     let rules = json
         .get("rules")
@@ -408,10 +413,10 @@ pub fn query_result_from_json(json: &Json) -> Result<QueryResult, ArcsError> {
             Ok(BinnedRule {
                 x: require_usize(r, "x", "rule.x")?,
                 y: require_usize(r, "y", "rule.y")?,
-                group: require_usize(r, "group", "rule.group")? as u32,
+                group: require_u32(r, "group", "rule.group")?,
                 support: require_f64(r, "support", "rule.support")?,
                 confidence: require_f64(r, "confidence", "rule.confidence")?,
-                count: require_usize(r, "count", "rule.count")? as u32,
+                count: require_u32(r, "count", "rule.count")?,
                 lift: require_f64(r, "lift", "rule.lift")?,
                 leverage: require_f64(r, "leverage", "rule.leverage")?,
             })
@@ -438,8 +443,185 @@ pub fn query_result_from_json(json: &Json) -> Result<QueryResult, ArcsError> {
         epoch: json.get("epoch").and_then(Json::as_u64).ok_or_else(|| bad("result missing `epoch`"))?,
         rules,
         clusters,
-        coarsening_steps: require_usize(json, "coarsening_steps", "coarsening_steps")? as u32,
+        coarsening_steps: require_u32(json, "coarsening_steps", "coarsening_steps")?,
     })
+}
+
+/// Appends the canonical JSON of `result`: the text
+/// `query_result_to_json(result).to_string()` prints, written without the
+/// tree. Every number goes through [`write_number`], as the tree's do.
+pub fn write_query_result(result: &QueryResult, out: &mut String) {
+    out.push_str("{\"epoch\":");
+    write_number(result.epoch as f64, out);
+    out.push_str(",\"rules\":[");
+    for (i, r) in result.rules.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        write_numbers(
+            &[
+                ("x", r.x as f64),
+                ("y", r.y as f64),
+                ("group", r.group as f64),
+                ("support", r.support),
+                ("confidence", r.confidence),
+                ("count", r.count as f64),
+                ("lift", r.lift),
+                ("leverage", r.leverage),
+            ],
+            out,
+        );
+    }
+    out.push(']');
+    if let Some(clusters) = &result.clusters {
+        out.push_str(",\"clusters\":[");
+        for (i, c) in clusters.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            write_numbers(
+                &[
+                    ("x0", c.x0 as f64),
+                    ("y0", c.y0 as f64),
+                    ("x1", c.x1 as f64),
+                    ("y1", c.y1 as f64),
+                ],
+                out,
+            );
+        }
+        out.push(']');
+    }
+    out.push_str(",\"coarsening_steps\":");
+    write_number(result.coarsening_steps as f64, out);
+    out.push('}');
+}
+
+/// Writes an object of number members; the keys need no escaping.
+fn write_numbers(members: &[(&str, f64)], out: &mut String) {
+    for (i, (key, value)) in members.iter().enumerate() {
+        out.push_str(if i == 0 { "{\"" } else { ",\"" });
+        out.push_str(key);
+        out.push_str("\":");
+        write_number(*value, out);
+    }
+    out.push('}');
+}
+
+/// Reads a [`QueryResult`] object from `reader`, accepting exactly what
+/// [`query_result_from_json`] accepts without building a tree: members in
+/// any order, unknown members skipped, and of a repeated key the first
+/// occurrence, as `Json::get` finds it.
+pub fn read_query_result(reader: &mut Reader<'_>) -> Result<QueryResult, ArcsError> {
+    let (mut epoch, mut rules, mut clusters, mut steps) = (None, None, None, None);
+    reader.begin_object()?;
+    while let Some(key) = reader.key()? {
+        match &*key {
+            "epoch" if epoch.is_none() => epoch = Some(reader.read_if(Kind::Num, Reader::number)?),
+            "rules" if rules.is_none() => {
+                let mut list = Vec::new();
+                begin_array(reader, "result missing `rules` array")?;
+                while reader.next_element()? {
+                    list.push(read_rule(reader)?);
+                }
+                rules = Some(list);
+            }
+            "clusters" if clusters.is_none() => {
+                let mut list = Vec::new();
+                begin_array(reader, "`clusters` must be an array")?;
+                while reader.next_element()? {
+                    let [x0, y0, x1, y1] =
+                        read_numbers(reader, ["x0", "y0", "x1", "y1"], "cluster")?;
+                    list.push(Rect::new(
+                        index(x0, "cluster.x0")?,
+                        index(y0, "cluster.y0")?,
+                        index(x1, "cluster.x1")?,
+                        index(y1, "cluster.y1")?,
+                    )?);
+                }
+                clusters = Some(list);
+            }
+            "coarsening_steps" if steps.is_none() => {
+                steps = Some(reader.read_if(Kind::Num, Reader::number)?);
+            }
+            _ => reader.skip_value()?,
+        }
+    }
+    Ok(QueryResult {
+        epoch: epoch.flatten().and_then(exact_u64).ok_or_else(|| bad("result missing `epoch`"))?,
+        rules: rules.ok_or_else(|| bad("result missing `rules` array"))?,
+        clusters,
+        coarsening_steps: index_u32(steps.flatten(), "coarsening_steps")?,
+    })
+}
+
+fn read_rule(reader: &mut Reader<'_>) -> Result<BinnedRule, ArcsError> {
+    let [x, y, group, support, confidence, count, lift, leverage] = read_numbers(
+        reader,
+        ["x", "y", "group", "support", "confidence", "count", "lift", "leverage"],
+        "rule",
+    )?;
+    Ok(BinnedRule {
+        x: index(x, "rule.x")?,
+        y: index(y, "rule.y")?,
+        group: index_u32(group, "rule.group")?,
+        support: number(support, "rule.support")?,
+        confidence: number(confidence, "rule.confidence")?,
+        count: index_u32(count, "rule.count")?,
+        lift: number(lift, "rule.lift")?,
+        leverage: number(leverage, "rule.leverage")?,
+    })
+}
+
+/// Reads an object and returns, for each of `keys`, the number its first
+/// occurrence holds (`None` when absent or not a number). Other members
+/// are skipped.
+fn read_numbers<const N: usize>(
+    reader: &mut Reader<'_>,
+    keys: [&str; N],
+    what: &str,
+) -> Result<[Option<f64>; N], ArcsError> {
+    if reader.kind()? != Kind::Obj {
+        return Err(bad(format!("{what} must be an object")));
+    }
+    let mut values = [None; N];
+    reader.begin_object()?;
+    while let Some(key) = reader.key()? {
+        match keys.iter().position(|k| *k == key) {
+            Some(i) if values[i].is_none() => {
+                values[i] = Some(reader.read_if(Kind::Num, Reader::number)?);
+            }
+            _ => reader.skip_value()?,
+        }
+    }
+    Ok(values.map(Option::flatten))
+}
+
+fn begin_array(reader: &mut Reader<'_>, message: &str) -> Result<(), ArcsError> {
+    if reader.kind()? != Kind::Arr {
+        return Err(bad(message));
+    }
+    Ok(reader.begin_array()?)
+}
+
+/// A member's number, or the error naming `what` when it is absent or not
+/// a number. Shared by the tree and the reader decoders.
+fn number(n: Option<f64>, what: &str) -> Result<f64, ArcsError> {
+    n.ok_or_else(|| bad(format!("{what} must be a number")))
+}
+
+/// A member's number as a non-negative integer an `f64` holds exactly.
+/// Shared by the tree and the reader decoders.
+fn index(n: Option<f64>, what: &str) -> Result<usize, ArcsError> {
+    n.and_then(exact_u64)
+        .and_then(|n| usize::try_from(n).ok())
+        .ok_or_else(|| bad(format!("{what} must be a non-negative integer")))
+}
+
+/// [`index`] narrowed to a `u32`: a larger value is an error, not a
+/// truncation.
+fn index_u32(n: Option<f64>, what: &str) -> Result<u32, ArcsError> {
+    let n = index(n, what)?;
+    u32::try_from(n).map_err(|_| bad(format!("{what} {n} does not fit in a u32")))
 }
 
 #[cfg(test)]
@@ -480,6 +662,19 @@ mod tests {
             spec.bitop.threads = BitOpConfig::default().threads;
         }
         assert_eq!(back, normalised);
+
+        // A sub-millisecond deadline rounds up to 1 ms, never down to an
+        // already-expired 0; whole milliseconds stay exact.
+        for (deadline, wire) in [
+            (Duration::from_micros(500), Duration::from_millis(1)),
+            (Duration::from_nanos(1), Duration::from_millis(1)),
+            (Duration::from_micros(1_001), Duration::from_millis(2)),
+            (Duration::ZERO, Duration::ZERO),
+        ] {
+            let text = Request::new().deadline(deadline).to_json().to_string();
+            let back = Request::from_json(&crate::jsonio::parse(&text).unwrap()).unwrap();
+            assert_eq!(back.deadline, Some(wire), "{deadline:?} -> {text}");
+        }
     }
 
     #[test]
@@ -613,9 +808,46 @@ mod tests {
         let back = query_result_from_json(&crate::jsonio::parse(&text).unwrap()).unwrap();
         assert_eq!(back, result);
 
-        let no_clusters = QueryResult { clusters: None, ..result };
+        let no_clusters = QueryResult { clusters: None, ..result.clone() };
         let text = query_result_to_json(&no_clusters).to_string();
         let back = query_result_from_json(&crate::jsonio::parse(&text).unwrap()).unwrap();
         assert_eq!(back, no_clusters);
+
+        // The direct codec prints the tree's text and reads it back `==`.
+        for case in [result, no_clusters] {
+            let mut text = String::new();
+            write_query_result(&case, &mut text);
+            assert_eq!(text, query_result_to_json(&case).to_string());
+            let mut reader = Reader::new(&text);
+            assert_eq!(read_query_result(&mut reader).unwrap(), case);
+            reader.finish().unwrap();
+        }
+    }
+
+    #[test]
+    fn out_of_range_integers_are_errors() {
+        let rule = |group: &str, count: &str| {
+            let floats = r#""support":0.5,"confidence":0.5,"lift":1,"leverage":0"#;
+            format!(r#"{{"x":1,"y":2,"group":{group},"count":{count},{floats}}}"#)
+        };
+        let doc = |group: &str, count: &str, steps: &str| {
+            format!(
+                r#"{{"epoch":1,"rules":[{}],"coarsening_steps":{steps}}}"#,
+                rule(group, count)
+            )
+        };
+        let fits = doc("0", "7", "0");
+        assert!(query_result_from_json(&crate::jsonio::parse(&fits).unwrap()).is_ok());
+        assert!(read_query_result(&mut Reader::new(&fits)).is_ok());
+        for text in [
+            doc("0", "4294967296", "0"),
+            doc("4294967296", "7", "0"),
+            doc("0", "7", "4294967296"),
+        ] {
+            let tree = query_result_from_json(&crate::jsonio::parse(&text).unwrap());
+            assert!(matches!(tree, Err(ArcsError::InvalidConfig(_))), "{text}: {tree:?}");
+            let direct = read_query_result(&mut Reader::new(&text));
+            assert!(matches!(direct, Err(ArcsError::InvalidConfig(_))), "{text}: {direct:?}");
+        }
     }
 }

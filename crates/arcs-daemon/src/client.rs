@@ -14,8 +14,8 @@ use arcs_core::request::Request;
 use arcs_core::ArcsError;
 
 use crate::protocol::{
-    query_outcome_from_json, read_frame, split_response, write_frame, FrameError, QueryOutcome,
-    WireError, WireRequest,
+    read_frame, read_query_reply, split_response, write_frame, FrameError, QueryOutcome, WireError,
+    WireRequest,
 };
 
 /// Why a client call failed.
@@ -207,8 +207,13 @@ impl Client {
         })
     }
 
-    /// One request/response round trip.
-    fn call(&mut self, request: &WireRequest) -> Result<Json, ClientError> {
+    /// One request/response round trip, the reply text decoded by `decode`
+    /// ([`tree_reply`] for every op but `query`).
+    fn call<T>(
+        &mut self,
+        request: &WireRequest,
+        decode: fn(&str) -> Result<T, ClientError>,
+    ) -> Result<T, ClientError> {
         write_frame(&mut self.writer, request.to_json().to_string().as_bytes())?;
         let payload = match read_frame(&mut self.reader) {
             Ok(payload) => payload,
@@ -220,19 +225,21 @@ impl Client {
         };
         let text = std::str::from_utf8(&payload)
             .map_err(|_| ClientError::Protocol("response is not UTF-8".into()))?;
-        let json = arcs_core::jsonio::parse(text)
-            .map_err(|err| ClientError::Protocol(format!("response is not JSON: {err}")))?;
-        split_response(json).map_err(ClientError::Wire)
+        decode(text)
     }
 
     /// [`call`](Client::call) for idempotent requests: with a retry
     /// policy armed, retryable error frames (the daemon shedding load)
     /// are retried on the same connection with backoff.
-    fn call_idempotent(&mut self, request: &WireRequest) -> Result<Json, ClientError> {
+    fn call_idempotent<T>(
+        &mut self,
+        request: &WireRequest,
+        decode: fn(&str) -> Result<T, ClientError>,
+    ) -> Result<T, ClientError> {
         let mut attempt = 0u32;
         loop {
             let retries = self.retry.as_ref().map_or(0, |p| p.max_retries);
-            match self.call(request) {
+            match self.call(request, decode) {
                 Err(ClientError::Wire(err)) if attempt < retries && err.retryable() => {
                     let policy = self.retry.as_ref().expect("retries > 0 implies a policy");
                     std::thread::sleep(policy.backoff(attempt));
@@ -245,7 +252,8 @@ impl Client {
 
     /// Binds the connection's default dataset; returns its metadata.
     pub fn open(&mut self, dataset: &str) -> Result<OpenInfo, ClientError> {
-        let body = self.call_idempotent(&WireRequest::Open { dataset: dataset.to_string() })?;
+        let request = WireRequest::Open { dataset: dataset.to_string() };
+        let body = self.call_idempotent(&request, tree_reply)?;
         let field = |name: &str| {
             body.get(name)
                 .and_then(Json::as_u64)
@@ -279,11 +287,13 @@ impl Client {
         dataset: Option<&str>,
         request: &Request,
     ) -> Result<QueryOutcome, ClientError> {
-        let body = self.call_idempotent(&WireRequest::Query {
+        let request = WireRequest::Query {
             dataset: dataset.map(str::to_string),
             request: request.clone(),
-        })?;
-        query_outcome_from_json(&body).map_err(ClientError::Wire)
+        };
+        self.call_idempotent(&request, |text| {
+            read_query_reply(text).map_err(ClientError::Wire)
+        })
     }
 
     /// Merges header-less CSV `rows`; returns `(new epoch, rows merged)`.
@@ -292,10 +302,11 @@ impl Client {
         dataset: Option<&str>,
         rows: &str,
     ) -> Result<(u64, u64), ClientError> {
-        let body = self.call(&WireRequest::Append {
+        let request = WireRequest::Append {
             dataset: dataset.map(str::to_string),
             rows: rows.to_string(),
-        })?;
+        };
+        let body = self.call(&request, tree_reply)?;
         let field = |name: &str| {
             body.get(name)
                 .and_then(Json::as_u64)
@@ -309,7 +320,10 @@ impl Client {
     ///
     /// [`ServerStats`]: arcs_core::serve::ServerStats
     pub fn stats(&mut self, dataset: Option<&str>) -> Result<Json, ClientError> {
-        let body = self.call_idempotent(&WireRequest::Stats { dataset: dataset.map(str::to_string) })?;
+        let body = self.call_idempotent(
+            &WireRequest::Stats { dataset: dataset.map(str::to_string) },
+            tree_reply,
+        )?;
         body.get("stats")
             .cloned()
             .ok_or_else(|| ClientError::Protocol("stats response lacks `stats`".into()))
@@ -324,10 +338,10 @@ impl Client {
         dataset: &str,
         start_seq: u64,
     ) -> Result<Json, ClientError> {
-        self.call_idempotent(&WireRequest::ReplSubscribe {
-            dataset: dataset.to_string(),
-            start_seq,
-        })
+        self.call_idempotent(
+            &WireRequest::ReplSubscribe { dataset: dataset.to_string(), start_seq },
+            tree_reply,
+        )
     }
 
     /// Fetches up to `max` shipped WAL records from `start_seq`. Returns
@@ -340,32 +354,40 @@ impl Client {
         start_seq: u64,
         max: u64,
     ) -> Result<Json, ClientError> {
-        self.call_idempotent(&WireRequest::ReplRecords {
-            dataset: dataset.to_string(),
-            start_seq,
-            max,
-        })
+        self.call_idempotent(
+            &WireRequest::ReplRecords { dataset: dataset.to_string(), start_seq, max },
+            tree_reply,
+        )
     }
 
     /// Fetches the daemon's replication status: role, primary address,
     /// served datasets, counters, and (with a dataset named) that
     /// tenant's durability positions.
     pub fn repl_heartbeat(&mut self, dataset: Option<&str>) -> Result<Json, ClientError> {
-        self.call_idempotent(&WireRequest::ReplHeartbeat {
-            dataset: dataset.map(str::to_string),
-        })
+        self.call_idempotent(
+            &WireRequest::ReplHeartbeat { dataset: dataset.map(str::to_string) },
+            tree_reply,
+        )
     }
 
     /// Promotes a standby daemon to primary. Idempotent: promoting a
     /// primary is a no-op answering `was_standby: false`.
     pub fn promote(&mut self) -> Result<Json, ClientError> {
-        self.call_idempotent(&WireRequest::Promote)
+        self.call_idempotent(&WireRequest::Promote, tree_reply)
     }
 
     /// Says goodbye; the daemon closes the connection after responding.
     pub fn close(mut self) -> Result<(), ClientError> {
-        self.call(&WireRequest::Close).map(|_| ())
+        self.call(&WireRequest::Close, tree_reply).map(|_| ())
     }
+}
+
+/// Parses a reply as a tree: the success body, or the typed error the
+/// daemon sent.
+fn tree_reply(text: &str) -> Result<Json, ClientError> {
+    let json = arcs_core::jsonio::parse(text)
+        .map_err(|err| ClientError::Protocol(format!("response is not JSON: {err}")))?;
+    split_response(json).map_err(ClientError::Wire)
 }
 
 /// Maps a typed wire code back onto the error class an in-process

@@ -49,7 +49,7 @@ use arcs_core::faults;
 use arcs_core::jsonio::Json;
 
 use crate::protocol::{
-    ok_response, parse_frame_header, query_response_to_json, stats_to_json, write_frame,
+    ok_response, parse_frame_header, stats_to_json, write_frame, write_query_response,
     FrameError, WireError, WireRequest, CODE_NOT_PRIMARY, CODE_NO_DATASET,
     CODE_UNKNOWN_DATASET, HEADER_LEN,
 };
@@ -486,32 +486,32 @@ fn handle_connection(
                 }
             };
 
-        let reply = serve_frame(&payload, registry, &mut current, repl_ctx);
-        let closing = matches!(reply.get("bye"), Some(&Json::Bool(true)));
-        if send(&mut writer, &reply).is_err() || closing {
+        let (reply, closing) = serve_frame(&payload, registry, &mut current, repl_ctx);
+        if write_frame(&mut writer, reply.as_bytes()).is_err() || closing {
             return;
         }
     }
 }
 
-/// Decodes and executes one frame, always producing a response document.
+/// Decodes and executes one frame, always producing the response text;
+/// the flag is set when the request was `close`.
 fn serve_frame(
     payload: &[u8],
     registry: &Registry,
     current: &mut Option<Arc<Tenant>>,
     repl_ctx: &ReplContext,
-) -> Json {
+) -> (String, bool) {
     if let Err(err) = faults::check("daemon.frame-decode") {
-        return WireError::from_arcs(&err).to_json();
+        return (WireError::from_arcs(&err).to_json().to_string(), false);
     }
     let request = match decode_request(payload) {
         Ok(request) => request,
-        Err(err) => return err.to_json(),
+        Err(err) => return (err.to_json().to_string(), false),
     };
-    match execute(request, registry, current, repl_ctx) {
-        Ok(body) => body,
-        Err(err) => err.to_json(),
-    }
+    let closing = request == WireRequest::Close;
+    let reply = execute(request, registry, current, repl_ctx)
+        .unwrap_or_else(|err| err.to_json().to_string());
+    (reply, closing)
 }
 
 /// Bytes → [`WireRequest`], with every failure mode a [`CODE_PROTOCOL`]
@@ -550,14 +550,15 @@ fn lookup(registry: &Registry, name: &str) -> Result<Arc<Tenant>, WireError> {
     }
 }
 
-/// Executes a decoded request against the registry.
+/// Executes a decoded request against the registry and returns the reply
+/// text.
 fn execute(
     request: WireRequest,
     registry: &Registry,
     current: &mut Option<Arc<Tenant>>,
     repl_ctx: &ReplContext,
-) -> Result<Json, WireError> {
-    match request {
+) -> Result<String, WireError> {
+    let body = match request {
         WireRequest::Open { dataset } => {
             let tenant = lookup(registry, &dataset)?;
             let snapshot = tenant.server().snapshot();
@@ -570,7 +571,7 @@ fn execute(
                 ("n_tuples", Json::Num(snapshot.array().n_tuples() as f64)),
             ]);
             *current = Some(tenant);
-            Ok(body)
+            body
         }
         WireRequest::Query { dataset, request } => {
             let tenant = resolve(&dataset, registry, current)?;
@@ -578,7 +579,10 @@ fn execute(
                 .server()
                 .query_unified(&request, tenant.labels())
                 .map_err(|err| WireError::from_arcs(&err))?;
-            Ok(query_response_to_json(&response))
+            // The one reply printed without a tree.
+            let mut text = String::new();
+            write_query_response(&response, &mut text);
+            return Ok(text);
         }
         WireRequest::Append { dataset, rows } => {
             if repl_ctx.role.is_standby() {
@@ -594,10 +598,10 @@ fn execute(
             let tenant = resolve(&dataset, registry, current)?;
             let (epoch, merged) =
                 tenant.append_csv(&rows).map_err(|err| WireError::from_arcs(&err))?;
-            Ok(ok_response(vec![
+            ok_response(vec![
                 ("epoch", Json::Num(epoch as f64)),
                 ("rows", Json::Num(merged as f64)),
-            ]))
+            ])
         }
         WireRequest::Stats { dataset } => {
             let tenant = resolve(&dataset, registry, current)?;
@@ -605,35 +609,36 @@ fn execute(
             if let (Json::Obj(pairs), Some(store)) = (&mut stats, tenant.store()) {
                 pairs.push(("durability".to_string(), repl::durability(store).to_json()));
             }
-            Ok(ok_response(vec![("stats", stats)]))
+            ok_response(vec![("stats", stats)])
         }
         WireRequest::ReplSubscribe { dataset, start_seq } => {
             let tenant = lookup(registry, &dataset)?;
-            repl::handle_subscribe(&tenant, start_seq)
+            repl::handle_subscribe(&tenant, start_seq)?
         }
         WireRequest::ReplRecords { dataset, start_seq, max } => {
             let tenant = lookup(registry, &dataset)?;
-            repl::handle_records(&tenant, start_seq, max, &repl_ctx.metrics)
+            repl::handle_records(&tenant, start_seq, max, &repl_ctx.metrics)?
         }
         WireRequest::ReplHeartbeat { dataset } => {
             let tenant = match &dataset {
                 Some(name) => Some(lookup(registry, name)?),
                 None => None,
             };
-            repl::handle_heartbeat(registry, repl_ctx, tenant)
+            repl::handle_heartbeat(registry, repl_ctx, tenant)?
         }
         WireRequest::Promote => {
             let was_standby = repl_ctx.role.promote();
             if was_standby {
                 eprintln!("arcsd repl: promoted to primary by request; writes now accepted");
             }
-            Ok(ok_response(vec![
+            ok_response(vec![
                 ("role", Json::Str("primary".to_string())),
                 ("was_standby", Json::Bool(was_standby)),
-            ]))
+            ])
         }
-        WireRequest::Close => Ok(ok_response(vec![("bye", Json::Bool(true))])),
-    }
+        WireRequest::Close => ok_response(vec![("bye", Json::Bool(true))]),
+    };
+    Ok(body.to_string())
 }
 
 fn send(writer: &mut impl io::Write, body: &Json) -> io::Result<()> {

@@ -45,14 +45,23 @@
 //! [`ArcsError::code`] (mapped 1:1) or one of the daemon-level codes
 //! [`CODE_PROTOCOL`], [`CODE_UNKNOWN_DATASET`], [`CODE_NO_DATASET`].
 //!
+//! A `query` reply is written from, and read into, the [`QueryResult`]
+//! directly: [`write_query_response`] prints the frame text and
+//! [`read_query_reply`] decodes it with a [`jsonio::Reader`], with no
+//! [`Json`] tree on either side. The bytes are the ones
+//! [`query_response_to_json`] prints, so the tree functions
+//! ([`query_response_to_json`], [`split_response`],
+//! [`query_outcome_from_json`]) remain as the reference the codec tests
+//! compare against. Every other op's reply is a tree.
+//!
 //! [`QueryResult`]: arcs_core::serve::QueryResult
 //! [`ServerStats`]: arcs_core::serve::ServerStats
 //! [`ArcsError::code`]: arcs_core::ArcsError::code
 
 use std::io::{self, Read, Write};
 
-use arcs_core::jsonio::{obj, Json};
-use arcs_core::request::{query_result_from_json, Request};
+use arcs_core::jsonio::{self, obj, write_number, Json, JsonError, Kind, Reader};
+use arcs_core::request::{query_result_from_json, read_query_result, write_query_result, Request};
 use arcs_core::serve::{QueryResponse, ServerStats};
 use arcs_core::ArcsError;
 
@@ -429,6 +438,13 @@ impl std::fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
+/// Malformed JSON in a peer's document is a [`CODE_PROTOCOL`] error.
+impl From<JsonError> for WireError {
+    fn from(err: JsonError) -> Self {
+        WireError::protocol(err.to_string())
+    }
+}
+
 /// Builds the success envelope `{"ok": true, ...fields}`.
 pub fn ok_response(fields: Vec<(&str, Json)>) -> Json {
     let mut pairs = vec![("ok", Json::Bool(true))];
@@ -444,6 +460,21 @@ pub fn query_response_to_json(response: &QueryResponse) -> Json {
         ("retries", Json::Num(response.retries as f64)),
         ("elapsed_us", Json::Num(response.elapsed.as_micros() as f64)),
     ])
+}
+
+/// Prints a served [`QueryResponse`] as frame text: the bytes of
+/// `query_response_to_json(response).to_string()`, written without the
+/// tree.
+pub fn write_query_response(response: &QueryResponse, out: &mut String) {
+    out.push_str("{\"ok\":true,\"result\":");
+    write_query_result(&response.result, out);
+    out.push_str(",\"cache_hit\":");
+    out.push_str(if response.cache_hit { "true" } else { "false" });
+    out.push_str(",\"retries\":");
+    write_number(response.retries as f64, out);
+    out.push_str(",\"elapsed_us\":");
+    write_number(response.elapsed.as_micros() as f64, out);
+    out.push('}');
 }
 
 /// Serialises [`ServerStats`] under stable key names (one per field).
@@ -510,22 +541,24 @@ impl DurabilityStats {
 /// [`WireError`] the peer sent. A document without a boolean `ok`, or a
 /// failure without a code, is itself a [`CODE_PROTOCOL`] error.
 pub fn split_response(json: Json) -> Result<Json, WireError> {
-    match json.get("ok").and_then(Json::as_bool) {
-        Some(true) => Ok(json),
-        Some(false) => {
-            let code = json
-                .get("code")
-                .and_then(Json::as_str)
-                .unwrap_or(CODE_PROTOCOL)
-                .to_string();
-            let message = json
-                .get("error")
-                .and_then(Json::as_str)
-                .unwrap_or("peer sent a failure without a message")
-                .to_string();
-            Err(WireError { code, message })
-        }
-        None => Err(WireError::protocol("response lacks a boolean `ok`")),
+    let text = |key| json.get(key).and_then(Json::as_str);
+    match reply_error(json.get("ok").and_then(Json::as_bool), text("code"), text("error")) {
+        None => Ok(json),
+        Some(err) => Err(err),
+    }
+}
+
+/// The error a reply stands for, given its `ok`, `code` and `error`
+/// members (each `None` when absent or of the wrong kind); `None` for a
+/// success.
+fn reply_error(ok: Option<bool>, code: Option<&str>, error: Option<&str>) -> Option<WireError> {
+    match ok {
+        Some(true) => None,
+        Some(false) => Some(WireError {
+            code: code.unwrap_or(CODE_PROTOCOL).to_string(),
+            message: error.unwrap_or("peer sent a failure without a message").to_string(),
+        }),
+        None => Some(WireError::protocol("response lacks a boolean `ok`")),
     }
 }
 
@@ -546,11 +579,64 @@ pub fn query_outcome_from_json(json: &Json) -> Result<QueryOutcome, WireError> {
     let doc = json
         .get("result")
         .ok_or_else(|| WireError::protocol("query response lacks `result`"))?;
-    let result = query_result_from_json(doc)
-        .map_err(|err| WireError::protocol(format!("bad query result: {err}")))?;
+    let result = query_result_from_json(doc).map_err(bad_result)?;
     let cache_hit = json.get("cache_hit").and_then(Json::as_bool).unwrap_or(false);
-    let retries = json.get("retries").and_then(Json::as_u64).unwrap_or(0) as u32;
+    let retries = decode_retries(json.get("retries").and_then(Json::as_f64))?;
     Ok(QueryOutcome { result, cache_hit, retries })
+}
+
+fn bad_result(err: ArcsError) -> WireError {
+    WireError::protocol(format!("bad query result: {err}"))
+}
+
+/// The `retries` member as both decoders accept it: absent or not a
+/// non-negative integer reads as 0, one past `u32::MAX` is an error.
+fn decode_retries(n: Option<f64>) -> Result<u32, WireError> {
+    match n.and_then(jsonio::exact_u64) {
+        None => Ok(0),
+        Some(n) => u32::try_from(n)
+            .map_err(|_| WireError::protocol(format!("`retries` {n} does not fit in a u32"))),
+    }
+}
+
+/// Decodes a `query` reply's frame text straight into a [`QueryOutcome`]
+/// with a [`Reader`], building no tree. The outcome is the one
+/// [`split_response`] then [`query_outcome_from_json`] give on the parsed
+/// text: an `{"ok": false}` reply is the same typed [`WireError`], members
+/// may come in any order, unknown ones are skipped, and of a repeated key
+/// the first counts. Malformed JSON is a [`CODE_PROTOCOL`] error.
+pub fn read_query_reply(text: &str) -> Result<QueryOutcome, WireError> {
+    let mut r = Reader::new(text);
+    // The first occurrence of each member, `Some(None)` when it has the
+    // wrong kind: what `Json::get` and an `as_*` accessor would give.
+    let (mut ok, mut code, mut error) = (None, None, None);
+    let (mut result, mut cache_hit, mut retries) = (None, None, None);
+    r.begin_object()?;
+    while let Some(key) = r.key()? {
+        match &*key {
+            "ok" if ok.is_none() => ok = Some(r.read_if(Kind::Bool, Reader::bool)?),
+            "code" if code.is_none() => code = Some(r.read_if(Kind::Str, Reader::string)?),
+            "error" if error.is_none() => error = Some(r.read_if(Kind::Str, Reader::string)?),
+            "result" if result.is_none() => {
+                result = Some(read_query_result(&mut r).map_err(bad_result)?);
+            }
+            "cache_hit" if cache_hit.is_none() => {
+                cache_hit = Some(r.read_if(Kind::Bool, Reader::bool)?);
+            }
+            "retries" if retries.is_none() => retries = Some(r.read_if(Kind::Num, Reader::number)?),
+            _ => r.skip_value()?,
+        }
+    }
+    r.finish()?;
+    let (code, error) = (code.flatten(), error.flatten());
+    if let Some(err) = reply_error(ok.flatten(), code.as_deref(), error.as_deref()) {
+        return Err(err);
+    }
+    Ok(QueryOutcome {
+        result: result.ok_or_else(|| WireError::protocol("query response lacks `result`"))?,
+        cache_hit: cache_hit.flatten().unwrap_or(false),
+        retries: decode_retries(retries.flatten())?,
+    })
 }
 
 #[cfg(test)]
@@ -663,6 +749,24 @@ mod tests {
             split_response(arcs_core::jsonio::parse("{\"weird\": true}").unwrap()).unwrap_err().code,
             CODE_PROTOCOL
         );
+    }
+
+    #[test]
+    fn out_of_range_retries_are_errors() {
+        let reply = |retries: &str| {
+            let result = r#"{"epoch":0,"rules":[],"coarsening_steps":0}"#;
+            format!(r#"{{"ok":true,"result":{result},"retries":{retries}}}"#)
+        };
+        let tree = |text: &str| query_outcome_from_json(&arcs_core::jsonio::parse(text).unwrap());
+        let max = reply("4294967295");
+        assert_eq!(tree(&max).unwrap().retries, u32::MAX);
+        assert_eq!(read_query_reply(&max).unwrap().retries, u32::MAX);
+        let over = reply("4294967296");
+        assert_eq!(tree(&over).unwrap_err().code, CODE_PROTOCOL);
+        assert_eq!(read_query_reply(&over).unwrap_err().code, CODE_PROTOCOL);
+        // Not a non-negative integer at all still reads as 0, as before.
+        assert_eq!(read_query_reply(&reply("\"x\"")).unwrap().retries, 0);
+        assert_eq!(tree(&reply("-1")).unwrap().retries, 0);
     }
 
     #[test]

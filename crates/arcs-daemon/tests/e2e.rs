@@ -226,13 +226,14 @@ fn typed_error_codes_travel_the_wire() {
     let err = client.append(None, "1.0,not-a-number,A\n").unwrap_err();
     assert_eq!(err.code(), Some("DATA"));
 
-    // An expired deadline is a typed DEADLINE_EXCEEDED.
+    // An expired deadline is a typed DEADLINE_EXCEEDED. (A nonzero one
+    // travels as at least 1 ms, which this small query can meet.)
     let err = client
         .query(
             &Request::new()
                 .group("A")
                 .thresholds(Thresholds::new(0.0, 0.5).unwrap())
-                .deadline(Duration::from_nanos(1)),
+                .deadline(Duration::ZERO),
         )
         .unwrap_err();
     assert_eq!(err.code(), Some("DEADLINE_EXCEEDED"));

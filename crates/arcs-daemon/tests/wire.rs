@@ -1,16 +1,157 @@
 //! Property tests for the wire codec: encode/decode round-trips, and
 //! "never panic, always a typed error" over truncated, oversized, and
-//! garbage frames.
+//! garbage frames; and a differential test holding the direct `query`
+//! reply codec to the tree functions it replaces.
+
+use std::sync::Arc;
+use std::time::Duration;
 
 use proptest::collection::vec;
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
-use arcs_core::engine::Thresholds;
-use arcs_core::jsonio;
+use arcs_core::cluster::Rect;
+use arcs_core::engine::{BinnedRule, Thresholds};
+use arcs_core::jsonio::{self, Json};
 use arcs_core::request::Request;
+use arcs_core::serve::{QueryResponse, QueryResult};
 use arcs_daemon::protocol::{
-    read_frame, write_frame, FrameError, WireRequest, CODE_PROTOCOL, HEADER_LEN, MAGIC, VERSION,
+    query_outcome_from_json, query_response_to_json, read_frame, read_query_reply, split_response,
+    write_frame, write_query_response, FrameError, QueryOutcome, WireError, WireRequest,
+    CODE_PROTOCOL, HEADER_LEN, MAGIC, VERSION,
 };
+
+/// The reference decode the direct reader must match: parse the tree,
+/// split the envelope, decode the outcome.
+fn tree_decode(text: &str) -> Result<QueryOutcome, WireError> {
+    let json = jsonio::parse(text).map_err(WireError::from)?;
+    query_outcome_from_json(&split_response(json)?)
+}
+
+/// A finite float: arbitrary bit patterns, subnormals, signed zeros,
+/// integral values on both sides of 2^53, and the everyday shapes of
+/// support, confidence and (negative) leverage.
+fn float(rng: &mut StdRng) -> f64 {
+    let sign = if rng.gen::<bool>() { -1.0 } else { 1.0 };
+    match rng.gen_range(0..6u32) {
+        0 => loop {
+            let x = f64::from_bits(rng.gen::<u64>());
+            if x.is_finite() {
+                break x;
+            }
+        },
+        1 => sign * f64::from_bits(rng.gen_range(1..1u64 << 52)),
+        2 => sign * 0.0,
+        3 => sign * rng.gen_range(0..=(1u64 << 54)) as f64,
+        4 => -rng.gen::<f64>() * 1e-3,
+        _ => rng.gen::<f64>(),
+    }
+}
+
+/// A grid coordinate: mostly small, sometimes up to 2^53.
+fn coord(rng: &mut StdRng) -> usize {
+    if rng.gen_bool(0.9) {
+        rng.gen_range(0..512usize)
+    } else {
+        rng.gen_range(0..=(1usize << 53))
+    }
+}
+
+fn response(seed: u64, n_rules: usize) -> QueryResponse {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let rules = (0..n_rules)
+        .map(|_| BinnedRule {
+            x: coord(&mut rng),
+            y: coord(&mut rng),
+            group: rng.gen::<u32>(),
+            support: float(&mut rng),
+            confidence: float(&mut rng),
+            count: rng.gen::<u32>(),
+            lift: float(&mut rng),
+            leverage: float(&mut rng),
+        })
+        .collect();
+    let clusters = match rng.gen_range(0..3u32) {
+        0 => None,
+        1 => Some(Vec::new()),
+        _ => Some(
+            (0..rng.gen_range(1..8usize))
+                .map(|_| {
+                    let (x0, y0) = (coord(&mut rng), coord(&mut rng));
+                    let (w, h) = (rng.gen_range(0..64usize), rng.gen_range(0..64usize));
+                    Rect::new(x0, y0, x0 + w, y0 + h).unwrap()
+                })
+                .collect(),
+        ),
+    };
+    QueryResponse {
+        result: Arc::new(QueryResult {
+            epoch: rng.gen_range(0..=(1u64 << 53)),
+            rules,
+            clusters,
+            coarsening_steps: rng.gen::<u32>(),
+        }),
+        cache_hit: rng.gen::<bool>(),
+        retries: rng.gen::<u32>(),
+        elapsed: Duration::from_micros(rng.gen_range(0..=(1u64 << 53))),
+    }
+}
+
+/// Rebuilds `json` with every object's members in a shuffled order and,
+/// when `insert` is set, two members added to each object that both
+/// decoders ignore: an unknown one (of any kind, escapes and nesting
+/// included) and a later duplicate of a known one (the first counts).
+fn reshape(json: &Json, rng: &mut StdRng, insert: bool) -> Json {
+    match json {
+        Json::Arr(items) => Json::Arr(items.iter().map(|v| reshape(v, rng, insert)).collect()),
+        Json::Obj(pairs) => {
+            let mut pairs: Vec<_> = pairs
+                .iter()
+                .map(|(k, v)| (k.clone(), reshape(v, rng, insert)))
+                .collect();
+            for i in (1..pairs.len()).rev() {
+                pairs.swap(i, rng.gen_range(0..=i));
+            }
+            if insert {
+                let unknown = match rng.gen_range(0..4u32) {
+                    0 => Json::Null,
+                    1 => Json::Str("q\"\\\u{1}\u{e9}\n".into()),
+                    2 => Json::Arr(vec![
+                        Json::Num(-1.5e-300),
+                        Json::Obj(vec![]),
+                        Json::Bool(true),
+                    ]),
+                    _ => Json::Obj(vec![("x".into(), Json::Str("not a number".into()))]),
+                };
+                let duplicate = pairs[rng.gen_range(0..pairs.len())].0.clone();
+                let at = rng.gen_range(0..=pairs.len());
+                pairs.insert(at, ("zz_unknown".into(), unknown));
+                pairs.push((duplicate, Json::Str("later duplicate".into())));
+            }
+            Json::Obj(pairs)
+        }
+        other => other.clone(),
+    }
+}
+
+/// Truncations and single-byte flips of `text`.
+fn mutations(text: &str, rng: &mut StdRng, count: usize) -> Vec<String> {
+    let mut out = Vec::new();
+    for _ in 0..count {
+        let cut = rng.gen_range(0..text.len());
+        if text.is_char_boundary(cut) {
+            out.push(text[..cut].to_string());
+        }
+        let mut bytes = text.as_bytes().to_vec();
+        let at = rng.gen_range(0..bytes.len());
+        bytes[at] = rng.gen_range(0..128u8);
+        if let Ok(flipped) = String::from_utf8(bytes) {
+            out.push(flipped);
+        }
+    }
+    out
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -95,6 +236,82 @@ proptest! {
             if let Err(err) = WireRequest::from_json(&json) {
                 prop_assert_eq!(err.code.as_str(), CODE_PROTOCOL, "{}", text);
             }
+        }
+    }
+
+    /// Error replies decode to the typed error the daemon sent, through
+    /// either decoder and however their members are arranged. Mutated,
+    /// both decoders fail, and on text that is still JSON with the same
+    /// typed error.
+    #[test]
+    fn error_replies_decode_to_the_same_wire_error(
+        seed in any::<u64>(),
+        code in 0usize..5,
+        message in "[a-z \"\\\\\n\t\u{1}\u{e9}\u{1F600}]{0,40}",
+    ) {
+        let codes =
+            ["OVERLOADED", "DEADLINE_EXCEEDED", "UNKNOWN_GROUP", CODE_PROTOCOL, "NOT_PRIMARY"];
+        let err = WireError::new(codes[code], message);
+        let tree = err.to_json();
+        let text = tree.to_string();
+        prop_assert_eq!(read_query_reply(&text), Err(err.clone()));
+        prop_assert_eq!(tree_decode(&text), Err(err.clone()));
+
+        let mut rng = StdRng::seed_from_u64(seed);
+        for insert in [false, true] {
+            let reshaped = reshape(&tree, &mut rng, insert).to_string();
+            prop_assert_eq!(read_query_reply(&reshaped), Err(err.clone()), "{}", reshaped);
+        }
+        for mutated in mutations(&text, &mut rng, 8) {
+            let (direct, reference) = (read_query_reply(&mutated), tree_decode(&mutated));
+            if jsonio::parse(&mutated).is_ok() {
+                prop_assert_eq!(direct, reference, "{}", mutated);
+            } else {
+                prop_assert!(direct.is_err() && reference.is_err(), "{}", mutated);
+            }
+        }
+    }
+}
+
+proptest! {
+    // Each case encodes and decodes up to 2,000 rules some 40 times, so
+    // fewer cases than above keep the debug-build suite quick.
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// The direct `query` reply codec against the tree functions: the
+    /// same bytes, the same decoded outcome, and under truncation, byte
+    /// flips, reordered members and unknown members the same outcome as
+    /// parse → split → decode (both `Ok` and equal, or both errors),
+    /// never a panic.
+    #[test]
+    fn query_replies_match_the_tree_codec(seed in any::<u64>(), n_rules in 0usize..=2000) {
+        let response = response(seed, n_rules);
+        let want = QueryOutcome {
+            result: (*response.result).clone(),
+            cache_hit: response.cache_hit,
+            retries: response.retries,
+        };
+        let mut text = String::new();
+        write_query_response(&response, &mut text);
+        prop_assert_eq!(&text, &query_response_to_json(&response).to_string());
+        prop_assert_eq!(read_query_reply(&text), Ok(want.clone()));
+        prop_assert_eq!(tree_decode(&text), Ok(want.clone()));
+
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x5EED);
+        let tree = jsonio::parse(&text).unwrap();
+        for insert in [false, true] {
+            let reshaped = reshape(&tree, &mut rng, insert).to_string();
+            prop_assert_eq!(read_query_reply(&reshaped), Ok(want.clone()), "{}", reshaped);
+        }
+        for mutated in mutations(&text, &mut rng, 8) {
+            let (direct, reference) = (read_query_reply(&mutated), tree_decode(&mutated));
+            prop_assert!(
+                direct.is_ok() == reference.is_ok() && (direct.is_err() || direct == reference),
+                "direct {:?} vs tree {:?} on {}",
+                direct.as_ref().map(|o| o.retries),
+                reference.as_ref().map(|o| o.retries),
+                mutated
+            );
         }
     }
 }
