@@ -4,13 +4,15 @@
 
 use std::fmt::Write as _;
 
-use arcs_core::binner::{BadTuplePolicy, CheckpointSpec};
 use arcs_core::categorical::{segment_categorical, CategoricalConfig};
 use arcs_core::engine::rule_grid;
 use arcs_core::optimizer::ThresholdLattice;
 use arcs_core::render::render_clusters;
 use arcs_core::select::{rank_attributes, select_pair_joint};
-use arcs_core::{Arcs, ArcsConfig, ArcsError, Binner, GroupRef, SegmentRequest};
+use arcs_core::wal::write_atomic;
+use arcs_core::{
+    Arcs, ArcsConfig, ArcsError, BinArray, Binner, GroupRef, SegmentRequest, Session,
+};
 use arcs_data::csv::{load_csv_inferred_with_policy, save_csv};
 use arcs_data::generator::{AgrawalGenerator, GeneratorConfig};
 use arcs_data::schema::AttrKind;
@@ -79,13 +81,12 @@ fn data_err(err: impl std::fmt::Display) -> CliError {
 }
 
 /// Classifies a pipeline error: conditions caused by the *content* of the
-/// input (no segmentation, bad tuples, unknown groups/attributes) are data
+/// input (no segmentation, unknown groups/attributes) are data
 /// errors; deadline expiry and load shedding are timeouts (exit 6); the
 /// rest are internal.
 fn pipeline_err(err: ArcsError) -> CliError {
     match err {
         ArcsError::NoSegmentation
-        | ArcsError::InvalidTuple { .. }
         | ArcsError::UnknownGroup(_)
         | ArcsError::AttributeKind { .. }
         | ArcsError::Data(_) => CliError::Data(err.to_string()),
@@ -390,6 +391,10 @@ fn segment_with_status(argv: &[String]) -> Result<(String, u8), CliError> {
             Some(bytes)
         }
     };
+    let checkpoint_every: usize = args.get_or("checkpoint-every", 100_000)?;
+    if checkpoint_every == 0 {
+        return Err(CliError::Usage("--checkpoint-every must be > 0 rows".into()));
+    }
 
     let mut out = String::new();
     ingest_summary(&mut out, &report);
@@ -457,8 +462,8 @@ fn segment_with_status(argv: &[String]) -> Result<(String, u8), CliError> {
     }
     let arcs = Arcs::new(config).map_err(run_err)?;
 
-    // Checkpointed binning: bin as a stream with periodic snapshots, so an
-    // interrupted run restarts from the last checkpoint instead of row 0.
+    // Checkpointed binning: bin in chunks with a snapshot after each, so
+    // an interrupted run restarts from the last snapshot instead of row 0.
     let ckpt_path = match (args.get("checkpoint"), args.get("resume")) {
         (Some(c), Some(r)) if c != r => {
             return Err(CliError::Usage(
@@ -480,34 +485,9 @@ fn segment_with_status(argv: &[String]) -> Result<(String, u8), CliError> {
     };
 
     let request = SegmentRequest::new(&x_attr, &y_attr, criterion).group(group);
-    let mut session = if let Some(ckpt) = ckpt_path {
-        let every: u64 = args.get_or("checkpoint-every", 100_000u64)?;
-        let binner = Binner::equi_width(ds.schema(), &x_attr, &y_attr, criterion, bins, bins)
-            .map_err(pipeline_err)?;
-        let spec = CheckpointSpec { path: std::path::Path::new(ckpt), every };
-        let (array, stream) = binner
-            .bin_stream_checkpointed(ds.iter().cloned(), BadTuplePolicy::Fail, &spec)
-            .map_err(pipeline_err)?;
-        if stream.resumed_from > 0 {
-            let _ = writeln!(
-                out,
-                "resumed from checkpoint {ckpt} covering {} tuples",
-                stream.resumed_from
-            );
-        }
-        // The same verification sample Arcs::open would draw.
-        use rand::SeedableRng as _;
-        let mut rng = rand::rngs::StdRng::seed_from_u64(arcs.config().seed);
-        let k = arcs.config().sample_size.min(ds.len());
-        let rows = arcs_data::sample::sample_rows(&ds, k, &mut rng).map_err(data_err)?;
-        let mut sample = Dataset::new(ds.schema().clone());
-        for row in rows {
-            sample.push_tuple(row.clone());
-        }
-        arcs.open_binned(array, binner, &sample, request)
-            .map_err(pipeline_err)?
-    } else {
-        arcs.open(&ds, request).map_err(pipeline_err)?
+    let mut session = match ckpt_path {
+        Some(ckpt) => open_checkpointed(&arcs, &ds, request, ckpt, checkpoint_every, &mut out)?,
+        None => arcs.open(&ds, request).map_err(pipeline_err)?,
     };
     let seg = session.segment().map_err(pipeline_err)?;
     let budget_steps = session.budget_coarsening_steps();
@@ -579,6 +559,39 @@ fn segment_with_status(argv: &[String]) -> Result<(String, u8), CliError> {
     }
     let status = if budget_steps > 0 { EXIT_BUDGET_DEGRADED } else { 0 };
     Ok((out, status))
+}
+
+/// Opens the session of a `--checkpoint`/`--resume` run. The checkpoint
+/// is a [`BinArray`] snapshot of the dataset's first `n_tuples` rows:
+/// when `path` holds one the run resumes after those rows, then it bins
+/// the rest `every` rows at a time, replacing the snapshot through the
+/// fsyncing [`write_atomic`] after each chunk.
+fn open_checkpointed(
+    arcs: &Arcs,
+    ds: &Dataset,
+    request: SegmentRequest,
+    path: &str,
+    every: usize,
+    out: &mut String,
+) -> Result<Session, CliError> {
+    let prefix = match std::fs::read(path) {
+        Ok(bytes) => Some(BinArray::read_from(&mut bytes.as_slice()).map_err(pipeline_err)?),
+        Err(err) if err.kind() == std::io::ErrorKind::NotFound => None,
+        Err(err) => return Err(run_err(err)),
+    };
+    let mut session = arcs.open_binned(ds, prefix, request).map_err(pipeline_err)?;
+    let resume_at = session.bin_array().n_tuples() as usize;
+    if resume_at > 0 {
+        let _ = writeln!(out, "resumed from checkpoint {path} covering {resume_at} tuples");
+    }
+    let mut bytes = Vec::new();
+    for chunk in ds.rows()[resume_at..].chunks(every) {
+        session.append_rows(chunk).map_err(pipeline_err)?;
+        bytes.clear();
+        session.bin_array().write_to(&mut bytes).map_err(pipeline_err)?;
+        write_atomic(std::path::Path::new(path), &bytes).map_err(pipeline_err)?;
+    }
+    Ok(session)
 }
 
 /// `arcs explore`: print the Figure 10 threshold lattice.
@@ -1091,7 +1104,18 @@ mod tests {
             ])),
             Err(CliError::Usage(_))
         ));
+        // A zero checkpoint interval.
+        let ckpt = tmp("f2_bad.ckpt");
+        assert!(matches!(
+            dispatch(&argv(&[
+                "segment", path_str, "--x", "age", "--y", "salary", "--criterion", "group",
+                "--group", "A", "--checkpoint", ckpt.to_str().expect("utf-8 path"),
+                "--checkpoint-every", "0",
+            ])),
+            Err(CliError::Usage(_))
+        ));
         std::fs::remove_file(&path).ok();
+        std::fs::remove_file(&ckpt).ok();
     }
 
     #[test]
@@ -1314,6 +1338,20 @@ mod tests {
             body(&dispatch(&argv(&t4)).unwrap())
         );
 
+        // A checkpointed run times its binning and sampling too.
+        let ckpt = tmp("f2_stats.ckpt");
+        std::fs::remove_file(&ckpt).ok();
+        let mut ck_args = base.to_vec();
+        ck_args.extend(["--stats", "json", "--checkpoint", ckpt.to_str().expect("utf-8 path")]);
+        let out = dispatch(&argv(&ck_args)).unwrap();
+        let json_line = out.lines().find(|l| l.starts_with('{')).expect("stats line");
+        let stats = arcs_core::jsonio::parse(json_line).unwrap();
+        for stage in ["binning", "sampling"] {
+            let ms = stats.get("timings_ms").and_then(|t| t.get(stage)).and_then(|v| v.as_f64());
+            assert!(ms.is_some_and(|ms| ms > 0.0), "{stage} untimed in: {json_line}");
+        }
+        std::fs::remove_file(&ckpt).ok();
+
         // Bad values are usage errors.
         let mut bad_stats = base.to_vec();
         bad_stats.extend(["--stats", "yaml"]);
@@ -1353,6 +1391,19 @@ mod tests {
         assert!(out.contains("memory budget forced 2 bin-halving"), "{out}");
         assert!(out.contains("\"budget_coarsening_steps\":2"), "{out}");
         assert!(out.contains("=>  group = A"), "{out}");
+
+        // A checkpointed run bins onto the same coarsened grid: the same
+        // output and the same degraded status as the plain run.
+        let ckpt = tmp("f2_budget.ckpt");
+        std::fs::remove_file(&ckpt).ok();
+        let mut plain = base.to_vec();
+        plain.extend(["--memory-budget", "10000"]);
+        let mut checkpointed = plain.clone();
+        checkpointed.extend(["--checkpoint", ckpt.to_str().expect("utf-8 path")]);
+        let expected = dispatch_with_status(&argv(&plain)).unwrap();
+        assert_eq!(expected.1, EXIT_BUDGET_DEGRADED);
+        assert_eq!(dispatch_with_status(&argv(&checkpointed)).unwrap(), expected);
+        std::fs::remove_file(&ckpt).ok();
 
         // Below even the coarsest useful grid: refused, not coarsened away.
         let mut impossible = base.to_vec();

@@ -142,8 +142,8 @@ fn client_err(err: ClientError) -> CliError {
     match code.as_deref() {
         Some("DEADLINE_EXCEEDED" | "OVERLOADED") => CliError::Timeout(err.to_string()),
         Some(
-            "DATA" | "UNKNOWN_GROUP" | "NO_SEGMENTATION" | "INVALID_TUPLE" | "ATTRIBUTE_KIND"
-            | "UNKNOWN_DATASET" | "NO_DATASET" | "NOT_PRIMARY",
+            "DATA" | "UNKNOWN_GROUP" | "NO_SEGMENTATION" | "ATTRIBUTE_KIND" | "UNKNOWN_DATASET"
+            | "NO_DATASET" | "NOT_PRIMARY",
         ) => CliError::Data(err.to_string()),
         _ => CliError::Run(err.to_string()),
     }

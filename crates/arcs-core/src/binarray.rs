@@ -13,7 +13,6 @@
 //! line per cell.
 
 use std::io::{Read, Write};
-use std::path::Path;
 
 use crate::error::ArcsError;
 
@@ -128,10 +127,11 @@ impl BinArray {
     }
 
     /// Records one tuple that belongs to *no tracked group* — it counts
-    /// toward the cell total (the confidence denominator) only. This is
-    /// the paper's §3.1 memory-premium mode: "we can set nseg = 1 and
-    /// maintain tuple counts for only the one value of the segmentation
-    /// criteria we are interested in".
+    /// toward the cell total (the confidence denominator) only, the
+    /// layout of the paper's §3.1 memory-premium remark ("we can set
+    /// nseg = 1 and maintain tuple counts for only the one value of the
+    /// segmentation criteria we are interested in"). No binner pass
+    /// uses it.
     #[inline]
     pub fn add_background(&mut self, x: usize, y: usize) {
         debug_assert!(x < self.nx && y < self.ny, "cell ({x}, {y}) out of bounds");
@@ -375,31 +375,6 @@ impl BinArray {
         }
         Ok(array)
     }
-
-    /// Writes a snapshot to `path` atomically: the bytes land in a
-    /// sibling temporary file first and replace `path` by rename, so a
-    /// crash mid-write never leaves a half-written snapshot behind.
-    pub fn save(&self, path: impl AsRef<Path>) -> Result<(), ArcsError> {
-        crate::faults::check("binarray.snapshot-write")?;
-        let path = path.as_ref();
-        let mut tmp = path.as_os_str().to_owned();
-        tmp.push(".tmp");
-        let tmp = std::path::PathBuf::from(tmp);
-        {
-            let mut file = std::io::BufWriter::new(std::fs::File::create(&tmp)?);
-            self.write_to(&mut file)?;
-            file.flush()?;
-        }
-        std::fs::rename(&tmp, path)?;
-        Ok(())
-    }
-
-    /// Loads a snapshot written by [`BinArray::save`].
-    pub fn load(path: impl AsRef<Path>) -> Result<Self, ArcsError> {
-        crate::faults::check("binarray.snapshot-read")?;
-        let mut file = std::io::BufReader::new(std::fs::File::open(path)?);
-        Self::read_from(&mut file)
-    }
 }
 
 #[cfg(test)]
@@ -514,18 +489,6 @@ mod tests {
         let mut bytes2 = Vec::new();
         back.write_to(&mut bytes2).unwrap();
         assert_eq!(bytes, bytes2);
-    }
-
-    #[test]
-    fn snapshot_file_roundtrip() {
-        let dir = std::env::temp_dir().join("arcs-binarray-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("snap.bin");
-        let ba = populated_array();
-        ba.save(&path).unwrap();
-        let back = BinArray::load(&path).unwrap();
-        assert_eq!(ba, back);
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]

@@ -29,16 +29,6 @@ pub enum ArcsError {
     /// The optimizer exhausted its budget without finding any candidate
     /// segmentation (e.g. no cell ever met the thresholds).
     NoSegmentation,
-    /// A streamed tuple failed validation under [`BadTuplePolicy::Fail`]
-    /// (1-based stream position included for triage).
-    ///
-    /// [`BadTuplePolicy::Fail`]: crate::binner::BadTuplePolicy::Fail
-    InvalidTuple {
-        /// 1-based position of the tuple in the stream.
-        position: u64,
-        /// What was wrong with it.
-        message: String,
-    },
     /// An I/O error occurred (message-only: `std::io::Error` is not `Clone`).
     Io(String),
     /// A checkpoint or snapshot file is corrupt, truncated, or written by
@@ -119,7 +109,6 @@ impl ArcsError {
             ArcsError::OutOfBounds { .. } => "OUT_OF_BOUNDS",
             ArcsError::Data(_) => "DATA",
             ArcsError::NoSegmentation => "NO_SEGMENTATION",
-            ArcsError::InvalidTuple { .. } => "INVALID_TUPLE",
             ArcsError::Io(_) => "IO",
             ArcsError::Checkpoint { .. } => "CHECKPOINT",
             ArcsError::GridTooLarge { .. } => "GRID_TOO_LARGE",
@@ -147,9 +136,6 @@ impl fmt::Display for ArcsError {
             ArcsError::Data(err) => write!(f, "data error: {err}"),
             ArcsError::NoSegmentation => {
                 write!(f, "no segmentation found: no cell met any support/confidence threshold")
-            }
-            ArcsError::InvalidTuple { position, message } => {
-                write!(f, "invalid tuple at stream position {position}: {message}")
             }
             ArcsError::Io(message) => write!(f, "I/O error: {message}"),
             ArcsError::Checkpoint { message } => write!(f, "bad checkpoint: {message}"),
@@ -253,7 +239,6 @@ mod tests {
             (ArcsError::OutOfBounds { what: "w".into() }, "OUT_OF_BOUNDS"),
             (ArcsError::Data(DataError::UnknownAttribute("x".into())), "DATA"),
             (ArcsError::NoSegmentation, "NO_SEGMENTATION"),
-            (ArcsError::InvalidTuple { position: 1, message: "m".into() }, "INVALID_TUPLE"),
             (ArcsError::Io("io".into()), "IO"),
             (ArcsError::Checkpoint { message: "c".into() }, "CHECKPOINT"),
             (ArcsError::GridTooLarge { nx: 1, ny: 1, nseg: 1 }, "GRID_TOO_LARGE"),

@@ -10,7 +10,7 @@
 //! Design (std-only — the reproduction mandate forbids new dependencies):
 //!
 //! * **One lazily spawned process-wide pool** ([`ExecPool::global`]),
-//!   sized from [`default_threads`](crate::metrics::default_threads).
+//!   sized from [`default_threads`].
 //!   Workers are spawned on first use, never before; a purely sequential
 //!   process never creates a thread. Owned pools
 //!   ([`ExecPool::new`]) exist for lifecycle tests and embedders that

@@ -13,10 +13,6 @@
 //! |------|------|
 //! | `binner.shard` | inside each `bin_rows_parallel` shard, the single shard of a one-worker run included |
 //! | `binner.stream-chunk` | inside each `bin_stream_parallel` chunk, at any thread count |
-//! | `binner.checkpoint-save` | before writing a streaming checkpoint |
-//! | `binner.checkpoint-load` | before reading a streaming checkpoint |
-//! | `binarray.snapshot-write` | at [`BinArray::save`] entry |
-//! | `binarray.snapshot-read` | at [`BinArray::load`] entry |
 //! | `engine.mine` | at the rule-bitmap build: [`rule_grid`]/[`rule_grid_into`] entry, each optimizer evaluation, and the clustering step of the shared query body `serve::answer` |
 //! | `smooth.pass` | before each smoothing pass |
 //! | `bitop.enumerate` | at [`cluster_with_stats`] entry |
@@ -44,8 +40,6 @@
 //! | `repl.apply` | per shipped record at the standby's apply site (fault refuses that record; the batch is re-fetched) |
 //! | `repl.heartbeat` | at the primary's `repl.heartbeat` handler entry (fault starves the standby's staleness clock) |
 //!
-//! [`BinArray::save`]: crate::binarray::BinArray::save
-//! [`BinArray::load`]: crate::binarray::BinArray::load
 //! [`rule_grid`]: crate::engine::rule_grid
 //! [`rule_grid_into`]: crate::engine::rule_grid_into
 //! [`cluster_with_stats`]: crate::bitop::cluster_with_stats
@@ -73,9 +67,9 @@
 //!
 //! Schedules come from the `ARCS_FAILPOINTS` environment variable (parsed
 //! lazily on first [`check`]) or programmatically via
-//! [`configure_from_spec`]. Hit counters are global and monotonic until
-//! [`clear`], so tests that share a process must serialise on a lock and
-//! call [`clear`] between scenarios.
+//! `configure_from_spec`. Hit counters are global and monotonic until
+//! `clear`, so tests that share a process must serialise on a lock and
+//! call `clear` between scenarios. (Both exist only with the feature.)
 
 #[cfg(not(feature = "failpoints"))]
 use crate::error::ArcsError;

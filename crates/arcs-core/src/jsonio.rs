@@ -15,8 +15,9 @@
 //!   primitives, so the number grammar, the escapes, [`MAX_DEPTH`] and the
 //!   byte-offset [`JsonError`]s exist once. Neither panics on malformed
 //!   input, which the wire-protocol proptests depend on,
-//! - writers: [`Json::to_string`] for a tree, and [`write_number`] for
-//!   encoders that print their own types (the served query reply).
+//! - writers: [`Json`]'s `Display` (`to_string`) for a tree, and
+//!   [`write_number`] for encoders that print their own types (the
+//!   served query reply).
 //!   Numbers use Rust's shortest round-trip float formatting, so every
 //!   finite `f64` survives a serialize → parse cycle bit-identically;
 //!   integral values below 2^53 take an integer path that prints the same

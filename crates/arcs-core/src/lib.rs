@@ -44,7 +44,7 @@ pub mod verify;
 pub mod wal;
 
 pub use binarray::BinArray;
-pub use binner::{BadTuplePolicy, Binner, BinningStrategy, CheckpointSpec, StreamReport};
+pub use binner::{Binner, BinningStrategy};
 pub use binning::BinMap;
 pub use bitop::BitOpConfig;
 pub use budget::{BinPlan, MIN_BINS};

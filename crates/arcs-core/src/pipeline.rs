@@ -477,15 +477,16 @@ mod tests {
         let arcs = Arcs::new(small_config()).unwrap();
         let direct = segment_once(&arcs, &ds, "x", "y", "g", "A").unwrap();
 
-        // Re-create the pipeline's binner and array externally — the
-        // checkpoint/resume path hands exactly this to open_binned.
+        // The checkpoint/resume path: a prefix binned elsewhere (as a
+        // snapshot would hold it), the remaining rows appended.
+        let half = ds.len() / 2;
         let binner = Binner::equi_width(ds.schema(), "x", "y", "g", 10, 10).unwrap();
-        let array = binner.bin_rows(ds.iter()).unwrap();
-        let seg = arcs
-            .open_binned(array, binner, &ds, SegmentRequest::new("x", "y", "g").group("A"))
-            .unwrap()
-            .segment()
+        let prefix = binner.bin_rows(&ds.rows()[..half]).unwrap();
+        let mut session = arcs
+            .open_binned(&ds, Some(prefix), SegmentRequest::new("x", "y", "g").group("A"))
             .unwrap();
+        session.append_rows(&ds.rows()[half..]).unwrap();
+        let seg = session.segment().unwrap();
         assert_eq!(seg.clusters, direct.clusters);
         assert_eq!(seg.thresholds, direct.thresholds);
     }

@@ -28,10 +28,10 @@
 //!   errors are never retried.
 //! * Per-request memory budgets — [`QueryRequest::memory_budget`] runs
 //!   the resource governor's coarsening ladder
-//!   ([`plan_bins`](crate::budget::plan_bins)) against the snapshot's
+//!   ([`plan_bins`]) against the snapshot's
 //!   grid and serves a degraded, coarser answer
 //!   ([`BinArray::coarsened`]) instead of refusing service outright.
-//! * [`ResultCache`] — an LRU keyed by `(epoch, group, thresholds,
+//! * `ResultCache` — an LRU keyed by `(epoch, group, thresholds,
 //!   cluster config, coarsening)`. Repeated lattice points across users
 //!   are free; because the epoch is part of the key, a snapshot swap can
 //!   never serve a stale entry even if active invalidation is faulted.

@@ -45,7 +45,7 @@ use crate::cluster::{ClusteredRule, Rect};
 use crate::engine::{self, BinnedRule, Thresholds};
 use crate::error::ArcsError;
 use crate::index::OccupancyIndex;
-use crate::metrics::{Observer, PipelineReport, Stage};
+use crate::metrics::{Observer, PipelineReport, RecoveryStats, Stage};
 use crate::optimizer::{evaluate_indexed, search, Evaluation, OptimizerConfig, SearchStats};
 use crate::pipeline::{Arcs, ArcsConfig, GroupSegmentations, Segmentation};
 use crate::serve::{answer, Answer, ClusterSpec, QueryResult};
@@ -266,55 +266,13 @@ impl Arcs {
     /// and draws the verification sample. The returned [`Session`] owns
     /// everything it needs; `dataset` may be dropped afterwards.
     pub fn open(&self, dataset: &Dataset, request: SegmentRequest) -> Result<Session, ArcsError> {
-        if dataset.is_empty() {
-            return Err(ArcsError::InvalidConfig("dataset is empty".into()));
-        }
-        let schema = dataset.schema();
-        let labels = criterion_labels(schema, request.criterion_attr())?;
-        check_group(&labels, &request)?;
-        let plan = self.plan_bins(&request, labels.len())?;
-        let binner = self.build_binner(
-            schema,
-            request.x_attr(),
-            request.y_attr(),
-            request.criterion_attr(),
+        self.build_session(
+            dataset.schema(),
             Some(dataset),
-            &plan,
-        )?;
-
-        let threads = self.config().threads;
-        let mut report = PipelineReport { threads, ..PipelineReport::default() };
-        report.counters.budget_coarsening_steps = plan.coarsening_steps as u64;
-
-        let start = Instant::now();
-        let (array, recovery) = binner.bin_rows_parallel_with_stats(dataset.rows(), threads)?;
-        report.timings.record(Stage::Binning, start.elapsed());
-        report.counters.tuples_binned = array.n_tuples();
-        report.counters.record_recovery(&recovery);
-
-        let start = Instant::now();
-        let mut rng = StdRng::seed_from_u64(self.config().seed);
-        let k = self.config().sample_size.min(dataset.len());
-        let sample: Vec<Tuple> = sample_rows(dataset, k, &mut rng)
-            .map_err(ArcsError::Data)?
-            .into_iter()
-            .cloned()
-            .collect();
-        report.timings.record(Stage::Sampling, start.elapsed());
-
-        Ok(Session {
-            config: self.config().clone(),
             request,
-            binner,
-            array,
-            sample,
-            labels,
-            thresholds: None,
-            index: None,
-            budget_coarsening: plan.coarsening_steps,
-            report,
-            observer: None,
-        })
+            |binner, threads| binner.bin_rows_parallel_with_stats(dataset.rows(), threads),
+            || self.draw_sample(dataset),
+        )
     }
 
     /// Opens a session over a tuple stream in one pass, with an explicit
@@ -331,6 +289,81 @@ impl Arcs {
     where
         I: IntoIterator<Item = Tuple>,
     {
+        self.build_session(
+            schema,
+            None,
+            request,
+            |binner, threads| binner.bin_stream_parallel_with_stats(tuples, threads),
+            || Ok(sample.rows().to_vec()),
+        )
+    }
+
+    /// Opens a session over `dataset` whose bin array starts as `prefix`
+    /// (a snapshot of the dataset's first `prefix.n_tuples()` rows, e.g.
+    /// one resumed from a checkpoint) or, without one, empty. It plans
+    /// and builds the binner and draws the sample exactly as
+    /// [`Arcs::open`] does, but bins nothing: the caller appends the rows
+    /// the prefix does not cover with [`Session::append_rows`].
+    ///
+    /// A `prefix` whose grid is not the planned one, or that covers more
+    /// rows than `dataset` holds, is refused with
+    /// [`ArcsError::Checkpoint`].
+    pub fn open_binned(
+        &self,
+        dataset: &Dataset,
+        prefix: Option<BinArray>,
+        request: SegmentRequest,
+    ) -> Result<Session, ArcsError> {
+        self.build_session(
+            dataset.schema(),
+            Some(dataset),
+            request,
+            |binner, _| {
+                let Some(prefix) = prefix else {
+                    return Ok((binner.new_bin_array()?, RecoveryStats::default()));
+                };
+                let planned = (binner.x_map().n_bins(), binner.y_map().n_bins(), binner.nseg());
+                let grid = (prefix.nx(), prefix.ny(), prefix.nseg());
+                if grid != planned {
+                    return Err(ArcsError::Checkpoint {
+                        message: format!(
+                            "checkpoint grid (nx, ny, nseg) = {grid:?} does not match \
+                             the planned grid {planned:?}"
+                        ),
+                    });
+                }
+                if prefix.n_tuples() > dataset.len() as u64 {
+                    return Err(ArcsError::Checkpoint {
+                        message: format!(
+                            "checkpoint covers {} tuples but the input holds only {} — \
+                             wrong input for this checkpoint?",
+                            prefix.n_tuples(),
+                            dataset.len()
+                        ),
+                    });
+                }
+                Ok((prefix, RecoveryStats::default()))
+            },
+            || self.draw_sample(dataset),
+        )
+    }
+
+    /// The one body behind every session constructor: resolves the
+    /// criterion labels and the targeted group, plans the grid under the
+    /// memory budget, builds the binner for the configured strategy
+    /// (`dataset` supplies the columns equi-depth and homogeneity need),
+    /// then times `bin` and `sample` into the session's report.
+    fn build_session(
+        &self,
+        schema: &Schema,
+        dataset: Option<&Dataset>,
+        request: SegmentRequest,
+        bin: impl FnOnce(&Binner, usize) -> Result<(BinArray, RecoveryStats), ArcsError>,
+        sample: impl FnOnce() -> Result<Vec<Tuple>, ArcsError>,
+    ) -> Result<Session, ArcsError> {
+        if dataset.is_some_and(Dataset::is_empty) {
+            return Err(ArcsError::InvalidConfig("dataset is empty".into()));
+        }
         let labels = criterion_labels(schema, request.criterion_attr())?;
         check_group(&labels, &request)?;
         let plan = self.plan_bins(&request, labels.len())?;
@@ -339,7 +372,7 @@ impl Arcs {
             request.x_attr(),
             request.y_attr(),
             request.criterion_attr(),
-            None,
+            dataset,
             &plan,
         )?;
 
@@ -348,13 +381,13 @@ impl Arcs {
         report.counters.budget_coarsening_steps = plan.coarsening_steps as u64;
 
         let start = Instant::now();
-        let (array, recovery) = binner.bin_stream_parallel_with_stats(tuples, threads)?;
+        let (array, recovery) = bin(&binner, threads)?;
         report.timings.record(Stage::Binning, start.elapsed());
         report.counters.tuples_binned = array.n_tuples();
         report.counters.record_recovery(&recovery);
 
         let start = Instant::now();
-        let sample: Vec<Tuple> = sample.rows().to_vec();
+        let sample = sample()?;
         report.timings.record(Stage::Sampling, start.elapsed());
 
         Ok(Session {
@@ -372,37 +405,13 @@ impl Arcs {
         })
     }
 
-    /// Opens a session around a pre-built [`BinArray`] (e.g. one resumed
-    /// from a checkpoint). The `binner` must be the one that produced the
-    /// array — its bin maps decode clusters back to attribute ranges. The
-    /// `sample` provides both the verification tuples and the schema.
-    pub fn open_binned(
-        &self,
-        array: BinArray,
-        binner: Binner,
-        sample: &Dataset,
-        request: SegmentRequest,
-    ) -> Result<Session, ArcsError> {
-        let labels = criterion_labels(sample.schema(), request.criterion_attr())?;
-        check_group(&labels, &request)?;
-        let mut report = PipelineReport {
-            threads: self.config().threads,
-            ..PipelineReport::default()
-        };
-        report.counters.tuples_binned = array.n_tuples();
-        Ok(Session {
-            config: self.config().clone(),
-            request,
-            binner,
-            array,
-            sample: sample.rows().to_vec(),
-            labels,
-            thresholds: None,
-            index: None,
-            budget_coarsening: 0,
-            report,
-            observer: None,
-        })
+    /// Draws the seeded verification sample [`Arcs::open`] verifies
+    /// against: `sample_size` rows of `dataset` (all of them when fewer).
+    fn draw_sample(&self, dataset: &Dataset) -> Result<Vec<Tuple>, ArcsError> {
+        let mut rng = StdRng::seed_from_u64(self.config().seed);
+        let k = self.config().sample_size.min(dataset.len());
+        let rows = sample_rows(dataset, k, &mut rng).map_err(ArcsError::Data)?;
+        Ok(rows.into_iter().cloned().collect())
     }
 
     /// Runs the resource governor over the configured bin counts: the

@@ -402,9 +402,7 @@ impl WalWriter {
         header.extend_from_slice(&start_seq.to_le_bytes());
         file.write_all(&header)?;
         file.sync_all()?;
-        if let Some(dir) = path.parent() {
-            sync_dir(dir)?;
-        }
+        sync_parent(path)?;
         Ok(WalWriter { file, path: path.to_path_buf(), len: WAL_HEADER_LEN, next_seq: start_seq, poisoned: false })
     }
 
@@ -563,9 +561,7 @@ impl WalWriter {
             file.sync_all()?;
         }
         std::fs::rename(&tmp, &self.path)?;
-        if let Some(dir) = self.path.parent() {
-            sync_dir(dir)?;
-        }
+        sync_parent(&self.path)?;
         let mut file = OpenOptions::new().read(true).write(true).open(&self.path)?;
         file.seek(SeekFrom::Start(WAL_HEADER_LEN))?;
         self.file = file;
@@ -656,9 +652,7 @@ pub fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), ArcsError> {
         file.sync_all()?;
     }
     std::fs::rename(&tmp, path)?;
-    if let Some(dir) = path.parent() {
-        sync_dir(dir)?;
-    }
+    sync_parent(path)?;
     Ok(())
 }
 
@@ -712,9 +706,16 @@ pub fn load_checkpoint(
     Ok(Some((meta, array)))
 }
 
-/// Fsyncs a directory so a just-renamed entry survives power loss. A
-/// no-op on platforms where directories cannot be opened.
-fn sync_dir(dir: &Path) -> io::Result<()> {
+/// Fsyncs the directory holding `path` so a just-created or renamed
+/// entry survives power loss. A bare file name's parent is the empty
+/// path, which names the current directory. A no-op on platforms where
+/// directories cannot be opened.
+fn sync_parent(path: &Path) -> io::Result<()> {
+    let dir = match path.parent() {
+        Some(dir) if dir.as_os_str().is_empty() => Path::new("."),
+        Some(dir) => dir,
+        None => return Ok(()),
+    };
     #[cfg(unix)]
     {
         File::open(dir)?.sync_all()

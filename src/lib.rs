@@ -70,9 +70,9 @@ pub mod prelude {
 
     // --- core: pipeline stages, for driving the pieces directly ---
     pub use arcs_core::{
-        BadTuplePolicy, BinArray, BinMap, BinnedRule, Binner, BinningStrategy, BitOpConfig,
-        CheckpointSpec, ClusteredRule, ErrorCounts, Grid, MdlScore, MdlWeights,
-        OptimizerConfig, Rect, SmoothConfig, StreamReport, Thresholds,
+        BinArray, BinMap, BinnedRule, Binner, BinningStrategy, BitOpConfig, ClusteredRule,
+        ErrorCounts, Grid, MdlScore, MdlWeights, OptimizerConfig, Rect, SmoothConfig,
+        Thresholds,
     };
 
     // --- core: observability — stage timings, counters, reports ---

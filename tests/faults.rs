@@ -329,33 +329,6 @@ fn pool_survives_fault_schedules_across_all_stages() {
     assert_eq!(session.report().counters.worker_panics, 0);
 }
 
-/// Snapshot I/O failpoints: a scheduled write or read fault surfaces as a
-/// typed error, and the very next attempt round-trips the array intact.
-#[test]
-fn snapshot_failpoints_guard_checkpoint_io() {
-    let _g = guard();
-    let ds = f2_dataset(12_000);
-    let session = arcs_with_threads(1).open(&ds, request()).unwrap();
-    let dir = std::env::temp_dir().join("arcs-fault-tests");
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("snapshot.bin");
-
-    faults::configure_from_spec("binarray.snapshot-write=error@1").unwrap();
-    let err = session.bin_array().save(&path).unwrap_err();
-    assert!(
-        matches!(err, ArcsError::FaultInjected { point: "binarray.snapshot-write" }),
-        "{err}"
-    );
-    session.bin_array().save(&path).unwrap();
-
-    faults::configure_from_spec("binarray.snapshot-read=error@1").unwrap();
-    assert!(BinArray::load(&path).is_err());
-    let restored = BinArray::load(&path).unwrap();
-    assert_eq!(restored.checksum(), session.bin_array().checksum());
-    faults::clear();
-    std::fs::remove_file(&path).ok();
-}
-
 /// `engine.mine` guards the bitmap build of the shared query body: it
 /// fires on a clustered serving query (typed, never retried, nothing
 /// cached) and never on a mine-only one, which builds no bitmap.

@@ -141,58 +141,73 @@ proptest! {
 }
 
 /// The kill-and-resume guarantee on real workload data: a binning pass
-/// killed mid-stream, then resumed from its last checkpoint over the same
-/// stream, produces a `BinArray` bit-identical to an uninterrupted run.
+/// killed mid-stream, then resumed from its last snapshot over the same
+/// rows, produces a `BinArray` bit-identical to an uninterrupted run, and
+/// the same segmentation. A snapshot of another grid, or of more rows
+/// than the input holds, is refused.
 #[test]
 fn interrupted_bin_stream_resumes_bit_identical() {
     let mut gen = AgrawalGenerator::new(GeneratorConfig::paper_defaults(7)).unwrap();
     let ds = gen.generate(5_000);
-    let binner = Binner::equi_width(ds.schema(), "age", "salary", "group", 30, 30).unwrap();
-    let reference = binner.bin_stream(ds.iter().cloned()).unwrap();
+    let config = ArcsConfig { n_x_bins: 30, n_y_bins: 30, ..ArcsConfig::default() };
+    let arcs = Arcs::new(config.clone()).unwrap();
+    let request = || SegmentRequest::new("age", "salary", "group").group("A");
+    let mut reference = arcs.open(&ds, request()).unwrap();
 
     let dir = std::env::temp_dir().join("arcs-resume-e2e");
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("e2e.ckpt");
     std::fs::remove_file(&path).ok();
-    let spec = CheckpointSpec { path: &path, every: 1_000 };
 
-    // The process "dies" after 2_500 tuples — past the checkpoint at
-    // 2_000 — and its in-memory result is lost.
-    let _ = binner
-        .bin_stream_checkpointed(ds.iter().take(2_500).cloned(), BadTuplePolicy::Fail, &spec)
-        .unwrap();
+    // Bins `rows` 1_000 at a time, replacing the snapshot after each chunk.
+    let bin_checkpointed = |session: &mut Session, rows: &[Tuple]| {
+        for chunk in rows.chunks(1_000) {
+            session.append_rows(chunk).unwrap();
+            let mut bytes = Vec::new();
+            session.bin_array().write_to(&mut bytes).unwrap();
+            arcs::core::wal::write_atomic(&path, &bytes).unwrap();
+        }
+    };
+    let snapshot = || BinArray::read_from(&mut std::fs::read(&path).unwrap().as_slice()).unwrap();
 
-    // Restart over the same stream: the checkpoint (written at 2_500 on
-    // stream end) is honoured and the tail replayed.
-    let (resumed, report) = binner
-        .bin_stream_checkpointed(ds.iter().cloned(), BadTuplePolicy::Fail, &spec)
-        .unwrap();
-    assert_eq!(report.resumed_from, 2_500);
-    assert_eq!(report.seen, 5_000);
-    assert_eq!(resumed, reference);
+    // The process "dies" after 2_500 rows — past the snapshots at 1_000
+    // and 2_000, with its last one at 2_500 — and its session is lost.
+    let mut doomed = arcs.open_binned(&ds, None, request()).unwrap();
+    bin_checkpointed(&mut doomed, &ds.rows()[..2_500]);
+    drop(doomed);
 
-    // Bit-identical serialized form, not just structural equality.
+    // Restart over the same rows: the snapshot is honoured and the tail
+    // binned onto it.
+    let prefix = snapshot();
+    assert_eq!(prefix.n_tuples(), 2_500);
+    let mut resumed = arcs.open_binned(&ds, Some(prefix), request()).unwrap();
+    bin_checkpointed(&mut resumed, &ds.rows()[2_500..]);
+    assert_eq!(resumed.bin_array(), reference.bin_array());
+
+    // Bit-identical serialized form, not just structural equality — in
+    // memory and in the final snapshot on disk.
     let (mut a, mut b) = (Vec::new(), Vec::new());
-    reference.write_to(&mut a).unwrap();
-    resumed.write_to(&mut b).unwrap();
+    reference.bin_array().write_to(&mut a).unwrap();
+    resumed.bin_array().write_to(&mut b).unwrap();
     assert_eq!(a, b);
+    assert_eq!(std::fs::read(&path).unwrap(), a);
 
-    // The resumed array drives the pipeline to the same segmentation as
-    // an in-memory run over the full dataset.
-    let config = ArcsConfig { n_x_bins: 30, n_y_bins: 30, ..ArcsConfig::default() };
-    let arcs = Arcs::new(config).unwrap();
-    let request = || SegmentRequest::new("age", "salary", "group").group("A");
-    let from_resumed = arcs
-        .open_binned(resumed.clone(), binner.clone(), &ds, request())
-        .unwrap()
-        .segment()
-        .unwrap();
-    let from_reference = arcs
-        .open_binned(reference.clone(), binner.clone(), &ds, request())
-        .unwrap()
-        .segment()
-        .unwrap();
-    assert_eq!(from_resumed, from_reference);
+    // The resumed session segments exactly as an in-memory run over the
+    // full dataset.
+    assert_eq!(resumed.segment().unwrap(), reference.segment().unwrap());
+
+    // A snapshot of a different grid than the plan is refused.
+    let other = Arcs::new(ArcsConfig { n_x_bins: 20, n_y_bins: 20, ..config }).unwrap();
+    let err = other.open_binned(&ds, Some(snapshot()), request()).unwrap_err();
+    assert!(matches!(err, ArcsError::Checkpoint { .. }), "{err:?}");
+
+    // So is a snapshot covering more rows than the input holds.
+    let mut short = Dataset::new(ds.schema().clone());
+    for row in &ds.rows()[..1_000] {
+        short.push_tuple(row.clone());
+    }
+    let err = arcs.open_binned(&short, Some(snapshot()), request()).unwrap_err();
+    assert!(matches!(err, ArcsError::Checkpoint { .. }), "{err:?}");
 
     std::fs::remove_file(&path).ok();
 }

@@ -473,11 +473,14 @@ proptest! {
 
     /// Sharded parallel binning merges to the exact same `BinArray` as the
     /// sequential pass — same counts, same checksum — for arbitrary
-    /// datasets and thread counts, in both the slice and stream forms.
+    /// datasets and thread counts, in both the slice and stream forms,
+    /// and along the checkpoint/resume path cut at an arbitrary row.
     #[test]
     fn parallel_binning_matches_sequential(
         rows in vec((0.0f64..50.0, 0.0f64..50.0, 0u32..3), 1..400),
         threads in 2usize..6,
+        cut in 0usize..400,
+        every in 1usize..64,
     ) {
         let schema = Schema::new(vec![
             Attribute::quantitative("x", 0.0, 50.0),
@@ -495,6 +498,25 @@ proptest! {
         prop_assert_eq!(parallel.checksum(), sequential.checksum());
         let streamed = binner.bin_stream_parallel(ds.iter().cloned(), threads).unwrap();
         prop_assert_eq!(&streamed, &sequential);
+
+        // Checkpoint/resume: bin the first `cut` rows `every` at a time,
+        // round-trip that prefix through its snapshot bytes, resume on it.
+        let cut = cut % (rows.len() + 1);
+        let config = ArcsConfig { n_x_bins: 8, n_y_bins: 8, threads, ..ArcsConfig::default() };
+        let arcs = Arcs::new(config).unwrap();
+        let request = || SegmentRequest::new("x", "y", "g");
+        let mut first = arcs.open_binned(&ds, None, request()).unwrap();
+        for chunk in ds.rows()[..cut].chunks(every) {
+            first.append_rows(chunk).unwrap();
+        }
+        let mut bytes = Vec::new();
+        first.bin_array().write_to(&mut bytes).unwrap();
+        let prefix = BinArray::read_from(&mut bytes.as_slice()).unwrap();
+        let mut resumed = arcs.open_binned(&ds, Some(prefix), request()).unwrap();
+        for chunk in ds.rows()[cut..].chunks(every) {
+            resumed.append_rows(chunk).unwrap();
+        }
+        prop_assert_eq!(resumed.bin_array(), &sequential);
     }
 
     /// The output-sensitive miners agree bit-for-bit with the naive
