@@ -86,7 +86,7 @@ pub const FSCK_USAGE: &str = "\
 arcs fsck --data-dir <DIR> [--repair]
 
 Audits every tenant directory under DIR: the tenant descriptor, the
-checkpoint pair (array + meta, checksummed), and the write-ahead log
+checkpoint (header + array under one checksum), and the write-ahead log
 (record CRCs, sequence continuity, and whether each surviving record
 still applies on top of the checkpoint). Prints a JSON report and exits
 0 when the directory is clean (or was fully repaired), 3 otherwise.

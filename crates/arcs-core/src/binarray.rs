@@ -126,20 +126,6 @@ impl BinArray {
         self.n_tuples += 1;
     }
 
-    /// Records one tuple that belongs to *no tracked group* — it counts
-    /// toward the cell total (the confidence denominator) only, the
-    /// layout of the paper's §3.1 memory-premium remark ("we can set
-    /// nseg = 1 and maintain tuple counts for only the one value of the
-    /// segmentation criteria we are interested in"). No binner pass
-    /// uses it.
-    #[inline]
-    pub fn add_background(&mut self, x: usize, y: usize) {
-        debug_assert!(x < self.nx && y < self.ny, "cell ({x}, {y}) out of bounds");
-        let base = self.base(x, y);
-        self.counts[base + self.nseg] += 1;
-        self.n_tuples += 1;
-    }
-
     /// Checked variant of [`add`](Self::add) for untrusted coordinates.
     pub fn try_add(&mut self, x: usize, y: usize, g: u32) -> Result<(), ArcsError> {
         if x >= self.nx || y >= self.ny {
@@ -472,9 +458,6 @@ mod tests {
         for i in 0..1_000u32 {
             ba.add((i % 7) as usize, (i % 5) as usize, i % 3);
         }
-        for i in 0..37 {
-            ba.add_background((i % 7) as usize, (i % 5) as usize);
-        }
         ba
     }
 
@@ -541,8 +524,6 @@ mod tests {
                 right.add(x, y, g);
             }
         }
-        whole.add_background(0, 0);
-        left.add_background(0, 0);
         left.merge(&right).unwrap();
         assert_eq!(left, whole);
         assert_eq!(left.checksum(), whole.checksum());

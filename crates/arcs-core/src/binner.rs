@@ -41,7 +41,8 @@ pub struct Binner {
     criterion_idx: usize,
     x_map: BinMap,
     y_map: BinMap,
-    nseg: usize,
+    /// The criterion's labels, in code order.
+    labels: Vec<String>,
 }
 
 impl Binner {
@@ -110,8 +111,8 @@ impl Binner {
             ));
         }
         let criterion = schema.attribute(criterion_idx).expect("index from require");
-        let nseg = match &criterion.kind {
-            AttrKind::Categorical { labels } => labels.len(),
+        let labels = match &criterion.kind {
+            AttrKind::Categorical { labels } => labels.clone(),
             AttrKind::Quantitative { .. } => {
                 return Err(ArcsError::AttributeKind {
                     attribute: criterion.name.clone(),
@@ -119,7 +120,7 @@ impl Binner {
                 })
             }
         };
-        Ok(Binner { x_idx, y_idx, criterion_idx, x_map, y_map, nseg })
+        Ok(Binner { x_idx, y_idx, criterion_idx, x_map, y_map, labels })
     }
 
     /// The x attribute's bin map.
@@ -149,12 +150,17 @@ impl Binner {
 
     /// Number of criterion groups.
     pub fn nseg(&self) -> usize {
-        self.nseg
+        self.labels.len()
+    }
+
+    /// The criterion attribute's labels, in code order.
+    pub fn labels(&self) -> &[String] {
+        &self.labels
     }
 
     /// Creates an empty [`BinArray`] matching this binner's dimensions.
     pub fn new_bin_array(&self) -> Result<BinArray, ArcsError> {
-        BinArray::new(self.x_map.n_bins(), self.y_map.n_bins(), self.nseg)
+        BinArray::new(self.x_map.n_bins(), self.y_map.n_bins(), self.nseg())
     }
 
     /// Bins one tuple's `(x, y, group)` projection.

@@ -31,7 +31,7 @@
 //! | `daemon.feeder-merge` | per feeder merge tick in `arcsd` (fault retries the same bytes next tick) |
 //! | `wal.write` | at [`WalWriter::append`] entry, before any byte lands |
 //! | `wal.fsync` | after a WAL record's bytes are written, before the fsync that acknowledges it |
-//! | `wal.checkpoint` | at [`save_checkpoint`] entry, before the array snapshot is written |
+//! | `wal.checkpoint` | at [`save_checkpoint`] entry, before the checkpoint file is written |
 //! | `wal.replay` | at [`replay`] entry, before the log is scanned |
 //! | `wal.truncate` | at [`WalWriter::reset`] entry, before the post-checkpoint truncation |
 //! | `repl.subscribe` | at the primary's `repl.subscribe` handler entry (fault drops that subscribe; the standby retries) |

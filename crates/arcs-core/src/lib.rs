@@ -56,12 +56,10 @@ pub use error::ArcsError;
 pub use exec::{ExecConfig, ExecPool, PoolStats, MAX_SHARD_RETRIES};
 pub use grid::Grid;
 pub use index::{DeltaMiner, GroupCell, OccupancyIndex};
-pub use metrics::{
-    Observer, PipelineCounters, PipelineReport, RecoveryStats, Stage, StageTimings,
-};
+pub use metrics::{PipelineCounters, PipelineReport, RecoveryStats, Stage, StageTimings};
 pub use optimizer::{optimize, OptimizerConfig, SearchStats, ThresholdLattice};
 pub use pipeline::{Arcs, ArcsConfig, Segmentation};
-pub use repl::{ReplCursor, ReplMetrics, ShippedRecord};
+pub use repl::{ReplMetrics, ShippedRecord};
 pub use request::{GroupRef, Request};
 pub use serve::{
     AdmissionGate, ClusterSpec, QueryRequest, QueryResponse, QueryResult, ServeConfig, Server,

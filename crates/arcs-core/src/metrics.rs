@@ -3,9 +3,8 @@
 //! The pipeline runs in well-defined stages (bin → sample → threshold
 //! search → decode); this module gives each a wall-clock timing, a set of
 //! work counters that make the parallel execution layer's speedups
-//! measurable, an [`Observer`] trait the pipeline reports into, and a
-//! JSON rendering (through [`crate::jsonio`]) for `arcs segment --stats
-//! json` and the benchmark harness.
+//! measurable, and a JSON rendering (through [`crate::jsonio`]) for
+//! `arcs segment --stats json` and the benchmark harness.
 
 use std::time::Duration;
 
@@ -18,7 +17,7 @@ pub fn default_threads() -> usize {
     std::thread::available_parallelism().map_or(1, usize::from)
 }
 
-/// The pipeline stages reported to an [`Observer`].
+/// The pipeline stages a [`StageTimings`] times.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Stage {
     /// Streaming tuples into the `BinArray` (the only stage that touches
@@ -316,24 +315,6 @@ impl RecoveryStats {
     }
 }
 
-/// Callback interface the pipeline reports into. All methods have empty
-/// defaults, so an observer implements only what it cares about.
-///
-/// Observers are driven at stage granularity from the session's thread —
-/// worker threads never call into an observer, so implementations need no
-/// internal synchronisation.
-pub trait Observer {
-    /// A pipeline stage finished.
-    fn stage_completed(&mut self, stage: Stage, elapsed: Duration) {
-        let _ = (stage, elapsed);
-    }
-
-    /// The session's cumulative counters changed.
-    fn counters_updated(&mut self, counters: &PipelineCounters) {
-        let _ = counters;
-    }
-}
-
 /// The full observability report of one session: stage timings, work
 /// counters, and the worker-thread count the execution layer used.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -373,24 +354,6 @@ impl PipelineReport {
             ("counters", self.counters.to_json()),
         ])
         .to_string()
-    }
-}
-
-/// An [`Observer`] that accumulates everything it is told into a
-/// [`PipelineReport`] — the built-in collector behind `--stats json`.
-#[derive(Debug, Clone, Default)]
-pub struct CollectingObserver {
-    /// The report built so far.
-    pub report: PipelineReport,
-}
-
-impl Observer for CollectingObserver {
-    fn stage_completed(&mut self, stage: Stage, elapsed: Duration) {
-        self.report.timings.record(stage, elapsed);
-    }
-
-    fn counters_updated(&mut self, counters: &PipelineCounters) {
-        self.report.counters = *counters;
     }
 }
 
@@ -501,16 +464,6 @@ mod tests {
             crate::jsonio::parse(&json).is_ok(),
             "not valid JSON: {json}"
         );
-    }
-
-    #[test]
-    fn collecting_observer_builds_a_report() {
-        let mut obs = CollectingObserver::default();
-        obs.stage_completed(Stage::Search, Duration::from_millis(7));
-        let counters = PipelineCounters { evaluations: 9, ..Default::default() };
-        obs.counters_updated(&counters);
-        assert_eq!(obs.report.timings.search, Duration::from_millis(7));
-        assert_eq!(obs.report.counters.evaluations, 9);
     }
 
     #[test]

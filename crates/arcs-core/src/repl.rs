@@ -10,13 +10,6 @@
 //!   standby re-verifies the checksum with [`wal::decode_record`] before
 //!   applying anything, so a record torn in flight is refused exactly
 //!   like a record torn on disk.
-//! * **[`ReplCursor`]** — the standby's sequence cursor. Replication
-//!   preserves the WAL's core invariant (contiguous sequence numbers):
-//!   a shipped record *behind* the cursor is a harmless duplicate (the
-//!   primary re-sent an already-applied prefix) and is skipped; a record
-//!   *ahead* of the cursor is a gap — applying it would silently lose
-//!   the records in between, so the cursor refuses it with a typed
-//!   error and the standby re-syncs from a checkpoint transfer instead.
 //! * **[`ReplMetrics`]** — lock-free counters for the whole subsystem
 //!   (records shipped/applied, gaps refused, re-syncs, heartbeats),
 //!   foldable into [`PipelineCounters`] so replication shows up in the
@@ -104,67 +97,6 @@ pub fn from_hex(text: &str) -> Result<Vec<u8>, ArcsError> {
         out.push((hi * 16 + lo) as u8);
     }
     Ok(out)
-}
-
-/// What a standby should do with one shipped record, per its cursor.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Admit {
-    /// The record is exactly the next expected one: apply it.
-    Apply,
-    /// The record precedes the cursor — an already-applied duplicate
-    /// from a re-sent prefix. Skip it; this is not an error.
-    Duplicate,
-}
-
-/// The standby's replication cursor: the next WAL sequence number it
-/// expects. Enforces the no-gap invariant on the shipped stream.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ReplCursor {
-    next_seq: u64,
-}
-
-impl ReplCursor {
-    /// A cursor expecting `next_seq` as the next record to apply.
-    pub fn at(next_seq: u64) -> ReplCursor {
-        ReplCursor { next_seq }
-    }
-
-    /// The next sequence number the cursor will admit.
-    pub fn next_seq(&self) -> u64 {
-        self.next_seq
-    }
-
-    /// Classifies a shipped sequence number: apply, skip as duplicate,
-    /// or — for a sequence *beyond* the cursor — refuse with a typed
-    /// error. A gap means records were lost between primary and standby
-    /// (the primary truncated them into a checkpoint, or the stream was
-    /// mangled); applying past it would silently diverge, so the caller
-    /// must re-sync from a checkpoint transfer instead.
-    pub fn admit(&self, seq: u64) -> Result<Admit, ArcsError> {
-        if seq < self.next_seq {
-            return Ok(Admit::Duplicate);
-        }
-        if seq > self.next_seq {
-            return Err(ArcsError::Checkpoint {
-                message: format!(
-                    "replication sequence gap: expected {}, primary shipped {} — \
-                     refusing to apply past missing records; re-sync required",
-                    self.next_seq, seq
-                ),
-            });
-        }
-        Ok(Admit::Apply)
-    }
-
-    /// Advances past an applied record.
-    pub fn advance(&mut self) {
-        self.next_seq += 1;
-    }
-
-    /// Repositions the cursor after a checkpoint re-sync.
-    pub fn reset(&mut self, next_seq: u64) {
-        self.next_seq = next_seq;
-    }
 }
 
 /// Lock-free counters for the replication subsystem. One instance lives
@@ -255,24 +187,6 @@ mod tests {
             bytes: shipped.bytes[..shipped.bytes.len() - 2].to_vec(),
         };
         assert!(torn.decode().is_err());
-    }
-
-    #[test]
-    fn cursor_applies_in_order_skips_duplicates_refuses_gaps() {
-        let mut cursor = ReplCursor::at(5);
-        assert_eq!(cursor.admit(4).unwrap(), Admit::Duplicate);
-        assert_eq!(cursor.admit(5).unwrap(), Admit::Apply);
-        cursor.advance();
-        assert_eq!(cursor.next_seq(), 6);
-
-        let err = cursor.admit(8).unwrap_err();
-        assert!(err.to_string().contains("gap"), "{err}");
-        assert!(err.to_string().contains("re-sync"), "{err}");
-        // The refusal leaves the cursor unmoved.
-        assert_eq!(cursor.next_seq(), 6);
-
-        cursor.reset(42);
-        assert_eq!(cursor.admit(42).unwrap(), Admit::Apply);
     }
 
     #[test]

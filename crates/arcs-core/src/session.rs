@@ -26,8 +26,7 @@
 //! session's one lazily built [`OccupancyIndex`].
 //!
 //! Sessions also carry a [`PipelineReport`] of per-stage wall-clock
-//! timings and work counters, and an optional [`Observer`] notified as
-//! stages complete.
+//! timings and work counters.
 
 use std::time::{Duration, Instant};
 
@@ -35,7 +34,6 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use arcs_data::sample::sample_rows;
-use arcs_data::schema::AttrKind;
 use arcs_data::{Dataset, Schema, Tuple};
 
 use crate::binarray::BinArray;
@@ -45,7 +43,7 @@ use crate::cluster::{ClusteredRule, Rect};
 use crate::engine::{self, BinnedRule, Thresholds};
 use crate::error::ArcsError;
 use crate::index::OccupancyIndex;
-use crate::metrics::{Observer, PipelineReport, RecoveryStats, Stage};
+use crate::metrics::{PipelineReport, RecoveryStats, Stage};
 use crate::optimizer::{evaluate_indexed, search, Evaluation, OptimizerConfig, SearchStats};
 use crate::pipeline::{Arcs, ArcsConfig, GroupSegmentations, Segmentation};
 use crate::serve::{answer, Answer, ClusterSpec, QueryResult};
@@ -194,22 +192,6 @@ fn run_search(
     Ok(outcome)
 }
 
-/// The labels of a categorical criterion attribute, or an error when the
-/// attribute is quantitative.
-fn criterion_labels(schema: &Schema, criterion_attr: &str) -> Result<Vec<String>, ArcsError> {
-    let idx = schema.require(criterion_attr)?;
-    let attr = schema.attribute(idx).ok_or_else(|| ArcsError::OutOfBounds {
-        what: format!("attribute index {idx} from schema lookup of `{criterion_attr}`"),
-    })?;
-    match &attr.kind {
-        AttrKind::Categorical { labels } => Ok(labels.clone()),
-        AttrKind::Quantitative { .. } => Err(ArcsError::AttributeKind {
-            attribute: attr.name.clone(),
-            expected: "a categorical criterion attribute",
-        }),
-    }
-}
-
 /// A populated pipeline: the bin array, binner, and verification sample
 /// for one [`SegmentRequest`], independent of the source data.
 ///
@@ -229,8 +211,6 @@ pub struct Session {
     /// Owned copy of the verification sample — what lets the source
     /// dataset be dropped while `remine`/`segment` keep working.
     sample: Vec<Tuple>,
-    /// Criterion group labels, in code order.
-    labels: Vec<String>,
     /// Thresholds of the most recent mine (search winner or explicit
     /// `remine` argument); `recluster` reuses them.
     thresholds: Option<Thresholds>,
@@ -244,7 +224,6 @@ pub struct Session {
     /// marks every segmentation from this session degraded.
     budget_coarsening: u32,
     report: PipelineReport,
-    observer: Option<Box<dyn Observer>>,
 }
 
 impl std::fmt::Debug for Session {
@@ -253,7 +232,7 @@ impl std::fmt::Debug for Session {
             .field("request", &self.request)
             .field("n_tuples", &self.array.n_tuples())
             .field("sample_len", &self.sample.len())
-            .field("labels", &self.labels)
+            .field("labels", &self.binner.labels())
             .field("thresholds", &self.thresholds)
             .field("report", &self.report)
             .finish_non_exhaustive()
@@ -348,11 +327,12 @@ impl Arcs {
         )
     }
 
-    /// The one body behind every session constructor: resolves the
-    /// criterion labels and the targeted group, plans the grid under the
-    /// memory budget, builds the binner for the configured strategy
-    /// (`dataset` supplies the columns equi-depth and homogeneity need),
-    /// then times `bin` and `sample` into the session's report.
+    /// The one body behind every session constructor: plans the grid
+    /// under the memory budget, builds the binner for the configured
+    /// strategy (`dataset` supplies the columns equi-depth and
+    /// homogeneity need; the binner validates the criterion and holds
+    /// its labels), checks the targeted group, then times `bin` and
+    /// `sample` into the session's report.
     fn build_session(
         &self,
         schema: &Schema,
@@ -364,9 +344,14 @@ impl Arcs {
         if dataset.is_some_and(Dataset::is_empty) {
             return Err(ArcsError::InvalidConfig("dataset is empty".into()));
         }
-        let labels = criterion_labels(schema, request.criterion_attr())?;
-        check_group(&labels, &request)?;
-        let plan = self.plan_bins(&request, labels.len())?;
+        // The grid's group count; a criterion that is missing or not
+        // categorical plans with none and the binner below refuses it.
+        let nseg = schema
+            .require(request.criterion_attr())
+            .ok()
+            .and_then(|idx| schema.attribute(idx)?.kind.cardinality())
+            .unwrap_or(0);
+        let plan = self.plan_bins(&request, nseg as usize)?;
         let binner = self.build_binner(
             schema,
             request.x_attr(),
@@ -375,6 +360,7 @@ impl Arcs {
             dataset,
             &plan,
         )?;
+        check_group(binner.labels(), &request)?;
 
         let threads = self.config().threads;
         let mut report = PipelineReport { threads, ..PipelineReport::default() };
@@ -396,12 +382,10 @@ impl Arcs {
             binner,
             array,
             sample,
-            labels,
             thresholds: None,
             index: None,
             budget_coarsening: plan.coarsening_steps,
             report,
-            observer: None,
         })
     }
 
@@ -486,7 +470,6 @@ impl Session {
         c.record_recovery(&outcome.stats.recovery);
         c.evaluations += outcome.evaluations as u64;
         let Some(best) = outcome.best else {
-            self.notify_counters();
             return Err(ArcsError::NoSegmentation);
         };
         c.verifier_false_positives += best.errors.false_positives as u64;
@@ -501,7 +484,6 @@ impl Session {
         self.report.counters.rules_emitted += mined.len() as u64;
         self.report.counters.cells_visited += visited;
         self.record_stage(Stage::Decode, start.elapsed());
-        self.notify_counters();
 
         self.thresholds = Some(best.thresholds);
         // Budget coarsening at open time is a quality degradation too:
@@ -528,7 +510,7 @@ impl Session {
     /// and sample (paper §3.1). Returns `(group label, result)` per group;
     /// groups for which no segmentation exists report their error.
     pub fn segment_all(&mut self) -> Result<GroupSegmentations, ArcsError> {
-        let labels = self.labels.clone();
+        let labels = self.binner.labels().to_vec();
         Ok(labels
             .into_iter()
             .map(|label| {
@@ -558,7 +540,6 @@ impl Session {
     ) -> Result<Vec<BinnedRule>, ArcsError> {
         let gk = self.group_code(group_label)?;
         let answer = self.query_body(gk, thresholds, None)?;
-        self.notify_counters();
         self.thresholds = Some(thresholds);
         Ok(answer.rules)
     }
@@ -597,7 +578,6 @@ impl Session {
         let start = Instant::now();
         let rules = self.decode(&clusters, gk, group_label)?;
         self.record_stage(Stage::Decode, start.elapsed());
-        self.notify_counters();
         Ok(rules)
     }
 
@@ -623,14 +603,13 @@ impl Session {
             )
         })?;
         let gk = match &request.group {
-            Some(group) => group.resolve(&self.labels)?,
+            Some(group) => group.resolve(self.binner.labels())?,
             None => {
                 let label = self.request_group("query")?;
                 self.group_code(&label)?
             }
         };
         let answer = self.query_body(gk, thresholds, request.cluster.as_ref())?;
-        self.notify_counters();
         self.thresholds = Some(thresholds);
         Ok(QueryResult {
             epoch: 0,
@@ -728,14 +707,7 @@ impl Session {
         // pre-merge array; drop it so the next re-mine rebuilds.
         self.index = None;
         self.report.counters.tuples_binned = self.array.n_tuples();
-        self.notify_counters();
         Ok(self.array.n_tuples())
-    }
-
-    /// Installs an observer notified as stages complete and counters
-    /// change. Replaces any previous observer.
-    pub fn observe(&mut self, observer: Box<dyn Observer>) {
-        self.observer = Some(observer);
     }
 
     /// The populated bin array.
@@ -755,7 +727,7 @@ impl Session {
 
     /// Criterion group labels, in code order.
     pub fn group_labels(&self) -> &[String] {
-        &self.labels
+        self.binner.labels()
     }
 
     /// Number of tuples in the owned verification sample.
@@ -790,7 +762,8 @@ impl Session {
     }
 
     fn group_code(&self, label: &str) -> Result<u32, ArcsError> {
-        self.labels
+        self.binner
+            .labels()
             .iter()
             .position(|l| l == label)
             .map(|p| p as u32)
@@ -799,22 +772,12 @@ impl Session {
 
     fn record_stage(&mut self, stage: Stage, elapsed: Duration) {
         self.report.timings.record(stage, elapsed);
-        if let Some(observer) = self.observer.as_deref_mut() {
-            observer.stage_completed(stage, elapsed);
-        }
-    }
-
-    fn notify_counters(&mut self) {
-        if let Some(observer) = self.observer.as_deref_mut() {
-            observer.counters_updated(&self.report.counters);
-        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metrics::PipelineCounters;
     use crate::optimizer::OptimizerConfig;
     use arcs_data::schema::Attribute;
     use arcs_data::Value;
@@ -945,38 +908,6 @@ mod tests {
         assert!(c.rules_emitted > 0);
         assert!(session.report().timings.total() > Duration::ZERO);
         assert_eq!(session.report().threads, arcs.config().threads);
-    }
-
-    #[derive(Default)]
-    struct Recording {
-        stages: Vec<Stage>,
-        counter_updates: usize,
-    }
-
-    struct SharedRecorder(std::sync::Arc<std::sync::Mutex<Recording>>);
-
-    impl Observer for SharedRecorder {
-        fn stage_completed(&mut self, stage: Stage, _elapsed: Duration) {
-            self.0.lock().unwrap().stages.push(stage);
-        }
-        fn counters_updated(&mut self, _counters: &PipelineCounters) {
-            self.0.lock().unwrap().counter_updates += 1;
-        }
-    }
-
-    #[test]
-    fn observer_sees_stage_completions() {
-        let ds = blocky_dataset();
-        let arcs = Arcs::new(small_config()).unwrap();
-        let mut session = arcs
-            .open(&ds, SegmentRequest::new("x", "y", "g").group("A"))
-            .unwrap();
-        let recording = std::sync::Arc::new(std::sync::Mutex::new(Recording::default()));
-        session.observe(Box::new(SharedRecorder(recording.clone())));
-        session.segment().unwrap();
-        let seen = recording.lock().unwrap();
-        assert_eq!(seen.stages, vec![Stage::Search, Stage::Decode]);
-        assert!(seen.counter_updates >= 1);
     }
 
     #[test]

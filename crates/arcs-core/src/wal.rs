@@ -43,33 +43,44 @@
 //!   or tampering, not a crash artifact; `recover` refuses to open the
 //!   log and directs the operator to `arcs fsck --repair`.
 //!
+//! # Checkpoint format (version 1)
+//!
+//! A checkpoint is one file: a header binding the array to the log, the
+//! `ARCSBA` [`BinArray`] snapshot, and one checksum over both.
+//!
+//! ```text
+//! offset  size  field
+//! 0       8     magic  b"ARCSCP\0" + version byte (1)
+//! 8       8     epoch, u64 LE
+//! 16      8     last_seq, u64 LE
+//! 24      8     feeder byte-offset, u64 LE (u64::MAX = none)
+//! 32      n     BinArray snapshot (BinArray::write_to)
+//! 32+n    8     FNV-1a 64 checksum over bytes 0 .. 32+n, u64 LE
+//! ```
+//!
+//! [`save_checkpoint`] commits it with one [`write_atomic`] (temp file +
+//! fsync + rename + directory fsync): a crash at any instruction leaves
+//! either the old checkpoint or the new one.
+//!
 //! # Checkpoint ⇄ WAL epoch contract
 //!
-//! A checkpoint is the pair (`checkpoint.bin`, `checkpoint.meta`): a
-//! PR-1 BinArray snapshot plus a small JSON document binding it to the
-//! log. The invariants, enforced by [`load_checkpoint`] and the replay
-//! path in `arcs-daemon`:
+//! The invariants, enforced by [`load_checkpoint`] and the replay path
+//! in `arcs-daemon`:
 //!
-//! 1. `meta.last_seq` is the seq of the last WAL record folded into the
-//!    checkpointed array; `meta.epoch` is that array's serving epoch.
+//! 1. `last_seq` is the seq of the last WAL record folded into the
+//!    checkpointed array; `epoch` is that array's serving epoch.
 //! 2. Each WAL record advances the epoch by exactly one, so recovered
-//!    epoch = `meta.epoch` + number of records replayed with
-//!    `seq > meta.last_seq`.
-//! 3. After a checkpoint commits (meta rename is the commit point), the
-//!    log is reset to `start_seq = meta.last_seq + 1`. A crash between
+//!    epoch = `epoch` + number of records replayed with
+//!    `seq > last_seq`. A log that starts past `last_seq + 1` lost
+//!    records and is refused.
+//! 3. After a checkpoint commits (its rename is the commit point), the
+//!    log is reset to `start_seq = last_seq + 1`. A crash between
 //!    commit and reset is benign: replay skips records with
-//!    `seq <= meta.last_seq`.
-//! 4. `meta.array_checksum` must equal the loaded array's
-//!    [`BinArray::checksum`]; a mismatch means the pair is torn and
-//!    recovery must refuse.
-//! 5. `meta.feeder_offset` is the CSV byte offset the feeder had durably
+//!    `seq <= last_seq`.
+//! 4. The feeder offset is the CSV byte offset the feeder had durably
 //!    consumed at `last_seq`; WAL records carry later offsets. The
-//!    maximum over both is where a restarted feeder resumes, so it never
+//!    latest over both is where a restarted feeder resumes, so it never
 //!    re-reads (double-appends) acknowledged bytes.
-//!
-//! Both checkpoint files are written atomically (temp file + fsync +
-//! rename + directory fsync); the meta is written *after* the array, so
-//! an existing meta always refers to a fully-written array.
 //!
 //! # Failpoints
 //!
@@ -85,7 +96,6 @@ use std::path::{Path, PathBuf};
 use crate::binarray::{fnv1a64, BinArray};
 use crate::error::ArcsError;
 use crate::faults;
-use crate::jsonio::{obj, Json};
 
 /// Magic prefix of the log format; the trailing byte is the version.
 pub const WAL_MAGIC: [u8; 8] = *b"ARCSWL\x00\x01";
@@ -215,7 +225,7 @@ pub fn encode_record(seq: u64, feeder_offset: Option<u64>, payload: &[u8]) -> Ve
 /// the length prefix, the checksum, and the record kind — the same
 /// validation [`replay`] applies on disk. `bytes` must hold exactly one
 /// record; a short, long, or mangled buffer is a typed error, never a
-/// panic. Sequence continuity is the caller's cursor to enforce.
+/// panic. Sequence continuity is the caller's to enforce.
 pub fn decode_record(bytes: &[u8]) -> Result<WalRecord, ArcsError> {
     let bad = |what: String| checkpoint_err(format!("shipped WAL record: {what}"));
     if bytes.len() < 4 + BODY_PREFIX_LEN + 8 {
@@ -576,8 +586,13 @@ impl WalWriter {
 // Checkpoints
 // ---------------------------------------------------------------------------
 
-/// The JSON sidecar binding a checkpointed array to the log (see the
-/// module docs for the invariants it carries).
+/// Magic prefix of the checkpoint format; the trailing byte is the version.
+const CHECKPOINT_MAGIC: [u8; 8] = *b"ARCSCP\x00\x01";
+/// Bytes of checkpoint header before the array snapshot.
+const CHECKPOINT_HEADER_LEN: usize = 32;
+
+/// A checkpoint's position in the log: the header of the checkpoint
+/// file (see the module docs for the invariants it carries).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CheckpointMeta {
     /// Serving epoch of the checkpointed array.
@@ -586,57 +601,65 @@ pub struct CheckpointMeta {
     pub last_seq: u64,
     /// Feeder byte offset durably consumed as of `last_seq`.
     pub feeder_offset: Option<u64>,
-    /// [`BinArray::checksum`] of the checkpointed array.
-    pub array_checksum: u64,
 }
 
-impl CheckpointMeta {
-    /// Serialises to the sidecar document.
-    pub fn to_json(&self) -> Json {
-        obj(vec![
-            ("version", Json::Num(1.0)),
-            ("epoch", Json::Num(self.epoch as f64)),
-            ("last_seq", Json::Num(self.last_seq as f64)),
-            (
-                "feeder_offset",
-                match self.feeder_offset {
-                    Some(offset) => Json::Num(offset as f64),
-                    None => Json::Null,
-                },
-            ),
-            // The checksum exceeds f64's exact-integer range; ship it as
-            // a hex string so the round trip is lossless.
-            ("array_checksum", Json::Str(format!("{:#018x}", self.array_checksum))),
-        ])
-    }
+/// Encodes a checkpoint file: the header, the array's [`BinArray::write_to`]
+/// snapshot, and an FNV-1a-64 checksum over both.
+pub fn encode_checkpoint(meta: &CheckpointMeta, array: &BinArray) -> Result<Vec<u8>, ArcsError> {
+    let mut bytes = Vec::with_capacity(CHECKPOINT_HEADER_LEN + array.memory_bytes() + 64);
+    bytes.extend_from_slice(&CHECKPOINT_MAGIC);
+    bytes.extend_from_slice(&meta.epoch.to_le_bytes());
+    bytes.extend_from_slice(&meta.last_seq.to_le_bytes());
+    bytes.extend_from_slice(&meta.feeder_offset.unwrap_or(NO_OFFSET).to_le_bytes());
+    array.write_to(&mut bytes)?;
+    let crc = fnv1a64(&[&bytes]);
+    bytes.extend_from_slice(&crc.to_le_bytes());
+    Ok(bytes)
+}
 
-    /// Parses a sidecar document written by [`to_json`](Self::to_json).
-    pub fn from_json(json: &Json) -> Result<Self, ArcsError> {
-        let bad = |what: &str| checkpoint_err(format!("checkpoint meta: {what}"));
-        match json.get("version").and_then(Json::as_u64) {
-            Some(1) => {}
-            Some(v) => return Err(bad(&format!("unsupported version {v}"))),
-            None => return Err(bad("missing version")),
-        }
-        let epoch = json.get("epoch").and_then(Json::as_u64).ok_or_else(|| bad("missing epoch"))?;
-        let last_seq =
-            json.get("last_seq").and_then(Json::as_u64).ok_or_else(|| bad("missing last_seq"))?;
-        let feeder_offset = match json.get("feeder_offset") {
-            None | Some(Json::Null) => None,
-            Some(value) => {
-                Some(value.as_u64().ok_or_else(|| bad("feeder_offset must be a number"))?)
-            }
-        };
-        let checksum_text = json
-            .get("array_checksum")
-            .and_then(Json::as_str)
-            .ok_or_else(|| bad("missing array_checksum"))?;
-        let array_checksum = checksum_text
-            .strip_prefix("0x")
-            .and_then(|hex| u64::from_str_radix(hex, 16).ok())
-            .ok_or_else(|| bad("array_checksum must be an 0x-prefixed hex string"))?;
-        Ok(CheckpointMeta { epoch, last_seq, feeder_offset, array_checksum })
+/// Decodes [`encode_checkpoint`]'s output. The checksum is verified
+/// before any field is read, so a truncated or altered file is a typed
+/// [`ArcsError::Checkpoint`], never a panic or a different header.
+pub fn decode_checkpoint(bytes: &[u8]) -> Result<(CheckpointMeta, BinArray), ArcsError> {
+    if bytes.len() < CHECKPOINT_HEADER_LEN + 8 {
+        return Err(checkpoint_err(format!(
+            "checkpoint is {} bytes, shorter than its header and checksum",
+            bytes.len()
+        )));
     }
+    if bytes[..7] != CHECKPOINT_MAGIC[..7] {
+        return Err(checkpoint_err("not a tenant checkpoint (bad magic)"));
+    }
+    if bytes[7] != CHECKPOINT_MAGIC[7] {
+        return Err(checkpoint_err(format!(
+            "unsupported checkpoint version {} (this build reads version {})",
+            bytes[7], CHECKPOINT_MAGIC[7]
+        )));
+    }
+    let (body, crc_bytes) = bytes.split_at(bytes.len() - 8);
+    let stored = u64::from_le_bytes(crc_bytes.try_into().expect("8-byte slice"));
+    let computed = fnv1a64(&[body]);
+    if stored != computed {
+        return Err(checkpoint_err(format!(
+            "checkpoint checksum mismatch: stored {stored:#018x}, computed {computed:#018x}"
+        )));
+    }
+    let field = |at: usize| u64::from_le_bytes(body[at..at + 8].try_into().expect("8-byte slice"));
+    let offset = field(24);
+    let meta = CheckpointMeta {
+        epoch: field(8),
+        last_seq: field(16),
+        feeder_offset: (offset != NO_OFFSET).then_some(offset),
+    };
+    let mut snapshot = &body[CHECKPOINT_HEADER_LEN..];
+    let array = BinArray::read_from(&mut snapshot)?;
+    if !snapshot.is_empty() {
+        return Err(checkpoint_err(format!(
+            "{} stray bytes after the checkpoint's array snapshot",
+            snapshot.len()
+        )));
+    }
+    Ok((meta, array))
 }
 
 /// Writes `bytes` to `path` atomically: temp file, fsync, rename, then
@@ -656,54 +679,31 @@ pub fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), ArcsError> {
     Ok(())
 }
 
-/// Persists a checkpoint: the array snapshot first, the meta sidecar
-/// second. The meta rename is the commit point — an existing meta always
-/// refers to a fully-written, checksummed array.
+/// Persists a checkpoint as one file, committed by one [`write_atomic`].
 pub fn save_checkpoint(
-    bin_path: &Path,
-    meta_path: &Path,
-    array: &BinArray,
+    path: &Path,
     meta: &CheckpointMeta,
+    array: &BinArray,
 ) -> Result<(), ArcsError> {
     faults::check("wal.checkpoint")?;
-    let mut bytes = Vec::with_capacity(array.memory_bytes() + 64);
-    array.write_to(&mut bytes)?;
-    write_atomic(bin_path, &bytes)?;
-    write_atomic(meta_path, meta.to_json().to_string().as_bytes())?;
-    Ok(())
+    write_atomic(path, &encode_checkpoint(meta, array)?)
 }
 
-/// Loads a checkpoint pair. `Ok(None)` when no meta exists (a fresh
-/// directory); a meta whose array is missing, unreadable, or whose
-/// checksum disagrees is a typed [`ArcsError::Checkpoint`] — the pair is
-/// torn and must not be served.
-pub fn load_checkpoint(
-    bin_path: &Path,
-    meta_path: &Path,
-) -> Result<Option<(CheckpointMeta, BinArray)>, ArcsError> {
-    let text = match std::fs::read_to_string(meta_path) {
-        Ok(text) => text,
+/// Loads a checkpoint file. `Ok(None)` when none exists (a fresh
+/// directory); an unreadable or damaged file is a typed
+/// [`ArcsError::Checkpoint`] and must not be served.
+pub fn load_checkpoint(path: &Path) -> Result<Option<(CheckpointMeta, BinArray)>, ArcsError> {
+    let bytes = match std::fs::read(path) {
+        Ok(bytes) => bytes,
         Err(err) if err.kind() == io::ErrorKind::NotFound => return Ok(None),
         Err(err) => return Err(ArcsError::Io(err.to_string())),
     };
-    let json = crate::jsonio::parse(&text)
-        .map_err(|err| checkpoint_err(format!("checkpoint meta is not JSON: {err}")))?;
-    let meta = CheckpointMeta::from_json(&json)?;
-    let mut reader = BufReader::new(File::open(bin_path).map_err(|e| {
-        checkpoint_err(format!(
-            "checkpoint meta exists but the array {} cannot be opened: {e}",
-            bin_path.display()
-        ))
-    })?);
-    let array = BinArray::read_from(&mut reader)?;
-    let checksum = array.checksum();
-    if checksum != meta.array_checksum {
-        return Err(checkpoint_err(format!(
-            "checkpoint array checksum {checksum:#018x} disagrees with meta {:#018x}",
-            meta.array_checksum
-        )));
-    }
-    Ok(Some((meta, array)))
+    decode_checkpoint(&bytes).map(Some).map_err(|err| match err {
+        ArcsError::Checkpoint { message } => {
+            checkpoint_err(format!("{}: {message}", path.display()))
+        }
+        other => other,
+    })
 }
 
 /// Fsyncs the directory holding `path` so a just-created or renamed
@@ -1006,58 +1006,33 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_meta_round_trips() {
-        for meta in [
-            CheckpointMeta { epoch: 0, last_seq: 0, feeder_offset: None, array_checksum: 7 },
-            CheckpointMeta {
-                epoch: 12,
-                last_seq: 97,
-                feeder_offset: Some(1 << 40),
-                array_checksum: u64::MAX,
-            },
-        ] {
-            let text = meta.to_json().to_string();
-            let back = CheckpointMeta::from_json(&crate::jsonio::parse(&text).unwrap()).unwrap();
-            assert_eq!(back, meta, "{text}");
-        }
-        assert!(CheckpointMeta::from_json(&crate::jsonio::parse("{}").unwrap()).is_err());
-    }
-
-    #[test]
     fn checkpoint_save_load_verifies_the_pair() {
         let dir = temp_dir("checkpoint");
-        let bin = dir.join("checkpoint.bin");
-        let meta_path = dir.join("checkpoint.meta");
-        assert_eq!(load_checkpoint(&bin, &meta_path).unwrap(), None);
+        let path = dir.join("checkpoint");
+        assert_eq!(load_checkpoint(&path).unwrap(), None);
 
         let mut array = BinArray::new(4, 4, 2).unwrap();
         for i in 0..32u32 {
             array.add((i % 4) as usize, (i as usize / 4) % 4, i % 2);
         }
-        let meta = CheckpointMeta {
-            epoch: 3,
-            last_seq: 9,
-            feeder_offset: Some(128),
-            array_checksum: array.checksum(),
-        };
-        save_checkpoint(&bin, &meta_path, &array, &meta).unwrap();
-        let (back_meta, back_array) = load_checkpoint(&bin, &meta_path).unwrap().unwrap();
-        assert_eq!(back_meta, meta);
-        assert_eq!(back_array, array);
+        for meta in [
+            CheckpointMeta { epoch: 3, last_seq: 9, feeder_offset: Some(128) },
+            CheckpointMeta { epoch: 0, last_seq: 0, feeder_offset: None },
+        ] {
+            save_checkpoint(&path, &meta, &array).unwrap();
+            assert_eq!(load_checkpoint(&path).unwrap(), Some((meta, array.clone())));
+        }
 
-        // A meta pointing at a mismatched array is a torn pair.
-        let other = BinArray::new(4, 4, 2).unwrap();
-        let mut bytes = Vec::new();
-        other.write_to(&mut bytes).unwrap();
-        std::fs::write(&bin, &bytes).unwrap();
-        assert!(matches!(
-            load_checkpoint(&bin, &meta_path),
-            Err(ArcsError::Checkpoint { .. })
-        ));
-
-        // A meta without its array is refused, not treated as fresh.
-        std::fs::remove_file(&bin).unwrap();
-        assert!(load_checkpoint(&bin, &meta_path).is_err());
+        // A flipped byte in the array snapshot fails the checksum; a
+        // JSON sidecar from the two-file layout fails the magic.
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes[CHECKPOINT_HEADER_LEN + 40] ^= 0x01;
+        std::fs::write(&path, &bytes).unwrap();
+        assert!(matches!(load_checkpoint(&path), Err(ArcsError::Checkpoint { .. })));
+        let sidecar = "{\"version\":1,\"epoch\":0,\"last_seq\":0,\"feeder_offset\":null}";
+        std::fs::write(&path, sidecar).unwrap();
+        let err = load_checkpoint(&path).unwrap_err();
+        assert!(err.to_string().contains("magic"), "{err}");
         std::fs::remove_dir_all(&dir).ok();
     }
 

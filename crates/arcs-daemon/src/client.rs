@@ -11,7 +11,6 @@ use std::time::Duration;
 
 use arcs_core::jsonio::Json;
 use arcs_core::request::Request;
-use arcs_core::ArcsError;
 
 use crate::protocol::{
     read_frame, read_query_reply, split_response, write_frame, FrameError, QueryOutcome, WireError,
@@ -183,12 +182,6 @@ impl Client {
         }
     }
 
-    /// Arms (or with `None`, disarms) retries of `OVERLOADED` responses
-    /// to idempotent calls on this connection.
-    pub fn set_retry(&mut self, policy: Option<RetryPolicy>) {
-        self.retry = policy;
-    }
-
     /// Like [`connect`](Client::connect), bounding the TCP connect.
     pub fn connect_timeout(
         addr: &std::net::SocketAddr,
@@ -329,17 +322,12 @@ impl Client {
             .ok_or_else(|| ClientError::Protocol("stats response lacks `stats`".into()))
     }
 
-    /// Replication handshake: asks the daemon whether `start_seq` is
-    /// still covered by its live log (`start_seq == 0` explicitly
-    /// requests a checkpoint transfer). Returns the raw response body;
-    /// decode it with [`crate::repl::parse_subscribe`].
-    pub fn repl_subscribe(
-        &mut self,
-        dataset: &str,
-        start_seq: u64,
-    ) -> Result<Json, ClientError> {
+    /// Asks the daemon for a checkpoint transfer of `dataset` to
+    /// bootstrap or re-sync a standby from. Returns the raw response
+    /// body; decode it with [`crate::repl::parse_subscribe`].
+    pub fn repl_subscribe(&mut self, dataset: &str) -> Result<Json, ClientError> {
         self.call_idempotent(
-            &WireRequest::ReplSubscribe { dataset: dataset.to_string(), start_seq },
+            &WireRequest::ReplSubscribe { dataset: dataset.to_string() },
             tree_reply,
         )
     }
@@ -388,18 +376,4 @@ fn tree_reply(text: &str) -> Result<Json, ClientError> {
     let json = arcs_core::jsonio::parse(text)
         .map_err(|err| ClientError::Protocol(format!("response is not JSON: {err}")))?;
     split_response(json).map_err(ClientError::Wire)
-}
-
-/// Maps a typed wire code back onto the error class an in-process
-/// [`ArcsError`] caller would see. Unknown and daemon-level codes map to
-/// `None` — they have no library equivalent.
-pub fn wire_code_to_arcs(code: &str, message: &str) -> Option<ArcsError> {
-    Some(match code {
-        "DEADLINE_EXCEEDED" => ArcsError::DeadlineExceeded { stage: "wire" },
-        "OVERLOADED" => ArcsError::Overloaded { inflight: 0, queued: 0 },
-        "UNKNOWN_GROUP" => ArcsError::UnknownGroup(message.to_string()),
-        "NO_SEGMENTATION" => ArcsError::NoSegmentation,
-        "INVALID_CONFIG" => ArcsError::InvalidConfig(message.to_string()),
-        _ => return None,
-    })
 }

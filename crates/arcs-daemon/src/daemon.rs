@@ -611,9 +611,9 @@ fn execute(
             }
             ok_response(vec![("stats", stats)])
         }
-        WireRequest::ReplSubscribe { dataset, start_seq } => {
+        WireRequest::ReplSubscribe { dataset } => {
             let tenant = lookup(registry, &dataset)?;
-            repl::handle_subscribe(&tenant, start_seq)?
+            repl::handle_subscribe(&tenant)?
         }
         WireRequest::ReplRecords { dataset, start_seq, max } => {
             let tenant = lookup(registry, &dataset)?;

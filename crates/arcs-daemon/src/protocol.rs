@@ -33,7 +33,7 @@
 //! | `append` | `rows` (header-less CSV), optional `dataset` | new epoch + rows merged |
 //! | `stats`  | optional `dataset` | the server's [`ServerStats`] plus per-tenant durability figures |
 //! | `close`  | — | goodbye frame, then the server closes the connection |
-//! | `repl.subscribe` | `dataset`, `start_seq` | replication handshake: tail position, or a full checkpoint transfer when `start_seq` predates the primary's log |
+//! | `repl.subscribe` | `dataset` | replication bootstrap or re-sync: a checkpoint transfer (`tenant.json` plus the hex-armored checkpoint file) |
 //! | `repl.records`   | `dataset`, `start_seq`, optional `max` | a batch of hex-armored WAL records from `start_seq`, or a re-sync signal |
 //! | `repl.heartbeat` | optional `dataset` | role, primary address, and durability positions |
 //! | `promote`        | — | flips a standby into a writable primary (idempotent on a primary) |
@@ -250,12 +250,11 @@ pub enum WireRequest {
         /// Explicit dataset, overriding the connection default.
         dataset: Option<String>,
     },
-    /// Replication handshake from a standby: where it wants to tail from.
+    /// A standby asking for a checkpoint transfer to bootstrap or
+    /// re-sync from.
     ReplSubscribe {
         /// Dataset (tenant) to replicate.
         dataset: String,
-        /// First WAL sequence number the standby still needs.
-        start_seq: u64,
     },
     /// Fetch a batch of WAL records for shipping to a standby.
     ReplRecords {
@@ -308,10 +307,9 @@ impl WireRequest {
                 }
                 obj(pairs)
             }
-            WireRequest::ReplSubscribe { dataset, start_seq } => obj(vec![
+            WireRequest::ReplSubscribe { dataset } => obj(vec![
                 ("op", Json::Str("repl.subscribe".into())),
                 ("dataset", Json::Str(dataset.clone())),
-                ("start_seq", Json::Num(*start_seq as f64)),
             ]),
             WireRequest::ReplRecords { dataset, start_seq, max } => obj(vec![
                 ("op", Json::Str("repl.records".into())),
@@ -364,10 +362,6 @@ impl WireRequest {
             "stats" => Ok(WireRequest::Stats { dataset }),
             "repl.subscribe" => Ok(WireRequest::ReplSubscribe {
                 dataset: dataset.ok_or_else(|| bad("`repl.subscribe` needs a `dataset`"))?,
-                start_seq: json
-                    .get("start_seq")
-                    .and_then(Json::as_u64)
-                    .ok_or_else(|| bad("`repl.subscribe` needs a numeric `start_seq`"))?,
             }),
             "repl.records" => Ok(WireRequest::ReplRecords {
                 dataset: dataset.ok_or_else(|| bad("`repl.records` needs a `dataset`"))?,
@@ -698,7 +692,7 @@ mod tests {
             },
             WireRequest::Append { dataset: None, rows: "1.5,2.5,A\n".into() },
             WireRequest::Stats { dataset: Some("users".into()) },
-            WireRequest::ReplSubscribe { dataset: "trades".into(), start_seq: 7 },
+            WireRequest::ReplSubscribe { dataset: "trades".into() },
             WireRequest::ReplRecords { dataset: "trades".into(), start_seq: 7, max: 64 },
             WireRequest::ReplHeartbeat { dataset: None },
             WireRequest::ReplHeartbeat { dataset: Some("trades".into()) },
@@ -725,7 +719,7 @@ mod tests {
             "{\"op\": \"append\"}",
             "{\"op\": \"append\", \"rows\": []}",
             "{\"op\": \"repl.subscribe\"}",
-            "{\"op\": \"repl.subscribe\", \"dataset\": \"t\"}",
+            "{\"op\": \"repl.subscribe\", \"dataset\": 7}",
             "{\"op\": \"repl.records\", \"start_seq\": 1}",
             "{\"op\": \"repl.records\", \"dataset\": \"t\"}",
         ];

@@ -1,10 +1,10 @@
 //! Multi-dataset tenancy: one serving core per dataset key.
 //!
 //! Each [`Tenant`] owns the full serving stack for one dataset — the
-//! [`Binner`] that maps tuples to grid cells, the criterion's label
-//! table, the originating [`Schema`] (needed to parse appended CSV rows),
-//! and the epoch-versioned [`Server`] with its own admission gate and
-//! result cache. Tenants are independent: overload or appends on one
+//! [`Binner`] that maps tuples to grid cells (and holds the criterion's
+//! labels), the originating [`Schema`] (needed to parse appended CSV
+//! rows), and the epoch-versioned [`Server`] with its own admission gate
+//! and result cache. Tenants are independent: overload or appends on one
 //! dataset never block queries on another.
 //!
 //! The [`Registry`] is the daemon's name → tenant map. Lookups pass the
@@ -17,8 +17,8 @@ use std::sync::{Arc, RwLock};
 
 use arcs_core::faults;
 use arcs_core::serve::{ServeConfig, Server};
-use arcs_core::{ArcsError, Binner};
-use arcs_data::{AttrKind, Dataset, Schema};
+use arcs_core::{ArcsError, BinArray, Binner};
+use arcs_data::{Dataset, Schema};
 
 use crate::store::{
     bin_batch, valid_tenant_name, RecoveryReport, TenantMeta, TenantStore,
@@ -37,9 +37,6 @@ pub struct TenantConfig {
     pub n_x_bins: usize,
     /// Number of y bins.
     pub n_y_bins: usize,
-    /// Threads for the initial binning pass (results are bit-identical
-    /// at any thread count).
-    pub threads: usize,
     /// The tenant server's serving configuration (admission, deadline,
     /// retries, cache).
     pub serve: ServeConfig,
@@ -55,8 +52,19 @@ impl TenantConfig {
             criterion: criterion.to_string(),
             n_x_bins: 50,
             n_y_bins: 50,
-            threads: std::thread::available_parallelism().map_or(1, |n| n.get()),
             serve: ServeConfig::default(),
+        }
+    }
+
+    /// The descriptor of a tenant built with this config over `schema`.
+    fn meta(&self, schema: &Schema) -> TenantMeta {
+        TenantMeta {
+            x: self.x.clone(),
+            y: self.y.clone(),
+            criterion: self.criterion.clone(),
+            n_x_bins: self.n_x_bins,
+            n_y_bins: self.n_y_bins,
+            schema: schema.clone(),
         }
     }
 }
@@ -67,11 +75,14 @@ pub struct Tenant {
     name: String,
     schema: Schema,
     binner: Binner,
-    labels: Vec<String>,
     server: Server,
     /// The durable half, when the tenant lives in a data directory.
     store: Option<TenantStore>,
 }
+
+/// What a tenant starts serving: the array, its epoch, and the durable
+/// store, when there is one.
+type Loaded = (BinArray, u64, Option<TenantStore>);
 
 impl Tenant {
     /// Bins `dataset` once and stands up a [`Server`] holding the result
@@ -82,19 +93,9 @@ impl Tenant {
         dataset: &Dataset,
         config: &TenantConfig,
     ) -> Result<Self, ArcsError> {
-        let schema = dataset.schema().clone();
-        let labels = criterion_labels(&schema, &config.criterion)?;
-        let binner = Binner::equi_width(
-            &schema,
-            &config.x,
-            &config.y,
-            &config.criterion,
-            config.n_x_bins,
-            config.n_y_bins,
-        )?;
-        let array = binner.bin_rows_parallel(dataset.rows(), config.threads.max(1))?;
-        let server = Server::new(array, config.serve.clone())?;
-        Ok(Tenant { name: name.to_string(), schema, binner, labels, server, store: None })
+        Self::build(name, config.meta(dataset.schema()), config.serve.clone(), |_, binner| {
+            Ok((bin_dataset(binner, dataset)?, 0, None))
+        })
     }
 
     /// Like [`from_dataset`](Tenant::from_dataset), but durable: the
@@ -116,28 +117,11 @@ impl Tenant {
                  `.`, `_`, `-` (max 128 chars, no leading dot)"
             )));
         }
-        let schema = dataset.schema().clone();
-        let labels = criterion_labels(&schema, &config.criterion)?;
-        let binner = Binner::equi_width(
-            &schema,
-            &config.x,
-            &config.y,
-            &config.criterion,
-            config.n_x_bins,
-            config.n_y_bins,
-        )?;
-        let array = binner.bin_rows_parallel(dataset.rows(), config.threads.max(1))?;
-        let meta = TenantMeta {
-            x: config.x.clone(),
-            y: config.y.clone(),
-            criterion: config.criterion.clone(),
-            n_x_bins: config.n_x_bins,
-            n_y_bins: config.n_y_bins,
-            schema: schema.clone(),
-        };
-        let store = TenantStore::create(&data_dir.join(name), &meta, &array, feeder_offset)?;
-        let server = Server::new(array, config.serve.clone())?;
-        Ok(Tenant { name: name.to_string(), schema, binner, labels, server, store: Some(store) })
+        Self::build(name, config.meta(dataset.schema()), config.serve.clone(), |meta, binner| {
+            let array = bin_dataset(binner, dataset)?;
+            let store = TenantStore::create(&data_dir.join(name), meta, &array, feeder_offset)?;
+            Ok((array, 0, Some(store)))
+        })
     }
 
     /// Recovers a durable tenant from `<data_dir>/<name>`: checkpoint
@@ -151,18 +135,23 @@ impl Tenant {
         serve: ServeConfig,
     ) -> Result<(Self, RecoveryReport), ArcsError> {
         let (store, meta, array, report) = TenantStore::open(&data_dir.join(name))?;
-        let labels = criterion_labels(&meta.schema, &meta.criterion)?;
-        let binner = meta.build_binner()?;
-        let server = Server::recovered(array, report.epoch, serve)?;
-        let tenant = Tenant {
-            name: name.to_string(),
-            schema: meta.schema,
-            binner,
-            labels,
-            server,
-            store: Some(store),
-        };
+        let tenant = Self::build(name, meta, serve, |_, _| Ok((array, report.epoch, Some(store))))?;
         Ok((tenant, report))
+    }
+
+    /// The one body behind every constructor: the binner comes from
+    /// `meta` ([`TenantMeta::build_binner`], the only way a tenant gets
+    /// one), `load` supplies what to serve, and the server starts there.
+    fn build(
+        name: &str,
+        meta: TenantMeta,
+        serve: ServeConfig,
+        load: impl FnOnce(&TenantMeta, &Binner) -> Result<Loaded, ArcsError>,
+    ) -> Result<Self, ArcsError> {
+        let binner = meta.build_binner()?;
+        let (array, epoch, store) = load(&meta, &binner)?;
+        let server = Server::recovered(array, epoch, serve)?;
+        Ok(Tenant { name: name.to_string(), schema: meta.schema, binner, server, store })
     }
 
     /// Whether appends to this tenant are write-ahead logged.
@@ -204,7 +193,7 @@ impl Tenant {
 
     /// The criterion attribute's labels, in code order.
     pub fn labels(&self) -> &[String] {
-        &self.labels
+        self.binner.labels()
     }
 
     /// The tenant's serving core.
@@ -246,22 +235,10 @@ impl Tenant {
     }
 }
 
-/// Extracts the criterion attribute's label table.
-fn criterion_labels(schema: &Schema, criterion: &str) -> Result<Vec<String>, ArcsError> {
-    let attr = schema
-        .attributes()
-        .iter()
-        .find(|a| a.name == criterion)
-        .ok_or_else(|| {
-            ArcsError::InvalidConfig(format!("criterion attribute `{criterion}` does not exist"))
-        })?;
-    match &attr.kind {
-        AttrKind::Categorical { labels } => Ok(labels.clone()),
-        AttrKind::Quantitative { .. } => Err(ArcsError::AttributeKind {
-            attribute: criterion.to_string(),
-            expected: "categorical",
-        }),
-    }
+/// Bins a tenant's source dataset across the default worker count
+/// (results are bit-identical at any thread count).
+fn bin_dataset(binner: &Binner, dataset: &Dataset) -> Result<BinArray, ArcsError> {
+    binner.bin_rows_parallel(dataset.rows(), arcs_core::metrics::default_threads())
 }
 
 /// The daemon's dataset-key → tenant map.

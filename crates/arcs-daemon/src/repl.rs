@@ -1,8 +1,8 @@
 //! WAL-shipping replication: the daemon-side wiring.
 //!
 //! The transport-independent pieces (shipped-record framing, the
-//! sequence cursor, the counters) live in [`arcs_core::repl`]; this
-//! module connects them to sockets and tenants:
+//! counters) live in [`arcs_core::repl`]; this module connects them to
+//! sockets and tenants:
 //!
 //! * **[`RoleState`] / [`ReplContext`]** — whether this daemon is the
 //!   writable primary or a read-only standby, shared by every connection
@@ -11,16 +11,19 @@
 //!   (the `promote` wire op, or `SIGHUP` to a standby process).
 //! * **Primary handlers** — [`handle_subscribe`], [`handle_records`],
 //!   and [`handle_heartbeat`] serve the `repl.*` wire ops by reading the
-//!   tenant's [`TenantStore`]: records ship as the exact encoded WAL
-//!   bytes (hex-armored), and a subscriber whose cursor predates the
-//!   live log gets a full checkpoint transfer instead.
+//!   tenant's [`TenantStore`]: a subscriber gets a checkpoint transfer
+//!   (`tenant.json` plus the checkpoint file), records ship as the exact
+//!   encoded WAL bytes (hex-armored), and a request that predates the
+//!   live log is told to re-sync.
 //! * **The tailer** — a standby runs one background thread that polls
 //!   the primary: heartbeat → discover tenants → fetch record batches →
 //!   [`apply_batch`] through the *same* `Tenant::append_csv_with_offset`
 //!   path live writes take, so the standby's WAL, checkpoints, and
-//!   epochs obey exactly the durability invariants of a primary. A
-//!   sequence gap or checksum failure refuses the batch (never a partial
-//!   apply past the valid prefix); a gap triggers a checkpoint re-sync.
+//!   epochs obey exactly the durability invariants of a primary. Each
+//!   shipped seq is checked against the standby log's next seq: a lower
+//!   one is a duplicate to skip, a higher one a gap. A gap or checksum
+//!   failure refuses the batch (never a partial apply past the valid
+//!   prefix); a gap triggers a checkpoint re-sync.
 //!
 //! Fault schedules drive the subsystem through the `repl.subscribe`,
 //! `repl.records`, `repl.record`, `repl.apply`, and `repl.heartbeat`
@@ -37,7 +40,7 @@ use std::time::Duration;
 
 use arcs_core::faults;
 use arcs_core::jsonio::{obj, Json};
-use arcs_core::repl::{from_hex, to_hex, Admit, ReplCursor, ReplMetrics, ShippedRecord};
+use arcs_core::repl::{from_hex, to_hex, ReplMetrics, ShippedRecord};
 use arcs_core::serve::ServeConfig;
 
 use crate::client::Client;
@@ -185,39 +188,18 @@ pub fn durability(store: &TenantStore) -> DurabilityStats {
     }
 }
 
-/// Serves `repl.subscribe`: a standby asking to tail from `start_seq`.
-/// When that cursor is still covered by the live log, the reply is the
-/// tail position; when it predates the log (`start_seq == 0` is the
-/// explicit bootstrap form), the reply carries a full checkpoint
-/// transfer for the standby to install.
-pub fn handle_subscribe(tenant: &Tenant, start_seq: u64) -> Result<Json, WireError> {
+/// Serves `repl.subscribe`: a standby bootstrapping or re-syncing a
+/// tenant. The reply carries a checkpoint transfer — `tenant.json` plus
+/// the checkpoint file, hex-armored — for the standby to install and
+/// tail from.
+pub fn handle_subscribe(tenant: &Tenant) -> Result<Json, WireError> {
     faults::check("repl.subscribe").map_err(|e| wire(&e))?;
-    let store = durable_store(tenant)?;
-    let plan = if start_seq == 0 {
-        ShipPlan::Resync
-    } else {
-        store.ship_records(start_seq, 1).map_err(|e| wire(&e))?
-    };
-    match plan {
-        ShipPlan::Records(_) => Ok(ok_response(vec![
-            ("dataset", Json::Str(tenant.name().to_string())),
-            ("resync", Json::Bool(false)),
-            ("last_seq", Json::Num(store.last_wal_seq() as f64)),
-            ("checkpoint_epoch", Json::Num(store.checkpoint_epoch() as f64)),
-        ])),
-        ShipPlan::Resync => {
-            let transfer = store.checkpoint_transfer().map_err(|e| wire(&e))?;
-            Ok(ok_response(vec![
-                ("dataset", Json::Str(tenant.name().to_string())),
-                ("resync", Json::Bool(true)),
-                ("tenant_json", Json::Str(transfer.tenant_json)),
-                ("checkpoint_meta", Json::Str(transfer.meta_json)),
-                ("checkpoint_bin_hex", Json::Str(to_hex(&transfer.array_bytes))),
-                ("epoch", Json::Num(transfer.epoch as f64)),
-                ("last_seq", Json::Num(transfer.last_seq as f64)),
-            ]))
-        }
-    }
+    let transfer = durable_store(tenant)?.checkpoint_transfer().map_err(|e| wire(&e))?;
+    Ok(ok_response(vec![
+        ("dataset", Json::Str(tenant.name().to_string())),
+        ("tenant_json", Json::Str(transfer.tenant_json)),
+        ("checkpoint_hex", Json::Str(to_hex(&transfer.checkpoint))),
+    ]))
 }
 
 /// Serves `repl.records`: up to `max` encoded WAL records from
@@ -296,51 +278,18 @@ pub fn handle_heartbeat(
 // Standby-side parsing and apply
 // ---------------------------------------------------------------------------
 
-/// What a `repl.subscribe` response told the standby.
-#[derive(Debug)]
-pub enum SubscribeOutcome {
-    /// The cursor is covered by the live log: keep tailing.
-    Tail {
-        /// The primary's last durable sequence number.
-        last_seq: u64,
-    },
-    /// The cursor predates the log: install this transfer.
-    Transfer(CheckpointTransfer),
-}
-
-/// Decodes a `repl.subscribe` response body.
-pub fn parse_subscribe(body: &Json) -> Result<SubscribeOutcome, String> {
-    match body.get("resync").and_then(Json::as_bool) {
-        Some(false) => Ok(SubscribeOutcome::Tail {
-            last_seq: body
-                .get("last_seq")
-                .and_then(Json::as_u64)
-                .ok_or("subscribe response lacks `last_seq`")?,
-        }),
-        Some(true) => {
-            let text = |key: &str| {
-                body.get(key)
-                    .and_then(Json::as_str)
-                    .map(str::to_string)
-                    .ok_or_else(|| format!("subscribe transfer lacks `{key}`"))
-            };
-            let num = |key: &str| {
-                body.get(key)
-                    .and_then(Json::as_u64)
-                    .ok_or_else(|| format!("subscribe transfer lacks numeric `{key}`"))
-            };
-            let array_bytes =
-                from_hex(&text("checkpoint_bin_hex")?).map_err(|e| e.to_string())?;
-            Ok(SubscribeOutcome::Transfer(CheckpointTransfer {
-                tenant_json: text("tenant_json")?,
-                meta_json: text("checkpoint_meta")?,
-                array_bytes,
-                epoch: num("epoch")?,
-                last_seq: num("last_seq")?,
-            }))
-        }
-        None => Err("subscribe response lacks boolean `resync`".into()),
-    }
+/// Decodes a `repl.subscribe` response body into the transfer it
+/// carries. The checkpoint inside is verified at install time.
+pub fn parse_subscribe(body: &Json) -> Result<CheckpointTransfer, String> {
+    let text = |key: &str| {
+        body.get(key)
+            .and_then(Json::as_str)
+            .ok_or_else(|| format!("subscribe transfer lacks `{key}`"))
+    };
+    Ok(CheckpointTransfer {
+        tenant_json: text("tenant_json")?.to_string(),
+        checkpoint: from_hex(text("checkpoint_hex")?).map_err(|e| e.to_string())?,
+    })
 }
 
 /// What a `repl.records` response told the standby.
@@ -406,34 +355,41 @@ pub enum BatchOutcome {
 }
 
 /// Applies one shipped batch to a standby tenant through the same
-/// durable append path live writes take. Records are admitted strictly
-/// in sequence from `from_seq`: duplicates are skipped, a checksum or
-/// apply failure refuses the rest of the batch, and a sequence gap stops
-/// everything with [`BatchOutcome::Gap`]. The `repl.apply` failpoint
-/// fires once per record.
+/// durable append path live writes take. Each record's seq is compared
+/// with the standby log's next seq (`last_wal_seq() + 1`): a lower seq
+/// is an already-applied duplicate and is skipped, a higher one is a
+/// gap that stops everything with [`BatchOutcome::Gap`] (applying past
+/// it would silently lose the records in between), and a checksum or
+/// apply failure refuses the rest of the batch. The `repl.apply`
+/// failpoint fires once per record.
 pub fn apply_batch(
     tenant: &Tenant,
-    from_seq: u64,
     records: &[ShippedRecord],
     metrics: &ReplMetrics,
 ) -> BatchOutcome {
     let Some(store) = tenant.store() else {
         return BatchOutcome::Refused { applied: 0, reason: "tenant is not durable".into() };
     };
-    let mut cursor = ReplCursor::at(from_seq);
     let mut applied = 0u64;
     for shipped in records {
         if let Err(err) = faults::check("repl.apply") {
             ReplMetrics::add(&metrics.gaps_refused, 1);
             return BatchOutcome::Refused { applied, reason: format!("injected fault: {err}") };
         }
-        match cursor.admit(shipped.seq) {
-            Ok(Admit::Duplicate) => continue,
-            Ok(Admit::Apply) => {}
-            Err(err) => {
-                ReplMetrics::add(&metrics.gaps_refused, 1);
-                return BatchOutcome::Gap { applied, reason: err.to_string() };
-            }
+        let next_seq = store.last_wal_seq() + 1;
+        if shipped.seq < next_seq {
+            continue;
+        }
+        if shipped.seq > next_seq {
+            ReplMetrics::add(&metrics.gaps_refused, 1);
+            return BatchOutcome::Gap {
+                applied,
+                reason: format!(
+                    "replication sequence gap: expected {next_seq}, primary shipped {} — \
+                     refusing to apply past missing records; re-sync required",
+                    shipped.seq
+                ),
+            };
         }
         let record = match shipped.decode() {
             Ok(record) => record,
@@ -470,7 +426,6 @@ pub fn apply_batch(
                 ),
             };
         }
-        cursor.advance();
         applied += 1;
         ReplMetrics::add(&metrics.records_applied, 1);
     }
@@ -571,15 +526,14 @@ fn sync_tenant(
         Some(tenant) if tenant.is_durable() => tenant,
         Some(_) => return Ok(()), // an ephemeral tenant shadows the name; leave it be
     };
-    let store = tenant.store().expect("durable tenant has a store");
-    let from = store.last_wal_seq() + 1;
+    let from = tenant.store().expect("durable tenant has a store").last_wal_seq() + 1;
     let body = client
         .repl_records(name, from, config.batch)
         .map_err(|e| format!("{name}: records: {e}"))?;
     match parse_records(&body).map_err(|e| format!("{name}: {e}"))? {
         RecordsOutcome::Resync => resync(client, registry, ctx, config, name),
         RecordsOutcome::Batch(records) => {
-            match apply_batch(&tenant, from, &records, &ctx.metrics) {
+            match apply_batch(&tenant, &records, &ctx.metrics) {
                 BatchOutcome::Applied(_) => Ok(()),
                 BatchOutcome::Refused { reason, .. } => {
                     Err(format!("{name}: batch refused: {reason}"))
@@ -603,12 +557,8 @@ fn resync(
     config: &ReplicationConfig,
     name: &str,
 ) -> Result<(), String> {
-    let body = client.repl_subscribe(name, 0).map_err(|e| format!("{name}: subscribe: {e}"))?;
-    let SubscribeOutcome::Transfer(transfer) =
-        parse_subscribe(&body).map_err(|e| format!("{name}: {e}"))?
-    else {
-        return Err(format!("{name}: primary declined a checkpoint transfer for seq 0"));
-    };
+    let body = client.repl_subscribe(name).map_err(|e| format!("{name}: subscribe: {e}"))?;
+    let transfer = parse_subscribe(&body).map_err(|e| format!("{name}: {e}"))?;
     install_transfer(&config.data_dir.join(name), &transfer)
         .map_err(|e| format!("{name}: install: {e}"))?;
     let (tenant, report) = Tenant::open_durable(name, &config.data_dir, config.serve.clone())
@@ -679,31 +629,14 @@ mod tests {
 
     #[test]
     fn subscribe_and_records_bodies_round_trip() {
-        let tail = ok_response(vec![
-            ("resync", Json::Bool(false)),
-            ("last_seq", Json::Num(9.0)),
-        ]);
-        assert!(matches!(parse_subscribe(&tail), Ok(SubscribeOutcome::Tail { last_seq: 9 })));
-
-        let transfer = CheckpointTransfer {
-            tenant_json: "{\"v\":1}".into(),
-            meta_json: "{\"epoch\":3}".into(),
-            array_bytes: vec![1, 2, 3],
-            epoch: 3,
-            last_seq: 5,
-        };
+        let transfer =
+            CheckpointTransfer { tenant_json: "{\"v\":1}".into(), checkpoint: vec![1, 2, 3] };
         let body = ok_response(vec![
-            ("resync", Json::Bool(true)),
+            ("dataset", Json::Str("t".into())),
             ("tenant_json", Json::Str(transfer.tenant_json.clone())),
-            ("checkpoint_meta", Json::Str(transfer.meta_json.clone())),
-            ("checkpoint_bin_hex", Json::Str(to_hex(&transfer.array_bytes))),
-            ("epoch", Json::Num(3.0)),
-            ("last_seq", Json::Num(5.0)),
+            ("checkpoint_hex", Json::Str(to_hex(&transfer.checkpoint))),
         ]);
-        match parse_subscribe(&body).unwrap() {
-            SubscribeOutcome::Transfer(back) => assert_eq!(back, transfer),
-            other => panic!("expected a transfer, got {other:?}"),
-        }
+        assert_eq!(parse_subscribe(&body).unwrap(), transfer);
 
         assert!(matches!(
             parse_records(&ok_response(vec![("resync", Json::Bool(true))])),

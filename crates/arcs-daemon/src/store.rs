@@ -7,24 +7,20 @@
 //! ```text
 //! <data-dir>/
 //!   <tenant>/
-//!     tenant.json            — schema + binning config (how to rebuild the Binner)
-//!     checkpoint.<epoch>.bin — BinArray snapshot (PR-1 format, checksummed)
-//!     checkpoint.meta        — epoch / last_seq / feeder offset sidecar
-//!     wal.log                — write-ahead append log since the checkpoint
+//!     tenant.json     — x, y, criterion, bin counts, schema (how to rebuild the Binner)
+//!     checkpoint.meta — header (epoch, last_seq, feeder offset) + BinArray snapshot
+//!     wal.log         — write-ahead append log since the checkpoint
 //! ```
 //!
-//! The array snapshot is **versioned by epoch** so writing a new
-//! checkpoint never touches the committed one: the new
-//! `checkpoint.<epoch>.bin` lands first, then the meta rename commits
-//! the pair, then superseded array files are pruned. A crash between
-//! any two of those steps leaves either the old pair or the new pair
-//! fully intact (plus, at worst, a benign orphan array that the next
-//! checkpoint or `arcs fsck --repair` removes).
+//! A checkpoint is one file under one checksum (format in
+//! [`arcs_core::wal`]), so one [`write_atomic`] rename commits it: a
+//! crash leaves either the old checkpoint or the new one.
 //!
 //! `tenant.json` makes a directory self-describing: a restarted daemon
-//! rebuilds the tenant's [`Binner`] and label table from it without the
-//! original CSV. The other three files implement the checkpoint ⇄ WAL
-//! epoch contract documented in [`arcs_core::wal`].
+//! rebuilds the tenant's [`Binner`] from it without the original CSV.
+//! The checkpoint and the log implement the checkpoint ⇄ WAL epoch
+//! contract documented in [`arcs_core::wal`]; [`TenantStore::open`] and
+//! [`fsck`]'s deep audit apply it through one routine.
 //!
 //! # Write-ahead ordering
 //!
@@ -40,24 +36,18 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use arcs_core::jsonio::{obj, Json};
 use arcs_core::repl::ShippedRecord;
 use arcs_core::wal::{
-    load_checkpoint, replay, save_checkpoint, write_atomic, CheckpointMeta, WalRecord, WalTail,
-    WalWriter,
+    decode_checkpoint, load_checkpoint, replay, save_checkpoint, write_atomic, CheckpointMeta,
+    WalRecord, WalReplay, WalTail, WalWriter,
 };
 use arcs_core::{faults, ArcsError, BinArray, Binner};
 use arcs_data::{AttrKind, Attribute, Schema};
 
 /// File name of the tenant descriptor inside a tenant directory.
 pub const TENANT_META_FILE: &str = "tenant.json";
-/// File name of the checkpoint meta sidecar.
+/// File name of the checkpoint: its header and the array snapshot.
 pub const CHECKPOINT_META_FILE: &str = "checkpoint.meta";
 /// File name of the write-ahead log.
 pub const WAL_FILE: &str = "wal.log";
-
-/// File name of the array snapshot checkpointed at `epoch`. Versioned so
-/// a new checkpoint never overwrites the committed one mid-write.
-pub fn checkpoint_bin_file(epoch: u64) -> String {
-    format!("checkpoint.{epoch}.bin")
-}
 
 fn checkpoint_err(message: impl Into<String>) -> ArcsError {
     ArcsError::Checkpoint { message: message.into() }
@@ -81,7 +71,7 @@ pub fn valid_tenant_name(name: &str) -> bool {
 // ---------------------------------------------------------------------------
 
 /// The self-describing tenant descriptor persisted as `tenant.json`:
-/// everything needed to rebuild the binner and label table on restart.
+/// everything needed to rebuild the binner on restart.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TenantMeta {
     /// X-axis (LHS) attribute name.
@@ -197,7 +187,8 @@ impl TenantMeta {
         })
     }
 
-    /// Rebuilds the tenant's binner from the persisted configuration.
+    /// Builds the tenant's binner from the persisted configuration — the
+    /// only way a tenant gets one.
     pub fn build_binner(&self) -> Result<Binner, ArcsError> {
         Binner::equi_width(
             &self.schema,
@@ -272,18 +263,8 @@ impl TenantStore {
     ) -> Result<Self, ArcsError> {
         std::fs::create_dir_all(dir)?;
         meta.save(dir)?;
-        let checkpoint = CheckpointMeta {
-            epoch: 0,
-            last_seq: 0,
-            feeder_offset,
-            array_checksum: array.checksum(),
-        };
-        save_checkpoint(
-            &dir.join(checkpoint_bin_file(0)),
-            &dir.join(CHECKPOINT_META_FILE),
-            array,
-            &checkpoint,
-        )?;
+        let checkpoint = CheckpointMeta { epoch: 0, last_seq: 0, feeder_offset };
+        save_checkpoint(&dir.join(CHECKPOINT_META_FILE), &checkpoint, array)?;
         let wal = WalWriter::create(&dir.join(WAL_FILE), 1)?;
         Ok(TenantStore {
             dir: dir.to_path_buf(),
@@ -303,21 +284,15 @@ impl TenantStore {
     /// caller stands the serving stack up at `report.epoch`.
     pub fn open(dir: &Path) -> Result<(Self, TenantMeta, BinArray, RecoveryReport), ArcsError> {
         let meta = TenantMeta::load(dir)?;
-        let binner = meta.build_binner()?;
-        let (checkpoint, mut array) = load_checkpoint_versioned(dir)?.ok_or_else(|| {
-            checkpoint_err(format!(
-                "{} has a tenant.json but no checkpoint; the directory is torn",
-                dir.display()
-            ))
-        })?;
-        let (mut wal, replayed) = WalWriter::recover(&dir.join(WAL_FILE))?;
-        if replayed.start_seq > checkpoint.last_seq + 1 {
-            return Err(checkpoint_err(format!(
-                "WAL starts at seq {} but the checkpoint covers only up to {}: \
-                 records were lost between them",
-                replayed.start_seq, checkpoint.last_seq
-            )));
-        }
+        let (checkpoint, mut array) =
+            load_checkpoint(&dir.join(CHECKPOINT_META_FILE))?.ok_or_else(|| {
+                checkpoint_err(format!(
+                    "{} has a tenant.json but no checkpoint; the directory is torn",
+                    dir.display()
+                ))
+            })?;
+        let (mut wal, log) = WalWriter::recover(&dir.join(WAL_FILE))?;
+        let replayed = replay_onto(&meta, &checkpoint, &log, &mut array)?;
         // An empty log (including a zero-byte file recover just rebuilt a
         // header for) carries no sequence information of its own: anchor
         // it to the checkpoint, or fresh appends would receive sequence
@@ -326,32 +301,22 @@ impl TenantStore {
         if wal.is_empty() && wal.next_seq() != checkpoint.last_seq + 1 {
             wal.reset(checkpoint.last_seq + 1)?;
         }
-        let torn_bytes = match replayed.tail {
+        let torn_bytes = match log.tail {
             WalTail::Torn { dropped_bytes, .. } => dropped_bytes,
             _ => 0,
         };
-        let mut epoch = checkpoint.epoch;
-        let mut feeder_offset = checkpoint.feeder_offset;
-        let mut replayed_records = 0u64;
-        for record in &replayed.records {
-            if record.seq <= checkpoint.last_seq {
-                continue; // already folded into the checkpoint
-            }
-            apply_record(&meta.schema, &binner, &mut array, record)?;
-            epoch += 1;
-            replayed_records += 1;
-            if record.feeder_offset.is_some() {
-                feeder_offset = record.feeder_offset;
-            }
-        }
-        let report = RecoveryReport { replayed_records, torn_bytes, epoch };
+        let report = RecoveryReport {
+            replayed_records: replayed.records,
+            torn_bytes,
+            epoch: replayed.epoch,
+        };
         let store = TenantStore {
             dir: dir.to_path_buf(),
             state: Mutex::new(StoreState {
                 wal,
                 checkpoint_epoch: checkpoint.epoch,
                 checkpoint_seq: checkpoint.last_seq,
-                feeder_offset,
+                feeder_offset: replayed.feeder_offset,
             }),
         };
         Ok((store, meta, array, report))
@@ -413,7 +378,7 @@ impl TenantStore {
     /// the last one. `capture` reads the serving state — it runs under
     /// the append lock, so the (epoch, array) pair it returns is exactly
     /// the state produced by the logged records. After the checkpoint
-    /// commits (meta rename), the WAL is reset. Returns whether a
+    /// commits (its rename), the WAL is reset. Returns whether a
     /// checkpoint was written.
     pub fn checkpoint_with(
         &self,
@@ -435,24 +400,13 @@ impl TenantStore {
                 st.checkpoint_epoch
             )));
         }
-        let meta = CheckpointMeta {
-            epoch,
-            last_seq,
-            feeder_offset: st.feeder_offset,
-            array_checksum: array.checksum(),
-        };
-        save_checkpoint(
-            &self.dir.join(checkpoint_bin_file(epoch)),
-            &self.dir.join(CHECKPOINT_META_FILE),
-            &array,
-            &meta,
-        )?;
+        let meta = CheckpointMeta { epoch, last_seq, feeder_offset: st.feeder_offset };
+        save_checkpoint(&self.dir.join(CHECKPOINT_META_FILE), &meta, &array)?;
         // The checkpoint is committed from here on: even if the reset
         // fails, replay skips seq <= last_seq, so update the bookkeeping
         // first and surface the reset error only for visibility.
         st.checkpoint_epoch = epoch;
         st.checkpoint_seq = last_seq;
-        prune_superseded_checkpoints(&self.dir, epoch);
         st.wal.reset(last_seq + 1)?;
         Ok(true)
     }
@@ -504,28 +458,18 @@ impl TenantStore {
         Ok(ShipPlan::Records(records))
     }
 
-    /// Snapshots the committed checkpoint pair (plus the tenant
-    /// descriptor) for transfer to a bootstrapping or lagging standby.
-    /// Runs under the append lock so a concurrent checkpoint cannot
-    /// prune the array file mid-read.
+    /// Reads the committed checkpoint (plus the tenant descriptor) for
+    /// transfer to a bootstrapping or lagging standby. Needs no lock: a
+    /// checkpoint commits by one rename, so a read sees a whole file.
     pub fn checkpoint_transfer(&self) -> Result<CheckpointTransfer, ArcsError> {
-        let st = lock(&self.state);
-        let read_text = |name: &str| {
-            let path = self.dir.join(name);
-            std::fs::read_to_string(&path)
-                .map_err(|e| checkpoint_err(format!("cannot read {}: {e}", path.display())))
+        let unreadable = |name: &str, e: std::io::Error| {
+            checkpoint_err(format!("cannot read {}: {e}", self.dir.join(name).display()))
         };
-        let tenant_json = read_text(TENANT_META_FILE)?;
-        let meta_json = read_text(CHECKPOINT_META_FILE)?;
-        let bin = self.dir.join(checkpoint_bin_file(st.checkpoint_epoch));
-        let array_bytes = std::fs::read(&bin)
-            .map_err(|e| checkpoint_err(format!("cannot read {}: {e}", bin.display())))?;
         Ok(CheckpointTransfer {
-            tenant_json,
-            meta_json,
-            array_bytes,
-            epoch: st.checkpoint_epoch,
-            last_seq: st.checkpoint_seq,
+            tenant_json: std::fs::read_to_string(self.dir.join(TENANT_META_FILE))
+                .map_err(|e| unreadable(TENANT_META_FILE, e))?,
+            checkpoint: std::fs::read(self.dir.join(CHECKPOINT_META_FILE))
+                .map_err(|e| unreadable(CHECKPOINT_META_FILE, e))?,
         })
     }
 }
@@ -541,93 +485,73 @@ pub enum ShipPlan {
     Resync,
 }
 
-/// A committed checkpoint pair packaged for shipping: the tenant
-/// descriptor, the meta sidecar, and the raw array snapshot bytes.
+/// A committed checkpoint packaged for shipping: the tenant descriptor
+/// and the checkpoint file's bytes.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CheckpointTransfer {
     /// `tenant.json` text.
     pub tenant_json: String,
-    /// `checkpoint.meta` text.
-    pub meta_json: String,
-    /// Raw bytes of `checkpoint.<epoch>.bin`.
-    pub array_bytes: Vec<u8>,
-    /// Epoch the pair was committed at.
-    pub epoch: u64,
-    /// Last WAL sequence folded into the pair.
-    pub last_seq: u64,
+    /// The checkpoint file: header plus array snapshot.
+    pub checkpoint: Vec<u8>,
 }
 
 /// Installs a shipped checkpoint transfer as a standby tenant directory,
-/// overwriting whatever stale state is there: descriptor first, then the
-/// array, then the meta rename that commits the pair, then a fresh WAL
-/// anchored at `last_seq + 1` — the same commit order the primary's own
-/// checkpoints use, so a crash mid-install leaves a directory that is
-/// either old, new, or visibly torn (never silently mixed). The
-/// installed pair is loaded back before returning, so a transfer mangled
-/// in flight is a typed error, not a serving standby.
+/// overwriting whatever stale state is there. The checkpoint is decoded
+/// first, so a transfer mangled in flight is a typed error that touches
+/// nothing; then the descriptor, the checkpoint (its rename commits it)
+/// and a fresh WAL anchored at `last_seq + 1` are written, the order a
+/// primary creates its own directory in.
 pub fn install_transfer(dir: &Path, transfer: &CheckpointTransfer) -> Result<(), ArcsError> {
-    let meta_doc = arcs_core::jsonio::parse(&transfer.meta_json)
-        .map_err(|e| checkpoint_err(format!("transfer checkpoint.meta is not JSON: {e}")))?;
-    let meta = CheckpointMeta::from_json(&meta_doc)?;
-    if meta.epoch != transfer.epoch || meta.last_seq != transfer.last_seq {
-        return Err(checkpoint_err(format!(
-            "transfer envelope says epoch {} / last_seq {} but the meta inside says {} / {}",
-            transfer.epoch, transfer.last_seq, meta.epoch, meta.last_seq
-        )));
-    }
+    let (checkpoint, _) = decode_checkpoint(&transfer.checkpoint)?;
     std::fs::create_dir_all(dir)?;
     write_atomic(&dir.join(TENANT_META_FILE), transfer.tenant_json.as_bytes())?;
-    write_atomic(&dir.join(checkpoint_bin_file(meta.epoch)), &transfer.array_bytes)?;
-    write_atomic(&dir.join(CHECKPOINT_META_FILE), transfer.meta_json.as_bytes())?;
-    if load_checkpoint_versioned(dir)?.is_none() {
-        return Err(checkpoint_err("installed transfer did not load back"));
-    }
-    WalWriter::create(&dir.join(WAL_FILE), meta.last_seq + 1)?;
-    prune_superseded_checkpoints(dir, meta.epoch);
+    write_atomic(&dir.join(CHECKPOINT_META_FILE), &transfer.checkpoint)?;
+    WalWriter::create(&dir.join(WAL_FILE), checkpoint.last_seq + 1)?;
     Ok(())
 }
 
-/// Reads just the checkpoint meta sidecar (`None` when absent): the
-/// epoch inside it names the array file the committed pair refers to.
-fn read_checkpoint_meta(dir: &Path) -> Result<Option<CheckpointMeta>, ArcsError> {
-    let path = dir.join(CHECKPOINT_META_FILE);
-    let text = match std::fs::read_to_string(&path) {
-        Ok(text) => text,
-        Err(err) if err.kind() == std::io::ErrorKind::NotFound => return Ok(None),
-        Err(err) => return Err(ArcsError::Io(err.to_string())),
+/// Where replaying a log on top of a checkpoint ended.
+struct Replayed {
+    /// Records folded in (those with `seq > last_seq`).
+    records: u64,
+    /// The serving epoch after them.
+    epoch: u64,
+    /// The latest feeder offset over the checkpoint and the records.
+    feeder_offset: Option<u64>,
+}
+
+/// The checkpoint ⇄ WAL epoch contract, the one routine recovery and
+/// fsck's deep audit share: refuses a log that starts past
+/// `last_seq + 1` (records were lost between them), folds every record
+/// with `seq > last_seq` into `array`, and counts the epoch and feeder
+/// offset it ends at.
+fn replay_onto(
+    meta: &TenantMeta,
+    checkpoint: &CheckpointMeta,
+    log: &WalReplay,
+    array: &mut BinArray,
+) -> Result<Replayed, ArcsError> {
+    if log.start_seq > checkpoint.last_seq + 1 {
+        return Err(checkpoint_err(format!(
+            "sequence loss: WAL starts at seq {} but the checkpoint covers only up to {}",
+            log.start_seq, checkpoint.last_seq
+        )));
+    }
+    let binner = meta.build_binner()?;
+    let mut replayed = Replayed {
+        records: 0,
+        epoch: checkpoint.epoch,
+        feeder_offset: checkpoint.feeder_offset,
     };
-    let json = arcs_core::jsonio::parse(&text)
-        .map_err(|e| checkpoint_err(format!("{} is not JSON: {e}", path.display())))?;
-    CheckpointMeta::from_json(&json).map(Some)
-}
-
-/// Loads the committed checkpoint pair: the meta names the epoch, the
-/// epoch names the array file. An array written by a crashed checkpoint
-/// that never committed its meta is simply never looked at.
-fn load_checkpoint_versioned(dir: &Path) -> Result<Option<(CheckpointMeta, BinArray)>, ArcsError> {
-    let Some(meta) = read_checkpoint_meta(dir)? else { return Ok(None) };
-    load_checkpoint(&dir.join(checkpoint_bin_file(meta.epoch)), &dir.join(CHECKPOINT_META_FILE))
-}
-
-/// Best-effort removal of array snapshots superseded by the checkpoint
-/// at `keep_epoch`. Failures are ignored: an orphan array is benign and
-/// the next checkpoint (or `arcs fsck --repair`) retries.
-fn prune_superseded_checkpoints(dir: &Path, keep_epoch: u64) -> u64 {
-    let Ok(entries) = std::fs::read_dir(dir) else { return 0 };
-    let keep = checkpoint_bin_file(keep_epoch);
-    let mut removed = 0;
-    for entry in entries.flatten() {
-        let name = entry.file_name();
-        let name = name.to_string_lossy();
-        if name.starts_with("checkpoint.")
-            && name.ends_with(".bin")
-            && name != keep
-            && std::fs::remove_file(entry.path()).is_ok()
-        {
-            removed += 1;
+    for record in log.records.iter().filter(|r| r.seq > checkpoint.last_seq) {
+        apply_record(&meta.schema, &binner, array, record)?;
+        replayed.records += 1;
+        replayed.epoch += 1;
+        if record.feeder_offset.is_some() {
+            replayed.feeder_offset = record.feeder_offset;
         }
     }
-    removed
+    Ok(replayed)
 }
 
 /// Parses and merges one WAL record into `array` — the replay half of
@@ -668,9 +592,9 @@ pub fn bin_batch(schema: &Schema, binner: &Binner, rows: &str) -> Result<BinArra
 pub struct TenantAudit {
     /// Directory (= tenant) name.
     pub name: String,
-    /// Checkpoint epoch, when the checkpoint pair loaded.
+    /// Checkpoint epoch, when the checkpoint loaded.
     pub checkpoint_epoch: Option<u64>,
-    /// Checkpoint `last_seq`, when the checkpoint pair loaded.
+    /// Checkpoint `last_seq`, when the checkpoint loaded.
     pub checkpoint_seq: Option<u64>,
     /// WAL records in the valid prefix.
     pub wal_records: u64,
@@ -684,8 +608,8 @@ pub struct TenantAudit {
     pub repaired: bool,
     /// Stale temporary files removed by repair.
     pub stale_tmp_removed: u64,
-    /// Problems fsck cannot repair (missing/torn checkpoint, unreadable
-    /// descriptor, records that fail to apply, sequence loss).
+    /// Problems fsck cannot repair (missing/unreadable checkpoint,
+    /// unreadable descriptor, records that fail to apply, sequence loss).
     pub errors: Vec<String>,
 }
 
@@ -749,9 +673,10 @@ impl FsckReport {
 /// Audits (and with `repair`, fixes) every tenant directory under
 /// `data_dir`. Repairs are the *safe* subset: truncating an invalid WAL
 /// tail to the last whole record and removing stale temporary files. A
-/// missing or torn checkpoint, an unreadable descriptor, or a record
-/// that no longer applies is reported as an error — fsck never deletes
-/// checkpoints or invents data.
+/// missing or unreadable checkpoint, an unreadable descriptor, a log
+/// that starts past the checkpoint, or a record that no longer applies
+/// is reported as an error — fsck never deletes checkpoints or invents
+/// data.
 pub fn fsck(data_dir: &Path, repair: bool) -> Result<FsckReport, ArcsError> {
     let mut tenants = Vec::new();
     let entries = std::fs::read_dir(data_dir)
@@ -800,20 +725,10 @@ fn audit_tenant(dir: &Path, name: String, repair: bool) -> TenantAudit {
         }
     };
 
-    let checkpoint = match load_checkpoint_versioned(dir) {
+    let checkpoint = match load_checkpoint(&dir.join(CHECKPOINT_META_FILE)) {
         Ok(Some((meta, array))) => {
             audit.checkpoint_epoch = Some(meta.epoch);
             audit.checkpoint_seq = Some(meta.last_seq);
-            // Arrays superseded by (or orphaned before) this committed
-            // pair are benign leftovers; repair sweeps them with the
-            // other stale files.
-            if repair {
-                let removed = prune_superseded_checkpoints(dir, meta.epoch);
-                if removed > 0 {
-                    audit.stale_tmp_removed += removed;
-                    audit.repaired = true;
-                }
-            }
             Some((meta, array))
         }
         Ok(None) => {
@@ -904,31 +819,11 @@ fn audit_tenant(dir: &Path, name: String, repair: bool) -> TenantAudit {
             }
         }
 
-        // Deep audit: the surviving records must actually apply on top of
-        // the checkpoint, exactly as recovery would.
-        if let (Some(meta), Some((checkpoint, array))) = (&meta, &checkpoint) {
-            if replayed.start_seq > checkpoint.last_seq + 1 {
-                audit.errors.push(format!(
-                    "sequence loss: WAL starts at {} but the checkpoint covers up to {}",
-                    replayed.start_seq, checkpoint.last_seq
-                ));
-            } else {
-                match meta.build_binner() {
-                    Ok(binner) => {
-                        let mut array = array.clone();
-                        for record in &replayed.records {
-                            if record.seq <= checkpoint.last_seq {
-                                continue;
-                            }
-                            if let Err(err) = apply_record(&meta.schema, &binner, &mut array, record)
-                            {
-                                audit.errors.push(err.to_string());
-                                break;
-                            }
-                        }
-                    }
-                    Err(err) => audit.errors.push(format!("binner rebuild: {err}")),
-                }
+        // Deep audit: the surviving records must apply on top of the
+        // checkpoint through the routine recovery runs.
+        if let (Some(meta), Some((checkpoint, mut array))) = (&meta, checkpoint) {
+            if let Err(err) = replay_onto(meta, &checkpoint, &replayed, &mut array) {
+                audit.errors.push(err.to_string());
             }
         }
     }
@@ -1188,8 +1083,8 @@ mod tests {
         let array = tiny_array(&meta);
         TenantStore::create(&dir, &meta, &array, None).unwrap();
 
-        // A missing checkpoint array is torn beyond fsck's remit.
-        std::fs::remove_file(dir.join(checkpoint_bin_file(0))).unwrap();
+        // A missing checkpoint is beyond fsck's remit.
+        std::fs::remove_file(dir.join(CHECKPOINT_META_FILE)).unwrap();
         let report = fsck(&data_dir, true).unwrap();
         assert!(!report.clean());
         assert!(
@@ -1270,19 +1165,21 @@ mod tests {
         assert!(store.checkpoint_with(1, || (epoch, Arc::clone(&snapshot))).unwrap());
 
         let transfer = store.checkpoint_transfer().unwrap();
-        assert_eq!(transfer.epoch, 2);
-        assert_eq!(transfer.last_seq, 2);
+        let (header, _) = decode_checkpoint(&transfer.checkpoint).unwrap();
+        assert_eq!((header.epoch, header.last_seq, header.feeder_offset), (2, 2, Some(64)));
 
-        // A mangled array or a lying envelope is refused outright.
-        let mut torn = transfer.clone();
-        torn.array_bytes[10] ^= 0x40;
-        assert!(install_transfer(&standby_dir, &torn).is_err());
-        let mut lying = transfer.clone();
-        lying.epoch += 1;
-        assert!(install_transfer(&standby_dir, &lying).is_err());
+        // A checkpoint mangled or cut short in flight is refused before
+        // anything is written.
+        let mut flipped = transfer.clone();
+        flipped.checkpoint[40] ^= 0x40;
+        assert!(install_transfer(&standby_dir, &flipped).is_err());
+        let mut cut = transfer.clone();
+        cut.checkpoint.truncate(cut.checkpoint.len() - 1);
+        assert!(install_transfer(&standby_dir, &cut).is_err());
+        assert!(!standby_dir.exists(), "a refused transfer wrote nothing");
 
-        // The intact transfer installs (over the torn leftovers) and
-        // opens bit-identically at the primary's checkpoint state.
+        // The intact transfer installs and opens bit-identically at the
+        // primary's checkpoint state.
         install_transfer(&standby_dir, &transfer).unwrap();
         let (standby, standby_meta, recovered, report) = TenantStore::open(&standby_dir).unwrap();
         assert_eq!(standby_meta, meta);
@@ -1298,6 +1195,66 @@ mod tests {
             panic!("expected records");
         };
         assert_eq!(records[0].seq, 3);
+        std::fs::remove_dir_all(&data_dir).ok();
+    }
+
+    #[test]
+    fn wal_starting_past_the_checkpoint_is_refused_by_open_and_fsck() {
+        let data_dir = temp_dir("seq-loss");
+        let dir = data_dir.join("t");
+        let meta = tiny_meta();
+        let array = tiny_array(&meta);
+        let store = TenantStore::create(&dir, &meta, &array, None).unwrap();
+        let (live, epoch) = append_all(&store, &meta, &array, &["1.5,1.5,A\n", "2.5,2.5,other\n"]);
+        let snapshot = Arc::new(live);
+        assert!(store.checkpoint_with(1, || (epoch, Arc::clone(&snapshot))).unwrap());
+        drop(store);
+
+        // The checkpoint covers seqs 1..=2; a log that starts at 5 lost
+        // records 3 and 4.
+        let wal_path = dir.join(WAL_FILE);
+        let mut wal = WalWriter::create(&wal_path, 5).unwrap();
+        wal.append(b"3.5,3.5,A\n", None).unwrap();
+        drop(wal);
+        let wal_bytes = std::fs::read(&wal_path).unwrap();
+
+        let err = TenantStore::open(&dir).unwrap_err();
+        assert!(matches!(err, ArcsError::Checkpoint { .. }), "{err}");
+        assert!(err.to_string().contains("sequence loss"), "{err}");
+        for repair in [false, true] {
+            let report = fsck(&data_dir, repair).unwrap();
+            assert!(!report.clean(), "{report:?}");
+            assert_eq!(report.tenants[0].errors, vec![err.to_string()]);
+        }
+        assert_eq!(std::fs::read(&wal_path).unwrap(), wal_bytes, "fsck left the log alone");
+        std::fs::remove_dir_all(&data_dir).ok();
+    }
+
+    /// A directory in the two-file layout (a JSON `checkpoint.meta`
+    /// sidecar plus an epoch-versioned array file) is refused, and
+    /// `fsck --repair` deletes none of it.
+    #[test]
+    fn two_file_checkpoint_layout_is_refused_and_left_on_disk() {
+        let data_dir = temp_dir("two-file");
+        let dir = data_dir.join("t");
+        std::fs::create_dir_all(&dir).unwrap();
+        let meta = tiny_meta();
+        let array = tiny_array(&meta);
+        meta.save(&dir).unwrap();
+        let mut array_bytes = Vec::new();
+        array.write_to(&mut array_bytes).unwrap();
+        let sidecar = "{\"version\":1,\"epoch\":0,\"last_seq\":0,\"feeder_offset\":null}";
+        std::fs::write(dir.join("checkpoint.0.bin"), &array_bytes).unwrap();
+        std::fs::write(dir.join(CHECKPOINT_META_FILE), sidecar).unwrap();
+        WalWriter::create(&dir.join(WAL_FILE), 1).unwrap();
+
+        let err = TenantStore::open(&dir).unwrap_err();
+        assert!(matches!(err, ArcsError::Checkpoint { .. }), "{err}");
+        let report = fsck(&data_dir, true).unwrap();
+        assert!(!report.clean(), "{report:?}");
+        assert!(report.tenants[0].errors[0].starts_with("checkpoint: "), "{report:?}");
+        assert_eq!(std::fs::read(dir.join("checkpoint.0.bin")).unwrap(), array_bytes);
+        assert_eq!(std::fs::read_to_string(dir.join(CHECKPOINT_META_FILE)).unwrap(), sidecar);
         std::fs::remove_dir_all(&data_dir).ok();
     }
 

@@ -311,7 +311,7 @@ fn apply_batch_refuses_gaps_and_corruption_past_the_valid_prefix() {
 
     // Drop the middle record: seq 1 applies, then the hole stops it.
     let gapped = vec![shipped[0].clone(), shipped[2].clone()];
-    match apply_batch(&standby, 1, &gapped, &metrics) {
+    match apply_batch(&standby, &gapped, &metrics) {
         BatchOutcome::Gap { applied, reason } => {
             assert_eq!(applied, 1, "exactly the valid prefix applied");
             assert!(reason.contains("gap"), "gap named in: {reason}");
@@ -324,18 +324,27 @@ fn apply_batch_refuses_gaps_and_corruption_past_the_valid_prefix() {
     // A corrupted record refuses the batch at the CRC, applying nothing.
     let mut torn = shipped[1].clone();
     torn.bytes[10] ^= 0x40;
-    match apply_batch(&standby, 2, &[torn, shipped[2].clone()], &metrics) {
+    match apply_batch(&standby, &[torn, shipped[2].clone()], &metrics) {
         BatchOutcome::Refused { applied: 0, .. } => {}
         other => panic!("expected a checksum refusal, got {other:?}"),
     }
     assert_eq!(standby.store().unwrap().last_wal_seq(), 1, "nothing applied past the tear");
 
     // The intact batch from the same cursor then converges bit-identically.
-    match apply_batch(&standby, 2, &shipped[1..], &metrics) {
+    match apply_batch(&standby, &shipped[1..], &metrics) {
         BatchOutcome::Applied(2) => {}
         other => panic!("expected the clean tail to apply, got {other:?}"),
     }
     assert_eq!(standby.store().unwrap().last_wal_seq(), 3);
+
+    // Re-shipping the already-applied batch is a run of duplicates:
+    // skipped, not a gap, and nothing moves.
+    match apply_batch(&standby, &shipped, &metrics) {
+        BatchOutcome::Applied(0) => {}
+        other => panic!("expected duplicates to be skipped, got {other:?}"),
+    }
+    assert_eq!(standby.store().unwrap().last_wal_seq(), 3);
+    assert_eq!(metrics.snapshot(), [0, 3, 2, 0, 0], "duplicates are neither applied nor refused");
     assert_eq!(
         standby.server().snapshot().checksum(),
         primary.server().snapshot().checksum(),

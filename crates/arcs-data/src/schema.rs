@@ -47,15 +47,6 @@ impl AttrKind {
         }
     }
 
-    /// The `[min, max]` domain of a quantitative attribute, `None` for
-    /// categorical.
-    pub fn quant_domain(&self) -> Option<(f64, f64)> {
-        match self {
-            AttrKind::Quantitative { min, max } => Some((*min, *max)),
-            AttrKind::Categorical { .. } => None,
-        }
-    }
-
     /// Clamps a finite quantitative value into the attribute's declared
     /// domain. Returns `(value, clamped?)`; categorical attributes pass the
     /// value through untouched.

@@ -65,13 +65,6 @@ impl Tuple {
         Ok(Tuple::new(values))
     }
 
-    /// Validates an already-built tuple against `schema` without consuming
-    /// it — the check [`Tuple::validated`] performs, usable on untrusted
-    /// tuples arriving from a stream.
-    pub fn check_against(&self, schema: &Schema) -> Result<(), DataError> {
-        Self::check_values(&self.values, schema)
-    }
-
     fn check_values(values: &[Value], schema: &Schema) -> Result<(), DataError> {
         if values.len() != schema.arity() {
             return Err(DataError::ArityMismatch {

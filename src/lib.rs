@@ -76,7 +76,7 @@ pub mod prelude {
     };
 
     // --- core: observability — stage timings, counters, reports ---
-    pub use arcs_core::{Observer, PipelineCounters, PipelineReport, Stage, StageTimings};
+    pub use arcs_core::{PipelineCounters, PipelineReport, Stage, StageTimings};
 
     // --- core: the fault-tolerant concurrent serving layer ---
     pub use arcs_core::{

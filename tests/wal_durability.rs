@@ -13,6 +13,9 @@
 //!    produces exactly the array you would get by binning every batch
 //!    in order — same checksum, same epoch arithmetic.
 //!
+//! The checkpoint file itself must round-trip bit-identically, and any
+//! truncation or single-byte flip of it must load as a typed error.
+//!
 //! Each property here attacks one of those claims with generated
 //! inputs. Temp files carry the process id plus a per-test counter so
 //! concurrent test binaries never collide.
@@ -24,10 +27,10 @@ use proptest::collection::vec;
 use proptest::prelude::*;
 
 use arcs::core::wal::{
-    self, load_checkpoint, replay, save_checkpoint, CheckpointMeta, WalTail, WalWriter,
-    WAL_HEADER_LEN,
+    self, decode_checkpoint, encode_checkpoint, load_checkpoint, replay, save_checkpoint,
+    CheckpointMeta, WalTail, WalWriter, WAL_HEADER_LEN,
 };
-use arcs::core::{BinArray, Binner};
+use arcs::core::{ArcsError, BinArray, Binner};
 use arcs::data::{Attribute, Schema};
 
 /// A scratch file that deletes itself, so failed cases don't litter.
@@ -252,15 +255,9 @@ proptest! {
         for rows in &batches[..k] {
             checkpointed.merge(&bin_batch(&schema, &binner, &batch_csv(rows))).unwrap();
         }
-        let bin = TempFile::new("ckpt-bin");
-        let meta_file = TempFile::new("ckpt-meta");
-        let meta = CheckpointMeta {
-            epoch: k as u64,
-            last_seq: k as u64,
-            feeder_offset: None,
-            array_checksum: checkpointed.checksum(),
-        };
-        save_checkpoint(bin.path(), meta_file.path(), &checkpointed, &meta).unwrap();
+        let file = TempFile::new("ckpt");
+        let meta = CheckpointMeta { epoch: k as u64, last_seq: k as u64, feeder_offset: None };
+        save_checkpoint(file.path(), &meta, &checkpointed).unwrap();
 
         // …and the remaining batches appended to the WAL.
         let log = TempFile::new("ckpt-wal");
@@ -269,9 +266,9 @@ proptest! {
             writer.append(batch_csv(rows).as_bytes(), None).unwrap();
         }
 
-        // Recover: load the pair, replay the log, fold records in.
+        // Recover: load the checkpoint, replay the log, fold records in.
         let (loaded_meta, mut recovered) =
-            load_checkpoint(bin.path(), meta_file.path()).unwrap().expect("checkpoint exists");
+            load_checkpoint(file.path()).unwrap().expect("checkpoint exists");
         prop_assert_eq!(loaded_meta, meta);
         let scan = replay(log.path()).unwrap();
         prop_assert!(scan.tail.is_clean());
@@ -286,6 +283,72 @@ proptest! {
         prop_assert_eq!(epoch, batches.len() as u64);
         prop_assert_eq!(recovered.checksum(), direct.checksum());
         prop_assert_eq!(recovered.n_tuples(), direct.n_tuples());
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The checkpoint file codec
+// ---------------------------------------------------------------------------
+
+/// A generated array: dimensions plus raw `(x, y, group)` draws, folded
+/// into range by `array_from`.
+type GenArray = (usize, usize, usize, Vec<(u32, u32, u32)>);
+
+fn array_strategy() -> impl Strategy<Value = GenArray> {
+    (1usize..6, 1usize..6, 1usize..4, vec((any::<u32>(), any::<u32>(), any::<u32>()), 0..40))
+}
+
+fn array_from((nx, ny, nseg, adds): &GenArray) -> BinArray {
+    let mut array = BinArray::new(*nx, *ny, *nseg).unwrap();
+    for (x, y, g) in adds {
+        array.add(*x as usize % nx, *y as usize % ny, g % *nseg as u32);
+    }
+    array
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Save → load returns the same header and array, and re-encoding
+    /// them reproduces the file byte for byte. Every truncation and
+    /// every single-byte flip of the file is a typed
+    /// `ArcsError::Checkpoint`: the checksum covers header and array
+    /// alike, so a damaged file never loads as a different header.
+    #[test]
+    fn checkpoint_file_round_trips_and_refuses_damage(
+        generated in array_strategy(),
+        epoch in any::<u64>(),
+        last_seq in any::<u64>(),
+        raw_offset in 0u64..u64::MAX,
+        present in any::<bool>(),
+        mask in 1u8..=255,
+    ) {
+        let array = array_from(&generated);
+        let feeder_offset = feeder_offset(raw_offset, present);
+        let meta = CheckpointMeta { epoch, last_seq, feeder_offset };
+        let file = TempFile::new("ckpt-codec");
+        save_checkpoint(file.path(), &meta, &array).unwrap();
+        let bytes = std::fs::read(file.path()).unwrap();
+        prop_assert_eq!(load_checkpoint(file.path()).unwrap(), Some((meta, array.clone())));
+        prop_assert_eq!(&encode_checkpoint(&meta, &array).unwrap(), &bytes);
+
+        for cut in 0..bytes.len() {
+            let result = decode_checkpoint(&bytes[..cut]);
+            prop_assert!(
+                matches!(result, Err(ArcsError::Checkpoint { .. })),
+                "cut at {} of {}: {:?}", cut, bytes.len(), result
+            );
+        }
+        let mut flipped = bytes.clone();
+        for i in 0..bytes.len() {
+            flipped[i] ^= mask;
+            let result = decode_checkpoint(&flipped);
+            prop_assert!(
+                matches!(result, Err(ArcsError::Checkpoint { .. })),
+                "flip {:#04x} at byte {}: {:?}", mask, i, result
+            );
+            flipped[i] ^= mask;
+        }
     }
 }
 
