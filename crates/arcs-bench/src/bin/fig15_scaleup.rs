@@ -41,11 +41,12 @@ fn main() {
         if threads == 1 { "" } else { "s" }
     );
 
-    let config = ArcsConfig {
+    let mut config = ArcsConfig {
         threads,
         optimizer: OptimizerConfig { threads, ..OptimizerConfig::default() },
         ..ArcsConfig::default()
     };
+    config.optimizer.bitop.threads = threads;
     let arcs = Arcs::new(config).expect("valid config");
 
     let mut table = Table::new(["tuples", "total s", "s/Mtuple", "bin ms", "search ms", "rules"]);

@@ -175,7 +175,7 @@ fn main() {
     // ---- smoothing: scalar reference vs word kernel --------------------
     let mid = Thresholds::new(0.01, 0.3).expect("in range");
     let rule_grid = rule_grid(&agrawal, 0, mid).expect("grid dims valid");
-    let config = SmoothConfig { passes: 2, ..SmoothConfig::default() };
+    let config = SmoothConfig { passes: 2 };
     let smooth_reps = if quick { 20 } else { 200 };
 
     let reference = smooth_reference(&rule_grid, &config).expect("reference smooths");

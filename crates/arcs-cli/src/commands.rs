@@ -11,12 +11,12 @@ use arcs_core::render::render_clusters;
 use arcs_core::select::{rank_attributes, select_pair_joint};
 use arcs_core::wal::write_atomic;
 use arcs_core::{
-    Arcs, ArcsConfig, ArcsError, BinArray, Binner, GroupRef, SegmentRequest, Session,
+    Arcs, ArcsConfig, ArcsError, BinArray, Binner, GroupRef, SegmentRequest, ServeConfig,
+    Session,
 };
 use arcs_data::csv::{load_csv_inferred_with_policy, save_csv};
 use arcs_data::generator::{AgrawalGenerator, GeneratorConfig};
-use arcs_data::schema::AttrKind;
-use arcs_data::{Dataset, IngestPolicy, IngestReport, Schema};
+use arcs_data::{Dataset, IngestPolicy, IngestReport};
 
 use crate::args::{Args, ArgsError};
 
@@ -314,14 +314,83 @@ fn ingest_summary(out: &mut String, report: &IngestReport) {
 /// Resolves `--group` to its code on the binner's criterion attribute.
 /// An unknown label is a data error (exit 3), as [`pipeline_err`] maps
 /// every [`ArcsError::UnknownGroup`].
-fn group_code(schema: &Schema, binner: &Binner, group: &str) -> Result<u32, CliError> {
-    let labels = match schema.attribute(binner.criterion_idx()).map(|a| &a.kind) {
-        Some(AttrKind::Categorical { labels }) => labels.as_slice(),
-        _ => &[],
-    };
+fn group_code(binner: &Binner, group: &str) -> Result<u32, CliError> {
     GroupRef::Label(group.to_string())
-        .resolve(labels)
+        .resolve(binner.labels())
         .map_err(pipeline_err)
+}
+
+/// `--stats`: `json` appends the machine-readable report; any other
+/// value is a usage error.
+fn stats_flag(args: &Args) -> Result<bool, CliError> {
+    match args.get("stats") {
+        None => Ok(false),
+        Some("json") => Ok(true),
+        Some(other) => Err(CliError::Usage(format!(
+            "--stats supports only `json`, got `{other}`"
+        ))),
+    }
+}
+
+/// `--memory-budget BYTES`: absent means unbounded; zero is a usage
+/// error.
+fn memory_budget(args: &Args) -> Result<Option<usize>, CliError> {
+    match args.get("memory-budget") {
+        None => Ok(None),
+        Some(_) => match args.get_or("memory-budget", 0)? {
+            0 => Err(CliError::Usage("--memory-budget must be > 0 bytes".into())),
+            bytes => Ok(Some(bytes)),
+        },
+    }
+}
+
+/// `--x`/`--y`: both name the LHS attributes, neither auto-selects the
+/// pair by joint mutual information with the criterion (and notes the
+/// choice in `out`); one alone is a usage error.
+fn lhs_pair(
+    args: &Args,
+    ds: &Dataset,
+    criterion: &str,
+    out: &mut String,
+) -> Result<(String, String), CliError> {
+    match (args.get("x"), args.get("y")) {
+        (Some(x), Some(y)) => Ok((x.to_string(), y.to_string())),
+        (None, None) => {
+            let pair = select_pair_joint(ds, criterion, 12, 8).map_err(run_err)?;
+            let _ = writeln!(
+                out,
+                "auto-selected LHS attributes by joint MI: {}, {}",
+                pair.0, pair.1
+            );
+            Ok(pair)
+        }
+        _ => Err(CliError::Usage(
+            "provide both --x and --y, or neither (auto-select)".into(),
+        )),
+    }
+}
+
+/// The serving limits `--max-queued`, `--cache`, `--max-inflight` and
+/// `--deadline-ms` (the default deadline), shared by `arcs serve` and
+/// `arcs daemon`. Unset flags keep [`ServeConfig::default`]'s values.
+pub(crate) fn serve_config(args: &Args) -> Result<ServeConfig, CliError> {
+    let defaults = ServeConfig::default();
+    let mut config = ServeConfig {
+        max_queued: args.get_or("max-queued", defaults.max_queued)?,
+        cache_capacity: args.get_or("cache", defaults.cache_capacity)?,
+        ..defaults
+    };
+    if args.get("max-inflight").is_some() {
+        config.max_inflight = args.get_or("max-inflight", 0)?;
+        if config.max_inflight == 0 {
+            return Err(CliError::Usage("--max-inflight must be > 0".into()));
+        }
+    }
+    if args.get("deadline-ms").is_some() {
+        config.default_deadline =
+            Some(std::time::Duration::from_millis(args.get_or("deadline-ms", 0u64)?));
+    }
+    Ok(config)
 }
 
 /// `arcs segment`: the paper's end-to-end pipeline over a CSV file.
@@ -362,15 +431,7 @@ fn segment_with_status(argv: &[String]) -> Result<(String, u8), CliError> {
     let criterion = args.require("criterion")?;
     let group = args.require("group")?;
     let bins: usize = args.get_or("bins", 50)?;
-    let want_stats = match args.get("stats") {
-        None => false,
-        Some("json") => true,
-        Some(other) => {
-            return Err(CliError::Usage(format!(
-                "--stats supports only `json`, got `{other}`"
-            )))
-        }
-    };
+    let want_stats = stats_flag(&args)?;
     let threads: Option<usize> = match args.get("threads") {
         None => None,
         Some(_) => {
@@ -381,16 +442,7 @@ fn segment_with_status(argv: &[String]) -> Result<(String, u8), CliError> {
             Some(t)
         }
     };
-    let memory_budget: Option<usize> = match args.get("memory-budget") {
-        None => None,
-        Some(_) => {
-            let bytes: usize = args.get_or("memory-budget", 0)?;
-            if bytes == 0 {
-                return Err(CliError::Usage("--memory-budget must be > 0 bytes".into()));
-            }
-            Some(bytes)
-        }
-    };
+    let memory_budget = memory_budget(&args)?;
     let checkpoint_every: usize = args.get_or("checkpoint-every", 100_000)?;
     if checkpoint_every == 0 {
         return Err(CliError::Usage("--checkpoint-every must be > 0 rows".into()));
@@ -430,23 +482,7 @@ fn segment_with_status(argv: &[String]) -> Result<(String, u8), CliError> {
     }
 
     // Standard quantitative x/y mode; auto-select attributes when omitted.
-    let (x_attr, y_attr) = match (args.get("x"), args.get("y")) {
-        (Some(x), Some(y)) => (x.to_string(), y.to_string()),
-        (None, None) => {
-            let pair = select_pair_joint(&ds, criterion, 12, 8).map_err(run_err)?;
-            let _ = writeln!(
-                out,
-                "auto-selected LHS attributes by joint MI: {}, {}",
-                pair.0, pair.1
-            );
-            pair
-        }
-        _ => {
-            return Err(CliError::Usage(
-                "provide both --x and --y, or neither (auto-select)".into(),
-            ))
-        }
-    };
+    let (x_attr, y_attr) = lhs_pair(&args, &ds, criterion, &mut out)?;
 
     let mut config = ArcsConfig {
         n_x_bins: bins,
@@ -459,6 +495,7 @@ fn segment_with_status(argv: &[String]) -> Result<(String, u8), CliError> {
     if let Some(t) = threads {
         config.threads = t;
         config.optimizer.threads = t;
+        config.optimizer.bitop.threads = t;
     }
     let arcs = Arcs::new(config).map_err(run_err)?;
 
@@ -542,7 +579,7 @@ fn segment_with_status(argv: &[String]) -> Result<(String, u8), CliError> {
     if args.has("grid") || args.get("svg").is_some() {
         // Render the grid that was clustered: the session's own array,
         // which a memory budget may have coarsened below `--bins`.
-        let gk = group_code(ds.schema(), session.binner(), group)?;
+        let gk = group_code(session.binner(), group)?;
         let grid = rule_grid(session.bin_array(), gk, seg.thresholds).map_err(run_err)?;
         if args.has("grid") {
             let _ = writeln!(out, "\nrule grid ({y_attr} rows x {x_attr} columns):");
@@ -624,7 +661,7 @@ pub fn explore(argv: &[String]) -> Result<String, CliError> {
 
     let binner =
         Binner::equi_width(ds.schema(), x, y, criterion, bins, bins).map_err(run_err)?;
-    let gk = group_code(ds.schema(), &binner, group)?;
+    let gk = group_code(&binner, group)?;
     let array = binner.bin_rows(ds.iter()).map_err(run_err)?;
     let lattice = ThresholdLattice::build(&array, gk);
 
@@ -682,9 +719,8 @@ pub fn rank(argv: &[String]) -> Result<String, CliError> {
 /// sweeping thresholds against copy-on-write snapshot swaps, under the
 /// full robustness envelope (deadlines, admission control, cache).
 pub fn serve(argv: &[String]) -> Result<String, CliError> {
-    use arcs_core::serve::{QueryRequest, ServeConfig, Server};
+    use arcs_core::serve::{QueryRequest, Server};
     use std::sync::Arc;
-    use std::time::Duration;
 
     if wants_help(argv) {
         return Ok(SERVE_USAGE.to_string());
@@ -725,47 +761,17 @@ pub fn serve(argv: &[String]) -> Result<String, CliError> {
     if requests == 0 || readers == 0 {
         return Err(CliError::Usage("--requests and --readers must be > 0".into()));
     }
-    let deadline = match args.get("deadline-ms") {
-        None => None,
-        Some(_) => Some(Duration::from_millis(args.get_or("deadline-ms", 0u64)?)),
-    };
-    let memory_budget: Option<usize> = match args.get("memory-budget") {
-        None => None,
-        Some(_) => Some(args.get_or("memory-budget", 0)?),
-    };
-    let want_stats = match args.get("stats") {
-        None => false,
-        Some("json") => true,
-        Some(other) => {
-            return Err(CliError::Usage(format!(
-                "--stats supports only `json`, got `{other}`"
-            )))
-        }
-    };
+    let memory_budget = memory_budget(&args)?;
+    let want_stats = stats_flag(&args)?;
+    let config = serve_config(&args)?;
 
     let mut out = String::new();
     ingest_summary(&mut out, &report);
 
-    let (x_attr, y_attr) = match (args.get("x"), args.get("y")) {
-        (Some(x), Some(y)) => (x.to_string(), y.to_string()),
-        (None, None) => {
-            let pair = select_pair_joint(&ds, criterion, 12, 8).map_err(run_err)?;
-            let _ = writeln!(
-                out,
-                "auto-selected LHS attributes by joint MI: {}, {}",
-                pair.0, pair.1
-            );
-            pair
-        }
-        _ => {
-            return Err(CliError::Usage(
-                "provide both --x and --y, or neither (auto-select)".into(),
-            ))
-        }
-    };
+    let (x_attr, y_attr) = lhs_pair(&args, &ds, criterion, &mut out)?;
     let binner = Binner::equi_width(ds.schema(), &x_attr, &y_attr, criterion, bins, bins)
         .map_err(pipeline_err)?;
-    let gk = group_code(ds.schema(), &binner, group)?;
+    let gk = group_code(&binner, group)?;
 
     // Split the rows: the first chunk seeds epoch 0, the rest become
     // streaming appends racing the readers as snapshot swaps.
@@ -779,18 +785,6 @@ pub fn serve(argv: &[String]) -> Result<String, CliError> {
     let initial = arrays.remove(0);
     let deltas = arrays;
 
-    let mut config = ServeConfig {
-        max_queued: args.get_or("max-queued", 64)?,
-        cache_capacity: args.get_or("cache", 256)?,
-        default_deadline: deadline,
-        ..ServeConfig::default()
-    };
-    if args.get("max-inflight").is_some() {
-        config.max_inflight = args.get_or("max-inflight", 0)?;
-        if config.max_inflight == 0 {
-            return Err(CliError::Usage("--max-inflight must be > 0".into()));
-        }
-    }
     let server = Arc::new(Server::new(initial, config).map_err(pipeline_err)?);
 
     // Deterministic threshold sweep: repeated lattice points across
@@ -1114,6 +1108,20 @@ mod tests {
             ])),
             Err(CliError::Usage(_))
         ));
+        // A zero memory budget is a usage error for `serve` as for
+        // `segment`.
+        for cmd in ["segment", "serve"] {
+            assert!(
+                matches!(
+                    dispatch(&argv(&[
+                        cmd, path_str, "--x", "age", "--y", "salary", "--criterion", "group",
+                        "--group", "A", "--memory-budget", "0",
+                    ])),
+                    Err(CliError::Usage(_))
+                ),
+                "{cmd} --memory-budget 0"
+            );
+        }
         std::fs::remove_file(&path).ok();
         std::fs::remove_file(&ckpt).ok();
     }
@@ -1330,13 +1338,19 @@ mod tests {
             s.lines().filter(|l| !l.starts_with('{')).collect::<Vec<_>>().join("\n")
         };
         let mut t1 = base.to_vec();
-        t1.extend(["--threads", "1"]);
+        t1.extend(["--threads", "1", "--stats", "json"]);
         let mut t4 = base.to_vec();
         t4.extend(["--threads", "4", "--stats", "json"]);
-        assert_eq!(
-            body(&dispatch(&argv(&t1)).unwrap()),
-            body(&dispatch(&argv(&t4)).unwrap())
-        );
+        let one = dispatch(&argv(&t1)).unwrap();
+        assert_eq!(body(&one), body(&dispatch(&argv(&t4)).unwrap()));
+        // `--threads 1` bounds every parallel stage, BitOp included: one
+        // worker slot, nothing run on a pool thread.
+        let json_line = one.lines().find(|l| l.starts_with('{')).expect("stats line");
+        let stats = arcs_core::jsonio::parse(json_line).unwrap();
+        for (counter, want) in [("workers_effective", 1), ("pool_steals", 0)] {
+            let got = stats.get("counters").and_then(|c| c.get(counter)).and_then(|v| v.as_u64());
+            assert_eq!(got, Some(want), "{counter} in: {json_line}");
+        }
 
         // A checkpointed run times its binning and sampling too.
         let ckpt = tmp("f2_stats.ckpt");

@@ -10,19 +10,23 @@
 use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use arcs_core::jsonio::Json;
 use arcs_core::request::{query_result_to_json, Request};
-use arcs_core::serve::{ClusterSpec, ServeConfig};
-use arcs_daemon::client::RetryPolicy;
+use arcs_core::serve::ClusterSpec;
 use arcs_daemon::daemon::{Daemon, DaemonConfig};
 use arcs_daemon::registry::{Registry, Tenant, TenantConfig};
 use arcs_daemon::repl::ReplicationConfig;
 use arcs_daemon::{Client, ClientError, Feeder};
 
 use crate::args::Args;
-use crate::commands::CliError;
+use crate::commands::{serve_config, CliError};
+use crate::signals;
+
+/// How often the daemon's wait loop checks for signals and the
+/// `--max-seconds` deadline.
+const WAIT_TICK: Duration = Duration::from_millis(50);
 
 pub const DAEMON_USAGE: &str = "\
 arcs daemon --listen <ADDR> [--datasets <NAME=FILE[,NAME=FILE...]>]
@@ -41,8 +45,10 @@ arcs daemon --listen <ADDR> [--datasets <NAME=FILE[,NAME=FILE...]>]
 Serves the named CSV datasets over TCP (`--listen 127.0.0.1:0` picks an
 ephemeral port). Each dataset is an independent tenant with its own
 snapshot store, admission gate, and result cache; all share the same
-(x, y, criterion) binning configuration. The daemon runs until
---max-seconds elapses (default: forever).
+(x, y, criterion) binning configuration. The daemon runs until SIGTERM
+or SIGINT arrives or --max-seconds elapses (default: no limit), then
+drains — stops accepting, finishes in-flight frames, stops the feeder,
+checkpoints every durable tenant — and exits 0.
 
 Durability (--data-dir DIR):
   Tenants live in DIR/<name>/ as a checkpointed snapshot plus a
@@ -228,21 +234,11 @@ pub fn daemon(argv: &[String]) -> Result<String, CliError> {
     }
     let bins: usize = args.get_or("bins", 50)?;
     let max_categories: usize = args.get_or("max-categories", 16)?;
-
-    let mut serve = ServeConfig {
-        max_queued: args.get_or("max-queued", 64)?,
-        cache_capacity: args.get_or("cache", 256)?,
-        ..ServeConfig::default()
+    let max_seconds: Option<u64> = match args.get("max-seconds") {
+        None => None,
+        Some(_) => Some(args.get_or("max-seconds", 0)?),
     };
-    if args.get("max-inflight").is_some() {
-        serve.max_inflight = args.get_or("max-inflight", 0)?;
-        if serve.max_inflight == 0 {
-            return Err(CliError::Usage("--max-inflight must be > 0".into()));
-        }
-    }
-    if args.get("deadline-ms").is_some() {
-        serve.default_deadline = Some(Duration::from_millis(args.get_or("deadline-ms", 0u64)?));
-    }
+    let serve = serve_config(&args)?;
 
     let feed_spec = match args.get("feed") {
         None => None,
@@ -367,7 +363,7 @@ pub fn daemon(argv: &[String]) -> Result<String, CliError> {
         );
     }
 
-    let _feeder = match feed_spec {
+    let feeder = match feed_spec {
         None => None,
         Some((name, file)) => {
             let tenant = registry
@@ -388,6 +384,9 @@ pub fn daemon(argv: &[String]) -> Result<String, CliError> {
         }
     };
 
+    // Signals are routed before the port file appears, so a script that
+    // waits for readiness and then sends SIGTERM always gets the drain.
+    signals::install();
     // The port file is the readiness signal: it appears only once the
     // accept loop is live.
     if let Some(port_file) = args.get("port-file") {
@@ -395,22 +394,37 @@ pub fn daemon(argv: &[String]) -> Result<String, CliError> {
     }
 
     // The startup banner has to reach the operator *before* the daemon
-    // parks, so print it here and return empty output on the normal path.
+    // waits, so print it here; the return value is the exit line.
     print!("{out}");
-    match args.get("max-seconds") {
-        Some(_) => {
-            let seconds: u64 = args.get_or("max-seconds", 0)?;
-            std::thread::sleep(Duration::from_secs(seconds));
-            if let Some(feeder) = _feeder {
-                feeder.stop();
-            }
-            handle.shutdown();
-            Ok(format!("arcsd on {addr} retired after {seconds}s"))
+    let started = Instant::now();
+    let retired = loop {
+        if signals::take_hangup() && handle.repl().role.promote() {
+            eprintln!("arcsd: SIGHUP — promoted to primary; writes now accepted");
         }
-        None => loop {
-            std::thread::sleep(Duration::from_secs(3600));
-        },
+        if signals::terminate_requested() {
+            break format!("arcsd on {addr} drained and stopped on a termination signal");
+        }
+        if let Some(seconds) = max_seconds {
+            if started.elapsed() >= Duration::from_secs(seconds) {
+                break format!("arcsd on {addr} retired after {seconds}s");
+            }
+        }
+        std::thread::sleep(WAIT_TICK);
+    };
+    if let Some(feeder) = feeder {
+        feeder.stop();
     }
+    handle.shutdown();
+    Ok(retired)
+}
+
+/// Connects to `--addr`. With `--retry N`, transient connect failures and
+/// `OVERLOADED` answers to idempotent ops are retried up to N times with
+/// bounded exponential backoff; append is never retried.
+fn connect(args: &Args) -> Result<Client, CliError> {
+    let addr = args.require("addr")?;
+    let retries: u32 = args.get_or("retry", 0)?;
+    Client::connect_with_retry(addr, retries).map_err(client_err)
 }
 
 /// `arcs fsck`: audit (and optionally repair) a daemon data directory.
@@ -453,7 +467,6 @@ pub fn client(argv: &[String]) -> Result<String, CliError> {
             "expected exactly one operation\n\n{CLIENT_USAGE}"
         )));
     };
-    let addr = args.require("addr")?;
     // `promote` addresses the daemon, not a dataset; everything else
     // needs --dataset.
     let dataset = match args.get("dataset") {
@@ -465,16 +478,7 @@ pub fn client(argv: &[String]) -> Result<String, CliError> {
             )))
         }
     };
-    // --retry N: bounded exponential backoff for transient connect
-    // failures, and for OVERLOADED responses to idempotent ops (append
-    // is never retried — an ambiguous outcome must surface).
-    let mut client = match args.get("retry") {
-        None => Client::connect(addr).map_err(client_err)?,
-        Some(_) => {
-            let retries: u32 = args.get_or("retry", 0)?;
-            Client::connect_with_retry(addr, RetryPolicy::new(retries)).map_err(client_err)?
-        }
-    };
+    let mut client = connect(&args)?;
 
     match op.as_str() {
         "open" => {
@@ -542,14 +546,7 @@ pub fn repl_status(argv: &[String]) -> Result<String, CliError> {
         return Ok(REPL_STATUS_USAGE.to_string());
     }
     let args = Args::parse(argv.iter().cloned(), &["addr", "dataset", "retry"], &[])?;
-    let addr = args.require("addr")?;
-    let mut client = match args.get("retry") {
-        None => Client::connect(addr).map_err(client_err)?,
-        Some(_) => {
-            let retries: u32 = args.get_or("retry", 0)?;
-            Client::connect_with_retry(addr, RetryPolicy::new(retries)).map_err(client_err)?
-        }
-    };
+    let mut client = connect(&args)?;
     let body = client.repl_heartbeat(args.get("dataset")).map_err(client_err)?;
     Ok(body.to_string())
 }

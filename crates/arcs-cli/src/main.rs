@@ -15,6 +15,7 @@
 mod args;
 mod commands;
 mod daemon_cmd;
+mod signals;
 
 use std::process::ExitCode;
 

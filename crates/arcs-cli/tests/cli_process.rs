@@ -184,3 +184,178 @@ fn unwritable_output_is_an_internal_error() {
         .expect("binary runs");
     assert_eq!(out.status.code(), Some(4));
 }
+
+/// Kills and reaps a child daemon when a test ends, on success or panic.
+#[cfg(unix)]
+struct Reaper(std::process::Child);
+
+#[cfg(unix)]
+impl Drop for Reaper {
+    fn drop(&mut self) {
+        let _ = self.0.kill();
+        let _ = self.0.wait();
+    }
+}
+
+/// Starts `arcs daemon` with `args` plus a fresh `--port-file` under
+/// `dir`, and returns it once the file names its address.
+#[cfg(unix)]
+fn spawn_daemon(dir: &std::path::Path, name: &str, args: &[&str]) -> (Reaper, String) {
+    let port_file = dir.join(format!("{name}.port"));
+    let child = arcs()
+        .arg("daemon")
+        .args(["--listen", "127.0.0.1:0"])
+        .args(args)
+        .arg("--port-file")
+        .arg(&port_file)
+        .stdout(std::process::Stdio::null())
+        .stderr(std::process::Stdio::null())
+        .spawn()
+        .expect("daemon starts");
+    let reaper = Reaper(child);
+    for _ in 0..600 {
+        if let Ok(addr) = std::fs::read_to_string(&port_file) {
+            if addr.ends_with('\n') {
+                return (reaper, addr.trim().to_string());
+            }
+        }
+        std::thread::sleep(std::time::Duration::from_millis(50));
+    }
+    panic!("daemon `{name}` never wrote its port file");
+}
+
+/// Sends `signal` (a `kill` name such as `TERM`) to the daemon.
+#[cfg(unix)]
+fn signal(daemon: &Reaper, signal: &str) {
+    let status = Command::new("kill")
+        .args([format!("-{signal}"), daemon.0.id().to_string()])
+        .status()
+        .expect("kill runs");
+    assert!(status.success(), "kill -{signal} failed");
+}
+
+/// Waits up to 30 s for the daemon to exit and returns its exit code.
+#[cfg(unix)]
+fn exit_code(daemon: &mut Reaper) -> Option<i32> {
+    for _ in 0..600 {
+        if let Some(status) = daemon.0.try_wait().expect("wait on daemon") {
+            return status.code();
+        }
+        std::thread::sleep(std::time::Duration::from_millis(50));
+    }
+    panic!("daemon did not exit within 30 s");
+}
+
+/// `arcs repl-status --addr <addr>`'s `role`.
+#[cfg(unix)]
+fn role(addr: &str) -> String {
+    let out = arcs().args(["repl-status", "--addr", addr]).output().expect("binary runs");
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let status = arcs_core::jsonio::parse(&String::from_utf8(out.stdout).unwrap()).unwrap();
+    status.get("role").and_then(|r| r.as_str()).expect("role").to_string()
+}
+
+/// SIGTERM drains a durable daemon the way its usage text promises: it
+/// exits 0 after checkpointing every tenant, so fsck finds the appended
+/// records folded into the checkpoint and none left in the log.
+#[cfg(unix)]
+#[test]
+fn sigterm_drains_a_durable_daemon_and_checkpoints_every_record() {
+    let dir = tmp("sigterm-drain");
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let csv = dir.join("f2.csv");
+    let out = arcs()
+        .args(["generate", "--out", csv.to_str().unwrap(), "--n", "2000", "--seed", "4"])
+        .output()
+        .expect("binary runs");
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let text = std::fs::read_to_string(&csv).unwrap();
+    let rows: String = text.lines().skip(1).take(5).map(|l| format!("{l}\n")).collect();
+    let delta = dir.join("delta.csv");
+    std::fs::write(&delta, rows).unwrap();
+    let data = dir.join("data");
+    let datasets = format!("d={}", csv.display());
+    let (mut daemon, addr) = spawn_daemon(
+        &dir,
+        "durable",
+        &[
+            "--data-dir", data.to_str().unwrap(), "--datasets", &datasets, "--x", "age", "--y",
+            "salary", "--criterion", "group", "--bins", "20",
+        ],
+    );
+    for _ in 0..3 {
+        let out = arcs()
+            .args(["client", "--addr", &addr, "append", "--dataset", "d", "--rows-file"])
+            .arg(&delta)
+            .output()
+            .expect("binary runs");
+        assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    }
+
+    signal(&daemon, "TERM");
+    assert_eq!(exit_code(&mut daemon), Some(0), "SIGTERM must drain and exit 0");
+
+    let out = arcs().args(["fsck", "--data-dir"]).arg(&data).output().expect("binary runs");
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stdout));
+    let report = arcs_core::jsonio::parse(&String::from_utf8(out.stdout).unwrap()).unwrap();
+    let tenant = match report.get("tenants") {
+        Some(arcs_core::jsonio::Json::Arr(tenants)) if tenants.len() == 1 => tenants[0].clone(),
+        other => panic!("expected one tenant, got {other:?}"),
+    };
+    assert_eq!(tenant.get("checkpoint_epoch").and_then(|v| v.as_u64()), Some(3));
+    assert_eq!(tenant.get("wal_records").and_then(|v| v.as_u64()), Some(0));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// SIGHUP promotes a standby `arcs daemon` to primary.
+#[cfg(unix)]
+#[test]
+fn sighup_promotes_a_standby() {
+    let dir = tmp("sighup-promote");
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let csv = dir.join("f2.csv");
+    let out = arcs()
+        .args(["generate", "--out", csv.to_str().unwrap(), "--n", "2000", "--seed", "4"])
+        .output()
+        .expect("binary runs");
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let datasets = format!("d={}", csv.display());
+    let primary_data = dir.join("primary");
+    let (mut primary, primary_addr) = spawn_daemon(
+        &dir,
+        "primary",
+        &[
+            "--data-dir", primary_data.to_str().unwrap(), "--datasets", &datasets, "--x", "age",
+            "--y", "salary", "--criterion", "group", "--bins", "20",
+        ],
+    );
+    let standby_data = dir.join("standby");
+    let (mut standby, standby_addr) = spawn_daemon(
+        &dir,
+        "standby",
+        &[
+            "--data-dir", standby_data.to_str().unwrap(), "--replicate-from", &primary_addr,
+            "--repl-poll-ms", "20",
+        ],
+    );
+    assert_eq!(role(&standby_addr), "standby");
+
+    signal(&standby, "HUP");
+    let mut promoted = false;
+    for _ in 0..200 {
+        if role(&standby_addr) == "primary" {
+            promoted = true;
+            break;
+        }
+        std::thread::sleep(std::time::Duration::from_millis(50));
+    }
+    assert!(promoted, "SIGHUP did not promote the standby");
+
+    for daemon in [&mut standby, &mut primary] {
+        signal(daemon, "TERM");
+        assert_eq!(exit_code(daemon), Some(0));
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}

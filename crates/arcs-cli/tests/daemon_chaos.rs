@@ -21,11 +21,11 @@ use std::time::{Duration, Instant};
 
 use arcs_core::engine::Thresholds;
 use arcs_core::request::Request;
-use arcs_core::serve::{ClusterSpec, QueryResult, ServeConfig};
+use arcs_core::serve::{ClusterSpec, QueryResult};
 use arcs_core::smooth::SmoothConfig;
 use arcs_core::BitOpConfig;
 use arcs_daemon::registry::{Tenant, TenantConfig};
-use arcs_daemon::{Client, RetryPolicy};
+use arcs_daemon::Client;
 
 fn arcs() -> Command {
     Command::new(env!("CARGO_BIN_EXE_arcs"))
@@ -162,7 +162,7 @@ fn spawn_daemon(data_dir: &Path, base_csv: Option<&Path>, failpoints: Option<&st
 fn connect(addr: &str) -> Client {
     // Exercises the client's bounded-backoff retry on the (racy)
     // just-restarted daemon.
-    Client::connect_with_retry(addr, RetryPolicy::new(5)).expect("client connects")
+    Client::connect_with_retry(addr, 5).expect("client connects")
 }
 
 /// In-process oracle: the base CSV loaded the way the daemon loads it,
@@ -172,7 +172,6 @@ fn oracle_results(base_csv: &Path, batches: &[u64]) -> (u64, Vec<QueryResult>) {
     let config = TenantConfig {
         n_x_bins: 10,
         n_y_bins: 10,
-        serve: ServeConfig { retry_backoff: Duration::ZERO, ..ServeConfig::default() },
         ..TenantConfig::new("x", "y", "g")
     };
     let tenant = Tenant::from_dataset("t", &ds, &config).unwrap();

@@ -17,11 +17,11 @@ use std::time::{Duration, Instant};
 use arcs_core::engine::Thresholds;
 use arcs_core::jsonio::Json;
 use arcs_core::request::Request;
-use arcs_core::serve::{ClusterSpec, QueryResult, ServeConfig};
+use arcs_core::serve::{ClusterSpec, QueryResult};
 use arcs_core::smooth::SmoothConfig;
 use arcs_core::BitOpConfig;
 use arcs_daemon::registry::{Tenant, TenantConfig};
-use arcs_daemon::{Client, RetryPolicy};
+use arcs_daemon::Client;
 
 fn arcs() -> Command {
     Command::new(env!("CARGO_BIN_EXE_arcs"))
@@ -184,7 +184,7 @@ fn spawn_standby(data_dir: &Path, primary: &str, failpoints: Option<&str>) -> (R
 }
 
 fn connect(addr: &str) -> Client {
-    Client::connect_with_retry(addr, RetryPolicy::new(5)).expect("client connects")
+    Client::connect_with_retry(addr, 5).expect("client connects")
 }
 
 /// The standby's applied WAL position for `t`, via the extended `stats`
@@ -237,7 +237,6 @@ fn oracle_results(base_csv: &Path, batches: &[u64]) -> (u64, Vec<QueryResult>) {
     let config = TenantConfig {
         n_x_bins: 10,
         n_y_bins: 10,
-        serve: ServeConfig { retry_backoff: Duration::ZERO, ..ServeConfig::default() },
         ..TenantConfig::new("x", "y", "g")
     };
     let tenant = Tenant::from_dataset("t", &ds, &config).unwrap();

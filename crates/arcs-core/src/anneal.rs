@@ -17,7 +17,10 @@ use crate::binarray::BinArray;
 use crate::binner::Binner;
 use crate::engine::Thresholds;
 use crate::error::ArcsError;
-use crate::optimizer::{evaluate, Evaluation, OptimizeResult, OptimizerConfig, SearchStats, ThresholdLattice};
+use crate::optimizer::{
+    evaluate, Evaluation, OptimizeResult, OptimizerConfig, SearchStats, ThresholdLattice,
+    MIN_GROUP_RECALL,
+};
 
 /// Simulated-annealing parameters.
 #[derive(Debug, Clone, PartialEq)]
@@ -96,12 +99,10 @@ pub fn anneal(
     }
     let mut rng = StdRng::seed_from_u64(config.seed);
 
-    // States with no clusters, or below the recall guard (see
-    // `OptimizerConfig::min_group_recall`), cost +inf so the walk never
-    // settles on a degenerate segmentation.
-    let min_recall = config.optimizer.min_group_recall;
+    // States with no clusters, or below the optimizer's recall guard,
+    // cost +inf so the walk never settles on a degenerate segmentation.
     let cost_of = |e: &Evaluation| -> f64 {
-        if e.clusters.is_empty() || e.errors.recall() < min_recall {
+        if e.clusters.is_empty() || e.errors.recall() < MIN_GROUP_RECALL {
             f64::INFINITY
         } else {
             e.score.cost

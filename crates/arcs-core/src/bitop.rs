@@ -23,20 +23,19 @@ use crate::error::ArcsError;
 use crate::grid::{for_each_run, Grid};
 use crate::metrics::RecoveryStats;
 
+/// Safety cap on the number of clusters one [`cluster`] call returns.
+/// The greedy loop always terminates (each selection clears at least one
+/// cell), but the cap keeps adversarial salt-and-pepper grids from
+/// producing thousands of 1-cell clusters when pruning is disabled.
+pub const MAX_CLUSTERS: usize = 10_000;
+
 /// Configuration of the greedy BitOp clustering loop.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BitOpConfig {
     /// Minimum cluster size as a fraction of the total grid area
-    /// (paper §3.5: clusters smaller than ~1% of the grid are pruned).
+    /// (paper §3.5: clusters smaller than ~1% of the grid are pruned);
+    /// the effective threshold is at least one cell.
     pub min_area_fraction: f64,
-    /// Absolute floor on cluster area in cells (applied together with
-    /// `min_area_fraction`; the effective threshold is the larger).
-    pub min_area_cells: usize,
-    /// Safety cap on the number of clusters returned. The greedy loop
-    /// always terminates (each selection clears at least one cell), but a
-    /// cap keeps adversarial salt-and-pepper grids from producing
-    /// thousands of 1-cell clusters when pruning is disabled.
-    pub max_clusters: usize,
     /// Worker threads for candidate enumeration (paper §5 notes the
     /// algorithm parallelises trivially). Defaults to
     /// [`available_parallelism`](std::thread::available_parallelism);
@@ -48,8 +47,6 @@ impl Default for BitOpConfig {
     fn default() -> Self {
         BitOpConfig {
             min_area_fraction: 0.01,
-            min_area_cells: 1,
-            max_clusters: 10_000,
             threads: crate::metrics::default_threads(),
         }
     }
@@ -59,17 +56,13 @@ impl BitOpConfig {
     /// A configuration with pruning disabled: every cluster down to a
     /// single cell is kept.
     pub fn no_pruning() -> Self {
-        BitOpConfig {
-            min_area_fraction: 0.0,
-            min_area_cells: 1,
-            ..BitOpConfig::default()
-        }
+        BitOpConfig { min_area_fraction: 0.0, ..BitOpConfig::default() }
     }
 
     /// The effective minimum area in cells for a `width × height` grid.
     pub fn min_area(&self, width: usize, height: usize) -> usize {
         let by_fraction = (self.min_area_fraction * (width * height) as f64).ceil() as usize;
-        by_fraction.max(self.min_area_cells).max(1)
+        by_fraction.max(1)
     }
 
     fn validate(&self) -> Result<(), ArcsError> {
@@ -78,9 +71,6 @@ impl BitOpConfig {
                 "min_area_fraction {} outside [0, 1]",
                 self.min_area_fraction
             )));
-        }
-        if self.max_clusters == 0 {
-            return Err(ArcsError::InvalidConfig("max_clusters must be > 0".into()));
         }
         if self.threads == 0 {
             return Err(ArcsError::InvalidConfig("threads must be > 0".into()));
@@ -311,7 +301,7 @@ pub fn cluster_with_stats(
     let mut clusters = Vec::new();
     let mut stats = ClusterStats::default();
 
-    while !work.is_empty() && clusters.len() < config.max_clusters {
+    while !work.is_empty() && clusters.len() < MAX_CLUSTERS {
         let (candidates, recovery) =
             enumerate_candidates_parallel_with_stats(&work, config.threads);
         stats.recovery.merge(&recovery);
@@ -461,13 +451,9 @@ mod tests {
 
     #[test]
     fn pruning_drops_small_specks() {
-        // A 4x4 block plus an isolated cell; min area 2 drops the speck.
-        let config = BitOpConfig {
-            min_area_fraction: 0.0,
-            min_area_cells: 2,
-            max_clusters: 100,
-            threads: 1,
-        };
+        // A 4x4 block plus an isolated cell; 5% of 8x4 (1.6 -> 2 cells)
+        // drops the speck.
+        let config = BitOpConfig { min_area_fraction: 0.05, threads: 1 };
         let found = rects(
             "
             ####....
@@ -484,8 +470,6 @@ mod tests {
     fn fraction_pruning_uses_grid_area() {
         let config = BitOpConfig {
             min_area_fraction: 0.10, // 10% of 8x4 = 3.2 -> 4 cells
-            min_area_cells: 1,
-            max_clusters: 100,
             threads: 1,
         };
         assert_eq!(config.min_area(8, 4), 4);
@@ -526,23 +510,16 @@ mod tests {
 
     #[test]
     fn max_clusters_caps_output() {
-        // Checkerboard with pruning off would produce many 1-cell clusters.
-        let mut art = String::new();
-        for y in 0..6 {
-            for x in 0..6 {
-                art.push(if (x + y) % 2 == 0 { '#' } else { '.' });
-            }
-            art.push('\n');
+        // One row of alternating cells: with pruning off every set cell
+        // is its own 1-cell cluster, more than the cap allows.
+        let width = 2 * MAX_CLUSTERS + 2;
+        let mut grid = Grid::new(width, 1).unwrap();
+        for x in (0..width).step_by(2) {
+            grid.set(x, 0);
         }
-        let grid = Grid::parse(&art).unwrap();
-        let config = BitOpConfig {
-            min_area_fraction: 0.0,
-            min_area_cells: 1,
-            max_clusters: 5,
-            threads: 1,
-        };
+        let config = BitOpConfig { threads: 1, ..BitOpConfig::no_pruning() };
         let found = cluster(&grid, &config).unwrap();
-        assert_eq!(found.len(), 5);
+        assert_eq!(found.len(), MAX_CLUSTERS);
     }
 
     #[test]
@@ -556,7 +533,8 @@ mod tests {
 
     #[test]
     fn stats_count_candidates_and_pruned_residue() {
-        // A 4x4 block plus an isolated speck; min area 2 prunes the speck.
+        // A 4x4 block plus an isolated speck; 5% of 8x4 (2 cells) prunes
+        // the speck.
         let grid = Grid::parse(
             "
             ####....
@@ -566,12 +544,7 @@ mod tests {
             ",
         )
         .unwrap();
-        let config = BitOpConfig {
-            min_area_fraction: 0.0,
-            min_area_cells: 2,
-            max_clusters: 100,
-            threads: 1,
-        };
+        let config = BitOpConfig { min_area_fraction: 0.05, threads: 1 };
         let (clusters, stats) = cluster_with_stats(&grid, &config).unwrap();
         assert_eq!(clusters, vec![Rect { x0: 0, y0: 0, x1: 3, y1: 3 }]);
         assert!(stats.candidates_enumerated >= 2);
@@ -594,8 +567,6 @@ mod tests {
     fn invalid_configs_rejected() {
         let grid = Grid::new(4, 4).unwrap();
         let bad = BitOpConfig { min_area_fraction: 1.5, ..BitOpConfig::default() };
-        assert!(cluster(&grid, &bad).is_err());
-        let bad = BitOpConfig { max_clusters: 0, ..BitOpConfig::default() };
         assert!(cluster(&grid, &bad).is_err());
         let bad = BitOpConfig { threads: 0, ..BitOpConfig::default() };
         assert!(cluster(&grid, &bad).is_err());

@@ -256,8 +256,8 @@ pub fn segment_categorical(
             if best_any.as_ref().is_none_or(|(_, _, _, b)| score.cost < b.cost) {
                 best_any = Some((thresholds, clusters.clone(), errors, score));
             }
-            // Same recall guard as the 2-D optimizer (see OptimizerConfig).
-            if errors.recall() >= opt.min_group_recall
+            // Same recall guard as the 2-D optimizer.
+            if errors.recall() >= crate::optimizer::MIN_GROUP_RECALL
                 && best.as_ref().is_none_or(|(_, _, _, b)| score.cost < b.cost)
             {
                 best = Some((thresholds, clusters, errors, score));

@@ -10,12 +10,9 @@
 //! Design (std-only — the reproduction mandate forbids new dependencies):
 //!
 //! * **One lazily spawned process-wide pool** ([`ExecPool::global`]),
-//!   sized from [`default_threads`].
-//!   Workers are spawned on first use, never before; a purely sequential
-//!   process never creates a thread. Owned pools
-//!   ([`ExecPool::new`]) exist for lifecycle tests and embedders that
-//!   want deterministic shutdown — dropping one drains the queue, parks
-//!   the shutdown flag and joins its workers.
+//!   sized from [`default_threads`] — the only pool there is. Workers
+//!   are spawned on first use, never before, and live for the rest of
+//!   the process; a purely sequential process never creates a thread.
 //! * **Injector queue**: a `Mutex<VecDeque<Task>>` + `Condvar`. Work
 //!   units are whole shards (thousands of rows / a grid stripe / a batch
 //!   chunk), so queue traffic is a handful of pushes per parallel call
@@ -57,19 +54,6 @@ use crate::metrics::{default_threads, RecoveryStats};
 /// fallback path recomputes it (see [`ExecPool::run_isolated`]).
 pub const MAX_SHARD_RETRIES: usize = 2;
 
-/// Configuration for an owned [`ExecPool`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ExecConfig {
-    /// Number of pool worker threads to spawn (clamped to at least 1).
-    pub threads: usize,
-}
-
-impl Default for ExecConfig {
-    fn default() -> Self {
-        ExecConfig { threads: default_threads() }
-    }
-}
-
 /// Per-call scheduling statistics reported by the pool. These describe
 /// the *schedule*, not the work — steals and queue depth legitimately
 /// vary run to run and across thread counts, while the computed results
@@ -92,64 +76,33 @@ pub struct PoolStats {
 
 type Task = Box<dyn FnOnce() + Send + 'static>;
 
-struct PoolQueue {
-    tasks: VecDeque<Task>,
-    shutdown: bool,
-}
-
-struct PoolShared {
-    queue: Mutex<PoolQueue>,
-    work_ready: Condvar,
-}
-
-impl PoolShared {
-    fn new() -> Arc<PoolShared> {
-        Arc::new(PoolShared {
-            queue: Mutex::new(PoolQueue { tasks: VecDeque::new(), shutdown: false }),
-            work_ready: Condvar::new(),
-        })
-    }
-}
-
-/// Worker main loop: pop → run under `catch_unwind` → repeat. The queue
-/// is drained before a shutdown is honoured, so owned-pool `Drop` never
-/// strands submitted work.
-fn worker_loop(shared: Arc<PoolShared>) {
+/// Worker main loop: pop → run under `catch_unwind` → repeat, for the
+/// rest of the process.
+fn worker_loop(pool: &ExecPool) {
     loop {
         let task = {
-            let mut queue = shared
-                .queue
-                .lock()
-                .unwrap_or_else(|poisoned| poisoned.into_inner());
+            let mut tasks = pool.tasks.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
             loop {
-                if let Some(task) = queue.tasks.pop_front() {
-                    break Some(task);
+                if let Some(task) = tasks.pop_front() {
+                    break task;
                 }
-                if queue.shutdown {
-                    break None;
-                }
-                queue = shared
+                tasks = pool
                     .work_ready
-                    .wait(queue)
+                    .wait(tasks)
                     .unwrap_or_else(|poisoned| poisoned.into_inner());
             }
         };
-        match task {
-            // A panicking task must never kill the worker: shard-level
-            // unwinds are already caught and boxed into result slots, but
-            // this second net guarantees the pool survives even a task
-            // that panics outside that envelope.
-            Some(task) => {
-                let _ = catch_unwind(AssertUnwindSafe(task));
-            }
-            None => return,
-        }
+        // A panicking task must never kill the worker: shard-level
+        // unwinds are already caught and boxed into result slots, but
+        // this second net guarantees the pool survives even a task that
+        // panics outside that envelope.
+        let _ = catch_unwind(AssertUnwindSafe(task));
     }
 }
 
 /// Completion latch: counts outstanding helper units. Guards decrement on
-/// `Drop`, so a unit that unwinds (or is dropped unexecuted at pool
-/// shutdown) still signals completion and can never wedge a waiter.
+/// `Drop`, so a unit that unwinds still signals completion and can never
+/// wedge a waiter.
 #[derive(Default)]
 struct Latch {
     count: Mutex<usize>,
@@ -210,13 +163,14 @@ impl Drop for CompletionGuard<'_> {
     }
 }
 
-/// A persistent worker pool. See the [module docs](self) for the design.
+/// The persistent worker pool. See the [module docs](self) for the design.
 pub struct ExecPool {
-    shared: Arc<PoolShared>,
+    /// The injector queue the workers pop from.
+    tasks: Mutex<VecDeque<Task>>,
+    work_ready: Condvar,
     size: usize,
     spawn: Once,
     live_workers: AtomicUsize,
-    handles: Mutex<Vec<std::thread::JoinHandle<()>>>,
 }
 
 impl std::fmt::Debug for ExecPool {
@@ -229,47 +183,31 @@ impl std::fmt::Debug for ExecPool {
 }
 
 impl ExecPool {
-    /// Builds an owned pool. Workers are spawned lazily on first use;
-    /// dropping the pool shuts them down and joins them.
-    pub fn new(config: ExecConfig) -> ExecPool {
-        ExecPool {
-            shared: PoolShared::new(),
-            size: config.threads.max(1),
-            spawn: Once::new(),
-            live_workers: AtomicUsize::new(0),
-            handles: Mutex::new(Vec::new()),
-        }
-    }
-
     /// The lazily initialised process-wide pool, sized from
     /// [`default_threads`]. Its workers live for the rest of the process.
     pub fn global() -> &'static ExecPool {
         static GLOBAL: OnceLock<ExecPool> = OnceLock::new();
-        GLOBAL.get_or_init(|| ExecPool::new(ExecConfig::default()))
-    }
-
-    /// The configured worker count (spawned lazily).
-    pub fn threads(&self) -> usize {
-        self.size
+        GLOBAL.get_or_init(|| ExecPool {
+            tasks: Mutex::new(VecDeque::new()),
+            work_ready: Condvar::new(),
+            size: default_threads(),
+            spawn: Once::new(),
+            live_workers: AtomicUsize::new(0),
+        })
     }
 
     /// Spawns the workers exactly once and returns how many are live.
-    /// A failed spawn (thread exhaustion) leaves a smaller pool rather
-    /// than failing the call — `run_shards` callers still complete via
-    /// caller participation.
-    fn ensure_workers(&self) -> usize {
+    /// The workers are detached: they serve the pool for the rest of the
+    /// process. A failed spawn (thread exhaustion) leaves a smaller pool
+    /// rather than failing the call — `run_shards` callers still complete
+    /// via caller participation.
+    fn ensure_workers(&'static self) -> usize {
         self.spawn.call_once(|| {
-            let mut handles = self
-                .handles
-                .lock()
-                .unwrap_or_else(|poisoned| poisoned.into_inner());
             for i in 0..self.size {
-                let shared = Arc::clone(&self.shared);
                 let spawned = std::thread::Builder::new()
                     .name(format!("arcs-exec-{i}"))
-                    .spawn(move || worker_loop(shared));
-                if let Ok(handle) = spawned {
-                    handles.push(handle);
+                    .spawn(move || worker_loop(self));
+                if spawned.is_ok() {
                     self.live_workers.fetch_add(1, Ordering::Relaxed);
                 }
             }
@@ -281,15 +219,11 @@ impl ExecPool {
     /// the push (for `max_queue_depth` accounting).
     fn submit(&self, task: Task) -> usize {
         let depth = {
-            let mut queue = self
-                .shared
-                .queue
-                .lock()
-                .unwrap_or_else(|poisoned| poisoned.into_inner());
-            queue.tasks.push_back(task);
-            queue.tasks.len()
+            let mut tasks = self.tasks.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
+            tasks.push_back(task);
+            tasks.len()
         };
-        self.shared.work_ready.notify_one();
+        self.work_ready.notify_one();
         depth
     }
 
@@ -303,7 +237,7 @@ impl ExecPool {
     /// schedule decides only *who* computes a shard, never which shards
     /// exist or the order the caller consumes them in.
     pub fn run_shards<T, R, F>(
-        &self,
+        &'static self,
         threads: usize,
         items: &[T],
         f: F,
@@ -342,8 +276,8 @@ impl ExecPool {
         // Lifetime erasure: helper units receive the context as a plain
         // address. This is the `std::thread::scope` pattern without the
         // per-call spawn — sound because `CompletionGuard` (below) blocks
-        // this stack frame until every unit has finished (or been dropped
-        // unexecuted), so the address can never dangle.
+        // this stack frame until every unit has finished, so the address
+        // can never dangle.
         let ctx_addr = &ctx as *const ShardCtx<'_, T, R, F> as usize;
         let latch = Arc::new(Latch::default());
         {
@@ -394,7 +328,7 @@ impl ExecPool {
     /// Every attempt recomputes the item from scratch, so the results —
     /// returned in item order — are bit-identical to a fault-free run.
     pub fn run_isolated<T, R, U, F>(
-        &self,
+        &'static self,
         stage: &'static str,
         threads: usize,
         items: &[T],
@@ -422,29 +356,6 @@ impl ExecPool {
             results.push(result);
         }
         Ok((results, stats))
-    }
-}
-
-impl Drop for ExecPool {
-    fn drop(&mut self) {
-        {
-            let mut queue = self
-                .shared
-                .queue
-                .lock()
-                .unwrap_or_else(|poisoned| poisoned.into_inner());
-            queue.shutdown = true;
-        }
-        self.shared.work_ready.notify_all();
-        let handles = std::mem::take(
-            &mut *self
-                .handles
-                .lock()
-                .unwrap_or_else(|poisoned| poisoned.into_inner()),
-        );
-        for handle in handles {
-            let _ = handle.join();
-        }
     }
 }
 
@@ -522,7 +433,7 @@ mod tests {
 
     #[test]
     fn run_shards_returns_results_in_item_order() {
-        let pool = ExecPool::new(ExecConfig { threads: 3 });
+        let pool = ExecPool::global();
         let items: Vec<usize> = (0..64).collect();
         let (results, stats) = pool.run_shards(4, &items, |i, &item| {
             assert_eq!(i, item);
@@ -534,25 +445,24 @@ mod tests {
         assert_eq!(stats.effective_workers, 4);
     }
 
+    /// The pool's size is the machine's parallelism, so this also runs
+    /// at whatever pool size the host gives it.
     #[test]
     fn results_are_identical_at_any_thread_count_and_pool_size() {
         let items: Vec<u64> = (0..97).collect();
         let reference: Vec<u64> = items.iter().map(|&x| x * x + 1).collect();
-        for pool_size in [1, 2, 4] {
-            let pool = ExecPool::new(ExecConfig { threads: pool_size });
-            for threads in [1, 2, 4, 8] {
-                let (results, stats) =
-                    pool.run_shards(threads, &items, |_, &x| x * x + 1);
-                let values: Vec<u64> = results.into_iter().map(|r| r.unwrap()).collect();
-                assert_eq!(values, reference, "threads={threads} pool={pool_size}");
-                assert_eq!(stats.tasks_run, items.len() as u64);
-            }
+        for threads in [1, 2, 4, 8] {
+            let (results, stats) =
+                ExecPool::global().run_shards(threads, &items, |_, &x| x * x + 1);
+            let values: Vec<u64> = results.into_iter().map(|r| r.unwrap()).collect();
+            assert_eq!(values, reference, "threads={threads}");
+            assert_eq!(stats.tasks_run, items.len() as u64);
         }
     }
 
     #[test]
     fn a_panicking_shard_is_isolated_and_the_pool_survives() {
-        let pool = ExecPool::new(ExecConfig { threads: 2 });
+        let pool = ExecPool::global();
         let items: Vec<usize> = (0..8).collect();
         let (results, _) = pool.run_shards(4, &items, |_, &item| {
             if item == 3 {
@@ -575,7 +485,7 @@ mod tests {
 
     #[test]
     fn every_shard_panicking_does_not_wedge_the_queue() {
-        let pool = ExecPool::new(ExecConfig { threads: 2 });
+        let pool = ExecPool::global();
         let items: Vec<usize> = (0..16).collect();
         let (results, _) = pool.run_shards(8, &items, |_, _| -> usize {
             panic!("all shards die");
@@ -589,7 +499,7 @@ mod tests {
 
     #[test]
     fn empty_and_single_item_inputs_take_the_inline_path() {
-        let pool = ExecPool::new(ExecConfig { threads: 4 });
+        let pool = ExecPool::global();
         let (results, stats) = pool.run_shards::<usize, usize, _>(4, &[], |_, &x| x);
         assert!(results.is_empty());
         assert_eq!(stats.tasks_run, 0);
@@ -597,15 +507,6 @@ mod tests {
         let (results, stats) = pool.run_shards(4, &[41usize], |_, &x| x + 1);
         assert_eq!(results.into_iter().next().unwrap().unwrap(), 42);
         assert_eq!(stats.effective_workers, 1, "one item needs one worker");
-    }
-
-    #[test]
-    fn owned_pool_drop_joins_workers_cleanly() {
-        let pool = ExecPool::new(ExecConfig { threads: 3 });
-        let items: Vec<usize> = (0..32).collect();
-        let (results, _) = pool.run_shards(3, &items, |_, &x| x);
-        assert_eq!(results.len(), 32);
-        drop(pool); // must not hang or leak: workers join here
     }
 
     #[test]
@@ -620,7 +521,7 @@ mod tests {
 
     #[test]
     fn run_isolated_applies_one_contract_at_any_thread_count() {
-        let pool = ExecPool::new(ExecConfig { threads: 2 });
+        let pool = ExecPool::global();
         let items: Vec<u32> = (0..4).collect();
         for threads in [1, 4] {
             // Item 2 panics on every pooled attempt; the fallback recomputes it.

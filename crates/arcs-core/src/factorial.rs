@@ -21,7 +21,10 @@ use crate::binarray::BinArray;
 use crate::binner::Binner;
 use crate::engine::Thresholds;
 use crate::error::ArcsError;
-use crate::optimizer::{evaluate, Evaluation, OptimizeResult, OptimizerConfig, SearchStats, ThresholdLattice};
+use crate::optimizer::{
+    evaluate, Evaluation, OptimizeResult, OptimizerConfig, SearchStats, ThresholdLattice,
+    MIN_GROUP_RECALL,
+};
 
 /// Factorial-design search parameters.
 #[derive(Debug, Clone, PartialEq)]
@@ -88,9 +91,8 @@ pub fn factorial_search(
     if lattice.is_empty() {
         return Err(ArcsError::NoSegmentation);
     }
-    let min_recall = config.optimizer.min_group_recall;
     let cost_of = |e: &Evaluation| -> f64 {
-        if e.clusters.is_empty() || e.errors.recall() < min_recall {
+        if e.clusters.is_empty() || e.errors.recall() < MIN_GROUP_RECALL {
             f64::INFINITY
         } else {
             e.score.cost

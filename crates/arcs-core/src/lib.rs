@@ -53,7 +53,7 @@ pub use engine::{
     mine_rules, mine_rules_indexed, mine_rules_reference, BinnedRule, Thresholds,
 };
 pub use error::ArcsError;
-pub use exec::{ExecConfig, ExecPool, PoolStats, MAX_SHARD_RETRIES};
+pub use exec::{ExecPool, PoolStats, MAX_SHARD_RETRIES};
 pub use grid::Grid;
 pub use index::{DeltaMiner, GroupCell, OccupancyIndex};
 pub use metrics::{PipelineCounters, PipelineReport, RecoveryStats, Stage, StageTimings};
@@ -68,5 +68,5 @@ pub use serve::{
 pub use session::{SegmentRequest, Session};
 pub use wal::{CheckpointMeta, WalRecord, WalReplay, WalTail, WalWriter};
 pub use mdl::{mdl_cost, MdlScore, MdlWeights};
-pub use smooth::{smooth_reference, BorderMode, Kernel, SmoothConfig, SmoothStats};
+pub use smooth::{smooth_reference, SmoothConfig, SmoothStats};
 pub use verify::ErrorCounts;

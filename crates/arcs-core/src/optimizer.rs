@@ -8,7 +8,7 @@
 //! Figure 10 lattice). The search then starts at a **low** support
 //! threshold — cheap because re-mining off the `BinArray` is nearly free —
 //! and works upwards, re-clustering and re-verifying at each step, until
-//! the verifier sees no significant improvement (within `epsilon`) or the
+//! the verifier sees no significant improvement (within ε = 1e-6) or the
 //! evaluation budget expires.
 
 use arcs_data::Tuple;
@@ -118,6 +118,33 @@ impl ThresholdLattice {
     }
 }
 
+/// Minimum MDL improvement counted as progress: the paper's "until there
+/// is no improvement (within some ε)".
+const EPSILON: f64 = 1e-6;
+
+/// The search stops after this many consecutive support levels without
+/// progress.
+const PATIENCE: usize = 4;
+
+/// Minimum fraction of the group's sample tuples a candidate segmentation
+/// must identify (cover) to be eligible as the best. The MDL formula's
+/// logarithmic error term can otherwise prefer a near-empty segmentation
+/// on very noisy data — covering nothing keeps false positives at zero
+/// while the log compresses the huge false-negative count. A segmentation
+/// that fails to identify the group is useless for the paper's stated
+/// purpose (segmenting the data), so candidates below this recall only
+/// win when *no* candidate reaches it. Documented deviation from the
+/// paper's literal formula; the §5 categorical search and the
+/// experiment-only searches apply the same guard.
+pub(crate) const MIN_GROUP_RECALL: f64 = 0.5;
+
+/// Cap on distinct support levels searched (evenly subsampled).
+const MAX_SUPPORT_LEVELS: usize = 16;
+
+/// Cap on distinct confidence levels searched per support level (evenly
+/// subsampled).
+const MAX_CONFIDENCE_LEVELS: usize = 8;
+
 /// Configuration of the heuristic search.
 #[derive(Debug, Clone, PartialEq)]
 pub struct OptimizerConfig {
@@ -127,27 +154,6 @@ pub struct OptimizerConfig {
     pub smoothing: SmoothConfig,
     /// BitOp clustering / pruning parameters.
     pub bitop: BitOpConfig,
-    /// Minimum MDL improvement counted as progress.
-    pub epsilon: f64,
-    /// Stop after this many consecutive support levels without progress.
-    pub patience: usize,
-    /// Within one support level, stop walking confidence levels after this
-    /// many consecutive non-improving evaluations (the paper's "until there
-    /// is no improvement (within some ε)" stall rule applied along the
-    /// confidence axis). The default equals `max_confidence_levels`, i.e.
-    /// every subsampled level is evaluated — lower it for a stricter
-    /// hill climb.
-    pub confidence_patience: usize,
-    /// Minimum fraction of the group's sample tuples a candidate
-    /// segmentation must identify (cover) to be eligible as the best. The
-    /// MDL formula's logarithmic error term can otherwise prefer a
-    /// near-empty segmentation on very noisy data — covering nothing keeps
-    /// false positives at zero while the log compresses the huge
-    /// false-negative count. A segmentation that fails to identify the
-    /// group is useless for the paper's stated purpose (segmenting the
-    /// data), so candidates below this recall only win when *no* candidate
-    /// reaches it. Documented deviation from the paper's literal formula.
-    pub min_group_recall: f64,
     /// Hard cap on (support, confidence) evaluations — the paper's
     /// "budgeted time".
     pub max_evaluations: usize,
@@ -158,10 +164,6 @@ pub struct OptimizerConfig {
     /// that was not evaluated. Which point that is depends on timing,
     /// at any thread count.
     pub max_wall_time: Option<std::time::Duration>,
-    /// Cap on distinct support levels searched (evenly subsampled).
-    pub max_support_levels: usize,
-    /// Cap on distinct confidence levels searched per support level.
-    pub max_confidence_levels: usize,
     /// Worker threads for the lattice search: a support level's
     /// confidence points are independent re-mines of the shared immutable
     /// `BinArray`, so they split into at most `threads` chunks that
@@ -178,14 +180,8 @@ impl Default for OptimizerConfig {
             mdl_weights: MdlWeights::default(),
             smoothing: SmoothConfig::default(),
             bitop: BitOpConfig::default(),
-            epsilon: 1e-6,
-            patience: 4,
-            confidence_patience: 8,
-            min_group_recall: 0.5,
             max_evaluations: 512,
             max_wall_time: None,
-            max_support_levels: 16,
-            max_confidence_levels: 8,
             threads: crate::metrics::default_threads(),
         }
     }
@@ -197,23 +193,6 @@ impl OptimizerConfig {
             return Err(ArcsError::InvalidConfig(
                 "optimizer threads must be > 0".into(),
             ));
-        }
-        if self.epsilon < 0.0 {
-            return Err(ArcsError::InvalidConfig("epsilon must be >= 0".into()));
-        }
-        if self.patience == 0 {
-            return Err(ArcsError::InvalidConfig("patience must be > 0".into()));
-        }
-        if self.confidence_patience == 0 {
-            return Err(ArcsError::InvalidConfig(
-                "confidence_patience must be > 0".into(),
-            ));
-        }
-        if !(0.0..=1.0).contains(&self.min_group_recall) {
-            return Err(ArcsError::InvalidConfig(format!(
-                "min_group_recall {} outside [0, 1]",
-                self.min_group_recall
-            )));
         }
         if self.max_evaluations == 0 {
             return Err(ArcsError::InvalidConfig("max_evaluations must be > 0".into()));
@@ -363,8 +342,7 @@ fn evaluate_into(
 
 /// Mutable state of the greedy selection replayed over evaluations in
 /// search order.
-struct Selection<'a> {
-    config: &'a OptimizerConfig,
+struct Selection {
     /// Best evaluation meeting the recall guard.
     best: Option<Evaluation>,
     /// Best evaluation regardless of the guard (fallback).
@@ -373,57 +351,47 @@ struct Selection<'a> {
     stats: SearchStats,
 }
 
-impl Selection<'_> {
-    /// Consumes one evaluation in search order. Returns `true` when the
-    /// current support level's confidence walk should stop
-    /// (`confidence_patience` consecutive non-improvements).
-    fn consume(
-        &mut self,
-        eval: Evaluation,
-        eval_stats: EvalStats,
-        improved: &mut bool,
-        conf_stale: &mut usize,
-    ) -> bool {
+impl Selection {
+    /// Consumes one evaluation in search order. Returns `true` when it
+    /// became the new best under the recall guard.
+    fn consume(&mut self, eval: Evaluation, eval_stats: EvalStats) -> bool {
         self.stats.record(&eval_stats);
         self.trace.push(eval.clone());
         if eval.clusters.is_empty() {
-            return false; // never a candidate, never counts as stale progress
+            return false; // never a candidate
         }
         let beats = |incumbent: &Option<Evaluation>| match incumbent {
             None => true,
-            Some(b) => eval.score.cost + self.config.epsilon < b.score.cost,
+            Some(b) => eval.score.cost + EPSILON < b.score.cost,
         };
         if beats(&self.best_any) {
             self.best_any = Some(eval.clone());
         }
-        let qualifies = eval.errors.recall() >= self.config.min_group_recall;
-        if qualifies && beats(&self.best) {
+        if eval.errors.recall() >= MIN_GROUP_RECALL && beats(&self.best) {
             self.best = Some(eval);
-            *improved = true;
-            *conf_stale = 0;
-        } else if self.best.is_some() {
-            *conf_stale += 1;
-            if *conf_stale >= self.config.confidence_patience {
-                return true;
-            }
+            return true;
         }
         false
     }
 }
 
 /// Runs the heuristic search (the Figure 2 feedback loop): ascending
-/// support levels from the lattice, each with its confidence levels,
-/// stopping on `patience` support levels without improvement or on budget
-/// exhaustion. Returns [`ArcsError::NoSegmentation`] when the lattice is
-/// empty or no evaluation produced any cluster.
+/// support levels from the lattice (at most 16, evenly subsampled), each
+/// with its confidence levels (at most 8), stopping after four support
+/// levels in a row without an MDL improvement of more than 1e-6, or on
+/// budget exhaustion. A candidate must identify at least half of the
+/// group's sample tuples to win, unless none does. Returns
+/// [`ArcsError::NoSegmentation`] when the lattice is empty or no
+/// evaluation produced any cluster.
 ///
 /// Each support level's confidence points are evaluated concurrently in
 /// at most `config.threads` chunks against the shared immutable occupancy
 /// index, then consumed in their sequential order — `best`, `trace`, and
 /// `stats` are bit-identical at any thread count, except the
 /// schedule-dependent `stats` fields called out on [`SearchStats`].
-/// (Speculative evaluations past an early-stop point are discarded,
-/// trading some redundant work for wall-clock time.)
+/// (When the wall clock cuts a chunk short, the later chunks'
+/// evaluations are discarded, trading some redundant work for
+/// wall-clock time.)
 pub fn optimize(
     array: &BinArray,
     gk: u32,
@@ -459,7 +427,7 @@ pub(crate) fn search(
     config.validate()?;
     let lattice = ThresholdLattice::build(array, gk);
     let support_levels =
-        ThresholdLattice::subsample(lattice.supports(), config.max_support_levels);
+        ThresholdLattice::subsample(lattice.supports(), MAX_SUPPORT_LEVELS);
     // With several search workers each keeps BitOp single-threaded — the
     // level's chunks already saturate `threads` cores; nested enumeration
     // threads would only oversubscribe.
@@ -493,7 +461,6 @@ pub(crate) fn search(
     // Two-tier best: candidates meeting the recall guard are preferred;
     // `best_any` is the fallback when nothing qualifies.
     let mut sel = Selection {
-        config,
         best: None,
         best_any: None,
         trace: Vec::new(),
@@ -512,12 +479,10 @@ pub(crate) fn search(
             .position(|&v| v >= s)
             .unwrap_or(lattice.supports().len() - 1);
         let conf_levels =
-            ThresholdLattice::subsample(lattice.confidences_for(li), config.max_confidence_levels);
+            ThresholdLattice::subsample(lattice.confidences_for(li), MAX_CONFIDENCE_LEVELS);
 
         // Evaluate up to the remaining budget concurrently, then replay
-        // the level in order. Evaluations past a confidence-patience stop
-        // are computed but discarded — exactly what a one-point-at-a-time
-        // walk would never have run.
+        // the level in order.
         let budget_left = config.max_evaluations.saturating_sub(sel.trace.len());
         if budget_left == 0 {
             break;
@@ -536,22 +501,17 @@ pub(crate) fn search(
             |points| evaluate_chunk(points, true),
             |points| evaluate_chunk(points, false),
         )?;
-        // Merged before the replay: evaluations past an early-stop point
-        // are discarded, but an absorbed panic is not.
+        // Merged before the replay: evaluations past a clock cut-off are
+        // discarded, but an absorbed panic is not.
         sel.stats.recovery.merge(&recovery);
 
         let mut improved = false;
-        let mut conf_stale = 0usize;
         let mut consumed = 0usize;
-        let mut stopped_early = false;
-        'replay: for (chunk, evals) in chunks.iter().zip(batch) {
+        for (chunk, evals) in chunks.iter().zip(batch) {
             let evaluated = evals.len();
             for (eval, eval_stats) in evals {
                 consumed += 1;
-                if sel.consume(eval, eval_stats, &mut improved, &mut conf_stale) {
-                    stopped_early = true;
-                    break 'replay;
-                }
+                improved |= sel.consume(eval, eval_stats);
             }
             if evaluated < chunk.len() {
                 break; // the clock cut this chunk short
@@ -559,7 +519,7 @@ pub(crate) fn search(
         }
         // The budget or the clock truncated this level's walk mid-way:
         // the search stops here, before any staleness bookkeeping.
-        if !stopped_early && consumed < conf_levels.len() {
+        if consumed < conf_levels.len() {
             break;
         }
 
@@ -568,7 +528,7 @@ pub(crate) fn search(
         } else if sel.best.is_some() {
             // Only start counting staleness once something was found.
             stale += 1;
-            if stale >= config.patience {
+            if stale >= PATIENCE {
                 break;
             }
         }
@@ -838,13 +798,8 @@ mod tests {
         let ds = blocky_dataset();
         let b = binner();
         let ba = b.bin_rows(ds.iter()).unwrap();
-        for bad in [
-            OptimizerConfig { epsilon: -1.0, ..OptimizerConfig::default() },
-            OptimizerConfig { patience: 0, ..OptimizerConfig::default() },
-            OptimizerConfig { max_evaluations: 0, ..OptimizerConfig::default() },
-        ] {
-            assert!(optimize(&ba, 0, &b, &[], &bad).is_err());
-        }
+        let bad = OptimizerConfig { max_evaluations: 0, ..OptimizerConfig::default() };
+        assert!(optimize(&ba, 0, &b, &[], &bad).is_err());
     }
 
     /// On data with heavy label noise the MDL formula alone would prefer a
@@ -905,11 +860,13 @@ mod tests {
     /// back to the best unguarded candidate instead of erroring.
     #[test]
     fn recall_guard_falls_back_when_nothing_qualifies() {
-        // A 2x2 group-A block plus scattered single-cell group-A strays.
-        // Pruning (min area 2) always drops the 1-cell stray clusters, so
-        // no candidate can cover every group tuple; with
-        // min_group_recall = 1.0 nothing qualifies and the optimizer must
-        // fall back to the best unguarded segmentation (the block).
+        // A 2x2 group-A block holding 120 of the group's 300 tuples, plus
+        // six isolated single-cell group-A strays holding the other 180.
+        // Pruning (1.5% of the 10x10 grid = 2 cells) always drops the
+        // 1-cell stray clusters, so no candidate covers more than the
+        // block's 40% of the group: nothing reaches the 0.5 recall guard
+        // and the optimizer must fall back to the best unguarded
+        // segmentation (the block).
         let mut ds = Dataset::new(schema());
         for (ix, iy) in [(2, 2), (2, 3), (3, 2), (3, 3)] {
             for _ in 0..30 {
@@ -921,7 +878,7 @@ mod tests {
                 .unwrap();
             }
         }
-        for (x, y) in [(7.5, 1.5), (1.5, 7.5), (8.5, 8.5)] {
+        for (x, y) in [(7.5, 1.5), (1.5, 7.5), (8.5, 8.5), (0.5, 0.5), (5.5, 8.5), (8.5, 5.5)] {
             for _ in 0..30 {
                 ds.push(vec![Value::Quant(x), Value::Quant(y), Value::Cat(0)]).unwrap();
             }
@@ -933,19 +890,13 @@ mod tests {
         let ba = b.bin_rows(ds.iter()).unwrap();
         let sample: Vec<&Tuple> = ds.iter().collect();
         let config = OptimizerConfig {
-            min_group_recall: 1.0,
             smoothing: crate::smooth::SmoothConfig::disabled(),
-            bitop: BitOpConfig {
-                min_area_fraction: 0.0,
-                min_area_cells: 2,
-                max_clusters: 100,
-                threads: 1,
-            },
+            bitop: BitOpConfig { min_area_fraction: 0.015, threads: 1 },
             ..OptimizerConfig::default()
         };
         let result = optimize(&ba, 0, &b, &sample, &config).unwrap();
         assert!(!result.best.clusters.is_empty());
-        assert!(result.best.errors.recall() < 1.0);
+        assert!(result.best.errors.recall() < MIN_GROUP_RECALL);
         assert!(result.best.clusters.iter().any(|r| r.contains(2, 2)));
     }
 
@@ -976,17 +927,6 @@ mod tests {
             let result = optimize(&ba, 0, &b, &sample, &config).unwrap();
             assert_eq!(result.best.clusters.len(), 1, "threads = {threads}");
         }
-    }
-
-    #[test]
-    fn min_group_recall_validates() {
-        let b = binner();
-        let ba = b.new_bin_array().unwrap();
-        let bad = OptimizerConfig { min_group_recall: 1.5, ..OptimizerConfig::default() };
-        assert!(matches!(
-            optimize(&ba, 0, &b, &[], &bad),
-            Err(ArcsError::InvalidConfig(_))
-        ));
     }
 
     #[test]

@@ -416,12 +416,8 @@ mod tests {
 
     fn strict_pruning_config() -> ArcsConfig {
         let mut config = small_config();
-        config.optimizer.bitop = crate::bitop::BitOpConfig {
-            min_area_fraction: 0.0,
-            min_area_cells: 4,
-            max_clusters: 100,
-            threads: 1,
-        };
+        // 3.5% of the 10x10 grid: clusters need at least 4 cells.
+        config.optimizer.bitop = crate::bitop::BitOpConfig { min_area_fraction: 0.035, threads: 1 };
         config
     }
 

@@ -7,13 +7,18 @@
 //! code), explicit thresholds, an optional [`ClusterSpec`], a deadline
 //! and a memory budget.
 //!
-//! [`ClusterSpec`] has one canonical encoding ([`ClusterSpec::to_json`] /
-//! [`ClusterSpec::from_json`] / [`ClusterSpec::cache_token`]), used by
-//! both the result cache key and the wire payload, with round-trip tests
-//! so the two can never drift from the library structs. It deliberately
-//! **excludes** [`BitOpConfig::threads`]: the engine guarantees
-//! bit-identical results at any thread count, so the thread count is an
-//! execution knob, not part of a query's identity.
+//! [`ClusterSpec`] has one canonical encoding,
+//! `{"smoothing":{"passes":P},"bitop":{"min_area_fraction":F}}`
+//! ([`ClusterSpec::to_json`] / [`ClusterSpec::from_json`] /
+//! [`ClusterSpec::cache_token`]), used by both the result cache key and
+//! the wire payload, with round-trip tests so the two can never drift
+//! from the library structs. It deliberately **excludes**
+//! [`BitOpConfig::threads`]: the engine guarantees bit-identical results
+//! at any thread count, so the thread count is an execution knob, not
+//! part of a query's identity. Both decoders ignore unknown keys, so a
+//! payload that still names a setting which is now a constant (the
+//! smoothing kernel, threshold or border mode, the BitOp cell floor or
+//! cluster cap) decodes with that key dropped.
 //!
 //! Two narrower shapes remain beside it. [`SegmentRequest`] binds the
 //! attributes when a session is opened, and [`QueryRequest`] is what the
@@ -35,7 +40,7 @@ use crate::engine::{BinnedRule, Thresholds};
 use crate::error::ArcsError;
 use crate::jsonio::{exact_u64, obj, write_number, Json, Kind, Reader};
 use crate::serve::{ClusterSpec, QueryRequest, QueryResult};
-use crate::smooth::{BorderMode, Kernel, SmoothConfig};
+use crate::smooth::SmoothConfig;
 
 fn bad(message: impl Into<String>) -> ArcsError {
     ArcsError::InvalidConfig(message.into())
@@ -262,83 +267,45 @@ pub fn thresholds_from_json(json: &Json) -> Result<Thresholds, ArcsError> {
 }
 
 impl ClusterSpec {
-    /// The canonical JSON encoding of this spec — the **single conversion
-    /// point** shared by wire payloads and the serving cache key, so the
-    /// two can never drift. [`BitOpConfig::threads`] is excluded: results
-    /// are bit-identical at any thread count, so it is not part of a
-    /// query's identity.
+    /// The canonical JSON encoding of this spec,
+    /// `{"smoothing":{"passes":P},"bitop":{"min_area_fraction":F}}` — the
+    /// **single conversion point** shared by wire payloads and the serving
+    /// cache key, so the two can never drift. [`BitOpConfig::threads`] is
+    /// excluded: results are bit-identical at any thread count, so it is
+    /// not part of a query's identity.
     pub fn to_json(&self) -> Json {
         obj(vec![
-            (
-                "smoothing",
-                obj(vec![
-                    (
-                        "kernel",
-                        Json::Str(
-                            match self.smoothing.kernel {
-                                Kernel::Box3 => "box3",
-                                Kernel::Gaussian3 => "gaussian3",
-                            }
-                            .to_string(),
-                        ),
-                    ),
-                    ("threshold", Json::Num(self.smoothing.threshold)),
-                    ("passes", Json::Num(self.smoothing.passes as f64)),
-                    (
-                        "border",
-                        Json::Str(
-                            match self.smoothing.border {
-                                BorderMode::FullKernel => "full_kernel",
-                                BorderMode::InBounds => "in_bounds",
-                            }
-                            .to_string(),
-                        ),
-                    ),
-                ]),
-            ),
+            ("smoothing", obj(vec![("passes", Json::Num(self.smoothing.passes as f64))])),
             (
                 "bitop",
-                obj(vec![
-                    ("min_area_fraction", Json::Num(self.bitop.min_area_fraction)),
-                    ("min_area_cells", Json::Num(self.bitop.min_area_cells as f64)),
-                    ("max_clusters", Json::Num(self.bitop.max_clusters as f64)),
-                ]),
+                obj(vec![("min_area_fraction", Json::Num(self.bitop.min_area_fraction))]),
             ),
         ])
     }
 
-    /// Decodes a spec from canonical JSON. The thread count (not part of
-    /// the encoding) comes back as the local default — an execution
-    /// choice of the decoding host, never of the wire.
+    /// Decodes a spec from canonical JSON. Unknown keys are ignored, as
+    /// [`Request::from_json`] ignores them, so a payload that still
+    /// carries the smoothing kernel, threshold or border mode, or the
+    /// BitOp cell floor or cluster cap, decodes with those keys dropped.
+    /// The thread count (not part of the encoding) comes back as the local
+    /// default — an execution choice of the decoding host, never of the
+    /// wire.
     pub fn from_json(json: &Json) -> Result<Self, ArcsError> {
         let smoothing = json
             .get("smoothing")
             .ok_or_else(|| bad("cluster spec missing `smoothing`"))?;
-        let kernel = match smoothing.get("kernel").and_then(Json::as_str) {
-            Some("box3") => Kernel::Box3,
-            Some("gaussian3") => Kernel::Gaussian3,
-            Some(other) => return Err(bad(format!("unknown smoothing kernel `{other}`"))),
-            None => return Err(bad("smoothing.kernel must be a string")),
-        };
-        let border = match smoothing.get("border").and_then(Json::as_str) {
-            Some("full_kernel") => BorderMode::FullKernel,
-            Some("in_bounds") => BorderMode::InBounds,
-            Some(other) => return Err(bad(format!("unknown border mode `{other}`"))),
-            None => return Err(bad("smoothing.border must be a string")),
-        };
         let bitop = json.get("bitop").ok_or_else(|| bad("cluster spec missing `bitop`"))?;
         Ok(ClusterSpec {
             smoothing: SmoothConfig {
-                kernel,
-                threshold: require_f64(smoothing, "threshold", "smoothing.threshold")?,
                 passes: require_usize(smoothing, "passes", "smoothing.passes")?,
-                border,
             },
             bitop: BitOpConfig {
-                min_area_fraction: require_f64(bitop, "min_area_fraction", "bitop.min_area_fraction")?,
-                min_area_cells: require_usize(bitop, "min_area_cells", "bitop.min_area_cells")?,
-                max_clusters: require_usize(bitop, "max_clusters", "bitop.max_clusters")?,
-                threads: BitOpConfig::default().threads,
+                min_area_fraction: require_f64(
+                    bitop,
+                    "min_area_fraction",
+                    "bitop.min_area_fraction",
+                )?,
+                ..BitOpConfig::default()
             },
         })
     }
@@ -633,18 +600,8 @@ mod tests {
             .group("excellent")
             .thresholds(Thresholds::new(0.017, 0.53).unwrap())
             .cluster(ClusterSpec {
-                smoothing: SmoothConfig {
-                    kernel: Kernel::Gaussian3,
-                    threshold: 0.37,
-                    passes: 2,
-                    border: BorderMode::InBounds,
-                },
-                bitop: BitOpConfig {
-                    min_area_fraction: 0.013,
-                    min_area_cells: 3,
-                    max_clusters: 77,
-                    threads: 4,
-                },
+                smoothing: SmoothConfig { passes: 2 },
+                bitop: BitOpConfig { min_area_fraction: 0.013, threads: 4 },
             })
             .deadline(Duration::from_millis(250))
             .memory_budget(1 << 20)
@@ -692,6 +649,15 @@ mod tests {
             Request::from_json(&older).unwrap(),
             Request::new().group_code(3)
         );
+        // So are the cluster-spec keys that are now constants.
+        let older = crate::jsonio::parse(
+            r#"{"cluster": {"smoothing": {"kernel": "box3", "threshold": 0.4, "passes": 1, "border": "full_kernel"}, "bitop": {"min_area_fraction": 0.01, "min_area_cells": 1, "max_clusters": 10000}}}"#,
+        )
+        .unwrap();
+        assert_eq!(
+            Request::from_json(&older).unwrap(),
+            Request::new().cluster(ClusterSpec::default())
+        );
     }
 
     #[test]
@@ -703,26 +669,15 @@ mod tests {
 
         // Every canonical field must perturb the token.
         let mut m = base.clone();
-        m.smoothing.kernel = Kernel::Gaussian3;
-        assert_ne!(base.cache_token(), m.cache_token());
-        let mut m = base.clone();
-        m.smoothing.threshold += 1e-12;
-        assert_ne!(base.cache_token(), m.cache_token());
-        let mut m = base.clone();
         m.smoothing.passes += 1;
-        assert_ne!(base.cache_token(), m.cache_token());
-        let mut m = base.clone();
-        m.smoothing.border = BorderMode::InBounds;
         assert_ne!(base.cache_token(), m.cache_token());
         let mut m = base.clone();
         m.bitop.min_area_fraction += 1e-12;
         assert_ne!(base.cache_token(), m.cache_token());
-        let mut m = base.clone();
-        m.bitop.min_area_cells += 1;
-        assert_ne!(base.cache_token(), m.cache_token());
-        let mut m = base.clone();
-        m.bitop.max_clusters += 1;
-        assert_ne!(base.cache_token(), m.cache_token());
+        assert_eq!(
+            base.cache_token(),
+            r#"{"smoothing":{"passes":1},"bitop":{"min_area_fraction":0.01}}"#
+        );
     }
 
     #[test]
@@ -736,8 +691,6 @@ mod tests {
         assert_eq!(back.cache_token(), spec.cache_token());
         assert_eq!(back.smoothing, spec.smoothing);
         assert_eq!(back.bitop.min_area_fraction, spec.bitop.min_area_fraction);
-        assert_eq!(back.bitop.min_area_cells, spec.bitop.min_area_cells);
-        assert_eq!(back.bitop.max_clusters, spec.bitop.max_clusters);
     }
 
     #[test]
@@ -774,7 +727,9 @@ mod tests {
             r#"{"group": {"code": -1}}"#,
             r#"{"thresholds": {"min_support": 2.0, "min_confidence": 0.5}}"#,
             r#"{"thresholds": {"min_support": 0.1}}"#,
-            r#"{"cluster": {"smoothing": {"kernel": "warp", "threshold": 0.4, "passes": 1, "border": "full_kernel"}, "bitop": {"min_area_fraction": 0, "min_area_cells": 1, "max_clusters": 1}}}"#,
+            r#"{"cluster": {"smoothing": {"passes": -1}, "bitop": {"min_area_fraction": 0}}}"#,
+            r#"{"cluster": {"smoothing": {"passes": 1}, "bitop": {"min_area_fraction": "x"}}}"#,
+            r#"{"cluster": {"smoothing": {"passes": 1}}}"#,
             r#"{"cluster": {}}"#,
             r#"{"deadline_ms": -5}"#,
             r#"{"memory_budget": 0.5}"#,

@@ -22,8 +22,8 @@
 //!   stages (mine, smooth/cluster), so a timed-out request returns its
 //!   typed error promptly instead of running to completion.
 //! * Panic isolation with bounded retry — the query body runs under
-//!   `catch_unwind`; a panicking worker is retried up to
-//!   [`ServeConfig::max_retries`] times with exponential backoff before
+//!   `catch_unwind`; a panicking worker is retried up to twice, after
+//!   1 ms and then 2 ms of backoff (clamped to the deadline), before
 //!   surfacing [`ArcsError::WorkerPanicked`]. Deterministic (typed)
 //!   errors are never retried.
 //! * Per-request memory budgets — [`QueryRequest::memory_budget`] runs
@@ -534,6 +534,13 @@ pub struct QueryResponse {
     pub elapsed: Duration,
 }
 
+/// Retries after an isolated worker panic before the request fails with
+/// [`ArcsError::WorkerPanicked`].
+const MAX_RETRIES: u32 = 2;
+
+/// Backoff before the first retry; doubled per subsequent retry.
+const RETRY_BACKOFF: Duration = Duration::from_millis(1);
+
 /// Configuration of a [`Server`].
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
@@ -543,12 +550,6 @@ pub struct ServeConfig {
     pub max_queued: usize,
     /// Deadline applied to requests that set none (`None` = unbounded).
     pub default_deadline: Option<Duration>,
-    /// Retries after an isolated worker panic before the request fails
-    /// with [`ArcsError::WorkerPanicked`].
-    pub max_retries: u32,
-    /// Base backoff before the first retry; doubled per subsequent retry.
-    /// `Duration::ZERO` disables backoff sleeping (useful in tests).
-    pub retry_backoff: Duration,
     /// Result-cache capacity in entries (0 disables the cache).
     pub cache_capacity: usize,
 }
@@ -559,8 +560,6 @@ impl Default for ServeConfig {
             max_inflight: crate::metrics::default_threads().max(2),
             max_queued: 64,
             default_deadline: None,
-            max_retries: 2,
-            retry_backoff: Duration::from_millis(1),
             cache_capacity: 256,
         }
     }
@@ -780,7 +779,7 @@ impl Server {
                 }
                 Err(payload) => {
                     self.counters.worker_panics.fetch_add(1, Ordering::Relaxed);
-                    if retries >= self.config.max_retries {
+                    if retries >= MAX_RETRIES {
                         return Err(ArcsError::WorkerPanicked {
                             stage: "serving query",
                             message: panic_message(payload),
@@ -872,12 +871,7 @@ impl Server {
     /// the deadline, fail now with the typed error instead of sleeping
     /// past it.
     fn backoff(&self, attempt: u32, deadline: Option<Instant>) -> Result<(), ArcsError> {
-        let base = self.config.retry_backoff;
-        if base.is_zero() {
-            return Ok(());
-        }
-        let factor = 1u32 << (attempt - 1).min(16);
-        let pause = base.saturating_mul(factor);
+        let pause = RETRY_BACKOFF.saturating_mul(1u32 << (attempt - 1).min(16));
         if let Some(d) = deadline {
             let remaining = d.saturating_duration_since(Instant::now());
             if pause >= remaining {
@@ -1048,7 +1042,6 @@ mod tests {
         ServeConfig {
             max_inflight: 2,
             max_queued: 2,
-            retry_backoff: Duration::ZERO,
             ..ServeConfig::default()
         }
     }
@@ -1328,7 +1321,6 @@ mod tests {
         let server = Arc::new(Server::new(demo_array(), ServeConfig {
             max_inflight: 4,
             max_queued: 16,
-            retry_backoff: Duration::ZERO,
             ..ServeConfig::default()
         }).unwrap());
 

@@ -174,7 +174,7 @@ fn run_search(
             c.smoothing = crate::smooth::SmoothConfig::disabled();
         }),
         ("disable-pruning", |c| {
-            c.bitop = crate::bitop::BitOpConfig::no_pruning();
+            c.bitop.min_area_fraction = 0.0;
         }),
     ];
     for (name, relax) in ladder {
@@ -860,12 +860,7 @@ mod tests {
 
         // An aggressive pruning config may cluster differently, but must
         // not panic and must still decode against the same array.
-        let strict = BitOpConfig {
-            min_area_fraction: 0.0,
-            min_area_cells: 100,
-            max_clusters: 100,
-            threads: 1,
-        };
+        let strict = BitOpConfig { min_area_fraction: 1.0, threads: 1 };
         let pruned = session.recluster(&strict).unwrap();
         assert!(pruned.len() <= rules.len());
     }

@@ -3,17 +3,18 @@
 //! Mined-rule grids often contain jagged edges and small holes where no
 //! association rule cleared the thresholds; these inhibit finding large,
 //! complete clusters. ARCS applies an image-processing *low-pass filter*
-//! before clustering: each cell is replaced by the (weighted) average of
-//! its 3×3 neighbourhood and re-binarised against a threshold — filling
-//! holes and removing isolated specks in one pass.
+//! before clustering: each cell is replaced by the average of its 3×3
+//! neighbourhood and re-binarised against a threshold — filling holes and
+//! removing isolated specks in one pass. The filter is the paper's one: a
+//! uniform 3×3 box whose cut is [`SMOOTH_CUT`] set cells of nine.
 //!
 //! [`smooth`] runs a **word-parallel** kernel: the 3×3 neighbourhood
 //! counts of 64 cells are computed at once with bit-sliced carry-save
 //! adds over the grid's packed `u64` row words (shifts within a row,
 //! whole words from the rows above/below), and the binarisation becomes
-//! a bit-plane comparison against a precomputed integer cut. The output
-//! is bit-identical to the scalar [`smooth_reference`] oracle, which is
-//! kept for property tests.
+//! a bit-plane comparison against the cut. The output is bit-identical
+//! to the scalar [`smooth_reference`] oracle, which is kept for property
+//! tests.
 //!
 //! The paper's §5 reports that using the association-rule *support values*
 //! instead of binary cell values in the filter is promising;
@@ -22,110 +23,34 @@
 use crate::error::ArcsError;
 use crate::grid::Grid;
 
-/// Convolution kernel for the low-pass filter.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Kernel {
-    /// Uniform 3×3 box filter (all nine weights equal).
-    Box3,
-    /// Centre-weighted 3×3 filter: centre weight 4, edge neighbours 2,
-    /// corners 1 (a discrete Gaussian approximation). More conservative:
-    /// set cells resist erosion and holes need stronger evidence to fill.
-    Gaussian3,
-}
-
-impl Kernel {
-    /// `(weights, total)`: row-major 3×3 weights and their sum.
-    fn weights(&self) -> ([f64; 9], f64) {
-        match self {
-            Kernel::Box3 => ([1.0; 9], 9.0),
-            Kernel::Gaussian3 => {
-                let w = [1.0, 2.0, 1.0, 2.0, 4.0, 2.0, 1.0, 2.0, 1.0];
-                (w, 16.0)
-            }
-        }
-    }
-
-    /// Maximum integer accumulator value (all nine neighbours set).
-    fn max_acc(&self) -> u32 {
-        match self {
-            Kernel::Box3 => 9,
-            Kernel::Gaussian3 => 16,
-        }
-    }
-
-    /// In-bounds weight of an *interior column* given which neighbour
-    /// rows exist — the denominator [`BorderMode::InBounds`] uses for
-    /// every cell except the first and last column of a row.
-    fn interior_row_weight(&self, above: bool, below: bool) -> f64 {
-        match self {
-            Kernel::Box3 => 3.0 * (1.0 + f64::from(above) + f64::from(below)),
-            Kernel::Gaussian3 => 8.0 + 4.0 * f64::from(above) + 4.0 * f64::from(below),
-        }
-    }
-}
-
-/// How the filter normalises cells whose 3×3 window sticks out of the
-/// grid.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum BorderMode {
-    /// Divide by the full kernel weight everywhere (the paper's implicit
-    /// choice, and the default). Out-of-bounds neighbours contribute
-    /// nothing but still count in the denominator, so solid blocks flush
-    /// against the grid edge erode there while identical interior blocks
-    /// survive. Keeps the filter strictly non-expansive at the borders.
-    #[default]
-    FullKernel,
-    /// Divide by the weight of the *in-bounds* part of the window, so a
-    /// border cell is judged against the neighbours it actually has.
-    /// Blocks flush against the edge keep their rim; the trade-off is
-    /// that border specks also survive more easily (a lone corner cell
-    /// sees a 2×2 window and can clear thresholds it would fail in the
-    /// interior).
-    InBounds,
-}
+/// The binarisation cut of the 3×3 box filter: a cell is set in the
+/// output when at least this many of the nine cells of its neighbourhood
+/// (itself included) are set. 4 of 9 is the smallest count reaching 40%
+/// of the window, so the filter fills interior holes (8/9), removes
+/// isolated specks (1/9) and keeps the corners of solid blocks (4/9).
+/// Out-of-bounds neighbours count as unset, so a border cell is judged
+/// against the full window: a cell in a grid corner survives only when
+/// all four cells of its in-bounds window are set.
+pub const SMOOTH_CUT: u32 = 4;
 
 /// Configuration of the smoothing pass.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SmoothConfig {
-    /// Convolution kernel.
-    pub kernel: Kernel,
-    /// Binarisation threshold as a fraction of the kernel's total weight:
-    /// a cell is set in the output when its neighbourhood average reaches
-    /// the threshold. `0.40` with [`Kernel::Box3`] fills interior holes
-    /// (8/9 ≈ 0.89), removes isolated specks (1/9 ≈ 0.11), and preserves
-    /// the corners of solid blocks (4/9 ≈ 0.44).
-    pub threshold: f64,
-    /// Number of filter passes (one is almost always enough).
+    /// Number of filter passes (one is almost always enough; zero
+    /// disables the filter).
     pub passes: usize,
-    /// Border normalisation (see [`BorderMode`]).
-    pub border: BorderMode,
 }
 
 impl Default for SmoothConfig {
     fn default() -> Self {
-        SmoothConfig {
-            kernel: Kernel::Box3,
-            threshold: 0.40,
-            passes: 1,
-            border: BorderMode::FullKernel,
-        }
+        SmoothConfig { passes: 1 }
     }
 }
 
 impl SmoothConfig {
     /// A disabled config (zero passes) — the grid passes through untouched.
     pub fn disabled() -> Self {
-        SmoothConfig { passes: 0, ..SmoothConfig::default() }
-    }
-
-    fn validate(&self) -> Result<(), ArcsError> {
-        if !(0.0..=1.0).contains(&self.threshold) {
-            return Err(ArcsError::InvalidConfig(format!(
-                "smoothing threshold {} outside [0, 1]",
-                self.threshold
-            )));
-        }
-        Ok(())
+        SmoothConfig { passes: 0 }
     }
 }
 
@@ -148,18 +73,17 @@ pub fn smooth_with_stats(
     grid: &Grid,
     config: &SmoothConfig,
 ) -> Result<(Grid, SmoothStats), ArcsError> {
-    config.validate()?;
     let mut stats = SmoothStats::default();
     if config.passes == 0 {
         return Ok((grid.clone(), stats));
     }
     let mut current = Grid::new(grid.width(), grid.height())?;
-    stats.words_processed += smooth_once_words(grid, config, &mut current)?;
+    stats.words_processed += smooth_once_words(grid, &mut current)?;
     if config.passes > 1 {
         // Ping-pong between two buffers: no per-pass allocation.
         let mut next = Grid::new(grid.width(), grid.height())?;
         for _ in 1..config.passes {
-            stats.words_processed += smooth_once_words(&current, config, &mut next)?;
+            stats.words_processed += smooth_once_words(&current, &mut next)?;
             std::mem::swap(&mut current, &mut next);
         }
     }
@@ -169,14 +93,13 @@ pub fn smooth_with_stats(
 /// The scalar per-cell oracle: the naive implementation the word-parallel
 /// [`smooth`] is property-tested against (bit-identical output).
 pub fn smooth_reference(grid: &Grid, config: &SmoothConfig) -> Result<Grid, ArcsError> {
-    config.validate()?;
     let mut current = grid.clone();
     for _ in 0..config.passes {
         crate::faults::check("smooth.pass")?;
         let mut out = Grid::new(grid.width(), grid.height())?;
         for y in 0..grid.height() {
             for x in 0..grid.width() {
-                if scalar_cell(&current, x, y, config) {
+                if neighbourhood_count(&current, x, y) >= SMOOTH_CUT {
                     out.set(x, y);
                 }
             }
@@ -186,35 +109,15 @@ pub fn smooth_reference(grid: &Grid, config: &SmoothConfig) -> Result<Grid, Arcs
     Ok(current)
 }
 
-/// Evaluates the filter predicate for one cell exactly as the original
-/// scalar implementation did (same accumulation order, same `f64`
-/// division) — shared by [`smooth_reference`] and the word kernel's
-/// border-column fixup so the two paths cannot diverge.
-fn scalar_cell(grid: &Grid, x: usize, y: usize, config: &SmoothConfig) -> bool {
-    let (weights, total) = config.kernel.weights();
-    let w = grid.width();
-    let h = grid.height();
-    let mut acc = 0.0;
-    let mut in_bounds = 0.0;
-    for dy in -1i64..=1 {
-        for dx in -1i64..=1 {
-            let nx = x as i64 + dx;
-            let ny = y as i64 + dy;
-            if nx < 0 || ny < 0 || nx >= w as i64 || ny >= h as i64 {
-                continue;
-            }
-            let weight = weights[((dy + 1) * 3 + dx + 1) as usize];
-            in_bounds += weight;
-            if grid.get(nx as usize, ny as usize) {
-                acc += weight;
-            }
+/// Set cells in the in-bounds part of the 3×3 window centred on `(x, y)`.
+fn neighbourhood_count(grid: &Grid, x: usize, y: usize) -> u32 {
+    let mut count = 0;
+    for ny in y.saturating_sub(1)..=(y + 1).min(grid.height() - 1) {
+        for nx in x.saturating_sub(1)..=(x + 1).min(grid.width() - 1) {
+            count += u32::from(grid.get(nx, ny));
         }
     }
-    let denom = match config.border {
-        BorderMode::FullKernel => total,
-        BorderMode::InBounds => in_bounds,
-    };
-    acc / denom >= config.threshold
+    count
 }
 
 /// One word-parallel filter pass from `grid` into `out` (same
@@ -222,76 +125,31 @@ fn scalar_cell(grid: &Grid, x: usize, y: usize, config: &SmoothConfig) -> bool {
 /// processed.
 ///
 /// Per output word, the 3×3 neighbourhood count of all 64 cells is built
-/// as bit-sliced binary planes with carry-save adders; the binarisation
-/// `acc / denom >= threshold` becomes `acc >= k_min` where `k_min` is the
-/// smallest integer passing the *same* `f64` comparison — so the output
-/// is bit-identical to [`smooth_reference`]. Under
-/// [`BorderMode::InBounds`] the first and last column of each row have a
-/// smaller denominator than the row's interior; those (at most two cells
-/// per row) are recomputed with the shared scalar predicate.
-fn smooth_once_words(
-    grid: &Grid,
-    config: &SmoothConfig,
-    out: &mut Grid,
-) -> Result<u64, ArcsError> {
+/// as bit-sliced binary planes with carry-save adders, and the
+/// binarisation becomes the lane-wise comparison `count >= SMOOTH_CUT`
+/// over those planes — so the output is bit-identical to
+/// [`smooth_reference`].
+fn smooth_once_words(grid: &Grid, out: &mut Grid) -> Result<u64, ArcsError> {
     crate::faults::check("smooth.pass")?;
     debug_assert!(out.width() == grid.width() && out.height() == grid.height());
-    let width = grid.width();
     let height = grid.height();
     let words_per_row = grid.words_per_row();
-    let (_, total) = config.kernel.weights();
-    let max_acc = config.kernel.max_acc();
     let tail_mask = grid.tail_mask();
     let mut words = 0u64;
     for y in 0..height {
         let above = (y > 0).then(|| grid.row(y - 1));
         let cur = grid.row(y);
         let below = (y + 1 < height).then(|| grid.row(y + 1));
-        let denom = match config.border {
-            BorderMode::FullKernel => total,
-            BorderMode::InBounds => {
-                config.kernel.interior_row_weight(above.is_some(), below.is_some())
+        for (wi, slot) in out.row_mut(y).iter_mut().enumerate() {
+            let mut word = ge_const(&box3_planes(above, cur, below, wi), SMOOTH_CUT);
+            if wi == words_per_row - 1 {
+                word &= tail_mask;
             }
-        };
-        let k_min = k_min_for(denom, config.threshold, max_acc);
-        {
-            let out_row = out.row_mut(y);
-            for (wi, slot) in out_row.iter_mut().enumerate() {
-                let planes = match config.kernel {
-                    Kernel::Box3 => box3_planes(above, cur, below, wi),
-                    Kernel::Gaussian3 => gauss3_planes(above, cur, below, wi),
-                };
-                let mut word = ge_const(&planes, k_min);
-                if wi == words_per_row - 1 {
-                    word &= tail_mask;
-                }
-                *slot = word;
-                words += 1;
-            }
-        }
-        if config.border == BorderMode::InBounds && width > 0 {
-            // Column edges see a narrower window than the interior
-            // denominator baked into `k_min`; recompute them exactly.
-            // (For width <= 2 this covers the whole row.)
-            for x in [0, width - 1] {
-                if scalar_cell(grid, x, y, config) {
-                    out.set(x, y);
-                } else {
-                    out.clear(x, y);
-                }
-            }
+            *slot = word;
+            words += 1;
         }
     }
     Ok(words)
-}
-
-/// The smallest integer accumulator value that passes
-/// `acc / denom >= threshold` under the exact `f64` comparison the scalar
-/// oracle performs, or `max_acc + 1` when no reachable value passes.
-fn k_min_for(denom: f64, threshold: f64, max_acc: u32) -> u32 {
-    (0..=max_acc)
-        .find(|&k| (f64::from(k)) / denom >= threshold)
-        .unwrap_or(max_acc + 1)
 }
 
 /// Majority (carry) of three bit vectors.
@@ -313,9 +171,8 @@ fn hshift(row: &[u64], wi: usize) -> (u64, u64, u64) {
 
 /// Box3 bit planes for word `wi`: per-row horizontal triple sums (0..=3,
 /// two planes via one full adder) are then summed across the three rows
-/// with carry-save adders into four planes (0..=9). `planes[4]` is
-/// always zero — kept so both kernels share the 5-plane comparator.
-fn box3_planes(above: Option<&[u64]>, cur: &[u64], below: Option<&[u64]>, wi: usize) -> [u64; 5] {
+/// with carry-save adders into four planes (0..=9).
+fn box3_planes(above: Option<&[u64]>, cur: &[u64], below: Option<&[u64]>, wi: usize) -> [u64; 4] {
     #[inline]
     fn hsum(row: Option<&[u64]>, wi: usize) -> (u64, u64) {
         row.map_or((0, 0), |r| {
@@ -333,58 +190,17 @@ fn box3_planes(above: Option<&[u64]>, cur: &[u64], below: Option<&[u64]>, wi: us
     let carry1 = maj(a1, c1, b1);
     let s1 = t ^ carry0;
     let carry2 = t & carry0;
-    [s0, s1, carry1 ^ carry2, carry1 & carry2, 0]
-}
-
-/// Gaussian3 bit planes for word `wi`: per-row weighted horizontal sum
-/// `W = left + 2·centre + right` (0..=4, three planes), then
-/// `acc = W_above + W_below + 2·W_centre` (0..=16, five planes).
-fn gauss3_planes(
-    above: Option<&[u64]>,
-    cur: &[u64],
-    below: Option<&[u64]>,
-    wi: usize,
-) -> [u64; 5] {
-    #[inline]
-    fn hsum(row: Option<&[u64]>, wi: usize) -> (u64, u64, u64) {
-        row.map_or((0, 0, 0), |r| {
-            let (l, c, rt) = hshift(r, wi);
-            // l + rt is 0..=2 (planes u0, u1); adding 2*c touches only
-            // the twos plane: w1 = u1 ^ c with carry u1 & c into w2.
-            let u0 = l ^ rt;
-            let u1 = l & rt;
-            (u0, u1 ^ c, u1 & c)
-        })
-    }
-    let (a0, a1, a2) = hsum(above, wi);
-    let (m0, m1, m2) = hsum(Some(cur), wi);
-    let (b0, b1, b2) = hsum(below, wi);
-    // x = W_above + W_below (0..=8), ripple-carry over three planes.
-    let x0 = a0 ^ b0;
-    let mut carry = a0 & b0;
-    let x1 = a1 ^ b1 ^ carry;
-    carry = maj(a1, b1, carry);
-    let x2 = a2 ^ b2 ^ carry;
-    let x3 = maj(a2, b2, carry);
-    // acc = x + 2·W_centre (0..=16): the doubled centre sum enters one
-    // plane up, so plane 0 passes through.
-    let y1 = x1 ^ m0;
-    let mut carry2 = x1 & m0;
-    let y2 = x2 ^ m1 ^ carry2;
-    carry2 = maj(x2, m1, carry2);
-    let y3 = x3 ^ m2 ^ carry2;
-    let y4 = maj(x3, m2, carry2);
-    [x0, y1, y2, y3, y4]
+    [s0, s1, carry1 ^ carry2, carry1 & carry2]
 }
 
 /// Lane-wise `acc >= k` over bit-sliced planes (plane `i` holds bit `i`
 /// of each lane's accumulator): the classic MSB-to-LSB greater/equal
-/// masks. `k` must fit in five bits.
-fn ge_const(planes: &[u64; 5], k: u32) -> u64 {
-    debug_assert!(k < 32);
+/// masks. `k` must fit in four bits.
+fn ge_const(planes: &[u64; 4], k: u32) -> u64 {
+    debug_assert!(k < 16);
     let mut gt = 0u64;
     let mut eq = !0u64;
-    for i in (0..5).rev() {
+    for i in (0..4).rev() {
         let plane = planes[i];
         if (k >> i) & 1 == 1 {
             eq &= plane;
@@ -397,12 +213,12 @@ fn ge_const(planes: &[u64; 5], k: u32) -> u64 {
 }
 
 /// Support-weighted smoothing (paper §5): convolves the per-cell *support
-/// values* instead of binary occupancy, then binarises against
-/// `binarize_threshold` expressed as a fraction of the maximum smoothed
-/// support. `values` is row-major `width × height` (as produced by
-/// [`support_grid`](crate::engine::support_grid)). Like [`smooth`], a
-/// config with zero passes applies no filter — the raw support values go
-/// straight to binarisation.
+/// values* instead of binary occupancy with the same 3×3 box filter, then
+/// binarises against `binarize_threshold` expressed as a fraction of the
+/// maximum smoothed support. `values` is row-major `width × height` (as
+/// produced by [`support_grid`](crate::engine::support_grid)). Like
+/// [`smooth`], a config with zero passes applies no filter — the raw
+/// support values go straight to binarisation.
 pub fn smooth_support(
     values: &[f64],
     width: usize,
@@ -410,7 +226,6 @@ pub fn smooth_support(
     config: &SmoothConfig,
     binarize_threshold: f64,
 ) -> Result<Grid, ArcsError> {
-    config.validate()?;
     if values.len() != width * height {
         return Err(ArcsError::InvalidConfig(format!(
             "support grid length {} does not match {width} x {height}",
@@ -422,31 +237,18 @@ pub fn smooth_support(
             "binarize_threshold {binarize_threshold} outside [0, 1]"
         )));
     }
-    let (weights, total) = config.kernel.weights();
     let mut current = values.to_vec();
     let mut next = vec![0.0; values.len()];
     for _ in 0..config.passes {
         for y in 0..height {
             for x in 0..width {
                 let mut acc = 0.0;
-                let mut in_bounds = 0.0;
-                for dy in -1i64..=1 {
-                    for dx in -1i64..=1 {
-                        let nx = x as i64 + dx;
-                        let ny = y as i64 + dy;
-                        if nx < 0 || ny < 0 || nx >= width as i64 || ny >= height as i64 {
-                            continue;
-                        }
-                        let weight = weights[((dy + 1) * 3 + dx + 1) as usize];
-                        in_bounds += weight;
-                        acc += current[ny as usize * width + nx as usize] * weight;
+                for ny in y.saturating_sub(1)..=(y + 1).min(height - 1) {
+                    for nx in x.saturating_sub(1)..=(x + 1).min(width - 1) {
+                        acc += current[ny * width + nx];
                     }
                 }
-                let denom = match config.border {
-                    BorderMode::FullKernel => total,
-                    BorderMode::InBounds => in_bounds,
-                };
-                next[y * width + x] = acc / denom;
+                next[y * width + x] = acc / 9.0;
             }
         }
         std::mem::swap(&mut current, &mut next);
@@ -548,27 +350,6 @@ mod tests {
     }
 
     #[test]
-    fn gaussian_kernel_is_more_conservative() {
-        // A 2-wide bar: the box filter may erode its ends; the Gaussian
-        // kernel keeps every originally set cell whose centre weight alone
-        // is 4/16 = 0.25 plus one neighbour reaches 0.375 < 0.45 only with
-        // 2+ neighbours. Compare total survivorship.
-        let grid = Grid::parse(
-            "
-            ####
-            ####
-            ",
-        )
-        .unwrap();
-        let gauss = smooth(
-            &grid,
-            &SmoothConfig { kernel: Kernel::Gaussian3, ..SmoothConfig::default() },
-        )
-        .unwrap();
-        assert_eq!(gauss.count_ones(), 8, "solid block survives Gaussian smoothing");
-    }
-
-    #[test]
     fn multiple_passes_converge() {
         let grid = Grid::parse(
             "
@@ -578,8 +359,8 @@ mod tests {
             ",
         )
         .unwrap();
-        let once = smooth(&grid, &SmoothConfig { passes: 1, ..SmoothConfig::default() }).unwrap();
-        let thrice = smooth(&grid, &SmoothConfig { passes: 3, ..SmoothConfig::default() }).unwrap();
+        let once = smooth(&grid, &SmoothConfig { passes: 1 }).unwrap();
+        let thrice = smooth(&grid, &SmoothConfig { passes: 3 }).unwrap();
         // The hole stays filled under repeated passes, and extra passes can
         // only erode from the borders inward (never re-create specks).
         assert!(once.get(2, 1));
@@ -587,12 +368,11 @@ mod tests {
         assert!(thrice.count_ones() <= once.count_ones());
     }
 
+    /// The cut is the smallest neighbourhood count that reaches the
+    /// paper's 0.40 of the nine-cell window under an exact `f64` test.
     #[test]
-    fn threshold_validates() {
-        let grid = Grid::new(3, 3).unwrap();
-        let bad = SmoothConfig { threshold: 1.5, ..SmoothConfig::default() };
-        assert!(smooth(&grid, &bad).is_err());
-        assert!(smooth_reference(&grid, &bad).is_err());
+    fn cut_is_the_smallest_count_reaching_forty_percent() {
+        assert_eq!((0..=9u32).find(|&k| f64::from(k) / 9.0 >= 0.40), Some(SMOOTH_CUT));
     }
 
     /// The word-parallel kernel against the scalar oracle on handcrafted
@@ -613,19 +393,13 @@ mod tests {
             grid.set(x, 2);
         }
         grid.set(0, 0);
-        for kernel in [Kernel::Box3, Kernel::Gaussian3] {
-            for border in [BorderMode::FullKernel, BorderMode::InBounds] {
-                for passes in [1, 2, 3] {
-                    for threshold in [0.0, 0.11, 0.40, 0.45, 0.75, 1.0] {
-                        let config = SmoothConfig { kernel, border, passes, threshold };
-                        assert_eq!(
-                            smooth(&grid, &config).unwrap(),
-                            smooth_reference(&grid, &config).unwrap(),
-                            "{config:?}"
-                        );
-                    }
-                }
-            }
+        for passes in [1, 2, 3] {
+            let config = SmoothConfig { passes };
+            assert_eq!(
+                smooth(&grid, &config).unwrap(),
+                smooth_reference(&grid, &config).unwrap(),
+                "{config:?}"
+            );
         }
     }
 
@@ -638,43 +412,38 @@ mod tests {
                     grid.set(i % w, i / w);
                 }
             }
-            for border in [BorderMode::FullKernel, BorderMode::InBounds] {
-                let config = SmoothConfig { border, ..SmoothConfig::default() };
-                assert_eq!(
-                    smooth(&grid, &config).unwrap(),
-                    smooth_reference(&grid, &config).unwrap(),
-                    "{w}x{h} {border:?}"
-                );
-            }
+            let config = SmoothConfig::default();
+            assert_eq!(
+                smooth(&grid, &config).unwrap(),
+                smooth_reference(&grid, &config).unwrap(),
+                "{w}x{h}"
+            );
         }
     }
 
-    /// The border-erosion trade-off (satellite bugfix): under the default
-    /// full-kernel normalisation a solid block flush against the grid
-    /// edge erodes at the border, while in-bounds normalisation keeps its
-    /// rim.
+    /// Out-of-bounds neighbours count as unset: a corner cell sees only
+    /// four in-bounds cells of its nine-cell window, so three set
+    /// neighbours (3/9) erode it and only all four (4/9) keep it.
     #[test]
-    fn border_block_erodes_under_full_kernel_but_not_in_bounds() {
-        let grid = Grid::parse(
+    fn border_cells_count_missing_neighbours_as_unset() {
+        let three = Grid::parse(
             "
-            ###.....
-            ###.....
-            ###.....
+            ##......
+            #.......
             ........
             ",
         )
         .unwrap();
-        // Threshold 0.5: the block's (0,0) corner sees 4/9 under the full
-        // kernel (erodes) but 4/4 of its in-bounds 2x2 window (survives).
-        let config = SmoothConfig { threshold: 0.5, ..SmoothConfig::default() };
-        let full = smooth(&grid, &config).unwrap();
-        assert!(!full.get(0, 0), "full-kernel border corner must erode");
-        let in_bounds =
-            smooth(&grid, &SmoothConfig { border: BorderMode::InBounds, ..config }).unwrap();
-        assert!(in_bounds.get(0, 0), "in-bounds border corner must survive");
-        assert!(in_bounds.get(0, 1) && in_bounds.get(1, 0));
-        // Default behaviour is unchanged: FullKernel is the default mode.
-        assert_eq!(smooth(&grid, &config).unwrap(), full);
+        assert!(!smooth(&three, &SmoothConfig::default()).unwrap().get(0, 0));
+        let four = Grid::parse(
+            "
+            ##......
+            ##......
+            ........
+            ",
+        )
+        .unwrap();
+        assert!(smooth(&four, &SmoothConfig::default()).unwrap().get(0, 0));
     }
 
     /// Satellite bugfix regression: `passes = 0` must be honoured by BOTH
@@ -764,7 +533,7 @@ mod tests {
     #[test]
     fn stats_count_words_per_pass() {
         let grid = Grid::new(130, 4).unwrap(); // 3 words per row
-        let config = SmoothConfig { passes: 2, ..SmoothConfig::default() };
+        let config = SmoothConfig { passes: 2 };
         let (_, stats) = smooth_with_stats(&grid, &config).unwrap();
         assert_eq!(stats.words_processed, 2 * 4 * 3);
         let (_, none) = smooth_with_stats(&grid, &SmoothConfig::disabled()).unwrap();

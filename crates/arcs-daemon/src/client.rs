@@ -57,66 +57,35 @@ impl ClientError {
     }
 }
 
-/// Opt-in bounded-exponential-backoff retry policy for transient
-/// failures. Without one, a [`Client`] never retries anything (the
-/// default, and what the deterministic tests rely on).
-///
-/// Two failure classes are retried, both safe by construction:
-///
-/// * **Transient connect errors** (refused / reset / aborted / timed
-///   out) in [`Client::connect_with_retry`] — no request was sent, so a
-///   retry cannot duplicate work.
-/// * **`OVERLOADED` responses** to idempotent calls (`open`, `query`,
-///   `stats`) — the daemon *answered*, it just shed the request.
-///   `append` is never retried: an ambiguous outcome must surface.
-///
-/// Backoff doubles from `base_backoff` up to `max_backoff`, then takes a
-/// deterministic half-to-full jitter from `seed` so co-started clients
-/// don't stampede in lockstep while tests stay reproducible.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Retries after the first attempt (0 = behave as if no policy).
-    pub max_retries: u32,
-    /// First backoff step.
-    pub base_backoff: Duration,
-    /// Backoff ceiling before jitter.
-    pub max_backoff: Duration,
-    /// Seed for the deterministic jitter.
-    pub seed: u64,
+/// First backoff step of a retrying client.
+const BASE_BACKOFF: Duration = Duration::from_millis(25);
+
+/// Backoff ceiling before jitter.
+const MAX_BACKOFF: Duration = Duration::from_secs(1);
+
+/// Seed for the deterministic jitter.
+const JITTER_SEED: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// The sleep before retry number `attempt` (0-based): doubling from
+/// [`BASE_BACKOFF`], capped at [`MAX_BACKOFF`], then jittered
+/// deterministically into `[cap/2, cap]` so co-started clients don't
+/// stampede in lockstep while runs stay reproducible.
+fn backoff(attempt: u32) -> Duration {
+    let doubled = BASE_BACKOFF.saturating_mul(1u32 << attempt.min(20));
+    let capped = doubled.min(MAX_BACKOFF);
+    let nanos = capped.as_nanos().min(u128::from(u64::MAX)) as u64;
+    let half = nanos / 2;
+    let jitter = if half == 0 { 0 } else { mix(attempt) % (half + 1) };
+    Duration::from_nanos(half + jitter)
 }
 
-impl RetryPolicy {
-    /// A policy with `max_retries` retries, 25 ms base, 1 s cap.
-    pub fn new(max_retries: u32) -> Self {
-        RetryPolicy {
-            max_retries,
-            base_backoff: Duration::from_millis(25),
-            max_backoff: Duration::from_secs(1),
-            seed: 0x9E37_79B9_7F4A_7C15,
-        }
-    }
-
-    /// The sleep before retry number `attempt` (0-based): exponential,
-    /// capped, jittered into `[cap/2, cap]` deterministically.
-    pub fn backoff(&self, attempt: u32) -> Duration {
-        let doubled = self.base_backoff.saturating_mul(1u32 << attempt.min(20));
-        let capped = doubled.min(self.max_backoff);
-        let nanos = capped.as_nanos().min(u128::from(u64::MAX)) as u64;
-        let half = nanos / 2;
-        let jitter = if half == 0 { 0 } else { self.mix(attempt) % (half + 1) };
-        Duration::from_nanos(half + jitter)
-    }
-
-    /// splitmix64 of `seed ^ attempt` — stateless, so the schedule is a
-    /// pure function of (policy, attempt).
-    fn mix(&self, attempt: u32) -> u64 {
-        let mut z = self
-            .seed
-            .wrapping_add(u64::from(attempt).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
+/// splitmix64 of `JITTER_SEED ^ attempt` — stateless, so the schedule is
+/// a pure function of the attempt.
+fn mix(attempt: u32) -> u64 {
+    let mut z = JITTER_SEED.wrapping_add(u64::from(attempt).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
 }
 
 /// `true` for socket errors a fresh connect attempt can plausibly fix.
@@ -149,7 +118,8 @@ pub struct OpenInfo {
 pub struct Client {
     reader: BufReader<TcpStream>,
     writer: BufWriter<TcpStream>,
-    retry: Option<RetryPolicy>,
+    /// Retries of `OVERLOADED` answers to idempotent calls (0 = none).
+    retries: u32,
 }
 
 impl Client {
@@ -158,23 +128,32 @@ impl Client {
         Self::from_stream(TcpStream::connect(addr)?)
     }
 
-    /// Connects with `policy` retrying transient connect failures, and
-    /// arms the returned client to retry `OVERLOADED` responses to
-    /// idempotent calls under the same policy.
-    pub fn connect_with_retry(
-        addr: impl ToSocketAddrs,
-        policy: RetryPolicy,
-    ) -> Result<Self, ClientError> {
+    /// Connects, retrying transient failures up to `retries` times, and
+    /// arms the returned client with the same number of retries. Without
+    /// them (and with [`connect`](Client::connect)) a client never
+    /// retries anything, which is what the deterministic tests rely on.
+    ///
+    /// Two failure classes are retried, both safe by construction:
+    ///
+    /// * **Transient connect errors** (refused / reset / aborted / timed
+    ///   out) — no request was sent, so a retry cannot duplicate work.
+    /// * **`OVERLOADED` responses** to idempotent calls (`open`, `query`,
+    ///   `stats`) — the daemon *answered*, it just shed the request.
+    ///   `append` is never retried: an ambiguous outcome must surface.
+    ///
+    /// The backoff doubles from 25 ms up to 1 s, then takes a
+    /// deterministic half-to-full jitter.
+    pub fn connect_with_retry(addr: impl ToSocketAddrs, retries: u32) -> Result<Self, ClientError> {
         let mut attempt = 0u32;
         loop {
             match TcpStream::connect(&addr) {
                 Ok(stream) => {
                     let mut client = Self::from_stream(stream)?;
-                    client.retry = Some(policy);
+                    client.retries = retries;
                     return Ok(client);
                 }
-                Err(err) if attempt < policy.max_retries && transient_connect_error(&err) => {
-                    std::thread::sleep(policy.backoff(attempt));
+                Err(err) if attempt < retries && transient_connect_error(&err) => {
+                    std::thread::sleep(backoff(attempt));
                     attempt += 1;
                 }
                 Err(err) => return Err(ClientError::Io(err)),
@@ -196,7 +175,7 @@ impl Client {
         Ok(Client {
             reader: BufReader::new(read_half),
             writer: BufWriter::new(stream),
-            retry: None,
+            retries: 0,
         })
     }
 
@@ -221,9 +200,9 @@ impl Client {
         decode(text)
     }
 
-    /// [`call`](Client::call) for idempotent requests: with a retry
-    /// policy armed, retryable error frames (the daemon shedding load)
-    /// are retried on the same connection with backoff.
+    /// [`call`](Client::call) for idempotent requests: with retries
+    /// armed, retryable error frames (the daemon shedding load) are
+    /// retried on the same connection with backoff.
     fn call_idempotent<T>(
         &mut self,
         request: &WireRequest,
@@ -231,11 +210,9 @@ impl Client {
     ) -> Result<T, ClientError> {
         let mut attempt = 0u32;
         loop {
-            let retries = self.retry.as_ref().map_or(0, |p| p.max_retries);
             match self.call(request, decode) {
-                Err(ClientError::Wire(err)) if attempt < retries && err.retryable() => {
-                    let policy = self.retry.as_ref().expect("retries > 0 implies a policy");
-                    std::thread::sleep(policy.backoff(attempt));
+                Err(ClientError::Wire(err)) if attempt < self.retries && err.retryable() => {
+                    std::thread::sleep(backoff(attempt));
                     attempt += 1;
                 }
                 other => return other,

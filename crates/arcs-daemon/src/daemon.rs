@@ -32,8 +32,9 @@
 //! up as a read-only **standby** — a tailer thread streams the primary's
 //! WAL records and applies them through the ordinary durable append
 //! path, and the `append` op answers the typed `NOT_PRIMARY` code until
-//! the daemon is promoted (the `promote` op or `SIGHUP`). Every daemon,
-//! primary or standby, serves the `repl.*` ops, so standbys can chain.
+//! the daemon is promoted (the `promote` op, or `SIGHUP` to an
+//! `arcs daemon` process). Every daemon, primary or standby, serves the
+//! `repl.*` ops, so standbys can chain.
 //!
 //! [`AdmissionGate`]: arcs_core::serve::AdmissionGate
 

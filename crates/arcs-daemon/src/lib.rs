@@ -48,7 +48,7 @@ pub mod registry;
 pub mod repl;
 pub mod store;
 
-pub use client::{Client, ClientError, OpenInfo, RetryPolicy};
+pub use client::{Client, ClientError, OpenInfo};
 pub use daemon::{Daemon, DaemonConfig, DaemonHandle};
 pub use feeder::{Feeder, FeederStats};
 pub use protocol::{DurabilityStats, FrameError, QueryOutcome, WireError, WireRequest};

@@ -24,7 +24,11 @@
 //! fields. The `request` object of `query` is the canonical unified
 //! [`Request`] JSON shape from [`arcs_core::request`] — the same schema
 //! the library API serialises, so wire payloads and cache keys cannot
-//! drift.
+//! drift. Its `cluster` spec is
+//! `{"smoothing":{"passes":P},"bitop":{"min_area_fraction":F}}`. Unknown
+//! keys are ignored, so a spec that still names a setting which is now a
+//! constant (the smoothing kernel, threshold or border mode, the BitOp
+//! cell floor or cluster cap) decodes with that key dropped.
 //!
 //! | op       | fields | response |
 //! |----------|--------|----------|

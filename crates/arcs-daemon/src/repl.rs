@@ -8,7 +8,8 @@
 //!   writable primary or a read-only standby, shared by every connection
 //!   handler (the `append` arm refuses writes on a standby with the
 //!   typed `NOT_PRIMARY` code) and flipped exactly once by promotion
-//!   (the `promote` wire op, or `SIGHUP` to a standby process).
+//!   (the `promote` wire op, or `SIGHUP` to an `arcs daemon` standby
+//!   process, which calls [`RoleState::promote`]).
 //! * **Primary handlers** — [`handle_subscribe`], [`handle_records`],
 //!   and [`handle_heartbeat`] serve the `repl.*` wire ops by reading the
 //!   tenant's [`TenantStore`]: a subscriber gets a checkpoint transfer
@@ -44,7 +45,7 @@ use arcs_core::repl::{from_hex, to_hex, ReplMetrics, ShippedRecord};
 use arcs_core::serve::ServeConfig;
 
 use crate::client::Client;
-use crate::protocol::{ok_response, DurabilityStats, WireError};
+use crate::protocol::{ok_response, DurabilityStats, WireError, DEFAULT_REPL_BATCH};
 use crate::registry::{Registry, Tenant};
 use crate::store::{
     install_transfer, valid_tenant_name, CheckpointTransfer, ShipPlan, TenantStore,
@@ -141,21 +142,18 @@ pub struct ReplicationConfig {
     pub data_dir: PathBuf,
     /// How often the tailer polls the primary.
     pub poll_interval: Duration,
-    /// Maximum records fetched per `repl.records` batch.
-    pub batch: u64,
     /// Serving configuration for tenants the tailer installs.
     pub serve: ServeConfig,
 }
 
 impl ReplicationConfig {
     /// A config tailing `primary` into `data_dir` at a 50 ms poll with
-    /// default batching and serving limits.
+    /// default serving limits.
     pub fn new(primary: &str, data_dir: &std::path::Path) -> ReplicationConfig {
         ReplicationConfig {
             primary: primary.to_string(),
             data_dir: data_dir.to_path_buf(),
             poll_interval: Duration::from_millis(50),
-            batch: crate::protocol::DEFAULT_REPL_BATCH,
             serve: ServeConfig::default(),
         }
     }
@@ -445,13 +443,9 @@ pub(crate) fn spawn_tailer(
     running: Arc<AtomicBool>,
 ) -> io::Result<JoinHandle<()>> {
     std::thread::Builder::new().name("arcsd-repl-tail".into()).spawn(move || {
-        sighup::install();
         let mut client: Option<Client> = None;
         let mut last_error: Option<String> = None;
         while running.load(Ordering::SeqCst) {
-            if sighup::taken() && ctx.role.promote() {
-                eprintln!("arcsd repl: SIGHUP — promoted to primary; writes now accepted");
-            }
             if !ctx.role.is_standby() {
                 break;
             }
@@ -528,7 +522,7 @@ fn sync_tenant(
     };
     let from = tenant.store().expect("durable tenant has a store").last_wal_seq() + 1;
     let body = client
-        .repl_records(name, from, config.batch)
+        .repl_records(name, from, DEFAULT_REPL_BATCH)
         .map_err(|e| format!("{name}: records: {e}"))?;
     match parse_records(&body).map_err(|e| format!("{name}: {e}"))? {
         RecordsOutcome::Resync => resync(client, registry, ctx, config, name),
@@ -567,43 +561,6 @@ fn resync(
     ReplMetrics::add(&ctx.metrics.resyncs, 1);
     eprintln!("arcsd repl: {name}: installed checkpoint transfer (epoch {})", report.epoch);
     Ok(())
-}
-
-/// SIGHUP-to-promote plumbing. The handler only stores to an atomic
-/// (async-signal-safe); the tailer polls and does the actual flip.
-#[cfg(unix)]
-mod sighup {
-    use std::sync::atomic::{AtomicBool, Ordering};
-
-    static SEEN: AtomicBool = AtomicBool::new(false);
-    const SIGHUP: i32 = 1;
-
-    extern "C" fn on_sighup(_signum: i32) {
-        SEEN.store(true, Ordering::SeqCst);
-    }
-
-    extern "C" {
-        fn signal(signum: i32, handler: extern "C" fn(i32)) -> usize;
-    }
-
-    pub fn install() {
-        unsafe {
-            signal(SIGHUP, on_sighup);
-        }
-    }
-
-    pub fn taken() -> bool {
-        SEEN.swap(false, Ordering::SeqCst)
-    }
-}
-
-#[cfg(not(unix))]
-mod sighup {
-    pub fn install() {}
-
-    pub fn taken() -> bool {
-        false
-    }
 }
 
 #[cfg(test)]

@@ -79,7 +79,6 @@ fn tenant_config() -> TenantConfig {
     TenantConfig {
         n_x_bins: 10,
         n_y_bins: 10,
-        serve: ServeConfig { retry_backoff: Duration::ZERO, ..ServeConfig::default() },
         ..TenantConfig::new("x", "y", "g")
     }
 }
@@ -158,7 +157,7 @@ fn daemon_restart_serves_bit_identical_state_over_the_wire() {
     // Second incarnation: recover purely from the data directory.
     let registry = Arc::new(Registry::new());
     let reports = registry
-        .open_data_dir(data.path(), &ServeConfig { retry_backoff: Duration::ZERO, ..ServeConfig::default() })
+        .open_data_dir(data.path(), &ServeConfig::default())
         .unwrap();
     assert_eq!(reports.len(), 1);
     assert_eq!(reports[0].0, "trades");

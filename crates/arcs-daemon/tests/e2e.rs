@@ -58,10 +58,6 @@ fn tenant_config() -> TenantConfig {
     TenantConfig {
         n_x_bins: 10,
         n_y_bins: 10,
-        serve: ServeConfig {
-            retry_backoff: Duration::ZERO,
-            ..ServeConfig::default()
-        },
         ..TenantConfig::new("x", "y", "g")
     }
 }
@@ -247,7 +243,6 @@ fn typed_error_codes_travel_the_wire() {
             serve: ServeConfig {
                 max_inflight: 1,
                 max_queued: 0,
-                retry_backoff: Duration::ZERO,
                 ..ServeConfig::default()
             },
             ..tenant_config()

@@ -13,7 +13,6 @@ use std::time::Duration;
 use arcs_core::engine::Thresholds;
 use arcs_core::faults;
 use arcs_core::request::Request;
-use arcs_core::serve::ServeConfig;
 use arcs_daemon::daemon::{Daemon, DaemonConfig};
 use arcs_daemon::registry::{Registry, Tenant, TenantConfig};
 use arcs_daemon::{Client, ClientError};
@@ -48,7 +47,6 @@ fn config() -> TenantConfig {
     TenantConfig {
         n_x_bins: 10,
         n_y_bins: 10,
-        serve: ServeConfig { retry_backoff: Duration::ZERO, ..ServeConfig::default() },
         ..TenantConfig::new("x", "y", "g")
     }
 }

@@ -75,7 +75,6 @@ fn tenant_config() -> TenantConfig {
     TenantConfig {
         n_x_bins: 10,
         n_y_bins: 10,
-        serve: ServeConfig { retry_backoff: Duration::ZERO, ..ServeConfig::default() },
         ..TenantConfig::new("x", "y", "g")
     }
 }
@@ -125,11 +124,10 @@ fn spawn_standby(primary_addr: &str, data: &Path) -> (DaemonHandle, Arc<Registry
     // Mirror the CLI's standby startup: recover whatever already lives
     // in the data dir before the tailer takes over.
     registry
-        .open_data_dir(data, &ServeConfig { retry_backoff: Duration::ZERO, ..ServeConfig::default() })
+        .open_data_dir(data, &ServeConfig::default())
         .unwrap();
     let replication = ReplicationConfig {
         poll_interval: Duration::from_millis(10),
-        serve: ServeConfig { retry_backoff: Duration::ZERO, ..ServeConfig::default() },
         ..ReplicationConfig::new(primary_addr, data)
     };
     let handle = Daemon::bind(

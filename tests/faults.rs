@@ -172,12 +172,8 @@ fn speck_session(threads: usize) -> Session {
     }
     let optimizer = OptimizerConfig {
         threads,
-        bitop: BitOpConfig {
-            min_area_fraction: 0.0,
-            min_area_cells: 4,
-            max_clusters: 100,
-            threads: 1,
-        },
+        // Clusters need 4 cells (3.5% of the 10x10 grid).
+        bitop: BitOpConfig { min_area_fraction: 0.035, threads: 1 },
         ..OptimizerConfig::default()
     };
     let config = ArcsConfig {

@@ -236,12 +236,8 @@ fn too_tight_thresholds_degrade_instead_of_failing() {
         .unwrap();
     }
     let mut config = ArcsConfig { n_x_bins: 10, n_y_bins: 10, ..ArcsConfig::default() };
-    config.optimizer.bitop = BitOpConfig {
-        min_area_fraction: 0.0,
-        min_area_cells: 4, // group A only ever fills one cell
-        max_clusters: 100,
-        threads: 1,
-    };
+    // Clusters need 4 cells (3.5% of 10x10); group A only ever fills one.
+    config.optimizer.bitop = BitOpConfig { min_area_fraction: 0.035, threads: 1 };
     let arcs = Arcs::new(config.clone()).unwrap();
     let seg = arcs.open(&ds, SegmentRequest::new("x", "y", "g").group("A")).unwrap().segment().unwrap();
     assert!(seg.degraded);

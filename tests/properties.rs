@@ -15,7 +15,7 @@ use arcs::core::engine::{
 use arcs::core::grid::{for_each_run, for_each_run_reference};
 use arcs::core::index::{DeltaMiner, OccupancyIndex};
 use arcs::core::mdl::{mdl_cost, MdlWeights};
-use arcs::core::smooth::{smooth, smooth_reference, BorderMode, Kernel, SmoothConfig};
+use arcs::core::smooth::{smooth, smooth_reference, SmoothConfig};
 use arcs::core::Request;
 use arcs::prelude::*;
 
@@ -58,39 +58,15 @@ fn wide_grid_strategy() -> impl Strategy<Value = Grid> {
         })
 }
 
-/// Strategy: no cluster spec, or one varying the smoothing (kernel,
-/// threshold, passes, border) and the pruning (area fraction and floor).
+/// Strategy: no cluster spec, or one varying the smoothing passes and
+/// the pruning area fraction.
 fn cluster_spec_strategy() -> impl Strategy<Value = Option<ClusterSpec>> {
-    (
-        any::<bool>(),
-        (any::<bool>(), 0.0f64..1.0, 0usize..3, any::<bool>()),
-        (0.0f64..0.2, 1usize..4),
-    )
-        .prop_map(
-            |(on, (box3, threshold, passes, in_bounds), (fraction, cells))| {
-                on.then(|| ClusterSpec {
-                    smoothing: SmoothConfig {
-                        kernel: if box3 {
-                            Kernel::Box3
-                        } else {
-                            Kernel::Gaussian3
-                        },
-                        threshold,
-                        passes,
-                        border: if in_bounds {
-                            BorderMode::InBounds
-                        } else {
-                            BorderMode::FullKernel
-                        },
-                    },
-                    bitop: BitOpConfig {
-                        min_area_fraction: fraction,
-                        min_area_cells: cells,
-                        ..BitOpConfig::default()
-                    },
-                })
-            },
-        )
+    (any::<bool>(), 0usize..3, 0.0f64..0.2).prop_map(|(on, passes, fraction)| {
+        on.then(|| ClusterSpec {
+            smoothing: SmoothConfig { passes },
+            bitop: BitOpConfig { min_area_fraction: fraction, ..BitOpConfig::default() },
+        })
+    })
 }
 
 /// The reference composition of one query on `array`: the full-scan
@@ -117,12 +93,7 @@ proptest! {
     /// every cluster cell is set, and the union equals the set cells.
     #[test]
     fn bitop_is_an_exact_disjoint_cover(grid in grid_strategy()) {
-        let config = BitOpConfig {
-            min_area_fraction: 0.0,
-            min_area_cells: 1,
-            max_clusters: 100_000,
-            threads: 1,
-        };
+        let config = BitOpConfig { min_area_fraction: 0.0, threads: 1 };
         let clusters = bitop::cluster(&grid, &config).unwrap();
         // Disjoint.
         for (i, a) in clusters.iter().enumerate() {
@@ -155,7 +126,7 @@ proptest! {
         let optimal = optimal_cover(&grid).unwrap();
         let greedy = bitop::cluster(
             &grid,
-            &BitOpConfig { min_area_fraction: 0.0, min_area_cells: 1, ..BitOpConfig::default() },
+            &BitOpConfig::no_pruning(),
         )
         .unwrap();
         prop_assert!(greedy.len() >= optimal.len());
@@ -556,23 +527,14 @@ proptest! {
     }
 
     /// The word-parallel smoothing kernel is bit-identical to the scalar
-    /// reference for every kernel, border mode, pass count, and threshold —
-    /// including widths that are not multiples of 64 and degenerate
-    /// single-row / single-column grids.
+    /// reference for every pass count — including widths that are not
+    /// multiples of 64 and degenerate single-row / single-column grids.
     #[test]
     fn word_smoothing_matches_the_scalar_reference(
         grid in wide_grid_strategy(),
-        threshold in 0.0f64..1.0,
         passes in 0usize..4,
-        kernel_box in any::<bool>(),
-        in_bounds in any::<bool>(),
     ) {
-        let config = SmoothConfig {
-            kernel: if kernel_box { Kernel::Box3 } else { Kernel::Gaussian3 },
-            threshold,
-            passes,
-            border: if in_bounds { BorderMode::InBounds } else { BorderMode::FullKernel },
-        };
+        let config = SmoothConfig { passes };
         let fast = smooth(&grid, &config).unwrap();
         let slow = smooth_reference(&grid, &config).unwrap();
         prop_assert_eq!(&fast, &slow, "config: {:?}", config);

@@ -86,8 +86,6 @@ fn chaos_config() -> ServeConfig {
     ServeConfig {
         max_inflight: 4,
         max_queued: 64,
-        max_retries: 2,
-        retry_backoff: Duration::ZERO,
         cache_capacity: 64,
         default_deadline: None,
     }
