@@ -24,10 +24,8 @@
 
 pub mod error;
 pub mod rules;
-pub mod sliq;
 pub mod tree;
 
 pub use error::ClassifierError;
 pub use rules::{Condition, Rule, RuleSet, RulesConfig};
-pub use sliq::{SliqConfig, SliqNode, SliqTree};
 pub use tree::{DecisionTree, Node, SplitTest, TreeConfig};

@@ -22,12 +22,6 @@ impl Dataset {
         Dataset { schema, rows: Vec::new() }
     }
 
-    /// Creates a dataset from pre-built rows without per-row validation.
-    /// Use [`Dataset::push`] when rows come from an untrusted source.
-    pub fn from_rows(schema: Schema, rows: Vec<Tuple>) -> Self {
-        Dataset { schema, rows }
-    }
-
     /// Appends a row after validating it against the schema.
     pub fn push(&mut self, values: Vec<Value>) -> Result<(), DataError> {
         let tuple = Tuple::validated(values, &self.schema)?;
@@ -69,21 +63,6 @@ impl Dataset {
     /// Iterates over rows.
     pub fn iter(&self) -> std::slice::Iter<'_, Tuple> {
         self.rows.iter()
-    }
-
-    /// Splits the dataset into `(first, second)` where `first` holds
-    /// `floor(len * fraction)` rows in their current order. `fraction`
-    /// must lie in `[0, 1]`.
-    pub fn split_at_fraction(&self, fraction: f64) -> Result<(Dataset, Dataset), DataError> {
-        if !(0.0..=1.0).contains(&fraction) {
-            return Err(DataError::InvalidConfig(format!(
-                "split fraction {fraction} outside [0, 1]"
-            )));
-        }
-        let cut = (self.rows.len() as f64 * fraction).floor() as usize;
-        let first = Dataset::from_rows(self.schema.clone(), self.rows[..cut].to_vec());
-        let second = Dataset::from_rows(self.schema.clone(), self.rows[cut..].to_vec());
-        Ok((first, second))
     }
 
     /// Projects the quantitative column at `idx` into a vector. Errors if
@@ -163,23 +142,6 @@ mod tests {
         assert!(ds.quant_column(1).is_err());
         assert!(ds.cat_column(0).is_err());
         assert!(ds.quant_column(7).is_err());
-    }
-
-    #[test]
-    fn split_at_fraction_partitions_rows() {
-        let ds = dataset();
-        let (a, b) = ds.split_at_fraction(0.5).unwrap();
-        assert_eq!(a.len(), 2);
-        assert_eq!(b.len(), 2);
-        assert_eq!(a.row(0).unwrap().quant(0), 25.0);
-        assert_eq!(b.row(0).unwrap().quant(0), 45.0);
-
-        let (a, b) = ds.split_at_fraction(0.0).unwrap();
-        assert!(a.is_empty());
-        assert_eq!(b.len(), 4);
-
-        assert!(ds.split_at_fraction(1.5).is_err());
-        assert!(ds.split_at_fraction(-0.1).is_err());
     }
 
     #[test]

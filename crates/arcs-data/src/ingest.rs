@@ -45,16 +45,6 @@ pub enum IngestPolicy {
 }
 
 impl IngestPolicy {
-    /// A `Skip` policy with no ceiling (any fraction of bad rows passes).
-    pub fn skip() -> Self {
-        IngestPolicy::Skip { max_bad_fraction: 1.0 }
-    }
-
-    /// A `Quarantine` policy with no ceiling.
-    pub fn quarantine() -> Self {
-        IngestPolicy::Quarantine { max_bad_fraction: 1.0 }
-    }
-
     /// Whether the first bad row aborts the load.
     pub fn is_strict(&self) -> bool {
         matches!(self, IngestPolicy::Strict)
@@ -171,11 +161,6 @@ impl IngestReport {
         self.kind_counts[kind.slot()]
     }
 
-    /// Total issues across all kinds.
-    pub fn total_issues(&self) -> usize {
-        self.kind_counts.iter().sum()
-    }
-
     /// The recorded issues (capped at [`MAX_RECORDED_ISSUES`]).
     pub fn issues(&self) -> &[IngestIssue] {
         &self.issues
@@ -224,7 +209,7 @@ mod tests {
     fn policy_accessors() {
         assert!(IngestPolicy::Strict.is_strict());
         assert_eq!(IngestPolicy::Strict.max_bad_fraction(), None);
-        assert_eq!(IngestPolicy::skip().max_bad_fraction(), Some(1.0));
+        assert_eq!(IngestPolicy::Skip { max_bad_fraction: 1.0 }.max_bad_fraction(), Some(1.0));
         let q = IngestPolicy::Quarantine { max_bad_fraction: 0.05 };
         assert!(!q.is_strict());
         assert_eq!(q.max_bad_fraction(), Some(0.05));
@@ -239,7 +224,6 @@ mod tests {
         assert_eq!(r.count_of(IssueKind::NonNumeric), 1);
         assert_eq!(r.count_of(IssueKind::FieldCount), 1);
         assert_eq!(r.count_of(IssueKind::Invalid), 0);
-        assert_eq!(r.total_issues(), 2);
         assert!((r.bad_fraction() - 0.2).abs() < 1e-12);
         assert_eq!(r.issues().len(), 2);
         assert_eq!(r.issues()[0].line, 3);
@@ -264,6 +248,5 @@ mod tests {
         let r = IngestReport::default();
         assert!(r.is_clean());
         assert_eq!(r.bad_fraction(), 0.0);
-        assert_eq!(r.total_issues(), 0);
     }
 }

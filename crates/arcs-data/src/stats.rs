@@ -1,48 +1,9 @@
-//! Descriptive statistics and information-theoretic measures.
+//! Information-theoretic measures.
 //!
 //! The paper's future-work section (§5) suggests applying measures of
 //! information gain (entropy) when choosing the two LHS attributes for
-//! segmentation; `arcs-core::select` builds on the primitives here.
-
-use crate::dataset::Dataset;
-use crate::error::DataError;
-
-/// Summary statistics of a quantitative column.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct QuantSummary {
-    /// Number of values.
-    pub count: usize,
-    /// Minimum value.
-    pub min: f64,
-    /// Maximum value.
-    pub max: f64,
-    /// Arithmetic mean.
-    pub mean: f64,
-    /// Population variance.
-    pub variance: f64,
-}
-
-/// Computes [`QuantSummary`] for the quantitative attribute at `idx`.
-pub fn quant_summary(dataset: &Dataset, idx: usize) -> Result<QuantSummary, DataError> {
-    let col = dataset.quant_column(idx)?;
-    if col.is_empty() {
-        return Err(DataError::InvalidConfig(
-            "cannot summarise an empty column".into(),
-        ));
-    }
-    let count = col.len();
-    let mut min = f64::INFINITY;
-    let mut max = f64::NEG_INFINITY;
-    let mut sum = 0.0;
-    for &v in &col {
-        min = min.min(v);
-        max = max.max(v);
-        sum += v;
-    }
-    let mean = sum / count as f64;
-    let variance = col.iter().map(|v| (v - mean).powi(2)).sum::<f64>() / count as f64;
-    Ok(QuantSummary { count, min, max, mean, variance })
-}
+//! segmentation; `arcs-core::select` builds on the primitives here, and
+//! the C4.5 baseline scores its splits with [`entropy`].
 
 /// Shannon entropy (bits) of a discrete distribution given as counts.
 /// Zero counts contribute nothing; an empty or all-zero histogram has
@@ -61,21 +22,6 @@ pub fn entropy(counts: &[usize]) -> f64 {
             -p * p.log2()
         })
         .sum()
-}
-
-/// Entropy (bits) of the categorical attribute at `idx`.
-pub fn cat_entropy(dataset: &Dataset, idx: usize) -> Result<f64, DataError> {
-    let col = dataset.cat_column(idx)?;
-    let cardinality = dataset
-        .schema()
-        .attribute(idx)
-        .and_then(|a| a.kind.cardinality())
-        .unwrap_or(0) as usize;
-    let mut counts = vec![0usize; cardinality];
-    for c in col {
-        counts[c as usize] += 1;
-    }
-    Ok(entropy(&counts))
 }
 
 /// Mutual information (bits) between two discretised variables, given a
@@ -114,40 +60,6 @@ pub fn mutual_information(joint: &[Vec<usize>]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::schema::{Attribute, Schema};
-    use crate::tuple::Value;
-
-    fn dataset() -> Dataset {
-        let schema = Schema::new(vec![
-            Attribute::quantitative("x", 0.0, 100.0),
-            Attribute::categorical("g", ["a", "b", "c"]),
-        ])
-        .unwrap();
-        let mut ds = Dataset::new(schema);
-        for (x, g) in [(1.0, 0u32), (2.0, 0), (3.0, 1), (4.0, 1)] {
-            ds.push(vec![Value::Quant(x), Value::Cat(g)]).unwrap();
-        }
-        ds
-    }
-
-    #[test]
-    fn quant_summary_basic() {
-        let ds = dataset();
-        let s = quant_summary(&ds, 0).unwrap();
-        assert_eq!(s.count, 4);
-        assert_eq!(s.min, 1.0);
-        assert_eq!(s.max, 4.0);
-        assert!((s.mean - 2.5).abs() < 1e-12);
-        assert!((s.variance - 1.25).abs() < 1e-12);
-    }
-
-    #[test]
-    fn quant_summary_errors() {
-        let ds = dataset();
-        assert!(quant_summary(&ds, 1).is_err()); // categorical
-        let empty = Dataset::new(ds.schema().clone());
-        assert!(quant_summary(&empty, 0).is_err());
-    }
 
     #[test]
     fn entropy_of_uniform_and_degenerate() {
@@ -159,14 +71,6 @@ mod tests {
         // Skewed distribution has entropy strictly between 0 and 1.
         let h = entropy(&[9, 1]);
         assert!(h > 0.0 && h < 1.0);
-    }
-
-    #[test]
-    fn cat_entropy_counts_codes() {
-        let ds = dataset();
-        let h = cat_entropy(&ds, 1).unwrap();
-        assert!((h - 1.0).abs() < 1e-12); // two equally likely of three codes
-        assert!(cat_entropy(&ds, 0).is_err());
     }
 
     #[test]
