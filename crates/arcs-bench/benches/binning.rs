@@ -9,8 +9,7 @@ use arcs_data::generator::{AgrawalGenerator, GeneratorConfig};
 use arcs_data::Dataset;
 
 fn dataset(n: usize) -> Dataset {
-    let mut gen =
-        AgrawalGenerator::new(GeneratorConfig::paper_defaults(1)).expect("valid config");
+    let mut gen = AgrawalGenerator::new(GeneratorConfig::paper_defaults(1)).expect("valid config");
     gen.generate(n)
 }
 
@@ -33,8 +32,8 @@ fn bench_binning(c: &mut Criterion) {
     // Generation + binning fused (the Figure 15 streaming path).
     c.bench_function("binning/stream_100k", |b| {
         b.iter(|| {
-            let gen = AgrawalGenerator::new(GeneratorConfig::paper_defaults(1))
-                .expect("valid config");
+            let gen =
+                AgrawalGenerator::new(GeneratorConfig::paper_defaults(1)).expect("valid config");
             binner.bin_stream(gen.take(100_000)).expect("binning succeeds")
         });
     });

@@ -80,13 +80,9 @@ fn bench_bitop(c: &mut Criterion) {
     group.sample_size(10);
     let grid = blocky_grid(1000, 8);
     for threads in [1usize, 2, 4, 8] {
-        group.bench_with_input(
-            BenchmarkId::from_parameter(threads),
-            &threads,
-            |b, &threads| {
-                b.iter(|| bitop::enumerate_candidates_parallel(&grid, threads));
-            },
-        );
+        group.bench_with_input(BenchmarkId::from_parameter(threads), &threads, |b, &threads| {
+            b.iter(|| bitop::enumerate_candidates_parallel(&grid, threads));
+        });
     }
     group.finish();
 

@@ -8,10 +8,7 @@ use arcs_data::generator::{AgrawalGenerator, GeneratorConfig};
 use arcs_data::Dataset;
 
 fn dataset(n: usize, u: f64) -> Dataset {
-    let config = GeneratorConfig {
-        outlier_fraction: u,
-        ..GeneratorConfig::paper_defaults(3)
-    };
+    let config = GeneratorConfig { outlier_fraction: u, ..GeneratorConfig::paper_defaults(3) };
     let mut gen = AgrawalGenerator::new(config).expect("valid config");
     gen.generate(n)
 }

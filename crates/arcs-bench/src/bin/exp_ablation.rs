@@ -37,8 +37,7 @@ fn main() {
     let mut record = |name: &str, clusters: &[arcs_core::Rect]| {
         let sample_err = verify_tuples(clusters, &binner, sample.iter().copied(), 0);
         let test_err = verify_tuples(clusters, &binner, test.iter(), 0);
-        let score =
-            MdlScore::compute(clusters.len(), sample_err.total(), MdlWeights::default());
+        let score = MdlScore::compute(clusters.len(), sample_err.total(), MdlWeights::default());
         table.row([
             name.to_string(),
             clusters.len().to_string(),
@@ -95,8 +94,7 @@ fn main() {
     let sg = support_grid(&array, 0);
     let sw_grid = smooth_support(&sg, array.nx(), array.ny(), &SmoothConfig::default(), 0.10)
         .expect("support smoothing succeeds");
-    let sw_clusters =
-        bitop::cluster(&sw_grid, &BitOpConfig::default()).expect("bitop runs");
+    let sw_clusters = bitop::cluster(&sw_grid, &BitOpConfig::default()).expect("bitop runs");
     record("support-weighted smooth", &sw_clusters);
 
     // Simulated annealing (§5) instead of the hill climb.
@@ -111,14 +109,8 @@ fn main() {
     record("simulated annealing", &annealed.best.clusters);
 
     // Factorial-design search (§5) instead of the hill climb.
-    let factorial = factorial_search(
-        &array,
-        0,
-        &binner,
-        &sample,
-        &FactorialConfig::default(),
-    )
-    .expect("factorial search finds a segmentation");
+    let factorial = factorial_search(&array, 0, &binner, &sample, &FactorialConfig::default())
+        .expect("factorial search finds a segmentation");
     record(
         &format!("factorial design ({} evals)", factorial.trace.len()),
         &factorial.best.clusters,

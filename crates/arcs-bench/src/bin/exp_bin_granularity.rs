@@ -25,15 +25,10 @@ fn main() {
     let mut table =
         Table::new(["bins", "rules", "test err%", "FP area%", "FN area%", "region err%"]);
     for bins in [10, 20, 30, 40, 50] {
-        let config = ArcsConfig {
-            n_x_bins: bins,
-            n_y_bins: bins,
-            ..ArcsConfig::default()
-        };
+        let config = ArcsConfig { n_x_bins: bins, n_y_bins: bins, ..ArcsConfig::default() };
         let run = run_arcs(&train, &test, config);
-        let binner =
-            Binner::equi_width(train.schema(), "age", "salary", "group", bins, bins)
-                .expect("schema attributes exist");
+        let binner = Binner::equi_width(train.schema(), "age", "salary", "group", bins, bins)
+            .expect("schema attributes exist");
         let exact = region_error(
             &run.segmentation.clusters,
             &binner,

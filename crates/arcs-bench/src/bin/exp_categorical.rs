@@ -55,10 +55,7 @@ fn main() {
         "== §5 categorical LHS: group A lives in non-adjacent zips {hot:?}, salary [30, 60) ==\n"
     );
 
-    let config = CategoricalConfig {
-        n_quant_bins: 20,
-        optimizer: OptimizerConfig::default(),
-    };
+    let config = CategoricalConfig { n_quant_bins: 20, optimizer: OptimizerConfig::default() };
 
     // Density-ordered (the extension).
     let seg = segment_categorical(&ds, "zip", "salary", "g", "A", &config)
@@ -72,11 +69,8 @@ fn main() {
         let y = (t.quant(1) / 5.0) as usize;
         array.add(t.cat(0) as usize, y.min(19), t.cat(2));
     }
-    let thresholds = Thresholds::new(
-        seg.thresholds.min_support,
-        seg.thresholds.min_confidence,
-    )
-    .expect("valid thresholds");
+    let thresholds = Thresholds::new(seg.thresholds.min_support, seg.thresholds.min_confidence)
+        .expect("valid thresholds");
     let grid = rule_grid(&array, 0, thresholds).expect("grid builds");
 
     // Recall of a natural-order cluster set: fraction of group-A tuples
@@ -99,8 +93,7 @@ fn main() {
     };
 
     let smoothed = smooth(&grid, &SmoothConfig::default()).expect("smoothing succeeds");
-    let natural_smoothed =
-        bitop::cluster(&smoothed, &BitOpConfig::default()).expect("bitop runs");
+    let natural_smoothed = bitop::cluster(&smoothed, &BitOpConfig::default()).expect("bitop runs");
     let natural_raw = bitop::cluster(&grid, &BitOpConfig::default()).expect("bitop runs");
 
     let mut table = Table::new(["variant", "clusters", "group recall", "readable as"]);
@@ -108,11 +101,7 @@ fn main() {
         "density order (ARCS §5)".to_string(),
         seg.rules.len().to_string(),
         format!("{:.0}%", seg.errors.recall() * 100.0),
-        seg.rules
-            .iter()
-            .map(ToString::to_string)
-            .collect::<Vec<_>>()
-            .join(" | "),
+        seg.rules.iter().map(ToString::to_string).collect::<Vec<_>>().join(" | "),
     ]);
     table.row([
         "natural order + smoothing".to_string(),

@@ -30,19 +30,14 @@ fn main() {
         println!("\n-- outliers U = {:.0}% --", u * 100.0);
         println!(
             "thresholds: support >= {:.4}, confidence >= {:.3}",
-            run.segmentation.thresholds.min_support,
-            run.segmentation.thresholds.min_confidence
+            run.segmentation.thresholds.min_support, run.segmentation.thresholds.min_confidence
         );
         println!("recovered rules ({}):", run.segmentation.rules.len());
         for rule in &run.segmentation.rules {
-            println!(
-                "  {rule}   (support {:.3}, confidence {:.2})",
-                rule.support, rule.confidence
-            );
+            println!("  {rule}   (support {:.3}, confidence {:.2})", rule.support, rule.confidence);
         }
         // Exact region error vs the generating disjuncts (Figure 9 metric).
-        let binner =
-            Binner::equi_width(train.schema(), "age", "salary", "group", 50, 50).unwrap();
+        let binner = Binner::equi_width(train.schema(), "age", "salary", "group", 50, 50).unwrap();
         let exact = region_error(
             &run.segmentation.clusters,
             &binner,

@@ -20,12 +20,7 @@ fn main() {
 
     for (fig, u) in [("Figure 11", 0.0), ("Figure 12", 0.10)] {
         println!("== {fig}: error rate (%) vs |D|, U = {:.0}% ==\n", u * 100.0);
-        let mut table = Table::new([
-            "tuples",
-            "ARCS err%",
-            "C4.5 err%",
-            "C4.5RULES err%",
-        ]);
+        let mut table = Table::new(["tuples", "ARCS err%", "C4.5 err%", "C4.5RULES err%"]);
         for &n in &FIG11_SIZES {
             let (train, test) = workload(n, u, seed);
             let arcs = run_arcs(&train, &test, ArcsConfig::default());

@@ -27,12 +27,7 @@ fn main() {
             } else {
                 ("-".to_string(), "-".to_string())
             };
-            table.row([
-                n.to_string(),
-                arcs.segmentation.rules.len().to_string(),
-                rules,
-                leaves,
-            ]);
+            table.row([n.to_string(), arcs.segmentation.rules.len().to_string(), rules, leaves]);
         }
         println!("{}", if csv { table.to_csv() } else { table.render() });
     }

@@ -53,8 +53,8 @@ fn main() {
     let mut json_runs: Vec<String> = Vec::new();
     for &n in FIG15_SIZES.iter().filter(|&&n| n <= max) {
         // Generation happens outside the timed region.
-        let mut gen = AgrawalGenerator::new(GeneratorConfig::paper_defaults(seed))
-            .expect("valid config");
+        let mut gen =
+            AgrawalGenerator::new(GeneratorConfig::paper_defaults(seed)).expect("valid config");
         let ds = gen.generate(n);
 
         let start = Instant::now();

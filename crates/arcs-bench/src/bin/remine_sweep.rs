@@ -23,9 +23,7 @@ use std::time::Instant;
 use arcs_bench::{arg_or, has_flag, Table};
 use arcs_core::engine::{rule_grid, rule_grid_into};
 use arcs_core::smooth::{smooth_reference, smooth_with_stats};
-use arcs_core::{
-    BinArray, Binner, DeltaMiner, Grid, OccupancyIndex, SmoothConfig, Thresholds,
-};
+use arcs_core::{BinArray, Binner, DeltaMiner, Grid, OccupancyIndex, SmoothConfig, Thresholds};
 use arcs_data::generator::{AgrawalGenerator, GeneratorConfig};
 
 /// Snake walk over a support × confidence lattice: successive points
@@ -37,8 +35,7 @@ fn lattice_walk(supports: usize, confidences: usize) -> Vec<Thresholds> {
         let s = 0.002 + 0.10 * si as f64 / supports as f64;
         let cs: Vec<f64> =
             (0..confidences).map(|ci| 0.05 + 0.9 * ci as f64 / confidences as f64).collect();
-        let order: Vec<f64> =
-            if i % 2 == 0 { cs } else { cs.into_iter().rev().collect() };
+        let order: Vec<f64> = if i % 2 == 0 { cs } else { cs.into_iter().rev().collect() };
         for c in order {
             walk.push(Thresholds::new(s, c).expect("thresholds in range"));
         }
@@ -155,8 +152,14 @@ fn main() {
     ];
 
     let mut table = Table::new([
-        "workload", "occupied", "points", "full ms", "indexed ms", "speedup",
-        "cells full", "cells delta",
+        "workload",
+        "occupied",
+        "points",
+        "full ms",
+        "indexed ms",
+        "speedup",
+        "cells full",
+        "cells delta",
     ]);
     for r in &sweeps {
         table.row([
@@ -213,8 +216,16 @@ fn main() {
                     "{{\"workload\":\"{}\",\"nx\":{},\"ny\":{},\"occupied\":{},\
                      \"points\":{},\"full_scan_ms\":{:.6},\"indexed_ms\":{:.6},\
                      \"speedup\":{:.3},\"cells_full\":{},\"cells_delta\":{}}}",
-                    r.name, r.nx, r.ny, r.occupied, r.points, r.full_ms, r.delta_ms,
-                    r.full_ms / r.delta_ms, r.cells_full, r.cells_delta
+                    r.name,
+                    r.nx,
+                    r.ny,
+                    r.occupied,
+                    r.points,
+                    r.full_ms,
+                    r.delta_ms,
+                    r.full_ms / r.delta_ms,
+                    r.cells_full,
+                    r.cells_delta
                 )
             })
             .collect();

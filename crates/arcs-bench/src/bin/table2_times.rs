@@ -26,10 +26,7 @@ fn main() {
         let arcs = run_arcs(&train, &test, ArcsConfig::default());
         let (t_tree, t_total) = if n <= max_c45 {
             let c45 = run_c45(&train, &test);
-            (
-                secs(c45.tree_time),
-                secs(c45.tree_time + c45.rules_time),
-            )
+            (secs(c45.tree_time), secs(c45.tree_time + c45.rules_time))
         } else {
             ("-".to_string(), "-".to_string())
         };

@@ -58,10 +58,7 @@ pub struct C45Run {
 /// Generates the paper's Function 2 workload: `n` training tuples plus a
 /// held-out test set, with outlier fraction `u`.
 pub fn workload(n: usize, u: f64, seed: u64) -> (Dataset, Dataset) {
-    let config = GeneratorConfig {
-        outlier_fraction: u,
-        ..GeneratorConfig::paper_defaults(seed)
-    };
+    let config = GeneratorConfig { outlier_fraction: u, ..GeneratorConfig::paper_defaults(seed) };
     let mut gen = AgrawalGenerator::new(config).expect("paper defaults are valid");
     let train = gen.generate(n);
     let test = gen.generate(TEST_SIZE);
@@ -99,8 +96,8 @@ pub fn run_c45(train: &Dataset, test: &Dataset) -> C45Run {
     let tree_time = t0.elapsed();
 
     let t0 = Instant::now();
-    let rules = RuleSet::from_tree(&tree, train, RulesConfig::default())
-        .expect("rule extraction succeeds");
+    let rules =
+        RuleSet::from_tree(&tree, train, RulesConfig::default()).expect("rule extraction succeeds");
     let rules_time = t0.elapsed();
 
     C45Run {
@@ -132,10 +129,7 @@ impl Table {
         I: IntoIterator<Item = S>,
         S: Into<String>,
     {
-        Table {
-            header: header.into_iter().map(Into::into).collect(),
-            rows: Vec::new(),
-        }
+        Table { header: header.into_iter().map(Into::into).collect(), rows: Vec::new() }
     }
 
     /// Appends a row (must match the header arity).
@@ -159,12 +153,7 @@ impl Table {
         }
         let mut out = String::new();
         let fmt_row = |cells: &[String], widths: &[usize]| -> String {
-            cells
-                .iter()
-                .zip(widths)
-                .map(|(c, w)| format!("{c:>w$}"))
-                .collect::<Vec<_>>()
-                .join("  ")
+            cells.iter().zip(widths).map(|(c, w)| format!("{c:>w$}")).collect::<Vec<_>>().join("  ")
         };
         out.push_str(&fmt_row(&self.header, &widths));
         out.push('\n');

@@ -119,9 +119,7 @@ impl RuleSet {
             return Err(ClassifierError::EmptyTrainingSet);
         }
         if config.max_eval_tuples == 0 {
-            return Err(ClassifierError::InvalidConfig(
-                "max_eval_tuples must be > 0".into(),
-            ));
+            return Err(ClassifierError::InvalidConfig("max_eval_tuples must be > 0".into()));
         }
         let target = tree.target();
         let mut paths = Vec::new();
@@ -133,9 +131,11 @@ impl RuleSet {
 
         let mut rules: Vec<Rule> = Vec::new();
         for (conditions, class) in paths {
-            let generalized =
-                generalize(conditions, class, &eval_rows, target, config.confidence);
-            if !rules.iter().any(|r| r.conditions == generalized.conditions && r.class == generalized.class) {
+            let generalized = generalize(conditions, class, &eval_rows, target, config.confidence);
+            if !rules
+                .iter()
+                .any(|r| r.conditions == generalized.conditions && r.class == generalized.class)
+            {
                 rules.push(generalized);
             }
         }
@@ -199,7 +199,7 @@ impl RuleSet {
 
         // Default class: majority among uncovered training tuples, falling
         // back to the global majority.
-        
+
         let mut uncovered = vec![0usize; n_classes];
         let mut overall = vec![0usize; n_classes];
         for t in training.iter() {
@@ -210,12 +210,7 @@ impl RuleSet {
             }
         }
         let pick_max = |counts: &[usize]| -> u32 {
-            counts
-                .iter()
-                .enumerate()
-                .max_by_key(|&(_, c)| *c)
-                .map(|(i, _)| i as u32)
-                .unwrap_or(0)
+            counts.iter().enumerate().max_by_key(|&(_, c)| *c).map(|(i, _)| i as u32).unwrap_or(0)
         };
         let default_class = if uncovered.iter().any(|&c| c > 0) {
             pick_max(&uncovered)
@@ -229,10 +224,7 @@ impl RuleSet {
     /// Predicts the class of one tuple: the first covering rule wins, the
     /// default class otherwise.
     pub fn predict(&self, tuple: &Tuple) -> u32 {
-        self.rules
-            .iter()
-            .find(|r| r.covers(tuple))
-            .map_or(self.default_class, |r| r.class)
+        self.rules.iter().find(|r| r.covers(tuple)).map_or(self.default_class, |r| r.class)
     }
 
     /// Fraction of `dataset` rows the rule set misclassifies.
@@ -240,10 +232,7 @@ impl RuleSet {
         if dataset.is_empty() {
             return 0.0;
         }
-        let wrong = dataset
-            .iter()
-            .filter(|t| self.predict(t) != t.cat(self.target))
-            .count();
+        let wrong = dataset.iter().filter(|t| self.predict(t) != t.cat(self.target)).count();
         wrong as f64 / dataset.len() as f64
     }
 
@@ -461,7 +450,12 @@ mod tests {
     fn validates_inputs() {
         let ds = threshold_dataset();
         let tree = DecisionTree::train(&ds, "class", TreeConfig::default()).unwrap();
-        assert!(RuleSet::from_tree(&tree, &ds, RulesConfig { confidence: 0.0, ..RulesConfig::default() }).is_err());
+        assert!(RuleSet::from_tree(
+            &tree,
+            &ds,
+            RulesConfig { confidence: 0.0, ..RulesConfig::default() }
+        )
+        .is_err());
         let empty = Dataset::new(schema());
         assert!(RuleSet::from_tree(&tree, &empty, RulesConfig::default()).is_err());
     }
@@ -472,12 +466,7 @@ mod tests {
         // set degenerates to the unconditional rule / default class.
         let mut ds = Dataset::new(schema());
         for i in 0..50 {
-            ds.push(vec![
-                Value::Quant(i as f64 / 5.0),
-                Value::Quant(0.0),
-                Value::Cat(1),
-            ])
-            .unwrap();
+            ds.push(vec![Value::Quant(i as f64 / 5.0), Value::Quant(0.0), Value::Cat(1)]).unwrap();
         }
         let tree = DecisionTree::train(&ds, "class", TreeConfig::default()).unwrap();
         assert_eq!(tree.n_leaves(), 1);

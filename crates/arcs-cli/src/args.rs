@@ -51,11 +51,7 @@ impl Args {
     /// Parses raw arguments. `value_flags` lists flags that take a value;
     /// `bool_flags` lists valueless switches. Anything else starting with
     /// `--` is an error.
-    pub fn parse<I, S>(
-        raw: I,
-        value_flags: &[&str],
-        bool_flags: &[&str],
-    ) -> Result<Self, ArgsError>
+    pub fn parse<I, S>(raw: I, value_flags: &[&str], bool_flags: &[&str]) -> Result<Self, ArgsError>
     where
         I: IntoIterator<Item = S>,
         S: Into<String>,
@@ -70,9 +66,8 @@ impl Args {
                     }
                     args.options.insert(key.to_string(), value.to_string());
                 } else if value_flags.contains(&name) {
-                    let value = iter
-                        .next()
-                        .ok_or_else(|| ArgsError::MissingValue(name.to_string()))?;
+                    let value =
+                        iter.next().ok_or_else(|| ArgsError::MissingValue(name.to_string()))?;
                     args.options.insert(name.to_string(), value);
                 } else if bool_flags.contains(&name) {
                     args.flags.push(name.to_string());
@@ -124,12 +119,9 @@ mod tests {
 
     #[test]
     fn parses_mixed_styles() {
-        let args = Args::parse(
-            ["input.csv", "--n", "100", "--seed=7", "--csv"],
-            &["n", "seed"],
-            &["csv"],
-        )
-        .unwrap();
+        let args =
+            Args::parse(["input.csv", "--n", "100", "--seed=7", "--csv"], &["n", "seed"], &["csv"])
+                .unwrap();
         assert_eq!(args.positional(), ["input.csv"]);
         assert_eq!(args.get("n"), Some("100"));
         assert_eq!(args.get("seed"), Some("7"));
@@ -156,10 +148,7 @@ mod tests {
     #[test]
     fn typed_parse_errors() {
         let args = Args::parse(["--n", "abc"], &["n"], &[]).unwrap();
-        assert!(matches!(
-            args.get_or("n", 0usize),
-            Err(ArgsError::BadValue { .. })
-        ));
+        assert!(matches!(args.get_or("n", 0usize), Err(ArgsError::BadValue { .. })));
     }
 
     #[test]

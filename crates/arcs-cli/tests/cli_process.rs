@@ -55,8 +55,18 @@ fn generate_and_segment_end_to_end() {
 
     let out = arcs()
         .args([
-            "segment", csv_str, "--x", "age", "--y", "salary", "--criterion", "group",
-            "--group", "A", "--bins", "40",
+            "segment",
+            csv_str,
+            "--x",
+            "age",
+            "--y",
+            "salary",
+            "--criterion",
+            "group",
+            "--group",
+            "A",
+            "--bins",
+            "40",
         ])
         .output()
         .expect("binary runs");
@@ -85,8 +95,22 @@ fn bare_checkpoint_name_writes_and_resumes_in_the_working_directory() {
         let out = arcs()
             .current_dir(&dir)
             .args([
-                "segment", "data.csv", "--x", "age", "--y", "salary", "--criterion", "group",
-                "--group", "A", "--bins", "30", "--checkpoint-every", "2000", flag, "run.ckpt",
+                "segment",
+                "data.csv",
+                "--x",
+                "age",
+                "--y",
+                "salary",
+                "--criterion",
+                "group",
+                "--group",
+                "A",
+                "--bins",
+                "30",
+                "--checkpoint-every",
+                "2000",
+                flag,
+                "run.ckpt",
             ])
             .output()
             .expect("binary runs");
@@ -150,8 +174,18 @@ fn corrupted_csv_exit_codes_and_skip_recovery() {
     let (csv, bad) = corrupted_fixture("proc_corrupt.csv");
     let csv_str = csv.to_str().expect("utf-8 path");
     let base = [
-        "segment", csv_str, "--x", "age", "--y", "salary", "--criterion", "group",
-        "--group", "A", "--bins", "20",
+        "segment",
+        csv_str,
+        "--x",
+        "age",
+        "--y",
+        "salary",
+        "--criterion",
+        "group",
+        "--group",
+        "A",
+        "--bins",
+        "20",
     ];
 
     let out = arcs().args(base).output().expect("binary runs");
@@ -160,11 +194,7 @@ fn corrupted_csv_exit_codes_and_skip_recovery() {
     assert!(stderr.contains("line"), "{stderr}");
     assert!(out.stdout.is_empty());
 
-    let out = arcs()
-        .args(base)
-        .args(["--on-bad-row", "skip"])
-        .output()
-        .expect("binary runs");
+    let out = arcs().args(base).args(["--on-bad-row", "skip"]).output().expect("binary runs");
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
     let stdout = String::from_utf8(out.stdout).unwrap();
     assert!(stdout.contains("ingest:"), "{stdout}");
@@ -280,8 +310,18 @@ fn sigterm_drains_a_durable_daemon_and_checkpoints_every_record() {
         &dir,
         "durable",
         &[
-            "--data-dir", data.to_str().unwrap(), "--datasets", &datasets, "--x", "age", "--y",
-            "salary", "--criterion", "group", "--bins", "20",
+            "--data-dir",
+            data.to_str().unwrap(),
+            "--datasets",
+            &datasets,
+            "--x",
+            "age",
+            "--y",
+            "salary",
+            "--criterion",
+            "group",
+            "--bins",
+            "20",
         ],
     );
     for _ in 0..3 {
@@ -327,8 +367,18 @@ fn sighup_promotes_a_standby() {
         &dir,
         "primary",
         &[
-            "--data-dir", primary_data.to_str().unwrap(), "--datasets", &datasets, "--x", "age",
-            "--y", "salary", "--criterion", "group", "--bins", "20",
+            "--data-dir",
+            primary_data.to_str().unwrap(),
+            "--datasets",
+            &datasets,
+            "--x",
+            "age",
+            "--y",
+            "salary",
+            "--criterion",
+            "group",
+            "--bins",
+            "20",
         ],
     );
     let standby_data = dir.join("standby");
@@ -336,8 +386,12 @@ fn sighup_promotes_a_standby() {
         &dir,
         "standby",
         &[
-            "--data-dir", standby_data.to_str().unwrap(), "--replicate-from", &primary_addr,
-            "--repl-poll-ms", "20",
+            "--data-dir",
+            standby_data.to_str().unwrap(),
+            "--replicate-from",
+            &primary_addr,
+            "--repl-poll-ms",
+            "20",
         ],
     );
     assert_eq!(role(&standby_addr), "standby");

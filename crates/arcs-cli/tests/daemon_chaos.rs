@@ -38,10 +38,7 @@ impl TempDir {
     fn new(tag: &str) -> TempDir {
         static COUNTER: AtomicU64 = AtomicU64::new(0);
         let n = COUNTER.fetch_add(1, Ordering::Relaxed);
-        let dir = std::env::temp_dir().join(format!(
-            "arcs-chaos-{tag}-{}-{n}",
-            std::process::id()
-        ));
+        let dir = std::env::temp_dir().join(format!("arcs-chaos-{tag}-{}-{n}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         TempDir(dir)
     }
@@ -115,7 +112,11 @@ fn sweep() -> Vec<Request> {
 
 /// Spawns `arcs daemon` on the given data dir, returning the child and
 /// the address it bound (read from the port file: the readiness signal).
-fn spawn_daemon(data_dir: &Path, base_csv: Option<&Path>, failpoints: Option<&str>) -> (Reaper, String) {
+fn spawn_daemon(
+    data_dir: &Path,
+    base_csv: Option<&Path>,
+    failpoints: Option<&str>,
+) -> (Reaper, String) {
     static PORT_FILE: AtomicU64 = AtomicU64::new(0);
     let pf = std::env::temp_dir().join(format!(
         "arcs-chaos-port-{}-{}",
@@ -169,11 +170,7 @@ fn connect(addr: &str) -> Client {
 /// plus exactly the durable batches, queried through the library.
 fn oracle_results(base_csv: &Path, batches: &[u64]) -> (u64, Vec<QueryResult>) {
     let ds = arcs_data::csv::load_csv_inferred(base_csv, 4).unwrap();
-    let config = TenantConfig {
-        n_x_bins: 10,
-        n_y_bins: 10,
-        ..TenantConfig::new("x", "y", "g")
-    };
+    let config = TenantConfig { n_x_bins: 10, n_y_bins: 10, ..TenantConfig::new("x", "y", "g") };
     let tenant = Tenant::from_dataset("t", &ds, &config).unwrap();
     for &k in batches {
         tenant.append_csv(&batch(k)).unwrap();
@@ -213,18 +210,12 @@ fn fsck_heals(data_dir: &Path) {
 /// Restarts on the data dir and checks the recovered daemon against the
 /// oracle: epoch in [acked, acked + in-flight], every sweep query
 /// bit-identical, tuple counts equal.
-fn assert_recovery(
-    data_dir: &Path,
-    base_csv: &Path,
-    acked: &[u64],
-    in_flight: Option<u64>,
-) {
+fn assert_recovery(data_dir: &Path, base_csv: &Path, acked: &[u64], in_flight: Option<u64>) {
     let (_child, addr) = spawn_daemon(data_dir, None, None);
     let mut client = connect(&addr);
     let info = client.open("t").expect("recovered tenant serves");
 
-    let candidates: Vec<u64> =
-        acked.iter().copied().chain(in_flight).collect();
+    let candidates: Vec<u64> = acked.iter().copied().chain(in_flight).collect();
     let floor = acked.len() as u64;
     assert!(
         info.epoch >= floor && info.epoch <= candidates.len() as u64,
@@ -358,9 +349,7 @@ fn fsck_detects_and_repairs_every_generated_corruption() {
         let (child, addr) = spawn_daemon(pristine.path(), Some(&base_csv), None);
         let mut client = connect(&addr);
         client.open("t").unwrap();
-        let acked = (0..6u64)
-            .filter(|&k| client.append(None, &batch(k)).is_ok())
-            .collect();
+        let acked = (0..6u64).filter(|&k| client.append(None, &batch(k)).is_ok()).collect();
         drop(client);
         drop(child); // SIGKILL: no final checkpoint, the WAL stays hot.
         acked

@@ -34,10 +34,8 @@ impl TempDir {
     fn new(tag: &str) -> TempDir {
         static COUNTER: AtomicU64 = AtomicU64::new(0);
         let n = COUNTER.fetch_add(1, Ordering::Relaxed);
-        let dir = std::env::temp_dir().join(format!(
-            "arcs-replchaos-{tag}-{}-{n}",
-            std::process::id()
-        ));
+        let dir =
+            std::env::temp_dir().join(format!("arcs-replchaos-{tag}-{}-{n}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         TempDir(dir)
     }
@@ -176,11 +174,7 @@ fn spawn_primary(data_dir: &Path, base_csv: &Path, failpoints: Option<&str>) -> 
 }
 
 fn spawn_standby(data_dir: &Path, primary: &str, failpoints: Option<&str>) -> (Reaper, String) {
-    spawn_daemon(
-        data_dir,
-        &["--replicate-from", primary, "--repl-poll-ms", "10"],
-        failpoints,
-    )
+    spawn_daemon(data_dir, &["--replicate-from", primary, "--repl-poll-ms", "10"], failpoints)
 }
 
 fn connect(addr: &str) -> Client {
@@ -234,11 +228,7 @@ fn settled_standby_seq(addr: &str) -> u64 {
 /// through the library.
 fn oracle_results(base_csv: &Path, batches: &[u64]) -> (u64, Vec<QueryResult>) {
     let ds = arcs_data::csv::load_csv_inferred(base_csv, 4).unwrap();
-    let config = TenantConfig {
-        n_x_bins: 10,
-        n_y_bins: 10,
-        ..TenantConfig::new("x", "y", "g")
-    };
+    let config = TenantConfig { n_x_bins: 10, n_y_bins: 10, ..TenantConfig::new("x", "y", "g") };
     let tenant = Tenant::from_dataset("t", &ds, &config).unwrap();
     for &k in batches {
         tenant.append_csv(&batch(k)).unwrap();
@@ -300,8 +290,7 @@ fn sigkill_primary_then_promoted_standby_serves_the_acked_prefix() {
 
     let mut writer = connect(&primary_addr);
     writer.open("t").unwrap();
-    let acked: Vec<u64> =
-        (0..6u64).filter(|&k| writer.append(None, &batch(k)).is_ok()).collect();
+    let acked: Vec<u64> = (0..6u64).filter(|&k| writer.append(None, &batch(k)).is_ok()).collect();
     assert_eq!(acked.len(), 6, "unraced appends must all ack");
     drop(writer);
 

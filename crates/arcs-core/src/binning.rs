@@ -96,11 +96,7 @@ impl BinMap {
     /// most `tolerance` (relative), until at most `max_bins` remain. Bins
     /// are therefore sized so that tuples within each are near-uniformly
     /// distributed.
-    pub fn homogeneity(
-        values: &[f64],
-        max_bins: usize,
-        tolerance: f64,
-    ) -> Result<Self, ArcsError> {
+    pub fn homogeneity(values: &[f64], max_bins: usize, tolerance: f64) -> Result<Self, ArcsError> {
         if max_bins == 0 {
             return Err(ArcsError::InvalidConfig("max_bins must be > 0".into()));
         }
@@ -129,11 +125,8 @@ impl BinMap {
         // Greedy pairwise merge: repeatedly merge the adjacent pair with the
         // smallest relative density difference while either (a) over the bin
         // budget or (b) a pair is within tolerance.
-        let mut segs: Vec<(f64, f64, usize)> = edges
-            .windows(2)
-            .zip(&counts)
-            .map(|(w, &c)| (w[0], w[1], c))
-            .collect();
+        let mut segs: Vec<(f64, f64, usize)> =
+            edges.windows(2).zip(&counts).map(|(w, &c)| (w[0], w[1], c)).collect();
         loop {
             if segs.len() <= 1 {
                 break;

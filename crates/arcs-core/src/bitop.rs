@@ -45,10 +45,7 @@ pub struct BitOpConfig {
 
 impl Default for BitOpConfig {
     fn default() -> Self {
-        BitOpConfig {
-            min_area_fraction: 0.01,
-            threads: crate::metrics::default_threads(),
-        }
+        BitOpConfig { min_area_fraction: 0.01, threads: crate::metrics::default_threads() }
     }
 }
 
@@ -524,10 +521,7 @@ mod tests {
 
     #[test]
     fn default_threads_track_available_parallelism() {
-        assert_eq!(
-            BitOpConfig::default().threads,
-            crate::metrics::default_threads()
-        );
+        assert_eq!(BitOpConfig::default().threads, crate::metrics::default_threads());
         assert!(BitOpConfig::default().threads >= 1);
     }
 
@@ -592,11 +586,8 @@ mod tests {
         }
         // Clustering with threads produces identical clusters.
         let base = cluster(&grid, &BitOpConfig::no_pruning()).unwrap();
-        let threaded = cluster(
-            &grid,
-            &BitOpConfig { threads: 4, ..BitOpConfig::no_pruning() },
-        )
-        .unwrap();
+        let threaded =
+            cluster(&grid, &BitOpConfig { threads: 4, ..BitOpConfig::no_pruning() }).unwrap();
         assert_eq!(base, threaded);
     }
 
@@ -619,10 +610,7 @@ mod tests {
     #[test]
     fn parallel_enumeration_handles_tiny_grids() {
         let grid = Grid::parse("#.\n.#\n").unwrap();
-        assert_eq!(
-            enumerate_candidates_parallel(&grid, 16),
-            enumerate_candidates(&grid)
-        );
+        assert_eq!(enumerate_candidates_parallel(&grid, 16), enumerate_candidates(&grid));
         let empty = Grid::new(3, 3).unwrap();
         assert!(enumerate_candidates_parallel(&empty, 4).is_empty());
     }

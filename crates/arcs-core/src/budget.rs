@@ -43,10 +43,9 @@ pub fn grid_bytes(nx: usize, ny: usize, nseg: usize) -> Result<usize, ArcsError>
 /// [`ArcsError::BudgetExceeded`].
 pub fn admit(required_bytes: usize, budget_bytes: Option<usize>) -> Result<(), ArcsError> {
     match budget_bytes {
-        Some(budget) if required_bytes > budget => Err(ArcsError::BudgetExceeded {
-            required_bytes,
-            budget_bytes: budget,
-        }),
+        Some(budget) if required_bytes > budget => {
+            Err(ArcsError::BudgetExceeded { required_bytes, budget_bytes: budget })
+        }
         _ => Ok(()),
     }
 }

@@ -110,10 +110,7 @@ pub struct CategoricalConfig {
 
 impl Default for CategoricalConfig {
     fn default() -> Self {
-        CategoricalConfig {
-            n_quant_bins: 50,
-            optimizer: OptimizerConfig::default(),
-        }
+        CategoricalConfig { n_quant_bins: 50, optimizer: OptimizerConfig::default() }
     }
 }
 
@@ -182,11 +179,7 @@ pub fn segment_categorical(
         }
     };
     let mut ordering: Vec<u32> = (0..k as u32).collect();
-    ordering.sort_by(|&a, &b| {
-        density(b as usize)
-            .total_cmp(&density(a as usize))
-            .then(a.cmp(&b))
-    });
+    ordering.sort_by(|&a, &b| density(b as usize).total_cmp(&density(a as usize)).then(a.cmp(&b)));
     // column_of[category code] = grid column.
     let mut column_of = vec![0usize; k];
     for (col, &code) in ordering.iter().enumerate() {
@@ -230,10 +223,7 @@ pub fn segment_categorical(
 
     let opt = &config.optimizer;
     let index = OccupancyIndex::build(&array);
-    let spec = ClusterSpec {
-        smoothing: opt.smoothing,
-        bitop: opt.bitop,
-    };
+    let spec = ClusterSpec { smoothing: opt.smoothing, bitop: opt.bitop };
     type Candidate = (Thresholds, Vec<Rect>, ErrorCounts, MdlScore);
     let mut best: Option<Candidate> = None;
     let mut best_any: Option<Candidate> = None;
@@ -244,9 +234,8 @@ pub fn segment_categorical(
                 break 'search;
             }
             let thresholds = Thresholds::new((s - 1e-12).max(0.0), (c - 1e-12).max(0.0))?;
-            let clusters = answer(&index, gk, thresholds, Some(&spec), None)?
-                .clusters
-                .unwrap_or_default();
+            let clusters =
+                answer(&index, gk, thresholds, Some(&spec), None)?.clusters.unwrap_or_default();
             evaluations += 1;
             if clusters.is_empty() {
                 continue;
@@ -272,10 +261,8 @@ pub fn segment_categorical(
     let mut rules = Vec::with_capacity(clusters.len());
     for rect in clusters {
         let category_codes: Vec<u32> = (rect.x0..=rect.x1).map(|col| ordering[col]).collect();
-        let category_labels = category_codes
-            .iter()
-            .map(|&c| cat_labels[c as usize].clone())
-            .collect();
+        let category_labels =
+            category_codes.iter().map(|&c| cat_labels[c as usize].clone()).collect();
         let (q_lo, _) = quant_map.range(rect.y0).expect("row in range");
         let (_, q_hi) = quant_map.range(rect.y1).expect("row in range");
         let mut group_count = 0u64;
@@ -330,20 +317,10 @@ mod tests {
                 let hot = (zip == 1 || zip == 4) && (20.0..50.0).contains(&salary);
                 let (n_a, n_other) = if hot { (30, 2) } else { (0, 6) };
                 for _ in 0..n_a {
-                    ds.push(vec![
-                        Value::Cat(zip),
-                        Value::Quant(salary),
-                        Value::Cat(0),
-                    ])
-                    .unwrap();
+                    ds.push(vec![Value::Cat(zip), Value::Quant(salary), Value::Cat(0)]).unwrap();
                 }
                 for _ in 0..n_other {
-                    ds.push(vec![
-                        Value::Cat(zip),
-                        Value::Quant(salary),
-                        Value::Cat(1),
-                    ])
-                    .unwrap();
+                    ds.push(vec![Value::Cat(zip), Value::Quant(salary), Value::Cat(1)]).unwrap();
                 }
             }
         }
@@ -407,7 +384,8 @@ mod tests {
         assert!(segment_categorical(&ds, "zip", "zip", "g", "A", &c).is_err());
         assert!(segment_categorical(&ds, "zip", "salary", "salary", "A", &c).is_err());
         assert!(segment_categorical(&ds, "zip", "salary", "g", "Z", &c).is_err());
-        assert!(segment_categorical(&Dataset::new(schema()), "zip", "salary", "g", "A", &c)
-            .is_err());
+        assert!(
+            segment_categorical(&Dataset::new(schema()), "zip", "salary", "g", "A", &c).is_err()
+        );
     }
 }

@@ -114,18 +114,18 @@ impl ClusteredRule {
         support: f64,
         confidence: f64,
     ) -> Result<Self, ArcsError> {
-        let (x_lo, _) = x_map.range(rect.x0).ok_or(ArcsError::OutOfBounds {
-            what: format!("x bin {}", rect.x0),
-        })?;
-        let (_, x_hi) = x_map.range(rect.x1).ok_or(ArcsError::OutOfBounds {
-            what: format!("x bin {}", rect.x1),
-        })?;
-        let (y_lo, _) = y_map.range(rect.y0).ok_or(ArcsError::OutOfBounds {
-            what: format!("y bin {}", rect.y0),
-        })?;
-        let (_, y_hi) = y_map.range(rect.y1).ok_or(ArcsError::OutOfBounds {
-            what: format!("y bin {}", rect.y1),
-        })?;
+        let (x_lo, _) = x_map
+            .range(rect.x0)
+            .ok_or(ArcsError::OutOfBounds { what: format!("x bin {}", rect.x0) })?;
+        let (_, x_hi) = x_map
+            .range(rect.x1)
+            .ok_or(ArcsError::OutOfBounds { what: format!("x bin {}", rect.x1) })?;
+        let (y_lo, _) = y_map
+            .range(rect.y0)
+            .ok_or(ArcsError::OutOfBounds { what: format!("y bin {}", rect.y0) })?;
+        let (_, y_hi) = y_map
+            .range(rect.y1)
+            .ok_or(ArcsError::OutOfBounds { what: format!("y bin {}", rect.y1) })?;
         Ok(ClusteredRule {
             x_attr: x_attr.to_string(),
             x_range: (x_lo, x_hi),
@@ -224,17 +224,13 @@ mod tests {
         let x_map = BinMap::equi_width(20.0, 80.0, 60).unwrap(); // 1 year/bin
         let y_map = BinMap::equi_width(0.0, 150_000.0, 15).unwrap(); // 10k/bin
         let rect = Rect::new(20, 4, 21, 5).unwrap(); // ages 40..42, salary 40k..60k
-        let rule = ClusteredRule::from_rect(
-            rect, &x_map, &y_map, "age", "salary", "group", "A", 0.1, 0.9,
-        )
-        .unwrap();
+        let rule =
+            ClusteredRule::from_rect(rect, &x_map, &y_map, "age", "salary", "group", "A", 0.1, 0.9)
+                .unwrap();
         assert_eq!(rule.x_range, (40.0, 42.0));
         assert_eq!(rule.y_range, (40_000.0, 60_000.0));
         let text = rule.to_string();
-        assert_eq!(
-            text,
-            "40 <= age < 42  AND  40000 <= salary < 60000  =>  group = A"
-        );
+        assert_eq!(text, "40 <= age < 42  AND  40000 <= salary < 60000  =>  group = A");
     }
 
     #[test]
@@ -264,9 +260,8 @@ mod tests {
         let x_map = BinMap::equi_width(0.0, 10.0, 5).unwrap();
         let y_map = BinMap::equi_width(0.0, 10.0, 5).unwrap();
         let rect = Rect::new(0, 0, 5, 0).unwrap(); // x1 = 5 out of range
-        assert!(ClusteredRule::from_rect(
-            rect, &x_map, &y_map, "x", "y", "g", "A", 0.0, 0.0
-        )
-        .is_err());
+        assert!(
+            ClusteredRule::from_rect(rect, &x_map, &y_map, "x", "y", "g", "A", 0.0, 0.0).is_err()
+        );
     }
 }

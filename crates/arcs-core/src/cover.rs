@@ -261,11 +261,7 @@ mod tests {
 
     #[test]
     fn bitop_matches_optimum_on_easy_grids() {
-        for art in [
-            "####\n####\n",
-            "##..\n##..\n..##\n..##\n",
-            "#.\n.#\n",
-        ] {
+        for art in ["####\n####\n", "##..\n##..\n..##\n..##\n", "#.\n.#\n"] {
             let grid = Grid::parse(art).unwrap();
             let greedy = bitop::cluster(&grid, &BitOpConfig::no_pruning()).unwrap();
             let optimal = optimal_cover(&grid).unwrap();

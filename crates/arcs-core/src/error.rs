@@ -242,15 +242,9 @@ mod tests {
             (ArcsError::Io("io".into()), "IO"),
             (ArcsError::Checkpoint { message: "c".into() }, "CHECKPOINT"),
             (ArcsError::GridTooLarge { nx: 1, ny: 1, nseg: 1 }, "GRID_TOO_LARGE"),
-            (
-                ArcsError::BudgetExceeded { required_bytes: 2, budget_bytes: 1 },
-                "BUDGET_EXCEEDED",
-            ),
+            (ArcsError::BudgetExceeded { required_bytes: 2, budget_bytes: 1 }, "BUDGET_EXCEEDED"),
             (ArcsError::AllocationFailed { what: "w".into() }, "ALLOCATION_FAILED"),
-            (
-                ArcsError::WorkerPanicked { stage: "s", message: "m".into() },
-                "WORKER_PANICKED",
-            ),
+            (ArcsError::WorkerPanicked { stage: "s", message: "m".into() }, "WORKER_PANICKED"),
             (ArcsError::FaultInjected { point: "p" }, "FAULT_INJECTED"),
             (ArcsError::DeadlineExceeded { stage: "s" }, "DEADLINE_EXCEEDED"),
             (ArcsError::Overloaded { inflight: 1, queued: 1 }, "OVERLOADED"),

@@ -86,10 +86,8 @@ fn worker_loop(pool: &ExecPool) {
                 if let Some(task) = tasks.pop_front() {
                     break task;
                 }
-                tasks = pool
-                    .work_ready
-                    .wait(tasks)
-                    .unwrap_or_else(|poisoned| poisoned.into_inner());
+                tasks =
+                    pool.work_ready.wait(tasks).unwrap_or_else(|poisoned| poisoned.into_inner());
             }
         };
         // A panicking task must never kill the worker: shard-level
@@ -111,15 +109,9 @@ struct Latch {
 
 impl Latch {
     fn wait(&self) {
-        let mut count = self
-            .count
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
+        let mut count = self.count.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
         while *count > 0 {
-            count = self
-                .done
-                .wait(count)
-                .unwrap_or_else(|poisoned| poisoned.into_inner());
+            count = self.done.wait(count).unwrap_or_else(|poisoned| poisoned.into_inner());
         }
     }
 }
@@ -128,10 +120,7 @@ struct LatchGuard(Arc<Latch>);
 
 impl LatchGuard {
     fn register(latch: &Arc<Latch>) -> LatchGuard {
-        let mut count = latch
-            .count
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
+        let mut count = latch.count.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
         *count += 1;
         drop(count);
         LatchGuard(Arc::clone(latch))
@@ -140,11 +129,7 @@ impl LatchGuard {
 
 impl Drop for LatchGuard {
     fn drop(&mut self) {
-        let mut count = self
-            .0
-            .count
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
+        let mut count = self.0.count.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
         *count -= 1;
         if *count == 0 {
             self.0.done.notify_all();
@@ -249,10 +234,7 @@ impl ExecPool {
     {
         let n = items.len();
         let workers = threads.max(1).min(n.max(1));
-        let mut stats = PoolStats {
-            effective_workers: workers as u64,
-            ..PoolStats::default()
-        };
+        let mut stats = PoolStats { effective_workers: workers as u64, ..PoolStats::default() };
         if n == 0 {
             return (Vec::new(), stats);
         }
@@ -290,8 +272,7 @@ impl ExecPool {
                         // SAFETY: see `ctx_addr` above — the caller's
                         // CompletionGuard keeps `ctx` alive until this
                         // unit's LatchGuard drops.
-                        let ctx =
-                            unsafe { &*(ctx_addr as *const ShardCtx<'_, T, R, F>) };
+                        let ctx = unsafe { &*(ctx_addr as *const ShardCtx<'_, T, R, F>) };
                         ctx.run(true);
                     }));
                     stats.max_queue_depth = stats.max_queue_depth.max(depth as u64);
@@ -306,8 +287,7 @@ impl ExecPool {
         let results = slots
             .into_iter()
             .map(|slot| {
-                slot.into_inner()
-                    .expect("every shard index is claimed and filled exactly once")
+                slot.into_inner().expect("every shard index is claimed and filled exactly once")
             })
             .collect();
         (results, stats)
@@ -420,10 +400,9 @@ fn run_recovered<R>(
     stats.sequential_fallbacks += 1;
     match catch_unwind(AssertUnwindSafe(final_attempt)) {
         Ok(result) => result,
-        Err(panic) => Err(ArcsError::WorkerPanicked {
-            stage,
-            message: crate::error::panic_message(panic),
-        }),
+        Err(panic) => {
+            Err(ArcsError::WorkerPanicked { stage, message: crate::error::panic_message(panic) })
+        }
     }
 }
 

@@ -36,16 +36,10 @@ impl Grid {
             nseg: 0,
         })?;
         let mut bits = Vec::new();
-        bits.try_reserve_exact(words).map_err(|_| ArcsError::AllocationFailed {
-            what: format!("{words} grid words"),
-        })?;
+        bits.try_reserve_exact(words)
+            .map_err(|_| ArcsError::AllocationFailed { what: format!("{words} grid words") })?;
         bits.resize(words, 0);
-        Ok(Grid {
-            width,
-            height,
-            words_per_row,
-            bits,
-        })
+        Ok(Grid { width, height, words_per_row, bits })
     }
 
     /// Test-only: a zero-height grid, impossible through the validated
@@ -54,12 +48,7 @@ impl Grid {
     /// worker count to zero and divide by zero).
     #[cfg(test)]
     pub(crate) fn degenerate_zero_height(width: usize) -> Self {
-        Grid {
-            width,
-            height: 0,
-            words_per_row: width.div_ceil(64),
-            bits: Vec::new(),
-        }
+        Grid { width, height: 0, words_per_row: width.div_ceil(64), bits: Vec::new() }
     }
 
     /// Builds a grid from an iterator of set cells.
@@ -77,11 +66,7 @@ impl Grid {
     /// Parses a grid from rows of `#` (set) and `.` (unset) characters —
     /// handy for tests and docs. Row 0 of the grid is the *first* line.
     pub fn parse(art: &str) -> Result<Self, ArcsError> {
-        let lines: Vec<&str> = art
-            .lines()
-            .map(str::trim)
-            .filter(|l| !l.is_empty())
-            .collect();
+        let lines: Vec<&str> = art.lines().map(str::trim).filter(|l| !l.is_empty()).collect();
         let height = lines.len();
         let width = lines.first().map_or(0, |l| l.chars().count());
         let mut grid = Grid::new(width, height)?;
@@ -240,9 +225,10 @@ impl Grid {
     /// Iterates over all set cells as `(x, y)`, row-major.
     pub fn iter_set(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
         (0..self.height).flat_map(move |y| {
-            self.row(y).iter().enumerate().flat_map(move |(wi, &word)| {
-                BitIter::new(word).map(move |b| (wi * 64 + b, y))
-            })
+            self.row(y)
+                .iter()
+                .enumerate()
+                .flat_map(move |(wi, &word)| BitIter::new(word).map(move |b| (wi * 64 + b, y)))
         })
     }
 }
@@ -367,9 +353,8 @@ pub fn for_each_run_reference(words: &[u64], width: usize, mut f: impl FnMut(usi
         }
         // If we leave the word mid-run and the run doesn't continue, close it.
         if let Some(start) = run_start {
-            let next_continues = words
-                .get(wi + 1)
-                .is_some_and(|&nw| width > (wi + 1) * 64 && nw & 1 != 0);
+            let next_continues =
+                words.get(wi + 1).is_some_and(|&nw| width > (wi + 1) * 64 && nw & 1 != 0);
             if !next_continues {
                 f(start, x + bits_in_word - 1);
                 run_start = None;

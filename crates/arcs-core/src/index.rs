@@ -126,9 +126,7 @@ impl OccupancyIndex {
             by_count.sort_by_key(|&i| group.cells[i as usize].count);
             let mut by_conf: Vec<u32> = (0..group.cells.len() as u32).collect();
             by_conf.sort_by(|&a, &b| {
-                group.cells[a as usize]
-                    .confidence
-                    .total_cmp(&group.cells[b as usize].confidence)
+                group.cells[a as usize].confidence.total_cmp(&group.cells[b as usize].confidence)
             });
             group.by_count = by_count;
             group.by_conf = by_conf;
@@ -214,11 +212,7 @@ pub struct DeltaMiner {
 impl DeltaMiner {
     /// Creates a miner for group `gk` with an empty grid sized to `index`.
     pub fn new(index: &OccupancyIndex, gk: u32) -> Result<Self, ArcsError> {
-        Ok(DeltaMiner {
-            gk,
-            grid: Grid::new(index.nx, index.ny)?,
-            current: None,
-        })
+        Ok(DeltaMiner { gk, grid: Grid::new(index.nx, index.ny)?, current: None })
     }
 
     /// The qualifying-cell grid at the thresholds of the last
@@ -257,9 +251,9 @@ impl DeltaMiner {
                 self.grid.reset();
                 // First fill: the by-count suffix at or above the support
                 // cut is exactly the support-qualifying cell set.
-                let start = group.by_count.partition_point(|&i| {
-                    (group.cells[i as usize].count as u64) < new_count
-                });
+                let start = group
+                    .by_count
+                    .partition_point(|&i| (group.cells[i as usize].count as u64) < new_count);
                 for &i in &group.by_count[start..] {
                     let cell = group.cells[i as usize];
                     visited += 1;
@@ -289,12 +283,10 @@ impl DeltaMiner {
                     changed += self.requalify(group.cells[i as usize], new_count, new_conf);
                 }
                 let (f_lo, f_hi) = (old_conf.min(new_conf), old_conf.max(new_conf));
-                let start = group
-                    .by_conf
-                    .partition_point(|&i| group.cells[i as usize].confidence < f_lo);
-                let end = group
-                    .by_conf
-                    .partition_point(|&i| group.cells[i as usize].confidence < f_hi);
+                let start =
+                    group.by_conf.partition_point(|&i| group.cells[i as usize].confidence < f_lo);
+                let end =
+                    group.by_conf.partition_point(|&i| group.cells[i as usize].confidence < f_hi);
                 for &i in &group.by_conf[start..end] {
                     visited += 1;
                     changed += self.requalify(group.cells[i as usize], new_count, new_conf);
@@ -392,14 +384,7 @@ mod tests {
         let ba = demo_array();
         let index = OccupancyIndex::build(&ba);
         let mut miner = DeltaMiner::new(&index, 0).unwrap();
-        let walk = [
-            (0.0, 0.0),
-            (0.04, 0.0),
-            (0.04, 0.9),
-            (0.2, 0.9),
-            (0.0, 0.0),
-            (1.0, 1.0),
-        ];
+        let walk = [(0.0, 0.0), (0.04, 0.0), (0.04, 0.9), (0.2, 0.9), (0.0, 0.0), (1.0, 1.0)];
         for (s, c) in walk {
             let t = Thresholds::new(s, c).unwrap();
             let (visited, changed) = miner.update(&index, t);

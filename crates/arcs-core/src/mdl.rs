@@ -39,9 +39,7 @@ impl MdlWeights {
             )));
         }
         if wc == 0.0 && we == 0.0 {
-            return Err(ArcsError::InvalidConfig(
-                "MDL weights must not both be zero".into(),
-            ));
+            return Err(ArcsError::InvalidConfig("MDL weights must not both be zero".into()));
         }
         Ok(MdlWeights { wc, we })
     }
@@ -74,11 +72,7 @@ pub struct MdlScore {
 impl MdlScore {
     /// Computes the score for a segmentation.
     pub fn compute(n_clusters: usize, errors: usize, weights: MdlWeights) -> Self {
-        MdlScore {
-            n_clusters,
-            errors,
-            cost: mdl_cost(n_clusters, errors, weights),
-        }
+        MdlScore { n_clusters, errors, cost: mdl_cost(n_clusters, errors, weights) }
     }
 }
 
@@ -132,9 +126,7 @@ mod tests {
         let b = (16usize, 8usize);
         // Cluster-averse user prefers A.
         let cluster_averse = MdlWeights::new(4.0, 1.0).unwrap();
-        assert!(
-            mdl_cost(a.0, a.1, cluster_averse) < mdl_cost(b.0, b.1, cluster_averse)
-        );
+        assert!(mdl_cost(a.0, a.1, cluster_averse) < mdl_cost(b.0, b.1, cluster_averse));
         // Error-averse user prefers B.
         let error_averse = MdlWeights::new(1.0, 4.0).unwrap();
         assert!(mdl_cost(b.0, b.1, error_averse) < mdl_cost(a.0, a.1, error_averse));

@@ -62,9 +62,7 @@ impl ClusterBox {
     /// are carried over. Returns `None` when the boxes target different
     /// groups, share no attribute, or a shared range is disjoint.
     pub fn join(&self, other: &ClusterBox) -> Option<ClusterBox> {
-        if self.group_label != other.group_label
-            || self.criterion_attr != other.criterion_attr
-        {
+        if self.group_label != other.group_label || self.criterion_attr != other.criterion_attr {
             return None;
         }
         let shared: Vec<&String> =
@@ -281,28 +279,16 @@ mod tests {
         .unwrap();
         let mut ds = Dataset::new(schema);
         // In-box group-A tuple, in-box other (FP), out-of-box group-A (FN).
-        for (a, b, c, g) in [
-            (1.0, 1.0, 1.0, 0u32),
-            (1.0, 1.0, 1.0, 1),
-            (9.0, 9.0, 9.0, 0),
-        ] {
-            ds.push(vec![
-                Value::Quant(a),
-                Value::Quant(b),
-                Value::Quant(c),
-                Value::Cat(g),
-            ])
-            .unwrap();
+        for (a, b, c, g) in [(1.0, 1.0, 1.0, 0u32), (1.0, 1.0, 1.0, 1), (9.0, 9.0, 9.0, 0)] {
+            ds.push(vec![Value::Quant(a), Value::Quant(b), Value::Quant(c), Value::Cat(g)])
+                .unwrap();
         }
         let mut ranges = BTreeMap::new();
         ranges.insert("a".to_string(), (0.0, 5.0));
         ranges.insert("b".to_string(), (0.0, 5.0));
         ranges.insert("c".to_string(), (0.0, 5.0));
-        let boxes = vec![ClusterBox {
-            ranges,
-            criterion_attr: "g".into(),
-            group_label: "A".into(),
-        }];
+        let boxes =
+            vec![ClusterBox { ranges, criterion_attr: "g".into(), group_label: "A".into() }];
         let counts = box_errors(&boxes, &ds, "g", "A").unwrap();
         assert_eq!(counts.false_positives, 1);
         assert_eq!(counts.false_negatives, 1);

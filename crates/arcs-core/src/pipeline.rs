@@ -150,14 +150,9 @@ impl Arcs {
     ) -> Result<Binner, ArcsError> {
         let (n_x_bins, n_y_bins) = (plan.nx, plan.ny);
         match self.config.strategy {
-            BinningStrategy::EquiWidth => Binner::equi_width(
-                schema,
-                x_attr,
-                y_attr,
-                criterion_attr,
-                n_x_bins,
-                n_y_bins,
-            ),
+            BinningStrategy::EquiWidth => {
+                Binner::equi_width(schema, x_attr, y_attr, criterion_attr, n_x_bins, n_y_bins)
+            }
             BinningStrategy::EquiDepth => {
                 let ds = dataset.ok_or_else(|| {
                     ArcsError::InvalidConfig(
@@ -311,10 +306,7 @@ mod tests {
     #[test]
     fn equi_depth_strategy_works_in_memory() {
         let ds = blocky_dataset();
-        let config = ArcsConfig {
-            strategy: BinningStrategy::EquiDepth,
-            ..small_config()
-        };
+        let config = ArcsConfig { strategy: BinningStrategy::EquiDepth, ..small_config() };
         let arcs = Arcs::new(config).unwrap();
         let seg = segment_once(&arcs, &ds, "x", "y", "g", "A").unwrap();
         assert!(!seg.clusters.is_empty());
@@ -341,10 +333,7 @@ mod tests {
     #[test]
     fn equi_depth_strategy_rejected_for_streams() {
         let ds = blocky_dataset();
-        let config = ArcsConfig {
-            strategy: BinningStrategy::EquiDepth,
-            ..small_config()
-        };
+        let config = ArcsConfig { strategy: BinningStrategy::EquiDepth, ..small_config() };
         let arcs = Arcs::new(config).unwrap();
         let err = arcs
             .open_stream(
@@ -362,11 +351,8 @@ mod tests {
     fn segment_all_groups_shares_one_binning() {
         let ds = blocky_dataset();
         let arcs = Arcs::new(small_config()).unwrap();
-        let all = arcs
-            .open(&ds, SegmentRequest::new("x", "y", "g"))
-            .unwrap()
-            .segment_all()
-            .unwrap();
+        let all =
+            arcs.open(&ds, SegmentRequest::new("x", "y", "g")).unwrap().segment_all().unwrap();
         assert_eq!(all.len(), 2);
         assert_eq!(all[0].0, "A");
         assert_eq!(all[1].0, "other");

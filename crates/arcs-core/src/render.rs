@@ -67,9 +67,7 @@ pub fn render_svg(grid: &Grid, clusters: &[Rect], cell_px: usize) -> String {
         "<svg xmlns=\"http://www.w3.org/2000/svg\" width=\"{w}\" height=\"{h}\" \
          viewBox=\"0 0 {w} {h}\">\n"
     ));
-    svg.push_str(&format!(
-        "  <rect width=\"{w}\" height=\"{h}\" fill=\"#ffffff\"/>\n"
-    ));
+    svg.push_str(&format!("  <rect width=\"{w}\" height=\"{h}\" fill=\"#ffffff\"/>\n"));
     // Rule cells.
     for (x, y) in grid.iter_set() {
         let px = x * cell;
@@ -80,8 +78,7 @@ pub fn render_svg(grid: &Grid, clusters: &[Rect], cell_px: usize) -> String {
         ));
     }
     // Cluster outlines, cycling a small palette.
-    const PALETTE: [&str; 6] =
-        ["#d62728", "#1f77b4", "#2ca02c", "#9467bd", "#ff7f0e", "#17becf"];
+    const PALETTE: [&str; 6] = ["#d62728", "#1f77b4", "#2ca02c", "#9467bd", "#ff7f0e", "#17becf"];
     for (i, rect) in clusters.iter().enumerate() {
         let px = rect.x0 * cell;
         let py = (grid.height() - 1 - rect.y1) * cell;
@@ -126,8 +123,7 @@ mod tests {
         for x in 0..28 {
             grid.set(x, 0);
         }
-        let clusters: Vec<Rect> =
-            (0..28).map(|x| Rect::new(x, 0, x, 0).unwrap()).collect();
+        let clusters: Vec<Rect> = (0..28).map(|x| Rect::new(x, 0, x, 0).unwrap()).collect();
         let art = render_clusters(&grid, &clusters);
         assert!(art.starts_with("ABCDEFGHIJKLMNOPQRSTUVWXYZAB"));
     }

@@ -83,9 +83,7 @@ pub fn to_hex(bytes: &[u8]) -> String {
 
 /// Strict inverse of [`to_hex`]: even length, hex digits only.
 pub fn from_hex(text: &str) -> Result<Vec<u8>, ArcsError> {
-    let bad = |what: &str| ArcsError::Checkpoint {
-        message: format!("shipped WAL record: {what}"),
-    };
+    let bad = |what: &str| ArcsError::Checkpoint { message: format!("shipped WAL record: {what}") };
     if !text.len().is_multiple_of(2) {
         return Err(bad("hex payload has odd length"));
     }
@@ -182,10 +180,8 @@ mod tests {
         assert!(lying.decode().is_err());
 
         // A record torn in flight is refused by the checksum.
-        let torn = ShippedRecord {
-            seq: 9,
-            bytes: shipped.bytes[..shipped.bytes.len() - 2].to_vec(),
-        };
+        let torn =
+            ShippedRecord { seq: 9, bytes: shipped.bytes[..shipped.bytes.len() - 2].to_vec() };
         assert!(torn.decode().is_err());
     }
 

@@ -470,8 +470,7 @@ mod tests {
         let smoothed =
             smooth_support(&values, width, height, &SmoothConfig::default(), 0.5).unwrap();
         assert!(smoothed.get(2, 2), "one pass fills the hole");
-        let raw =
-            smooth_support(&values, width, height, &SmoothConfig::disabled(), 0.5).unwrap();
+        let raw = smooth_support(&values, width, height, &SmoothConfig::disabled(), 0.5).unwrap();
         assert!(!raw.get(2, 2), "zero passes must not smooth the support grid");
         assert!(raw.get(1, 1), "raw support cells still binarise");
     }
@@ -489,14 +488,7 @@ mod tests {
             }
         }
         values[2 * width + 2] = 0.0;
-        let grid = smooth_support(
-            &values,
-            width,
-            height,
-            &SmoothConfig::default(),
-            0.5,
-        )
-        .unwrap();
+        let grid = smooth_support(&values, width, height, &SmoothConfig::default(), 0.5).unwrap();
         assert!(grid.get(2, 2), "zero-support hole should be filled");
         assert!(!grid.get(0, 0), "far corner stays clear");
     }
@@ -512,8 +504,7 @@ mod tests {
             values[y * width + 1] = 0.2;
         }
         values[2 * width + 4] = 0.01;
-        let grid =
-            smooth_support(&values, width, height, &SmoothConfig::default(), 0.5).unwrap();
+        let grid = smooth_support(&values, width, height, &SmoothConfig::default(), 0.5).unwrap();
         assert!(!grid.get(4, 2), "weak speck should fall below the support cut");
         assert!(grid.get(0, 1) || grid.get(1, 1), "strong block survives");
     }

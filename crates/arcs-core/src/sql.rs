@@ -51,8 +51,7 @@ impl SqlPredicate for ClusteredRule {
 
 impl SqlPredicate for CategoricalRule {
     fn to_sql_where(&self) -> String {
-        let labels: Vec<String> =
-            self.category_labels.iter().map(|l| quote_literal(l)).collect();
+        let labels: Vec<String> = self.category_labels.iter().map(|l| quote_literal(l)).collect();
         format!(
             "{} IN ({}) AND {}",
             quote_ident(&self.cat_attr),
@@ -78,11 +77,7 @@ pub fn segmentation_where<T: SqlPredicate>(rules: &[T]) -> String {
     if rules.is_empty() {
         return "FALSE".to_string();
     }
-    rules
-        .iter()
-        .map(|r| format!("({})", r.to_sql_where()))
-        .collect::<Vec<_>>()
-        .join(" OR ")
+    rules.iter().map(|r| format!("({})", r.to_sql_where())).collect::<Vec<_>>().join(" OR ")
 }
 
 #[cfg(test)]
@@ -149,15 +144,8 @@ mod tests {
         let mut ranges = BTreeMap::new();
         ranges.insert("a".to_string(), (0.0, 1.0));
         ranges.insert("b".to_string(), (2.0, 3.0));
-        let cb = ClusterBox {
-            ranges,
-            criterion_attr: "g".into(),
-            group_label: "X".into(),
-        };
-        assert_eq!(
-            cb.to_sql_where(),
-            "\"a\" >= 0 AND \"a\" < 1 AND \"b\" >= 2 AND \"b\" < 3"
-        );
+        let cb = ClusterBox { ranges, criterion_attr: "g".into(), group_label: "X".into() };
+        assert_eq!(cb.to_sql_where(), "\"a\" >= 0 AND \"a\" < 1 AND \"b\" >= 2 AND \"b\" < 3");
     }
 
     #[test]

@@ -102,14 +102,9 @@ pub fn verify_sampled(
     if dataset.is_empty() {
         return Ok((0.0, 0.0));
     }
-    let sampling = RepeatedSampling {
-        k: sampling.k.min(dataset.len()),
-        ..sampling
-    };
+    let sampling = RepeatedSampling { k: sampling.k.min(dataset.len()), ..sampling };
     let (mean, sd) = sampling
-        .estimate(dataset, |rows| {
-            verify_tuples(clusters, binner, rows.iter().copied(), gk).rate()
-        })
+        .estimate(dataset, |rows| verify_tuples(clusters, binner, rows.iter().copied(), gk).rate())
         .map_err(ArcsError::Data)?;
     Ok((mean, sd))
 }
@@ -130,16 +125,13 @@ pub fn region_error(
     resolution: usize,
 ) -> Result<ErrorCounts, ArcsError> {
     if resolution < 2 {
-        return Err(ArcsError::InvalidConfig(
-            "region_error resolution must be at least 2".into(),
-        ));
+        return Err(ArcsError::InvalidConfig("region_error resolution must be at least 2".into()));
     }
     let mut counts = ErrorCounts::default();
     for iy in 0..resolution {
         let y = y_domain.0 + (y_domain.1 - y_domain.0) * (iy as f64 + 0.5) / resolution as f64;
         for ix in 0..resolution {
-            let x =
-                x_domain.0 + (x_domain.1 - x_domain.0) * (ix as f64 + 0.5) / resolution as f64;
+            let x = x_domain.0 + (x_domain.1 - x_domain.0) * (ix as f64 + 0.5) / resolution as f64;
             let in_true = true_regions.iter().any(|r| r.contains(x, y));
             if in_true {
                 counts.group_total += 1;
@@ -296,8 +288,7 @@ mod tests {
         let b = binner();
         let clusters = vec![Rect::new(0, 0, 4, 4).unwrap()];
         let regions = [Region2D { x_lo: 0.0, x_hi: 5.0, y_lo: 0.0, y_hi: 5.0 }];
-        let counts =
-            region_error(&clusters, &b, &regions, (0.0, 10.0), (0.0, 10.0), 100).unwrap();
+        let counts = region_error(&clusters, &b, &regions, (0.0, 10.0), (0.0, 10.0), 100).unwrap();
         assert_eq!(counts.false_positives, 0);
         assert_eq!(counts.false_negatives, 0);
         assert_eq!(counts.n_examined, 10_000);
@@ -310,8 +301,7 @@ mod tests {
         let b = binner();
         let clusters = vec![Rect::new(0, 0, 4, 4).unwrap()];
         let regions = [Region2D { x_lo: 0.0, x_hi: 2.5, y_lo: 0.0, y_hi: 5.0 }];
-        let counts =
-            region_error(&clusters, &b, &regions, (0.0, 10.0), (0.0, 10.0), 200).unwrap();
+        let counts = region_error(&clusters, &b, &regions, (0.0, 10.0), (0.0, 10.0), 200).unwrap();
         let fp_frac = counts.false_positives as f64 / counts.n_examined as f64;
         // FP area = (5.0 - 2.5) * 5.0 = 12.5 of 100 total.
         assert!((fp_frac - 0.125).abs() < 0.01, "fp_frac = {fp_frac}");

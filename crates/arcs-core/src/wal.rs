@@ -350,7 +350,9 @@ pub fn replay(path: &Path) -> Result<WalReplay, ArcsError> {
         if stored != computed {
             break corrupt(
                 valid_len,
-                format!("record checksum mismatch: stored {stored:#018x}, computed {computed:#018x}"),
+                format!(
+                    "record checksum mismatch: stored {stored:#018x}, computed {computed:#018x}"
+                ),
             );
         }
         if body[0] != KIND_APPEND {
@@ -401,19 +403,21 @@ impl WalWriter {
     /// record will carry `start_seq`. The header is fsynced — and the
     /// directory entry with it — before this returns.
     pub fn create(path: &Path, start_seq: u64) -> Result<Self, ArcsError> {
-        let mut file = OpenOptions::new()
-            .read(true)
-            .write(true)
-            .create(true)
-            .truncate(true)
-            .open(path)?;
+        let mut file =
+            OpenOptions::new().read(true).write(true).create(true).truncate(true).open(path)?;
         let mut header = Vec::with_capacity(WAL_HEADER_LEN as usize);
         header.extend_from_slice(&WAL_MAGIC);
         header.extend_from_slice(&start_seq.to_le_bytes());
         file.write_all(&header)?;
         file.sync_all()?;
         sync_parent(path)?;
-        Ok(WalWriter { file, path: path.to_path_buf(), len: WAL_HEADER_LEN, next_seq: start_seq, poisoned: false })
+        Ok(WalWriter {
+            file,
+            path: path.to_path_buf(),
+            len: WAL_HEADER_LEN,
+            next_seq: start_seq,
+            poisoned: false,
+        })
     }
 
     /// Opens an existing log, healing a torn tail (the normal crash
@@ -506,14 +510,13 @@ impl WalWriter {
             )));
         }
         let seq = self.next_seq;
-        let result = faults::check("wal.write")
-            .and_then(|()| {
-                let bytes = encode_record(seq, feeder_offset, payload);
-                self.file.write_all(&bytes)?;
-                faults::check("wal.fsync")?;
-                self.file.sync_data()?;
-                Ok(bytes.len() as u64)
-            });
+        let result = faults::check("wal.write").and_then(|()| {
+            let bytes = encode_record(seq, feeder_offset, payload);
+            self.file.write_all(&bytes)?;
+            faults::check("wal.fsync")?;
+            self.file.sync_data()?;
+            Ok(bytes.len() as u64)
+        });
         match result {
             Ok(written) => {
                 self.len += written;
@@ -787,12 +790,8 @@ mod tests {
         for cut in WAL_HEADER_LEN as usize..full.len() {
             std::fs::write(&cut_path, &full[..cut]).unwrap();
             let replayed = replay(&cut_path).unwrap();
-            let boundary = record_boundaries
-                .iter()
-                .filter(|&&b| b <= cut as u64)
-                .max()
-                .copied()
-                .unwrap();
+            let boundary =
+                record_boundaries.iter().filter(|&&b| b <= cut as u64).max().copied().unwrap();
             assert_eq!(replayed.valid_len, boundary, "cut at {cut}");
             if record_boundaries.contains(&(cut as u64)) {
                 assert!(replayed.tail.is_clean());

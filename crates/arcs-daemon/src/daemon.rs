@@ -50,9 +50,8 @@ use arcs_core::faults;
 use arcs_core::jsonio::Json;
 
 use crate::protocol::{
-    ok_response, parse_frame_header, stats_to_json, write_frame, write_query_response,
-    FrameError, WireError, WireRequest, CODE_NOT_PRIMARY, CODE_NO_DATASET,
-    CODE_UNKNOWN_DATASET, HEADER_LEN,
+    ok_response, parse_frame_header, stats_to_json, write_frame, write_query_response, FrameError,
+    WireError, WireRequest, CODE_NOT_PRIMARY, CODE_NO_DATASET, CODE_UNKNOWN_DATASET, HEADER_LEN,
 };
 use crate::registry::{Registry, Tenant};
 use crate::repl::{self, ReplContext, ReplicationConfig};
@@ -130,10 +129,7 @@ impl ConnQueue {
             if !running.load(Ordering::SeqCst) {
                 return None;
             }
-            queue = self
-                .ready
-                .wait(queue)
-                .unwrap_or_else(|p| p.into_inner());
+            queue = self.ready.wait(queue).unwrap_or_else(|p| p.into_inner());
         }
     }
 
@@ -187,23 +183,17 @@ impl Daemon {
             let registry = Arc::clone(&self.registry);
             let config = self.config.clone();
             let repl_ctx = Arc::clone(&repl_ctx);
-            handlers.push(
-                std::thread::Builder::new()
-                    .name(format!("arcsd-handler-{i}"))
-                    .spawn(move || {
-                        while let Some(stream) = conns.pop(&running) {
-                            // A dying connection must not take its handler
-                            // thread down with it.
-                            let _ = std::panic::catch_unwind(
-                                std::panic::AssertUnwindSafe(|| {
-                                    handle_connection(
-                                        stream, &registry, &running, &config, &repl_ctx,
-                                    );
-                                }),
-                            );
-                        }
-                    })?,
-            );
+            handlers.push(std::thread::Builder::new().name(format!("arcsd-handler-{i}")).spawn(
+                move || {
+                    while let Some(stream) = conns.pop(&running) {
+                        // A dying connection must not take its handler
+                        // thread down with it.
+                        let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                            handle_connection(stream, &registry, &running, &config, &repl_ctx);
+                        }));
+                    }
+                },
+            )?);
         }
 
         let accept = {
@@ -232,23 +222,21 @@ impl Daemon {
             let registry = Arc::clone(&self.registry);
             let every = self.config.checkpoint_every;
             let interval = self.config.checkpoint_interval;
-            Some(std::thread::Builder::new().name("arcsd-checkpoint".into()).spawn(
-                move || {
-                    let mut last = Instant::now();
-                    while running.load(Ordering::SeqCst) {
-                        std::thread::sleep(POLL_TICK);
-                        if last.elapsed() < interval {
-                            continue;
-                        }
-                        last = Instant::now();
-                        for tenant in registry.tenants() {
-                            if let Err(err) = tenant.maybe_checkpoint(every) {
-                                eprintln!("arcsd checkpoint: {}: {err}", tenant.name());
-                            }
+            Some(std::thread::Builder::new().name("arcsd-checkpoint".into()).spawn(move || {
+                let mut last = Instant::now();
+                while running.load(Ordering::SeqCst) {
+                    std::thread::sleep(POLL_TICK);
+                    if last.elapsed() < interval {
+                        continue;
+                    }
+                    last = Instant::now();
+                    for tenant in registry.tenants() {
+                        if let Err(err) = tenant.maybe_checkpoint(every) {
+                            eprintln!("arcsd checkpoint: {}: {err}", tenant.name());
                         }
                     }
-                },
-            )?)
+                }
+            })?)
         } else {
             None
         };
@@ -417,10 +405,7 @@ fn read_exact_timed(
                 last_progress = Instant::now();
             }
             Err(err)
-                if matches!(
-                    err.kind(),
-                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                ) =>
+                if matches!(err.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut) =>
             {
                 let budget = if filled == 0 { first_budget } else { rest_budget };
                 if let Some(limit) = budget {
@@ -472,10 +457,8 @@ fn handle_connection(
                     return;
                 }
                 Err(ReadStop::StallTimeout(limit)) => {
-                    let message = format!(
-                        "read timeout: frame stalled mid-read for {}ms",
-                        limit.as_millis()
-                    );
+                    let message =
+                        format!("read timeout: frame stalled mid-read for {}ms", limit.as_millis());
                     let _ = send(&mut writer, &WireError::protocol(message).to_json());
                     return;
                 }
@@ -518,8 +501,8 @@ fn serve_frame(
 /// Bytes → [`WireRequest`], with every failure mode a [`CODE_PROTOCOL`]
 /// error: invalid UTF-8, invalid JSON, or an invalid request shape.
 fn decode_request(payload: &[u8]) -> Result<WireRequest, WireError> {
-    let text = std::str::from_utf8(payload)
-        .map_err(|_| WireError::protocol("payload is not UTF-8"))?;
+    let text =
+        std::str::from_utf8(payload).map_err(|_| WireError::protocol("payload is not UTF-8"))?;
     let json = arcs_core::jsonio::parse(text)
         .map_err(|err| WireError::protocol(format!("payload is not JSON: {err}")))?;
     WireRequest::from_json(&json)
@@ -563,8 +546,7 @@ fn execute(
         WireRequest::Open { dataset } => {
             let tenant = lookup(registry, &dataset)?;
             let snapshot = tenant.server().snapshot();
-            let labels =
-                tenant.labels().iter().map(|l| Json::Str(l.clone())).collect::<Vec<_>>();
+            let labels = tenant.labels().iter().map(|l| Json::Str(l.clone())).collect::<Vec<_>>();
             let body = ok_response(vec![
                 ("dataset", Json::Str(dataset)),
                 ("epoch", Json::Num(snapshot.epoch() as f64)),

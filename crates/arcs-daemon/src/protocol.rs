@@ -175,16 +175,10 @@ fn read_exact_or_eof<R: Read>(reader: &mut R, buf: &mut [u8]) -> io::Result<bool
 /// paths cannot drift on what a legal header is.
 pub fn parse_frame_header(header: &[u8; HEADER_LEN]) -> Result<usize, FrameError> {
     if header[..2] != MAGIC {
-        return Err(FrameError::Protocol(format!(
-            "bad magic {:02x}{:02x}",
-            header[0], header[1]
-        )));
+        return Err(FrameError::Protocol(format!("bad magic {:02x}{:02x}", header[0], header[1])));
     }
     if header[2] != VERSION {
-        return Err(FrameError::Protocol(format!(
-            "unsupported protocol version {}",
-            header[2]
-        )));
+        return Err(FrameError::Protocol(format!("unsupported protocol version {}", header[2])));
     }
     if header[3] != 0 {
         return Err(FrameError::Protocol("non-zero reserved byte".into()));
@@ -284,10 +278,9 @@ impl WireRequest {
     /// Serialises to the canonical request JSON.
     pub fn to_json(&self) -> Json {
         match self {
-            WireRequest::Open { dataset } => obj(vec![
-                ("op", Json::Str("open".into())),
-                ("dataset", Json::Str(dataset.clone())),
-            ]),
+            WireRequest::Open { dataset } => {
+                obj(vec![("op", Json::Str("open".into())), ("dataset", Json::Str(dataset.clone()))])
+            }
             WireRequest::Query { dataset, request } => {
                 let mut pairs = vec![("op", Json::Str("query".into()))];
                 if let Some(name) = dataset {
@@ -574,9 +567,8 @@ pub struct QueryOutcome {
 
 /// Decodes a successful query response body.
 pub fn query_outcome_from_json(json: &Json) -> Result<QueryOutcome, WireError> {
-    let doc = json
-        .get("result")
-        .ok_or_else(|| WireError::protocol("query response lacks `result`"))?;
+    let doc =
+        json.get("result").ok_or_else(|| WireError::protocol("query response lacks `result`"))?;
     let result = query_result_from_json(doc).map_err(bad_result)?;
     let cache_hit = json.get("cache_hit").and_then(Json::as_bool).unwrap_or(false);
     let retries = decode_retries(json.get("retries").and_then(Json::as_f64))?;
@@ -667,10 +659,10 @@ mod tests {
     #[test]
     fn bad_headers_are_protocol_errors() {
         let cases: Vec<Vec<u8>> = vec![
-            b"XX\x01\x00\x00\x00\x00\x00".to_vec(),           // bad magic
-            b"AR\x02\x00\x00\x00\x00\x00".to_vec(),           // future version
-            b"AR\x01\x07\x00\x00\x00\x00".to_vec(),           // reserved set
-            b"AR\x01\x00\xff\xff\xff\xff".to_vec(),           // oversized length
+            b"XX\x01\x00\x00\x00\x00\x00".to_vec(), // bad magic
+            b"AR\x02\x00\x00\x00\x00\x00".to_vec(), // future version
+            b"AR\x01\x07\x00\x00\x00\x00".to_vec(), // reserved set
+            b"AR\x01\x00\xff\xff\xff\xff".to_vec(), // oversized length
         ];
         for wire in cases {
             let err = read_frame(&mut &wire[..]).unwrap_err();
@@ -684,15 +676,13 @@ mod tests {
             WireRequest::Open { dataset: "trades".into() },
             WireRequest::Query {
                 dataset: Some("trades".into()),
-                request: Request::new()
-                    .group("A")
-                    .thresholds(Thresholds::new(0.01, 0.5).unwrap()),
+                request: Request::new().group("A").thresholds(Thresholds::new(0.01, 0.5).unwrap()),
             },
             WireRequest::Query {
                 dataset: None,
-                request: Request::new().group_code(2).thresholds(
-                    Thresholds::new(0.0, 0.25).unwrap(),
-                ),
+                request: Request::new()
+                    .group_code(2)
+                    .thresholds(Thresholds::new(0.0, 0.25).unwrap()),
             },
             WireRequest::Append { dataset: None, rows: "1.5,2.5,A\n".into() },
             WireRequest::Stats { dataset: Some("users".into()) },
@@ -738,13 +728,14 @@ mod tests {
         let ok = ok_response(vec![("epoch", Json::Num(3.0))]);
         assert_eq!(split_response(ok).unwrap().get("epoch").and_then(Json::as_u64), Some(3));
 
-        let err = split_response(WireError::new("OVERLOADED", "queue full").to_json())
-            .unwrap_err();
+        let err = split_response(WireError::new("OVERLOADED", "queue full").to_json()).unwrap_err();
         assert_eq!(err.code, "OVERLOADED");
         assert_eq!(err.message, "queue full");
 
         assert_eq!(
-            split_response(arcs_core::jsonio::parse("{\"weird\": true}").unwrap()).unwrap_err().code,
+            split_response(arcs_core::jsonio::parse("{\"weird\": true}").unwrap())
+                .unwrap_err()
+                .code,
             CODE_PROTOCOL
         );
     }

@@ -20,9 +20,7 @@ use arcs_core::serve::{ServeConfig, Server};
 use arcs_core::{ArcsError, BinArray, Binner};
 use arcs_data::{Dataset, Schema};
 
-use crate::store::{
-    bin_batch, valid_tenant_name, RecoveryReport, TenantMeta, TenantStore,
-};
+use crate::store::{bin_batch, valid_tenant_name, RecoveryReport, TenantMeta, TenantStore};
 
 /// How to build a tenant from a dataset.
 #[derive(Debug, Clone)]
@@ -227,9 +225,7 @@ impl Tenant {
         let n_rows = delta.n_tuples();
         let epoch = match &self.store {
             None => self.server.append(&delta)?,
-            Some(store) => {
-                store.append(rows.as_bytes(), offset, || self.server.append(&delta))?
-            }
+            Some(store) => store.append(rows.as_bytes(), offset, || self.server.append(&delta))?,
         };
         Ok((epoch, n_rows))
     }
@@ -420,8 +416,7 @@ mod tests {
     #[test]
     fn quantitative_criteria_are_rejected() {
         let ds = tiny_dataset();
-        let err =
-            Tenant::from_dataset("tiny", &ds, &TenantConfig::new("x", "g", "y")).unwrap_err();
+        let err = Tenant::from_dataset("tiny", &ds, &TenantConfig::new("x", "g", "y")).unwrap_err();
         assert!(matches!(err, ArcsError::AttributeKind { .. }), "{err}");
     }
 }

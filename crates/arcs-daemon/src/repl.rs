@@ -74,10 +74,7 @@ impl RoleState {
 
     /// A read-only standby tailing the primary at `primary_addr`.
     pub fn standby(primary_addr: &str) -> RoleState {
-        RoleState {
-            standby: AtomicBool::new(true),
-            primary: Mutex::new(primary_addr.to_string()),
-        }
+        RoleState { standby: AtomicBool::new(true), primary: Mutex::new(primary_addr.to_string()) }
     }
 
     /// `true` while this daemon refuses writes.
@@ -218,10 +215,7 @@ pub fn handle_records(
             let items = records
                 .iter()
                 .map(|r| {
-                    obj(vec![
-                        ("seq", Json::Num(r.seq as f64)),
-                        ("hex", Json::Str(r.to_hex())),
-                    ])
+                    obj(vec![("seq", Json::Num(r.seq as f64)), ("hex", Json::Str(r.to_hex()))])
                 })
                 .collect();
             Ok(ok_response(vec![
@@ -248,10 +242,7 @@ pub fn handle_heartbeat(
     let mut fields = vec![
         ("role", Json::Str(ctx.role.name().to_string())),
         ("primary", ctx.role.primary_addr().map_or(Json::Null, Json::Str)),
-        (
-            "datasets",
-            Json::Arr(registry.names().into_iter().map(Json::Str).collect()),
-        ),
+        ("datasets", Json::Arr(registry.names().into_iter().map(Json::Str).collect())),
         (
             "repl",
             obj(vec![
@@ -315,10 +306,8 @@ pub fn parse_records(body: &Json) -> Result<RecordsOutcome, String> {
                     .get("seq")
                     .and_then(Json::as_u64)
                     .ok_or("shipped record lacks numeric `seq`")?;
-                let hex = item
-                    .get("hex")
-                    .and_then(Json::as_str)
-                    .ok_or("shipped record lacks `hex`")?;
+                let hex =
+                    item.get("hex").and_then(Json::as_str).ok_or("shipped record lacks `hex`")?;
                 records.push(ShippedRecord::from_hex(seq, hex).map_err(|e| e.to_string())?);
             }
             Ok(RecordsOutcome::Batch(records))
@@ -526,18 +515,14 @@ fn sync_tenant(
         .map_err(|e| format!("{name}: records: {e}"))?;
     match parse_records(&body).map_err(|e| format!("{name}: {e}"))? {
         RecordsOutcome::Resync => resync(client, registry, ctx, config, name),
-        RecordsOutcome::Batch(records) => {
-            match apply_batch(&tenant, &records, &ctx.metrics) {
-                BatchOutcome::Applied(_) => Ok(()),
-                BatchOutcome::Refused { reason, .. } => {
-                    Err(format!("{name}: batch refused: {reason}"))
-                }
-                BatchOutcome::Gap { reason, .. } => {
-                    eprintln!("arcsd repl: {name}: {reason} — re-syncing from checkpoint");
-                    resync(client, registry, ctx, config, name)
-                }
+        RecordsOutcome::Batch(records) => match apply_batch(&tenant, &records, &ctx.metrics) {
+            BatchOutcome::Applied(_) => Ok(()),
+            BatchOutcome::Refused { reason, .. } => Err(format!("{name}: batch refused: {reason}")),
+            BatchOutcome::Gap { reason, .. } => {
+                eprintln!("arcsd repl: {name}: {reason} — re-syncing from checkpoint");
+                resync(client, registry, ctx, config, name)
             }
-        }
+        },
     }
 }
 

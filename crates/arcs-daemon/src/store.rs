@@ -117,14 +117,14 @@ fn schema_from_json(json: &Json) -> Result<Schema, ArcsError> {
         .ok_or_else(|| bad("missing attributes array"))?;
     let mut attributes = Vec::with_capacity(items.len());
     for item in items {
-        let name = item
-            .get("name")
-            .and_then(Json::as_str)
-            .ok_or_else(|| bad("attribute lacks a name"))?;
+        let name =
+            item.get("name").and_then(Json::as_str).ok_or_else(|| bad("attribute lacks a name"))?;
         match item.get("kind").and_then(Json::as_str) {
             Some("quantitative") => {
-                let min = item.get("min").and_then(Json::as_f64).ok_or_else(|| bad("missing min"))?;
-                let max = item.get("max").and_then(Json::as_f64).ok_or_else(|| bad("missing max"))?;
+                let min =
+                    item.get("min").and_then(Json::as_f64).ok_or_else(|| bad("missing min"))?;
+                let max =
+                    item.get("max").and_then(Json::as_f64).ok_or_else(|| bad("missing max"))?;
                 attributes.push(Attribute::quantitative(name, min, max));
             }
             Some("categorical") => {
@@ -181,9 +181,7 @@ impl TenantMeta {
             criterion: text("criterion")?,
             n_x_bins: count("n_x_bins")?,
             n_y_bins: count("n_y_bins")?,
-            schema: schema_from_json(
-                json.get("schema").ok_or_else(|| bad("missing schema"))?,
-            )?,
+            schema: schema_from_json(json.get("schema").ok_or_else(|| bad("missing schema"))?)?,
         })
     }
 
@@ -284,8 +282,8 @@ impl TenantStore {
     /// caller stands the serving stack up at `report.epoch`.
     pub fn open(dir: &Path) -> Result<(Self, TenantMeta, BinArray, RecoveryReport), ArcsError> {
         let meta = TenantMeta::load(dir)?;
-        let (checkpoint, mut array) =
-            load_checkpoint(&dir.join(CHECKPOINT_META_FILE))?.ok_or_else(|| {
+        let (checkpoint, mut array) = load_checkpoint(&dir.join(CHECKPOINT_META_FILE))?
+            .ok_or_else(|| {
                 checkpoint_err(format!(
                     "{} has a tenant.json but no checkpoint; the directory is torn",
                     dir.display()
@@ -538,11 +536,8 @@ fn replay_onto(
         )));
     }
     let binner = meta.build_binner()?;
-    let mut replayed = Replayed {
-        records: 0,
-        epoch: checkpoint.epoch,
-        feeder_offset: checkpoint.feeder_offset,
-    };
+    let mut replayed =
+        Replayed { records: 0, epoch: checkpoint.epoch, feeder_offset: checkpoint.feeder_offset };
     for record in log.records.iter().filter(|r| r.seq > checkpoint.last_seq) {
         apply_record(&meta.schema, &binner, array, record)?;
         replayed.records += 1;
@@ -563,11 +558,11 @@ fn apply_record(
     array: &mut BinArray,
     record: &WalRecord,
 ) -> Result<(), ArcsError> {
-    let rows = std::str::from_utf8(&record.payload).map_err(|_| {
-        checkpoint_err(format!("WAL record {} payload is not UTF-8", record.seq))
+    let rows = std::str::from_utf8(&record.payload)
+        .map_err(|_| checkpoint_err(format!("WAL record {} payload is not UTF-8", record.seq)))?;
+    let delta = bin_batch(schema, binner, rows).map_err(|err| {
+        checkpoint_err(format!("WAL record {} does not apply: {err}", record.seq))
     })?;
-    let delta = bin_batch(schema, binner, rows)
-        .map_err(|err| checkpoint_err(format!("WAL record {} does not apply: {err}", record.seq)))?;
     array.merge(&delta)?;
     Ok(())
 }
@@ -578,8 +573,8 @@ fn apply_record(
 pub fn bin_batch(schema: &Schema, binner: &Binner, rows: &str) -> Result<BinArray, ArcsError> {
     let header: Vec<&str> = schema.attributes().iter().map(|a| a.name.as_str()).collect();
     let text = format!("{}\n{}", header.join(","), rows);
-    let delta_ds = arcs_data::csv::read_csv(schema.clone(), text.as_bytes())
-        .map_err(ArcsError::Data)?;
+    let delta_ds =
+        arcs_data::csv::read_csv(schema.clone(), text.as_bytes()).map_err(ArcsError::Data)?;
     binner.bin_rows(delta_ds.iter())
 }
 
@@ -623,20 +618,11 @@ impl TenantAudit {
     pub fn to_json(&self) -> Json {
         obj(vec![
             ("name", Json::Str(self.name.clone())),
-            (
-                "checkpoint_epoch",
-                self.checkpoint_epoch.map_or(Json::Null, |e| Json::Num(e as f64)),
-            ),
-            (
-                "checkpoint_seq",
-                self.checkpoint_seq.map_or(Json::Null, |s| Json::Num(s as f64)),
-            ),
+            ("checkpoint_epoch", self.checkpoint_epoch.map_or(Json::Null, |e| Json::Num(e as f64))),
+            ("checkpoint_seq", self.checkpoint_seq.map_or(Json::Null, |s| Json::Num(s as f64))),
             ("wal_records", Json::Num(self.wal_records as f64)),
             ("tail", Json::Str(self.tail.clone())),
-            (
-                "tail_reason",
-                self.tail_reason.clone().map_or(Json::Null, Json::Str),
-            ),
+            ("tail_reason", self.tail_reason.clone().map_or(Json::Null, Json::Str)),
             ("dropped_bytes", Json::Num(self.dropped_bytes as f64)),
             ("repaired", Json::Bool(self.repaired)),
             ("stale_tmp_removed", Json::Num(self.stale_tmp_removed as f64)),
@@ -754,14 +740,14 @@ fn audit_tenant(dir: &Path, name: String, repair: bool) -> TenantAudit {
                             Ok(_) => {
                                 audit.repaired = true;
                                 audit.tail = "clean".into();
-                                audit
-                                    .tail_reason
-                                    .replace(format!("log recreated after: {err}"));
+                                audit.tail_reason.replace(format!("log recreated after: {err}"));
                             }
                             Err(err) => audit.errors.push(format!("wal recreate: {err}")),
                         }
                     } else {
-                        audit.errors.push(format!("wal: {err} (no checkpoint to anchor a new log)"));
+                        audit
+                            .errors
+                            .push(format!("wal: {err} (no checkpoint to anchor a new log)"));
                     }
                 } else {
                     audit.errors.push(format!("wal: {err}"));
@@ -1087,10 +1073,7 @@ mod tests {
         std::fs::remove_file(dir.join(CHECKPOINT_META_FILE)).unwrap();
         let report = fsck(&data_dir, true).unwrap();
         assert!(!report.clean());
-        assert!(
-            report.tenants[0].errors.iter().any(|e| e.contains("checkpoint")),
-            "{report:?}"
-        );
+        assert!(report.tenants[0].errors.iter().any(|e| e.contains("checkpoint")), "{report:?}");
         std::fs::remove_dir_all(&data_dir).ok();
     }
 
@@ -1139,16 +1122,22 @@ mod tests {
 
         // A mid-log cursor gets the suffix; `max` bounds the batch; a
         // caught-up cursor gets an empty batch, not an error.
-        assert!(matches!(store.ship_records(3, 100).unwrap(), ShipPlan::Records(r) if r.len() == 1));
+        assert!(
+            matches!(store.ship_records(3, 100).unwrap(), ShipPlan::Records(r) if r.len() == 1)
+        );
         assert!(matches!(store.ship_records(1, 2).unwrap(), ShipPlan::Records(r) if r.len() == 2));
-        assert!(matches!(store.ship_records(4, 100).unwrap(), ShipPlan::Records(r) if r.is_empty()));
+        assert!(
+            matches!(store.ship_records(4, 100).unwrap(), ShipPlan::Records(r) if r.is_empty())
+        );
 
         // After a checkpoint truncates the log, pre-checkpoint cursors
         // must re-sync; the caught-up cursor still tails normally.
         let snapshot = Arc::new(live);
         assert!(store.checkpoint_with(1, || (epoch, Arc::clone(&snapshot))).unwrap());
         assert_eq!(store.ship_records(2, 100).unwrap(), ShipPlan::Resync);
-        assert!(matches!(store.ship_records(4, 100).unwrap(), ShipPlan::Records(r) if r.is_empty()));
+        assert!(
+            matches!(store.ship_records(4, 100).unwrap(), ShipPlan::Records(r) if r.is_empty())
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 

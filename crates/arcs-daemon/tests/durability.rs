@@ -32,10 +32,7 @@ impl TempDir {
     fn new(tag: &str) -> TempDir {
         static COUNTER: AtomicU64 = AtomicU64::new(0);
         let n = COUNTER.fetch_add(1, Ordering::Relaxed);
-        let dir = std::env::temp_dir().join(format!(
-            "arcs-durab-{tag}-{}-{n}",
-            std::process::id()
-        ));
+        let dir = std::env::temp_dir().join(format!("arcs-durab-{tag}-{}-{n}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         TempDir(dir)
     }
@@ -76,11 +73,7 @@ fn grid_dataset() -> Dataset {
 }
 
 fn tenant_config() -> TenantConfig {
-    TenantConfig {
-        n_x_bins: 10,
-        n_y_bins: 10,
-        ..TenantConfig::new("x", "y", "g")
-    }
+    TenantConfig { n_x_bins: 10, n_y_bins: 10, ..TenantConfig::new("x", "y", "g") }
 }
 
 /// Header-less CSV batch `k`: distinct per `k` so epochs differ.
@@ -156,9 +149,7 @@ fn daemon_restart_serves_bit_identical_state_over_the_wire() {
 
     // Second incarnation: recover purely from the data directory.
     let registry = Arc::new(Registry::new());
-    let reports = registry
-        .open_data_dir(data.path(), &ServeConfig::default())
-        .unwrap();
+    let reports = registry.open_data_dir(data.path(), &ServeConfig::default()).unwrap();
     assert_eq!(reports.len(), 1);
     assert_eq!(reports[0].0, "trades");
     assert_eq!(reports[0].1.epoch, appends, "recovered at the acknowledged epoch");
@@ -193,14 +184,9 @@ fn uncheckpointed_appends_survive_in_the_wal() {
 
     let oracle = Tenant::from_dataset("t", &grid_dataset(), &tenant_config()).unwrap();
     {
-        let durable = Tenant::from_dataset_durable(
-            "t",
-            &grid_dataset(),
-            &tenant_config(),
-            data.path(),
-            None,
-        )
-        .unwrap();
+        let durable =
+            Tenant::from_dataset_durable("t", &grid_dataset(), &tenant_config(), data.path(), None)
+                .unwrap();
         for k in 0..appends {
             oracle.append_csv(&batch(k)).unwrap();
             durable.append_csv(&batch(k)).unwrap();
@@ -356,14 +342,8 @@ fn background_checkpointer_truncates_the_wal_under_load() {
     {
         let registry = Arc::new(Registry::new());
         let tenant = registry.insert(
-            Tenant::from_dataset_durable(
-                "t",
-                &grid_dataset(),
-                &tenant_config(),
-                data.path(),
-                None,
-            )
-            .unwrap(),
+            Tenant::from_dataset_durable("t", &grid_dataset(), &tenant_config(), data.path(), None)
+                .unwrap(),
         );
         let handle = Daemon::bind(
             "127.0.0.1:0",

@@ -55,11 +55,7 @@ fn delta_rows() -> String {
 }
 
 fn tenant_config() -> TenantConfig {
-    TenantConfig {
-        n_x_bins: 10,
-        n_y_bins: 10,
-        ..TenantConfig::new("x", "y", "g")
-    }
+    TenantConfig { n_x_bins: 10, n_y_bins: 10, ..TenantConfig::new("x", "y", "g") }
 }
 
 /// The threshold/cluster sweep both the clients and the oracle run.
@@ -83,10 +79,8 @@ fn sweep() -> Vec<Request> {
 /// the registry (for in-process oracle access).
 fn start() -> (arcs_daemon::DaemonHandle, Arc<Registry>) {
     let registry = Arc::new(Registry::new());
-    registry
-        .insert(Tenant::from_dataset("alpha", &grid_dataset(0), &tenant_config()).unwrap());
-    registry
-        .insert(Tenant::from_dataset("beta", &grid_dataset(3), &tenant_config()).unwrap());
+    registry.insert(Tenant::from_dataset("alpha", &grid_dataset(0), &tenant_config()).unwrap());
+    registry.insert(Tenant::from_dataset("beta", &grid_dataset(3), &tenant_config()).unwrap());
     let daemon = Daemon::bind(
         "127.0.0.1:0",
         Arc::clone(&registry),
@@ -118,15 +112,9 @@ fn concurrent_tenants_match_the_in_process_oracle_across_epochs() {
                 tenant.append_csv(&delta_rows()).unwrap();
             }
             for (i, request) in sweep().iter().enumerate() {
-                let response = tenant
-                    .server()
-                    .query_unified(request, tenant.labels())
-                    .unwrap();
+                let response = tenant.server().query_unified(request, tenant.labels()).unwrap();
                 assert_eq!(response.result.epoch, epoch);
-                oracle.insert(
-                    (name.to_string(), i, epoch),
-                    (*response.result).clone(),
-                );
+                oracle.insert((name.to_string(), i, epoch), (*response.result).clone());
             }
         }
     }
@@ -240,11 +228,7 @@ fn typed_error_codes_travel_the_wire() {
         "tiny",
         &grid_dataset(0),
         &TenantConfig {
-            serve: ServeConfig {
-                max_inflight: 1,
-                max_queued: 0,
-                ..ServeConfig::default()
-            },
+            serve: ServeConfig { max_inflight: 1, max_queued: 0, ..ServeConfig::default() },
             ..tenant_config()
         },
     )
@@ -315,15 +299,10 @@ fn feeder_tails_a_growing_csv_into_epoch_bumps() {
     let path = dir.join("feed.csv");
     std::fs::write(&path, "x,y,g\n1.5,1.5,A\n").unwrap();
 
-    let tenant = Arc::new(
-        Tenant::from_dataset("fed", &grid_dataset(0), &tenant_config()).unwrap(),
-    );
-    let feeder = arcs_daemon::Feeder::spawn(
-        Arc::clone(&tenant),
-        path.clone(),
-        Duration::from_millis(5),
-    )
-    .unwrap();
+    let tenant = Arc::new(Tenant::from_dataset("fed", &grid_dataset(0), &tenant_config()).unwrap());
+    let feeder =
+        arcs_daemon::Feeder::spawn(Arc::clone(&tenant), path.clone(), Duration::from_millis(5))
+            .unwrap();
 
     // Pre-existing bytes are not a delta: the epoch must stay 0.
     std::thread::sleep(Duration::from_millis(30));

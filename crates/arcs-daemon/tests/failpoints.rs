@@ -44,20 +44,13 @@ fn dataset() -> Dataset {
 }
 
 fn config() -> TenantConfig {
-    TenantConfig {
-        n_x_bins: 10,
-        n_y_bins: 10,
-        ..TenantConfig::new("x", "y", "g")
-    }
+    TenantConfig { n_x_bins: 10, n_y_bins: 10, ..TenantConfig::new("x", "y", "g") }
 }
 
 fn start() -> arcs_daemon::DaemonHandle {
     let registry = Arc::new(Registry::new());
     registry.insert(Tenant::from_dataset("alpha", &dataset(), &config()).unwrap());
-    Daemon::bind("127.0.0.1:0", registry, DaemonConfig::default())
-        .unwrap()
-        .spawn()
-        .unwrap()
+    Daemon::bind("127.0.0.1:0", registry, DaemonConfig::default()).unwrap().spawn().unwrap()
 }
 
 fn query() -> Request {
@@ -145,12 +138,9 @@ fn feeder_merge_fault_retries_the_same_batch_without_loss() {
 
     let tenant = Arc::new(Tenant::from_dataset("fed", &dataset(), &config()).unwrap());
     faults::configure_from_spec("daemon.feeder-merge=error@1").unwrap();
-    let feeder = arcs_daemon::Feeder::spawn(
-        Arc::clone(&tenant),
-        path.clone(),
-        Duration::from_millis(5),
-    )
-    .unwrap();
+    let feeder =
+        arcs_daemon::Feeder::spawn(Arc::clone(&tenant), path.clone(), Duration::from_millis(5))
+            .unwrap();
 
     let mut file = std::fs::OpenOptions::new().append(true).open(&path).unwrap();
     file.write_all(b"2.5,2.5,A\n3.5,3.5,A\n").unwrap();

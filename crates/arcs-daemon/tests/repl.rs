@@ -28,10 +28,7 @@ impl TempDir {
     fn new(tag: &str) -> TempDir {
         static COUNTER: AtomicU64 = AtomicU64::new(0);
         let n = COUNTER.fetch_add(1, Ordering::Relaxed);
-        let dir = std::env::temp_dir().join(format!(
-            "arcs-repl-{tag}-{}-{n}",
-            std::process::id()
-        ));
+        let dir = std::env::temp_dir().join(format!("arcs-repl-{tag}-{}-{n}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         TempDir(dir)
     }
@@ -72,11 +69,7 @@ fn grid_dataset() -> Dataset {
 }
 
 fn tenant_config() -> TenantConfig {
-    TenantConfig {
-        n_x_bins: 10,
-        n_y_bins: 10,
-        ..TenantConfig::new("x", "y", "g")
-    }
+    TenantConfig { n_x_bins: 10, n_y_bins: 10, ..TenantConfig::new("x", "y", "g") }
 }
 
 /// Header-less CSV batch `k`: distinct per `k` so epochs differ.
@@ -123,9 +116,7 @@ fn spawn_standby(primary_addr: &str, data: &Path) -> (DaemonHandle, Arc<Registry
     let registry = Arc::new(Registry::new());
     // Mirror the CLI's standby startup: recover whatever already lives
     // in the data dir before the tailer takes over.
-    registry
-        .open_data_dir(data, &ServeConfig::default())
-        .unwrap();
+    registry.open_data_dir(data, &ServeConfig::default()).unwrap();
     let replication = ReplicationConfig {
         poll_interval: Duration::from_millis(10),
         ..ReplicationConfig::new(primary_addr, data)
@@ -286,9 +277,14 @@ fn apply_batch_refuses_gaps_and_corruption_past_the_valid_prefix() {
     let primary_data = TempDir::new("gap-primary");
     let standby_data = TempDir::new("gap-standby");
 
-    let primary =
-        Tenant::from_dataset_durable("t", &grid_dataset(), &tenant_config(), primary_data.path(), None)
-            .unwrap();
+    let primary = Tenant::from_dataset_durable(
+        "t",
+        &grid_dataset(),
+        &tenant_config(),
+        primary_data.path(),
+        None,
+    )
+    .unwrap();
     for k in 0..3u64 {
         primary.append_csv(&batch(k)).unwrap();
     }
@@ -301,8 +297,7 @@ fn apply_batch_refuses_gaps_and_corruption_past_the_valid_prefix() {
         Tenant::open_durable("t", standby_data.path(), ServeConfig::default()).unwrap();
     let metrics = arcs_core::ReplMetrics::new();
 
-    let arcs_daemon::store::ShipPlan::Records(shipped) = store.ship_records(1, 64).unwrap()
-    else {
+    let arcs_daemon::store::ShipPlan::Records(shipped) = store.ship_records(1, 64).unwrap() else {
         panic!("live log should ship records");
     };
     assert_eq!(shipped.len(), 3);

@@ -106,10 +106,8 @@ fn reshape(json: &Json, rng: &mut StdRng, insert: bool) -> Json {
     match json {
         Json::Arr(items) => Json::Arr(items.iter().map(|v| reshape(v, rng, insert)).collect()),
         Json::Obj(pairs) => {
-            let mut pairs: Vec<_> = pairs
-                .iter()
-                .map(|(k, v)| (k.clone(), reshape(v, rng, insert)))
-                .collect();
+            let mut pairs: Vec<_> =
+                pairs.iter().map(|(k, v)| (k.clone(), reshape(v, rng, insert))).collect();
             for i in (1..pairs.len()).rev() {
                 pairs.swap(i, rng.gen_range(0..=i));
             }
@@ -117,11 +115,7 @@ fn reshape(json: &Json, rng: &mut StdRng, insert: bool) -> Json {
                 let unknown = match rng.gen_range(0..4u32) {
                     0 => Json::Null,
                     1 => Json::Str("q\"\\\u{1}\u{e9}\n".into()),
-                    2 => Json::Arr(vec![
-                        Json::Num(-1.5e-300),
-                        Json::Obj(vec![]),
-                        Json::Bool(true),
-                    ]),
+                    2 => Json::Arr(vec![Json::Num(-1.5e-300), Json::Obj(vec![]), Json::Bool(true)]),
                     _ => Json::Obj(vec![("x".into(), Json::Str("not a number".into()))]),
                 };
                 let duplicate = pairs[rng.gen_range(0..pairs.len())].0.clone();

@@ -64,14 +64,8 @@ pub fn schema() -> Schema {
         Attribute::quantitative("commission", 0.0, 75_000.0),
         Attribute::quantitative("age", 20.0, 80.0),
         Attribute::categorical("elevel", ["0", "1", "2", "3", "4"]),
-        Attribute::categorical(
-            "car",
-            (1..=20).map(|i| i.to_string()).collect::<Vec<_>>(),
-        ),
-        Attribute::categorical(
-            "zipcode",
-            (0..=8).map(|i| i.to_string()).collect::<Vec<_>>(),
-        ),
+        Attribute::categorical("car", (1..=20).map(|i| i.to_string()).collect::<Vec<_>>()),
+        Attribute::categorical("zipcode", (0..=8).map(|i| i.to_string()).collect::<Vec<_>>()),
         Attribute::quantitative("hvalue", 0.0, 1_350_000.0),
         Attribute::quantitative("hyears", 1.0, 30.0),
         Attribute::quantitative("loan", 0.0, 500_000.0),
@@ -107,11 +101,7 @@ impl Person {
     /// Draws one person from the attribute model using `rng`.
     pub fn random<R: Rng + ?Sized>(rng: &mut R) -> Self {
         let salary = rng.gen_range(20_000.0..=150_000.0);
-        let commission = if salary >= 75_000.0 {
-            0.0
-        } else {
-            rng.gen_range(10_000.0..=75_000.0)
-        };
+        let commission = if salary >= 75_000.0 { 0.0 } else { rng.gen_range(10_000.0..=75_000.0) };
         let age = rng.gen_range(20.0..=80.0);
         let elevel = rng.gen_range(0..=4u32);
         let car = rng.gen_range(0..=19u32);
@@ -120,17 +110,7 @@ impl Person {
         let hvalue = rng.gen_range(0.5 * k * 100_000.0..=1.5 * k * 100_000.0);
         let hyears = rng.gen_range(1.0..=30.0);
         let loan = rng.gen_range(0.0..=500_000.0);
-        Person {
-            salary,
-            commission,
-            age,
-            elevel,
-            car,
-            zipcode,
-            hvalue,
-            hyears,
-            loan,
-        }
+        Person { salary, commission, age, elevel, car, zipcode, hvalue, hyears, loan }
     }
 }
 
@@ -188,8 +168,7 @@ impl AgrawalFunction {
             F1 => p.age < 40.0 || p.age >= 60.0,
             F2 => {
                 (p.age < 40.0 && (50_000.0..=100_000.0).contains(&p.salary))
-                    || ((40.0..60.0).contains(&p.age)
-                        && (75_000.0..=125_000.0).contains(&p.salary))
+                    || ((40.0..60.0).contains(&p.age) && (75_000.0..=125_000.0).contains(&p.salary))
                     || (p.age >= 60.0 && (25_000.0..=75_000.0).contains(&p.salary))
             }
             F3 => {
@@ -238,14 +217,11 @@ impl AgrawalFunction {
             F6 => {
                 let income = p.salary + p.commission;
                 (p.age < 40.0 && (50_000.0..=100_000.0).contains(&income))
-                    || ((40.0..60.0).contains(&p.age)
-                        && (75_000.0..=125_000.0).contains(&income))
+                    || ((40.0..60.0).contains(&p.age) && (75_000.0..=125_000.0).contains(&income))
                     || (p.age >= 60.0 && (25_000.0..=75_000.0).contains(&income))
             }
             F7 => 0.67 * (p.salary + p.commission) - 0.2 * p.loan - 20_000.0 > 0.0,
-            F8 => {
-                0.67 * (p.salary + p.commission) - 5_000.0 * p.elevel as f64 - 20_000.0 > 0.0
-            }
+            F8 => 0.67 * (p.salary + p.commission) - 5_000.0 * p.elevel as f64 - 20_000.0 > 0.0,
             F9 => {
                 0.67 * (p.salary + p.commission)
                     - 5_000.0 * p.elevel as f64
@@ -255,8 +231,7 @@ impl AgrawalFunction {
             }
             F10 => {
                 let equity = 0.1 * p.hvalue * (p.hyears - 20.0).max(0.0);
-                0.67 * (p.salary + p.commission) - 5_000.0 * p.elevel as f64
-                    + 0.2 * equity
+                0.67 * (p.salary + p.commission) - 5_000.0 * p.elevel as f64 + 0.2 * equity
                     - 10_000.0
                     > 0.0
             }

@@ -70,7 +70,10 @@ impl fmt::Display for DataError {
         match self {
             DataError::UnknownAttribute(name) => write!(f, "unknown attribute `{name}`"),
             DataError::ArityMismatch { expected, actual } => {
-                write!(f, "tuple arity mismatch: schema has {expected} attributes, tuple has {actual}")
+                write!(
+                    f,
+                    "tuple arity mismatch: schema has {expected} attributes, tuple has {actual}"
+                )
             }
             DataError::TypeMismatch { attribute, expected } => {
                 write!(f, "type mismatch for attribute `{attribute}`: expected {expected}")
@@ -88,7 +91,9 @@ impl fmt::Display for DataError {
             DataError::EmptyCategories(name) => {
                 write!(f, "categorical attribute `{name}` declared with no categories")
             }
-            DataError::Parse { line, message } => write!(f, "parse error at line {line}: {message}"),
+            DataError::Parse { line, message } => {
+                write!(f, "parse error at line {line}: {message}")
+            }
             DataError::Io(message) => write!(f, "I/O error: {message}"),
             DataError::InvalidConfig(message) => write!(f, "invalid configuration: {message}"),
             DataError::TooManyBadRows { skipped, read, max_bad_fraction } => {
@@ -120,11 +125,8 @@ mod tests {
         assert!(err.to_string().contains("3"));
         assert!(err.to_string().contains("2"));
 
-        let err = DataError::CategoryOutOfRange {
-            attribute: "zipcode".into(),
-            code: 12,
-            cardinality: 9,
-        };
+        let err =
+            DataError::CategoryOutOfRange { attribute: "zipcode".into(), code: 12, cardinality: 9 };
         let text = err.to_string();
         assert!(text.contains("zipcode") && text.contains("12") && text.contains("9"));
     }

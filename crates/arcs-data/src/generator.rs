@@ -68,10 +68,7 @@ impl GeneratorConfig {
     /// Like [`paper_defaults`](Self::paper_defaults) but with the paper's
     /// 10% outlier setting.
     pub fn paper_defaults_with_outliers(seed: u64) -> Self {
-        GeneratorConfig {
-            outlier_fraction: 0.10,
-            ..Self::paper_defaults(seed)
-        }
+        GeneratorConfig { outlier_fraction: 0.10, ..Self::paper_defaults(seed) }
     }
 
     fn validate(&self) -> Result<(), DataError> {
@@ -125,8 +122,8 @@ impl AgrawalGenerator {
     /// Returns `(person, label_code, is_outlier)`.
     pub fn next_person(&mut self) -> (Person, u32, bool) {
         let want_a = self.rng.gen_bool(self.config.frac_group_a);
-        let outlier = self.config.outlier_fraction > 0.0
-            && self.rng.gen_bool(self.config.outlier_fraction);
+        let outlier =
+            self.config.outlier_fraction > 0.0 && self.rng.gen_bool(self.config.outlier_fraction);
         // An outlier carries its label but its attributes satisfy the
         // *opposite* side of the generating function.
         let want_function_a = want_a ^ outlier;
@@ -232,11 +229,7 @@ pub fn three_way_rating(p: &Person) -> u32 {
 /// Generates `n` tuples of the three-way profitability workload with
 /// value-relative `perturbation` (see [`GeneratorConfig`]); group
 /// fractions are the natural ones induced by the regions.
-pub fn generate_three_way(
-    n: usize,
-    perturbation: f64,
-    seed: u64,
-) -> Result<Dataset, DataError> {
+pub fn generate_three_way(n: usize, perturbation: f64, seed: u64) -> Result<Dataset, DataError> {
     if !(0.0..=1.0).contains(&perturbation) {
         return Err(DataError::InvalidConfig(format!(
             "perturbation {perturbation} outside [0, 1]"
@@ -309,10 +302,7 @@ mod tests {
     fn group_fraction_close_to_target() {
         let mut g = AgrawalGenerator::new(GeneratorConfig::paper_defaults(7)).unwrap();
         let ds = g.generate(10_000);
-        let n_a = ds
-            .iter()
-            .filter(|t| t.cat(attr::GROUP) == GROUP_A)
-            .count();
+        let n_a = ds.iter().filter(|t| t.cat(attr::GROUP) == GROUP_A).count();
         let frac = n_a as f64 / ds.len() as f64;
         assert!((frac - 0.40).abs() < 0.02, "fracA = {frac}");
     }
@@ -360,10 +350,7 @@ mod tests {
 
     #[test]
     fn perturbation_keeps_values_in_domain() {
-        let config = GeneratorConfig {
-            perturbation: 0.20,
-            ..GeneratorConfig::paper_defaults(11)
-        };
+        let config = GeneratorConfig { perturbation: 0.20, ..GeneratorConfig::paper_defaults(11) };
         let mut g = AgrawalGenerator::new(config).unwrap();
         for _ in 0..2_000 {
             let (p, _, _) = g.next_person();
@@ -407,17 +394,11 @@ mod tests {
     fn extreme_fractions_work() {
         // All-other and all-A streams still generate (rejection sampling
         // never needs a label it cannot produce).
-        let all_other = GeneratorConfig {
-            frac_group_a: 0.0,
-            ..GeneratorConfig::paper_defaults(1)
-        };
+        let all_other = GeneratorConfig { frac_group_a: 0.0, ..GeneratorConfig::paper_defaults(1) };
         let mut g = AgrawalGenerator::new(all_other).unwrap();
         assert!(g.generate(200).iter().all(|t| t.cat(attr::GROUP) == GROUP_OTHER));
 
-        let all_a = GeneratorConfig {
-            frac_group_a: 1.0,
-            ..GeneratorConfig::paper_defaults(1)
-        };
+        let all_a = GeneratorConfig { frac_group_a: 1.0, ..GeneratorConfig::paper_defaults(1) };
         let mut g = AgrawalGenerator::new(all_a).unwrap();
         assert!(g.generate(200).iter().all(|t| t.cat(attr::GROUP) == GROUP_A));
     }

@@ -73,8 +73,7 @@ impl RepeatedSampling {
             values.push(f(&rows));
         }
         let mean = values.iter().sum::<f64>() / values.len() as f64;
-        let var = values.iter().map(|v| (v - mean).powi(2)).sum::<f64>()
-            / values.len() as f64;
+        let var = values.iter().map(|v| (v - mean).powi(2)).sum::<f64>() / values.len() as f64;
         Ok((mean, var.sqrt()))
     }
 }
@@ -153,9 +152,7 @@ mod tests {
         let ds = dataset(1_000); // values 0..999, mean 499.5
         let rs = RepeatedSampling { k: 100, repetitions: 20, seed: 42 };
         let (mean, sd) = rs
-            .estimate(&ds, |rows| {
-                rows.iter().map(|t| t.quant(0)).sum::<f64>() / rows.len() as f64
-            })
+            .estimate(&ds, |rows| rows.iter().map(|t| t.quant(0)).sum::<f64>() / rows.len() as f64)
             .unwrap();
         assert!((mean - 499.5).abs() < 30.0, "mean = {mean}");
         assert!(sd < 60.0, "sd = {sd}");

@@ -78,10 +78,7 @@ pub struct Attribute {
 impl Attribute {
     /// Creates a quantitative attribute over `[min, max]`.
     pub fn quantitative(name: impl Into<String>, min: f64, max: f64) -> Self {
-        Attribute {
-            name: name.into(),
-            kind: AttrKind::Quantitative { min, max },
-        }
+        Attribute { name: name.into(), kind: AttrKind::Quantitative { min, max } }
     }
 
     /// Creates a categorical attribute with the given labels; code `i`
@@ -93,9 +90,7 @@ impl Attribute {
     {
         Attribute {
             name: name.into(),
-            kind: AttrKind::Categorical {
-                labels: labels.into_iter().map(Into::into).collect(),
-            },
+            kind: AttrKind::Categorical { labels: labels.into_iter().map(Into::into).collect() },
         }
     }
 
@@ -165,8 +160,7 @@ impl Schema {
 
     /// Position of `name`, as an error if absent.
     pub fn require(&self, name: &str) -> Result<usize, DataError> {
-        self.index_of(name)
-            .ok_or_else(|| DataError::UnknownAttribute(name.to_string()))
+        self.index_of(name).ok_or_else(|| DataError::UnknownAttribute(name.to_string()))
     }
 }
 
@@ -191,10 +185,7 @@ mod tests {
         assert_eq!(s.index_of("missing"), None);
         assert_eq!(s.attribute(2).unwrap().name, "group");
         assert!(s.require("age").is_ok());
-        assert!(matches!(
-            s.require("nope"),
-            Err(DataError::UnknownAttribute(_))
-        ));
+        assert!(matches!(s.require("nope"), Err(DataError::UnknownAttribute(_))));
     }
 
     #[test]

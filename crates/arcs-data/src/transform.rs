@@ -80,9 +80,7 @@ pub fn discretize(
             let mut values = dataset.quant_column(idx)?;
             values.sort_by(f64::total_cmp);
             let len = values.len();
-            let mut cuts: Vec<f64> = (1..*n)
-                .map(|i| values[(i * len / *n).min(len - 1)])
-                .collect();
+            let mut cuts: Vec<f64> = (1..*n).map(|i| values[(i * len / *n).min(len - 1)]).collect();
             cuts.dedup();
             cuts
         }
@@ -145,13 +143,7 @@ pub fn discretize(
             .values()
             .iter()
             .enumerate()
-            .map(|(i, &v)| {
-                if i == idx {
-                    Value::Cat(code_of(tuple.quant(idx)))
-                } else {
-                    v
-                }
-            })
+            .map(|(i, &v)| if i == idx { Value::Cat(code_of(tuple.quant(idx))) } else { v })
             .collect();
         out.push_tuple(Tuple::new(values));
     }
@@ -230,13 +222,8 @@ mod tests {
     #[test]
     fn auto_labels_describe_intervals() {
         let ds = dataset();
-        let out = discretize(
-            &ds,
-            "sales",
-            &Discretization::Cuts { cuts: vec![50.0] },
-            &[],
-        )
-        .unwrap();
+        let out =
+            discretize(&ds, "sales", &Discretization::Cuts { cuts: vec![50.0] }, &[]).unwrap();
         let attr = out.schema().attribute(0).unwrap();
         assert_eq!(attr.label(0), Some("[0..50)"));
         assert_eq!(attr.label(1), Some("[50..100]"));
@@ -248,23 +235,13 @@ mod tests {
         assert!(discretize(&ds, "missing", &Discretization::EquiWidth { n: 3 }, &[]).is_err());
         assert!(discretize(&ds, "sales", &Discretization::EquiWidth { n: 1 }, &[]).is_err());
         assert!(discretize(&ds, "sales", &Discretization::Cuts { cuts: vec![] }, &[]).is_err());
-        assert!(discretize(
-            &ds,
-            "sales",
-            &Discretization::Cuts { cuts: vec![5.0, 5.0] },
-            &[]
-        )
-        .is_err());
-        assert!(discretize(
-            &ds,
-            "sales",
-            &Discretization::EquiWidth { n: 3 },
-            &["only", "two"]
-        )
-        .is_err());
+        assert!(
+            discretize(&ds, "sales", &Discretization::Cuts { cuts: vec![5.0, 5.0] }, &[]).is_err()
+        );
+        assert!(discretize(&ds, "sales", &Discretization::EquiWidth { n: 3 }, &["only", "two"])
+            .is_err());
         // Discretizing a categorical attribute is a type error.
-        let out =
-            discretize(&ds, "sales", &Discretization::EquiWidth { n: 2 }, &[]).unwrap();
+        let out = discretize(&ds, "sales", &Discretization::EquiWidth { n: 2 }, &[]).unwrap();
         assert!(discretize(&out, "sales", &Discretization::EquiWidth { n: 2 }, &[]).is_err());
     }
 }

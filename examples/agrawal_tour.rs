@@ -25,10 +25,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("{}", "-".repeat(58));
 
     for function in AgrawalFunction::ALL {
-        let config = GeneratorConfig {
-            function,
-            ..GeneratorConfig::paper_defaults(99)
-        };
+        let config = GeneratorConfig { function, ..GeneratorConfig::paper_defaults(99) };
         let mut gen = AgrawalGenerator::new(config)?;
         let train = gen.generate(30_000);
         let test = gen.generate(5_000);
@@ -43,14 +40,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let request = SegmentRequest::new(x_attr.as_str(), y_attr.as_str(), "group").group("A");
         match arcs.open(&train, request).and_then(|mut s| s.segment()) {
             Ok(seg) => {
-                let binner = Binner::equi_width(
-                    train.schema(),
-                    x_attr,
-                    y_attr,
-                    "group",
-                    50,
-                    50,
-                )?;
+                let binner = Binner::equi_width(train.schema(), x_attr, y_attr, "group", 50, 50)?;
                 let err = verify_tuples(&seg.clusters, &binner, test.iter(), 0);
                 let avg_conf = seg.rules.iter().map(|r| r.confidence).sum::<f64>()
                     / seg.rules.len().max(1) as f64;

@@ -22,19 +22,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // --- ARCS -----------------------------------------------------------
     let t0 = Instant::now();
     let arcs = Arcs::with_defaults();
-    let mut session = arcs.open(&train, SegmentRequest::new("age", "salary", "group").group("A"))?;
+    let mut session =
+        arcs.open(&train, SegmentRequest::new("age", "salary", "group").group("A"))?;
     let seg = session.segment()?;
     let arcs_time = t0.elapsed();
 
     // Error on held-out data: a tuple is misclassified when cluster
     // membership disagrees with its group label.
     let binner = Binner::equi_width(train.schema(), "age", "salary", "group", 50, 50)?;
-    let arcs_errors = arcs::core::verify::verify_tuples(
-        &seg.clusters,
-        &binner,
-        test.iter(),
-        0,
-    );
+    let arcs_errors = arcs::core::verify::verify_tuples(&seg.clusters, &binner, test.iter(), 0);
 
     println!("\nARCS:");
     println!("  rules:      {}", seg.rules.len());

@@ -75,15 +75,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // data (§3.1).
     let arcs = Arcs::with_defaults();
     for rating in ["excellent", "above_average"] {
-        let request =
-            SegmentRequest::new(x_attr.as_str(), y_attr.as_str(), "rating").group(rating);
+        let request = SegmentRequest::new(x_attr.as_str(), y_attr.as_str(), "rating").group(rating);
         let seg = arcs.open(&customers, request)?.segment()?;
         println!("\nsegmentation for rating = {rating}:");
         for rule in &seg.rules {
-            println!(
-                "  {rule}   (support {:.3}, confidence {:.2})",
-                rule.support, rule.confidence
-            );
+            println!("  {rule}   (support {:.3}, confidence {:.2})", rule.support, rule.confidence);
         }
         println!(
             "  -> {} clusters, MDL cost {:.3}, sample error rate {:.2}%",
@@ -96,10 +92,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!(
         "\nA mailing targeting the `excellent` segments above reaches the \
          profitable pockets while skipping the {} `average` customers.",
-        customers
-            .iter()
-            .filter(|t| t.cat(3) == 2)
-            .count()
+        customers.iter().filter(|t| t.cat(3) == 2).count()
     );
     Ok(())
 }

@@ -31,11 +31,8 @@ fn fake_export(n: usize, seed: u64) -> String {
         let premium = usage > 250.0 && (24.0..84.0).contains(&tenure);
         let p_premium = if premium { 0.9 } else { 0.03 };
         let tier = if rng.gen_bool(p_premium) { "premium" } else { "standard" };
-        writeln!(
-            out,
-            "{usage:.1},{tenure:.1},{plan},{region},{tier}"
-        )
-        .expect("writing to a String cannot fail");
+        writeln!(out, "{usage:.1},{tenure:.1},{plan},{region},{tier}")
+            .expect("writing to a String cannot fail");
     }
     out
 }
@@ -62,16 +59,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 2. Load and segment.
     let dataset = read_csv(schema, csv_text.as_bytes())?;
     let arcs = Arcs::with_defaults();
-    let request =
-        SegmentRequest::new("monthly_usage_gb", "tenure_months", "tier").group("premium");
+    let request = SegmentRequest::new("monthly_usage_gb", "tenure_months", "tier").group("premium");
     let seg = arcs.open(&dataset, request)?.segment()?;
 
     println!("\nsegmentation for tier = premium:");
     for rule in &seg.rules {
-        println!(
-            "  {rule}   (support {:.3}, confidence {:.2})",
-            rule.support, rule.confidence
-        );
+        println!("  {rule}   (support {:.3}, confidence {:.2})", rule.support, rule.confidence);
     }
     println!(
         "\n{} clusters, sample error rate {:.2}% — the premium pocket \

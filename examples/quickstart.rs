@@ -20,10 +20,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     //    verification sample. The session owns the populated BinArray —
     //    everything below runs without touching the dataset again.
     let arcs = Arcs::with_defaults();
-    let mut session = arcs.open(
-        &dataset,
-        SegmentRequest::new("age", "salary", "group").group("A"),
-    )?;
+    let mut session =
+        arcs.open(&dataset, SegmentRequest::new("age", "salary", "group").group("A"))?;
 
     // 3. Segment: mine, smooth, cluster with BitOp, verify, and let the
     //    heuristic optimizer pick the MDL-best thresholds.
@@ -31,10 +29,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     println!("\nclustered association rules for group = A:");
     for rule in &seg.rules {
-        println!(
-            "  {rule}   (support {:.3}, confidence {:.2})",
-            rule.support, rule.confidence
-        );
+        println!("  {rule}   (support {:.3}, confidence {:.2})", rule.support, rule.confidence);
     }
     println!(
         "\nthresholds: support >= {:.4}, confidence >= {:.2}",

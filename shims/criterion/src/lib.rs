@@ -116,12 +116,7 @@ impl Criterion {
     /// Opens a named group of related benchmarks.
     pub fn benchmark_group(&mut self, name: impl Into<String>) -> BenchmarkGroup<'_> {
         let samples = self.default_samples;
-        BenchmarkGroup {
-            _parent: self,
-            name: name.into(),
-            samples,
-            throughput: None,
-        }
+        BenchmarkGroup { _parent: self, name: name.into(), samples, throughput: None }
     }
 }
 

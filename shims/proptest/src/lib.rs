@@ -78,10 +78,10 @@ pub mod prelude {
 
     pub use crate::arbitrary::{any, Arbitrary};
     pub use crate::strategy::{Just, Strategy};
-    pub use crate::test_runner::{TestCaseError, TestRunner};
-    pub use crate::{prop_assert, prop_assert_eq, prop_assert_ne, proptest};
     /// Re-export under the name the real crate uses in `prelude`.
     pub use crate::test_runner::Config as ProptestConfig;
+    pub use crate::test_runner::{TestCaseError, TestRunner};
+    pub use crate::{prop_assert, prop_assert_eq, prop_assert_ne, proptest};
 }
 
 /// Defines property tests: each `fn name(arg in strategy, ...) { body }`

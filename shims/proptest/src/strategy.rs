@@ -225,9 +225,9 @@ fn generate_from_pattern(pattern: &str, rng: &mut TestRng) -> String {
                     let item = match chars.next() {
                         None => panic!("unterminated character class in `{pattern}`"),
                         Some(']') => break,
-                        Some('\\') => chars
-                            .next()
-                            .unwrap_or_else(|| panic!("dangling escape in `{pattern}`")),
+                        Some('\\') => {
+                            chars.next().unwrap_or_else(|| panic!("dangling escape in `{pattern}`"))
+                        }
                         Some(other) => other,
                     };
                     // A `-` between two items denotes a range (a trailing
@@ -255,13 +255,11 @@ fn generate_from_pattern(pattern: &str, rng: &mut TestRng) -> String {
                 Atom::Class(ranges)
             }
             '\\' => Atom::Literal(
-                chars
-                    .next()
-                    .unwrap_or_else(|| panic!("dangling escape in `{pattern}`")),
+                chars.next().unwrap_or_else(|| panic!("dangling escape in `{pattern}`")),
             ),
-            '(' | ')' | '|' => panic!(
-                "regex strategy shim does not support groups/alternation: `{pattern}`"
-            ),
+            '(' | ')' | '|' => {
+                panic!("regex strategy shim does not support groups/alternation: `{pattern}`")
+            }
             other => Atom::Literal(other),
         };
 
@@ -302,10 +300,7 @@ fn generate_from_pattern(pattern: &str, rng: &mut TestRng) -> String {
             match &atom {
                 Atom::Literal(c) => out.push(*c),
                 Atom::Class(ranges) => {
-                    let total: u32 = ranges
-                        .iter()
-                        .map(|&(a, b)| b as u32 - a as u32 + 1)
-                        .sum();
+                    let total: u32 = ranges.iter().map(|&(a, b)| b as u32 - a as u32 + 1).sum();
                     let mut pick = rng.rng.gen_range(0..total);
                     for &(a, b) in ranges {
                         let span = b as u32 - a as u32 + 1;
@@ -350,9 +345,8 @@ mod tests {
     #[test]
     fn map_and_flat_map_compose() {
         let mut rng = rng();
-        let strat = (1usize..5).prop_flat_map(|n| {
-            crate::collection::vec(0u32..10, n..=n).prop_map(move |v| (n, v))
-        });
+        let strat = (1usize..5)
+            .prop_flat_map(|n| crate::collection::vec(0u32..10, n..=n).prop_map(move |v| (n, v)));
         for _ in 0..100 {
             let (n, v) = strat.new_value(&mut rng);
             assert_eq!(v.len(), n);
@@ -376,10 +370,7 @@ mod tests {
         for _ in 0..300 {
             let s = Strategy::new_value(&strat, &mut rng);
             assert!((1..=12).contains(&s.chars().count()), "{s:?}");
-            assert!(
-                s.chars().all(|c| c.is_ascii_lowercase() || c == '"' || c == '\''),
-                "{s:?}"
-            );
+            assert!(s.chars().all(|c| c.is_ascii_lowercase() || c == '"' || c == '\''), "{s:?}");
         }
     }
 

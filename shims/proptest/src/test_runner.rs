@@ -84,8 +84,7 @@ impl TestRunner {
         for case in 0..self.config.cases {
             let value = strategy.new_value(&mut rng);
             let rendered = format!("{value:?}");
-            let outcome =
-                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| test(value)));
+            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| test(value)));
             match outcome {
                 Ok(Ok(())) => {}
                 Ok(Err(err)) => {

@@ -68,8 +68,12 @@ impl Standard for u32 {
 pub trait SampleUniform: Sized {
     /// Uniform draw from `[lo, hi)`, or `[lo, hi]` when `inclusive`.
     /// Callers guarantee the range is non-empty.
-    fn sample_between<R: RngCore + ?Sized>(rng: &mut R, lo: Self, hi: Self, inclusive: bool)
-        -> Self;
+    fn sample_between<R: RngCore + ?Sized>(
+        rng: &mut R,
+        lo: Self,
+        hi: Self,
+        inclusive: bool,
+    ) -> Self;
 }
 
 impl SampleUniform for f64 {
@@ -185,10 +189,7 @@ pub mod rngs {
 
     impl RngCore for StdRng {
         fn next_u64(&mut self) -> u64 {
-            let result = self.s[0]
-                .wrapping_add(self.s[3])
-                .rotate_left(23)
-                .wrapping_add(self.s[0]);
+            let result = self.s[0].wrapping_add(self.s[3]).rotate_left(23).wrapping_add(self.s[0]);
             let t = self.s[1] << 17;
             self.s[2] ^= self.s[0];
             self.s[3] ^= self.s[1];

@@ -10,7 +10,10 @@ fn identical_seeds_reproduce_identical_segmentations() {
         let mut gen = AgrawalGenerator::new(GeneratorConfig::paper_defaults(seed)).unwrap();
         let ds = gen.generate(10_000);
         let arcs = Arcs::with_defaults();
-        arcs.open(&ds, SegmentRequest::new("age", "salary", "group").group("A")).unwrap().segment().unwrap()
+        arcs.open(&ds, SegmentRequest::new("age", "salary", "group").group("A"))
+            .unwrap()
+            .segment()
+            .unwrap()
     };
     let a = run(123);
     let b = run(123);
@@ -23,7 +26,11 @@ fn different_data_seeds_still_recover_three_rules() {
         let mut gen = AgrawalGenerator::new(GeneratorConfig::paper_defaults(seed)).unwrap();
         let ds = gen.generate(25_000);
         let arcs = Arcs::with_defaults();
-        let seg = arcs.open(&ds, SegmentRequest::new("age", "salary", "group").group("A")).unwrap().segment().unwrap();
+        let seg = arcs
+            .open(&ds, SegmentRequest::new("age", "salary", "group").group("A"))
+            .unwrap()
+            .segment()
+            .unwrap();
         assert_eq!(
             seg.rules.len(),
             3,
@@ -61,8 +68,7 @@ fn generator_streams_are_reproducible_across_iterator_and_generate() {
     let config = GeneratorConfig::paper_defaults(55);
     let mut by_generate = AgrawalGenerator::new(config.clone()).unwrap();
     let ds = by_generate.generate(500);
-    let by_iter: Vec<Tuple> =
-        AgrawalGenerator::new(config).unwrap().take(500).collect();
+    let by_iter: Vec<Tuple> = AgrawalGenerator::new(config).unwrap().take(500).collect();
     assert_eq!(ds.rows(), &by_iter[..]);
 }
 

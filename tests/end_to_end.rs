@@ -14,7 +14,11 @@ fn arcs_recovers_f2_disjuncts_with_low_region_error() {
     let mut gen = AgrawalGenerator::new(GeneratorConfig::paper_defaults(1)).unwrap();
     let ds = gen.generate(30_000);
     let arcs = Arcs::with_defaults();
-    let seg = arcs.open(&ds, SegmentRequest::new("age", "salary", "group").group("A")).unwrap().segment().unwrap();
+    let seg = arcs
+        .open(&ds, SegmentRequest::new("age", "salary", "group").group("A"))
+        .unwrap()
+        .segment()
+        .unwrap();
     assert_eq!(seg.rules.len(), 3);
 
     let binner = Binner::equi_width(ds.schema(), "age", "salary", "group", 50, 50).unwrap();
@@ -36,11 +40,14 @@ fn arcs_recovers_f2_disjuncts_with_low_region_error() {
 /// association rules ... and effectively removed all noise and outliers").
 #[test]
 fn arcs_withstands_ten_percent_outliers() {
-    let mut gen =
-        AgrawalGenerator::new(GeneratorConfig::paper_defaults_with_outliers(2)).unwrap();
+    let mut gen = AgrawalGenerator::new(GeneratorConfig::paper_defaults_with_outliers(2)).unwrap();
     let ds = gen.generate(30_000);
     let arcs = Arcs::with_defaults();
-    let seg = arcs.open(&ds, SegmentRequest::new("age", "salary", "group").group("A")).unwrap().segment().unwrap();
+    let seg = arcs
+        .open(&ds, SegmentRequest::new("age", "salary", "group").group("A"))
+        .unwrap()
+        .segment()
+        .unwrap();
     assert_eq!(
         seg.rules.len(),
         3,
@@ -60,7 +67,11 @@ fn stream_and_dataset_paths_agree() {
     let mut gen = AgrawalGenerator::new(GeneratorConfig::paper_defaults(3)).unwrap();
     let ds = gen.generate(15_000);
     let arcs = Arcs::with_defaults();
-    let by_dataset = arcs.open(&ds, SegmentRequest::new("age", "salary", "group").group("A")).unwrap().segment().unwrap();
+    let by_dataset = arcs
+        .open(&ds, SegmentRequest::new("age", "salary", "group").group("A"))
+        .unwrap()
+        .segment()
+        .unwrap();
     let by_stream = arcs
         .open_stream(
             ds.schema(),
@@ -82,8 +93,16 @@ fn other_group_segmentation_is_complementary() {
     let mut gen = AgrawalGenerator::new(GeneratorConfig::paper_defaults(4)).unwrap();
     let ds = gen.generate(20_000);
     let arcs = Arcs::with_defaults();
-    let a = arcs.open(&ds, SegmentRequest::new("age", "salary", "group").group("A")).unwrap().segment().unwrap();
-    let other = arcs.open(&ds, SegmentRequest::new("age", "salary", "group").group("other")).unwrap().segment().unwrap();
+    let a = arcs
+        .open(&ds, SegmentRequest::new("age", "salary", "group").group("A"))
+        .unwrap()
+        .segment()
+        .unwrap();
+    let other = arcs
+        .open(&ds, SegmentRequest::new("age", "salary", "group").group("other"))
+        .unwrap()
+        .segment()
+        .unwrap();
     assert!(!a.rules.is_empty());
     assert!(!other.rules.is_empty());
     // The "other" clusters should avoid the A disjunct cores.
@@ -97,10 +116,8 @@ fn other_group_segmentation_is_complementary() {
 /// signal; the run must simply succeed and produce sane rules.
 #[test]
 fn categorical_segmentation_on_agrawal_data() {
-    let config = GeneratorConfig {
-        function: AgrawalFunction::F8,
-        ..GeneratorConfig::paper_defaults(5)
-    };
+    let config =
+        GeneratorConfig { function: AgrawalFunction::F8, ..GeneratorConfig::paper_defaults(5) };
     let mut gen = AgrawalGenerator::new(config).unwrap();
     let ds = gen.generate(20_000);
     let seg = segment_categorical(
@@ -109,10 +126,7 @@ fn categorical_segmentation_on_agrawal_data() {
         "salary",
         "group",
         "A",
-        &CategoricalConfig {
-            n_quant_bins: 20,
-            optimizer: OptimizerConfig::default(),
-        },
+        &CategoricalConfig { n_quant_bins: 20, optimizer: OptimizerConfig::default() },
     )
     .unwrap();
     assert!(!seg.rules.is_empty());
@@ -178,18 +192,19 @@ fn segmentation_diagnostics_are_consistent() {
     let mut gen = AgrawalGenerator::new(GeneratorConfig::paper_defaults(6)).unwrap();
     let ds = gen.generate(10_000);
     let arcs = Arcs::with_defaults();
-    let seg = arcs.open(&ds, SegmentRequest::new("age", "salary", "group").group("A")).unwrap().segment().unwrap();
+    let seg = arcs
+        .open(&ds, SegmentRequest::new("age", "salary", "group").group("A"))
+        .unwrap()
+        .segment()
+        .unwrap();
     assert_eq!(seg.score.n_clusters, seg.clusters.len());
     assert_eq!(seg.rules.len(), seg.clusters.len());
     assert_eq!(seg.score.errors, seg.errors.total());
     assert!(seg.evaluations >= 1);
     assert_eq!(seg.n_tuples, 10_000);
     // Support of each rule is bounded by the group's share of tuples.
-    let frac_a = ds
-        .iter()
-        .filter(|t| t.cat(attr::GROUP) == GROUP_A)
-        .count() as f64
-        / ds.len() as f64;
+    let frac_a =
+        ds.iter().filter(|t| t.cat(attr::GROUP) == GROUP_A).count() as f64 / ds.len() as f64;
     for rule in &seg.rules {
         assert!(rule.support <= frac_a + 1e-9);
         assert!((0.0..=1.0).contains(&rule.confidence));

@@ -90,19 +90,13 @@ fn typed_faults_surface_as_clean_errors() {
 
     faults::configure_from_spec("binner.shard=error@1").unwrap();
     let err = arcs_with_threads(2).open(&ds, request()).unwrap_err();
-    assert!(
-        matches!(err, ArcsError::FaultInjected { point: "binner.shard" }),
-        "{err}"
-    );
+    assert!(matches!(err, ArcsError::FaultInjected { point: "binner.shard" }), "{err}");
     faults::clear();
 
     faults::configure_from_spec("engine.mine=error@1").unwrap();
     let mut session = arcs_with_threads(1).open(&ds, request()).unwrap();
     let err = session.segment().unwrap_err();
-    assert!(
-        matches!(err, ArcsError::FaultInjected { point: "engine.mine" }),
-        "{err}"
-    );
+    assert!(matches!(err, ArcsError::FaultInjected { point: "engine.mine" }), "{err}");
     faults::clear();
 
     faults::configure_from_spec("smooth.pass=alloc@1").unwrap();
@@ -176,13 +170,8 @@ fn speck_session(threads: usize) -> Session {
         bitop: BitOpConfig { min_area_fraction: 0.035, threads: 1 },
         ..OptimizerConfig::default()
     };
-    let config = ArcsConfig {
-        n_x_bins: 10,
-        n_y_bins: 10,
-        threads,
-        optimizer,
-        ..ArcsConfig::default()
-    };
+    let config =
+        ArcsConfig { n_x_bins: 10, n_y_bins: 10, threads, optimizer, ..ArcsConfig::default() };
     let arcs = Arcs::new(config).unwrap();
     arcs.open(&ds, SegmentRequest::new("x", "y", "g").group("A")).unwrap()
 }
@@ -214,14 +203,12 @@ fn a_degraded_segmentation_reports_the_failed_search() {
 fn stream_chunk_panics_disarm_and_the_stream_completes() {
     let _g = guard();
     let ds = f2_dataset(20_000);
-    let clean = arcs_with_threads(4)
-        .open_stream(ds.schema(), ds.iter().cloned(), request(), &ds)
-        .unwrap();
+    let clean =
+        arcs_with_threads(4).open_stream(ds.schema(), ds.iter().cloned(), request(), &ds).unwrap();
 
     faults::configure_from_spec("binner.stream-chunk=panic@1+").unwrap();
-    let faulted = arcs_with_threads(4)
-        .open_stream(ds.schema(), ds.iter().cloned(), request(), &ds)
-        .unwrap();
+    let faulted =
+        arcs_with_threads(4).open_stream(ds.schema(), ds.iter().cloned(), request(), &ds).unwrap();
     faults::clear();
 
     assert_eq!(faulted.bin_array().checksum(), clean.bin_array().checksum());
@@ -266,11 +253,9 @@ fn binner_and_bitop_tally_identical_fault_schedules_identically() {
     let (_, bitop_stats) = bitop::enumerate_candidates_parallel_with_stats(&grid, 2);
     faults::clear();
 
-    for (stage, stats) in [
-        ("binner", &binner_stats),
-        ("stream", &stream_stats),
-        ("bitop", &bitop_stats),
-    ] {
+    for (stage, stats) in
+        [("binner", &binner_stats), ("stream", &stream_stats), ("bitop", &bitop_stats)]
+    {
         assert_eq!(
             stats.worker_panics,
             units * (1 + MAX_SHARD_RETRIES as u64),
@@ -340,10 +325,7 @@ fn engine_mine_fires_on_clustered_serving_queries() {
     faults::configure_from_spec("engine.mine=error@1+").unwrap();
     assert!(server.query(&QueryRequest::new(0, t)).is_ok());
     let err = server.query(&clustered).unwrap_err();
-    assert!(
-        matches!(err, ArcsError::FaultInjected { point: "engine.mine" }),
-        "{err}"
-    );
+    assert!(matches!(err, ArcsError::FaultInjected { point: "engine.mine" }), "{err}");
     assert_eq!(faults::hits("engine.mine"), 1);
     faults::clear();
 

@@ -27,13 +27,11 @@ fn boxy_dataset(n: usize, seed: u64) -> Dataset {
         let a = rng.gen_range(0.0..10.0);
         let b = rng.gen_range(0.0..10.0);
         let c = rng.gen_range(0.0..10.0);
-        let in_box =
-            (2.0..5.0).contains(&a) && (2.0..5.0).contains(&b) && (2.0..5.0).contains(&c);
+        let in_box = (2.0..5.0).contains(&a) && (2.0..5.0).contains(&b) && (2.0..5.0).contains(&c);
         // The box is dense in X; the rest is sparse background.
         let p_x = if in_box { 0.95 } else { 0.02 };
         let g = if rng.gen_bool(p_x) { 0 } else { 1 };
-        ds.push(vec![Value::Quant(a), Value::Quant(b), Value::Quant(c), Value::Cat(g)])
-            .unwrap();
+        ds.push(vec![Value::Quant(a), Value::Quant(b), Value::Quant(c), Value::Cat(g)]).unwrap();
     }
     ds
 }
@@ -44,8 +42,10 @@ fn combining_two_2d_segmentations_recovers_a_3d_box() {
     let config = ArcsConfig { n_x_bins: 10, n_y_bins: 10, ..ArcsConfig::default() };
     let arcs = Arcs::new(config).unwrap();
 
-    let seg_ab = arcs.open(&ds, SegmentRequest::new("a", "b", "g").group("X")).unwrap().segment().unwrap();
-    let seg_bc = arcs.open(&ds, SegmentRequest::new("b", "c", "g").group("X")).unwrap().segment().unwrap();
+    let seg_ab =
+        arcs.open(&ds, SegmentRequest::new("a", "b", "g").group("X")).unwrap().segment().unwrap();
+    let seg_bc =
+        arcs.open(&ds, SegmentRequest::new("b", "c", "g").group("X")).unwrap().segment().unwrap();
     assert!(!seg_ab.rules.is_empty());
     assert!(!seg_bc.rules.is_empty());
 
@@ -71,11 +71,8 @@ fn combining_two_2d_segmentations_recovers_a_3d_box() {
     // (a 2-D cluster must over-cover: it cannot constrain the third
     // attribute).
     let err_3d = box_errors(std::slice::from_ref(cube), &ds, "g", "X").unwrap();
-    let ab_boxes: Vec<_> = seg_ab
-        .rules
-        .iter()
-        .map(arcs::core::multidim::ClusterBox::from_rule)
-        .collect();
+    let ab_boxes: Vec<_> =
+        seg_ab.rules.iter().map(arcs::core::multidim::ClusterBox::from_rule).collect();
     let err_2d = box_errors(&ab_boxes, &ds, "g", "X").unwrap();
     assert!(
         err_3d.false_positives < err_2d.false_positives,
@@ -96,8 +93,16 @@ fn csv_roundtrip_preserves_segmentation() {
     assert_eq!(reloaded.len(), ds.len());
 
     let arcs = Arcs::with_defaults();
-    let original = arcs.open(&ds, SegmentRequest::new("age", "salary", "group").group("A")).unwrap().segment().unwrap();
-    let roundtrip = arcs.open(&reloaded, SegmentRequest::new("age", "salary", "group").group("A")).unwrap().segment().unwrap();
+    let original = arcs
+        .open(&ds, SegmentRequest::new("age", "salary", "group").group("A"))
+        .unwrap()
+        .segment()
+        .unwrap();
+    let roundtrip = arcs
+        .open(&reloaded, SegmentRequest::new("age", "salary", "group").group("A"))
+        .unwrap()
+        .segment()
+        .unwrap();
     // CSV stores full f64 precision (`{}` formatting), so clusters must be
     // identical.
     assert_eq!(original.clusters, roundtrip.clusters);

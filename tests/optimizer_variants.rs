@@ -10,8 +10,7 @@ use arcs::prelude::*;
 fn setup() -> (Dataset, Binner) {
     let mut gen = AgrawalGenerator::new(GeneratorConfig::paper_defaults(31)).unwrap();
     let ds = gen.generate(25_000);
-    let binner =
-        Binner::equi_width(ds.schema(), "age", "salary", "group", 50, 50).unwrap();
+    let binner = Binner::equi_width(ds.schema(), "age", "salary", "group", 50, 50).unwrap();
     (ds, binner)
 }
 
@@ -28,11 +27,7 @@ fn all_three_searches_recover_compact_segmentations_on_f2() {
     // high-recall segmentation.
     let compact = 2..=5;
     let hill = optimize(&array, 0, &binner, &sample, &OptimizerConfig::default()).unwrap();
-    assert!(
-        compact.contains(&hill.best.clusters.len()),
-        "hill climb: {:?}",
-        hill.best.clusters
-    );
+    assert!(compact.contains(&hill.best.clusters.len()), "hill climb: {:?}", hill.best.clusters);
 
     let annealed = anneal(
         &array,
@@ -57,16 +52,8 @@ fn all_three_searches_recover_compact_segmentations_on_f2() {
     );
 
     // All of them must reach high recall of the group sample.
-    for (name, result) in [
-        ("hill", &hill),
-        ("anneal", &annealed),
-        ("factorial", &factorial),
-    ] {
-        assert!(
-            result.best.errors.recall() > 0.8,
-            "{name} recall {}",
-            result.best.errors.recall()
-        );
+    for (name, result) in [("hill", &hill), ("anneal", &annealed), ("factorial", &factorial)] {
+        assert!(result.best.errors.recall() > 0.8, "{name} recall {}", result.best.errors.recall());
     }
 }
 

@@ -40,9 +40,7 @@ fn base_array() -> BinArray {
     let mut ba = BinArray::new(NX, NY, NSEG).unwrap();
     let mut state = 0x9E3779B97F4A7C15u64;
     for _ in 0..2_000 {
-        state = state
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
+        state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
         let x = ((state >> 33) as usize) % NX;
         let y = ((state >> 17) as usize) % NY;
         let g = ((state >> 7) % NSEG as u64) as u32;
@@ -59,9 +57,7 @@ fn delta_array() -> BinArray {
     let mut ba = BinArray::new(NX, NY, NSEG).unwrap();
     let mut state = 0xD1B54A32D192ED03u64;
     for _ in 0..400 {
-        state = state
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
+        state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
         let x = ((state >> 29) as usize) % NX;
         let y = ((state >> 13) as usize) % NY;
         let g = ((state >> 5) % NSEG as u64) as u32;
@@ -83,12 +79,7 @@ fn oracles(max_epoch: usize) -> Vec<BinArray> {
 }
 
 fn chaos_config() -> ServeConfig {
-    ServeConfig {
-        max_inflight: 4,
-        max_queued: 64,
-        cache_capacity: 64,
-        default_deadline: None,
-    }
+    ServeConfig { max_inflight: 4, max_queued: 64, cache_capacity: 64, default_deadline: None }
 }
 
 /// The deterministic threshold sweep the readers walk. Repeats across
@@ -242,16 +233,12 @@ fn expired_deadlines_and_overload_shed_are_typed_and_immediate() {
     if std::env::var("ARCS_FAILPOINTS").is_ok() {
         return; // admission-path schedules would change the error types
     }
-    let server = Server::new(
-        base_array(),
-        ServeConfig { max_inflight: 1, max_queued: 0, ..chaos_config() },
-    )
-    .unwrap();
+    let server =
+        Server::new(base_array(), ServeConfig { max_inflight: 1, max_queued: 0, ..chaos_config() })
+            .unwrap();
     let t = Thresholds::new(0.0, 0.0).unwrap();
 
-    let err = server
-        .query(&QueryRequest::new(0, t).deadline(Duration::ZERO))
-        .unwrap_err();
+    let err = server.query(&QueryRequest::new(0, t).deadline(Duration::ZERO)).unwrap_err();
     assert!(matches!(err, ArcsError::DeadlineExceeded { .. }), "{err}");
 
     // Deterministic overload: hold the only permit from this thread.
@@ -306,10 +293,7 @@ fn swap_publish_fault_discards_the_merge_atomically() {
 
     faults::configure_from_spec("serve.swap-publish=error@1").unwrap();
     let err = server.append(&delta).unwrap_err();
-    assert!(
-        matches!(err, ArcsError::FaultInjected { point: "serve.swap-publish" }),
-        "{err}"
-    );
+    assert!(matches!(err, ArcsError::FaultInjected { point: "serve.swap-publish" }), "{err}");
     // The merged copy must have been dropped with the error: current
     // snapshot unchanged, bit-for-bit.
     let snap = server.snapshot();
@@ -319,10 +303,7 @@ fn swap_publish_fault_discards_the_merge_atomically() {
 
     // Retrying applies the delta exactly once.
     assert_eq!(server.append(&delta).unwrap(), 1);
-    assert_eq!(
-        server.snapshot().array().n_tuples(),
-        base_tuples + delta.n_tuples()
-    );
+    assert_eq!(server.snapshot().array().n_tuples(), base_tuples + delta.n_tuples());
     faults::clear();
 }
 
@@ -384,9 +365,7 @@ fn worker_panics_are_retried_to_bit_identical_results() {
 
     // Persistent panics exhaust the bounded retries into the typed error.
     faults::configure_from_spec("serve.worker=panic@1+").unwrap();
-    let err = server
-        .query(&QueryRequest::new(1, t))
-        .unwrap_err();
+    let err = server.query(&QueryRequest::new(1, t)).unwrap_err();
     assert!(matches!(err, ArcsError::WorkerPanicked { .. }), "{err}");
     faults::clear();
 
