@@ -8,13 +8,14 @@
 //! do for the in-process commands.
 
 use std::fmt::Write as _;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use arcs_core::jsonio::Json;
 use arcs_core::request::{query_result_to_json, Request};
 use arcs_core::serve::ClusterSpec;
+use arcs_core::ArcsError;
 use arcs_daemon::daemon::{Daemon, DaemonConfig};
 use arcs_daemon::registry::{Registry, Tenant, TenantConfig};
 use arcs_daemon::repl::ReplicationConfig;
@@ -290,10 +291,11 @@ pub fn daemon(argv: &[String]) -> Result<String, CliError> {
                 );
                 continue;
             }
-            let ds = arcs_data::csv::load_csv_inferred(&file, max_categories)
-                .map_err(|err| CliError::Data(format!("{file}: {err}")))?;
+            // Two streaming passes over the file (infer, then bin): the
+            // tenant never holds the file or a `Dataset`.
+            let path = Path::new(&file);
             let tenant = match &data_dir {
-                None => Tenant::from_dataset(&name, &ds, &tenant_config),
+                None => Tenant::from_csv(&name, path, max_categories, &tenant_config),
                 Some(dir) => {
                     // Seed the durable feeder offset with the feed file's
                     // current length: `tail -f` semantics survive a crash
@@ -304,10 +306,21 @@ pub fn daemon(argv: &[String]) -> Result<String, CliError> {
                         .map(|(_, feed_file)| {
                             std::fs::metadata(feed_file).map(|m| m.len()).unwrap_or(0)
                         });
-                    Tenant::from_dataset_durable(&name, &ds, &tenant_config, dir, feeder_offset)
+                    Tenant::from_csv_durable(
+                        &name,
+                        path,
+                        max_categories,
+                        &tenant_config,
+                        dir,
+                        feeder_offset,
+                    )
                 }
             }
-            .map_err(|err| CliError::Data(format!("{name}: {err}")))?;
+            .map_err(|err| match err {
+                // The file is at fault: name it, as a failed load always has.
+                ArcsError::Data(err) => CliError::Data(format!("{file}: {err}")),
+                err => CliError::Data(format!("{name}: {err}")),
+            })?;
             let _ = writeln!(
                 out,
                 "tenant `{name}`: {} tuples from {file}, {bins}x{bins} grid{}",

@@ -413,3 +413,41 @@ fn sighup_promotes_a_standby() {
     }
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// `arcs daemon --datasets` opens a tenant in memory bounded by its bin
+/// array, not by the file (the paper's §4.3 / Fig 15 bound): once the
+/// daemon listens, its peak resident set is under half the CSV's size.
+#[cfg(target_os = "linux")]
+#[test]
+fn daemon_opens_a_large_csv_in_memory_below_the_file_size() {
+    let dir = tmp("daemon-memory");
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let csv = dir.join("big.csv");
+    let out = arcs()
+        .args(["generate", "--out", csv.to_str().unwrap(), "--n", "240000", "--seed", "8"])
+        .output()
+        .expect("binary runs");
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let file_bytes = std::fs::metadata(&csv).unwrap().len();
+    assert!(file_bytes >= 25_000_000, "only {file_bytes} bytes of CSV");
+
+    let datasets = format!("big={}", csv.display());
+    let (daemon, _addr) = spawn_daemon(
+        &dir,
+        "memory",
+        &["--datasets", &datasets, "--x", "age", "--y", "salary", "--criterion", "group"],
+    );
+    let status = std::fs::read_to_string(format!("/proc/{}/status", daemon.0.id())).unwrap();
+    let peak_kb: u64 = status
+        .lines()
+        .find_map(|l| l.strip_prefix("VmHWM:"))
+        .and_then(|v| v.trim().trim_end_matches("kB").trim().parse().ok())
+        .expect("VmHWM in /proc/<pid>/status");
+    assert!(
+        peak_kb * 1024 < file_bytes / 2,
+        "daemon peaked at {peak_kb} kB opening a {file_bytes}-byte CSV"
+    );
+    drop(daemon);
+    std::fs::remove_dir_all(&dir).ok();
+}

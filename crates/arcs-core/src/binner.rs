@@ -5,7 +5,7 @@
 //! regardless of database size (§4.3).
 
 use arcs_data::schema::AttrKind;
-use arcs_data::{Schema, Tuple};
+use arcs_data::{Schema, Tuple, Value};
 
 use crate::binarray::BinArray;
 use crate::binning::BinMap;
@@ -161,13 +161,27 @@ impl Binner {
         BinArray::new(self.x_map.n_bins(), self.y_map.n_bins(), self.nseg())
     }
 
+    /// Bins one row's `(x, y, group)` projection. `values` is a whole
+    /// schema row — a tuple's values, or a row the CSV scanner hands over
+    /// without building a tuple; panics if the criterion position holds a
+    /// quantitative value.
+    #[inline]
+    pub fn bin_values(&self, values: &[Value]) -> (usize, usize, u32) {
+        let x = self.x_map.bin_of(values[self.x_idx]);
+        let y = self.y_map.bin_of(values[self.y_idx]);
+        let g = match values[self.criterion_idx] {
+            Value::Cat(c) => c,
+            Value::Quant(_) => {
+                panic!("attribute {} is quantitative, expected categorical", self.criterion_idx)
+            }
+        };
+        (x, y, g)
+    }
+
     /// Bins one tuple's `(x, y, group)` projection.
     #[inline]
     pub fn bin_tuple(&self, tuple: &Tuple) -> (usize, usize, u32) {
-        let x = self.x_map.bin_of(tuple.values()[self.x_idx]);
-        let y = self.y_map.bin_of(tuple.values()[self.y_idx]);
-        let g = tuple.cat(self.criterion_idx);
-        (x, y, g)
+        self.bin_values(tuple.values())
     }
 
     /// Bins a raw `(x, y)` value pair (used by the verifier to place sample
@@ -323,7 +337,6 @@ impl Binner {
 mod tests {
     use super::*;
     use arcs_data::schema::Attribute;
-    use arcs_data::Value;
 
     fn schema() -> Schema {
         Schema::new(vec![

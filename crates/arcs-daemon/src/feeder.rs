@@ -3,19 +3,25 @@
 //!
 //! The feeder starts at the file's current end (classic `tail -f`
 //! semantics: pre-existing rows are assumed to be the dataset the tenant
-//! was built from) and polls on a fixed interval. Each tick reads the
-//! newly appended bytes, keeps only *complete* lines (a partially
-//! written last line stays buffered on disk until its newline arrives),
-//! and merges them as one batch via [`Tenant::append_csv`].
+//! was built from) and polls on a fixed interval. Each tick consumes the
+//! bytes present when it starts, keeps only *complete* lines (a
+//! partially written last line stays buffered on disk until its newline
+//! arrives), and merges them via [`Tenant::append_csv`] in batches of
+//! whole lines of at most [`FEED_CHUNK_BYTES`] each. A burst after
+//! downtime therefore merges as several batches within one tick, and
+//! each batch's WAL record stays small enough to ship to a standby in
+//! one frame; the budget also bounds what a tick holds in memory.
 //!
-//! Failure model, per tick:
+//! Failure model, per batch:
 //! * **Injected fault** (`daemon.feeder-merge` failpoint) or **I/O
-//!   error**: nothing is consumed; the same bytes are retried next tick.
+//!   error**: nothing more is consumed this tick; the same bytes are
+//!   retried next tick.
 //! * **Malformed batch**: the batch is rejected atomically by
 //!   [`Tenant::append_csv`]; the feeder *skips* it (advancing past the
 //!   poison rows, counting them in [`FeederStats::batches_failed`])
 //!   rather than retrying forever — a poison row must not wedge the
-//!   feed.
+//!   feed. A single line longer than [`FEED_CHUNK_BYTES`] is skipped the
+//!   same way once its newline has arrived.
 //! * **Truncated file**: the offset resets to the new end; tailing
 //!   resumes from there.
 //!
@@ -26,8 +32,9 @@
 //! last durable offset — never re-reading from byte 0, never
 //! double-appending a batch that is already in the log.
 
-use std::io::{Read, Seek, SeekFrom};
-use std::path::PathBuf;
+use std::fs::File;
+use std::io::{BufRead, BufReader, Read, Seek, SeekFrom};
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -110,8 +117,15 @@ impl Feeder {
     }
 }
 
-/// One poll: merge complete new lines, returning the next offset.
-fn tick(tenant: &Tenant, path: &PathBuf, offset: u64, stats: &FeederStats) -> u64 {
+/// Most bytes of whole lines merged as one batch. Twice this (the hex
+/// armour of a WAL record) plus framing stays under the replication
+/// frame cap, [`crate::protocol::MAX_FRAME`].
+pub const FEED_CHUNK_BYTES: usize = 1 << 20;
+
+/// One poll: merge the complete lines present at the start of the tick,
+/// a batch of at most [`FEED_CHUNK_BYTES`] at a time, returning the next
+/// offset.
+fn tick(tenant: &Tenant, path: &Path, mut offset: u64, stats: &FeederStats) -> u64 {
     let len = match std::fs::metadata(path) {
         Ok(meta) => meta.len(),
         Err(_) => {
@@ -123,35 +137,53 @@ fn tick(tenant: &Tenant, path: &PathBuf, offset: u64, stats: &FeederStats) -> u6
         // The file was truncated or replaced; resume tailing at its end.
         return len;
     }
-    if len == offset {
-        return offset;
-    }
-    let text = match read_from(path, offset, (len - offset) as usize) {
-        Ok(bytes) => bytes,
-        Err(_) => {
-            stats.retries.fetch_add(1, Ordering::Relaxed);
-            return offset;
+    while offset < len {
+        let want = ((len - offset) as usize).min(FEED_CHUNK_BYTES);
+        let chunk = match read_from(path, offset, want) {
+            Ok(bytes) => bytes,
+            Err(_) => {
+                stats.retries.fetch_add(1, Ordering::Relaxed);
+                return offset;
+            }
+        };
+        // Only complete lines: everything up to (and including) the last
+        // newline. A mid-write tail stays on disk for the next tick.
+        let next = match chunk.iter().rposition(|&b| b == b'\n') {
+            Some(end) => merge(tenant, path, &chunk[..=end], offset, stats),
+            None if chunk.len() < FEED_CHUNK_BYTES => None,
+            None => skip_long_line(path, offset + chunk.len() as u64, len, stats),
+        };
+        match next {
+            Some(next) => offset = next,
+            None => break,
         }
-    };
-    // Only complete lines: everything up to (and including) the last
-    // newline. A mid-write tail stays on disk for the next tick.
-    let Some(end) = text.iter().rposition(|&b| b == b'\n') else {
-        return offset;
-    };
-    let batch = &text[..=end];
+    }
+    offset
+}
+
+/// Merges one batch of whole lines that starts at `offset`, returning the
+/// offset after it, or `None` when an injected fault leaves the batch for
+/// the next tick.
+fn merge(
+    tenant: &Tenant,
+    path: &Path,
+    batch: &[u8],
+    offset: u64,
+    stats: &FeederStats,
+) -> Option<u64> {
     let consumed = offset + batch.len() as u64;
     let Ok(batch) = std::str::from_utf8(batch) else {
         // Binary garbage can never parse; skip it rather than wedge.
         stats.batches_failed.fetch_add(1, Ordering::Relaxed);
-        return consumed;
+        return Some(consumed);
     };
     if batch.bytes().all(|b| b == b'\n') {
-        return consumed;
+        return Some(consumed);
     }
     if faults::check("daemon.feeder-merge").is_err() {
         // Injected fault: consume nothing, retry the identical batch.
         stats.retries.fetch_add(1, Ordering::Relaxed);
-        return offset;
+        return None;
     }
     // Record the post-batch offset in the WAL (durable tenants): a
     // restarted feeder resumes exactly past the batches already logged.
@@ -165,11 +197,50 @@ fn tick(tenant: &Tenant, path: &PathBuf, offset: u64, stats: &FeederStats) -> u6
             stats.batches_failed.fetch_add(1, Ordering::Relaxed);
         }
     }
-    consumed
+    Some(consumed)
 }
 
-fn read_from(path: &PathBuf, offset: u64, len: usize) -> std::io::Result<Vec<u8>> {
-    let mut file = std::fs::File::open(path)?;
+/// Skips a line longer than [`FEED_CHUNK_BYTES`] whose first budget of
+/// bytes ends at `from`: returns the offset past its newline, or `None`
+/// while that newline has not arrived. Reads through a small buffer, so
+/// the line is never held whole.
+fn skip_long_line(path: &Path, from: u64, len: u64, stats: &FeederStats) -> Option<u64> {
+    let end = File::open(path).and_then(|mut file| {
+        file.seek(SeekFrom::Start(from))?;
+        let mut reader = BufReader::new(file.take(len - from));
+        let mut pos = from;
+        loop {
+            let buf = reader.fill_buf()?;
+            if buf.is_empty() {
+                return Ok(None);
+            }
+            if let Some(i) = buf.iter().position(|&b| b == b'\n') {
+                return Ok(Some(pos + i as u64 + 1));
+            }
+            let n = buf.len();
+            pos += n as u64;
+            reader.consume(n);
+        }
+    });
+    match end {
+        Ok(Some(end)) => {
+            eprintln!(
+                "arcsd feeder: skipping a line of more than {FEED_CHUNK_BYTES} bytes from {}",
+                path.display()
+            );
+            stats.batches_failed.fetch_add(1, Ordering::Relaxed);
+            Some(end)
+        }
+        Ok(None) => None,
+        Err(_) => {
+            stats.retries.fetch_add(1, Ordering::Relaxed);
+            None
+        }
+    }
+}
+
+fn read_from(path: &Path, offset: u64, len: usize) -> std::io::Result<Vec<u8>> {
+    let mut file = File::open(path)?;
     file.seek(SeekFrom::Start(offset))?;
     let mut buf = vec![0u8; len];
     let mut filled = 0;

@@ -18,7 +18,8 @@ use std::sync::{Arc, RwLock};
 use arcs_core::faults;
 use arcs_core::serve::{ServeConfig, Server};
 use arcs_core::{ArcsError, BinArray, Binner};
-use arcs_data::{Dataset, Schema};
+use arcs_data::csv::{infer_schema, open_csv, scan_csv};
+use arcs_data::{Dataset, IngestPolicy, Schema};
 
 use crate::store::{bin_batch, valid_tenant_name, RecoveryReport, TenantMeta, TenantStore};
 
@@ -91,9 +92,7 @@ impl Tenant {
         dataset: &Dataset,
         config: &TenantConfig,
     ) -> Result<Self, ArcsError> {
-        Self::build(name, config.meta(dataset.schema()), config.serve.clone(), |_, binner| {
-            Ok((bin_dataset(binner, dataset)?, 0, None))
-        })
+        Self::create(name, dataset.schema(), config, None, |binner| bin_dataset(binner, dataset))
     }
 
     /// Like [`from_dataset`](Tenant::from_dataset), but durable: the
@@ -109,16 +108,66 @@ impl Tenant {
         data_dir: &Path,
         feeder_offset: Option<u64>,
     ) -> Result<Self, ArcsError> {
-        if !valid_tenant_name(name) {
-            return Err(ArcsError::InvalidConfig(format!(
-                "tenant name `{name}` is not durable-safe: use ASCII letters, digits, \
-                 `.`, `_`, `-` (max 128 chars, no leading dot)"
-            )));
-        }
-        Self::build(name, config.meta(dataset.schema()), config.serve.clone(), |meta, binner| {
-            let array = bin_dataset(binner, dataset)?;
-            let store = TenantStore::create(&data_dir.join(name), meta, &array, feeder_offset)?;
-            Ok((array, 0, Some(store)))
+        check_durable_name(name)?;
+        Self::create(name, dataset.schema(), config, Some((data_dir, feeder_offset)), |binner| {
+            bin_dataset(binner, dataset)
+        })
+    }
+
+    /// Opens the CSV file at `path` as an ephemeral tenant in two
+    /// streaming passes, never holding the file or a [`Dataset`]: pass 1
+    /// infers the schema (as [`arcs_data::csv::load_csv_inferred`] does,
+    /// with the same `max_categories`), pass 2 validates every row and
+    /// bins it straight into the epoch-0 array. The tenant equals
+    /// [`from_dataset`](Tenant::from_dataset) over the loaded file, and a
+    /// malformed file fails with the same [`arcs_data::DataError`].
+    pub fn from_csv(
+        name: &str,
+        path: &Path,
+        max_categories: usize,
+        config: &TenantConfig,
+    ) -> Result<Self, ArcsError> {
+        let schema = infer_schema(open_csv(path)?, max_categories)?;
+        Self::create(name, &schema, config, None, |binner| bin_csv(binner, &schema, path))
+    }
+
+    /// [`from_csv`](Tenant::from_csv) for a durable tenant, laid out as
+    /// [`from_dataset_durable`](Tenant::from_dataset_durable) lays it out.
+    /// The name is checked before the first pass.
+    pub fn from_csv_durable(
+        name: &str,
+        path: &Path,
+        max_categories: usize,
+        config: &TenantConfig,
+        data_dir: &Path,
+        feeder_offset: Option<u64>,
+    ) -> Result<Self, ArcsError> {
+        check_durable_name(name)?;
+        let schema = infer_schema(open_csv(path)?, max_categories)?;
+        Self::create(name, &schema, config, Some((data_dir, feeder_offset)), |binner| {
+            bin_csv(binner, &schema, path)
+        })
+    }
+
+    /// A new tenant over `schema` at epoch 0: `bin` fills its array and,
+    /// when `durable` names a data directory and feeder offset, the
+    /// tenant directory is created around that array.
+    fn create(
+        name: &str,
+        schema: &Schema,
+        config: &TenantConfig,
+        durable: Option<(&Path, Option<u64>)>,
+        bin: impl FnOnce(&Binner) -> Result<BinArray, ArcsError>,
+    ) -> Result<Self, ArcsError> {
+        Self::build(name, config.meta(schema), config.serve.clone(), |meta, binner| {
+            let array = bin(binner)?;
+            let store = match durable {
+                None => None,
+                Some((data_dir, feeder_offset)) => {
+                    Some(TenantStore::create(&data_dir.join(name), meta, &array, feeder_offset)?)
+                }
+            };
+            Ok((array, 0, store))
         })
     }
 
@@ -235,6 +284,29 @@ impl Tenant {
 /// (results are bit-identical at any thread count).
 fn bin_dataset(binner: &Binner, dataset: &Dataset) -> Result<BinArray, ArcsError> {
     binner.bin_rows_parallel(dataset.rows(), arcs_core::metrics::default_threads())
+}
+
+/// Pass 2 of a CSV tenant open: streams the file at `path` through the
+/// scanner under the strict policy and bins each row as it is read.
+fn bin_csv(binner: &Binner, schema: &Schema, path: &Path) -> Result<BinArray, ArcsError> {
+    let mut array = binner.new_bin_array()?;
+    scan_csv(schema, open_csv(path)?, IngestPolicy::Strict, None, |row| {
+        let (x, y, g) = binner.bin_values(row);
+        array.add(x, y, g);
+        Ok(())
+    })?;
+    Ok(array)
+}
+
+/// Refuses a tenant name that is not safe as a directory name.
+fn check_durable_name(name: &str) -> Result<(), ArcsError> {
+    if valid_tenant_name(name) {
+        return Ok(());
+    }
+    Err(ArcsError::InvalidConfig(format!(
+        "tenant name `{name}` is not durable-safe: use ASCII letters, digits, \
+         `.`, `_`, `-` (max 128 chars, no leading dot)"
+    )))
 }
 
 /// The daemon's dataset-key → tenant map.
@@ -411,6 +483,103 @@ mod tests {
         let err = Tenant::from_dataset_durable("../evil", &ds, &tiny_config(), &data_dir, None)
             .unwrap_err();
         assert!(matches!(err, ArcsError::InvalidConfig(_)), "{err}");
+    }
+
+    /// An append error names the bad row's line within the batch: the
+    /// first row is line 1, whatever blank lines come before the k-th.
+    #[test]
+    fn append_errors_name_the_line_within_the_batch() {
+        let tenant = Tenant::from_dataset("tiny", &tiny_dataset(), &tiny_config()).unwrap();
+        let err = tenant.append_csv("garbage\n").unwrap_err();
+        assert_eq!(
+            err,
+            ArcsError::Data(arcs_data::DataError::Parse {
+                line: 1,
+                message: "expected 3 fields, found 1".into()
+            })
+        );
+        for k in 2..6usize {
+            let mut rows = "2.5,2.5,A\n".repeat(k - 1);
+            if k == 4 {
+                rows = "2.5,2.5,A\n\n2.5,2.5,A\n".into(); // a blank line is line 2
+            }
+            rows.push_str("2.5,2.5,Z\n");
+            let err = tenant.append_csv(&rows).unwrap_err();
+            assert!(
+                matches!(err, ArcsError::Data(arcs_data::DataError::Parse { line, .. }) if line == k),
+                "row {k}: {err}"
+            );
+        }
+        assert_eq!(tenant.server().snapshot().epoch(), 0);
+    }
+
+    fn temp_dir(tag: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("arcs-registry-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
+    /// A tenant opened from a CSV file in two streaming passes is the
+    /// tenant `from_dataset` builds over the loaded file: same schema,
+    /// same array, and — durable — the same `tenant.json` and
+    /// `checkpoint.meta` bytes. A malformed file fails with the loader's
+    /// own error.
+    #[test]
+    fn csv_tenants_equal_dataset_tenants() {
+        use arcs_data::generator::{AgrawalGenerator, GeneratorConfig};
+        let dir = temp_dir("csv-open");
+        let csv = dir.join("f2.csv");
+        let ds =
+            AgrawalGenerator::new(GeneratorConfig::paper_defaults(11)).unwrap().generate(6_000);
+        arcs_data::csv::save_csv(&ds, &csv).unwrap();
+        let config = TenantConfig {
+            n_x_bins: 20,
+            n_y_bins: 30,
+            ..TenantConfig::new("age", "salary", "group")
+        };
+
+        let loaded = arcs_data::csv::load_csv_inferred(&csv, 16).unwrap();
+        let oracle = Tenant::from_dataset("f2", &loaded, &config).unwrap();
+        let streamed = Tenant::from_csv("f2", &csv, 16, &config).unwrap();
+        assert_eq!(streamed.schema(), oracle.schema());
+        assert_eq!(streamed.binner(), oracle.binner());
+        assert_eq!(**streamed.server().snapshot().array(), **oracle.server().snapshot().array());
+        assert_eq!(streamed.server().snapshot().checksum(), oracle.server().snapshot().checksum());
+        assert!(!streamed.is_durable());
+
+        let (by_csv, by_dataset) = (dir.join("by-csv"), dir.join("by-dataset"));
+        let streamed = Tenant::from_csv_durable("f2", &csv, 16, &config, &by_csv, Some(7)).unwrap();
+        Tenant::from_dataset_durable("f2", &loaded, &config, &by_dataset, Some(7)).unwrap();
+        assert!(streamed.is_durable());
+        for file in [crate::store::TENANT_META_FILE, crate::store::CHECKPOINT_META_FILE] {
+            let a = std::fs::read(by_csv.join("f2").join(file)).unwrap();
+            let b = std::fs::read(by_dataset.join("f2").join(file)).unwrap();
+            assert!(a == b, "{file} differs");
+        }
+
+        // A malformed file fails as the loader fails, naming the line.
+        let mut text = std::fs::read_to_string(&csv).unwrap();
+        text.push_str("41,oops\n");
+        std::fs::write(&csv, &text).unwrap();
+        let want = arcs_data::csv::load_csv_inferred(&csv, 16).unwrap_err();
+        assert!(matches!(want, arcs_data::DataError::Parse { line: 6_002, .. }), "{want}");
+        let err = Tenant::from_csv("f2", &csv, 16, &config).unwrap_err();
+        assert_eq!(err, ArcsError::Data(want));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A durable CSV tenant's name is refused before the file is read:
+    /// a missing file reports the name, not an I/O error.
+    #[test]
+    fn durable_csv_tenant_names_are_checked_first() {
+        let missing = std::path::Path::new("/nonexistent/arcs-missing.csv");
+        let data_dir = std::env::temp_dir().join("arcs-registry-names");
+        let err = Tenant::from_csv_durable("../evil", missing, 16, &tiny_config(), &data_dir, None)
+            .unwrap_err();
+        assert!(matches!(err, ArcsError::InvalidConfig(_)), "{err}");
+        let err = Tenant::from_csv("ok", missing, 16, &tiny_config()).unwrap_err();
+        assert!(matches!(err, ArcsError::Data(arcs_data::DataError::Io(_))), "{err}");
     }
 
     #[test]

@@ -45,7 +45,7 @@ use arcs_core::repl::{from_hex, to_hex, ReplMetrics, ShippedRecord};
 use arcs_core::serve::ServeConfig;
 
 use crate::client::Client;
-use crate::protocol::{ok_response, DurabilityStats, WireError, DEFAULT_REPL_BATCH};
+use crate::protocol::{ok_response, DurabilityStats, WireError, DEFAULT_REPL_BATCH, MAX_FRAME};
 use crate::registry::{Registry, Tenant};
 use crate::store::{
     install_transfer, valid_tenant_name, CheckpointTransfer, ShipPlan, TenantStore,
@@ -200,6 +200,9 @@ pub fn handle_subscribe(tenant: &Tenant) -> Result<Json, WireError> {
 /// Serves `repl.records`: up to `max` encoded WAL records from
 /// `start_seq`, or the re-sync signal when the cursor predates the live
 /// log. Ships the exact bytes the primary's own recovery would replay.
+/// The batch stops before the encoded reply would pass [`MAX_FRAME`],
+/// but always carries at least one record, so a standby far behind
+/// catches up over several replies.
 pub fn handle_records(
     tenant: &Tenant,
     start_seq: u64,
@@ -211,18 +214,31 @@ pub fn handle_records(
     match store.ship_records(start_seq, max as usize).map_err(|e| wire(&e))? {
         ShipPlan::Resync => Ok(ok_response(vec![("resync", Json::Bool(true))])),
         ShipPlan::Records(records) => {
-            ReplMetrics::add(&metrics.records_shipped, records.len() as u64);
-            let items = records
-                .iter()
-                .map(|r| {
-                    obj(vec![("seq", Json::Num(r.seq as f64)), ("hex", Json::Str(r.to_hex()))])
-                })
-                .collect();
-            Ok(ok_response(vec![
-                ("resync", Json::Bool(false)),
-                ("records", Json::Arr(items)),
-                ("last_seq", Json::Num(store.last_wal_seq() as f64)),
-            ]))
+            let last_seq = store.last_wal_seq();
+            let reply = |items| {
+                ok_response(vec![
+                    ("resync", Json::Bool(false)),
+                    ("records", Json::Arr(items)),
+                    ("last_seq", Json::Num(last_seq as f64)),
+                ])
+            };
+            let mut size = reply(Vec::new()).to_string().len();
+            let mut items = Vec::new();
+            for record in &records {
+                let item = obj(vec![
+                    ("seq", Json::Num(record.seq as f64)),
+                    ("hex", Json::Str(record.to_hex())),
+                ]);
+                // The item plus the comma before it, after the first.
+                let grown = size + item.to_string().len() + usize::from(!items.is_empty());
+                if !items.is_empty() && grown > MAX_FRAME {
+                    break;
+                }
+                size = grown;
+                items.push(item);
+            }
+            ReplMetrics::add(&metrics.records_shipped, items.len() as u64);
+            Ok(reply(items))
         }
     }
 }

@@ -567,15 +567,19 @@ fn apply_record(
     Ok(())
 }
 
-/// Parses header-less CSV `rows` against `schema` and bins them — the
-/// single code path shared by live appends, WAL replay, and fsck, so all
-/// three agree on what a batch means.
+/// Scans header-less CSV `rows` against `schema` in place and bins them
+/// — the single code path shared by live appends, WAL replay, and fsck,
+/// so all three agree on what a batch means. The first bad row rejects
+/// the batch with a [`arcs_data::DataError::Parse`] naming its line
+/// within the batch (the first row is line 1).
 pub fn bin_batch(schema: &Schema, binner: &Binner, rows: &str) -> Result<BinArray, ArcsError> {
-    let header: Vec<&str> = schema.attributes().iter().map(|a| a.name.as_str()).collect();
-    let text = format!("{}\n{}", header.join(","), rows);
-    let delta_ds =
-        arcs_data::csv::read_csv(schema.clone(), text.as_bytes()).map_err(ArcsError::Data)?;
-    binner.bin_rows(delta_ds.iter())
+    let mut delta = binner.new_bin_array()?;
+    arcs_data::csv::scan_csv_rows(schema, rows.as_bytes(), |row| {
+        let (x, y, g) = binner.bin_values(row);
+        delta.add(x, y, g);
+        Ok(())
+    })?;
+    Ok(delta)
 }
 
 // ---------------------------------------------------------------------------

@@ -20,8 +20,10 @@ use arcs_core::jsonio::{self, Json};
 use arcs_core::request::Request;
 use arcs_core::serve::ServeConfig;
 use arcs_daemon::daemon::{Daemon, DaemonConfig};
+use arcs_daemon::feeder::FEED_CHUNK_BYTES;
 use arcs_daemon::protocol::{read_frame, write_frame, CODE_PROTOCOL};
 use arcs_daemon::registry::{Registry, Tenant, TenantConfig};
+use arcs_daemon::store::WAL_FILE;
 use arcs_daemon::{Client, Feeder};
 use arcs_data::{Attribute, Dataset, Schema, Value};
 
@@ -269,6 +271,58 @@ fn restarted_feeder_resumes_at_durable_offset_not_byte_zero() {
     let snap = tenant.server().snapshot();
     assert_eq!(snap.array().n_tuples(), base_tuples + 15);
     assert_eq!(snap.checksum(), oracle.server().snapshot().checksum());
+}
+
+/// A burst several feeder budgets long — what a restart after downtime
+/// finds — merges completely within the budget: no batch fails, every
+/// WAL payload fits [`FEED_CHUNK_BYTES`], the durable feeder offset sits
+/// at the burst's end, and a restart recovers the same array.
+#[test]
+fn feeder_merges_a_burst_larger_than_its_budget_in_chunks() {
+    let data = TempDir::new("feeder-burst");
+    let feed = data.path().join("feed.csv");
+    let mut burst = String::new();
+    let mut rows = 0u64;
+    while burst.len() < 3 * FEED_CHUNK_BYTES + FEED_CHUNK_BYTES / 2 {
+        let group = if rows.is_multiple_of(3) { "A" } else { "other" };
+        burst.push_str(&format!("{}.25,{}.75,{group}\n", rows % 10, (rows / 7) % 10));
+        rows += 1;
+    }
+    std::fs::write(&feed, &burst).unwrap();
+
+    let tenant = Arc::new(
+        Tenant::from_dataset_durable("b", &grid_dataset(), &tenant_config(), data.path(), Some(0))
+            .unwrap(),
+    );
+    let feeder =
+        Feeder::spawn_at(Arc::clone(&tenant), feed.clone(), Duration::from_millis(5), 0).unwrap();
+    wait_for("the whole burst to merge", || {
+        feeder.stats().rows_merged.load(Ordering::Relaxed) == rows
+    });
+    let batches = feeder.stats().batches_merged.load(Ordering::Relaxed);
+    assert_eq!(feeder.stats().batches_failed.load(Ordering::Relaxed), 0);
+    assert!(batches >= 4, "a {}-byte burst merged as {batches} batches", burst.len());
+    feeder.stop();
+
+    let log = arcs_core::wal::replay(&data.path().join("b").join(WAL_FILE)).unwrap();
+    assert_eq!(log.records.len() as u64, batches);
+    assert!(log.records.iter().all(|r| r.payload.len() <= FEED_CHUNK_BYTES));
+    let logged: usize = log.records.iter().map(|r| r.payload.len()).sum();
+    assert_eq!(logged, burst.len(), "every byte is in exactly one record");
+    assert_eq!(tenant.store().unwrap().feeder_offset(), Some(burst.len() as u64));
+
+    let oracle = Tenant::from_dataset("b", &grid_dataset(), &tenant_config()).unwrap();
+    oracle.append_csv(&burst).unwrap();
+    let live = tenant.server().snapshot();
+    assert_eq!(live.epoch(), batches);
+    assert_eq!(live.checksum(), oracle.server().snapshot().checksum());
+    drop(tenant);
+
+    let (recovered, report) =
+        Tenant::open_durable("b", data.path(), ServeConfig::default()).unwrap();
+    assert_eq!(report.epoch, batches);
+    assert_eq!(recovered.server().snapshot().checksum(), live.checksum());
+    assert_eq!(recovered.store().unwrap().feeder_offset(), Some(burst.len() as u64));
 }
 
 /// Reads one raw frame off a socket and returns the decoded JSON body.

@@ -15,9 +15,10 @@ use arcs_core::jsonio::Json;
 use arcs_core::request::Request;
 use arcs_core::serve::ServeConfig;
 use arcs_daemon::daemon::{Daemon, DaemonConfig, DaemonHandle};
+use arcs_daemon::protocol::MAX_FRAME;
 use arcs_daemon::registry::{Registry, Tenant, TenantConfig};
 use arcs_daemon::repl::{apply_batch, BatchOutcome, ReplicationConfig};
-use arcs_daemon::store::install_transfer;
+use arcs_daemon::store::{install_transfer, ShipPlan};
 use arcs_daemon::Client;
 use arcs_data::{Attribute, Dataset, Schema, Value};
 
@@ -263,6 +264,57 @@ fn lagging_standby_resyncs_from_a_checkpoint_transfer() {
     assert_eq!(outcome.result, *expected.result, "re-synced standby differs from oracle");
 
     writer.close().unwrap();
+    reader.close().unwrap();
+    standby.shutdown();
+    primary.shutdown();
+}
+
+/// A standby 40 large records behind — more than one frame's worth once
+/// hex-armoured — catches up by tailing: the primary splits the backlog
+/// over several `repl.records` replies, each under the frame cap, and
+/// never forces a checkpoint re-sync.
+#[test]
+fn a_backlog_larger_than_one_frame_is_tailed_over_several_replies() {
+    let primary_data = TempDir::new("backlog-primary");
+    let standby_data = TempDir::new("backlog-standby");
+    let (primary, primary_registry) = spawn_primary(primary_data.path());
+    let tenant = primary_registry.get("trades").unwrap().unwrap();
+
+    // The standby already holds the epoch-0 checkpoint, so it resumes
+    // tailing at seq 1 instead of bootstrapping.
+    let transfer = tenant.store().unwrap().checkpoint_transfer().unwrap();
+    install_transfer(&standby_data.path().join("trades"), &transfer).unwrap();
+
+    // 1,000 rows of ~130 bytes per record: ~260 KB of hex each, so the
+    // 40 records need more than one 8 MiB frame.
+    let records = 40u64;
+    for k in 0..records {
+        let mut rows = String::new();
+        for i in 0..1_000u64 {
+            let x = ((k + i) % 10) as f64 + 0.5;
+            let y = ((k * 3 + i) % 10) as f64 + 0.5;
+            rows.push_str(&format!("{x:.60},{y:.60},{}\n", if i % 2 == 0 { "A" } else { "other" }));
+        }
+        tenant.append_csv(&rows).unwrap();
+    }
+    let hex_bytes: usize = match tenant.store().unwrap().ship_records(1, 1_000).unwrap() {
+        ShipPlan::Records(shipped) => shipped.iter().map(|r| r.to_hex().len()).sum(),
+        ShipPlan::Resync => panic!("the log was not folded"),
+    };
+    assert!(hex_bytes > MAX_FRAME, "only {hex_bytes} bytes of hex: not a multi-frame backlog");
+
+    let (standby, standby_registry) =
+        spawn_standby(&primary.addr().to_string(), standby_data.path());
+    let mut reader = Client::connect(standby.addr()).unwrap();
+    wait_for("standby to tail the whole backlog", || {
+        standby_wal_seq(&mut reader, "trades") == Some(records)
+    });
+    assert_eq!(primary.repl().metrics.snapshot()[0], records, "records_shipped");
+    assert_eq!(standby.repl().metrics.snapshot()[3], 0, "resyncs");
+    let replica = standby_registry.get("trades").unwrap().unwrap();
+    assert_eq!(replica.server().snapshot().epoch(), records);
+    assert_eq!(replica.server().snapshot().checksum(), tenant.server().snapshot().checksum());
+
     reader.close().unwrap();
     standby.shutdown();
     primary.shutdown();

@@ -1,12 +1,32 @@
-//! Minimal CSV load/store for datasets.
+//! CSV load/store for datasets, and the one row scanner every CSV reader
+//! runs on.
 //!
 //! The format is deliberately simple (no quoting — attribute labels and
 //! names must not contain commas or newlines): a header row with attribute
 //! names, then one row per tuple. Quantitative values are written as
 //! decimal numbers; categorical values are written as their labels and
 //! resolved back to codes on load.
+//!
+//! # One scanner, streamed
+//!
+//! [`scan_csv`] (and [`scan_csv_rows`], its header-less form for append
+//! batches) is the only loop over data rows. It owns the header check,
+//! CRLF and blank lines, 1-based line numbers, the field count, per-kind
+//! validation of every column (used by the caller or not), clamping, the
+//! [`IngestPolicy`], the quarantine sink, the [`IngestReport`] and the
+//! bad-row ceiling. It reads through one reused line buffer and hands
+//! each accepted row to a callback as one reused `&[Value]`, so a caller
+//! that bins rows as they arrive holds neither the file nor a
+//! [`Dataset`]: memory stays bounded by what the callback keeps (the
+//! paper's §4.3 bound when that is a bin array).
+//!
+//! The loaders are built on it: [`read_csv_with_policy`] is the scanner
+//! plus [`Dataset::push`], [`infer_schema`] reads through the same line
+//! buffer, and [`load_csv_inferred`] opens the file twice — infer, then
+//! load — instead of reading its text into memory.
 
-use std::io::{BufRead, BufWriter, Write};
+use std::fs::File;
+use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::path::Path;
 
 use crate::dataset::Dataset;
@@ -14,18 +34,6 @@ use crate::error::DataError;
 use crate::ingest::{IngestPolicy, IngestReport, IssueKind};
 use crate::schema::{AttrKind, Attribute, Schema};
 use crate::tuple::Value;
-
-/// Strips a trailing carriage return so CRLF files parse like LF files.
-fn clean_line(line: &str) -> &str {
-    line.strip_suffix('\r').unwrap_or(line)
-}
-
-/// Whether a line is blank (empty or whitespace-only) and must be skipped.
-/// `read_csv` and `infer_schema` share this definition so the two passes
-/// always agree on which physical lines carry data.
-fn is_blank(line: &str) -> bool {
-    line.trim().is_empty()
-}
 
 /// Serialises `dataset` as CSV into `writer`.
 pub fn write_csv<W: Write>(dataset: &Dataset, writer: W) -> Result<(), DataError> {
@@ -70,20 +78,93 @@ pub fn save_csv(dataset: &Dataset, path: impl AsRef<Path>) -> Result<(), DataErr
     write_csv(dataset, file)
 }
 
-/// Parses one data row into values, clamping out-of-domain quantitative
-/// values into their attribute's declared domain. Returns the values and
-/// the number of clamps, or the issue that disqualifies the row.
-fn parse_row(schema: &Schema, line: &str) -> Result<(Vec<Value>, usize), (IssueKind, String)> {
-    let fields: Vec<&str> = line.split(',').collect();
-    if fields.len() != schema.arity() {
+/// Opens the CSV file at `path` for one streaming pass.
+pub fn open_csv(path: impl AsRef<Path>) -> Result<BufReader<File>, DataError> {
+    Ok(BufReader::new(File::open(path)?))
+}
+
+/// The physical lines of an input, read through one reused buffer and
+/// numbered from 1. A line comes back without its `\n` or `\r\n` ending
+/// and without one more trailing `\r`, so CRLF files read like LF files.
+struct Lines<R> {
+    reader: R,
+    buf: Vec<u8>,
+    line_no: usize,
+}
+
+impl<R: BufRead> Lines<R> {
+    fn new(reader: R) -> Self {
+        Lines { reader, buf: Vec::new(), line_no: 0 }
+    }
+
+    /// The next line and its 1-based number, or `None` at end of input.
+    /// A line that is not UTF-8 is an I/O error, as `BufRead::lines`
+    /// reports it.
+    fn next_line(&mut self) -> Result<Option<(usize, &str)>, DataError> {
+        self.buf.clear();
+        if self.reader.read_until(b'\n', &mut self.buf)? == 0 {
+            return Ok(None);
+        }
+        self.line_no += 1;
+        if self.buf.last() == Some(&b'\n') {
+            self.buf.pop();
+            if self.buf.last() == Some(&b'\r') {
+                self.buf.pop();
+            }
+        }
+        if self.buf.last() == Some(&b'\r') {
+            self.buf.pop();
+        }
+        let line = std::str::from_utf8(&self.buf).map_err(|_| {
+            DataError::from(std::io::Error::new(
+                std::io::ErrorKind::InvalidData,
+                "stream did not contain valid UTF-8",
+            ))
+        })?;
+        Ok(Some((self.line_no, line)))
+    }
+
+    /// The header line's comma-separated names.
+    fn header(&mut self) -> Result<Vec<&str>, DataError> {
+        let (_, header) = self
+            .next_line()?
+            .ok_or(DataError::Parse { line: 1, message: "empty input: missing header".into() })?;
+        Ok(header.split(',').collect())
+    }
+}
+
+/// Whether a line is blank (empty or whitespace-only) and must be skipped.
+/// The scanner and [`infer_schema`] share this definition, so the two
+/// passes always agree on which physical lines carry data.
+fn is_blank(line: &str) -> bool {
+    line.trim().is_empty()
+}
+
+/// Number of comma-separated fields in `line`.
+fn field_count(line: &str) -> usize {
+    line.bytes().filter(|&b| b == b',').count() + 1
+}
+
+/// Parses one data row into `values` (cleared first), clamping
+/// out-of-domain quantitative values into their attribute's declared
+/// domain. Every field is checked against its attribute's kind, whether
+/// or not a caller uses that column. Returns the number of clamps, or
+/// the issue that disqualifies the row.
+fn parse_row(
+    schema: &Schema,
+    line: &str,
+    values: &mut Vec<Value>,
+) -> Result<usize, (IssueKind, String)> {
+    let fields = field_count(line);
+    if fields != schema.arity() {
         return Err((
             IssueKind::FieldCount,
-            format!("expected {} fields, found {}", schema.arity(), fields.len()),
+            format!("expected {} fields, found {fields}", schema.arity()),
         ));
     }
-    let mut values = Vec::with_capacity(fields.len());
+    values.clear();
     let mut clamped = 0usize;
-    for (field, attr) in fields.iter().zip(schema.attributes()) {
+    for (field, attr) in line.split(',').zip(schema.attributes()) {
         match &attr.kind {
             AttrKind::Quantitative { .. } => {
                 let v: f64 = field.parse().map_err(|_| {
@@ -103,7 +184,7 @@ fn parse_row(schema: &Schema, line: &str) -> Result<(Vec<Value>, usize), (IssueK
                 values.push(Value::Quant(v));
             }
             AttrKind::Categorical { labels } => {
-                let code = labels.iter().position(|l| l == *field).ok_or_else(|| {
+                let code = labels.iter().position(|l| l == field).ok_or_else(|| {
                     (
                         IssueKind::UnknownLabel,
                         format!("`{field}` is not a known label of attribute `{}`", attr.name),
@@ -113,52 +194,30 @@ fn parse_row(schema: &Schema, line: &str) -> Result<(Vec<Value>, usize), (IssueK
             }
         }
     }
-    Ok((values, clamped))
+    Ok(clamped)
 }
 
-/// Parses CSV from `reader` against a known `schema`, applying `policy`
-/// to rows that fail to parse or validate. The header must match the
-/// schema's attribute names in order (a bad header is always fatal — it
-/// means the *file* is wrong, not a row).
-///
-/// Under [`IngestPolicy::Quarantine`] each rejected raw line is written
-/// to `quarantine` (one line per row); passing `None` downgrades the
-/// policy to counting only. Out-of-domain quantitative values are
-/// clamped and counted under every policy — see the [`crate::ingest`]
-/// module docs for the rationale.
-pub fn read_csv_with_policy<R: BufRead>(
-    schema: Schema,
-    reader: R,
+/// The one CSV row loop: validates every data row left in `lines`
+/// against `schema` and hands each accepted row to `accept` through one
+/// reused buffer. A row `accept` refuses is a bad row of kind
+/// [`IssueKind::Invalid`]. Bad rows follow `policy`; the bad-row ceiling
+/// is checked once the input is exhausted.
+fn scan_lines<R: BufRead>(
+    schema: &Schema,
+    lines: &mut Lines<R>,
     policy: IngestPolicy,
     mut quarantine: Option<&mut dyn Write>,
-) -> Result<(Dataset, IngestReport), DataError> {
-    let mut lines = reader.lines().enumerate();
-    let (_, header) = lines
-        .next()
-        .ok_or(DataError::Parse { line: 1, message: "empty input: missing header".into() })?;
-    let header = header?;
-    let header = clean_line(&header);
-    let names: Vec<&str> = header.split(',').collect();
-    let expected: Vec<&str> = schema.attributes().iter().map(|a| a.name.as_str()).collect();
-    if names != expected {
-        return Err(DataError::Parse {
-            line: 1,
-            message: format!("header {names:?} does not match schema {expected:?}"),
-        });
-    }
-
-    let mut ds = Dataset::new(schema);
+    mut accept: impl FnMut(&[Value]) -> Result<(), DataError>,
+) -> Result<IngestReport, DataError> {
     let mut report = IngestReport::default();
-    for (i, line) in lines {
-        let line = line?;
-        let line = clean_line(&line);
+    let mut values = Vec::with_capacity(schema.arity());
+    while let Some((line_no, line)) = lines.next_line()? {
         if is_blank(line) {
             continue;
         }
-        let line_no = i + 1;
         report.rows_read += 1;
-        let issue = match parse_row(ds.schema(), line) {
-            Ok((values, clamps)) => match ds.push(values) {
+        let (kind, message) = match parse_row(schema, line, &mut values) {
+            Ok(clamps) => match accept(&values) {
                 Ok(()) => {
                     report.rows_kept += 1;
                     report.clamped_values += clamps;
@@ -168,7 +227,6 @@ pub fn read_csv_with_policy<R: BufRead>(
             },
             Err(issue) => issue,
         };
-        let (kind, message) = issue;
         if policy.is_strict() {
             return Err(DataError::Parse { line: line_no, message });
         }
@@ -179,16 +237,81 @@ pub fn read_csv_with_policy<R: BufRead>(
             report.rows_quarantined += 1;
         }
     }
+    check_bad_fraction(&report, policy)?;
+    Ok(report)
+}
 
-    if let Some(max) = policy.max_bad_fraction() {
-        if report.bad_fraction() > max {
-            return Err(DataError::TooManyBadRows {
-                skipped: report.rows_skipped,
-                read: report.rows_read,
-                max_bad_fraction: max,
-            });
-        }
+/// Fails a lenient load whose skipped fraction passed the policy's
+/// ceiling.
+fn check_bad_fraction(report: &IngestReport, policy: IngestPolicy) -> Result<(), DataError> {
+    match policy.max_bad_fraction() {
+        Some(max) if report.bad_fraction() > max => Err(DataError::TooManyBadRows {
+            skipped: report.rows_skipped,
+            read: report.rows_read,
+            max_bad_fraction: max,
+        }),
+        _ => Ok(()),
     }
+}
+
+/// Streams CSV from `reader` against a known `schema` without holding
+/// the input: each accepted row goes to `accept` as a `&[Value]` that
+/// is reused for the next row, so the scan itself allocates nothing
+/// per row. The header must match the schema's attribute names in order
+/// (a bad header is always fatal — it means the *file* is wrong, not a
+/// row).
+///
+/// Every field of every row is validated, used or not. Rows that fail
+/// follow `policy`: [`IngestPolicy::Strict`] aborts with a
+/// [`DataError::Parse`] carrying the row's 1-based line (the header is
+/// line 1); the lenient policies skip and count them. Under
+/// [`IngestPolicy::Quarantine`] each rejected raw line is written to
+/// `quarantine` (one line per row); passing `None` downgrades the policy
+/// to counting only. Out-of-domain quantitative values are clamped and
+/// counted under every policy — see the [`crate::ingest`] module docs
+/// for the rationale. A row `accept` refuses counts as a bad row of
+/// kind [`IssueKind::Invalid`].
+pub fn scan_csv<R: BufRead>(
+    schema: &Schema,
+    reader: R,
+    policy: IngestPolicy,
+    quarantine: Option<&mut dyn Write>,
+    accept: impl FnMut(&[Value]) -> Result<(), DataError>,
+) -> Result<IngestReport, DataError> {
+    let mut lines = Lines::new(reader);
+    let names = lines.header()?;
+    let expected: Vec<&str> = schema.attributes().iter().map(|a| a.name.as_str()).collect();
+    if names != expected {
+        return Err(DataError::Parse {
+            line: 1,
+            message: format!("header {names:?} does not match schema {expected:?}"),
+        });
+    }
+    scan_lines(schema, &mut lines, policy, quarantine, accept)
+}
+
+/// [`scan_csv`] for header-less rows — an append batch — under
+/// [`IngestPolicy::Strict`]: the first bad row aborts the scan with its
+/// 1-based line within `reader`.
+pub fn scan_csv_rows<R: BufRead>(
+    schema: &Schema,
+    reader: R,
+    accept: impl FnMut(&[Value]) -> Result<(), DataError>,
+) -> Result<IngestReport, DataError> {
+    scan_lines(schema, &mut Lines::new(reader), IngestPolicy::Strict, None, accept)
+}
+
+/// Parses CSV from `reader` against a known `schema` into a [`Dataset`]:
+/// [`scan_csv`] plus [`Dataset::push`], with the same header check,
+/// policies, quarantine sink and report.
+pub fn read_csv_with_policy<R: BufRead>(
+    schema: Schema,
+    reader: R,
+    policy: IngestPolicy,
+    quarantine: Option<&mut dyn Write>,
+) -> Result<(Dataset, IngestReport), DataError> {
+    let mut ds = Dataset::new(schema.clone());
+    let report = scan_csv(&schema, reader, policy, quarantine, |row| ds.push(row.to_vec()))?;
     Ok((ds, report))
 }
 
@@ -219,19 +342,17 @@ pub fn infer_schema<R: BufRead>(reader: R, max_categories: usize) -> Result<Sche
 /// stray garbage values (those rows surface as non-numeric issues during
 /// the load pass instead of silently flipping the column categorical).
 /// Quarantine sinks are *not* written here — inference is a read-only
-/// probe; the subsequent [`read_csv_with_policy`] pass owns the sink so
-/// each bad line is quarantined exactly once.
+/// probe; the subsequent [`scan_csv`] pass owns the sink so each bad
+/// line is quarantined exactly once. The probe streams its input through
+/// the scanner's reused line buffer; it keeps only per-column bounds and
+/// at most `max_categories + 1` distinct values per column.
 pub fn infer_schema_with_policy<R: BufRead>(
     reader: R,
     max_categories: usize,
     policy: IngestPolicy,
 ) -> Result<(Schema, IngestReport), DataError> {
-    let mut lines = reader.lines().enumerate();
-    let (_, header) = lines
-        .next()
-        .ok_or(DataError::Parse { line: 1, message: "empty input: missing header".into() })?;
-    let header = header?;
-    let names: Vec<String> = clean_line(&header).split(',').map(str::to_string).collect();
+    let mut lines = Lines::new(reader);
+    let names: Vec<String> = lines.header()?.into_iter().map(str::to_string).collect();
     let n_cols = names.len();
 
     struct ColumnProbe {
@@ -255,26 +376,24 @@ pub fn infer_schema_with_policy<R: BufRead>(
 
     let mut report = IngestReport::default();
     let mut n_rows = 0usize;
-    for (i, line) in lines {
-        let line = line?;
-        let line = clean_line(&line);
+    while let Some((line_no, line)) = lines.next_line()? {
         if is_blank(line) {
             continue;
         }
         report.rows_read += 1;
-        let fields: Vec<&str> = line.split(',').collect();
-        if fields.len() != n_cols {
-            let message = format!("expected {n_cols} fields, found {}", fields.len());
+        let fields = field_count(line);
+        if fields != n_cols {
+            let message = format!("expected {n_cols} fields, found {fields}");
             if policy.is_strict() {
-                return Err(DataError::Parse { line: i + 1, message });
+                return Err(DataError::Parse { line: line_no, message });
             }
             report.rows_skipped += 1;
-            report.record(i + 1, IssueKind::FieldCount, message);
+            report.record(line_no, IssueKind::FieldCount, message);
             continue;
         }
         n_rows += 1;
         report.rows_kept += 1;
-        for (probe, field) in probes.iter_mut().zip(&fields) {
+        for (probe, field) in probes.iter_mut().zip(line.split(',')) {
             match field.parse::<f64>() {
                 Ok(v) if v.is_finite() => {
                     probe.numeric += 1;
@@ -298,15 +417,7 @@ pub fn infer_schema_with_policy<R: BufRead>(
             message: "cannot infer a schema from a header-only file".into(),
         });
     }
-    if let Some(max) = policy.max_bad_fraction() {
-        if report.bad_fraction() > max {
-            return Err(DataError::TooManyBadRows {
-                skipped: report.rows_skipped,
-                read: report.rows_read,
-                max_bad_fraction: max,
-            });
-        }
-    }
+    check_bad_fraction(&report, policy)?;
 
     let attributes = names
         .into_iter()
@@ -335,35 +446,320 @@ pub fn infer_schema_with_policy<R: BufRead>(
     Schema::new(attributes).map(|schema| (schema, report))
 }
 
-/// Infers a schema (see [`infer_schema`]) and loads the data in one go.
+/// Infers a schema (see [`infer_schema`]) and loads the data, reading
+/// the file in two streaming passes rather than holding its text beside
+/// the [`Dataset`].
 pub fn load_csv_inferred(
     path: impl AsRef<Path>,
     max_categories: usize,
 ) -> Result<Dataset, DataError> {
-    let text = std::fs::read(path)?;
-    let schema = infer_schema(&text[..], max_categories)?;
-    read_csv(schema, &text[..])
+    let schema = infer_schema(open_csv(&path)?, max_categories)?;
+    read_csv(schema, open_csv(&path)?)
 }
 
-/// Infers a schema and loads the data in one go under an
-/// [`IngestPolicy`]. The returned report is the *load* pass's report;
-/// the inference probe shares the same policy but never writes to the
-/// quarantine sink.
+/// Infers a schema and loads the data under an [`IngestPolicy`], in two
+/// streaming passes over the file. The returned report is the *load*
+/// pass's report; the inference probe shares the same policy but never
+/// writes to the quarantine sink.
 pub fn load_csv_inferred_with_policy(
     path: impl AsRef<Path>,
     max_categories: usize,
     policy: IngestPolicy,
     quarantine: Option<&mut dyn Write>,
 ) -> Result<(Dataset, IngestReport), DataError> {
-    let text = std::fs::read(path)?;
-    let (schema, _) = infer_schema_with_policy(&text[..], max_categories, policy)?;
-    read_csv_with_policy(schema, &text[..], policy, quarantine)
+    let (schema, _) = infer_schema_with_policy(open_csv(&path)?, max_categories, policy)?;
+    read_csv_with_policy(schema, open_csv(&path)?, policy, quarantine)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::schema::Attribute;
+    use proptest::prelude::*;
+
+    /// The row loop `read_csv_with_policy` ran before the scanner: every
+    /// line through `BufRead::lines`, a `Vec<&str>` of fields and a fresh
+    /// value vector per row. Kept as the oracle the scanner must match.
+    fn reference_read_csv_with_policy<R: BufRead>(
+        schema: Schema,
+        reader: R,
+        policy: IngestPolicy,
+        mut quarantine: Option<&mut dyn Write>,
+    ) -> Result<(Dataset, IngestReport), DataError> {
+        fn clean_line(line: &str) -> &str {
+            line.strip_suffix('\r').unwrap_or(line)
+        }
+        fn parse_row(
+            schema: &Schema,
+            line: &str,
+        ) -> Result<(Vec<Value>, usize), (IssueKind, String)> {
+            let fields: Vec<&str> = line.split(',').collect();
+            if fields.len() != schema.arity() {
+                return Err((
+                    IssueKind::FieldCount,
+                    format!("expected {} fields, found {}", schema.arity(), fields.len()),
+                ));
+            }
+            let mut values = Vec::with_capacity(fields.len());
+            let mut clamped = 0usize;
+            for (field, attr) in fields.iter().zip(schema.attributes()) {
+                match &attr.kind {
+                    AttrKind::Quantitative { .. } => {
+                        let v: f64 = field.parse().map_err(|_| {
+                            (
+                                IssueKind::NonNumeric,
+                                format!("`{field}` is not a number for attribute `{}`", attr.name),
+                            )
+                        })?;
+                        if !v.is_finite() {
+                            return Err((
+                                IssueKind::NonFinite,
+                                format!("`{field}` is not finite for attribute `{}`", attr.name),
+                            ));
+                        }
+                        let (v, was_clamped) = attr.kind.clamp_quant(v);
+                        clamped += was_clamped as usize;
+                        values.push(Value::Quant(v));
+                    }
+                    AttrKind::Categorical { labels } => {
+                        let code = labels.iter().position(|l| l == *field).ok_or_else(|| {
+                            (
+                                IssueKind::UnknownLabel,
+                                format!(
+                                    "`{field}` is not a known label of attribute `{}`",
+                                    attr.name
+                                ),
+                            )
+                        })?;
+                        values.push(Value::Cat(code as u32));
+                    }
+                }
+            }
+            Ok((values, clamped))
+        }
+
+        let mut lines = reader.lines().enumerate();
+        let (_, header) = lines
+            .next()
+            .ok_or(DataError::Parse { line: 1, message: "empty input: missing header".into() })?;
+        let header = header?;
+        let header = clean_line(&header);
+        let names: Vec<&str> = header.split(',').collect();
+        let expected: Vec<&str> = schema.attributes().iter().map(|a| a.name.as_str()).collect();
+        if names != expected {
+            return Err(DataError::Parse {
+                line: 1,
+                message: format!("header {names:?} does not match schema {expected:?}"),
+            });
+        }
+
+        let mut ds = Dataset::new(schema);
+        let mut report = IngestReport::default();
+        for (i, line) in lines {
+            let line = line?;
+            let line = clean_line(&line);
+            if is_blank(line) {
+                continue;
+            }
+            let line_no = i + 1;
+            report.rows_read += 1;
+            let issue = match parse_row(ds.schema(), line) {
+                Ok((values, clamps)) => match ds.push(values) {
+                    Ok(()) => {
+                        report.rows_kept += 1;
+                        report.clamped_values += clamps;
+                        continue;
+                    }
+                    Err(e) => (IssueKind::Invalid, e.to_string()),
+                },
+                Err(issue) => issue,
+            };
+            let (kind, message) = issue;
+            if policy.is_strict() {
+                return Err(DataError::Parse { line: line_no, message });
+            }
+            report.rows_skipped += 1;
+            report.record(line_no, kind, message);
+            if let (IngestPolicy::Quarantine { .. }, Some(sink)) = (&policy, quarantine.as_mut()) {
+                writeln!(sink, "{line}")?;
+                report.rows_quarantined += 1;
+            }
+        }
+
+        if let Some(max) = policy.max_bad_fraction() {
+            if report.bad_fraction() > max {
+                return Err(DataError::TooManyBadRows {
+                    skipped: report.rows_skipped,
+                    read: report.rows_read,
+                    max_bad_fraction: max,
+                });
+            }
+        }
+        Ok((ds, report))
+    }
+
+    /// Four columns, two of each kind, so garbage lands in quantitative
+    /// and categorical cells alike.
+    fn wide_schema() -> Schema {
+        Schema::new(vec![
+            Attribute::quantitative("a", 0.0, 100.0),
+            Attribute::categorical("g", ["A", "B", "other"]),
+            Attribute::quantitative("b", -5.0, 5.0),
+            Attribute::categorical("h", ["x", "y"]),
+        ])
+        .unwrap()
+    }
+
+    /// A random, often dirty, CSV over [`wide_schema`]: NaN/inf, text in
+    /// numeric cells, unknown labels, out-of-domain values, wrong field
+    /// counts, blank and whitespace lines, CRLF and bare-CR endings, the
+    /// odd non-UTF-8 byte, a missing final newline, and now and then a
+    /// wrong or missing header.
+    fn random_csv(rng: &mut rand::rngs::StdRng) -> Vec<u8> {
+        use rand::Rng;
+        fn quant(rng: &mut rand::rngs::StdRng, lo: f64, hi: f64) -> String {
+            match rng.gen_range(0..14) {
+                0 => "NaN".into(),
+                1 => ["inf", "-inf", "infinity"][rng.gen_range(0..3)].into(),
+                2 => ["abc", "", " 1", "1e", "--1"][rng.gen_range(0..5)].into(),
+                3 => format!("{}", hi + rng.gen_range(1..1000) as f64 * 0.5),
+                4 => format!("{}", lo - rng.gen_range(1..1000) as f64 * 0.25),
+                5 => "A".into(),
+                _ => format!("{:.3}", lo + (hi - lo) * rng.gen::<f64>()),
+            }
+        }
+        fn label(rng: &mut rand::rngs::StdRng, labels: &[&str]) -> String {
+            match rng.gen_range(0..10) {
+                0 => ["Z", "", "a", "1.5", "A "][rng.gen_range(0..5)].into(),
+                _ => labels[rng.gen_range(0..labels.len())].into(),
+            }
+        }
+        let mut out = Vec::new();
+        let eol = |rng: &mut rand::rngs::StdRng, out: &mut Vec<u8>| {
+            let end: &[u8] = match rng.gen_range(0..8) {
+                0 => b"\r\n",
+                1 => b"\r\r\n",
+                _ => b"\n",
+            };
+            out.extend_from_slice(end);
+        };
+        match rng.gen_range(0..25) {
+            0 => return out,
+            1 => out.extend_from_slice(b"a,g,b"),
+            2 => out.extend_from_slice(b"a,g,b,h,"),
+            _ => out.extend_from_slice(b"a,g,b,h"),
+        }
+        eol(rng, &mut out);
+        let rows = rng.gen_range(0..40);
+        for row in 0..rows {
+            match rng.gen_range(0..16) {
+                0 => {}
+                1 => out.extend_from_slice(b"  \t "),
+                2 => out.push(b'\r'),
+                3 => {
+                    let n = [1usize, 2, 3, 5, 6][rng.gen_range(0..5)];
+                    let cells: Vec<String> = (0..n).map(|_| quant(rng, 0.0, 100.0)).collect();
+                    out.extend_from_slice(cells.join(",").as_bytes());
+                }
+                4 if rng.gen_range(0..4) == 0 => out.extend_from_slice(b"1.0,A,\xff,x"),
+                _ => {
+                    let cells = [
+                        quant(rng, 0.0, 100.0),
+                        label(rng, &["A", "B", "other"]),
+                        quant(rng, -5.0, 5.0),
+                        label(rng, &["x", "y"]),
+                    ];
+                    out.extend_from_slice(cells.join(",").as_bytes());
+                }
+            }
+            if row + 1 < rows || rng.gen_range(0..3) > 0 {
+                eol(rng, &mut out);
+            }
+        }
+        out
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The scanner accepts, rejects, clamps and quarantines exactly
+        /// the rows the previous row loop did, with the same report and
+        /// the same error, under every policy.
+        #[test]
+        fn scanner_matches_the_reference_loader(seed in any::<u64>()) {
+            use rand::{Rng, SeedableRng};
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let csv = random_csv(&mut rng);
+            let max_bad_fraction = [0.0, 0.1, 0.3, 1.0][rng.gen_range(0..4)];
+            let policy = match rng.gen_range(0..3) {
+                0 => IngestPolicy::Strict,
+                1 => IngestPolicy::Skip { max_bad_fraction },
+                _ => IngestPolicy::Quarantine { max_bad_fraction },
+            };
+            let with_sink = rng.gen_bool(0.8);
+            let (mut sink, mut reference_sink) = (Vec::new(), Vec::new());
+            let scanned = read_csv_with_policy(
+                wide_schema(),
+                &csv[..],
+                policy,
+                with_sink.then_some(&mut sink as &mut dyn Write),
+            );
+            let reference = reference_read_csv_with_policy(
+                wide_schema(),
+                &csv[..],
+                policy,
+                with_sink.then_some(&mut reference_sink as &mut dyn Write),
+            );
+            match (scanned, reference) {
+                (Ok((ds, report)), Ok((ref_ds, ref_report))) => {
+                    prop_assert_eq!(ds.rows(), ref_ds.rows());
+                    prop_assert_eq!(report, ref_report);
+                }
+                (Err(err), Err(ref_err)) => prop_assert_eq!(err, ref_err),
+                (got, want) => prop_assert!(false, "scanner {got:?}, reference {want:?}"),
+            }
+            prop_assert_eq!(sink, reference_sink);
+        }
+    }
+
+    #[test]
+    fn header_less_rows_number_from_one() {
+        let mut rows = Vec::new();
+        let report = scan_csv_rows(&schema(), &b"1.0,A\r\n\n150,other\n"[..], |row| {
+            rows.push(row.to_vec());
+            Ok(())
+        })
+        .unwrap();
+        assert_eq!(
+            rows,
+            vec![vec![Value::Quant(1.0), Value::Cat(0)], vec![Value::Quant(100.0), Value::Cat(1)]]
+        );
+        assert_eq!((report.rows_kept, report.clamped_values), (2, 1));
+        let err = scan_csv_rows(&schema(), &b"garbage\n"[..], |_| Ok(())).unwrap_err();
+        assert_eq!(err, DataError::Parse { line: 1, message: "expected 2 fields, found 1".into() });
+        let err = scan_csv_rows(&schema(), &b"1.0,A\n\n3.0,Z\n"[..], |_| Ok(())).unwrap_err();
+        assert!(matches!(err, DataError::Parse { line: 3, .. }), "{err:?}");
+    }
+
+    #[test]
+    fn rows_the_callback_refuses_are_invalid_rows() {
+        let input = b"age,group\n1.0,A\n2.0,other\n" as &[u8];
+        let refuse_other = |row: &[Value]| match row[1] {
+            Value::Cat(1) => Err(DataError::InvalidConfig("refused".into())),
+            _ => Ok(()),
+        };
+        let report = scan_csv(
+            &schema(),
+            input,
+            IngestPolicy::Skip { max_bad_fraction: 1.0 },
+            None,
+            refuse_other,
+        )
+        .unwrap();
+        assert_eq!((report.rows_kept, report.rows_skipped), (1, 1));
+        assert_eq!(report.count_of(IssueKind::Invalid), 1);
+        assert_eq!(report.issues()[0].line, 3);
+    }
 
     fn schema() -> Schema {
         Schema::new(vec![
