@@ -27,7 +27,7 @@ use crate::index::OccupancyIndex;
 use crate::mdl::MdlScore;
 use crate::optimizer::{OptimizerConfig, ThresholdLattice};
 use crate::serve::{answer, ClusterSpec};
-use crate::verify::ErrorCounts;
+use crate::verify::{verify_counts, ErrorCounts};
 
 /// A clustered rule whose LHS combines a category *set* with a
 /// quantitative range:
@@ -195,31 +195,13 @@ pub fn segment_categorical(
         array.add(x, y, t.cat(criterion_idx));
     }
 
-    // Threshold search over the lattice (same shape as the §3.7 loop, with
-    // a dataset-level verifier since there is no standard Binner here).
+    // Threshold search over the lattice (same shape as the §3.7 loop).
+    // `array` holds every tuple, so its counts verify against the whole
+    // dataset.
     let lattice = ThresholdLattice::build(&array, gk);
     if lattice.is_empty() {
         return Err(ArcsError::NoSegmentation);
     }
-    let verify = |clusters: &[Rect]| -> ErrorCounts {
-        let mut counts = ErrorCounts::default();
-        for t in dataset.iter() {
-            let x = column_of[t.cat(cat_idx) as usize];
-            let y = quant_map.bin_of_value(t.quant(quant_idx));
-            let covered = clusters.iter().any(|r| r.contains(x, y));
-            let in_group = t.cat(criterion_idx) == gk;
-            if in_group {
-                counts.group_total += 1;
-            }
-            match (covered, in_group) {
-                (true, false) => counts.false_positives += 1,
-                (false, true) => counts.false_negatives += 1,
-                _ => {}
-            }
-            counts.n_examined += 1;
-        }
-        counts
-    };
 
     let opt = &config.optimizer;
     let index = OccupancyIndex::build(&array);
@@ -240,7 +222,7 @@ pub fn segment_categorical(
             if clusters.is_empty() {
                 continue;
             }
-            let errors = verify(&clusters);
+            let errors = verify_counts(&clusters, &array, gk);
             let score = MdlScore::compute(clusters.len(), errors.total(), opt.mdl_weights);
             if best_any.as_ref().is_none_or(|(_, _, _, b)| score.cost < b.cost) {
                 best_any = Some((thresholds, clusters.clone(), errors, score));

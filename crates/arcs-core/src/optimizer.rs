@@ -23,7 +23,7 @@ use crate::index::{DeltaMiner, OccupancyIndex};
 use crate::mdl::{MdlScore, MdlWeights};
 use crate::metrics::PipelineCounters;
 use crate::smooth::{smooth_with_stats, SmoothConfig};
-use crate::verify::{verify_tuples, ErrorCounts};
+use crate::verify::{verify_counts, ErrorCounts};
 
 /// The Figure 10 data structure: the support thresholds that occur in the
 /// binned data, each with its list of occurring confidence thresholds.
@@ -39,14 +39,18 @@ pub struct ThresholdLattice {
 }
 
 impl ThresholdLattice {
-    /// Builds the lattice for criterion group `gk` — the paper's two
-    /// passes over the binned data.
+    /// Builds the lattice for criterion group `gk` in one descending
+    /// sweep: the cells holding group tuples, sorted by group count from
+    /// the highest, each add their confidence to one sorted, deduplicated
+    /// list, and the list is saved as a level's confidences each time the
+    /// count changes — a level's cells are the level above's plus its
+    /// own, so lists only grow as support falls (the narrowing the paper
+    /// observes, walked backwards).
     pub fn build(array: &BinArray, gk: u32) -> Self {
         let n = array.n_tuples();
         if n == 0 {
             return ThresholdLattice { supports: Vec::new(), confidences: Vec::new(), occupied: 0 };
         }
-        // Pass 1: collect each occupied cell's (count, confidence).
         let mut occupied = 0u64;
         let mut cells: Vec<(u32, f64)> = Vec::new();
         for (x, y) in array.occupied_cells() {
@@ -56,23 +60,22 @@ impl ThresholdLattice {
                 cells.push((count, array.confidence(x, y, gk)));
             }
         }
-        let mut counts: Vec<u32> = cells.iter().map(|&(c, _)| c).collect();
-        counts.sort_unstable();
-        counts.dedup();
+        cells.sort_unstable_by_key(|&(count, _)| std::cmp::Reverse(count));
 
-        // Pass 2: per support level, the unique confidences of cells still
-        // qualifying. As support rises, fewer cells qualify and the
-        // confidence lists shrink (the narrowing the paper observes).
-        let mut supports = Vec::with_capacity(counts.len());
-        let mut confidences = Vec::with_capacity(counts.len());
-        for &count in &counts {
-            let mut confs: Vec<f64> =
-                cells.iter().filter(|&&(c, _)| c >= count).map(|&(_, conf)| conf).collect();
-            confs.sort_by(f64::total_cmp);
-            confs.dedup();
-            supports.push(count as f64 / n as f64);
-            confidences.push(confs);
+        let mut supports = Vec::new();
+        let mut confidences = Vec::new();
+        let mut confs: Vec<f64> = Vec::new();
+        for (i, &(count, conf)) in cells.iter().enumerate() {
+            if let Err(at) = confs.binary_search_by(|c| c.total_cmp(&conf)) {
+                confs.insert(at, conf);
+            }
+            if cells.get(i + 1).is_none_or(|&(next, _)| next != count) {
+                supports.push(count as f64 / n as f64);
+                confidences.push(confs.clone());
+            }
         }
+        supports.reverse();
+        confidences.reverse();
         ThresholdLattice { supports, confidences, occupied }
     }
 
@@ -224,8 +227,10 @@ pub struct OptimizeResult {
 }
 
 /// Evaluates a single `(support, confidence)` point: mine → smooth →
-/// cluster → verify → score. One-shot convenience — builds a throwaway
-/// [`OccupancyIndex`]; a session evaluates over the index it keeps.
+/// cluster → verify → score, verifying against `sample` binned with
+/// `binner`. One-shot convenience — bins the sample and builds a
+/// throwaway [`OccupancyIndex`]; a session evaluates over the binned
+/// sample and the index it keeps.
 pub fn evaluate(
     array: &BinArray,
     gk: u32,
@@ -234,24 +239,24 @@ pub fn evaluate(
     thresholds: Thresholds,
     config: &OptimizerConfig,
 ) -> Result<Evaluation, ArcsError> {
+    let sample = binner.bin_rows(sample.iter().copied())?;
     let index = OccupancyIndex::build(array);
     let mut stats = PipelineCounters::default();
-    evaluate_indexed(&index, gk, binner, sample, thresholds, config, &mut stats)
+    evaluate_indexed(&index, gk, &sample, thresholds, config, &mut stats)
 }
 
-/// [`evaluate`] over a prebuilt index, folding the point's work counters
-/// into `stats`.
+/// [`evaluate`] over a prebuilt index and binned sample, folding the
+/// point's work counters into `stats`.
 pub(crate) fn evaluate_indexed(
     index: &OccupancyIndex,
     gk: u32,
-    binner: &Binner,
-    sample: &[&Tuple],
+    sample: &BinArray,
     thresholds: Thresholds,
     config: &OptimizerConfig,
     stats: &mut PipelineCounters,
 ) -> Result<Evaluation, ArcsError> {
     let mut miner = DeltaMiner::new(index, gk)?;
-    let (eval, eval_stats) = evaluate_into(index, &mut miner, binner, sample, thresholds, config)?;
+    let (eval, eval_stats) = evaluate_into(index, &mut miner, sample, thresholds, config)?;
     stats.merge(&eval_stats);
     Ok(eval)
 }
@@ -260,12 +265,13 @@ pub(crate) fn evaluate_indexed(
 /// The delta miner updates its qualifying grid in place (bit-identical to
 /// a from-scratch [`rule_grid`](crate::engine::rule_grid)) touching only
 /// threshold-crossing cells, then the word-parallel smoother and BitOp
-/// run as before. Returns the evaluation with its work counters.
+/// run as before, and the verifier reads the clusters' errors off the
+/// binned sample's counts ([`verify_counts`]). Returns the evaluation
+/// with its work counters.
 fn evaluate_into(
     index: &OccupancyIndex,
     miner: &mut DeltaMiner,
-    binner: &Binner,
-    sample: &[&Tuple],
+    sample: &BinArray,
     thresholds: Thresholds,
     config: &OptimizerConfig,
 ) -> Result<(Evaluation, PipelineCounters), ArcsError> {
@@ -273,7 +279,7 @@ fn evaluate_into(
     let (cells_visited, delta_hits) = miner.update(index, thresholds);
     let (smoothed, smooth_stats) = smooth_with_stats(miner.grid(), &config.smoothing)?;
     let (clusters, cluster_stats) = bitop::cluster_with_stats(&smoothed, &config.bitop)?;
-    let errors = verify_tuples(&clusters, binner, sample.iter().copied(), miner.gk());
+    let errors = verify_counts(&clusters, sample, miner.gk());
     let score = MdlScore::compute(clusters.len(), errors.total(), config.mdl_weights);
     let mut stats = PipelineCounters {
         evaluations: 1,
@@ -341,6 +347,9 @@ impl Selection {
 /// (When the wall clock cuts a chunk short, the later chunks'
 /// evaluations are discarded, trading some redundant work for
 /// wall-clock time.)
+///
+/// `sample` is binned once with `binner`, and every point verifies
+/// against that array's counts.
 pub fn optimize(
     array: &BinArray,
     gk: u32,
@@ -348,8 +357,9 @@ pub fn optimize(
     sample: &[&Tuple],
     config: &OptimizerConfig,
 ) -> Result<OptimizeResult, ArcsError> {
+    let sample = binner.bin_rows(sample.iter().copied())?;
     let index = OccupancyIndex::build(array);
-    let search = search(array, &index, gk, binner, sample, config)?;
+    let search = search(array, &index, gk, &sample, config)?;
     match search.best {
         Some(best) => Ok(OptimizeResult { best, trace: search.trace, stats: search.stats }),
         None => Err(ArcsError::NoSegmentation),
@@ -364,13 +374,13 @@ pub(crate) struct Search {
     pub(crate) stats: PipelineCounters,
 }
 
-/// The search behind [`optimize`], over a prebuilt `index` of `array`.
+/// The search behind [`optimize`], over a prebuilt `index` of `array`,
+/// verifying every point against the binned `sample`.
 pub(crate) fn search(
     array: &BinArray,
     index: &OccupancyIndex,
     gk: u32,
-    binner: &Binner,
-    sample: &[&Tuple],
+    sample: &BinArray,
     config: &OptimizerConfig,
 ) -> Result<Search, ArcsError> {
     config.validate()?;
@@ -402,7 +412,7 @@ pub(crate) fn search(
             if armed {
                 crate::faults::check("optimizer.evaluate")?;
             }
-            evals.push(evaluate_into(index, &mut miner, binner, sample, point, &worker_config)?);
+            evals.push(evaluate_into(index, &mut miner, sample, point, &worker_config)?);
         }
         Ok(evals)
     };

@@ -2,12 +2,13 @@
 //!
 //! [`Arcs::open`] runs the expensive front half of the pipeline — binning
 //! and sampling — and hands back a [`Session`] that **owns** the populated
-//! [`BinArray`], the binner, and the verification sample. Everything after
-//! that point (threshold search, re-mining or clustering at explicit
-//! thresholds) operates on the session alone; the source data can be
-//! dropped. This is the paper's §3.2 observation made concrete: once the
-//! bin array holds per-group counts, "an entirely new segmentation" is
-//! available "without the need to re-bin the original data".
+//! [`BinArray`], the binner, and the verification sample binned into a
+//! second, small `BinArray`. Everything after that point (threshold
+//! search, re-mining or clustering at explicit thresholds) operates on the
+//! session alone; the source data can be dropped. This is the paper's
+//! §3.2 observation made concrete: once the bin array holds per-group
+//! counts, "an entirely new segmentation" is available "without the need
+//! to re-bin the original data".
 //!
 //! A [`SegmentRequest`] names the attributes once, up front:
 //!
@@ -132,23 +133,22 @@ struct SearchOutcome {
     stats: PipelineCounters,
 }
 
-/// Runs the threshold search over the session's `index`; when it finds
-/// nothing and degradation is enabled, walks a bounded ladder of
-/// relaxations: (1) floor the support/confidence thresholds at zero,
-/// (2) additionally disable smoothing (whose low-pass filter can erase
-/// every sparse qualifying cell), (3) additionally disable cluster
-/// pruning. The first step yielding any cluster wins; each evaluation
-/// still runs the full smooth → cluster → verify → score path, and the
-/// search's and the ladder's work both count in the outcome.
+/// Runs the threshold search over the session's `index`, verifying against
+/// its binned `sample`; when it finds nothing and degradation is enabled,
+/// walks a bounded ladder of relaxations: (1) floor the support/confidence
+/// thresholds at zero, (2) additionally disable smoothing (whose low-pass
+/// filter can erase every sparse qualifying cell), (3) additionally
+/// disable cluster pruning. The first step yielding any cluster wins; each
+/// evaluation still runs the full smooth → cluster → verify → score path,
+/// and the search's and the ladder's work both count in the outcome.
 fn run_search(
     config: &ArcsConfig,
     array: &BinArray,
     index: &OccupancyIndex,
     gk: u32,
-    binner: &Binner,
-    sample: &[&Tuple],
+    sample: &BinArray,
 ) -> Result<SearchOutcome, ArcsError> {
-    let search = search(array, index, gk, binner, sample, &config.optimizer)?;
+    let search = search(array, index, gk, sample, &config.optimizer)?;
     let mut outcome = SearchOutcome {
         degraded: false,
         relaxation_steps: Vec::new(),
@@ -173,8 +173,7 @@ fn run_search(
     for (name, relax) in ladder {
         relax(&mut relaxed);
         outcome.relaxation_steps.push(name.to_string());
-        let eval =
-            evaluate_indexed(index, gk, binner, sample, floor, &relaxed, &mut outcome.stats)?;
+        let eval = evaluate_indexed(index, gk, sample, floor, &relaxed, &mut outcome.stats)?;
         if !eval.clusters.is_empty() {
             outcome.best = Some(eval);
             outcome.degraded = true;
@@ -184,8 +183,8 @@ fn run_search(
     Ok(outcome)
 }
 
-/// A populated pipeline: the bin array, binner, and verification sample
-/// for one [`SegmentRequest`], independent of the source data.
+/// A populated pipeline: the bin array, binner, and binned verification
+/// sample for one [`SegmentRequest`], independent of the source data.
 ///
 /// Created by [`Arcs::open`], [`Arcs::open_stream`] or
 /// [`Arcs::open_binned`]. Mining operations ([`segment`](Session::segment),
@@ -198,9 +197,11 @@ pub struct Session {
     request: SegmentRequest,
     binner: Binner,
     array: BinArray,
-    /// Owned copy of the verification sample — what lets the source
-    /// dataset be dropped while `remine`/`segment` keep working.
-    sample: Vec<Tuple>,
+    /// The verification sample, binned once at open by `binner`: the
+    /// search reads each point's errors off its counts
+    /// ([`verify_counts`](crate::verify::verify_counts)), so the source
+    /// dataset can be dropped while `segment` keeps working.
+    sample: BinArray,
     /// Occupancy index over `array`, built lazily on the first search or
     /// re-mine.
     /// Per the index invalidation contract, every mutation of `array`
@@ -218,7 +219,7 @@ impl std::fmt::Debug for Session {
         f.debug_struct("Session")
             .field("request", &self.request)
             .field("n_tuples", &self.array.n_tuples())
-            .field("sample_len", &self.sample.len())
+            .field("sample_len", &self.sample.n_tuples())
             .field("labels", &self.binner.labels())
             .field("report", &self.report)
             .finish_non_exhaustive()
@@ -228,15 +229,16 @@ impl std::fmt::Debug for Session {
 impl Arcs {
     /// Opens a session over an in-memory dataset: builds the binner, bins
     /// every tuple (in parallel across [`ArcsConfig::threads`] workers),
-    /// and draws the verification sample. The returned [`Session`] owns
-    /// everything it needs; `dataset` may be dropped afterwards.
+    /// and draws and bins the verification sample. The returned
+    /// [`Session`] owns everything it needs; `dataset` may be dropped
+    /// afterwards.
     pub fn open(&self, dataset: &Dataset, request: SegmentRequest) -> Result<Session, ArcsError> {
         self.build_session(
             dataset.schema(),
             Some(dataset),
             request,
             |binner, threads| binner.bin_rows_parallel_with_stats(dataset.rows(), threads),
-            || self.draw_sample(dataset),
+            |binner| self.bin_sample(binner, dataset),
         )
     }
 
@@ -259,14 +261,14 @@ impl Arcs {
             None,
             request,
             |binner, threads| binner.bin_stream_parallel_with_stats(tuples, threads),
-            || Ok(sample.rows().to_vec()),
+            |binner| binner.bin_rows(sample.iter()),
         )
     }
 
     /// Opens a session over `dataset` whose bin array starts as `prefix`
     /// (a snapshot of the dataset's first `prefix.n_tuples()` rows, e.g.
     /// one resumed from a checkpoint) or, without one, empty. It plans
-    /// and builds the binner and draws the sample exactly as
+    /// and builds the binner and draws and bins the sample exactly as
     /// [`Arcs::open`] does, but bins nothing: the caller appends the rows
     /// the prefix does not cover with [`Session::append_rows`].
     ///
@@ -309,7 +311,7 @@ impl Arcs {
                 }
                 Ok((prefix, RecoveryStats::default()))
             },
-            || self.draw_sample(dataset),
+            |binner| self.bin_sample(binner, dataset),
         )
     }
 
@@ -318,14 +320,15 @@ impl Arcs {
     /// strategy (`dataset` supplies the columns equi-depth and
     /// homogeneity need; the binner validates the criterion and holds
     /// its labels), checks the targeted group, then times `bin` and
-    /// `sample` into the session's report.
+    /// `sample` (which bins the verification sample) into the session's
+    /// report.
     fn build_session(
         &self,
         schema: &Schema,
         dataset: Option<&Dataset>,
         request: SegmentRequest,
         bin: impl FnOnce(&Binner, usize) -> Result<(BinArray, RecoveryStats), ArcsError>,
-        sample: impl FnOnce() -> Result<Vec<Tuple>, ArcsError>,
+        sample: impl FnOnce(&Binner) -> Result<BinArray, ArcsError>,
     ) -> Result<Session, ArcsError> {
         if dataset.is_some_and(Dataset::is_empty) {
             return Err(ArcsError::InvalidConfig("dataset is empty".into()));
@@ -359,7 +362,7 @@ impl Arcs {
         report.counters.record_recovery(&recovery);
 
         let start = Instant::now();
-        let sample = sample()?;
+        let sample = sample(&binner)?;
         report.timings.record(Stage::Sampling, start.elapsed());
 
         Ok(Session {
@@ -375,12 +378,13 @@ impl Arcs {
     }
 
     /// Draws the seeded verification sample [`Arcs::open`] verifies
-    /// against: `sample_size` rows of `dataset` (all of them when fewer).
-    fn draw_sample(&self, dataset: &Dataset) -> Result<Vec<Tuple>, ArcsError> {
+    /// against — `sample_size` rows of `dataset` (all of them when fewer)
+    /// — and bins it with `binner`, straight from the drawn references.
+    fn bin_sample(&self, binner: &Binner, dataset: &Dataset) -> Result<BinArray, ArcsError> {
         let mut rng = StdRng::seed_from_u64(self.config().seed);
         let k = self.config().sample_size.min(dataset.len());
         let rows = sample_rows(dataset, k, &mut rng).map_err(ArcsError::Data)?;
-        Ok(rows.into_iter().cloned().collect())
+        binner.bin_rows(rows)
     }
 
     /// Runs the resource governor over the configured bin counts: the
@@ -433,8 +437,7 @@ impl Session {
         let start = Instant::now();
         let outcome = {
             let index = lazy_index(&mut self.index, &self.array);
-            let sample_refs: Vec<&Tuple> = self.sample.iter().collect();
-            run_search(&self.config, &self.array, index, gk, &self.binner, &sample_refs)
+            run_search(&self.config, &self.array, index, gk, &self.sample)
         };
         self.record_stage(Stage::Search, start.elapsed());
         let outcome = outcome?;

@@ -6,6 +6,11 @@
 //! estimated from samples (repeated k-out-of-n); when the generating
 //! function is known (synthetic experiments) the exact region error of
 //! Figure 9 can be integrated directly.
+//!
+//! A cluster covers whole cells, so the tuples it covers are those its
+//! cells count: [`verify_counts`] reads the error off a [`BinArray`] of
+//! the verified tuples without visiting a tuple, and equals
+//! [`verify_tuples`] on the tuples that array was binned from.
 
 // Public-API paths must fail with typed errors, never panic.
 #![warn(clippy::unwrap_used)]
@@ -15,6 +20,7 @@ use arcs_data::agrawal::Region2D;
 use arcs_data::sample::RepeatedSampling;
 use arcs_data::{Dataset, Tuple};
 
+use crate::binarray::BinArray;
 use crate::binner::Binner;
 use crate::cluster::Rect;
 use crate::error::ArcsError;
@@ -79,6 +85,36 @@ where
         counts.n_examined += 1;
     }
     counts
+}
+
+/// Verifies cluster rectangles against the counts of `array`: the error
+/// [`verify_tuples`] reports for the tuples `array` was binned from, read
+/// off the covered cells — FP = Σ (cell total − group count) and
+/// FN = group total − Σ group count. Each covered cell counts once, so
+/// the sums stay exact for overlapping rectangles (BitOp never returns
+/// any) and ignore cells outside the grid, which hold no tuples.
+pub fn verify_counts(clusters: &[Rect], array: &BinArray, gk: u32) -> ErrorCounts {
+    let (mut covered, mut covered_group) = (0u64, 0u64);
+    for (i, rect) in clusters.iter().enumerate() {
+        let earlier = &clusters[..i];
+        let shared = earlier.iter().any(|r| r.overlaps(rect));
+        for y in rect.y0..=rect.y1.min(array.ny() - 1) {
+            for x in rect.x0..=rect.x1.min(array.nx() - 1) {
+                if shared && earlier.iter().any(|r| r.contains(x, y)) {
+                    continue;
+                }
+                covered += array.cell_total(x, y) as u64;
+                covered_group += array.group_count(x, y, gk) as u64;
+            }
+        }
+    }
+    let group_total = array.group_total(gk);
+    ErrorCounts {
+        false_positives: (covered - covered_group) as usize,
+        false_negatives: (group_total - covered_group) as usize,
+        n_examined: array.n_tuples() as usize,
+        group_total: group_total as usize,
+    }
 }
 
 /// Estimates the error rate with repeated k-out-of-n sampling
@@ -189,6 +225,36 @@ mod tests {
         assert_eq!(counts.n_examined, 4);
         assert_eq!(counts.total(), 2);
         assert!((counts.rate() - 0.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn counts_match_tuples_for_overlapping_and_off_grid_rects() {
+        let b = binner();
+        let tuples = [
+            tuple(2.0, 2.0, 0),
+            tuple(2.0, 2.0, 1),
+            tuple(3.5, 6.5, 0),
+            tuple(6.5, 6.5, 1),
+            tuple(8.0, 8.0, 0),
+            tuple(9.9, 0.1, 1),
+        ];
+        let array = b.bin_rows(tuples.iter()).unwrap();
+        let rect = |x0, y0, x1, y1| Rect::new(x0, y0, x1, y1).unwrap();
+        for clusters in [
+            vec![],
+            vec![rect(0, 0, 4, 4)],
+            vec![rect(0, 0, 4, 4), rect(6, 6, 9, 9)],
+            vec![rect(0, 0, 4, 7), rect(2, 2, 8, 8), rect(3, 0, 3, 9)],
+            vec![rect(7, 7, 30, 30)],
+        ] {
+            for gk in [0, 1] {
+                assert_eq!(
+                    verify_counts(&clusters, &array, gk),
+                    verify_tuples(&clusters, &b, tuples.iter(), gk),
+                    "{clusters:?}, group {gk}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -448,27 +448,33 @@ pub fn infer_schema_with_policy<R: BufRead>(
 
 /// Infers a schema (see [`infer_schema`]) and loads the data, reading
 /// the file in two streaming passes rather than holding its text beside
-/// the [`Dataset`].
+/// the [`Dataset`]: [`load_csv_inferred_with_policy`] under
+/// [`IngestPolicy::Strict`].
 pub fn load_csv_inferred(
     path: impl AsRef<Path>,
     max_categories: usize,
 ) -> Result<Dataset, DataError> {
-    let schema = infer_schema(open_csv(&path)?, max_categories)?;
-    read_csv(schema, open_csv(&path)?)
+    load_csv_inferred_with_policy(path, max_categories, IngestPolicy::Strict, None)
+        .map(|(ds, _)| ds)
 }
 
 /// Infers a schema and loads the data under an [`IngestPolicy`], in two
 /// streaming passes over the file. The returned report is the *load*
 /// pass's report; the inference probe shares the same policy but never
-/// writes to the quarantine sink.
+/// writes to the quarantine sink. The dataset reserves the rows the probe
+/// kept, an upper bound on the rows the load keeps, so its row vector is
+/// allocated once.
 pub fn load_csv_inferred_with_policy(
     path: impl AsRef<Path>,
     max_categories: usize,
     policy: IngestPolicy,
     quarantine: Option<&mut dyn Write>,
 ) -> Result<(Dataset, IngestReport), DataError> {
-    let (schema, _) = infer_schema_with_policy(open_csv(&path)?, max_categories, policy)?;
-    read_csv_with_policy(schema, open_csv(&path)?, policy, quarantine)
+    let (schema, probe) = infer_schema_with_policy(open_csv(&path)?, max_categories, policy)?;
+    let mut ds = Dataset::with_capacity(schema.clone(), probe.rows_kept);
+    let report =
+        scan_csv(&schema, open_csv(&path)?, policy, quarantine, |row| ds.push(row.to_vec()))?;
+    Ok((ds, report))
 }
 
 #[cfg(test)]

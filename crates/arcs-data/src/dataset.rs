@@ -22,6 +22,13 @@ impl Dataset {
         Dataset { schema, rows: Vec::new() }
     }
 
+    /// Creates an empty dataset over `schema` with room for `rows` rows,
+    /// so a load whose row count is known up front allocates its row
+    /// vector once instead of doubling it.
+    pub fn with_capacity(schema: Schema, rows: usize) -> Self {
+        Dataset { schema, rows: Vec::with_capacity(rows) }
+    }
+
     /// Appends a row after validating it against the schema.
     pub fn push(&mut self, values: Vec<Value>) -> Result<(), DataError> {
         let tuple = Tuple::validated(values, &self.schema)?;

@@ -167,7 +167,7 @@ impl AgrawalGenerator {
     /// Materialises `n` tuples into a [`Dataset`] over
     /// [`agrawal::schema`](crate::agrawal::schema).
     pub fn generate(&mut self, n: usize) -> Dataset {
-        let mut ds = Dataset::new(crate::agrawal::schema());
+        let mut ds = Dataset::with_capacity(crate::agrawal::schema(), n);
         for _ in 0..n {
             let (person, label, _) = self.next_person();
             ds.push_tuple(person_to_tuple(&person, label));

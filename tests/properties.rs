@@ -1,7 +1,8 @@
 //! Property-based tests (proptest) for the core data structures and
 //! invariants: the bitmap grid, BitOp cover properties, binning, the
-//! BinArray/engine consistency, MDL monotonicity, the verifier, and the
-//! query body shared by sessions and the serving core.
+//! BinArray/engine consistency, MDL monotonicity, the verifier, the
+//! Figure 10 lattice and search, and the query body shared by sessions
+//! and the serving core.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -14,7 +15,8 @@ use arcs::core::grid::{for_each_run, for_each_run_reference};
 use arcs::core::index::{DeltaMiner, OccupancyIndex};
 use arcs::core::mdl::{mdl_cost, MdlWeights};
 use arcs::core::smooth::{smooth, smooth_reference, SmoothConfig};
-use arcs::core::Request;
+use arcs::core::verify::{verify_counts, verify_tuples};
+use arcs::core::{optimize, Request, ThresholdLattice};
 use arcs::prelude::*;
 
 /// Strategy: a small random grid as (width, height, cell bits).
@@ -84,8 +86,148 @@ fn reference_answer(
     (mine_rules(array, gk, t), clusters)
 }
 
+/// A dataset over `x, y ∈ [0, 10)` and a three-group criterion `g`.
+fn xyg_dataset(rows: &[(f64, f64, u32)]) -> Dataset {
+    let schema = Schema::new(vec![
+        Attribute::quantitative("x", 0.0, 10.0),
+        Attribute::quantitative("y", 0.0, 10.0),
+        Attribute::categorical("g", ["a", "b", "c"]),
+    ])
+    .unwrap();
+    let mut ds = Dataset::new(schema);
+    for &(x, y, g) in rows {
+        ds.push(vec![Value::Quant(x), Value::Quant(y), Value::Cat(g)]).unwrap();
+    }
+    ds
+}
+
+/// The lattice the per-level filter builds, from `BinArray`'s public
+/// accessors: the ascending distinct group counts of the occupied cells
+/// as support fractions and, per level, the sorted distinct confidences
+/// of the cells whose count reaches it.
+fn reference_lattice(array: &BinArray, gk: u32) -> (Vec<f64>, Vec<Vec<f64>>) {
+    let n = array.n_tuples();
+    let cells: Vec<(u32, f64)> = array
+        .occupied_cells()
+        .map(|(x, y)| (array.group_count(x, y, gk), array.confidence(x, y, gk)))
+        .filter(|&(count, _)| count > 0)
+        .collect();
+    let mut counts: Vec<u32> = cells.iter().map(|&(count, _)| count).collect();
+    counts.sort_unstable();
+    counts.dedup();
+    counts
+        .iter()
+        .map(|&level| {
+            let mut confs: Vec<f64> =
+                cells.iter().filter(|&&(c, _)| c >= level).map(|&(_, conf)| conf).collect();
+            confs.sort_by(f64::total_cmp);
+            confs.dedup();
+            (level as f64 / n as f64, confs)
+        })
+        .unzip()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The count verifier on an array binned from a sample reports the
+    /// errors the tuple verifier finds on that sample, for the BitOp
+    /// clusters of any grid and for the empty cluster set.
+    #[test]
+    fn count_verifier_matches_the_tuple_verifier(
+        data in (vec((0.0f64..10.0, 0.0f64..10.0, 0u32..3), 0..300), 1usize..12, 1usize..12),
+        picks in vec(any::<bool>(), 300),
+        bits in vec(any::<bool>(), 144),
+        fraction in 0.0f64..0.2,
+    ) {
+        let (rows, nx, ny) = data;
+        let ds = xyg_dataset(&rows);
+        let binner = Binner::equi_width(ds.schema(), "x", "y", "g", nx, ny).unwrap();
+        let sample: Vec<&Tuple> = ds.iter().zip(&picks).filter(|(_, &p)| p).map(|(t, _)| t).collect();
+        let array = binner.bin_rows(sample.iter().copied()).unwrap();
+        let mut grid = Grid::new(nx, ny).unwrap();
+        for (i, _) in bits.iter().enumerate().take(nx * ny).filter(|(_, &b)| b) {
+            grid.set(i % nx, i / nx);
+        }
+        let config = BitOpConfig { min_area_fraction: fraction, threads: 1 };
+        let clusters = bitop::cluster(&grid, &config).unwrap();
+        for gk in 0..3u32 {
+            for c in [&clusters[..], &[]] {
+                prop_assert_eq!(
+                    verify_counts(c, &array, gk),
+                    verify_tuples(c, &binner, sample.iter().copied(), gk),
+                    "clusters {:?}, group {}", c, gk
+                );
+            }
+        }
+    }
+
+    /// Every evaluation the search records carries the errors the tuple
+    /// verifier finds for its clusters on the sample `optimize` was given,
+    /// at any thread count.
+    #[test]
+    fn search_trace_errors_match_the_tuple_verifier(
+        rows in vec((0.0f64..10.0, 0.0f64..10.0, 0u32..3), 1..300),
+        picks in vec(any::<bool>(), 300),
+        bins in 2usize..12,
+        passes in 0usize..2,
+        threads in 1usize..4,
+    ) {
+        let ds = xyg_dataset(&rows);
+        let binner = Binner::equi_width(ds.schema(), "x", "y", "g", bins, bins).unwrap();
+        let array = binner.bin_rows(ds.iter()).unwrap();
+        let sample: Vec<&Tuple> = ds.iter().zip(&picks).filter(|(_, &p)| p).map(|(t, _)| t).collect();
+        let gk = rows[0].2;
+        let config = OptimizerConfig {
+            smoothing: SmoothConfig { passes },
+            bitop: BitOpConfig { threads: 1, ..BitOpConfig::no_pruning() },
+            max_evaluations: 40,
+            threads,
+            ..OptimizerConfig::default()
+        };
+        match optimize(&array, gk, &binner, &sample, &config) {
+            Ok(result) => {
+                prop_assert!(!result.trace.is_empty());
+                for eval in &result.trace {
+                    prop_assert_eq!(
+                        eval.errors,
+                        verify_tuples(&eval.clusters, &binner, sample.iter().copied(), gk),
+                        "at {:?}", eval.thresholds
+                    );
+                }
+            }
+            // Smoothing can erase every sparse qualifying cell.
+            Err(ArcsError::NoSegmentation) => prop_assert!(passes > 0),
+            Err(e) => prop_assert!(false, "unexpected error {e}"),
+        }
+    }
+
+    /// The one-sweep lattice equals the per-level filter at every level,
+    /// on small arrays whose cells share counts and confidences.
+    #[test]
+    fn sweep_lattice_matches_the_per_level_filter(
+        shape in (1usize..8, 1usize..8),
+        counts in vec((0u32..4, 0u32..4, 0u32..3), 64),
+    ) {
+        let (nx, ny) = shape;
+        let mut array = BinArray::new(nx, ny, 3).unwrap();
+        for (i, &(a, b, c)) in counts.iter().enumerate().take(nx * ny) {
+            for (g, n) in [(0, a), (1, b), (2, c)] {
+                for _ in 0..n {
+                    array.add(i % nx, i / nx, g);
+                }
+            }
+        }
+        for gk in 0..3u32 {
+            let lattice = ThresholdLattice::build(&array, gk);
+            let (supports, confidences) = reference_lattice(&array, gk);
+            prop_assert_eq!(lattice.supports(), &supports[..]);
+            for (i, confs) in confidences.iter().enumerate() {
+                prop_assert_eq!(lattice.confidences_for(i), &confs[..], "level {}", i);
+            }
+            prop_assert_eq!(lattice.occupied_cells(), array.occupied_cells().count() as u64);
+        }
+    }
 
     /// BitOp without pruning is an exact cover: clusters are disjoint,
     /// every cluster cell is set, and the union equals the set cells.
@@ -566,15 +708,7 @@ proptest! {
     ) {
         let (rows, nx, ny) = data;
         let (gk, s, c) = query;
-        let schema = Schema::new(vec![
-            Attribute::quantitative("x", 0.0, 10.0),
-            Attribute::quantitative("y", 0.0, 10.0),
-            Attribute::categorical("g", ["a", "b", "c"]),
-        ]).unwrap();
-        let mut ds = Dataset::new(schema);
-        for &(x, y, g) in &rows {
-            ds.push(vec![Value::Quant(x), Value::Quant(y), Value::Cat(g)]).unwrap();
-        }
+        let ds = xyg_dataset(&rows);
         let config = ArcsConfig { n_x_bins: nx, n_y_bins: ny, ..ArcsConfig::default() };
         let mut session = Arcs::new(config).unwrap()
             .open(&ds, SegmentRequest::new("x", "y", "g")).unwrap();
