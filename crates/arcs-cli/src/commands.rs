@@ -6,6 +6,7 @@ use std::fmt::Write as _;
 
 use arcs_core::categorical::{segment_categorical, CategoricalConfig};
 use arcs_core::engine::rule_grid;
+use arcs_core::metrics::default_threads;
 use arcs_core::optimizer::ThresholdLattice;
 use arcs_core::render::render_clusters;
 use arcs_core::select::{rank_attributes, select_pair_joint};
@@ -142,9 +143,9 @@ and prints the clustered association rules. With --categorical, uses the
 density-ordered categorical x-axis extension instead of --x.
 
 Execution and observability:
-  --threads N         worker threads for binning and the threshold search
-                      (default: all available cores); results are
-                      bit-identical at any thread count
+  --threads N         worker threads for the CSV load, binning and the
+                      threshold search (default: all available cores);
+                      results are bit-identical at any thread count
   --stats json        append a one-line JSON report of per-stage timings
                       and pipeline work counters to the output
 
@@ -288,7 +289,9 @@ fn ingest_policy(args: &Args) -> Result<(IngestPolicy, Option<String>), CliError
     }
 }
 
-fn load(args: &Args, usage: &str) -> Result<(Dataset, IngestReport), CliError> {
+/// Loads the input file, inferring its schema; both passes run on
+/// `threads` workers.
+fn load(args: &Args, usage: &str, threads: usize) -> Result<(Dataset, IngestReport), CliError> {
     let [path] = args.positional() else {
         return Err(CliError::Usage(format!("expected exactly one input file\n\n{usage}")));
     };
@@ -299,7 +302,8 @@ fn load(args: &Args, usage: &str) -> Result<(Dataset, IngestReport), CliError> {
         None => None,
     };
     let quarantine = sink.as_mut().map(|f| f as &mut dyn std::io::Write);
-    load_csv_inferred_with_policy(path, max_categories, policy, quarantine).map_err(data_err)
+    load_csv_inferred_with_policy(path, max_categories, policy, quarantine, threads)
+        .map_err(data_err)
 }
 
 /// Renders the ingest report when anything was skipped, quarantined, or
@@ -414,14 +418,6 @@ fn segment_with_status(argv: &[String]) -> Result<(String, u8), CliError> {
         ],
         &["grid"],
     )?;
-    let (ds, report) = load(&args, SEGMENT_USAGE)?;
-    if ds.is_empty() {
-        return Err(CliError::Data("no usable rows in the input".into()));
-    }
-    let criterion = args.require("criterion")?;
-    let group = args.require("group")?;
-    let bins: usize = args.get_or("bins", 50)?;
-    let want_stats = stats_flag(&args)?;
     let threads: Option<usize> = match args.get("threads") {
         None => None,
         Some(_) => {
@@ -432,6 +428,14 @@ fn segment_with_status(argv: &[String]) -> Result<(String, u8), CliError> {
             Some(t)
         }
     };
+    let (ds, report) = load(&args, SEGMENT_USAGE, threads.unwrap_or_else(default_threads))?;
+    if ds.is_empty() {
+        return Err(CliError::Data("no usable rows in the input".into()));
+    }
+    let criterion = args.require("criterion")?;
+    let group = args.require("group")?;
+    let bins: usize = args.get_or("bins", 50)?;
+    let want_stats = stats_flag(&args)?;
     let memory_budget = memory_budget(&args)?;
     let checkpoint_every: usize = args.get_or("checkpoint-every", 100_000)?;
     if checkpoint_every == 0 {
@@ -638,7 +642,7 @@ pub fn explore(argv: &[String]) -> Result<String, CliError> {
         ],
         &[],
     )?;
-    let (ds, report) = load(&args, EXPLORE_USAGE)?;
+    let (ds, report) = load(&args, EXPLORE_USAGE, default_threads())?;
     let x = args.require("x")?;
     let y = args.require("y")?;
     let criterion = args.require("criterion")?;
@@ -682,7 +686,7 @@ pub fn rank(argv: &[String]) -> Result<String, CliError> {
         &["criterion", "bins", "max-categories", "on-bad-row", "max-bad-fraction"],
         &[],
     )?;
-    let (ds, report) = load(&args, RANK_USAGE)?;
+    let (ds, report) = load(&args, RANK_USAGE, default_threads())?;
     let criterion = args.require("criterion")?;
     let bins: usize = args.get_or("bins", 20)?;
 
@@ -733,7 +737,7 @@ pub fn serve(argv: &[String]) -> Result<String, CliError> {
         ],
         &[],
     )?;
-    let (ds, report) = load(&args, SERVE_USAGE)?;
+    let (ds, report) = load(&args, SERVE_USAGE, default_threads())?;
     if ds.is_empty() {
         return Err(CliError::Data("no usable rows in the input".into()));
     }
@@ -1457,6 +1461,60 @@ mod tests {
         std::fs::remove_file(&clean).ok();
         std::fs::remove_file(&dirty).ok();
         std::fs::remove_file(&qfile).ok();
+    }
+
+    /// `--threads` bounds the CSV load too, and the load's output does not
+    /// depend on it: a dirty file of about 700 KB, six 128 KiB ranges,
+    /// prints the same bytes, ingest report included, and quarantines the
+    /// same lines at one thread and at four.
+    #[test]
+    fn segment_loads_a_multi_range_file_alike_at_any_thread_count() {
+        use std::fmt::Write as _;
+        let path = tmp("wide_dirty.csv");
+        let note = "n".repeat(100);
+        let mut text = String::from("x,y,group,note\n");
+        for i in 0..6_000u32 {
+            let (x, y) = ((i * 37 % 1_000) as f64 / 10.0, (i * 91 % 1_000) as f64 / 10.0);
+            let group = if x < 40.0 && y < 50.0 { "A" } else { "other" };
+            match i % 97 {
+                13 => text.push_str("garbage,here\n"),
+                41 => writeln!(text, "abc,{y},{group},{note}").unwrap(),
+                _ => writeln!(text, "{x},{y},{group},{note}").unwrap(),
+            }
+        }
+        assert!(text.len() > 5 * (128 << 10), "{} bytes", text.len());
+        std::fs::write(&path, &text).unwrap();
+        let run = |threads: &str| {
+            let sink = tmp(&format!("wide_dirty_bad_{threads}.csv"));
+            let quarantine = format!("quarantine={}", sink.display());
+            let out = dispatch(&argv(&[
+                "segment",
+                path.to_str().unwrap(),
+                "--x",
+                "x",
+                "--y",
+                "y",
+                "--criterion",
+                "group",
+                "--group",
+                "A",
+                "--bins",
+                "10",
+                "--on-bad-row",
+                &quarantine,
+                "--threads",
+                threads,
+            ]))
+            .unwrap();
+            let bad = std::fs::read(&sink).unwrap();
+            std::fs::remove_file(&sink).ok();
+            (out, bad)
+        };
+        let (one, four) = (run("1"), run("4"));
+        assert!(one.0.contains("ingest: rows read 6000, kept 5876, skipped 124"), "{}", one.0);
+        assert_eq!(one.1.iter().filter(|&&b| b == b'\n').count(), 124);
+        assert_eq!(one, four);
+        std::fs::remove_file(&path).ok();
     }
 
     /// `--stats json` appends a machine-readable pipeline report; thread

@@ -16,10 +16,11 @@ use std::path::Path;
 use std::sync::{Arc, RwLock};
 
 use arcs_core::faults;
+use arcs_core::metrics::default_threads;
 use arcs_core::serve::{ServeConfig, Server};
 use arcs_core::{ArcsError, BinArray, Binner};
-use arcs_data::csv::{infer_schema, open_csv, scan_csv};
-use arcs_data::{Dataset, IngestPolicy, Schema};
+use arcs_data::csv::{CsvFile, RowSink};
+use arcs_data::{DataError, Dataset, IngestPolicy, Schema, Value};
 
 use crate::store::{bin_batch, valid_tenant_name, RecoveryReport, TenantMeta, TenantStore};
 
@@ -114,11 +115,12 @@ impl Tenant {
         })
     }
 
-    /// Opens the CSV file at `path` as an ephemeral tenant in two
-    /// streaming passes, never holding the file or a [`Dataset`]: pass 1
-    /// infers the schema (as [`arcs_data::csv::load_csv_inferred`] does,
-    /// with the same `max_categories`), pass 2 validates every row and
-    /// bins it straight into the epoch-0 array. The tenant equals
+    /// Opens the CSV file at `path` as an ephemeral tenant in two passes
+    /// that never hold the file or a [`Dataset`]: pass 1 infers the schema
+    /// (as [`arcs_data::csv::load_csv_inferred`] does, with the same
+    /// `max_categories`), pass 2 validates every row and bins it straight
+    /// into the epoch-0 array. Both passes scan the file's ranges on the
+    /// default worker count ([`CsvFile`]). The tenant equals
     /// [`from_dataset`](Tenant::from_dataset) over the loaded file, and a
     /// malformed file fails with the same [`arcs_data::DataError`].
     pub fn from_csv(
@@ -127,13 +129,13 @@ impl Tenant {
         max_categories: usize,
         config: &TenantConfig,
     ) -> Result<Self, ArcsError> {
-        let schema = infer_schema(open_csv(path)?, max_categories)?;
-        Self::create(name, &schema, config, None, |binner| bin_csv(binner, &schema, path))
+        let file = CsvFile::open(path)?;
+        Self::open_csv(name, &file, max_categories, config, None, default_threads())
     }
 
     /// [`from_csv`](Tenant::from_csv) for a durable tenant, laid out as
     /// [`from_dataset_durable`](Tenant::from_dataset_durable) lays it out.
-    /// The name is checked before the first pass.
+    /// The name is checked before the file is opened.
     pub fn from_csv_durable(
         name: &str,
         path: &Path,
@@ -143,9 +145,24 @@ impl Tenant {
         feeder_offset: Option<u64>,
     ) -> Result<Self, ArcsError> {
         check_durable_name(name)?;
-        let schema = infer_schema(open_csv(path)?, max_categories)?;
-        Self::create(name, &schema, config, Some((data_dir, feeder_offset)), |binner| {
-            bin_csv(binner, &schema, path)
+        let file = CsvFile::open(path)?;
+        let durable = Some((data_dir, feeder_offset));
+        Self::open_csv(name, &file, max_categories, config, durable, default_threads())
+    }
+
+    /// The body of both CSV opens: infer the schema, then bin every row,
+    /// each pass on `threads` workers.
+    fn open_csv(
+        name: &str,
+        file: &CsvFile,
+        max_categories: usize,
+        config: &TenantConfig,
+        durable: Option<(&Path, Option<u64>)>,
+        threads: usize,
+    ) -> Result<Self, ArcsError> {
+        let (schema, _) = file.infer_schema(max_categories, IngestPolicy::Strict, threads)?;
+        Self::create(name, &schema, config, durable, |binner| {
+            bin_csv(binner, &schema, file, threads)
         })
     }
 
@@ -283,19 +300,56 @@ impl Tenant {
 /// Bins a tenant's source dataset across the default worker count
 /// (results are bit-identical at any thread count).
 fn bin_dataset(binner: &Binner, dataset: &Dataset) -> Result<BinArray, ArcsError> {
-    binner.bin_rows_parallel(dataset.rows(), arcs_core::metrics::default_threads())
+    binner.bin_rows_parallel(dataset.rows(), default_threads())
 }
 
-/// Pass 2 of a CSV tenant open: streams the file at `path` through the
-/// scanner under the strict policy and bins each row as it is read.
-fn bin_csv(binner: &Binner, schema: &Schema, path: &Path) -> Result<BinArray, ArcsError> {
+/// Pass 2 of a CSV tenant open: scans `file` under the strict policy on
+/// `threads` workers and bins each row as it is read.
+fn bin_csv(
+    binner: &Binner,
+    schema: &Schema,
+    file: &CsvFile,
+    threads: usize,
+) -> Result<BinArray, ArcsError> {
     let mut array = binner.new_bin_array()?;
-    scan_csv(schema, open_csv(path)?, IngestPolicy::Strict, None, |row| {
-        let (x, y, g) = binner.bin_values(row);
-        array.add(x, y, g);
-        Ok(())
-    })?;
+    let mut binned = Binned { binner, array: Some(&mut array), cells: Vec::new() };
+    file.scan(schema, IngestPolicy::Strict, None, threads, &mut binned)?;
     Ok(array)
+}
+
+/// Rows binned into an array. A one-range scan bins straight into it; a
+/// range's part keeps only its rows' cells, which are added to the array
+/// in file order, so a part costs its rows and not a grid.
+struct Binned<'a> {
+    binner: &'a Binner,
+    /// The array, in the caller's sink; `None` in a range's part.
+    array: Option<&'a mut BinArray>,
+    /// A part's cells, one `(x, y, group)` per row.
+    cells: Vec<(usize, usize, u32)>,
+}
+
+impl RowSink for Binned<'_> {
+    fn part(&self) -> Self {
+        Binned { binner: self.binner, array: None, cells: Vec::new() }
+    }
+
+    fn accept(&mut self, row: &[Value]) -> Result<(), DataError> {
+        let (x, y, g) = self.binner.bin_values(row);
+        match &mut self.array {
+            Some(array) => array.add(x, y, g),
+            None => self.cells.push((x, y, g)),
+        }
+        Ok(())
+    }
+
+    fn absorb(&mut self, part: Self) -> Result<(), DataError> {
+        if let Some(array) = &mut self.array {
+            for (x, y, g) in part.cells {
+                array.add(x, y, g);
+            }
+        }
+        Ok(())
+    }
 }
 
 /// Refuses a tenant name that is not safe as a directory name.
@@ -520,11 +574,11 @@ mod tests {
         dir
     }
 
-    /// A tenant opened from a CSV file in two streaming passes is the
-    /// tenant `from_dataset` builds over the loaded file: same schema,
-    /// same array, and — durable — the same `tenant.json` and
-    /// `checkpoint.meta` bytes. A malformed file fails with the loader's
-    /// own error.
+    /// A tenant opened from a CSV file in two passes, each over six
+    /// ranges on 3 workers, is the tenant `from_dataset` builds over the
+    /// loaded file: same schema, same array, and — durable — the same
+    /// `tenant.json` and `checkpoint.meta` bytes. A malformed line in a
+    /// late range fails with the loader's own error, line included.
     #[test]
     fn csv_tenants_equal_dataset_tenants() {
         use arcs_data::generator::{AgrawalGenerator, GeneratorConfig};
@@ -538,10 +592,17 @@ mod tests {
             n_y_bins: 30,
             ..TenantConfig::new("age", "salary", "group")
         };
+        // `CsvFile` cuts 128 KiB ranges: the 663 KB file spans six.
+        assert!(std::fs::metadata(&csv).unwrap().len() > 5 * (128 << 10));
+        let ranged = |path: &Path| CsvFile::open(path).unwrap();
 
-        let loaded = arcs_data::csv::load_csv_inferred(&csv, 16).unwrap();
+        // The oracle reads the file as one range, on one thread.
+        let one_range = |path: &Path| {
+            arcs_data::csv::load_csv_inferred_with_policy(path, 16, IngestPolicy::Strict, None, 1)
+        };
+        let loaded = one_range(&csv).unwrap().0;
         let oracle = Tenant::from_dataset("f2", &loaded, &config).unwrap();
-        let streamed = Tenant::from_csv("f2", &csv, 16, &config).unwrap();
+        let streamed = Tenant::open_csv("f2", &ranged(&csv), 16, &config, None, 3).unwrap();
         assert_eq!(streamed.schema(), oracle.schema());
         assert_eq!(streamed.binner(), oracle.binner());
         assert_eq!(**streamed.server().snapshot().array(), **oracle.server().snapshot().array());
@@ -549,7 +610,8 @@ mod tests {
         assert!(!streamed.is_durable());
 
         let (by_csv, by_dataset) = (dir.join("by-csv"), dir.join("by-dataset"));
-        let streamed = Tenant::from_csv_durable("f2", &csv, 16, &config, &by_csv, Some(7)).unwrap();
+        let durable = Some((by_csv.as_path(), Some(7)));
+        let streamed = Tenant::open_csv("f2", &ranged(&csv), 16, &config, durable, 3).unwrap();
         Tenant::from_dataset_durable("f2", &loaded, &config, &by_dataset, Some(7)).unwrap();
         assert!(streamed.is_durable());
         for file in [crate::store::TENANT_META_FILE, crate::store::CHECKPOINT_META_FILE] {
@@ -558,12 +620,16 @@ mod tests {
             assert!(a == b, "{file} differs");
         }
 
-        // A malformed file fails as the loader fails, naming the line.
-        let mut text = std::fs::read_to_string(&csv).unwrap();
-        text.push_str("41,oops\n");
-        std::fs::write(&csv, &text).unwrap();
-        let want = arcs_data::csv::load_csv_inferred(&csv, 16).unwrap_err();
-        assert!(matches!(want, arcs_data::DataError::Parse { line: 6_002, .. }), "{want}");
+        // A malformed file fails as the loader fails, naming the line:
+        // line 5,002 sits in the fifth range, past the lines of all before.
+        let text = std::fs::read_to_string(&csv).unwrap();
+        let mut lines: Vec<&str> = text.lines().collect();
+        lines.insert(5_001, "41,oops");
+        std::fs::write(&csv, lines.join("\n") + "\n").unwrap();
+        let want = one_range(&csv).unwrap_err();
+        assert!(matches!(want, arcs_data::DataError::Parse { line: 5_002, .. }), "{want}");
+        let err = Tenant::open_csv("f2", &ranged(&csv), 16, &config, None, 3).unwrap_err();
+        assert_eq!(err, ArcsError::Data(want.clone()));
         let err = Tenant::from_csv("f2", &csv, 16, &config).unwrap_err();
         assert_eq!(err, ArcsError::Data(want));
         std::fs::remove_dir_all(&dir).ok();

@@ -20,20 +20,30 @@
 //! [`Dataset`]: memory stays bounded by what the callback keeps (the
 //! paper's §4.3 bound when that is a bin array).
 //!
-//! The loaders are built on it: [`read_csv_with_policy`] is the scanner
-//! plus [`Dataset::push`], [`infer_schema`] reads through the same line
-//! buffer, and [`load_csv_inferred`] opens the file twice — infer, then
-//! load — instead of reading its text into memory.
+//! # One file scan, on every core
+//!
+//! A whole file is scanned through a [`CsvFile`], which cuts the data
+//! into line-aligned byte ranges that workers run through the same row
+//! loop (or inference loop) a reader runs, merged in file order into the
+//! result a single reader would give. The reader-based entry points are
+//! the one-range case of that scan.
+//!
+//! The loaders are built on these: [`read_csv_with_policy`] is the
+//! scanner plus [`Dataset::push`], [`infer_schema`] reads through the
+//! same line buffer, and [`load_csv_inferred`] runs a [`CsvFile`]'s two
+//! passes — infer, then load — instead of reading its text into memory.
 
 use std::fs::File;
-use std::io::{BufRead, BufReader, BufWriter, Write};
-use std::path::Path;
+use std::io::{BufRead, BufReader, BufWriter, Read, Seek, SeekFrom, Take, Write};
+use std::ops::Range;
+use std::path::{Path, PathBuf};
+use std::sync::mpsc;
 
 use crate::dataset::Dataset;
 use crate::error::DataError;
 use crate::ingest::{IngestPolicy, IngestReport, IssueKind};
 use crate::schema::{AttrKind, Attribute, Schema};
-use crate::tuple::Value;
+use crate::tuple::{Tuple, Value};
 
 /// Serialises `dataset` as CSV into `writer`.
 pub fn write_csv<W: Write>(dataset: &Dataset, writer: W) -> Result<(), DataError> {
@@ -76,11 +86,6 @@ pub fn write_csv<W: Write>(dataset: &Dataset, writer: W) -> Result<(), DataError
 pub fn save_csv(dataset: &Dataset, path: impl AsRef<Path>) -> Result<(), DataError> {
     let file = std::fs::File::create(path)?;
     write_csv(dataset, file)
-}
-
-/// Opens the CSV file at `path` for one streaming pass.
-pub fn open_csv(path: impl AsRef<Path>) -> Result<BufReader<File>, DataError> {
-    Ok(BufReader::new(File::open(path)?))
 }
 
 /// The physical lines of an input, read through one reused buffer and
@@ -201,7 +206,7 @@ fn parse_row(
 /// against `schema` and hands each accepted row to `accept` through one
 /// reused buffer. A row `accept` refuses is a bad row of kind
 /// [`IssueKind::Invalid`]. Bad rows follow `policy`; the bad-row ceiling
-/// is checked once the input is exhausted.
+/// is left to the caller, which checks it once its whole input is in.
 fn scan_lines<R: BufRead>(
     schema: &Schema,
     lines: &mut Lines<R>,
@@ -237,6 +242,18 @@ fn scan_lines<R: BufRead>(
             report.rows_quarantined += 1;
         }
     }
+    Ok(report)
+}
+
+/// [`scan_lines`] over a whole input, then the bad-row ceiling.
+fn scan_whole<R: BufRead>(
+    schema: &Schema,
+    lines: &mut Lines<R>,
+    policy: IngestPolicy,
+    quarantine: Option<&mut dyn Write>,
+    accept: impl FnMut(&[Value]) -> Result<(), DataError>,
+) -> Result<IngestReport, DataError> {
+    let report = scan_lines(schema, lines, policy, quarantine, accept)?;
     check_bad_fraction(&report, policy)?;
     Ok(report)
 }
@@ -252,6 +269,20 @@ fn check_bad_fraction(report: &IngestReport, policy: IngestPolicy) -> Result<(),
         }),
         _ => Ok(()),
     }
+}
+
+/// Fails unless the header's `names` are the schema's attribute names in
+/// order. A bad header is always fatal: it means the *file* is wrong, not
+/// a row.
+fn check_header(names: &[&str], schema: &Schema) -> Result<(), DataError> {
+    let expected: Vec<&str> = schema.attributes().iter().map(|a| a.name.as_str()).collect();
+    if names != expected {
+        return Err(DataError::Parse {
+            line: 1,
+            message: format!("header {names:?} does not match schema {expected:?}"),
+        });
+    }
+    Ok(())
 }
 
 /// Streams CSV from `reader` against a known `schema` without holding
@@ -279,15 +310,8 @@ pub fn scan_csv<R: BufRead>(
     accept: impl FnMut(&[Value]) -> Result<(), DataError>,
 ) -> Result<IngestReport, DataError> {
     let mut lines = Lines::new(reader);
-    let names = lines.header()?;
-    let expected: Vec<&str> = schema.attributes().iter().map(|a| a.name.as_str()).collect();
-    if names != expected {
-        return Err(DataError::Parse {
-            line: 1,
-            message: format!("header {names:?} does not match schema {expected:?}"),
-        });
-    }
-    scan_lines(schema, &mut lines, policy, quarantine, accept)
+    check_header(&lines.header()?, schema)?;
+    scan_whole(schema, &mut lines, policy, quarantine, accept)
 }
 
 /// [`scan_csv`] for header-less rows — an append batch — under
@@ -298,7 +322,7 @@ pub fn scan_csv_rows<R: BufRead>(
     reader: R,
     accept: impl FnMut(&[Value]) -> Result<(), DataError>,
 ) -> Result<IngestReport, DataError> {
-    scan_lines(schema, &mut Lines::new(reader), IngestPolicy::Strict, None, accept)
+    scan_whole(schema, &mut Lines::new(reader), IngestPolicy::Strict, None, accept)
 }
 
 /// Parses CSV from `reader` against a known `schema` into a [`Dataset`]:
@@ -324,58 +348,78 @@ pub fn read_csv<R: BufRead>(schema: Schema, reader: R) -> Result<Dataset, DataEr
     read_csv_with_policy(schema, reader, IngestPolicy::Strict, None).map(|(ds, _)| ds)
 }
 
-/// Infers a [`Schema`] from raw CSV text: a column whose every value
-/// parses as a number and takes more than `max_categories` distinct values
-/// becomes quantitative (domain = observed min..max, widened by 1 when
-/// degenerate); anything else becomes categorical with its distinct values
-/// as labels (in first-appearance order). The paper's real-world path
-/// ("we intend to examine real-world demographic data") needs exactly
-/// this: demographic extracts arrive as CSV without type annotations.
-pub fn infer_schema<R: BufRead>(reader: R, max_categories: usize) -> Result<Schema, DataError> {
-    infer_schema_with_policy(reader, max_categories, IngestPolicy::Strict).map(|(s, _)| s)
+/// What the inference loop learns about one column.
+struct ColumnProbe {
+    numeric: usize,
+    non_numeric: usize,
+    /// The least and greatest finite values; of equal values (`0` and
+    /// `-0`) the first one read.
+    min: f64,
+    max: f64,
+    /// Distinct values in first-appearance order, at most
+    /// `max_categories` of them.
+    distinct: Vec<String>,
+    /// Whether more than `max_categories` distinct values appeared.
+    overflowed: bool,
 }
 
-/// Infers a [`Schema`] (see [`infer_schema`]) under an [`IngestPolicy`]:
-/// rows with the wrong field count are skipped and counted instead of
-/// aborting the probe when the policy is lenient, and a high-cardinality
-/// column whose values are *mostly* numeric stays quantitative despite
-/// stray garbage values (those rows surface as non-numeric issues during
-/// the load pass instead of silently flipping the column categorical).
-/// Quarantine sinks are *not* written here — inference is a read-only
-/// probe; the subsequent [`scan_csv`] pass owns the sink so each bad
-/// line is quarantined exactly once. The probe streams its input through
-/// the scanner's reused line buffer; it keeps only per-column bounds and
-/// at most `max_categories + 1` distinct values per column.
-pub fn infer_schema_with_policy<R: BufRead>(
-    reader: R,
-    max_categories: usize,
-    policy: IngestPolicy,
-) -> Result<(Schema, IngestReport), DataError> {
-    let mut lines = Lines::new(reader);
-    let names: Vec<String> = lines.header()?.into_iter().map(str::to_string).collect();
-    let n_cols = names.len();
-
-    struct ColumnProbe {
-        numeric: usize,
-        non_numeric: usize,
-        min: f64,
-        max: f64,
-        distinct: Vec<String>,
-        overflowed: bool,
-    }
-    let mut probes: Vec<ColumnProbe> = (0..n_cols)
-        .map(|_| ColumnProbe {
+impl ColumnProbe {
+    fn new() -> Self {
+        ColumnProbe {
             numeric: 0,
             non_numeric: 0,
             min: f64::INFINITY,
             max: f64::NEG_INFINITY,
             distinct: Vec::new(),
             overflowed: false,
-        })
-        .collect();
+        }
+    }
 
+    /// Folds a finite value into the bounds.
+    fn bound(&mut self, min: f64, max: f64) {
+        if min < self.min {
+            self.min = min;
+        }
+        if max > self.max {
+            self.max = max;
+        }
+    }
+
+    /// Notes a value: a new one joins `distinct`, or overflows the column
+    /// when `distinct` already holds `max_categories` values.
+    fn note(&mut self, value: &str, max_categories: usize) {
+        if !self.overflowed && !self.distinct.iter().any(|d| d == value) {
+            if self.distinct.len() >= max_categories {
+                self.overflowed = true;
+            } else {
+                self.distinct.push(value.to_string());
+            }
+        }
+    }
+
+    /// Folds in the same column's probe over the input that follows.
+    fn absorb(&mut self, later: ColumnProbe, max_categories: usize) {
+        self.numeric += later.numeric;
+        self.non_numeric += later.non_numeric;
+        self.bound(later.min, later.max);
+        self.overflowed |= later.overflowed;
+        for value in &later.distinct {
+            self.note(value, max_categories);
+        }
+    }
+}
+
+/// The one inference loop: probes every data row left in `lines`, one
+/// [`ColumnProbe`] per column. A row with the wrong field count is a bad
+/// row under `policy`; the bad-row ceiling is left to the caller.
+fn probe_lines<R: BufRead>(
+    lines: &mut Lines<R>,
+    n_cols: usize,
+    max_categories: usize,
+    policy: IngestPolicy,
+) -> Result<(IngestReport, Vec<ColumnProbe>), DataError> {
+    let mut probes: Vec<ColumnProbe> = (0..n_cols).map(|_| ColumnProbe::new()).collect();
     let mut report = IngestReport::default();
-    let mut n_rows = 0usize;
     while let Some((line_no, line)) = lines.next_line()? {
         if is_blank(line) {
             continue;
@@ -391,27 +435,30 @@ pub fn infer_schema_with_policy<R: BufRead>(
             report.record(line_no, IssueKind::FieldCount, message);
             continue;
         }
-        n_rows += 1;
         report.rows_kept += 1;
         for (probe, field) in probes.iter_mut().zip(line.split(',')) {
             match field.parse::<f64>() {
                 Ok(v) if v.is_finite() => {
                     probe.numeric += 1;
-                    probe.min = probe.min.min(v);
-                    probe.max = probe.max.max(v);
+                    probe.bound(v, v);
                 }
                 _ => probe.non_numeric += 1,
             }
-            if !probe.overflowed && !probe.distinct.iter().any(|d| d == field) {
-                if probe.distinct.len() >= max_categories {
-                    probe.overflowed = true;
-                } else {
-                    probe.distinct.push(field.to_string());
-                }
-            }
+            probe.note(field, max_categories);
         }
     }
-    if n_rows == 0 {
+    Ok((report, probes))
+}
+
+/// The schema a whole input's probes describe, once the input is known to
+/// hold a data row and to pass the bad-row ceiling.
+fn probed_schema(
+    names: Vec<String>,
+    probes: Vec<ColumnProbe>,
+    report: IngestReport,
+    policy: IngestPolicy,
+) -> Result<(Schema, IngestReport), DataError> {
+    if report.rows_kept == 0 {
         return Err(DataError::Parse {
             line: 1,
             message: "cannot infer a schema from a header-only file".into(),
@@ -446,35 +493,429 @@ pub fn infer_schema_with_policy<R: BufRead>(
     Schema::new(attributes).map(|schema| (schema, report))
 }
 
+/// Infers a [`Schema`] from raw CSV text: a column whose every value
+/// parses as a number and takes more than `max_categories` distinct values
+/// becomes quantitative (domain = observed min..max, widened by 1 when
+/// degenerate); anything else becomes categorical with its distinct values
+/// as labels (in first-appearance order). The paper's real-world path
+/// ("we intend to examine real-world demographic data") needs exactly
+/// this: demographic extracts arrive as CSV without type annotations.
+pub fn infer_schema<R: BufRead>(reader: R, max_categories: usize) -> Result<Schema, DataError> {
+    infer_schema_with_policy(reader, max_categories, IngestPolicy::Strict).map(|(s, _)| s)
+}
+
+/// Infers a [`Schema`] (see [`infer_schema`]) under an [`IngestPolicy`]:
+/// rows with the wrong field count are skipped and counted instead of
+/// aborting the probe when the policy is lenient, and a high-cardinality
+/// column whose values are *mostly* numeric stays quantitative despite
+/// stray garbage values (those rows surface as non-numeric issues during
+/// the load pass instead of silently flipping the column categorical).
+/// Quarantine sinks are *not* written here — inference is a read-only
+/// probe; the subsequent [`scan_csv`] pass owns the sink so each bad
+/// line is quarantined exactly once. The probe streams its input through
+/// the scanner's reused line buffer; it keeps only per-column bounds and
+/// at most `max_categories` distinct values per column.
+pub fn infer_schema_with_policy<R: BufRead>(
+    reader: R,
+    max_categories: usize,
+    policy: IngestPolicy,
+) -> Result<(Schema, IngestReport), DataError> {
+    let mut lines = Lines::new(reader);
+    let names: Vec<String> = lines.header()?.into_iter().map(str::to_string).collect();
+    let (report, probes) = probe_lines(&mut lines, names.len(), max_categories, policy)?;
+    probed_schema(names, probes, report, policy)
+}
+
 /// Infers a schema (see [`infer_schema`]) and loads the data, reading
-/// the file in two streaming passes rather than holding its text beside
-/// the [`Dataset`]: [`load_csv_inferred_with_policy`] under
-/// [`IngestPolicy::Strict`].
+/// the file in two passes rather than holding its text beside the
+/// [`Dataset`]: [`load_csv_inferred_with_policy`] under
+/// [`IngestPolicy::Strict`], on every available core.
 pub fn load_csv_inferred(
     path: impl AsRef<Path>,
     max_categories: usize,
 ) -> Result<Dataset, DataError> {
-    load_csv_inferred_with_policy(path, max_categories, IngestPolicy::Strict, None)
+    let threads = std::thread::available_parallelism().map_or(1, usize::from);
+    load_csv_inferred_with_policy(path, max_categories, IngestPolicy::Strict, None, threads)
         .map(|(ds, _)| ds)
 }
 
-/// Infers a schema and loads the data under an [`IngestPolicy`], in two
-/// streaming passes over the file. The returned report is the *load*
-/// pass's report; the inference probe shares the same policy but never
-/// writes to the quarantine sink. The dataset reserves the rows the probe
-/// kept, an upper bound on the rows the load keeps, so its row vector is
-/// allocated once.
+/// Infers a schema and loads the data under an [`IngestPolicy`], in a
+/// [`CsvFile`]'s two passes on up to `threads` workers. The returned
+/// report is the *load* pass's report; the inference probe shares the
+/// same policy but never writes to the quarantine sink. The dataset
+/// reserves the rows the probe kept, an upper bound on the rows the load
+/// keeps, so its row vector is allocated once. The result is the same at
+/// any thread count.
 pub fn load_csv_inferred_with_policy(
     path: impl AsRef<Path>,
     max_categories: usize,
     policy: IngestPolicy,
     quarantine: Option<&mut dyn Write>,
+    threads: usize,
 ) -> Result<(Dataset, IngestReport), DataError> {
-    let (schema, probe) = infer_schema_with_policy(open_csv(&path)?, max_categories, policy)?;
-    let mut ds = Dataset::with_capacity(schema.clone(), probe.rows_kept);
-    let report =
-        scan_csv(&schema, open_csv(&path)?, policy, quarantine, |row| ds.push(row.to_vec()))?;
+    let file = CsvFile::open(path)?;
+    let (schema, probe) = file.infer_schema(max_categories, policy, threads)?;
+    let mut ds = Dataset::with_capacity(schema, probe.rows_kept);
+    let report = file.load_into(&mut ds, policy, quarantine, threads)?;
     Ok((ds, report))
+}
+
+/// What a [`CsvFile::scan`] builds from the rows it accepts. A scan over
+/// several ranges fills one empty part per range and absorbs the parts
+/// into the sink in file order, so a sink must come out the same however
+/// its rows were split.
+pub trait RowSink: Sized + Send + Sync {
+    /// An empty sink of the same shape, for one range's rows.
+    fn part(&self) -> Self;
+
+    /// Takes one accepted row. An error makes the row a bad row of kind
+    /// [`IssueKind::Invalid`].
+    fn accept(&mut self, row: &[Value]) -> Result<(), DataError>;
+
+    /// Appends the rows of `part`, the part of a later range.
+    fn absorb(&mut self, part: Self) -> Result<(), DataError>;
+}
+
+/// A load's sink. The caller's holds the dataset, and a one-range scan
+/// pushes rows straight into it. A range's part keeps its rows' values
+/// back to back, and absorbing the part boxes them into tuples on the
+/// calling thread. With glibc's per-thread arenas, tuples boxed on a
+/// worker would stay resident in the worker's arena after the dataset is
+/// dropped, out of reach of the calling thread's next allocations.
+struct Rows<'a> {
+    schema: &'a Schema,
+    /// The dataset, in the caller's sink; `None` in a range's part.
+    ds: Option<&'a mut Dataset>,
+    /// A part's rows, each value as an `f64`, half the size of a
+    /// [`Value`]: a categorical code is exact as one.
+    values: Vec<f64>,
+}
+
+impl RowSink for Rows<'_> {
+    fn part(&self) -> Self {
+        Rows { schema: self.schema, ds: None, values: Vec::new() }
+    }
+
+    fn accept(&mut self, row: &[Value]) -> Result<(), DataError> {
+        match &mut self.ds {
+            Some(ds) => ds.push(row.to_vec()),
+            None => {
+                Tuple::check_values(row, self.schema)?;
+                self.values.extend(row.iter().map(|value| match *value {
+                    Value::Quant(v) => v,
+                    Value::Cat(code) => f64::from(code),
+                }));
+                Ok(())
+            }
+        }
+    }
+
+    fn absorb(&mut self, part: Self) -> Result<(), DataError> {
+        if let Some(ds) = &mut self.ds {
+            let attributes = self.schema.attributes();
+            for row in part.values.chunks_exact(attributes.len().max(1)) {
+                let values: Vec<Value> = row
+                    .iter()
+                    .zip(attributes)
+                    .map(|(&v, attr)| match attr.kind {
+                        AttrKind::Quantitative { .. } => Value::Quant(v),
+                        AttrKind::Categorical { .. } => Value::Cat(v as u32),
+                    })
+                    .collect();
+                ds.push_tuple(Tuple::new(values));
+            }
+        }
+        Ok(())
+    }
+}
+
+/// The size a [`CsvFile`] cuts its data into. A range's part lives from
+/// its scan to its merge, and a load's part holds its rows' values, 80
+/// bytes for an Agrawal F2 row. A worker's parts (one in the making, one
+/// waiting in its channel, one being merged) then come to about 300 KB.
+/// A range's own costs (a seek, a channel hand-off, a merge) stay small
+/// beside parsing its ~1,200 rows. A 110 MB file makes 845 ranges.
+const RANGE_BYTES: u64 = 128 << 10;
+
+/// A CSV file opened for whole-file scans on several cores.
+///
+/// Opening reads the header and the file's length once, and cuts the
+/// data after the header into line-aligned byte ranges of about 128 KiB.
+/// Every scan reads those bytes and no more, so the two passes of an
+/// inferred load read the same data even if the file grows between them.
+///
+/// A scan runs the ranges on up to `threads` scoped workers, each with
+/// one file handle, one buffered reader and one line buffer, through the
+/// row loop of [`scan_csv`] or the inference loop of [`infer_schema`].
+/// The calling thread merges their results strictly in file order:
+///
+/// * an issue's or an error's line is offset by the lines of all earlier
+///   ranges (the header is line 1);
+/// * report counts are summed and issues appended up to
+///   [`MAX_RECORDED_ISSUES`](crate::ingest::MAX_RECORDED_ISSUES); the
+///   bad-row ceiling and the header-only check run on the merged result;
+/// * each range buffers its rejected lines, and the quarantine sink gets
+///   them in range order;
+/// * the earliest range's error wins: the ranges before it run to the
+///   end, and ranges after it may be skipped;
+/// * inferred columns sum their counts, fold their bounds and union their
+///   distinct values in first-appearance order, overflowing when any
+///   range did or when the union passes `max_categories`;
+/// * each range's accepted rows go to a part of the [`RowSink`], absorbed
+///   into it in range order.
+///
+/// Rows, schema, report, quarantine bytes and errors are therefore those
+/// of a one-range scan at any thread count. At most `2 × threads`
+/// finished ranges wait to be merged. With one thread, or data that fits
+/// in one range, a scan is one range on the calling thread, as a reader's
+/// is: no worker, no buffered quarantine.
+#[derive(Debug)]
+pub struct CsvFile {
+    path: PathBuf,
+    /// The header's names.
+    names: Vec<String>,
+    /// The data's bytes: from the end of the header to the length read
+    /// at open.
+    data: Range<u64>,
+    /// `data`, cut into line-aligned ranges.
+    ranges: Vec<Range<u64>>,
+}
+
+impl CsvFile {
+    /// Opens the CSV file at `path`: reads its header and length and cuts
+    /// its data into ranges of about 128 KiB.
+    pub fn open(path: impl AsRef<Path>) -> Result<Self, DataError> {
+        Self::with_range_bytes(path, RANGE_BYTES)
+    }
+
+    /// [`open`](CsvFile::open) with ranges of about `range_bytes` (at
+    /// least 1). No result depends on it: tests cut small files into many
+    /// ranges with it.
+    fn with_range_bytes(path: impl AsRef<Path>, range_bytes: u64) -> Result<Self, DataError> {
+        let path = path.as_ref().to_path_buf();
+        let mut reader = BufReader::new(File::open(&path)?);
+        let len = reader.get_ref().metadata()?.len();
+        let names: Vec<String> =
+            Lines::new((&mut reader).take(len)).header()?.into_iter().map(str::to_string).collect();
+        let start = reader.stream_position()?;
+        let range_bytes = range_bytes.max(1);
+        let (mut ranges, mut from) = (Vec::new(), start);
+        while from < len {
+            let mut to = len;
+            if len - from > range_bytes {
+                // Cut after the line holding the range's last byte; the
+                // reader stands at `from`.
+                let last = from + range_bytes - 1;
+                reader.seek_relative(range_bytes as i64 - 1)?;
+                let skipped = (&mut reader).take(len - last).skip_until(b'\n')? as u64;
+                if skipped > 0 {
+                    to = last + skipped;
+                }
+            }
+            ranges.push(from..to);
+            from = to;
+        }
+        Ok(CsvFile { path, names, data: start..len, ranges })
+    }
+
+    /// Infers the file's schema as [`infer_schema_with_policy`] infers it
+    /// from a reader, on up to `threads` workers.
+    pub fn infer_schema(
+        &self,
+        max_categories: usize,
+        policy: IngestPolicy,
+        threads: usize,
+    ) -> Result<(Schema, IngestReport), DataError> {
+        let n_cols = self.names.len();
+        let (report, probes) = if self.is_one_range(threads) {
+            probe_lines(&mut self.whole()?, n_cols, max_categories, policy)?
+        } else {
+            let mut merge = Merge::new(None);
+            let mut probes: Vec<ColumnProbe> = (0..n_cols).map(|_| ColumnProbe::new()).collect();
+            self.run_ranges(
+                threads,
+                |lines| {
+                    let outcome = probe_lines(lines, n_cols, max_categories, policy);
+                    RangeScan { outcome, lines: lines.line_no, quarantined: Vec::new() }
+                },
+                |scan| {
+                    for (probe, later) in probes.iter_mut().zip(merge.fold(scan)?) {
+                        probe.absorb(later, max_categories);
+                    }
+                    Ok(())
+                },
+            )?;
+            (merge.report, probes)
+        };
+        probed_schema(self.names.clone(), probes, report, policy)
+    }
+
+    /// Scans every data row against `schema` as [`scan_csv`] scans a
+    /// reader, on up to `threads` workers, and puts the rows it accepts
+    /// into `sink`.
+    pub fn scan<S: RowSink>(
+        &self,
+        schema: &Schema,
+        policy: IngestPolicy,
+        quarantine: Option<&mut dyn Write>,
+        threads: usize,
+        sink: &mut S,
+    ) -> Result<IngestReport, DataError> {
+        let names: Vec<&str> = self.names.iter().map(String::as_str).collect();
+        check_header(&names, schema)?;
+        if self.is_one_range(threads) {
+            return scan_whole(schema, &mut self.whole()?, policy, quarantine, |row| {
+                sink.accept(row)
+            });
+        }
+        let buffered = quarantine.is_some();
+        let empty = sink.part();
+        let mut merge = Merge::new(quarantine);
+        self.run_ranges(
+            threads,
+            |lines| {
+                let (mut part, mut rejected) = (empty.part(), Vec::new());
+                let outcome = scan_lines(
+                    schema,
+                    lines,
+                    policy,
+                    buffered.then_some(&mut rejected as &mut dyn Write),
+                    |row| part.accept(row),
+                );
+                let outcome = outcome.map(|report| (report, part));
+                RangeScan { outcome, lines: lines.line_no, quarantined: rejected }
+            },
+            |scan| sink.absorb(merge.fold(scan)?),
+        )?;
+        check_bad_fraction(&merge.report, policy)?;
+        Ok(merge.report)
+    }
+
+    /// Loads every row [`scan`](CsvFile::scan) accepts against `ds`'s
+    /// schema into `ds`, as [`read_csv_with_policy`] loads a reader.
+    fn load_into(
+        &self,
+        ds: &mut Dataset,
+        policy: IngestPolicy,
+        quarantine: Option<&mut dyn Write>,
+        threads: usize,
+    ) -> Result<IngestReport, DataError> {
+        let schema = ds.schema().clone();
+        let mut rows = Rows { schema: &schema, ds: Some(ds), values: Vec::new() };
+        self.scan(&schema, policy, quarantine, threads, &mut rows)
+    }
+
+    /// Whether a scan on `threads` workers reads the data as one range.
+    fn is_one_range(&self, threads: usize) -> bool {
+        threads < 2 || self.ranges.len() < 2
+    }
+
+    /// The whole data as one range, its lines numbered on from the
+    /// header's.
+    fn whole(&self) -> Result<Lines<Take<BufReader<File>>>, DataError> {
+        let mut reader = BufReader::new(File::open(&self.path)?);
+        reader.seek(SeekFrom::Start(self.data.start))?;
+        let mut lines = Lines::new(reader.take(self.data.end - self.data.start));
+        lines.line_no = 1;
+        Ok(lines)
+    }
+
+    /// Runs `scan` over every range on up to `threads` scoped workers and
+    /// hands the results to `fold` on the calling thread, strictly in file
+    /// order. Of `w` workers, worker `i` scans ranges `i`, `i + w`, `i +
+    /// 2w`, … and sends each result down its own channel, which holds one:
+    /// a worker waits once it has finished two ranges the merge has not
+    /// taken. A range's lines are numbered from 1. Once `fold` fails, the
+    /// channels close, each worker stops at its next hand-off, and the
+    /// error is returned.
+    fn run_ranges<T: Send>(
+        &self,
+        threads: usize,
+        scan: impl Fn(&mut Lines<Take<&mut BufReader<File>>>) -> T + Sync,
+        mut fold: impl FnMut(T) -> Result<(), DataError>,
+    ) -> Result<(), DataError> {
+        let workers = threads.min(self.ranges.len());
+        let readers = (0..workers)
+            .map(|_| File::open(&self.path).map(BufReader::new))
+            .collect::<Result<Vec<_>, _>>()?;
+        std::thread::scope(|scope| {
+            let mut results = Vec::with_capacity(workers);
+            for (i, mut reader) in readers.into_iter().enumerate() {
+                let (sender, receiver) = mpsc::sync_channel(1);
+                results.push(receiver);
+                let scan = &scan;
+                scope.spawn(move || {
+                    let mut buf = Vec::new();
+                    for range in self.ranges.iter().skip(i).step_by(workers) {
+                        let scanned = reader.seek(SeekFrom::Start(range.start)).map(|_| {
+                            let mut lines = Lines::new((&mut reader).take(range.end - range.start));
+                            lines.buf = std::mem::take(&mut buf);
+                            let scanned = scan(&mut lines);
+                            buf = lines.buf;
+                            scanned
+                        });
+                        if sender.send(scanned.map_err(DataError::from)).is_err() {
+                            return; // the merge has ended
+                        }
+                    }
+                });
+            }
+            for k in 0..self.ranges.len() {
+                // Only a worker that panicked hangs up early; the scope
+                // raises its panic once the other workers are done.
+                let Ok(scanned) = results[k % workers].recv() else { break };
+                scanned.and_then(&mut fold)?;
+            }
+            Ok(())
+        })
+    }
+}
+
+/// One range's scan, as the merge takes it.
+struct RangeScan<T> {
+    /// The range's report and what it built, or the error that stopped
+    /// it; lines count from the range's first.
+    outcome: Result<(IngestReport, T), DataError>,
+    /// The physical lines the range read.
+    lines: usize,
+    /// The range's rejected lines, for the quarantine sink.
+    quarantined: Vec<u8>,
+}
+
+/// The calling thread's fold of range scans, in file order.
+struct Merge<'q> {
+    report: IngestReport,
+    /// The lines before the next range: the header's and every earlier
+    /// range's.
+    lines_before: usize,
+    quarantine: Option<&'q mut dyn Write>,
+}
+
+impl<'q> Merge<'q> {
+    fn new(quarantine: Option<&'q mut dyn Write>) -> Self {
+        Merge { report: IngestReport::default(), lines_before: 1, quarantine }
+    }
+
+    /// Folds in the next range: passes its rejected lines on, then
+    /// returns what it built, or its error with the line counted from the
+    /// top of the file.
+    fn fold<T>(&mut self, scan: RangeScan<T>) -> Result<T, DataError> {
+        if let Some(sink) = self.quarantine.as_mut() {
+            sink.write_all(&scan.quarantined)?;
+        }
+        let offset = self.lines_before;
+        self.lines_before += scan.lines;
+        match scan.outcome {
+            Ok((report, part)) => {
+                self.report.absorb(report, offset);
+                Ok(part)
+            }
+            Err(DataError::Parse { line, message }) => {
+                Err(DataError::Parse { line: line + offset, message })
+            }
+            Err(err) => Err(err),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -685,6 +1126,132 @@ mod tests {
         out
     }
 
+    /// One of the three policies, with a random bad-row ceiling.
+    fn random_policy(rng: &mut rand::rngs::StdRng) -> IngestPolicy {
+        use rand::Rng;
+        let max_bad_fraction = [0.0, 0.1, 0.3, 1.0][rng.gen_range(0..4)];
+        match rng.gen_range(0..3) {
+            0 => IngestPolicy::Strict,
+            1 => IngestPolicy::Skip { max_bad_fraction },
+            _ => IngestPolicy::Quarantine { max_bad_fraction },
+        }
+    }
+
+    /// A scratch CSV file, removed when dropped.
+    struct TempCsv(std::path::PathBuf);
+
+    impl TempCsv {
+        fn new(tag: &str, bytes: &[u8]) -> Self {
+            let dir = std::env::temp_dir().join(format!("arcs-csv-ranges-{}", std::process::id()));
+            std::fs::create_dir_all(&dir).unwrap();
+            let path = dir.join(format!("{tag}.csv"));
+            std::fs::write(&path, bytes).unwrap();
+            TempCsv(path)
+        }
+    }
+
+    impl Drop for TempCsv {
+        fn drop(&mut self) {
+            std::fs::remove_file(&self.0).ok();
+        }
+    }
+
+    /// What a load hands back, in a comparable form: the rows and report,
+    /// or the error, and the quarantine sink's bytes.
+    type Loaded = (Result<(Vec<Tuple>, IngestReport), DataError>, Vec<u8>);
+
+    /// `path` loaded against `schema` as a file cut into ranges of
+    /// `range_bytes`, on `threads` workers.
+    fn load_ranges(
+        path: &Path,
+        schema: &Schema,
+        policy: IngestPolicy,
+        with_sink: bool,
+        range_bytes: u64,
+        threads: usize,
+    ) -> Loaded {
+        let mut sink = Vec::new();
+        let loaded = CsvFile::with_range_bytes(path, range_bytes).and_then(|file| {
+            let mut ds = Dataset::new(schema.clone());
+            let quarantine = with_sink.then_some(&mut sink as &mut dyn Write);
+            let report = file.load_into(&mut ds, policy, quarantine, threads)?;
+            Ok((ds.rows().to_vec(), report))
+        });
+        (loaded, sink)
+    }
+
+    /// `bytes` loaded against `schema` by one reader: the one-range scan.
+    fn load_reader(bytes: &[u8], schema: &Schema, policy: IngestPolicy, with_sink: bool) -> Loaded {
+        let mut sink = Vec::new();
+        let quarantine = with_sink.then_some(&mut sink as &mut dyn Write);
+        let loaded = read_csv_with_policy(schema.clone(), bytes, policy, quarantine);
+        (loaded.map(|(ds, report)| (ds.rows().to_vec(), report)), sink)
+    }
+
+    /// Checks that `bytes`, cut into ranges of every size from 1 byte to
+    /// the whole file and scanned on 2 and 3 workers, infers and loads
+    /// as one reader does, and that every range starts a line. Returns
+    /// the one-range load.
+    fn assert_ranges_match_one_reader(
+        bytes: &[u8],
+        schema: &Schema,
+        policy: IngestPolicy,
+        max_categories: usize,
+    ) -> Loaded {
+        static SWEEPS: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+        let sweep = SWEEPS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        let file = TempCsv::new(&format!("sweep-{sweep}"), bytes);
+        let inferred = infer_schema_with_policy(bytes, max_categories, policy);
+        let want = load_reader(bytes, schema, policy, true);
+        for range_bytes in 1..=bytes.len() as u64 {
+            let csv = CsvFile::with_range_bytes(&file.0, range_bytes).unwrap();
+            for range in &csv.ranges {
+                let start = range.start as usize;
+                assert!(start == csv.data.start as usize || bytes[start - 1] == b'\n', "{range:?}");
+            }
+            for threads in [2, 3] {
+                let got = csv.infer_schema(max_categories, policy, threads);
+                assert_eq!(got, inferred, "infer, {range_bytes}-byte ranges, {threads} threads");
+                let got = load_ranges(&file.0, schema, policy, true, range_bytes, threads);
+                assert_eq!(got, want, "load, {range_bytes}-byte ranges, {threads} threads");
+            }
+        }
+        want
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// A file cut into ranges of a few bytes and scanned on one to
+        /// four workers infers the schema, and loads the rows, report,
+        /// quarantine bytes and error, that one reader does, under every
+        /// policy.
+        #[test]
+        fn chunked_scans_match_the_one_range_scan(seed in any::<u64>()) {
+            use rand::{Rng, SeedableRng};
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let csv = random_csv(&mut rng);
+            let policy = random_policy(&mut rng);
+            let with_sink = rng.gen_bool(0.8);
+            let max_categories = rng.gen_range(0..8);
+            let range_bytes = rng.gen_range(1..48);
+            let threads = rng.gen_range(1..=4);
+            let file = TempCsv::new("chunked-prop", &csv);
+
+            let one_range = infer_schema_with_policy(&csv[..], max_categories, policy);
+            let chunked = CsvFile::with_range_bytes(&file.0, range_bytes)
+                .and_then(|f| f.infer_schema(max_categories, policy, threads));
+            prop_assert_eq!(&chunked, &one_range);
+
+            let mut schemas = vec![wide_schema()];
+            schemas.extend(one_range.map(|(schema, _)| schema));
+            for schema in &schemas {
+                let chunked = load_ranges(&file.0, schema, policy, with_sink, range_bytes, threads);
+                prop_assert_eq!(chunked, load_reader(&csv, schema, policy, with_sink));
+            }
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(512))]
 
@@ -696,12 +1263,7 @@ mod tests {
             use rand::{Rng, SeedableRng};
             let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
             let csv = random_csv(&mut rng);
-            let max_bad_fraction = [0.0, 0.1, 0.3, 1.0][rng.gen_range(0..4)];
-            let policy = match rng.gen_range(0..3) {
-                0 => IngestPolicy::Strict,
-                1 => IngestPolicy::Skip { max_bad_fraction },
-                _ => IngestPolicy::Quarantine { max_bad_fraction },
-            };
+            let policy = random_policy(&mut rng);
             let with_sink = rng.gen_bool(0.8);
             let (mut sink, mut reference_sink) = (Vec::new(), Vec::new());
             let scanned = read_csv_with_policy(
@@ -1035,6 +1597,7 @@ mod tests {
             5,
             IngestPolicy::Skip { max_bad_fraction: 1.0 },
             None,
+            1,
         )
         .unwrap();
         assert_eq!(ds.len(), 20);
@@ -1124,5 +1687,167 @@ mod tests {
         assert_eq!(ds.len(), 25);
         assert_eq!(ds.row(0).unwrap().quant(0), 20.0);
         assert_eq!(ds.row(1).unwrap().cat(1), 1);
+    }
+
+    /// A range boundary between the `\r` and `\n` of a CRLF ending
+    /// moves past the `\n`: the row keeps its ending.
+    #[test]
+    fn a_crlf_pair_split_by_a_range_boundary_stays_one_ending() {
+        let bytes = b"age,group\r\n1.0,A\r\n2.0,other\r\n3.0,A\r\n";
+        let file = TempCsv::new("crlf", bytes);
+        // Data starts at byte 11; the first row's `\r` is byte 16.
+        let csv = CsvFile::with_range_bytes(&file.0, 6).unwrap();
+        assert_eq!(csv.ranges[0], 11..18);
+        let (loaded, _) = assert_ranges_match_one_reader(bytes, &schema(), IngestPolicy::Strict, 2);
+        assert_eq!(loaded.unwrap().0.len(), 3);
+    }
+
+    /// Blank lines at, across and between range boundaries count as
+    /// lines: a later bad row keeps its line number.
+    #[test]
+    fn blank_lines_at_a_range_boundary_keep_line_numbers() {
+        let bytes = b"age,group\n1.0,A\n\n  \n\r\n\n2.0,other\n\n\n3.0\n\n4.0,A\n";
+        let (loaded, _) = assert_ranges_match_one_reader(bytes, &schema(), IngestPolicy::Strict, 3);
+        assert_eq!(
+            loaded.unwrap_err(),
+            DataError::Parse { line: 10, message: "expected 2 fields, found 1".into() }
+        );
+        let skip = IngestPolicy::Skip { max_bad_fraction: 1.0 };
+        let (loaded, _) = assert_ranges_match_one_reader(bytes, &schema(), skip, 3);
+        let (rows, report) = loaded.unwrap();
+        assert_eq!((rows.len(), report.issues()[0].line), (3, 10));
+    }
+
+    /// The last range ends at the end of the file, newline or not.
+    #[test]
+    fn a_missing_final_newline_ends_the_last_range() {
+        let bytes = b"age,group\n1.0,A\n2.0,other\n7.0,Z";
+        let quarantine = IngestPolicy::Quarantine { max_bad_fraction: 1.0 };
+        let (loaded, sink) = assert_ranges_match_one_reader(bytes, &schema(), quarantine, 3);
+        let (rows, report) = loaded.unwrap();
+        assert_eq!((rows.len(), report.issues()[0].line), (2, 4));
+        assert_eq!(sink, b"7.0,Z\n");
+        let good = b"age,group\n1.0,A\n2.0,other";
+        let (loaded, _) = assert_ranges_match_one_reader(good, &schema(), IngestPolicy::Strict, 3);
+        assert_eq!(loaded.unwrap().0.len(), 2);
+    }
+
+    /// A parse error in an early range beats a non-UTF-8 line in a later
+    /// one under the strict policy; a lenient scan records the first and
+    /// fails on the second, with the earlier rejects quarantined.
+    #[test]
+    fn an_early_parse_error_beats_a_later_non_utf8_line() {
+        let mut bytes = b"age,group\n1.0,A\nbad,A\n".to_vec();
+        for i in 0..6 {
+            bytes.extend_from_slice(format!("{i}.5,other\n").as_bytes());
+        }
+        bytes.extend_from_slice(b"9.0,\xff\n8.0,A\n");
+        let (loaded, _) =
+            assert_ranges_match_one_reader(&bytes, &schema(), IngestPolicy::Strict, 4);
+        assert_eq!(
+            loaded.unwrap_err(),
+            DataError::Parse {
+                line: 3,
+                message: "`bad` is not a number for attribute `age`".into()
+            }
+        );
+        let quarantine = IngestPolicy::Quarantine { max_bad_fraction: 1.0 };
+        let (loaded, sink) = assert_ranges_match_one_reader(&bytes, &schema(), quarantine, 4);
+        assert!(matches!(loaded, Err(DataError::Io(_))), "{loaded:?}");
+        assert_eq!(sink, b"bad,A\n");
+    }
+
+    /// Past [`MAX_RECORDED_ISSUES`](crate::ingest::MAX_RECORDED_ISSUES)
+    /// issues spread over many ranges, the merged report records the
+    /// first ones in file order and counts them all.
+    #[test]
+    fn issues_past_the_cap_across_ranges_keep_the_first_in_file_order() {
+        use crate::ingest::MAX_RECORDED_ISSUES;
+        let mut bytes = b"age,group\n".to_vec();
+        for i in 0..MAX_RECORDED_ISSUES + 500 {
+            bytes.extend_from_slice(if i % 3 == 0 { b"1.0,A\n" } else { b"bad,A\n" });
+            bytes.extend_from_slice(b"x\n");
+        }
+        let file = TempCsv::new("many-issues", &bytes);
+        let skip = IngestPolicy::Skip { max_bad_fraction: 1.0 };
+        let want = load_reader(&bytes, &schema(), skip, false);
+        for threads in [2, 4] {
+            let got = load_ranges(&file.0, &schema(), skip, false, 4096, threads);
+            assert_eq!(got, want);
+        }
+        let report = want.0.unwrap().1;
+        assert_eq!(report.rows_skipped, 2 * (MAX_RECORDED_ISSUES + 500) - 3_500);
+        assert_eq!(report.issues().len(), MAX_RECORDED_ISSUES);
+        // Six lines hold five issues: the 10,000th ends line 12,001.
+        assert_eq!(report.issues().last().unwrap().line, 12_001);
+    }
+
+    /// The bad-row ceiling holds for the whole file, not for a range: an
+    /// all-bad range passes when the file does, and the error counts the
+    /// whole file.
+    #[test]
+    fn the_bad_row_ceiling_applies_to_the_merged_report() {
+        let mut bytes = b"age,group\n".to_vec();
+        bytes.extend_from_slice(&b"bad,A\n".repeat(4));
+        bytes.extend_from_slice(&b"1.0,A\n".repeat(6));
+        let file = TempCsv::new("ceiling", &bytes);
+        let lenient = IngestPolicy::Skip { max_bad_fraction: 0.4 };
+        let want = load_reader(&bytes, &schema(), lenient, false);
+        assert_eq!(load_ranges(&file.0, &schema(), lenient, false, 6, 2), want);
+        assert_eq!(want.0.unwrap().1.rows_skipped, 4);
+        let tight = IngestPolicy::Skip { max_bad_fraction: 0.3 };
+        let (loaded, _) = assert_ranges_match_one_reader(&bytes, &schema(), tight, 3);
+        assert_eq!(
+            loaded.unwrap_err(),
+            DataError::TooManyBadRows { skipped: 4, read: 10, max_bad_fraction: 0.3 }
+        );
+    }
+
+    /// Both passes read the length read at open: a row appended after
+    /// the file was opened is in neither.
+    #[test]
+    fn every_pass_reads_the_length_read_at_open() {
+        let bytes = b"age,group\n1.0,A\n2.0,other\n3.0,A\n";
+        let file = TempCsv::new("grows", bytes);
+        for (range_bytes, threads) in [(4 << 20, 1), (5, 2)] {
+            std::fs::write(&file.0, bytes).unwrap();
+            let csv = CsvFile::with_range_bytes(&file.0, range_bytes).unwrap();
+            let mut grown = bytes.to_vec();
+            grown.extend_from_slice(b"4.0,Z\n");
+            std::fs::write(&file.0, &grown).unwrap();
+            let (schema, probe) = csv.infer_schema(2, IngestPolicy::Strict, threads).unwrap();
+            let mut ds = Dataset::new(schema);
+            let report = csv.load_into(&mut ds, IngestPolicy::Strict, None, threads).unwrap();
+            assert_eq!((probe.rows_kept, report.rows_kept, ds.len()), (3, 3, 3));
+        }
+    }
+
+    /// A sink that panics on a late range makes the scan panic, instead
+    /// of leaving the merge waiting for that range.
+    #[test]
+    fn a_panicking_sink_fails_the_scan_instead_of_hanging_it() {
+        struct Bomb;
+        impl RowSink for Bomb {
+            fn part(&self) -> Self {
+                Bomb
+            }
+            fn accept(&mut self, row: &[Value]) -> Result<(), DataError> {
+                assert!(row[0] != Value::Quant(60.0), "refusing row 60");
+                Ok(())
+            }
+            fn absorb(&mut self, _: Self) -> Result<(), DataError> {
+                Ok(())
+            }
+        }
+        let mut bytes = b"age,group\n".to_vec();
+        for i in 0..80 {
+            bytes.extend_from_slice(format!("{i}.0,A\n").as_bytes());
+        }
+        let file = TempCsv::new("bomb", &bytes);
+        let csv = CsvFile::with_range_bytes(&file.0, 16).unwrap();
+        let scan = std::panic::catch_unwind(|| {
+            csv.scan(&schema(), IngestPolicy::Strict, None, 2, &mut Bomb).map(|_| ())
+        });
+        assert!(scan.is_err());
     }
 }

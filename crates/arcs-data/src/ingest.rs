@@ -156,6 +156,25 @@ impl IngestReport {
         }
     }
 
+    /// Folds in the report of the input that follows this one, whose
+    /// issue lines count from `line_offset` + 1: counts are summed and
+    /// its issues appended, up to [`MAX_RECORDED_ISSUES`] in all.
+    pub(crate) fn absorb(&mut self, later: IngestReport, line_offset: usize) {
+        self.rows_read += later.rows_read;
+        self.rows_kept += later.rows_kept;
+        self.rows_skipped += later.rows_skipped;
+        self.rows_quarantined += later.rows_quarantined;
+        self.clamped_values += later.clamped_values;
+        for (count, more) in self.kind_counts.iter_mut().zip(later.kind_counts) {
+            *count += more;
+        }
+        let room = MAX_RECORDED_ISSUES.saturating_sub(self.issues.len());
+        self.issues.extend(later.issues.into_iter().take(room).map(|mut issue| {
+            issue.line += line_offset;
+            issue
+        }));
+    }
+
     /// Exact number of issues of the given kind.
     pub fn count_of(&self, kind: IssueKind) -> usize {
         self.kind_counts[kind.slot()]
@@ -241,6 +260,31 @@ mod tests {
         }
         assert_eq!(r.issues().len(), MAX_RECORDED_ISSUES);
         assert_eq!(r.count_of(IssueKind::NonNumeric), MAX_RECORDED_ISSUES + 5);
+    }
+
+    /// Absorbing a split report gives the report of the whole: counts
+    /// add up, lines shift, and the recorded issues stop at the cap.
+    #[test]
+    fn absorbed_reports_equal_the_whole() {
+        let issue = |r: &mut IngestReport, line: usize| {
+            r.rows_read += 1;
+            r.rows_skipped += 1;
+            r.record(line, IssueKind::FieldCount, String::new());
+        };
+        let mut whole = IngestReport::default();
+        let (mut head, mut tail) = (IngestReport::default(), IngestReport::default());
+        for line in 2..MAX_RECORDED_ISSUES {
+            issue(&mut whole, line);
+            issue(&mut head, line);
+        }
+        for line in MAX_RECORDED_ISSUES..MAX_RECORDED_ISSUES + 7 {
+            issue(&mut whole, line);
+            issue(&mut tail, line - 100);
+        }
+        head.absorb(tail, 100);
+        assert_eq!(head, whole);
+        assert_eq!(head.issues().len(), MAX_RECORDED_ISSUES);
+        assert_eq!(head.issues().last().unwrap().line, MAX_RECORDED_ISSUES + 1);
     }
 
     #[test]

@@ -45,7 +45,7 @@ impl Tuple {
         Ok(Tuple::new(values))
     }
 
-    fn check_values(values: &[Value], schema: &Schema) -> Result<(), DataError> {
+    pub(crate) fn check_values(values: &[Value], schema: &Schema) -> Result<(), DataError> {
         if values.len() != schema.arity() {
             return Err(DataError::ArityMismatch {
                 expected: schema.arity(),
