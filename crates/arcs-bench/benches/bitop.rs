@@ -3,8 +3,8 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
+use arcs_bench::cover::connected_components;
 use arcs_core::bitop::{self, BitOpConfig};
-use arcs_core::cover::connected_components;
 use arcs_core::smooth::{smooth, SmoothConfig};
 use arcs_core::{Grid, Rect};
 

@@ -11,16 +11,11 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use arcs_data::Tuple;
-
-use crate::binarray::BinArray;
-use crate::binner::Binner;
-use crate::engine::Thresholds;
-use crate::error::ArcsError;
-use crate::metrics::PipelineCounters;
-use crate::optimizer::{
+use arcs_core::optimizer::{
     evaluate, Evaluation, OptimizeResult, OptimizerConfig, ThresholdLattice, MIN_GROUP_RECALL,
 };
+use arcs_core::{ArcsError, BinArray, Binner, PipelineCounters, Thresholds};
+use arcs_data::Tuple;
 
 /// Simulated-annealing parameters.
 #[derive(Debug, Clone, PartialEq)]
@@ -238,7 +233,7 @@ mod tests {
         let sample: Vec<&Tuple> = ds.iter().collect();
         let config = AnnealConfig {
             optimizer: OptimizerConfig {
-                bitop: crate::bitop::BitOpConfig::no_pruning(),
+                bitop: arcs_core::BitOpConfig::no_pruning(),
                 ..OptimizerConfig::default()
             },
             steps: 50,
@@ -294,10 +289,10 @@ mod tests {
         let ba = b.bin_rows(ds.iter()).unwrap();
         let sample: Vec<&Tuple> = ds.iter().collect();
         let opt_config = OptimizerConfig {
-            bitop: crate::bitop::BitOpConfig::no_pruning(),
+            bitop: arcs_core::BitOpConfig::no_pruning(),
             ..OptimizerConfig::default()
         };
-        let heuristic = crate::optimizer::optimize(&ba, 0, &b, &sample, &opt_config).unwrap();
+        let heuristic = arcs_core::optimize(&ba, 0, &b, &sample, &opt_config).unwrap();
         let annealed = anneal(
             &ba,
             0,

@@ -7,12 +7,12 @@
 //! cargo run --release -p arcs-bench --bin exp_ablation [-- --n 50000 --seed 42 --csv]
 //! ```
 
+use arcs_bench::anneal::{anneal, AnnealConfig};
+use arcs_bench::cover::connected_components;
+use arcs_bench::factorial::{factorial_search, FactorialConfig};
 use arcs_bench::{arg_or, has_flag, workload, Table};
-use arcs_core::anneal::{anneal, AnnealConfig};
 use arcs_core::bitop::{self, BitOpConfig};
-use arcs_core::cover::connected_components;
 use arcs_core::engine::{rule_grid, support_grid, Thresholds};
-use arcs_core::factorial::{factorial_search, FactorialConfig};
 use arcs_core::mdl::{MdlScore, MdlWeights};
 use arcs_core::optimizer::{optimize, OptimizerConfig};
 use arcs_core::smooth::{smooth, smooth_support, SmoothConfig};

@@ -8,9 +8,9 @@
 //! cargo run --release -p arcs-bench --bin exp_clusterer_quality [-- --seed 42]
 //! ```
 
+use arcs_bench::cover::{connected_components, optimal_cover};
 use arcs_bench::{arg_or, Table};
 use arcs_core::bitop::{self, BitOpConfig};
-use arcs_core::cover::{connected_components, optimal_cover};
 use arcs_core::{Grid, Rect};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

@@ -15,9 +15,7 @@
 
 use std::collections::HashMap;
 
-use crate::cluster::Rect;
-use crate::error::ArcsError;
-use crate::grid::Grid;
+use arcs_core::{ArcsError, Grid, Rect};
 
 /// Flood-fills 4-connected components of set cells and returns each
 /// component's bounding box (largest first). Bounding boxes of L-shaped or
@@ -141,7 +139,7 @@ fn solve(mask: u64, w: usize, h: usize, memo: &mut HashMap<u64, Vec<Rect>>) -> V
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bitop::{self, BitOpConfig};
+    use arcs_core::bitop::{self, BitOpConfig};
 
     #[test]
     fn components_of_disjoint_blocks() {

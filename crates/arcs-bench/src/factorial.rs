@@ -15,16 +15,11 @@
 //! a full search typically needs 20–30 evaluations versus the hill climb's
 //! ~100.
 
-use arcs_data::Tuple;
-
-use crate::binarray::BinArray;
-use crate::binner::Binner;
-use crate::engine::Thresholds;
-use crate::error::ArcsError;
-use crate::metrics::PipelineCounters;
-use crate::optimizer::{
+use arcs_core::optimizer::{
     evaluate, Evaluation, OptimizeResult, OptimizerConfig, ThresholdLattice, MIN_GROUP_RECALL,
 };
+use arcs_core::{ArcsError, BinArray, Binner, PipelineCounters, Thresholds};
+use arcs_data::Tuple;
 
 /// Factorial-design search parameters.
 #[derive(Debug, Clone, PartialEq)]
@@ -159,7 +154,7 @@ pub fn factorial_search(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::optimizer::optimize;
+    use arcs_core::optimize;
     use arcs_data::schema::{Attribute, Schema};
     use arcs_data::{Dataset, Value};
 
@@ -204,7 +199,7 @@ mod tests {
         let sample: Vec<&Tuple> = ds.iter().collect();
         let config = FactorialConfig {
             optimizer: OptimizerConfig {
-                bitop: crate::bitop::BitOpConfig::no_pruning(),
+                bitop: arcs_core::BitOpConfig::no_pruning(),
                 ..OptimizerConfig::default()
             },
             ..FactorialConfig::default()
@@ -221,7 +216,7 @@ mod tests {
         let ba = b.bin_rows(ds.iter()).unwrap();
         let sample: Vec<&Tuple> = ds.iter().collect();
         let opt = OptimizerConfig {
-            bitop: crate::bitop::BitOpConfig::no_pruning(),
+            bitop: arcs_core::BitOpConfig::no_pruning(),
             ..OptimizerConfig::default()
         };
         let hill = optimize(&ba, 0, &b, &sample, &opt).unwrap();

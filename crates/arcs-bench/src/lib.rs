@@ -4,9 +4,20 @@
 //! runners and table formatting used by the per-figure binaries (one per
 //! table/figure of the paper, see `src/bin/`) and the Criterion
 //! micro-benchmarks (see `benches/`).
+//!
+//! It also holds the alternatives the paper weighs against ARCS, which
+//! only the experiments run: the §5 threshold searches ([`anneal`],
+//! [`factorial`]), §5's clusters over more than two attributes
+//! ([`multidim`]), and §1.1's connected-components baseline with an
+//! exact-cover oracle ([`cover`]).
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
+
+pub mod anneal;
+pub mod cover;
+pub mod factorial;
+pub mod multidim;
 
 use std::time::{Duration, Instant};
 
@@ -14,7 +25,10 @@ use arcs_classifier::{DecisionTree, RuleSet, RulesConfig, TreeConfig};
 use arcs_core::verify::verify_tuples;
 use arcs_core::{Arcs, ArcsConfig, Binner, SegmentRequest, Segmentation};
 use arcs_data::generator::{AgrawalGenerator, GeneratorConfig};
-use arcs_data::Dataset;
+use arcs_data::schema::{Attribute, Schema};
+use arcs_data::{Dataset, Value};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 /// The tuple counts of the paper's Figures 11–14 sweeps (in thousands:
 /// 20, 50, 100, 200, 500, 1000).
@@ -63,6 +77,32 @@ pub fn workload(n: usize, u: f64, seed: u64) -> (Dataset, Dataset) {
     let train = gen.generate(n);
     let test = gen.generate(TEST_SIZE);
     (train, test)
+}
+
+/// The §5 multi-attribute workload: `a`, `b` and `c` uniform on
+/// `[0, 10)`, and a criterion `g` whose group `X` is dense (95%) in the
+/// cube `[2, 5)³` and sparse (2%) elsewhere.
+pub fn cube_workload(n: usize, seed: u64) -> Dataset {
+    let schema = Schema::new(vec![
+        Attribute::quantitative("a", 0.0, 10.0),
+        Attribute::quantitative("b", 0.0, 10.0),
+        Attribute::quantitative("c", 0.0, 10.0),
+        Attribute::categorical("g", ["X", "other"]),
+    ])
+    .expect("valid schema");
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut ds = Dataset::new(schema);
+    for _ in 0..n {
+        let a = rng.gen_range(0.0..10.0);
+        let b = rng.gen_range(0.0..10.0);
+        let c = rng.gen_range(0.0..10.0);
+        let in_box = (2.0..5.0).contains(&a) && (2.0..5.0).contains(&b) && (2.0..5.0).contains(&c);
+        let p_x = if in_box { 0.95 } else { 0.02 };
+        let g = if rng.gen_bool(p_x) { 0 } else { 1 };
+        ds.push(vec![Value::Quant(a), Value::Quant(b), Value::Quant(c), Value::Cat(g)])
+            .expect("tuple conforms");
+    }
+    ds
 }
 
 /// Runs ARCS end to end on `train` and measures error on `test`.

@@ -10,10 +10,11 @@
 
 use std::collections::BTreeMap;
 
+use arcs_core::cluster::fmt_bound;
+use arcs_core::sql::{range_predicate, SqlPredicate};
+use arcs_core::verify::ErrorCounts;
+use arcs_core::{ArcsError, ClusteredRule};
 use arcs_data::{Dataset, Tuple};
-
-use crate::cluster::ClusteredRule;
-use crate::error::ArcsError;
 
 /// An axis-aligned box over any number of named quantitative attributes.
 #[derive(Debug, Clone, PartialEq)]
@@ -102,14 +103,19 @@ impl std::fmt::Display for ClusterBox {
                 write!(f, "  AND  ")?;
             }
             first = false;
-            write!(
-                f,
-                "{} <= {attr} < {}",
-                crate::cluster::fmt_bound(*lo),
-                crate::cluster::fmt_bound(*hi)
-            )?;
+            write!(f, "{} <= {attr} < {}", fmt_bound(*lo), fmt_bound(*hi))?;
         }
         write!(f, "  =>  {} = {}", self.criterion_attr, self.group_label)
+    }
+}
+
+impl SqlPredicate for ClusterBox {
+    fn to_sql_where(&self) -> String {
+        self.ranges
+            .iter()
+            .map(|(attr, &(lo, hi))| range_predicate(attr, lo, hi))
+            .collect::<Vec<_>>()
+            .join(" AND ")
     }
 }
 
@@ -139,7 +145,7 @@ pub fn box_errors(
     dataset: &Dataset,
     criterion_attr: &str,
     group_label: &str,
-) -> Result<crate::verify::ErrorCounts, ArcsError> {
+) -> Result<ErrorCounts, ArcsError> {
     let schema = dataset.schema();
     let criterion_idx = schema.require(criterion_attr)?;
     let gk = schema
@@ -152,7 +158,7 @@ pub fn box_errors(
         })
         .ok_or_else(|| ArcsError::UnknownGroup(group_label.to_string()))? as u32;
 
-    let mut counts = crate::verify::ErrorCounts::default();
+    let mut counts = ErrorCounts::default();
     for tuple in dataset.iter() {
         let mut covered = false;
         for b in boxes {
@@ -175,7 +181,7 @@ pub fn box_errors(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cluster::Rect;
+    use arcs_core::Rect;
     use arcs_data::schema::{Attribute, Schema};
     use arcs_data::Value;
 
@@ -266,6 +272,15 @@ mod tests {
         let text = b.to_string();
         assert!(text.contains("40 <= age < 60"));
         assert!(text.contains("=>  g = A"));
+    }
+
+    #[test]
+    fn box_predicate_joins_all_dimensions() {
+        let mut ranges = BTreeMap::new();
+        ranges.insert("a".to_string(), (0.0, 1.0));
+        ranges.insert("b".to_string(), (2.0, 3.0));
+        let cb = ClusterBox { ranges, criterion_attr: "g".into(), group_label: "X".into() };
+        assert_eq!(cb.to_sql_where(), "\"a\" >= 0 AND \"a\" < 1 AND \"b\" >= 2 AND \"b\" < 3");
     }
 
     #[test]

@@ -2,10 +2,11 @@
 //! paper's real workload: the §3.7 hill climb, §5 simulated annealing, and
 //! §5 factorial design must all recover the Function 2 structure.
 
-use arcs::core::anneal::{anneal, AnnealConfig};
-use arcs::core::factorial::{factorial_search, FactorialConfig};
-use arcs::core::optimizer::{optimize, OptimizerConfig};
-use arcs::prelude::*;
+use arcs_bench::anneal::{anneal, AnnealConfig};
+use arcs_bench::factorial::{factorial_search, FactorialConfig};
+use arcs_core::{optimize, Binner, OptimizerConfig};
+use arcs_data::generator::{AgrawalGenerator, GeneratorConfig};
+use arcs_data::{Dataset, Tuple};
 
 fn setup() -> (Dataset, Binner) {
     let mut gen = AgrawalGenerator::new(GeneratorConfig::paper_defaults(31)).unwrap();

@@ -11,9 +11,7 @@ use arcs_core::optimizer::ThresholdLattice;
 use arcs_core::render::render_clusters;
 use arcs_core::select::{rank_attributes, select_pair_joint};
 use arcs_core::wal::write_atomic;
-use arcs_core::{
-    Arcs, ArcsConfig, ArcsError, BinArray, Binner, GroupRef, SegmentRequest, ServeConfig, Session,
-};
+use arcs_core::{Arcs, ArcsConfig, ArcsError, BinArray, Binner, GroupRef, SegmentRequest, Session};
 use arcs_daemon::protocol::{CODE_NOT_PRIMARY, CODE_NO_DATASET, CODE_UNKNOWN_DATASET};
 use arcs_data::csv::{load_csv_inferred_with_policy, save_csv};
 use arcs_data::generator::{AgrawalGenerator, GeneratorConfig};
@@ -114,7 +112,6 @@ COMMANDS:
     segment     Mine + cluster a CSV into clustered association rules
     explore     Show the support/confidence threshold lattice of a CSV
     rank        Rank attributes by mutual information with a criterion
-    serve       Stress-drive the concurrent serving core over a CSV
     daemon      Serve datasets over TCP (the arcsd wire protocol)
     client      Run one operation against a running arcsd daemon
     repl-status Print a daemon's replication role and counters
@@ -140,7 +137,9 @@ arcs segment <FILE> --criterion <ATTR> --group <LABEL>
 
 Loads a CSV (schema inferred), segments the (x, y) space for the group,
 and prints the clustered association rules. With --categorical, uses the
-density-ordered categorical x-axis extension instead of --x.
+density-ordered categorical x-axis extension instead of --x; the sample,
+budget, stats, grid, SVG and checkpoint flags do not apply to it and are
+refused.
 
 Execution and observability:
   --threads N         worker threads for the CSV load, binning and the
@@ -175,30 +174,6 @@ arcs rank <FILE> --criterion <ATTR> [--bins 20] [--max-categories 16]
 Ranks quantitative attributes by mutual information with the criterion and
 suggests the best pair by joint MI.";
 
-const SERVE_USAGE: &str = "\
-arcs serve <FILE> --criterion <ATTR> --group <LABEL>
-           [--x <ATTR> --y <ATTR>]      (default: auto-select by joint MI)
-           [--bins 50] [--requests 64] [--readers 4] [--appends 3]
-           [--deadline-ms <MS>] [--max-inflight <N>] [--max-queued 64]
-           [--cache 256] [--memory-budget <BYTES>] [--stats json]
-
-Stress-drives the concurrent serving core: bins part of the CSV into an
-epoch-0 snapshot, then races reader threads (sweeping thresholds through
-the result cache) against a writer appending the remaining rows as
-copy-on-write snapshot swaps. Prints the serving stats and verifies the
-final epoch against a sequential re-mine.
-
-Robustness envelope:
-  --deadline-ms MS    per-request deadline; expired requests return a
-                      typed error (whole-run failure exits with code 6)
-  --max-inflight N    concurrent requests admitted (default: CPU count);
-                      excess requests queue up to --max-queued, then are
-                      shed with a typed overload error
-  --cache N           LRU result-cache entries, keyed by snapshot epoch +
-                      thresholds (0 disables)
-  --memory-budget B   per-request bytes; oversized grids are served at a
-                      degraded, coarser resolution";
-
 /// Exit code for runs that completed, but only because the memory budget
 /// forced the grid to a coarser resolution than requested.
 pub const EXIT_BUDGET_DEGRADED: u8 = 5;
@@ -220,7 +195,6 @@ pub fn dispatch_with_status(argv: &[String]) -> Result<(String, u8), CliError> {
         "segment" => segment_with_status(rest),
         "explore" => explore(rest).map(|out| (out, 0)),
         "rank" => rank(rest).map(|out| (out, 0)),
-        "serve" => serve(rest).map(|out| (out, 0)),
         "daemon" => crate::daemon_cmd::daemon(rest).map(|out| (out, 0)),
         "client" => crate::daemon_cmd::client(rest).map(|out| (out, 0)),
         "repl-status" => crate::daemon_cmd::repl_status(rest).map(|out| (out, 0)),
@@ -364,29 +338,6 @@ fn lhs_pair(
     }
 }
 
-/// The serving limits `--max-queued`, `--cache`, `--max-inflight` and
-/// `--deadline-ms` (the default deadline), shared by `arcs serve` and
-/// `arcs daemon`. Unset flags keep [`ServeConfig::default`]'s values.
-pub(crate) fn serve_config(args: &Args) -> Result<ServeConfig, CliError> {
-    let defaults = ServeConfig::default();
-    let mut config = ServeConfig {
-        max_queued: args.get_or("max-queued", defaults.max_queued)?,
-        cache_capacity: args.get_or("cache", defaults.cache_capacity)?,
-        ..defaults
-    };
-    if args.get("max-inflight").is_some() {
-        config.max_inflight = args.get_or("max-inflight", 0)?;
-        if config.max_inflight == 0 {
-            return Err(CliError::Usage("--max-inflight must be > 0".into()));
-        }
-    }
-    if args.get("deadline-ms").is_some() {
-        config.default_deadline =
-            Some(std::time::Duration::from_millis(args.get_or("deadline-ms", 0u64)?));
-    }
-    Ok(config)
-}
-
 /// `arcs segment`: the paper's end-to-end pipeline over a CSV file.
 /// Returns the rendered output plus the exit status (0 clean,
 /// [`EXIT_BUDGET_DEGRADED`] when a memory budget forced a coarser grid).
@@ -418,6 +369,27 @@ fn segment_with_status(argv: &[String]) -> Result<(String, u8), CliError> {
         ],
         &["grid"],
     )?;
+    // The categorical search bins and verifies on its own: these flags
+    // only drive the quantitative pipeline, so refuse them up front.
+    if args.get("categorical").is_some() {
+        let quantitative_only = [
+            "x",
+            "sample",
+            "seed",
+            "stats",
+            "memory-budget",
+            "grid",
+            "svg",
+            "checkpoint",
+            "resume",
+            "checkpoint-every",
+        ];
+        if let Some(flag) =
+            quantitative_only.iter().find(|&&f| args.get(f).is_some() || args.has(f))
+        {
+            return Err(CliError::Usage(format!("--{flag} does not apply with --categorical")));
+        }
+    }
     let threads: Option<usize> = match args.get("threads") {
         None => None,
         Some(_) => {
@@ -704,180 +676,6 @@ pub fn rank(argv: &[String]) -> Result<String, CliError> {
     Ok(out)
 }
 
-/// `arcs serve`: stress-drive the concurrent serving core — readers
-/// sweeping thresholds against copy-on-write snapshot swaps, under the
-/// full robustness envelope (deadlines, admission control, cache).
-pub fn serve(argv: &[String]) -> Result<String, CliError> {
-    use arcs_core::serve::{QueryRequest, Server};
-    use std::sync::Arc;
-
-    if wants_help(argv) {
-        return Ok(SERVE_USAGE.to_string());
-    }
-    let args = Args::parse(
-        argv.iter().cloned(),
-        &[
-            "x",
-            "y",
-            "criterion",
-            "group",
-            "bins",
-            "requests",
-            "readers",
-            "appends",
-            "deadline-ms",
-            "max-inflight",
-            "max-queued",
-            "cache",
-            "memory-budget",
-            "stats",
-            "max-categories",
-            "on-bad-row",
-            "max-bad-fraction",
-        ],
-        &[],
-    )?;
-    let (ds, report) = load(&args, SERVE_USAGE, default_threads())?;
-    if ds.is_empty() {
-        return Err(CliError::Data("no usable rows in the input".into()));
-    }
-    let criterion = args.require("criterion")?;
-    let group = args.require("group")?;
-    let bins: usize = args.get_or("bins", 50)?;
-    let requests: usize = args.get_or("requests", 64)?;
-    let readers: usize = args.get_or("readers", 4)?;
-    let appends: usize = args.get_or("appends", 3)?;
-    if requests == 0 || readers == 0 {
-        return Err(CliError::Usage("--requests and --readers must be > 0".into()));
-    }
-    let memory_budget = memory_budget(&args)?;
-    let want_stats = stats_flag(&args)?;
-    let config = serve_config(&args)?;
-
-    let mut out = String::new();
-    ingest_summary(&mut out, &report);
-
-    let (x_attr, y_attr) = lhs_pair(&args, &ds, criterion, &mut out)?;
-    let binner = Binner::equi_width(ds.schema(), &x_attr, &y_attr, criterion, bins, bins)
-        .map_err(pipeline_err)?;
-    let gk = group_code(&binner, group)?;
-
-    // Split the rows: the first chunk seeds epoch 0, the rest become
-    // streaming appends racing the readers as snapshot swaps.
-    let rows = ds.rows();
-    let chunks = appends + 1;
-    let chunk_len = rows.len().div_ceil(chunks);
-    let mut arrays = Vec::with_capacity(chunks);
-    for chunk in rows.chunks(chunk_len.max(1)) {
-        arrays.push(binner.bin_rows(chunk.iter()).map_err(pipeline_err)?);
-    }
-    let initial = arrays.remove(0);
-    let deltas = arrays;
-
-    let server = Arc::new(Server::new(initial, config).map_err(pipeline_err)?);
-
-    // Deterministic threshold sweep: repeated lattice points across
-    // readers exercise the result cache.
-    let sweep: Vec<(f64, f64)> = [0.0, 0.001, 0.005, 0.01, 0.05, 0.1, 0.25, 0.5]
-        .iter()
-        .flat_map(|&s| [0.0, 0.5].map(|c| (s, c)))
-        .collect();
-
-    let mut handles = Vec::new();
-    for reader in 0..readers {
-        let server = server.clone();
-        let sweep = sweep.clone();
-        let n = requests / readers + usize::from(reader < requests % readers);
-        handles.push(std::thread::spawn(move || -> Result<(u64, u64, u64, u64), ArcsError> {
-            let (mut completed, mut shed, mut timed_out, mut retries) = (0, 0, 0, 0);
-            for i in 0..n {
-                let (s, c) = sweep[(i + reader) % sweep.len()];
-                let thresholds = arcs_core::Thresholds::new(s, c)?;
-                let mut request = QueryRequest::new(gk, thresholds);
-                request.memory_budget = memory_budget;
-                match server.query(&request) {
-                    Ok(resp) => {
-                        completed += 1;
-                        retries += u64::from(resp.retries);
-                    }
-                    Err(ArcsError::Overloaded { .. }) => shed += 1,
-                    Err(ArcsError::DeadlineExceeded { .. }) => timed_out += 1,
-                    Err(err) => return Err(err),
-                }
-            }
-            Ok((completed, shed, timed_out, retries))
-        }));
-    }
-    let writer = {
-        let server = server.clone();
-        std::thread::spawn(move || -> Result<u64, ArcsError> {
-            let mut epoch = 0;
-            for delta in &deltas {
-                epoch = server.append(delta)?;
-            }
-            Ok(epoch)
-        })
-    };
-
-    let (mut completed, mut shed, mut timed_out, mut retries) = (0u64, 0u64, 0u64, 0u64);
-    for handle in handles {
-        let (c, s, t, r) = handle
-            .join()
-            .map_err(|_| CliError::Run("serve reader thread panicked".into()))?
-            .map_err(pipeline_err)?;
-        completed += c;
-        shed += s;
-        timed_out += t;
-        retries += r;
-    }
-    writer
-        .join()
-        .map_err(|_| CliError::Run("serve writer thread panicked".into()))?
-        .map_err(pipeline_err)?;
-
-    // Oracle check on the final epoch: a fresh query must be bit-identical
-    // to a sequential re-mine of the snapshot array.
-    let snapshot = server.snapshot();
-    let check = arcs_core::Thresholds::new(0.0, 0.0).map_err(run_err)?;
-    let served = server.query(&QueryRequest::new(gk, check)).map_err(pipeline_err)?;
-    let oracle = arcs_core::engine::mine_rules(snapshot.array(), gk, check);
-    if served.result.rules != oracle {
-        return Err(CliError::Run(
-            "serving core diverged from the sequential oracle on the final epoch".into(),
-        ));
-    }
-    completed += 1;
-
-    let stats = server.stats();
-    let _ = writeln!(
-        out,
-        "served {completed} of {} requests on {} readers \
-         ({shed} shed, {timed_out} timed out, {retries} retries)",
-        requests + 1,
-        readers
-    );
-    let _ = writeln!(
-        out,
-        "snapshots: epoch {} after {} swaps ({} tuples); \
-         cache: {:.0}% hit rate over {} lookups",
-        stats.epoch,
-        stats.snapshot_swaps,
-        snapshot.array().n_tuples(),
-        stats.cache_hit_rate() * 100.0,
-        stats.cache_hits + stats.cache_misses
-    );
-    let _ = writeln!(out, "final epoch verified bit-identical to the sequential oracle");
-    if want_stats {
-        let _ = writeln!(out, "{}", server.report().to_json());
-    }
-    if completed == 0 {
-        return Err(CliError::Timeout(format!(
-            "no request completed within its deadline ({shed} shed, {timed_out} timed out)"
-        )));
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -942,7 +740,11 @@ mod tests {
     #[test]
     fn help_and_unknown_commands() {
         assert!(dispatch(&argv(&["help"])).unwrap().contains("USAGE"));
-        assert!(matches!(dispatch(&argv(&["bogus"])), Err(CliError::Usage(_))));
+        for cmd in ["bogus", "serve"] {
+            let err = dispatch(&argv(&[cmd])).unwrap_err();
+            assert!(err.to_string().starts_with("unknown command"), "{cmd}: {err}");
+            assert_eq!(err.exit_code(), 2);
+        }
         assert!(matches!(dispatch(&[]), Err(CliError::Usage(_))));
         for cmd in ["generate", "segment", "explore", "rank"] {
             let out = dispatch(&argv(&[cmd, "--help"])).unwrap();
@@ -1110,7 +912,7 @@ mod tests {
         assert!(out.contains("distinct support levels"), "{out}");
         assert!(out.contains("BinArray"), "{out}");
 
-        // An unknown group is a data error (exit 3), as in segment/serve.
+        // An unknown group is a data error (exit 3), as in segment.
         let err = dispatch(&argv(&[
             "explore",
             path_str,
@@ -1165,6 +967,48 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
+    /// `--categorical` runs its own search: each flag of the quantitative
+    /// pipeline is refused by name instead of being silently ignored.
+    #[test]
+    fn segment_categorical_refuses_quantitative_flags() {
+        let path = tmp("f2_cat_flags.csv");
+        let path_str = path.to_str().expect("utf-8 path");
+        dispatch(&argv(&["generate", "--out", path_str, "--n", "500", "--seed", "3"])).unwrap();
+        let ckpt = tmp("f2_cat_flags.ckpt");
+        std::fs::remove_file(&ckpt).ok();
+        let ckpt_str = ckpt.to_str().expect("utf-8 path");
+        let base = [
+            "segment",
+            path_str,
+            "--categorical",
+            "elevel",
+            "--y",
+            "salary",
+            "--criterion",
+            "group",
+            "--group",
+            "A",
+        ];
+        for extra in [
+            &["--x", "age"][..],
+            &["--sample", "100"],
+            &["--seed", "1"],
+            &["--stats", "json"],
+            &["--memory-budget", "100000"],
+            &["--grid"],
+            &["--svg", "plot.svg"],
+            &["--checkpoint", ckpt_str],
+            &["--resume", ckpt_str],
+            &["--checkpoint-every", "100"],
+        ] {
+            let err = dispatch(&argv(&[&base[..], extra].concat())).unwrap_err();
+            assert!(matches!(err, CliError::Usage(_)), "{extra:?}: {err}");
+            assert!(err.to_string().starts_with(&format!("{} ", extra[0])), "{extra:?}: {err}");
+        }
+        assert!(!ckpt.exists());
+        std::fs::remove_file(&path).ok();
+    }
+
     #[test]
     fn usage_errors_are_informative() {
         assert!(matches!(dispatch(&argv(&["generate"])), Err(CliError::Usage(_))));
@@ -1214,30 +1058,6 @@ mod tests {
             ])),
             Err(CliError::Usage(_))
         ));
-        // A zero memory budget is a usage error for `serve` as for
-        // `segment`.
-        for cmd in ["segment", "serve"] {
-            assert!(
-                matches!(
-                    dispatch(&argv(&[
-                        cmd,
-                        path_str,
-                        "--x",
-                        "age",
-                        "--y",
-                        "salary",
-                        "--criterion",
-                        "group",
-                        "--group",
-                        "A",
-                        "--memory-budget",
-                        "0",
-                    ])),
-                    Err(CliError::Usage(_))
-                ),
-                "{cmd} --memory-budget 0"
-            );
-        }
         std::fs::remove_file(&path).ok();
         std::fs::remove_file(&ckpt).ok();
     }
@@ -1258,108 +1078,6 @@ mod tests {
         assert_eq!(CliError::Run(String::new()).exit_code(), 4);
         assert_eq!(CliError::Timeout(String::new()).exit_code(), 6);
         assert_eq!(EXIT_TIMEOUT, 6);
-    }
-
-    /// `arcs serve`: the stress driver races readers against snapshot
-    /// swaps and verifies the final epoch against the sequential oracle.
-    #[test]
-    fn serve_stress_driver_end_to_end() {
-        let path = tmp("f2_serve.csv");
-        let path_str = path.to_str().expect("utf-8 path");
-        dispatch(&argv(&["generate", "--out", path_str, "--n", "8000", "--seed", "13"])).unwrap();
-        let out = dispatch(&argv(&[
-            "serve",
-            path_str,
-            "--x",
-            "age",
-            "--y",
-            "salary",
-            "--criterion",
-            "group",
-            "--group",
-            "A",
-            "--bins",
-            "20",
-            "--requests",
-            "32",
-            "--readers",
-            "4",
-            "--appends",
-            "3",
-            "--max-inflight",
-            "4",
-            "--stats",
-            "json",
-        ]))
-        .unwrap();
-        assert!(out.contains("after 3 swaps"), "{out}");
-        assert!(out.contains("verified bit-identical"), "{out}");
-        assert!(out.contains("hit rate"), "{out}");
-        let json_line = out
-            .lines()
-            .find(|l| l.starts_with('{'))
-            .unwrap_or_else(|| panic!("no JSON stats line in: {out}"));
-        for key in
-            ["\"requests_admitted\"", "\"requests_shed\"", "\"cache_hits\"", "\"snapshot_swaps\":3"]
-        {
-            assert!(json_line.contains(key), "missing {key} in: {json_line}");
-        }
-        std::fs::remove_file(&path).ok();
-    }
-
-    /// `--deadline-ms 0`: every request's deadline is already expired at
-    /// admission, so the run fails with the typed timeout class (exit 6)
-    /// — deterministically, with no sleeping involved.
-    #[test]
-    fn serve_expired_deadline_is_a_timeout_error() {
-        let path = tmp("f2_serve_deadline.csv");
-        let path_str = path.to_str().expect("utf-8 path");
-        dispatch(&argv(&["generate", "--out", path_str, "--n", "2000", "--seed", "13"])).unwrap();
-        let err = dispatch(&argv(&[
-            "serve",
-            path_str,
-            "--x",
-            "age",
-            "--y",
-            "salary",
-            "--criterion",
-            "group",
-            "--group",
-            "A",
-            "--bins",
-            "10",
-            "--requests",
-            "8",
-            "--readers",
-            "2",
-            "--deadline-ms",
-            "0",
-        ]))
-        .unwrap_err();
-        assert!(matches!(err, CliError::Timeout(_)), "{err}");
-        assert_eq!(err.exit_code(), 6);
-        assert!(err.to_string().contains("deadline"), "{err}");
-
-        // A zero admission limit is a usage error, not an internal one.
-        let err = dispatch(&argv(&[
-            "serve",
-            path_str,
-            "--x",
-            "age",
-            "--y",
-            "salary",
-            "--criterion",
-            "group",
-            "--group",
-            "A",
-            "--bins",
-            "10",
-            "--max-inflight",
-            "0",
-        ]))
-        .unwrap_err();
-        assert!(matches!(err, CliError::Usage(_)), "{err}");
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]

@@ -14,7 +14,7 @@ use std::time::{Duration, Instant};
 
 use arcs_core::jsonio::Json;
 use arcs_core::request::{query_result_to_json, Request};
-use arcs_core::serve::ClusterSpec;
+use arcs_core::serve::{ClusterSpec, ServeConfig};
 use arcs_core::ArcsError;
 use arcs_daemon::daemon::{Daemon, DaemonConfig};
 use arcs_daemon::registry::{Registry, Tenant, TenantConfig};
@@ -22,7 +22,7 @@ use arcs_daemon::repl::ReplicationConfig;
 use arcs_daemon::{Client, ClientError, Feeder};
 
 use crate::args::Args;
-use crate::commands::{classify, serve_config, CliError};
+use crate::commands::{classify, CliError};
 use crate::signals;
 
 /// How often the daemon's wait loop checks for signals and the
@@ -161,6 +161,28 @@ fn name_value(spec: &str, flag: &str) -> Result<(String, String), CliError> {
         }
         _ => Err(CliError::Usage(format!("--{flag} expects NAME=FILE, got `{spec}`"))),
     }
+}
+
+/// The serving limits `--max-queued`, `--cache`, `--max-inflight` and
+/// `--deadline-ms` (the default deadline). Unset flags keep
+/// [`ServeConfig::default`]'s values.
+fn serve_config(args: &Args) -> Result<ServeConfig, CliError> {
+    let defaults = ServeConfig::default();
+    let mut config = ServeConfig {
+        max_queued: args.get_or("max-queued", defaults.max_queued)?,
+        cache_capacity: args.get_or("cache", defaults.cache_capacity)?,
+        ..defaults
+    };
+    if args.get("max-inflight").is_some() {
+        config.max_inflight = args.get_or("max-inflight", 0)?;
+        if config.max_inflight == 0 {
+            return Err(CliError::Usage("--max-inflight must be > 0".into()));
+        }
+    }
+    if args.get("deadline-ms").is_some() {
+        config.default_deadline = Some(Duration::from_millis(args.get_or("deadline-ms", 0u64)?));
+    }
+    Ok(config)
 }
 
 /// `arcs daemon`: stand up `arcsd` over one or more CSV datasets.

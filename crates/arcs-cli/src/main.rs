@@ -5,7 +5,6 @@
 //! arcs segment data.csv --criterion group --group A --grid
 //! arcs explore data.csv --x age --y salary --criterion group --group A
 //! arcs rank data.csv --criterion group
-//! arcs serve data.csv --criterion group --group A --deadline-ms 250
 //! arcs daemon --listen 127.0.0.1:7878 --datasets d=data.csv \
 //!     --x age --y salary --criterion group
 //! arcs client --addr 127.0.0.1:7878 query --dataset d --group A \

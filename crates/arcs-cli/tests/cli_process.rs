@@ -451,3 +451,60 @@ fn daemon_opens_a_large_csv_in_memory_below_the_file_size() {
     drop(daemon);
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// The deadline envelope through `arcs daemon`: a client deadline of
+/// 0 ms, or a daemon whose `--deadline-ms 0` default applies to every
+/// query, expires at admission and exits 6 with `deadline` on stderr;
+/// the same query without a deadline is answered.
+#[cfg(unix)]
+#[test]
+fn expired_deadlines_exit_6_through_the_daemon() {
+    let dir = tmp("daemon-deadline");
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let csv = dir.join("f2.csv");
+    let out = arcs()
+        .args(["generate", "--out", csv.to_str().unwrap(), "--n", "2000", "--seed", "13"])
+        .output()
+        .expect("binary runs");
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let datasets = format!("d={}", csv.display());
+    let serve = ["--datasets", &datasets, "--x", "age", "--y", "salary", "--criterion", "group"];
+    let query = |addr: &str, extra: &[&str]| {
+        arcs()
+            .args(["client", "--addr", addr, "query", "--dataset", "d", "--group", "A"])
+            .args(["--support", "0", "--confidence", "0"])
+            .args(extra)
+            .output()
+            .expect("binary runs")
+    };
+
+    // The expired query goes first: a cached answer is served to an
+    // admitted request before its deadline is checked.
+    let (_daemon, addr) = spawn_daemon(&dir, "plain", &serve);
+    let out = query(&addr, &["--deadline-ms", "0"]);
+    assert_eq!(out.status.code(), Some(6));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("deadline"));
+    let out = query(&addr, &[]);
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+
+    let (_expiring, addr) =
+        spawn_daemon(&dir, "expiring", &[&serve[..], &["--deadline-ms", "0"]].concat());
+    let out = query(&addr, &[]);
+    assert_eq!(out.status.code(), Some(6));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("deadline"));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A zero admission limit is refused as a usage error before the daemon
+/// binds its port.
+#[test]
+fn daemon_refuses_a_zero_admission_limit() {
+    let out = arcs()
+        .args(["daemon", "--listen", "127.0.0.1:0", "--datasets", "d=unused.csv"])
+        .args(["--x", "age", "--y", "salary", "--criterion", "group", "--max-inflight", "0"])
+        .output()
+        .expect("binary runs");
+    assert_eq!(out.status.code(), Some(2));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("--max-inflight"));
+}

@@ -149,7 +149,7 @@ impl ClusteredRule {
 /// Formats a bound with at most four decimals, trimming trailing zeros —
 /// keeps binned boundaries like `41.6` readable despite floating-point
 /// representation error.
-pub(crate) fn fmt_bound(v: f64) -> String {
+pub fn fmt_bound(v: f64) -> String {
     let mut s = format!("{v:.4}");
     if s.contains('.') {
         while s.ends_with('0') {

@@ -10,7 +10,6 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod anneal;
 pub mod binarray;
 pub mod binner;
 pub mod binning;
@@ -18,18 +17,15 @@ pub mod bitop;
 pub mod budget;
 pub mod categorical;
 pub mod cluster;
-pub mod cover;
 pub mod engine;
 pub mod error;
 pub mod exec;
-pub mod factorial;
 pub mod faults;
 pub mod grid;
 pub mod index;
 pub mod jsonio;
 pub mod mdl;
 pub mod metrics;
-pub mod multidim;
 pub mod optimizer;
 pub mod pipeline;
 pub mod render;

@@ -128,9 +128,9 @@ const PATIENCE: usize = 4;
 /// that fails to identify the group is useless for the paper's stated
 /// purpose (segmenting the data), so candidates below this recall only
 /// win when *no* candidate reaches it. Documented deviation from the
-/// paper's literal formula; the §5 categorical search and the
+/// paper's literal formula; the §5 categorical search and arcs-bench's
 /// experiment-only searches apply the same guard.
-pub(crate) const MIN_GROUP_RECALL: f64 = 0.5;
+pub const MIN_GROUP_RECALL: f64 = 0.5;
 
 /// Cap on distinct support levels searched (evenly subsampled).
 const MAX_SUPPORT_LEVELS: usize = 16;

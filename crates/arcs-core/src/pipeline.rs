@@ -51,9 +51,7 @@ pub struct ArcsConfig {
     /// the resource governor halves the larger bin axis until the grid
     /// fits (marking the session's segmentations degraded), and refuses
     /// admission with [`ArcsError::BudgetExceeded`] when even the
-    /// coarsest useful grid cannot fit. A per-session override is
-    /// available via
-    /// [`SegmentRequest::memory_budget`](crate::session::SegmentRequest::memory_budget).
+    /// coarsest useful grid cannot fit.
     pub memory_budget: Option<usize>,
 }
 

@@ -60,19 +60,12 @@ pub struct SegmentRequest {
     y: String,
     criterion: String,
     group: Option<String>,
-    memory_budget: Option<usize>,
 }
 
 impl SegmentRequest {
     /// A request clustering the `(x, y)` plane by `criterion`.
     pub fn new(x: impl Into<String>, y: impl Into<String>, criterion: impl Into<String>) -> Self {
-        SegmentRequest {
-            x: x.into(),
-            y: y.into(),
-            criterion: criterion.into(),
-            group: None,
-            memory_budget: None,
-        }
+        SegmentRequest { x: x.into(), y: y.into(), criterion: criterion.into(), group: None }
     }
 
     /// Targets one criterion group, enabling [`Session::segment`] and
@@ -101,24 +94,6 @@ impl SegmentRequest {
     /// The targeted criterion group, if one was set.
     pub fn group_label(&self) -> Option<&str> {
         self.group.as_deref()
-    }
-
-    /// Caps the bin array at `bytes` for this request, overriding
-    /// [`ArcsConfig::memory_budget`]. When the requested grid does not
-    /// fit, the resource governor halves the larger bin axis until it
-    /// does (the session's segmentations are then marked degraded), or
-    /// refuses admission with [`ArcsError::BudgetExceeded`]
-    /// when even the coarsest useful grid exceeds the budget.
-    ///
-    /// [`ArcsError::BudgetExceeded`]: crate::error::ArcsError::BudgetExceeded
-    pub fn memory_budget(mut self, bytes: usize) -> Self {
-        self.memory_budget = Some(bytes);
-        self
-    }
-
-    /// The per-request memory budget, if one was set.
-    fn memory_budget_bytes(&self) -> Option<usize> {
-        self.memory_budget
     }
 }
 
@@ -340,7 +315,13 @@ impl Arcs {
             .ok()
             .and_then(|idx| schema.attribute(idx)?.kind.cardinality())
             .unwrap_or(0);
-        let plan = self.plan_bins(&request, nseg as usize)?;
+        let config = self.config();
+        let plan = crate::budget::plan_bins(
+            config.n_x_bins,
+            config.n_y_bins,
+            nseg as usize,
+            config.memory_budget,
+        )?;
         let binner = self.build_binner(
             schema,
             request.x_attr(),
@@ -385,18 +366,6 @@ impl Arcs {
         let k = self.config().sample_size.min(dataset.len());
         let rows = sample_rows(dataset, k, &mut rng).map_err(ArcsError::Data)?;
         binner.bin_rows(rows)
-    }
-
-    /// Runs the resource governor over the configured bin counts: the
-    /// request's budget override, else [`ArcsConfig::memory_budget`],
-    /// else unlimited (overflow-checked only).
-    fn plan_bins(
-        &self,
-        request: &SegmentRequest,
-        n_groups: usize,
-    ) -> Result<crate::budget::BinPlan, ArcsError> {
-        let budget = request.memory_budget_bytes().or(self.config().memory_budget);
-        crate::budget::plan_bins(self.config().n_x_bins, self.config().n_y_bins, n_groups, budget)
     }
 }
 
@@ -790,12 +759,11 @@ mod tests {
     #[test]
     fn memory_budget_coarsens_bins_instead_of_aborting() {
         let ds = blocky_dataset();
-        let arcs = Arcs::new(small_config()).unwrap();
+        let config = ArcsConfig { memory_budget: Some(400), ..small_config() };
+        let arcs = Arcs::new(config).unwrap();
         // A 10 x 10 grid with 2 groups needs (2+1)*100*4 = 1200 bytes; a
         // 400-byte budget forces two halvings: (5,10) = 600, (5,5) = 300.
-        let mut session = arcs
-            .open(&ds, SegmentRequest::new("x", "y", "g").group("A").memory_budget(400))
-            .unwrap();
+        let mut session = arcs.open(&ds, SegmentRequest::new("x", "y", "g").group("A")).unwrap();
         assert_eq!(session.budget_coarsening_steps(), 2);
         assert_eq!(session.bin_array().nx(), 5);
         assert_eq!(session.bin_array().ny(), 5);
@@ -821,13 +789,12 @@ mod tests {
     #[test]
     fn impossible_budget_is_refused_at_open() {
         let ds = blocky_dataset();
-        let arcs = Arcs::new(small_config()).unwrap();
+        let config = ArcsConfig { memory_budget: Some(10), ..small_config() };
+        let arcs = Arcs::new(config).unwrap();
         // Even the coarsest useful grid (2 x 2, 2 groups = 48 bytes)
         // cannot fit in 10 bytes: refuse admission, don't coarsen to
         // nothing.
-        let err = arcs
-            .open(&ds, SegmentRequest::new("x", "y", "g").group("A").memory_budget(10))
-            .unwrap_err();
+        let err = arcs.open(&ds, SegmentRequest::new("x", "y", "g").group("A")).unwrap_err();
         assert!(matches!(err, ArcsError::BudgetExceeded { .. }), "{err}");
     }
 

@@ -8,7 +8,6 @@
 
 use crate::categorical::CategoricalRule;
 use crate::cluster::ClusteredRule;
-use crate::multidim::ClusterBox;
 
 /// Quotes an identifier for standard SQL (`"name"`, embedded quotes
 /// doubled).
@@ -22,7 +21,9 @@ pub fn quote_literal(value: &str) -> String {
     format!("'{}'", value.replace('\'', "''"))
 }
 
-fn range_predicate(attr: &str, lo: f64, hi: f64) -> String {
+/// The half-open range `lo <= attr < hi` as a predicate over the quoted
+/// identifier.
+pub fn range_predicate(attr: &str, lo: f64, hi: f64) -> String {
     format!("{0} >= {1} AND {0} < {2}", quote_ident(attr), lo, hi)
 }
 
@@ -61,16 +62,6 @@ impl SqlPredicate for CategoricalRule {
     }
 }
 
-impl SqlPredicate for ClusterBox {
-    fn to_sql_where(&self) -> String {
-        self.ranges
-            .iter()
-            .map(|(attr, &(lo, hi))| range_predicate(attr, lo, hi))
-            .collect::<Vec<_>>()
-            .join(" AND ")
-    }
-}
-
 /// Renders a whole segmentation as one predicate: the union (`OR`) of the
 /// per-rule predicates, each parenthesised.
 pub fn segmentation_where<T: SqlPredicate>(rules: &[T]) -> String {
@@ -84,7 +75,6 @@ pub fn segmentation_where<T: SqlPredicate>(rules: &[T]) -> String {
 mod tests {
     use super::*;
     use crate::cluster::Rect;
-    use std::collections::BTreeMap;
 
     fn rule() -> ClusteredRule {
         ClusteredRule {
@@ -137,15 +127,6 @@ mod tests {
             rule.to_sql_where(),
             "\"zip\" IN ('94305', '94040') AND \"salary\" >= 20000 AND \"salary\" < 60000"
         );
-    }
-
-    #[test]
-    fn box_predicate_joins_all_dimensions() {
-        let mut ranges = BTreeMap::new();
-        ranges.insert("a".to_string(), (0.0, 1.0));
-        ranges.insert("b".to_string(), (2.0, 3.0));
-        let cb = ClusterBox { ranges, criterion_attr: "g".into(), group_label: "X".into() };
-        assert_eq!(cb.to_sql_where(), "\"a\" >= 0 AND \"a\" < 1 AND \"b\" >= 2 AND \"b\" < 3");
     }
 
     #[test]

@@ -3,7 +3,8 @@
 //!
 //! We build a demographic customer database where the "excellent"
 //! customers concentrate in two (age, income) pockets, run ARCS for each
-//! rating, and print a human-readable segmentation — plus the entropy-based
+//! rating, and print a human-readable segmentation with the SQL `WHERE`
+//! clause that selects its mailing list — plus the entropy-based
 //! attribute selection the paper proposes in §5.
 //!
 //! ```sh
@@ -11,6 +12,7 @@
 //! ```
 
 use arcs::core::select::rank_attributes;
+use arcs::core::sql::segmentation_where;
 use arcs::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -87,6 +89,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             seg.score.cost,
             seg.errors.rate() * 100.0
         );
+        println!("  mailing selection: WHERE {}", segmentation_where(&seg.rules));
     }
 
     println!(

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Reruns the six fast deterministic experiment binaries and diffs their
+# Reruns the seven fast deterministic experiment binaries and diffs their
 # stdout against the files in results/. Each prints the same bytes on
 # every run and at any CPU count, apart from exp_recovered_rules'
 # `elapsed:` lines (wall time), which are left out of the comparison.
@@ -17,7 +17,7 @@ cargo build --release -q -p arcs-bench --bins
 status=0
 for pair in fig7_smoothing:fig7 exp_ablation:ablation exp_categorical:categorical \
     exp_clusterer_quality:clusterer_quality exp_recovered_rules:recovered_rules \
-    exp_bin_granularity:bin_granularity; do
+    exp_bin_granularity:bin_granularity exp_multidim:multidim; do
     bin=${pair%%:*}
     file=results/${pair##*:}.txt
     if diff <(grep -v '^elapsed:' "$file") <("target/release/$bin" | grep -v '^elapsed:'); then

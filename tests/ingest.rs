@@ -1,12 +1,15 @@
 //! Robust-ingest properties: randomly corrupted CSV bytes must make the
 //! Strict policy error, must never panic (or mis-count) the lenient
-//! policies, and an interrupted checkpointed binning pass must resume to
-//! a bit-identical `BinArray`.
+//! policies, an interrupted checkpointed binning pass must resume to
+//! a bit-identical `BinArray`, and a CSV round trip must not move a
+//! segmentation.
+
+use std::io::Cursor;
 
 use proptest::collection::vec;
 use proptest::prelude::*;
 
-use arcs::data::csv::{read_csv, read_csv_with_policy};
+use arcs::data::csv::{read_csv, read_csv_with_policy, write_csv};
 use arcs::prelude::*;
 
 fn schema() -> Schema {
@@ -254,4 +257,30 @@ fn too_tight_thresholds_degrade_instead_of_failing() {
             .and_then(|mut s| s.segment()),
         Err(ArcsError::NoSegmentation)
     ));
+}
+
+#[test]
+fn csv_roundtrip_preserves_segmentation() {
+    let mut gen = AgrawalGenerator::new(GeneratorConfig::paper_defaults(11)).unwrap();
+    let ds = gen.generate(8_000);
+
+    let mut buf = Vec::new();
+    write_csv(&ds, &mut buf).unwrap();
+    let reloaded = read_csv(ds.schema().clone(), Cursor::new(&buf)).unwrap();
+    assert_eq!(reloaded.len(), ds.len());
+
+    let arcs = Arcs::with_defaults();
+    let original = arcs
+        .open(&ds, SegmentRequest::new("age", "salary", "group").group("A"))
+        .unwrap()
+        .segment()
+        .unwrap();
+    let roundtrip = arcs
+        .open(&reloaded, SegmentRequest::new("age", "salary", "group").group("A"))
+        .unwrap()
+        .segment()
+        .unwrap();
+    // CSV stores full f64 precision (`{}` formatting), so clusters must be
+    // identical.
+    assert_eq!(original.clusters, roundtrip.clusters);
 }
