@@ -454,8 +454,9 @@ fn daemon_opens_a_large_csv_in_memory_below_the_file_size() {
 
 /// The deadline envelope through `arcs daemon`: a client deadline of
 /// 0 ms, or a daemon whose `--deadline-ms 0` default applies to every
-/// query, expires at admission and exits 6 with `deadline` on stderr;
-/// the same query without a deadline is answered.
+/// query, expires at admission and exits 6 with `deadline` on stderr,
+/// also when the daemon holds a cached answer at those thresholds; the
+/// same query without a deadline is answered.
 #[cfg(unix)]
 #[test]
 fn expired_deadlines_exit_6_through_the_daemon() {
@@ -479,14 +480,17 @@ fn expired_deadlines_exit_6_through_the_daemon() {
             .expect("binary runs")
     };
 
-    // The expired query goes first: a cached answer is served to an
-    // admitted request before its deadline is checked.
     let (_daemon, addr) = spawn_daemon(&dir, "plain", &serve);
     let out = query(&addr, &["--deadline-ms", "0"]);
     assert_eq!(out.status.code(), Some(6));
     assert!(String::from_utf8_lossy(&out.stderr).contains("deadline"));
     let out = query(&addr, &[]);
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    // The answer at these thresholds is cached now; it is not served to an
+    // expired request.
+    let out = query(&addr, &["--deadline-ms", "0"]);
+    assert_eq!(out.status.code(), Some(6));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("deadline"));
 
     let (_expiring, addr) =
         spawn_daemon(&dir, "expiring", &[&serve[..], &["--deadline-ms", "0"]].concat());

@@ -14,7 +14,7 @@
 use crate::binarray::BinArray;
 use crate::error::ArcsError;
 use crate::grid::Grid;
-use crate::index::OccupancyIndex;
+use crate::index::{GroupCell, OccupancyIndex};
 
 /// Minimum support and confidence thresholds (fractions in `[0, 1]`).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -44,6 +44,11 @@ impl Thresholds {
 
 /// One mined two-dimensional association rule over binned data:
 /// `X = x ∧ Y = y ⇒ G = group`.
+///
+/// Every measure is a ratio of the rule's cell counts and the array's
+/// totals, and every rule is built by [`BinnedRule::from_counts`], so two
+/// rules with the same counts are `==` bit for bit wherever they were
+/// built: in either miner, or decoded from a served reply.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BinnedRule {
     /// x bin index.
@@ -56,8 +61,10 @@ pub struct BinnedRule {
     pub support: f64,
     /// Rule confidence.
     pub confidence: f64,
-    /// Raw tuple count backing the rule.
+    /// Raw tuple count backing the rule: the group's tuples in the cell.
     pub count: u32,
+    /// Tuples of every group in the cell.
+    pub total: u32,
     /// Lift: confidence divided by the group's base rate `P(G = g)` —
     /// `> 1` means the cell is *denser* in the group than chance, the
     /// "greater-than-expected" interest notion the paper's §1.1 discusses
@@ -69,34 +76,42 @@ pub struct BinnedRule {
     pub leverage: f64,
 }
 
-/// Assembles one [`BinnedRule`] from a qualifying cell's raw counts.
-/// Shared by the reference and indexed miners so both emit bit-identical
-/// rules.
-// The argument list mirrors the cell's raw measurements one-to-one; a
-// carrier struct would be built and destructured at exactly two sites.
-#[allow(clippy::too_many_arguments)]
-#[inline]
-fn make_rule(
-    x: usize,
-    y: usize,
-    gk: u32,
-    count: u32,
-    total: u32,
-    confidence: f64,
-    n: f64,
-    group_rate: f64,
-) -> BinnedRule {
-    let support = count as f64 / n;
-    let cell_rate = total as f64 / n;
-    BinnedRule {
-        x,
-        y,
-        group: gk,
-        support,
-        confidence,
-        count,
-        lift: if group_rate > 0.0 { confidence / group_rate } else { 0.0 },
-        leverage: support - cell_rate * group_rate,
+impl BinnedRule {
+    /// The rule of cell `(x, y)` for `group`, from the cell's group
+    /// `count` and `total` and the array's `n_tuples` and `group_total`:
+    ///
+    /// - support `count / N`,
+    /// - confidence `count / total`,
+    /// - lift `confidence / (group_total / N)` (0 when the group is empty),
+    /// - leverage `support − (total / N) · (group_total / N)`.
+    ///
+    /// The one constructor of a rule: both miners and both reply decoders
+    /// call it.
+    #[inline]
+    pub fn from_counts(
+        x: usize,
+        y: usize,
+        group: u32,
+        count: u32,
+        total: u32,
+        n_tuples: u64,
+        group_total: u64,
+    ) -> Self {
+        let n = n_tuples as f64;
+        let group_rate = if n_tuples == 0 { 0.0 } else { group_total as f64 / n };
+        let support = count as f64 / n;
+        let confidence = count as f64 / total as f64;
+        BinnedRule {
+            x,
+            y,
+            group,
+            support,
+            confidence,
+            count,
+            total,
+            lift: if group_rate > 0.0 { confidence / group_rate } else { 0.0 },
+            leverage: support - (total as f64 / n) * group_rate,
+        }
     }
 }
 
@@ -110,8 +125,7 @@ fn make_rule(
 /// proportional to the occupied cells, not the grid.
 pub fn mine_rules(array: &BinArray, gk: u32, thresholds: Thresholds) -> Vec<BinnedRule> {
     let min_support_count = min_support_count_for(array.n_tuples(), thresholds.min_support);
-    let n = array.n_tuples() as f64;
-    let group_rate = if array.n_tuples() == 0 { 0.0 } else { array.group_total(gk) as f64 / n };
+    let group_total = array.group_total(gk);
     let mut rules = Vec::new();
     for y in 0..array.ny() {
         for x in 0..array.nx() {
@@ -121,11 +135,18 @@ pub fn mine_rules(array: &BinArray, gk: u32, thresholds: Thresholds) -> Vec<Binn
             }
             let total = array.cell_total(x, y);
             debug_assert!(total >= count);
-            let confidence = count as f64 / total as f64;
-            if confidence < thresholds.min_confidence {
+            if (count as f64 / total as f64) < thresholds.min_confidence {
                 continue;
             }
-            rules.push(make_rule(x, y, gk, count, total, confidence, n, group_rate));
+            rules.push(BinnedRule::from_counts(
+                x,
+                y,
+                gk,
+                count,
+                total,
+                array.n_tuples(),
+                group_total,
+            ));
         }
     }
     rules
@@ -136,31 +157,27 @@ pub fn mine_rules(array: &BinArray, gk: u32, thresholds: Thresholds) -> Vec<Binn
 /// reference scan, so the emitted rules are bit-identical). Returns the
 /// rules plus the number of cells visited, for the `cells_visited`
 /// observability counter.
+///
+/// The qualifying cells are counted before the rules are built, so the
+/// returned vector holds exactly its rules: a served result keeps it for
+/// as long as the result cache holds the entry.
 pub fn mine_rules_indexed(
     index: &OccupancyIndex,
     gk: u32,
     thresholds: Thresholds,
 ) -> (Vec<BinnedRule>, u64) {
     let min_support_count = min_support_count_for(index.n_tuples(), thresholds.min_support);
-    let n = index.n_tuples() as f64;
-    let group_rate = if index.n_tuples() == 0 { 0.0 } else { index.group_total(gk) as f64 / n };
     let cells = index.group_cells(gk);
-    let mut rules = Vec::new();
-    for cell in cells {
-        if (cell.count as u64) < min_support_count || cell.confidence < thresholds.min_confidence {
-            continue;
-        }
-        rules.push(make_rule(
-            cell.x,
-            cell.y,
-            gk,
-            cell.count,
-            cell.total,
-            cell.confidence,
-            n,
-            group_rate,
-        ));
-    }
+    let qualifies = |cell: &&GroupCell| {
+        let fails =
+            (cell.count as u64) < min_support_count || cell.confidence < thresholds.min_confidence;
+        !fails
+    };
+    let (n_tuples, group_total) = (index.n_tuples(), index.group_total(gk));
+    let mut rules = Vec::with_capacity(cells.iter().filter(qualifies).count());
+    rules.extend(cells.iter().filter(qualifies).map(|cell| {
+        BinnedRule::from_counts(cell.x, cell.y, gk, cell.count, cell.total, n_tuples, group_total)
+    }));
     (rules, cells.len() as u64)
 }
 

@@ -21,10 +21,9 @@
 //!   Numbers use Rust's shortest round-trip float formatting, so every
 //!   finite `f64` survives a serialize → parse cycle bit-identically;
 //!   integral values below 2^53 take an integer path that prints the same
-//!   digits. Strings are copied a run of plain bytes at a time.
-//!   Bit-exact number transport is what lets the daemon end-to-end test
-//!   compare wire responses against the in-process
-//!   [`crate::serve::Server`] oracle with `==`.
+//!   digits. Strings are copied a run of plain bytes at a time. (A served
+//!   query result holds integers only; its decoder rebuilds the rules'
+//!   measures from them, see [`crate::request::query_result_to_json`].)
 //!
 //! Non-finite floats (`NaN`, `±inf`) have no JSON representation; the
 //! writer emits `null` for them, and the pipeline never produces them in

@@ -239,10 +239,6 @@ fn require_usize(json: &Json, key: &str, what: &str) -> Result<usize, ArcsError>
     index(json.get(key).and_then(Json::as_f64), what)
 }
 
-fn require_u32(json: &Json, key: &str, what: &str) -> Result<u32, ArcsError> {
-    index_u32(json.get(key).and_then(Json::as_f64), what)
-}
-
 /// Canonical JSON for [`Thresholds`] (`{"min_support", "min_confidence"}`).
 fn thresholds_to_json(t: Thresholds) -> Json {
     obj(vec![
@@ -310,71 +306,54 @@ impl ClusterSpec {
 }
 
 /// Canonical JSON for a served [`QueryResult`] — the response payload
-/// shape shared by the daemon and the CLI client. The tree form of
-/// [`write_query_result`], which prints the same text without building it;
-/// kept as the reference the codec tests compare against.
+/// shape shared by the daemon and the CLI client. It holds integers only:
+///
+/// ```text
+/// {"epoch":E,"group":G,"n_tuples":N,"group_total":T,
+///  "rules":[[x,y,count,total],…],"clusters":[[x0,y0,x1,y1],…],
+///  "coarsening_steps":S}
+/// ```
+///
+/// with `clusters` present only when the query clustered. A rule's
+/// measures are not printed: the decoders rebuild each rule from its
+/// counts through [`BinnedRule::from_counts`], the constructor the miner
+/// built it with. The tree form of [`write_query_result`], which prints the
+/// same text without building it; kept as the reference the codec tests
+/// compare against.
 pub fn query_result_to_json(result: &QueryResult) -> Json {
-    let rules = result
-        .rules
-        .iter()
-        .map(|r| {
-            obj(vec![
-                ("x", Json::Num(r.x as f64)),
-                ("y", Json::Num(r.y as f64)),
-                ("group", Json::Num(r.group as f64)),
-                ("support", Json::Num(r.support)),
-                ("confidence", Json::Num(r.confidence)),
-                ("count", Json::Num(r.count as f64)),
-                ("lift", Json::Num(r.lift)),
-                ("leverage", Json::Num(r.leverage)),
-            ])
-        })
-        .collect();
-    let mut pairs = vec![("epoch", Json::Num(result.epoch as f64)), ("rules", Json::Arr(rules))];
+    let quads = |quads: &mut dyn Iterator<Item = [u64; 4]>| {
+        Json::Arr(quads.map(|quad| Json::Arr(quad.map(|v| Json::Num(v as f64)).into())).collect())
+    };
+    let mut pairs = vec![
+        ("epoch", Json::Num(result.epoch as f64)),
+        ("group", Json::Num(result.group as f64)),
+        ("n_tuples", Json::Num(result.n_tuples as f64)),
+        ("group_total", Json::Num(result.group_total as f64)),
+        ("rules", quads(&mut result.rules.iter().map(rule_quad))),
+    ];
     if let Some(clusters) = &result.clusters {
-        pairs.push((
-            "clusters",
-            Json::Arr(
-                clusters
-                    .iter()
-                    .map(|c| {
-                        obj(vec![
-                            ("x0", Json::Num(c.x0 as f64)),
-                            ("y0", Json::Num(c.y0 as f64)),
-                            ("x1", Json::Num(c.x1 as f64)),
-                            ("y1", Json::Num(c.y1 as f64)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ));
+        pairs.push(("clusters", quads(&mut clusters.iter().map(rect_quad))));
     }
     pairs.push(("coarsening_steps", Json::Num(result.coarsening_steps as f64)));
     obj(pairs)
 }
 
-/// Decodes a [`QueryResult`] from its canonical JSON. Floats round-trip
-/// bit-identically (see [`crate::jsonio`]), so a decoded result compares
-/// `==` against the in-process original — the property the daemon's
-/// end-to-end oracle test rests on. The tree form of [`read_query_result`].
+/// Decodes a [`QueryResult`] from its canonical JSON, rebuilding every
+/// rule from its counts, so a decoded result compares `==` against the
+/// in-process original — the property the daemon's end-to-end oracle test
+/// rests on. A document that is not in this shape, such as one whose rules
+/// are objects of float measures, is an [`ArcsError::InvalidConfig`]; so
+/// are counts no bin array could hold: `group_total > n_tuples`, or a rule
+/// outside `1 <= count <= total <= n_tuples` and `count <= group_total`.
+/// The tree form of [`read_query_result`].
 pub fn query_result_from_json(json: &Json) -> Result<QueryResult, ArcsError> {
+    let number = |key: &str| json.get(key).and_then(Json::as_f64);
     let rules = json
         .get("rules")
         .and_then(Json::as_arr)
         .ok_or_else(|| bad("result missing `rules` array"))?
         .iter()
-        .map(|r| {
-            Ok(BinnedRule {
-                x: require_usize(r, "x", "rule.x")?,
-                y: require_usize(r, "y", "rule.y")?,
-                group: require_u32(r, "group", "rule.group")?,
-                support: require_f64(r, "support", "rule.support")?,
-                confidence: require_f64(r, "confidence", "rule.confidence")?,
-                count: require_u32(r, "count", "rule.count")?,
-                lift: require_f64(r, "lift", "rule.lift")?,
-                leverage: require_f64(r, "leverage", "rule.leverage")?,
-            })
-        })
+        .map(|r| cell(quad(r, "rule")?))
         .collect::<Result<Vec<_>, ArcsError>>()?;
     let clusters = match json.get("clusters") {
         None => None,
@@ -382,86 +361,75 @@ pub fn query_result_from_json(json: &Json) -> Result<QueryResult, ArcsError> {
             c.as_arr()
                 .ok_or_else(|| bad("`clusters` must be an array"))?
                 .iter()
-                .map(|r| {
-                    Rect::new(
-                        require_usize(r, "x0", "cluster.x0")?,
-                        require_usize(r, "y0", "cluster.y0")?,
-                        require_usize(r, "x1", "cluster.x1")?,
-                        require_usize(r, "y1", "cluster.y1")?,
-                    )
-                })
+                .map(|r| rect(quad(r, "cluster")?))
                 .collect::<Result<Vec<_>, ArcsError>>()?,
         ),
     };
-    Ok(QueryResult {
-        epoch: json
-            .get("epoch")
-            .and_then(Json::as_u64)
-            .ok_or_else(|| bad("result missing `epoch`"))?,
+    ResultMembers {
+        epoch: number("epoch"),
+        group: number("group"),
+        n_tuples: number("n_tuples"),
+        group_total: number("group_total"),
         rules,
         clusters,
-        coarsening_steps: require_u32(json, "coarsening_steps", "coarsening_steps")?,
-    })
+        coarsening_steps: number("coarsening_steps"),
+    }
+    .into_result()
 }
 
 /// Appends the canonical JSON of `result`: the text
 /// `query_result_to_json(result).to_string()` prints, written without the
 /// tree. Every number goes through [`write_number`], as the tree's do.
 pub fn write_query_result(result: &QueryResult, out: &mut String) {
-    out.push_str("{\"epoch\":");
-    write_number(result.epoch as f64, out);
-    out.push_str(",\"rules\":[");
-    for (i, r) in result.rules.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        write_numbers(
-            &[
-                ("x", r.x as f64),
-                ("y", r.y as f64),
-                ("group", r.group as f64),
-                ("support", r.support),
-                ("confidence", r.confidence),
-                ("count", r.count as f64),
-                ("lift", r.lift),
-                ("leverage", r.leverage),
-            ],
-            out,
-        );
+    for (i, (key, value)) in [
+        ("epoch", result.epoch),
+        ("group", result.group.into()),
+        ("n_tuples", result.n_tuples),
+        ("group_total", result.group_total),
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        out.push_str(if i == 0 { "{\"" } else { ",\"" });
+        out.push_str(key);
+        out.push_str("\":");
+        write_number(value as f64, out);
     }
-    out.push(']');
+    out.push_str(",\"rules\":");
+    write_quads(result.rules.iter().map(rule_quad), out);
     if let Some(clusters) = &result.clusters {
-        out.push_str(",\"clusters\":[");
-        for (i, c) in clusters.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            write_numbers(
-                &[
-                    ("x0", c.x0 as f64),
-                    ("y0", c.y0 as f64),
-                    ("x1", c.x1 as f64),
-                    ("y1", c.y1 as f64),
-                ],
-                out,
-            );
-        }
-        out.push(']');
+        out.push_str(",\"clusters\":");
+        write_quads(clusters.iter().map(rect_quad), out);
     }
     out.push_str(",\"coarsening_steps\":");
     write_number(result.coarsening_steps as f64, out);
     out.push('}');
 }
 
-/// Writes an object of number members; the keys need no escaping.
-fn write_numbers(members: &[(&str, f64)], out: &mut String) {
-    for (i, (key, value)) in members.iter().enumerate() {
-        out.push_str(if i == 0 { "{\"" } else { ",\"" });
-        out.push_str(key);
-        out.push_str("\":");
-        write_number(*value, out);
+/// A rule's entry in the result document: `[x, y, count, total]`.
+fn rule_quad(rule: &BinnedRule) -> [u64; 4] {
+    [rule.x as u64, rule.y as u64, rule.count.into(), rule.total.into()]
+}
+
+/// A cluster's entry in the result document: `[x0, y0, x1, y1]`.
+fn rect_quad(rect: &Rect) -> [u64; 4] {
+    [rect.x0 as u64, rect.y0 as u64, rect.x1 as u64, rect.y1 as u64]
+}
+
+/// Writes an array of integer quadruples.
+fn write_quads(quads: impl Iterator<Item = [u64; 4]>, out: &mut String) {
+    out.push('[');
+    for (i, quad) in quads.enumerate() {
+        out.push_str(if i == 0 { "[" } else { ",[" });
+        for (j, value) in quad.into_iter().enumerate() {
+            if j > 0 {
+                out.push(',');
+            }
+            write_number(value as f64, out);
+        }
+        out.push(']');
     }
-    out.push('}');
+    out.push(']');
 }
 
 /// Reads a [`QueryResult`] object from `reader`, accepting exactly what
@@ -469,88 +437,173 @@ fn write_numbers(members: &[(&str, f64)], out: &mut String) {
 /// any order, unknown members skipped, and of a repeated key the first
 /// occurrence, as `Json::get` finds it.
 pub fn read_query_result(reader: &mut Reader<'_>) -> Result<QueryResult, ArcsError> {
-    let (mut epoch, mut rules, mut clusters, mut steps) = (None, None, None, None);
+    let (mut epoch, mut group, mut n_tuples, mut group_total, mut steps) =
+        (None, None, None, None, None);
+    let (mut rules, mut clusters) = (None, None);
     reader.begin_object()?;
     while let Some(key) = reader.key()? {
         match &*key {
-            "epoch" if epoch.is_none() => epoch = Some(reader.read_if(Kind::Num, Reader::number)?),
+            "epoch" => read_first_number(reader, &mut epoch)?,
+            "group" => read_first_number(reader, &mut group)?,
+            "n_tuples" => read_first_number(reader, &mut n_tuples)?,
+            "group_total" => read_first_number(reader, &mut group_total)?,
+            "coarsening_steps" => read_first_number(reader, &mut steps)?,
             "rules" if rules.is_none() => {
-                let mut list = Vec::new();
-                begin_array(reader, "result missing `rules` array")?;
-                while reader.next_element()? {
-                    list.push(read_rule(reader)?);
-                }
-                rules = Some(list);
+                rules = Some(read_quads(reader, "result missing `rules` array", "rule", cell)?);
             }
             "clusters" if clusters.is_none() => {
-                let mut list = Vec::new();
-                begin_array(reader, "`clusters` must be an array")?;
-                while reader.next_element()? {
-                    let [x0, y0, x1, y1] =
-                        read_numbers(reader, ["x0", "y0", "x1", "y1"], "cluster")?;
-                    list.push(Rect::new(
-                        index(x0, "cluster.x0")?,
-                        index(y0, "cluster.y0")?,
-                        index(x1, "cluster.x1")?,
-                        index(y1, "cluster.y1")?,
-                    )?);
-                }
-                clusters = Some(list);
-            }
-            "coarsening_steps" if steps.is_none() => {
-                steps = Some(reader.read_if(Kind::Num, Reader::number)?);
+                clusters =
+                    Some(read_quads(reader, "`clusters` must be an array", "cluster", rect)?);
             }
             _ => reader.skip_value()?,
         }
     }
-    Ok(QueryResult {
-        epoch: epoch.flatten().and_then(exact_u64).ok_or_else(|| bad("result missing `epoch`"))?,
+    ResultMembers {
+        epoch: epoch.flatten(),
+        group: group.flatten(),
+        n_tuples: n_tuples.flatten(),
+        group_total: group_total.flatten(),
         rules: rules.ok_or_else(|| bad("result missing `rules` array"))?,
         clusters,
-        coarsening_steps: index_u32(steps.flatten(), "coarsening_steps")?,
-    })
+        coarsening_steps: steps.flatten(),
+    }
+    .into_result()
 }
 
-fn read_rule(reader: &mut Reader<'_>) -> Result<BinnedRule, ArcsError> {
-    let [x, y, group, support, confidence, count, lift, leverage] = read_numbers(
-        reader,
-        ["x", "y", "group", "support", "confidence", "count", "lift", "leverage"],
-        "rule",
-    )?;
-    Ok(BinnedRule {
-        x: index(x, "rule.x")?,
-        y: index(y, "rule.y")?,
-        group: index_u32(group, "rule.group")?,
-        support: number(support, "rule.support")?,
-        confidence: number(confidence, "rule.confidence")?,
-        count: index_u32(count, "rule.count")?,
-        lift: number(lift, "rule.lift")?,
-        leverage: number(leverage, "rule.leverage")?,
-    })
-}
-
-/// Reads an object and returns, for each of `keys`, the number its first
-/// occurrence holds (`None` when absent or not a number). Other members
-/// are skipped.
-fn read_numbers<const N: usize>(
+/// Reads a member's value into `slot` if it is the key's first occurrence:
+/// `Some(None)` when it is not a number, what `Json::get` and
+/// `Json::as_f64` would give. A later occurrence is skipped.
+fn read_first_number(
     reader: &mut Reader<'_>,
-    keys: [&str; N],
+    slot: &mut Option<Option<f64>>,
+) -> Result<(), ArcsError> {
+    if slot.is_some() {
+        return Ok(reader.skip_value()?);
+    }
+    *slot = Some(reader.read_if(Kind::Num, Reader::number)?);
+    Ok(())
+}
+
+/// Reads an array of integer quadruples, converting each with `convert`.
+fn read_quads<T>(
+    reader: &mut Reader<'_>,
+    not_an_array: &str,
     what: &str,
-) -> Result<[Option<f64>; N], ArcsError> {
-    if reader.kind()? != Kind::Obj {
-        return Err(bad(format!("{what} must be an object")));
-    }
-    let mut values = [None; N];
-    reader.begin_object()?;
-    while let Some(key) = reader.key()? {
-        match keys.iter().position(|k| *k == key) {
-            Some(i) if values[i].is_none() => {
-                values[i] = Some(reader.read_if(Kind::Num, Reader::number)?);
-            }
-            _ => reader.skip_value()?,
+    convert: fn([Option<f64>; 4]) -> Result<T, ArcsError>,
+) -> Result<Vec<T>, ArcsError> {
+    begin_array(reader, not_an_array)?;
+    let mut list = Vec::new();
+    while reader.next_element()? {
+        if reader.kind()? != Kind::Arr {
+            return Err(not_a_quad(what));
         }
+        reader.begin_array()?;
+        let mut values = [None; 4];
+        let mut len = 0;
+        while reader.next_element()? {
+            let value = reader.read_if(Kind::Num, Reader::number)?;
+            if let Some(slot) = values.get_mut(len) {
+                *slot = value;
+            }
+            len += 1;
+        }
+        if len != values.len() {
+            return Err(not_a_quad(what));
+        }
+        list.push(convert(values)?);
     }
-    Ok(values.map(Option::flatten))
+    Ok(list)
+}
+
+/// A tree array of four members as [`read_quads`] reads one: each `None`
+/// when it is not a number.
+fn quad(json: &Json, what: &str) -> Result<[Option<f64>; 4], ArcsError> {
+    match json.as_arr() {
+        Some([a, b, c, d]) => Ok([a.as_f64(), b.as_f64(), c.as_f64(), d.as_f64()]),
+        _ => Err(not_a_quad(what)),
+    }
+}
+
+fn not_a_quad(what: &str) -> ArcsError {
+    bad(format!("{what} must be an array of four integers"))
+}
+
+/// A rule's `[x, y, count, total]`, before it is checked against the
+/// document's totals.
+type Cell = (usize, usize, u32, u32);
+
+fn cell([x, y, count, total]: [Option<f64>; 4]) -> Result<Cell, ArcsError> {
+    Ok((
+        index(x, "rule.x")?,
+        index(y, "rule.y")?,
+        index_u32(count, "rule.count")?,
+        index_u32(total, "rule.total")?,
+    ))
+}
+
+fn rect([x0, y0, x1, y1]: [Option<f64>; 4]) -> Result<Rect, ArcsError> {
+    Rect::new(
+        index(x0, "cluster.x0")?,
+        index(y0, "cluster.y0")?,
+        index(x1, "cluster.x1")?,
+        index(y1, "cluster.y1")?,
+    )
+}
+
+/// A result document's members as both decoders find them: each number
+/// `None` when absent or not a number, each rule as its [`Cell`].
+struct ResultMembers {
+    epoch: Option<f64>,
+    group: Option<f64>,
+    n_tuples: Option<f64>,
+    group_total: Option<f64>,
+    rules: Vec<Cell>,
+    clusters: Option<Vec<Rect>>,
+    coarsening_steps: Option<f64>,
+}
+
+impl ResultMembers {
+    /// Checks the counts and rebuilds every rule with
+    /// [`BinnedRule::from_counts`]. The counts must be ones a bin array
+    /// can hold: `group_total <= n_tuples`, and for every rule
+    /// `1 <= count <= total <= n_tuples` and `count <= group_total`. So a
+    /// decoded rule is never built from a zero or inverted ratio.
+    fn into_result(self) -> Result<QueryResult, ArcsError> {
+        let epoch = self.epoch.and_then(exact_u64).ok_or_else(|| bad("result missing `epoch`"))?;
+        let group = index_u32(self.group, "group")?;
+        let n_tuples = integer(self.n_tuples, "n_tuples")?;
+        let group_total = integer(self.group_total, "group_total")?;
+        if group_total > n_tuples {
+            return Err(bad(format!("group_total {group_total} exceeds n_tuples {n_tuples}")));
+        }
+        let rules = self
+            .rules
+            .into_iter()
+            .map(|(x, y, count, total)| {
+                if count == 0 || count > total {
+                    return Err(bad(format!(
+                        "rule ({x}, {y}) has count {count} outside 1..={total}, its cell total"
+                    )));
+                }
+                if u64::from(total) > n_tuples || u64::from(count) > group_total {
+                    return Err(bad(format!(
+                        "rule ({x}, {y}) counts {count} of {total} exceed the result's \
+                         totals ({group_total} of {n_tuples})"
+                    )));
+                }
+                Ok(BinnedRule::from_counts(x, y, group, count, total, n_tuples, group_total))
+            })
+            .collect::<Result<Vec<_>, ArcsError>>()?;
+        Ok(QueryResult {
+            epoch,
+            group,
+            n_tuples,
+            group_total,
+            rules,
+            clusters: self.clusters,
+            coarsening_steps: index_u32(self.coarsening_steps, "coarsening_steps")?,
+        })
+    }
 }
 
 fn begin_array(reader: &mut Reader<'_>, message: &str) -> Result<(), ArcsError> {
@@ -561,17 +614,20 @@ fn begin_array(reader: &mut Reader<'_>, message: &str) -> Result<(), ArcsError> 
 }
 
 /// A member's number, or the error naming `what` when it is absent or not
-/// a number. Shared by the tree and the reader decoders.
+/// a number.
 fn number(n: Option<f64>, what: &str) -> Result<f64, ArcsError> {
     n.ok_or_else(|| bad(format!("{what} must be a number")))
 }
 
 /// A member's number as a non-negative integer an `f64` holds exactly.
-/// Shared by the tree and the reader decoders.
+fn integer(n: Option<f64>, what: &str) -> Result<u64, ArcsError> {
+    n.and_then(exact_u64).ok_or_else(|| bad(format!("{what} must be a non-negative integer")))
+}
+
+/// [`integer`] as a `usize`.
 fn index(n: Option<f64>, what: &str) -> Result<usize, ArcsError> {
-    n.and_then(exact_u64)
-        .and_then(|n| usize::try_from(n).ok())
-        .ok_or_else(|| bad(format!("{what} must be a non-negative integer")))
+    usize::try_from(integer(n, what)?)
+        .map_err(|_| bad(format!("{what} must be a non-negative integer")))
 }
 
 /// [`index`] narrowed to a `u32`: a larger value is an error, not a
@@ -733,62 +789,96 @@ mod tests {
         }
     }
 
-    #[test]
-    fn query_results_round_trip_bit_identically() {
-        let result = QueryResult {
+    fn demo_result() -> QueryResult {
+        let (n_tuples, group_total) = (3_000, 1_234);
+        QueryResult {
             epoch: 3,
-            rules: vec![BinnedRule {
-                x: 2,
-                y: 5,
-                group: 1,
-                support: 1.0 / 3.0,
-                confidence: 0.123_456_789_012_345_67,
-                count: 41,
-                lift: 1.7 / 0.3,
-                leverage: -0.001_234_5,
-            }],
+            group: 1,
+            n_tuples,
+            group_total,
+            rules: vec![
+                BinnedRule::from_counts(2, 5, 1, 41, 97, n_tuples, group_total),
+                BinnedRule::from_counts(3, 5, 1, 7, 7, n_tuples, group_total),
+            ],
             clusters: Some(vec![Rect::new(1, 2, 3, 4).unwrap()]),
             coarsening_steps: 1,
-        };
-        let text = query_result_to_json(&result).to_string();
-        let back = query_result_from_json(&crate::jsonio::parse(&text).unwrap()).unwrap();
-        assert_eq!(back, result);
+        }
+    }
 
+    /// Both decoders of `text`, which must agree.
+    fn decode_both(text: &str) -> Result<QueryResult, ArcsError> {
+        let tree = query_result_from_json(&crate::jsonio::parse(text).unwrap());
+        let mut reader = Reader::new(text);
+        let direct = read_query_result(&mut reader);
+        match (&tree, &direct) {
+            (Ok(a), Ok(b)) => assert_eq!(a, b, "{text}"),
+            (Err(ArcsError::InvalidConfig(_)), Err(ArcsError::InvalidConfig(_))) => {}
+            _ => panic!("decoders disagree on {text}: tree {tree:?}, direct {direct:?}"),
+        }
+        tree
+    }
+
+    #[test]
+    fn query_results_round_trip_bit_identically() {
+        let result = demo_result();
         let no_clusters = QueryResult { clusters: None, ..result.clone() };
-        let text = query_result_to_json(&no_clusters).to_string();
-        let back = query_result_from_json(&crate::jsonio::parse(&text).unwrap()).unwrap();
-        assert_eq!(back, no_clusters);
-
-        // The direct codec prints the tree's text and reads it back `==`.
-        for case in [result, no_clusters] {
-            let mut text = String::new();
-            write_query_result(&case, &mut text);
-            assert_eq!(text, query_result_to_json(&case).to_string());
-            let mut reader = Reader::new(&text);
-            assert_eq!(read_query_result(&mut reader).unwrap(), case);
-            reader.finish().unwrap();
+        let empty = QueryResult { rules: Vec::new(), clusters: Some(Vec::new()), ..result.clone() };
+        for case in [result, no_clusters, empty] {
+            let text = query_result_to_json(&case).to_string();
+            assert_eq!(decode_both(&text).unwrap(), case);
+            // The direct codec prints the tree's text.
+            let mut direct = String::new();
+            write_query_result(&case, &mut direct);
+            assert_eq!(direct, text);
         }
     }
 
     #[test]
+    fn result_documents_hold_counts_only() {
+        let mut text = String::new();
+        write_query_result(&demo_result(), &mut text);
+        assert_eq!(
+            text,
+            r#"{"epoch":3,"group":1,"n_tuples":3000,"group_total":1234,"rules":[[2,5,41,97],[3,5,7,7]],"clusters":[[1,2,3,4]],"coarsening_steps":1}"#
+        );
+    }
+
+    #[test]
     fn out_of_range_integers_are_errors() {
-        let rule = |group: &str, count: &str| {
-            let floats = r#""support":0.5,"confidence":0.5,"lift":1,"leverage":0"#;
-            format!(r#"{{"x":1,"y":2,"group":{group},"count":{count},{floats}}}"#)
-        };
         let doc = |group: &str, count: &str, steps: &str| {
-            format!(r#"{{"epoch":1,"rules":[{}],"coarsening_steps":{steps}}}"#, rule(group, count))
+            format!(
+                r#"{{"epoch":1,"group":{group},"n_tuples":9007199254740992,"group_total":9007199254740992,"rules":[[1,2,{count},{count}]],"coarsening_steps":{steps}}}"#
+            )
         };
-        let fits = doc("0", "7", "0");
-        assert!(query_result_from_json(&crate::jsonio::parse(&fits).unwrap()).is_ok());
-        assert!(read_query_result(&mut Reader::new(&fits)).is_ok());
+        assert!(decode_both(&doc("0", "7", "0")).is_ok());
+        assert!(decode_both(&doc("0", "4294967295", "0")).is_ok());
         for text in
             [doc("0", "4294967296", "0"), doc("4294967296", "7", "0"), doc("0", "7", "4294967296")]
         {
-            let tree = query_result_from_json(&crate::jsonio::parse(&text).unwrap());
-            assert!(matches!(tree, Err(ArcsError::InvalidConfig(_))), "{text}: {tree:?}");
-            let direct = read_query_result(&mut Reader::new(&text));
-            assert!(matches!(direct, Err(ArcsError::InvalidConfig(_))), "{text}: {direct:?}");
+            assert!(decode_both(&text).is_err(), "{text}");
+        }
+    }
+
+    /// Counts no bin array could hold are typed errors in both decoders,
+    /// never a rule with a zero, infinite or NaN ratio.
+    #[test]
+    fn impossible_counts_are_errors() {
+        let doc = |n: u64, gt: u64, rule: &str| {
+            format!(
+                r#"{{"epoch":0,"group":0,"n_tuples":{n},"group_total":{gt},"rules":[{rule}],"coarsening_steps":0}}"#
+            )
+        };
+        assert!(decode_both(&doc(10, 5, "[0,0,5,10]")).is_ok());
+        for text in [
+            doc(10, 5, "[0,0,0,3]"),  // count 0
+            doc(10, 5, "[0,0,4,3]"),  // count > total
+            doc(10, 5, "[0,0,0,0]"),  // total 0
+            doc(10, 5, "[0,0,3,11]"), // total > n_tuples
+            doc(10, 5, "[0,0,6,8]"),  // count > group_total
+            doc(4, 5, "[0,0,1,1]"),   // group_total > n_tuples
+            doc(0, 0, "[0,0,1,1]"),   // rules of an empty array
+        ] {
+            assert!(decode_both(&text).is_err(), "{text}");
         }
     }
 }

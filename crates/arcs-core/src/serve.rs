@@ -251,9 +251,12 @@ impl AdmissionGate {
 
     /// Requests admission, waiting in the bounded queue (up to `deadline`,
     /// when given) for a slot. Returns a [`Permit`] that must be held for
-    /// the duration of the request.
+    /// the duration of the request. A deadline that has already passed
+    /// fails with [`ArcsError::DeadlineExceeded`] before any slot is
+    /// taken, whether or not one is free.
     pub fn admit(&self, deadline: Option<Instant>) -> Result<Permit<'_>, ArcsError> {
         faults::check("serve.admission")?;
+        check_deadline_at(deadline, "serve.admission")?;
         let mut st = lock(&self.state);
         if st.inflight < self.max_inflight {
             st.inflight += 1;
@@ -264,8 +267,8 @@ impl AdmissionGate {
         }
         st.queued += 1;
         loop {
-            // Deadline first: a request admitted with an already-expired
-            // deadline fails deterministically without ever sleeping.
+            // Deadline first: a waiter whose deadline passed while it
+            // slept fails without sleeping again.
             let remaining = match deadline {
                 None => None,
                 Some(d) => match d.checked_duration_since(Instant::now()) {
@@ -463,10 +466,21 @@ impl QueryRequest {
 }
 
 /// The (cacheable, immutable) outcome of one query computation.
+///
+/// `group`, `n_tuples` and `group_total` are the mined array's figures
+/// that, with each rule's cell counts, determine the rule through
+/// [`BinnedRule::from_counts`]; a served reply carries only these counts
+/// ([`crate::request::write_query_result`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct QueryResult {
     /// Epoch of the snapshot the result was computed against.
     pub epoch: u64,
+    /// Criterion group code the rules were mined for.
+    pub group: u32,
+    /// Tuples in the mined array, the denominator of every support.
+    pub n_tuples: u64,
+    /// The group's tuples in the mined array, its base rate's numerator.
+    pub group_total: u64,
     /// Rules mined at the request's thresholds.
     pub rules: Vec<BinnedRule>,
     /// Cluster rectangles, when the request asked for clustering.
@@ -792,6 +806,9 @@ impl Server {
         Ok((
             QueryResult {
                 epoch: snapshot.epoch(),
+                group: request.gk,
+                n_tuples: index.n_tuples(),
+                group_total: index.group_total(request.gk),
                 rules: answer.rules,
                 clusters: answer.clusters,
                 coarsening_steps: plan.coarsening_steps,
@@ -1124,6 +1141,29 @@ mod tests {
     }
 
     #[test]
+    fn expired_deadlines_are_refused_before_the_cache() {
+        // A free slot does not admit an expired request.
+        let gate = AdmissionGate::new(1, 0).unwrap();
+        let err = gate.admit(Some(Instant::now())).unwrap_err();
+        assert!(matches!(err, ArcsError::DeadlineExceeded { stage: "serve.admission" }), "{err:?}");
+        assert_eq!(gate.inflight(), 0);
+
+        let server = Server::new(demo_array(), test_config()).unwrap();
+        let request = QueryRequest::new(0, thresholds(0.1, 0.5));
+        server.query(&request).unwrap();
+        let before = server.stats();
+        let err = server.query(&request.clone().deadline(Duration::ZERO)).unwrap_err();
+        assert!(matches!(err, ArcsError::DeadlineExceeded { stage: "serve.admission" }), "{err:?}");
+        let after = server.stats();
+        assert_eq!(after.cache_hits, before.cache_hits, "an expired request must not hit");
+        assert_eq!(after.timed_out, before.timed_out + 1);
+        assert_eq!(after.admitted, before.admitted);
+        assert_eq!(after.inflight, 0);
+        // The cached answer still serves a request that has time left.
+        assert!(server.query(&request).unwrap().cache_hit);
+    }
+
+    #[test]
     fn server_sheds_queries_when_the_gate_is_full() {
         let config = ServeConfig { max_inflight: 1, max_queued: 0, ..test_config() };
         let server = Server::new(demo_array(), config).unwrap();
@@ -1170,7 +1210,15 @@ mod tests {
     fn lru_cache_evicts_the_oldest_entry() {
         let mut cache = ResultCache::new(2);
         let result = |epoch| {
-            Arc::new(QueryResult { epoch, rules: Vec::new(), clusters: None, coarsening_steps: 0 })
+            Arc::new(QueryResult {
+                epoch,
+                group: 0,
+                n_tuples: 0,
+                group_total: 0,
+                rules: Vec::new(),
+                clusters: None,
+                coarsening_steps: 0,
+            })
         };
         let key = |support: u64| CacheKey {
             epoch: 0,

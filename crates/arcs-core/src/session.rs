@@ -505,8 +505,12 @@ impl Session {
             }
         };
         let answer = self.query_body(gk, thresholds, request.cluster.as_ref())?;
+        let index = lazy_index(&mut self.index, &self.array);
         Ok(QueryResult {
             epoch: 0,
+            group: gk,
+            n_tuples: index.n_tuples(),
+            group_total: index.group_total(gk),
             rules: answer.rules,
             clusters: answer.clusters,
             coarsening_steps: self.budget_coarsening,

@@ -17,11 +17,12 @@
 //!   periodic copy-on-write `append` delta merges.
 //! * **[`client`]** — a blocking client used by the CLI and the tests.
 //!
-//! Responses transport `f64`s through JSON via Rust's shortest
-//! round-trip float formatting, so a result decoded from the wire is
-//! **bit-identical** to the in-process result for the same epoch — the
-//! e2e tests assert `==` against an oracle [`Server`] rather than
-//! comparing within a tolerance.
+//! A `query` reply carries each rule's cell counts and the mined array's
+//! totals, never a float, and the reader rebuilds every measure through
+//! [`BinnedRule::from_counts`], the constructor the miner used. So a
+//! result decoded from the wire is **bit-identical** to the in-process
+//! result for the same epoch — the e2e tests assert `==` against an oracle
+//! [`Server`] rather than comparing within a tolerance.
 //!
 //! * **[`repl`]** — WAL-shipping replication: a standby daemon tails a
 //!   primary's per-tenant logs over the same wire protocol, refuses
@@ -35,6 +36,7 @@
 //! schedule grammar.
 //!
 //! [`ArcsError`]: arcs_core::ArcsError
+//! [`BinnedRule::from_counts`]: arcs_core::engine::BinnedRule::from_counts
 //! [`Server`]: arcs_core::serve::Server
 
 #![warn(missing_docs)]

@@ -58,7 +58,17 @@
 //! [`query_outcome_from_json`]) remain as the reference the codec tests
 //! compare against. Every other op's reply is a tree.
 //!
+//! The reply's `result` holds integers only: the mined array's `group`,
+//! `n_tuples` and `group_total`, and each rule as `[x, y, count, total]`
+//! ([`arcs_core::request::query_result_to_json`]). Both readers rebuild
+//! every rule through [`BinnedRule::from_counts`], so a decoded result is
+//! `==` to the daemon's by construction. A result in the earlier shape,
+//! whose rules were objects of float measures, is a [`CODE_PROTOCOL`]
+//! error to this reader, as this shape is to a reader of that one; the
+//! frame version stays 1.
+//!
 //! [`QueryResult`]: arcs_core::serve::QueryResult
+//! [`BinnedRule::from_counts`]: arcs_core::engine::BinnedRule::from_counts
 //! [`ServerStats`]: arcs_core::serve::ServerStats
 //! [`ArcsError::code`]: arcs_core::ArcsError::code
 
@@ -556,8 +566,9 @@ fn reply_error(ok: Option<bool>, code: Option<&str>, error: Option<&str>) -> Opt
 /// A decoded query response: the result plus serving bookkeeping.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QueryOutcome {
-    /// The query result (bit-identical to the serving core's, since the
-    /// JSON number writer round-trips every finite `f64` exactly).
+    /// The query result (bit-identical to the serving core's, since both
+    /// build each rule from the same counts with
+    /// [`BinnedRule::from_counts`](arcs_core::engine::BinnedRule::from_counts)).
     pub result: arcs_core::serve::QueryResult,
     /// Whether the daemon's result cache answered.
     pub cache_hit: bool,
@@ -743,7 +754,7 @@ mod tests {
     #[test]
     fn out_of_range_retries_are_errors() {
         let reply = |retries: &str| {
-            let result = r#"{"epoch":0,"rules":[],"coarsening_steps":0}"#;
+            let result = r#"{"epoch":0,"group":0,"n_tuples":0,"group_total":0,"rules":[],"coarsening_steps":0}"#;
             format!(r#"{{"ok":true,"result":{result},"retries":{retries}}}"#)
         };
         let tree = |text: &str| query_outcome_from_json(&arcs_core::jsonio::parse(text).unwrap());

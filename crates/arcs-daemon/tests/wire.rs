@@ -1,7 +1,8 @@
 //! Property tests for the wire codec: encode/decode round-trips, and
 //! "never panic, always a typed error" over truncated, oversized, and
-//! garbage frames; and a differential test holding the direct `query`
-//! reply codec to the tree functions it replaces.
+//! garbage frames; a differential test holding the direct `query` reply
+//! codec to the tree functions it replaces; and malformed result documents,
+//! each a typed `PROTOCOL` error through both.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -29,26 +30,6 @@ fn tree_decode(text: &str) -> Result<QueryOutcome, WireError> {
     query_outcome_from_json(&split_response(json)?)
 }
 
-/// A finite float: arbitrary bit patterns, subnormals, signed zeros,
-/// integral values on both sides of 2^53, and the everyday shapes of
-/// support, confidence and (negative) leverage.
-fn float(rng: &mut StdRng) -> f64 {
-    let sign = if rng.gen::<bool>() { -1.0 } else { 1.0 };
-    match rng.gen_range(0..6u32) {
-        0 => loop {
-            let x = f64::from_bits(rng.gen::<u64>());
-            if x.is_finite() {
-                break x;
-            }
-        },
-        1 => sign * f64::from_bits(rng.gen_range(1..1u64 << 52)),
-        2 => sign * 0.0,
-        3 => sign * rng.gen_range(0..=(1u64 << 54)) as f64,
-        4 => -rng.gen::<f64>() * 1e-3,
-        _ => rng.gen::<f64>(),
-    }
-}
-
 /// A grid coordinate: mostly small, sometimes up to 2^53.
 fn coord(rng: &mut StdRng) -> usize {
     if rng.gen_bool(0.9) {
@@ -58,18 +39,31 @@ fn coord(rng: &mut StdRng) -> usize {
     }
 }
 
+/// A tuple total: a handful, past `u32::MAX`, or up to 2^53, and at least
+/// `min`.
+fn tuples(rng: &mut StdRng, min: u64) -> u64 {
+    match rng.gen_range(0..3u32) {
+        0 => rng.gen_range(min..=1_000),
+        1 => rng.gen_range(min..=(1u64 << 34)),
+        _ => rng.gen_range(min..=(1u64 << 53)),
+    }
+}
+
+/// A response the daemon could send: every rule built by
+/// `BinnedRule::from_counts` from counts a bin array can hold
+/// (`1 <= count <= total <= n_tuples`, `count <= group_total <= n_tuples`).
 fn response(seed: u64, n_rules: usize) -> QueryResponse {
     let mut rng = StdRng::seed_from_u64(seed);
+    let min = u64::from(n_rules > 0);
+    let n_tuples = tuples(&mut rng, min);
+    let group_total = rng.gen_range(min..=n_tuples);
+    let group = rng.gen::<u32>();
     let rules = (0..n_rules)
-        .map(|_| BinnedRule {
-            x: coord(&mut rng),
-            y: coord(&mut rng),
-            group: rng.gen::<u32>(),
-            support: float(&mut rng),
-            confidence: float(&mut rng),
-            count: rng.gen::<u32>(),
-            lift: float(&mut rng),
-            leverage: float(&mut rng),
+        .map(|_| {
+            let total = rng.gen_range(1..=n_tuples.min(u32::MAX.into()));
+            let count = rng.gen_range(1..=total.min(group_total));
+            let (x, y) = (coord(&mut rng), coord(&mut rng));
+            BinnedRule::from_counts(x, y, group, count as u32, total as u32, n_tuples, group_total)
         })
         .collect();
     let clusters = match rng.gen_range(0..3u32) {
@@ -88,6 +82,9 @@ fn response(seed: u64, n_rules: usize) -> QueryResponse {
     QueryResponse {
         result: Arc::new(QueryResult {
             epoch: rng.gen_range(0..=(1u64 << 53)),
+            group,
+            n_tuples,
+            group_total,
             rules,
             clusters,
             coarsening_steps: rng.gen::<u32>(),
@@ -276,7 +273,7 @@ proptest! {
     /// same bytes, the same decoded outcome, and under truncation, byte
     /// flips, reordered members and unknown members the same outcome as
     /// parse → split → decode (both `Ok` and equal, or both errors),
-    /// never a panic.
+    /// never a panic and never a rule with a non-finite measure.
     #[test]
     fn query_replies_match_the_tree_codec(seed in any::<u64>(), n_rules in 0usize..=2000) {
         let response = response(seed, n_rules);
@@ -306,6 +303,79 @@ proptest! {
                 reference.as_ref().map(|o| o.retries),
                 mutated
             );
+            if let Ok(outcome) = direct {
+                prop_assert!(outcome.result.rules.iter().all(finite), "{}", mutated);
+            }
+        }
+    }
+}
+
+fn finite(rule: &BinnedRule) -> bool {
+    [rule.support, rule.confidence, rule.lift, rule.leverage].iter().all(|m| m.is_finite())
+}
+
+/// Result documents that are not the counts-only shape, or whose counts
+/// no bin array could hold, decode as a typed `PROTOCOL` error through
+/// both decoders.
+#[test]
+fn malformed_result_documents_are_protocol_errors() {
+    const HEAD: &str = r#""epoch":0,"group":0,"n_tuples":100,"group_total":40"#;
+    let with_rules = |rules: &str| format!(r#"{{{HEAD},"rules":[{rules}],"coarsening_steps":0}}"#);
+    let well_formed = with_rules("[1,2,5,10]");
+    let mut documents = vec![
+        with_rules("[1,2,0,10]"),  // count 0
+        with_rules("[1,2,11,10]"), // count > total
+        with_rules("[1,2,0,0]"),   // total 0
+        with_rules("[1,2,5,101]"), // total > n_tuples
+        with_rules("[1,2,41,50]"), // count > group_total
+        with_rules("[1,2,5]"),     // arity 3
+        with_rules("[1,2,5,10,0]"),
+        with_rules("[]"),
+        with_rules("[1.5,2,5,10]"), // non-integers
+        with_rules("[1,2,5.25,10]"),
+        with_rules(r#"[1,2,"5",10]"#),
+        with_rules("[1,2,null,10]"),
+        with_rules("[-1,2,5,10]"),
+        with_rules("[1,2,5,1e300]"),
+        with_rules("7"),
+        format!(r#"{{{HEAD},"rules":[],"clusters":[[1,2,3]],"coarsening_steps":0}}"#),
+        format!(r#"{{{HEAD},"rules":[],"clusters":[[3,2,1,4]],"coarsening_steps":0}}"#),
+        format!(r#"{{{HEAD},"rules":{{}},"coarsening_steps":0}}"#),
+        r#"{"epoch":0,"group":0.5,"n_tuples":100,"group_total":40,"rules":[],"coarsening_steps":0}"#
+            .to_string(),
+        r#"{"epoch":0,"group":0,"n_tuples":"100","group_total":40,"rules":[],"coarsening_steps":0}"#
+            .to_string(),
+        r#"{"epoch":0,"group":0,"n_tuples":10,"group_total":40,"rules":[],"coarsening_steps":0}"#
+            .to_string(),
+    ];
+    // Each header member missing in turn: `n_tuples` and `group_total`
+    // among them.
+    for key in ["epoch", "group", "n_tuples", "group_total", "rules", "coarsening_steps"] {
+        let tree = jsonio::parse(&well_formed).unwrap();
+        let Json::Obj(pairs) = tree else { unreachable!() };
+        let kept = pairs.into_iter().filter(|(k, _)| k != key).collect();
+        documents.push(Json::Obj(kept).to_string());
+    }
+    // An old-shape result, whose rules are objects of float measures: as
+    // the previous format printed it, and with the new header added.
+    let old_rule = r#"{"x":1,"y":2,"group":0,"support":0.05,"confidence":0.5,"count":5,"lift":1.25,"leverage":0.01}"#;
+    documents.push(format!(r#"{{"epoch":0,"rules":[{old_rule}],"coarsening_steps":0}}"#));
+    documents.push(with_rules(old_rule));
+
+    let reply =
+        |result: &str| format!(r#"{{"ok":true,"result":{result},"cache_hit":false,"retries":0}}"#);
+    let outcome = read_query_reply(&reply(&well_formed)).unwrap();
+    assert_eq!(tree_decode(&reply(&well_formed)).unwrap(), outcome);
+    assert_eq!(outcome.result.rules, vec![BinnedRule::from_counts(1, 2, 0, 5, 10, 100, 40)]);
+    for document in documents {
+        let text = reply(&document);
+        for (decoder, decoded) in
+            [("direct", read_query_reply(&text)), ("tree", tree_decode(&text))]
+        {
+            match decoded {
+                Err(err) => assert_eq!(err.code, CODE_PROTOCOL, "{decoder} on {document}: {err}"),
+                Ok(outcome) => panic!("{decoder} accepted {document}: {:?}", outcome.result),
+            }
         }
     }
 }

@@ -12,7 +12,9 @@ use arcs::core::budget::{grid_bytes, plan_bins, MIN_BINS};
 use arcs::core::engine::{mine_rules, mine_rules_indexed, rule_grid, support_grid};
 use arcs::core::grid::{for_each_run, for_each_run_reference};
 use arcs::core::index::{DeltaMiner, OccupancyIndex};
+use arcs::core::jsonio::Reader;
 use arcs::core::mdl::{mdl_cost, MdlWeights};
+use arcs::core::request::{read_query_result, write_query_result};
 use arcs::core::smooth::{smooth, smooth_reference, SmoothConfig};
 use arcs::core::verify::{verify_counts, verify_tuples};
 use arcs::core::{optimize, Request, ThresholdLattice};
@@ -83,6 +85,13 @@ fn reference_answer(
         bitop::cluster(&smoothed, &spec.bitop).unwrap()
     });
     (mine_rules(array, gk, t), clusters)
+}
+
+/// A rule with its floats as bit patterns, so `==` is bit for bit (`-0.0`
+/// differs from `0.0`, a NaN equals itself).
+fn rule_bits(r: &BinnedRule) -> (usize, usize, u32, u32, u32, [u64; 4]) {
+    let measures = [r.support, r.confidence, r.lift, r.leverage].map(f64::to_bits);
+    (r.x, r.y, r.group, r.count, r.total, measures)
 }
 
 /// A dataset over `x, y ∈ [0, 10)` and a three-group criterion `g`.
@@ -623,6 +632,62 @@ proptest! {
                 prop_assert_eq!(&rules, &mine_rules(&ba, gk, t));
                 prop_assert_eq!(full, index.group_cells(gk).len() as u64);
             }
+        }
+    }
+
+    /// One formula: every rule either miner emits, on an array and on a
+    /// budget-coarsened copy of it, is `BinnedRule::from_counts` of its own
+    /// cell counts and the array's totals, bit for bit. And a served
+    /// result written and read back is `==` to the result: the round trip
+    /// the daemon's wire answers rest on.
+    #[test]
+    fn every_rule_is_built_from_its_counts(
+        adds in vec((0usize..9, 0usize..7, 0u32..3), 0..300),
+        query in (0u32..3, 0.0f64..0.2, 0.0f64..1.0),
+        spec in cluster_spec_strategy(),
+        budget_share in 0.0f64..1.0,
+    ) {
+        let (gk, s, c) = query;
+        let t = Thresholds::new(s, c).unwrap();
+        let mut ba = BinArray::new(9, 7, 3).unwrap();
+        for &(x, y, g) in &adds {
+            ba.add(x, y, g);
+        }
+        let (floor, full) = (grid_bytes(MIN_BINS, MIN_BINS, 3).unwrap(), grid_bytes(9, 7, 3).unwrap());
+        let budget = floor + ((full - 1 - floor) as f64 * budget_share) as usize;
+        let plan = plan_bins(9, 7, 3, Some(budget)).unwrap();
+        prop_assert!(plan.coarsening_steps >= 1);
+        let coarse = ba.coarsened(plan.nx, plan.ny).unwrap();
+        for array in [&ba, &coarse] {
+            let (n, group_total) = (array.n_tuples(), array.group_total(gk));
+            let (indexed, _) = mine_rules_indexed(&OccupancyIndex::build(array), gk, t);
+            let full_scan = mine_rules(array, gk, t);
+            prop_assert_eq!(indexed.len(), full_scan.len());
+            for rule in full_scan.iter().chain(&indexed) {
+                prop_assert_eq!(rule.group, gk);
+                prop_assert_eq!(rule.count, array.group_count(rule.x, rule.y, gk));
+                prop_assert_eq!(rule.total, array.cell_total(rule.x, rule.y));
+                let rebuilt = BinnedRule::from_counts(
+                    rule.x, rule.y, gk, rule.count, rule.total, n, group_total,
+                );
+                prop_assert_eq!(rule_bits(rule), rule_bits(&rebuilt));
+            }
+        }
+
+        let server = Server::new(ba, ServeConfig::default()).unwrap();
+        for budget in [None, Some(budget)] {
+            let mut request = QueryRequest::new(gk, t);
+            request.cluster = spec.clone();
+            request.memory_budget = budget;
+            let served = server.query(&request).unwrap();
+            let mut text = String::new();
+            write_query_result(&served.result, &mut text);
+            let mut reader = Reader::new(&text);
+            let back = read_query_result(&mut reader).unwrap();
+            reader.finish().unwrap();
+            prop_assert_eq!(&back, &*served.result);
+            let pairs = back.rules.iter().zip(&served.result.rules);
+            prop_assert!(pairs.into_iter().all(|(a, b)| rule_bits(a) == rule_bits(b)));
         }
     }
 
