@@ -6,7 +6,8 @@
 //! the confidence level by one step, and moves that worsen the MDL cost
 //! are accepted with probability `exp(-Δ/T)` under a geometric cooling
 //! schedule. The best state ever visited is returned, so the result is
-//! never worse than the starting point.
+//! never worse than the starting point. Each state verifies against the
+//! searched array's own counts, as a session's search does.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -14,8 +15,7 @@ use rand::{Rng, SeedableRng};
 use arcs_core::optimizer::{
     evaluate, Evaluation, OptimizeResult, OptimizerConfig, ThresholdLattice, MIN_GROUP_RECALL,
 };
-use arcs_core::{ArcsError, BinArray, Binner, PipelineCounters, Thresholds};
-use arcs_data::Tuple;
+use arcs_core::{ArcsError, BinArray, PipelineCounters, Thresholds};
 
 /// Simulated-annealing parameters.
 #[derive(Debug, Clone, PartialEq)]
@@ -81,8 +81,6 @@ fn thresholds_at(lattice: &ThresholdLattice, state: State) -> Result<Thresholds,
 pub fn anneal(
     array: &BinArray,
     gk: u32,
-    binner: &Binner,
-    sample: &[&Tuple],
     config: &AnnealConfig,
 ) -> Result<OptimizeResult, ArcsError> {
     config.validate()?;
@@ -105,8 +103,7 @@ pub fn anneal(
     // Start at the lowest support, lowest confidence — the same corner the
     // §3.7 heuristic starts from.
     let mut state = State { si: 0, ci: 0 };
-    let mut current =
-        evaluate(array, gk, binner, sample, thresholds_at(&lattice, state)?, &config.optimizer)?;
+    let mut current = evaluate(array, gk, thresholds_at(&lattice, state)?, &config.optimizer)?;
     let mut trace = vec![current.clone()];
     let mut best: Option<Evaluation> = cost_of(&current).is_finite().then(|| current.clone());
     let mut best_any: Option<Evaluation> = (!current.clusters.is_empty()).then(|| current.clone());
@@ -116,14 +113,7 @@ pub fn anneal(
         // Propose a single-step move along one axis.
         let next = propose(&lattice, state, &mut rng);
         if next != state {
-            let eval = evaluate(
-                array,
-                gk,
-                binner,
-                sample,
-                thresholds_at(&lattice, next)?,
-                &config.optimizer,
-            )?;
+            let eval = evaluate(array, gk, thresholds_at(&lattice, next)?, &config.optimizer)?;
             trace.push(eval.clone());
             let delta = cost_of(&eval) - cost_of(&current);
             let accept = delta <= 0.0
@@ -189,8 +179,9 @@ fn propose(lattice: &ThresholdLattice, state: State, rng: &mut StdRng) -> State 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use arcs_core::Binner;
     use arcs_data::schema::{Attribute, Schema};
-    use arcs_data::{Dataset, Value};
+    use arcs_data::{Dataset, Tuple, Value};
 
     fn schema() -> Schema {
         Schema::new(vec![
@@ -230,7 +221,6 @@ mod tests {
     fn anneal_finds_the_block() {
         let (ds, b) = setup();
         let ba = b.bin_rows(ds.iter()).unwrap();
-        let sample: Vec<&Tuple> = ds.iter().collect();
         let config = AnnealConfig {
             optimizer: OptimizerConfig {
                 bitop: arcs_core::BitOpConfig::no_pruning(),
@@ -239,7 +229,7 @@ mod tests {
             steps: 50,
             ..AnnealConfig::default()
         };
-        let result = anneal(&ba, 0, &b, &sample, &config).unwrap();
+        let result = anneal(&ba, 0, &config).unwrap();
         assert_eq!(result.best.clusters.len(), 1);
         let rect = result.best.clusters[0];
         assert_eq!((rect.x0, rect.y0, rect.x1, rect.y1), (2, 2, 4, 4));
@@ -249,10 +239,9 @@ mod tests {
     fn anneal_is_deterministic_per_seed() {
         let (ds, b) = setup();
         let ba = b.bin_rows(ds.iter()).unwrap();
-        let sample: Vec<&Tuple> = ds.iter().collect();
         let config = AnnealConfig { steps: 30, ..AnnealConfig::default() };
-        let a = anneal(&ba, 0, &b, &sample, &config).unwrap();
-        let b2 = anneal(&ba, 0, &b, &sample, &config).unwrap();
+        let a = anneal(&ba, 0, &config).unwrap();
+        let b2 = anneal(&ba, 0, &config).unwrap();
         assert_eq!(a.best, b2.best);
         assert_eq!(a.trace.len(), b2.trace.len());
     }
@@ -267,7 +256,7 @@ mod tests {
             AnnealConfig { cooling: 0.0, ..AnnealConfig::default() },
             AnnealConfig { steps: 0, ..AnnealConfig::default() },
         ] {
-            assert!(anneal(&ba, 0, &b, &[], &bad).is_err());
+            assert!(anneal(&ba, 0, &bad).is_err());
         }
     }
 
@@ -276,7 +265,7 @@ mod tests {
         let (_, b) = setup();
         let ba = b.new_bin_array().unwrap();
         assert_eq!(
-            anneal(&ba, 0, &b, &[], &AnnealConfig::default()).unwrap_err(),
+            anneal(&ba, 0, &AnnealConfig::default()).unwrap_err(),
             ArcsError::NoSegmentation
         );
     }
@@ -284,20 +273,19 @@ mod tests {
     #[test]
     fn anneal_matches_heuristic_on_easy_data() {
         // On a clean single-block dataset both searches should find the
-        // same (unique) optimum.
+        // same (unique) optimum. The hill climb's sample is every tuple,
+        // so both verify against the same counts.
         let (ds, b) = setup();
         let ba = b.bin_rows(ds.iter()).unwrap();
-        let sample: Vec<&Tuple> = ds.iter().collect();
+        let every: Vec<&Tuple> = ds.iter().collect();
         let opt_config = OptimizerConfig {
             bitop: arcs_core::BitOpConfig::no_pruning(),
             ..OptimizerConfig::default()
         };
-        let heuristic = arcs_core::optimize(&ba, 0, &b, &sample, &opt_config).unwrap();
+        let heuristic = arcs_core::optimize(&ba, 0, &b, &every, &opt_config).unwrap();
         let annealed = anneal(
             &ba,
             0,
-            &b,
-            &sample,
             &AnnealConfig { optimizer: opt_config, steps: 50, ..AnnealConfig::default() },
         )
         .unwrap();

@@ -5,8 +5,8 @@
 //! 100k → 42 s, 10M → 420 s on its 120 MHz Pentium; absolute numbers here
 //! differ, the *shape* is the claim). This harness pre-generates each
 //! dataset outside the timed region and measures only the pipeline —
-//! parallel binning, sampling, threshold search, decode — so thread
-//! scaling is visible. (The constant-memory streaming mode of §4.3 is
+//! parallel binning, threshold search (verified against the bin array),
+//! decode — so thread scaling is visible. (The constant-memory streaming mode of §4.3 is
 //! still exercised by `Arcs::open_stream`; here the data is in memory so
 //! generation cost cannot mask the pipeline.)
 //!

@@ -13,13 +13,13 @@
 //! window, re-centres on the best point, and halves the window — steepest
 //! descent guided by the factorial screen. A round costs 5 evaluations, so
 //! a full search typically needs 20–30 evaluations versus the hill climb's
-//! ~100.
+//! ~100. Each design point verifies against the searched array's own
+//! counts, as a session's search does.
 
 use arcs_core::optimizer::{
     evaluate, Evaluation, OptimizeResult, OptimizerConfig, ThresholdLattice, MIN_GROUP_RECALL,
 };
-use arcs_core::{ArcsError, BinArray, Binner, PipelineCounters, Thresholds};
-use arcs_data::Tuple;
+use arcs_core::{ArcsError, BinArray, PipelineCounters, Thresholds};
 
 /// Factorial-design search parameters.
 #[derive(Debug, Clone, PartialEq)]
@@ -72,8 +72,6 @@ fn thresholds_at(lattice: &ThresholdLattice, sq: f64, cq: f64) -> Result<Thresho
 pub fn factorial_search(
     array: &BinArray,
     gk: u32,
-    binner: &Binner,
-    sample: &[&Tuple],
     config: &FactorialConfig,
 ) -> Result<OptimizeResult, ArcsError> {
     config.validate()?;
@@ -113,7 +111,7 @@ pub fn factorial_search(
             if trace.iter().any(|e| e.thresholds == thresholds) {
                 continue;
             }
-            let eval = evaluate(array, gk, binner, sample, thresholds, &config.optimizer)?;
+            let eval = evaluate(array, gk, thresholds, &config.optimizer)?;
             let cost = cost_of(&eval);
             trace.push(eval.clone());
             if !eval.clusters.is_empty()
@@ -154,9 +152,9 @@ pub fn factorial_search(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use arcs_core::optimize;
+    use arcs_core::{optimize, Binner};
     use arcs_data::schema::{Attribute, Schema};
-    use arcs_data::{Dataset, Value};
+    use arcs_data::{Dataset, Tuple, Value};
 
     fn schema() -> Schema {
         Schema::new(vec![
@@ -196,7 +194,6 @@ mod tests {
     fn factorial_finds_the_block() {
         let (ds, b) = setup();
         let ba = b.bin_rows(ds.iter()).unwrap();
-        let sample: Vec<&Tuple> = ds.iter().collect();
         let config = FactorialConfig {
             optimizer: OptimizerConfig {
                 bitop: arcs_core::BitOpConfig::no_pruning(),
@@ -204,7 +201,7 @@ mod tests {
             },
             ..FactorialConfig::default()
         };
-        let result = factorial_search(&ba, 0, &b, &sample, &config).unwrap();
+        let result = factorial_search(&ba, 0, &config).unwrap();
         assert_eq!(result.best.clusters.len(), 1);
         let rect = result.best.clusters[0];
         assert_eq!((rect.x0, rect.y0, rect.x1, rect.y1), (2, 2, 4, 4));
@@ -214,17 +211,17 @@ mod tests {
     fn factorial_uses_fewer_evaluations_than_the_hill_climb() {
         let (ds, b) = setup();
         let ba = b.bin_rows(ds.iter()).unwrap();
-        let sample: Vec<&Tuple> = ds.iter().collect();
+        // The hill climb's sample is every tuple, so both searches verify
+        // against the same counts.
+        let every: Vec<&Tuple> = ds.iter().collect();
         let opt = OptimizerConfig {
             bitop: arcs_core::BitOpConfig::no_pruning(),
             ..OptimizerConfig::default()
         };
-        let hill = optimize(&ba, 0, &b, &sample, &opt).unwrap();
+        let hill = optimize(&ba, 0, &b, &every, &opt).unwrap();
         let factorial = factorial_search(
             &ba,
             0,
-            &b,
-            &sample,
             &FactorialConfig { optimizer: opt, ..FactorialConfig::default() },
         )
         .unwrap();
@@ -242,7 +239,7 @@ mod tests {
             FactorialConfig { min_half_width: 0.0, ..FactorialConfig::default() },
             FactorialConfig { min_half_width: 0.7, ..FactorialConfig::default() },
         ] {
-            assert!(factorial_search(&ba, 0, &b, &[], &bad).is_err());
+            assert!(factorial_search(&ba, 0, &bad).is_err());
         }
     }
 
@@ -251,7 +248,7 @@ mod tests {
         let (_, b) = setup();
         let ba = b.new_bin_array().unwrap();
         assert_eq!(
-            factorial_search(&ba, 0, &b, &[], &FactorialConfig::default()).unwrap_err(),
+            factorial_search(&ba, 0, &FactorialConfig::default()).unwrap_err(),
             ArcsError::NoSegmentation
         );
     }

@@ -30,6 +30,8 @@ pub enum ArgsError {
     },
     /// A required option was not supplied.
     Required(String),
+    /// A positive-integer flag was given zero.
+    NotPositive(String),
 }
 
 impl std::fmt::Display for ArgsError {
@@ -41,6 +43,7 @@ impl std::fmt::Display for ArgsError {
                 write!(f, "invalid value `{value}` for --{flag}")
             }
             ArgsError::Required(flag) => write!(f, "missing required flag --{flag}"),
+            ArgsError::NotPositive(flag) => write!(f, "--{flag} must be > 0"),
         }
     }
 }
@@ -109,6 +112,18 @@ impl Args {
                 flag: flag.to_string(),
                 value: raw.to_string(),
             }),
+        }
+    }
+
+    /// An optional positive-integer flag: `None` when absent; zero, like
+    /// a value that does not parse, is an error.
+    pub fn positive(&self, flag: &str) -> Result<Option<usize>, ArgsError> {
+        if self.get(flag).is_none() {
+            return Ok(None);
+        }
+        match self.get_or(flag, 0)? {
+            0 => Err(ArgsError::NotPositive(flag.to_string())),
+            value => Ok(Some(value)),
         }
     }
 }

@@ -129,17 +129,17 @@ Writes |D| labelled tuples of the chosen Agrawal function (1-10) to CSV.";
 const SEGMENT_USAGE: &str = "\
 arcs segment <FILE> --criterion <ATTR> --group <LABEL>
              [--x <ATTR> --y <ATTR>]      (default: auto-select by joint MI)
-             [--bins 50] [--sample 2000] [--seed 0]
+             [--bins 50]
              [--threads <N>] [--stats json] [--memory-budget <BYTES>]
              [--max-categories 16] [--grid] [--svg <FILE>] [--categorical <ATTR>]
              [--on-bad-row fail|skip|quarantine=<FILE>] [--max-bad-fraction 1.0]
              [--checkpoint <FILE>] [--resume <FILE>] [--checkpoint-every 100000]
 
 Loads a CSV (schema inferred), segments the (x, y) space for the group,
-and prints the clustered association rules. With --categorical, uses the
-density-ordered categorical x-axis extension instead of --x; the sample,
-budget, stats, grid, SVG and checkpoint flags do not apply to it and are
-refused.
+and prints the clustered association rules with their error over every
+tuple. With --categorical, uses the density-ordered categorical x-axis
+extension instead of --x; the budget, stats, grid, SVG and checkpoint
+flags do not apply to it and are refused.
 
 Execution and observability:
   --threads N         worker threads for the CSV load, binning and the
@@ -269,7 +269,7 @@ fn load(args: &Args, usage: &str, threads: usize) -> Result<(Dataset, IngestRepo
     let [path] = args.positional() else {
         return Err(CliError::Usage(format!("expected exactly one input file\n\n{usage}")));
     };
-    let max_categories: usize = args.get_or("max-categories", 16)?;
+    let max_categories = args.positive("max-categories")?.unwrap_or(16);
     let (policy, quarantine_path) = ingest_policy(args)?;
     let mut sink = match &quarantine_path {
         Some(file) => Some(std::fs::File::create(file).map_err(run_err)?),
@@ -305,16 +305,21 @@ fn stats_flag(args: &Args) -> Result<bool, CliError> {
     }
 }
 
-/// `--memory-budget BYTES`: absent means unbounded; zero is a usage
-/// error.
-fn memory_budget(args: &Args) -> Result<Option<usize>, CliError> {
-    match args.get("memory-budget") {
-        None => Ok(None),
-        Some(_) => match args.get_or("memory-budget", 0)? {
-            0 => Err(CliError::Usage("--memory-budget must be > 0 bytes".into())),
-            bytes => Ok(Some(bytes)),
-        },
+/// Refuses two of `--x`, `--categorical`, `--y` and `--criterion` that
+/// name the same attribute, before any input is read.
+pub(crate) fn distinct_attributes(args: &Args) -> Result<(), CliError> {
+    let named: Vec<(&str, &str)> = ["x", "categorical", "y", "criterion"]
+        .into_iter()
+        .filter_map(|flag| Some((flag, args.get(flag)?)))
+        .collect();
+    for (i, (flag, attr)) in named.iter().enumerate() {
+        if let Some((other, _)) = named[..i].iter().find(|(_, a)| a == attr) {
+            return Err(CliError::Usage(format!(
+                "--{other} and --{flag} both name `{attr}`; they must name different attributes"
+            )));
+        }
     }
+    Ok(())
 }
 
 /// `--x`/`--y`: both name the LHS attributes, neither auto-selects the
@@ -353,8 +358,6 @@ fn segment_with_status(argv: &[String]) -> Result<(String, u8), CliError> {
             "criterion",
             "group",
             "bins",
-            "sample",
-            "seed",
             "threads",
             "stats",
             "memory-budget",
@@ -374,8 +377,6 @@ fn segment_with_status(argv: &[String]) -> Result<(String, u8), CliError> {
     if args.get("categorical").is_some() {
         let quantitative_only = [
             "x",
-            "sample",
-            "seed",
             "stats",
             "memory-budget",
             "grid",
@@ -390,28 +391,17 @@ fn segment_with_status(argv: &[String]) -> Result<(String, u8), CliError> {
             return Err(CliError::Usage(format!("--{flag} does not apply with --categorical")));
         }
     }
-    let threads: Option<usize> = match args.get("threads") {
-        None => None,
-        Some(_) => {
-            let t: usize = args.get_or("threads", 0)?;
-            if t == 0 {
-                return Err(CliError::Usage("--threads must be > 0".into()));
-            }
-            Some(t)
-        }
-    };
+    let threads = args.positive("threads")?;
+    let bins = args.positive("bins")?.unwrap_or(50);
+    let memory_budget = args.positive("memory-budget")?;
+    let checkpoint_every = args.positive("checkpoint-every")?.unwrap_or(100_000);
+    let want_stats = stats_flag(&args)?;
+    let criterion = args.require("criterion")?;
+    let group = args.require("group")?;
+    distinct_attributes(&args)?;
     let (ds, report) = load(&args, SEGMENT_USAGE, threads.unwrap_or_else(default_threads))?;
     if ds.is_empty() {
         return Err(CliError::Data("no usable rows in the input".into()));
-    }
-    let criterion = args.require("criterion")?;
-    let group = args.require("group")?;
-    let bins: usize = args.get_or("bins", 50)?;
-    let want_stats = stats_flag(&args)?;
-    let memory_budget = memory_budget(&args)?;
-    let checkpoint_every: usize = args.get_or("checkpoint-every", 100_000)?;
-    if checkpoint_every == 0 {
-        return Err(CliError::Usage("--checkpoint-every must be > 0 rows".into()));
     }
 
     let mut out = String::new();
@@ -447,14 +437,8 @@ fn segment_with_status(argv: &[String]) -> Result<(String, u8), CliError> {
     // Standard quantitative x/y mode; auto-select attributes when omitted.
     let (x_attr, y_attr) = lhs_pair(&args, &ds, criterion, &mut out)?;
 
-    let mut config = ArcsConfig {
-        n_x_bins: bins,
-        n_y_bins: bins,
-        sample_size: args.get_or("sample", 2_000)?,
-        seed: args.get_or("seed", 0u64)?,
-        memory_budget,
-        ..ArcsConfig::default()
-    };
+    let mut config =
+        ArcsConfig { n_x_bins: bins, n_y_bins: bins, memory_budget, ..ArcsConfig::default() };
     if let Some(t) = threads {
         config.threads = t;
         config.optimizer.threads = t;
@@ -533,8 +517,9 @@ fn segment_with_status(argv: &[String]) -> Result<(String, u8), CliError> {
     );
     let _ = writeln!(
         out,
-        "sample error rate {:.2}%, group recall {:.0}%, MDL cost {:.3}",
+        "error rate {:.2}% over all {} tuples, group recall {:.0}%, MDL cost {:.3}",
         seg.errors.rate() * 100.0,
+        seg.errors.n_examined,
         seg.errors.recall() * 100.0,
         seg.score.cost
     );
@@ -614,13 +599,14 @@ pub fn explore(argv: &[String]) -> Result<String, CliError> {
         ],
         &[],
     )?;
-    let (ds, report) = load(&args, EXPLORE_USAGE, default_threads())?;
     let x = args.require("x")?;
     let y = args.require("y")?;
     let criterion = args.require("criterion")?;
     let group = args.require("group")?;
-    let bins: usize = args.get_or("bins", 50)?;
+    let bins = args.positive("bins")?.unwrap_or(50);
     let levels: usize = args.get_or("levels", 10)?;
+    distinct_attributes(&args)?;
+    let (ds, report) = load(&args, EXPLORE_USAGE, default_threads())?;
 
     let binner = Binner::equi_width(ds.schema(), x, y, criterion, bins, bins).map_err(run_err)?;
     let gk = group_code(&binner, group)?;
@@ -658,9 +644,9 @@ pub fn rank(argv: &[String]) -> Result<String, CliError> {
         &["criterion", "bins", "max-categories", "on-bad-row", "max-bad-fraction"],
         &[],
     )?;
-    let (ds, report) = load(&args, RANK_USAGE, default_threads())?;
     let criterion = args.require("criterion")?;
-    let bins: usize = args.get_or("bins", 20)?;
+    let bins = args.positive("bins")?.unwrap_or(20);
+    let (ds, report) = load(&args, RANK_USAGE, default_threads())?;
 
     let ranked = rank_attributes(&ds, criterion, bins).map_err(pipeline_err)?;
     let mut out = String::new();
@@ -991,8 +977,6 @@ mod tests {
         ];
         for extra in [
             &["--x", "age"][..],
-            &["--sample", "100"],
-            &["--seed", "1"],
             &["--stats", "json"],
             &["--memory-budget", "100000"],
             &["--grid"],
@@ -1037,6 +1021,34 @@ mod tests {
             ])),
             Err(CliError::Usage(_))
         ));
+        // Flag values the library would refuse are usage errors, raised
+        // before the input is read: the file named here does not exist,
+        // which would be a data error (exit 3).
+        let missing = "/nonexistent/f2.csv";
+        let segment = ["segment", missing, "--criterion", "group", "--group", "A"];
+        let explore = ["explore", missing, "--x", "age", "--y", "salary"];
+        let explore = [&explore[..], &["--criterion", "group", "--group", "A"]].concat();
+        for (base, extra) in [
+            (&segment[..], &["--bins", "0"][..]),
+            (&segment, &["--max-categories", "0"]),
+            (&segment, &["--threads", "0"]),
+            (&segment, &["--memory-budget", "0"]),
+            (&segment, &["--checkpoint-every", "0"]),
+            (&segment, &["--x", "age", "--y", "age"]),
+            (&segment, &["--x", "group", "--y", "salary"]),
+            (&segment, &["--categorical", "elevel", "--y", "elevel"]),
+            (&segment, &["--sample", "100"]),
+            (&segment, &["--seed", "1"]),
+            (&explore, &["--bins", "0"]),
+            (&explore, &["--max-categories", "0"]),
+            (&explore, &["--y", "age"]),
+            (&["rank", missing, "--criterion", "group"], &["--bins", "0"]),
+            (&["rank", missing, "--criterion", "group"], &["--max-categories", "0"]),
+        ] {
+            let err = dispatch(&argv(&[base, extra].concat())).unwrap_err();
+            assert!(matches!(err, CliError::Usage(_)), "{base:?} {extra:?}: {err}");
+            assert!(err.to_string().contains(extra[0]), "{base:?} {extra:?}: {err}");
+        }
         // A zero checkpoint interval.
         let ckpt = tmp("f2_bad.ckpt");
         assert!(matches!(
@@ -1265,7 +1277,7 @@ mod tests {
             .find(|l| l.starts_with('{'))
             .unwrap_or_else(|| panic!("no JSON stats line in: {out}"));
         for key in [
-            "\"schema_version\":1",
+            "\"schema_version\":2",
             "\"threads\":4",
             "\"timings_ms\"",
             "\"binning\"",
@@ -1295,7 +1307,7 @@ mod tests {
             assert_eq!(got, Some(want), "{counter} in: {json_line}");
         }
 
-        // A checkpointed run times its binning and sampling too.
+        // A checkpointed run times its binning too.
         let ckpt = tmp("f2_stats.ckpt");
         std::fs::remove_file(&ckpt).ok();
         let mut ck_args = base.to_vec();
@@ -1303,10 +1315,10 @@ mod tests {
         let out = dispatch(&argv(&ck_args)).unwrap();
         let json_line = out.lines().find(|l| l.starts_with('{')).expect("stats line");
         let stats = arcs_core::jsonio::parse(json_line).unwrap();
-        for stage in ["binning", "sampling"] {
-            let ms = stats.get("timings_ms").and_then(|t| t.get(stage)).and_then(|v| v.as_f64());
-            assert!(ms.is_some_and(|ms| ms > 0.0), "{stage} untimed in: {json_line}");
-        }
+        let timings = stats.get("timings_ms").expect("timings");
+        let ms = timings.get("binning").and_then(|v| v.as_f64());
+        assert!(ms.is_some_and(|ms| ms > 0.0), "binning untimed in: {json_line}");
+        assert!(timings.get("sampling").is_none(), "{json_line}");
         std::fs::remove_file(&ckpt).ok();
 
         // Bad values are usage errors.

@@ -22,7 +22,7 @@ use arcs_daemon::repl::ReplicationConfig;
 use arcs_daemon::{Client, ClientError, Feeder};
 
 use crate::args::Args;
-use crate::commands::{classify, CliError};
+use crate::commands::{classify, distinct_attributes, CliError};
 use crate::signals;
 
 /// How often the daemon's wait loop checks for signals and the
@@ -173,11 +173,8 @@ fn serve_config(args: &Args) -> Result<ServeConfig, CliError> {
         cache_capacity: args.get_or("cache", defaults.cache_capacity)?,
         ..defaults
     };
-    if args.get("max-inflight").is_some() {
-        config.max_inflight = args.get_or("max-inflight", 0)?;
-        if config.max_inflight == 0 {
-            return Err(CliError::Usage("--max-inflight must be > 0".into()));
-        }
+    if let Some(max_inflight) = args.positive("max-inflight")? {
+        config.max_inflight = max_inflight;
     }
     if args.get("deadline-ms").is_some() {
         config.default_deadline = Some(Duration::from_millis(args.get_or("deadline-ms", 0u64)?));
@@ -245,8 +242,9 @@ pub fn daemon(argv: &[String]) -> Result<String, CliError> {
             "need --datasets, --data-dir, or both\n\n".to_string() + DAEMON_USAGE,
         ));
     }
-    let bins: usize = args.get_or("bins", 50)?;
-    let max_categories: usize = args.get_or("max-categories", 16)?;
+    let bins = args.positive("bins")?.unwrap_or(50);
+    let max_categories = args.positive("max-categories")?.unwrap_or(16);
+    distinct_attributes(&args)?;
     let max_seconds: Option<u64> = match args.get("max-seconds") {
         None => None,
         Some(_) => Some(args.get_or("max-seconds", 0)?),

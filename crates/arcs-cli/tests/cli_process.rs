@@ -500,15 +500,25 @@ fn expired_deadlines_exit_6_through_the_daemon() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// A zero admission limit is refused as a usage error before the daemon
-/// binds its port.
+/// A zero admission limit, a zero bin or category count, and attribute
+/// flags naming one attribute twice are refused as usage errors before
+/// the daemon reads its dataset (which does not exist) or binds its port.
 #[test]
 fn daemon_refuses_a_zero_admission_limit() {
-    let out = arcs()
-        .args(["daemon", "--listen", "127.0.0.1:0", "--datasets", "d=unused.csv"])
-        .args(["--x", "age", "--y", "salary", "--criterion", "group", "--max-inflight", "0"])
-        .output()
-        .expect("binary runs");
-    assert_eq!(out.status.code(), Some(2));
-    assert!(String::from_utf8_lossy(&out.stderr).contains("--max-inflight"));
+    for (extra, flag) in [
+        (&["--max-inflight", "0"][..], "--max-inflight"),
+        (&["--bins", "0"], "--bins"),
+        (&["--max-categories", "0"], "--max-categories"),
+        (&["--y", "age"], "--y"),
+        (&["--criterion", "salary"], "--criterion"),
+    ] {
+        let out = arcs()
+            .args(["daemon", "--listen", "127.0.0.1:0", "--datasets", "d=unused.csv"])
+            .args(["--x", "age", "--y", "salary", "--criterion", "group"])
+            .args(extra)
+            .output()
+            .expect("binary runs");
+        assert_eq!(out.status.code(), Some(2), "{extra:?}");
+        assert!(String::from_utf8_lossy(&out.stderr).contains(flag), "{extra:?}");
+    }
 }

@@ -184,8 +184,8 @@ impl Binner {
         self.bin_values(tuple.values())
     }
 
-    /// Bins a raw `(x, y)` value pair (used by the verifier to place sample
-    /// tuples and by exact-error integration).
+    /// Bins a raw `(x, y)` value pair (used by the exact region-error
+    /// integration to place its lattice points).
     #[inline]
     pub fn bin_point(&self, x: f64, y: f64) -> (usize, usize) {
         (self.x_map.bin_of_value(x), self.y_map.bin_of_value(y))

@@ -3,8 +3,9 @@
 //! The Minimum Description Length principle: the best model minimises the
 //! cost of describing the model plus the cost of describing the data given
 //! the model. For a segmentation the model is the cluster set and the data
-//! cost is the residual error (false positives + false negatives on a
-//! sample):
+//! cost is the residual error (false positives + false negatives on the
+//! verified tuples — every tuple in a session's search, a sample in the
+//! paper's §3.6):
 //!
 //! ```text
 //! cost = wc · log2(|C|) + we · log2(errors)
@@ -46,7 +47,7 @@ impl MdlWeights {
 }
 
 /// The MDL cost of a segmentation with `n_clusters` clusters and `errors`
-/// total sample errors (false positives + false negatives).
+/// total verification errors (false positives + false negatives).
 ///
 /// `log2` is taken of `max(x, 1)` so that an empty cluster set or a
 /// zero-error segmentation contributes zero cost for that term rather than
@@ -63,7 +64,8 @@ pub fn mdl_cost(n_clusters: usize, errors: usize, weights: MdlWeights) -> f64 {
 pub struct MdlScore {
     /// Number of clusters in the segmentation.
     pub n_clusters: usize,
-    /// Total errors (false positives + false negatives) on the sample.
+    /// Total errors (false positives + false negatives) on the verified
+    /// tuples.
     pub errors: usize,
     /// The combined MDL cost.
     pub cost: f64,

@@ -1,7 +1,7 @@
 //! Stage-level observability for the execution layer.
 //!
-//! The pipeline runs in well-defined stages (bin → sample → threshold
-//! search → decode); this module gives each a wall-clock timing, a set of
+//! The pipeline runs in well-defined stages (bin → threshold search →
+//! decode); this module gives each a wall-clock timing, a set of
 //! work counters that make the parallel execution layer's speedups
 //! measurable, and a JSON rendering (through [`crate::jsonio`]) for
 //! `arcs segment --stats json` and the benchmark harness.
@@ -23,8 +23,6 @@ pub enum Stage {
     /// Streaming tuples into the `BinArray` (the only stage that touches
     /// the source data).
     Binning,
-    /// Drawing the verification sample.
-    Sampling,
     /// The threshold search: mine → smooth → cluster → verify per lattice
     /// cell.
     Search,
@@ -37,7 +35,6 @@ impl Stage {
     pub fn name(&self) -> &'static str {
         match self {
             Stage::Binning => "binning",
-            Stage::Sampling => "sampling",
             Stage::Search => "search",
             Stage::Decode => "decode",
         }
@@ -50,8 +47,6 @@ impl Stage {
 pub struct StageTimings {
     /// Time binning tuples into the `BinArray`.
     pub binning: Duration,
-    /// Time drawing the verification sample.
-    pub sampling: Duration,
     /// Time in the threshold search (mine/smooth/cluster/verify).
     pub search: Duration,
     /// Time decoding clusters to rules.
@@ -61,14 +56,13 @@ pub struct StageTimings {
 impl StageTimings {
     /// Sum of all stage timings.
     pub fn total(&self) -> Duration {
-        self.binning + self.sampling + self.search + self.decode
+        self.binning + self.search + self.decode
     }
 
     /// Adds `elapsed` to the given stage's tally.
     pub fn record(&mut self, stage: Stage, elapsed: Duration) {
         let slot = match stage {
             Stage::Binning => &mut self.binning,
-            Stage::Sampling => &mut self.sampling,
             Stage::Search => &mut self.search,
             Stage::Decode => &mut self.decode,
         };
@@ -331,7 +325,8 @@ pub struct PipelineReport {
 
 /// Version of the JSON schema emitted by [`PipelineReport::to_json`];
 /// bumped on any incompatible key change (CI validates against it).
-pub const REPORT_SCHEMA_VERSION: u32 = 1;
+/// Version 2 dropped `timings_ms.sampling` with the verification sample.
+pub const REPORT_SCHEMA_VERSION: u32 = 2;
 
 impl PipelineReport {
     /// Renders the report as a single-line JSON object. Keys and their
@@ -347,7 +342,6 @@ impl PipelineReport {
                 "timings_ms",
                 obj(vec![
                     ("binning", ms(t.binning)),
-                    ("sampling", ms(t.sampling)),
                     ("search", ms(t.search)),
                     ("decode", ms(t.decode)),
                     ("total", ms(t.total())),
@@ -409,11 +403,10 @@ mod tests {
         };
         let json = report.to_json();
         let keys = [
-            "\"schema_version\":1",
+            "\"schema_version\":2",
             "\"threads\":4",
             "\"timings_ms\"",
             "\"binning\":12",
-            "\"sampling\"",
             "\"search\"",
             "\"decode\"",
             "\"total\"",
@@ -467,7 +460,6 @@ mod tests {
     #[test]
     fn stage_names_are_stable() {
         assert_eq!(Stage::Binning.name(), "binning");
-        assert_eq!(Stage::Sampling.name(), "sampling");
         assert_eq!(Stage::Search.name(), "search");
         assert_eq!(Stage::Decode.name(), "decode");
     }

@@ -120,16 +120,16 @@ const EPSILON: f64 = 1e-6;
 /// progress.
 const PATIENCE: usize = 4;
 
-/// Minimum fraction of the group's sample tuples a candidate segmentation
-/// must identify (cover) to be eligible as the best. The MDL formula's
-/// logarithmic error term can otherwise prefer a near-empty segmentation
-/// on very noisy data — covering nothing keeps false positives at zero
-/// while the log compresses the huge false-negative count. A segmentation
-/// that fails to identify the group is useless for the paper's stated
-/// purpose (segmenting the data), so candidates below this recall only
-/// win when *no* candidate reaches it. Documented deviation from the
-/// paper's literal formula; the §5 categorical search and arcs-bench's
-/// experiment-only searches apply the same guard.
+/// Minimum fraction of the group's verified tuples a candidate
+/// segmentation must identify (cover) to be eligible as the best. The MDL
+/// formula's logarithmic error term can otherwise prefer a near-empty
+/// segmentation on very noisy data — covering nothing keeps false
+/// positives at zero while the log compresses the huge false-negative
+/// count. A segmentation that fails to identify the group is useless for
+/// the paper's stated purpose (segmenting the data), so candidates below
+/// this recall only win when *no* candidate reaches it. Documented
+/// deviation from the paper's literal formula; the §5 categorical search
+/// and arcs-bench's experiment-only searches apply the same guard.
 pub const MIN_GROUP_RECALL: f64 = 0.5;
 
 /// Cap on distinct support levels searched (evenly subsampled).
@@ -200,7 +200,7 @@ pub struct Evaluation {
     pub thresholds: Thresholds,
     /// Clusters found (after smoothing, BitOp, pruning).
     pub clusters: Vec<Rect>,
-    /// Verification errors on the sample.
+    /// Verification errors over the tuples of the array verified against.
     pub errors: ErrorCounts,
     /// MDL score.
     pub score: MdlScore,
@@ -227,36 +227,34 @@ pub struct OptimizeResult {
 }
 
 /// Evaluates a single `(support, confidence)` point: mine → smooth →
-/// cluster → verify → score, verifying against `sample` binned with
-/// `binner`. One-shot convenience — bins the sample and builds a
-/// throwaway [`OccupancyIndex`]; a session evaluates over the binned
-/// sample and the index it keeps.
+/// cluster → verify → score, verifying against `array`'s own counts, so
+/// the errors are exact over every tuple it holds. One-shot convenience —
+/// builds a throwaway [`OccupancyIndex`]; a session evaluates over the
+/// index it keeps.
 pub fn evaluate(
     array: &BinArray,
     gk: u32,
-    binner: &Binner,
-    sample: &[&Tuple],
     thresholds: Thresholds,
     config: &OptimizerConfig,
 ) -> Result<Evaluation, ArcsError> {
-    let sample = binner.bin_rows(sample.iter().copied())?;
     let index = OccupancyIndex::build(array);
     let mut stats = PipelineCounters::default();
-    evaluate_indexed(&index, gk, &sample, thresholds, config, &mut stats)
+    evaluate_indexed(&index, gk, array, thresholds, config, &mut stats)
 }
 
-/// [`evaluate`] over a prebuilt index and binned sample, folding the
-/// point's work counters into `stats`.
+/// [`evaluate`] over a prebuilt index, verifying against `verify` (a
+/// session passes the indexed array itself), folding the point's work
+/// counters into `stats`.
 pub(crate) fn evaluate_indexed(
     index: &OccupancyIndex,
     gk: u32,
-    sample: &BinArray,
+    verify: &BinArray,
     thresholds: Thresholds,
     config: &OptimizerConfig,
     stats: &mut PipelineCounters,
 ) -> Result<Evaluation, ArcsError> {
     let mut miner = DeltaMiner::new(index, gk)?;
-    let (eval, eval_stats) = evaluate_into(index, &mut miner, sample, thresholds, config)?;
+    let (eval, eval_stats) = evaluate_into(index, &mut miner, verify, thresholds, config)?;
     stats.merge(&eval_stats);
     Ok(eval)
 }
@@ -265,13 +263,13 @@ pub(crate) fn evaluate_indexed(
 /// The delta miner updates its qualifying grid in place (bit-identical to
 /// a from-scratch [`rule_grid`](crate::engine::rule_grid)) touching only
 /// threshold-crossing cells, then the word-parallel smoother and BitOp
-/// run as before, and the verifier reads the clusters' errors off the
-/// binned sample's counts ([`verify_counts`]). Returns the evaluation
-/// with its work counters.
+/// run as before, and the verifier reads the clusters' errors off
+/// `verify`'s counts ([`verify_counts`]). Returns the evaluation with its
+/// work counters.
 fn evaluate_into(
     index: &OccupancyIndex,
     miner: &mut DeltaMiner,
-    sample: &BinArray,
+    verify: &BinArray,
     thresholds: Thresholds,
     config: &OptimizerConfig,
 ) -> Result<(Evaluation, PipelineCounters), ArcsError> {
@@ -279,7 +277,7 @@ fn evaluate_into(
     let (cells_visited, delta_hits) = miner.update(index, thresholds);
     let (smoothed, smooth_stats) = smooth_with_stats(miner.grid(), &config.smoothing)?;
     let (clusters, cluster_stats) = bitop::cluster_with_stats(&smoothed, &config.bitop)?;
-    let errors = verify_counts(&clusters, sample, miner.gk());
+    let errors = verify_counts(&clusters, verify, miner.gk());
     let score = MdlScore::compute(clusters.len(), errors.total(), config.mdl_weights);
     let mut stats = PipelineCounters {
         evaluations: 1,
@@ -334,7 +332,7 @@ impl Selection {
 /// with its confidence levels (at most 8), stopping after four support
 /// levels in a row without an MDL improvement of more than 1e-6, or on
 /// budget exhaustion. A candidate must identify at least half of the
-/// group's sample tuples to win, unless none does. Returns
+/// group's verified tuples to win, unless none does. Returns
 /// [`ArcsError::NoSegmentation`] when the lattice is empty or no
 /// evaluation produced any cluster.
 ///
@@ -348,8 +346,11 @@ impl Selection {
 /// evaluations are discarded, trading some redundant work for
 /// wall-clock time.)
 ///
-/// `sample` is binned once with `binner`, and every point verifies
-/// against that array's counts.
+/// This is paper §3.6's sampled search: `sample` is binned once with
+/// `binner`, and every point verifies against that array's counts. A
+/// [`Session`](crate::session::Session) searches the same way but
+/// verifies against its own bin array, so its errors are exact over all
+/// N tuples; no `Session` code draws a sample.
 pub fn optimize(
     array: &BinArray,
     gk: u32,
@@ -374,13 +375,16 @@ pub(crate) struct Search {
     pub(crate) stats: PipelineCounters,
 }
 
-/// The search behind [`optimize`], over a prebuilt `index` of `array`,
-/// verifying every point against the binned `sample`.
+/// The search behind [`optimize`] and [`Session::segment`], over a
+/// prebuilt `index` of `array`, verifying every point against `verify`'s
+/// counts: a session passes `array` itself, `optimize` the binned sample.
+///
+/// [`Session::segment`]: crate::session::Session::segment
 pub(crate) fn search(
     array: &BinArray,
     index: &OccupancyIndex,
     gk: u32,
-    sample: &BinArray,
+    verify: &BinArray,
     config: &OptimizerConfig,
 ) -> Result<Search, ArcsError> {
     config.validate()?;
@@ -412,7 +416,7 @@ pub(crate) fn search(
             if armed {
                 crate::faults::check("optimizer.evaluate")?;
             }
-            evals.push(evaluate_into(index, &mut miner, sample, point, &worker_config)?);
+            evals.push(evaluate_into(index, &mut miner, verify, point, &worker_config)?);
         }
         Ok(evals)
     };
@@ -880,12 +884,11 @@ mod tests {
         let ds = blocky_dataset();
         let b = binner();
         let ba = b.bin_rows(ds.iter()).unwrap();
-        let sample: Vec<&Tuple> = ds.iter().collect();
         let config = OptimizerConfig::default();
-        let eval =
-            evaluate(&ba, 0, &b, &sample, Thresholds::new(0.001, 0.5).unwrap(), &config).unwrap();
+        let eval = evaluate(&ba, 0, Thresholds::new(0.001, 0.5).unwrap(), &config).unwrap();
         assert_eq!(eval.score.n_clusters, eval.clusters.len());
         assert_eq!(eval.score.errors, eval.errors.total());
+        assert_eq!(eval.errors.n_examined, ds.len());
     }
 
     #[test]
@@ -894,7 +897,7 @@ mod tests {
         let b = binner();
         let ba = b.bin_rows(ds.iter()).unwrap();
         let config = OptimizerConfig::default();
-        let eval = evaluate(&ba, 0, &b, &[], Thresholds::new(0.99, 0.0).unwrap(), &config).unwrap();
+        let eval = evaluate(&ba, 0, Thresholds::new(0.99, 0.0).unwrap(), &config).unwrap();
         assert!(eval.clusters.is_empty());
     }
 }

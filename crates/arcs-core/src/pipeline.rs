@@ -31,9 +31,12 @@ pub struct ArcsConfig {
     pub strategy: BinningStrategy,
     /// The heuristic optimizer's parameters (smoothing, BitOp, MDL, budget).
     pub optimizer: OptimizerConfig,
-    /// Verification sample size (capped at the dataset size).
+    /// Size of paper §3.6's verification sample (capped at the dataset
+    /// size), for callers that draw one and search it with
+    /// [`optimize`](crate::optimizer::optimize). No `Session` code reads
+    /// it: a session verifies against its own bin array.
     pub sample_size: usize,
-    /// RNG seed for sampling.
+    /// RNG seed of that sample; likewise unread by `Session` code.
     pub seed: u64,
     /// Worker threads for the binning pass (sharded bin arrays merged
     /// deterministically). Defaults to the machine's available
@@ -83,7 +86,8 @@ pub struct Segmentation {
     pub thresholds: Thresholds,
     /// MDL score of the winning segmentation.
     pub score: MdlScore,
-    /// Verification errors of the winning segmentation on the sample.
+    /// Verification errors of the winning segmentation over every tuple
+    /// in the session's bin array.
     pub errors: ErrorCounts,
     /// Number of tuples binned.
     pub n_tuples: u64,
@@ -287,18 +291,16 @@ mod tests {
         let ds = blocky_dataset();
         let arcs = Arcs::new(small_config()).unwrap();
         let from_ds = segment_once(&arcs, &ds, "x", "y", "g", "A").unwrap();
-        // Stream the same tuples; use the full dataset as the sample.
         let from_stream = arcs
             .open_stream(
                 ds.schema(),
                 ds.iter().cloned(),
                 SegmentRequest::new("x", "y", "g").group("A"),
-                &ds,
             )
             .unwrap()
             .segment()
             .unwrap();
-        assert_eq!(from_ds.clusters, from_stream.clusters);
+        assert_eq!(from_ds, from_stream);
     }
 
     #[test]
@@ -338,7 +340,6 @@ mod tests {
                 ds.schema(),
                 ds.iter().cloned(),
                 SegmentRequest::new("x", "y", "g").group("A"),
-                &ds,
             )
             .map(|_| ())
             .unwrap_err();

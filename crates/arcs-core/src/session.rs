@@ -1,14 +1,13 @@
 //! The session API: bin once, then mine, cluster, and re-mine at will.
 //!
-//! [`Arcs::open`] runs the expensive front half of the pipeline — binning
-//! and sampling — and hands back a [`Session`] that **owns** the populated
-//! [`BinArray`], the binner, and the verification sample binned into a
-//! second, small `BinArray`. Everything after that point (threshold
-//! search, re-mining or clustering at explicit thresholds) operates on the
-//! session alone; the source data can be dropped. This is the paper's
-//! §3.2 observation made concrete: once the bin array holds per-group
-//! counts, "an entirely new segmentation" is available "without the need
-//! to re-bin the original data".
+//! [`Arcs::open`] runs the expensive front half of the pipeline — the one
+//! binning pass — and hands back a [`Session`] that **owns** the populated
+//! [`BinArray`] and the binner. Everything after that point (threshold
+//! search and its verification, re-mining or clustering at explicit
+//! thresholds) operates on the session alone; the source data can be
+//! dropped. This is the paper's §3.2 observation made concrete: once the
+//! bin array holds per-group counts, "an entirely new segmentation" is
+//! available "without the need to re-bin the original data".
 //!
 //! A [`SegmentRequest`] names the attributes once, up front:
 //!
@@ -31,10 +30,6 @@
 
 use std::time::{Duration, Instant};
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-
-use arcs_data::sample::sample_rows;
 use arcs_data::{Dataset, Schema, Tuple};
 
 use crate::binarray::BinArray;
@@ -108,22 +103,23 @@ struct SearchOutcome {
     stats: PipelineCounters,
 }
 
-/// Runs the threshold search over the session's `index`, verifying against
-/// its binned `sample`; when it finds nothing and degradation is enabled,
-/// walks a bounded ladder of relaxations: (1) floor the support/confidence
-/// thresholds at zero, (2) additionally disable smoothing (whose low-pass
-/// filter can erase every sparse qualifying cell), (3) additionally
-/// disable cluster pruning. The first step yielding any cluster wins; each
-/// evaluation still runs the full smooth → cluster → verify → score path,
-/// and the search's and the ladder's work both count in the outcome.
+/// Runs the threshold search over the session's `index` of `array`,
+/// verifying every point against `array`'s own counts, so each error is
+/// exact over all N tuples; when it finds nothing and degradation is
+/// enabled, walks a bounded ladder of relaxations: (1) floor the
+/// support/confidence thresholds at zero, (2) additionally disable
+/// smoothing (whose low-pass filter can erase every sparse qualifying
+/// cell), (3) additionally disable cluster pruning. The first step
+/// yielding any cluster wins; each evaluation still runs the full
+/// smooth → cluster → verify → score path, and the search's and the
+/// ladder's work both count in the outcome.
 fn run_search(
     config: &ArcsConfig,
     array: &BinArray,
     index: &OccupancyIndex,
     gk: u32,
-    sample: &BinArray,
 ) -> Result<SearchOutcome, ArcsError> {
-    let search = search(array, index, gk, sample, &config.optimizer)?;
+    let search = search(array, index, gk, array, &config.optimizer)?;
     let mut outcome = SearchOutcome {
         degraded: false,
         relaxation_steps: Vec::new(),
@@ -148,7 +144,7 @@ fn run_search(
     for (name, relax) in ladder {
         relax(&mut relaxed);
         outcome.relaxation_steps.push(name.to_string());
-        let eval = evaluate_indexed(index, gk, sample, floor, &relaxed, &mut outcome.stats)?;
+        let eval = evaluate_indexed(index, gk, array, floor, &relaxed, &mut outcome.stats)?;
         if !eval.clusters.is_empty() {
             outcome.best = Some(eval);
             outcome.degraded = true;
@@ -158,8 +154,9 @@ fn run_search(
     Ok(outcome)
 }
 
-/// A populated pipeline: the bin array, binner, and binned verification
-/// sample for one [`SegmentRequest`], independent of the source data.
+/// A populated pipeline: the bin array and binner for one
+/// [`SegmentRequest`], independent of the source data. The threshold
+/// search verifies against the bin array itself.
 ///
 /// Created by [`Arcs::open`], [`Arcs::open_stream`] or
 /// [`Arcs::open_binned`]. Mining operations ([`segment`](Session::segment),
@@ -172,11 +169,6 @@ pub struct Session {
     request: SegmentRequest,
     binner: Binner,
     array: BinArray,
-    /// The verification sample, binned once at open by `binner`: the
-    /// search reads each point's errors off its counts
-    /// ([`verify_counts`](crate::verify::verify_counts)), so the source
-    /// dataset can be dropped while `segment` keeps working.
-    sample: BinArray,
     /// Occupancy index over `array`, built lazily on the first search or
     /// re-mine.
     /// Per the index invalidation contract, every mutation of `array`
@@ -194,7 +186,6 @@ impl std::fmt::Debug for Session {
         f.debug_struct("Session")
             .field("request", &self.request)
             .field("n_tuples", &self.array.n_tuples())
-            .field("sample_len", &self.sample.n_tuples())
             .field("labels", &self.binner.labels())
             .field("report", &self.report)
             .finish_non_exhaustive()
@@ -202,23 +193,17 @@ impl std::fmt::Debug for Session {
 }
 
 impl Arcs {
-    /// Opens a session over an in-memory dataset: builds the binner, bins
-    /// every tuple (in parallel across [`ArcsConfig::threads`] workers),
-    /// and draws and bins the verification sample. The returned
-    /// [`Session`] owns everything it needs; `dataset` may be dropped
-    /// afterwards.
+    /// Opens a session over an in-memory dataset: builds the binner and
+    /// bins every tuple (in parallel across [`ArcsConfig::threads`]
+    /// workers). The returned [`Session`] owns everything it needs;
+    /// `dataset` may be dropped afterwards.
     pub fn open(&self, dataset: &Dataset, request: SegmentRequest) -> Result<Session, ArcsError> {
-        self.build_session(
-            dataset.schema(),
-            Some(dataset),
-            request,
-            |binner, threads| binner.bin_rows_parallel_with_stats(dataset.rows(), threads),
-            |binner| self.bin_sample(binner, dataset),
-        )
+        self.build_session(dataset.schema(), Some(dataset), request, |binner, threads| {
+            binner.bin_rows_parallel_with_stats(dataset.rows(), threads)
+        })
     }
 
-    /// Opens a session over a tuple stream in one pass, with an explicit
-    /// verification sample (which must share `schema`). Only
+    /// Opens a session over a tuple stream in one pass. Only
     /// [`crate::binner::BinningStrategy::EquiWidth`] is possible here —
     /// the alternatives need a second look at the data.
     pub fn open_stream<I>(
@@ -226,26 +211,21 @@ impl Arcs {
         schema: &Schema,
         tuples: I,
         request: SegmentRequest,
-        sample: &Dataset,
     ) -> Result<Session, ArcsError>
     where
         I: IntoIterator<Item = Tuple>,
     {
-        self.build_session(
-            schema,
-            None,
-            request,
-            |binner, threads| binner.bin_stream_parallel_with_stats(tuples, threads),
-            |binner| binner.bin_rows(sample.iter()),
-        )
+        self.build_session(schema, None, request, |binner, threads| {
+            binner.bin_stream_parallel_with_stats(tuples, threads)
+        })
     }
 
     /// Opens a session over `dataset` whose bin array starts as `prefix`
     /// (a snapshot of the dataset's first `prefix.n_tuples()` rows, e.g.
     /// one resumed from a checkpoint) or, without one, empty. It plans
-    /// and builds the binner and draws and bins the sample exactly as
-    /// [`Arcs::open`] does, but bins nothing: the caller appends the rows
-    /// the prefix does not cover with [`Session::append_rows`].
+    /// and builds the binner exactly as [`Arcs::open`] does, but bins
+    /// nothing: the caller appends the rows the prefix does not cover
+    /// with [`Session::append_rows`].
     ///
     /// A `prefix` whose grid is not the planned one, or that covers more
     /// rows than `dataset` holds, is refused with
@@ -256,54 +236,46 @@ impl Arcs {
         prefix: Option<BinArray>,
         request: SegmentRequest,
     ) -> Result<Session, ArcsError> {
-        self.build_session(
-            dataset.schema(),
-            Some(dataset),
-            request,
-            |binner, _| {
-                let Some(prefix) = prefix else {
-                    return Ok((binner.new_bin_array()?, RecoveryStats::default()));
-                };
-                let planned = (binner.x_map().n_bins(), binner.y_map().n_bins(), binner.nseg());
-                let grid = (prefix.nx(), prefix.ny(), prefix.nseg());
-                if grid != planned {
-                    return Err(ArcsError::Checkpoint {
-                        message: format!(
-                            "checkpoint grid (nx, ny, nseg) = {grid:?} does not match \
-                             the planned grid {planned:?}"
-                        ),
-                    });
-                }
-                if prefix.n_tuples() > dataset.len() as u64 {
-                    return Err(ArcsError::Checkpoint {
-                        message: format!(
-                            "checkpoint covers {} tuples but the input holds only {} — \
-                             wrong input for this checkpoint?",
-                            prefix.n_tuples(),
-                            dataset.len()
-                        ),
-                    });
-                }
-                Ok((prefix, RecoveryStats::default()))
-            },
-            |binner| self.bin_sample(binner, dataset),
-        )
+        self.build_session(dataset.schema(), Some(dataset), request, |binner, _| {
+            let Some(prefix) = prefix else {
+                return Ok((binner.new_bin_array()?, RecoveryStats::default()));
+            };
+            let planned = (binner.x_map().n_bins(), binner.y_map().n_bins(), binner.nseg());
+            let grid = (prefix.nx(), prefix.ny(), prefix.nseg());
+            if grid != planned {
+                return Err(ArcsError::Checkpoint {
+                    message: format!(
+                        "checkpoint grid (nx, ny, nseg) = {grid:?} does not match the planned \
+                         grid {planned:?}"
+                    ),
+                });
+            }
+            if prefix.n_tuples() > dataset.len() as u64 {
+                return Err(ArcsError::Checkpoint {
+                    message: format!(
+                        "checkpoint covers {} tuples but the input holds only {} — wrong input \
+                         for this checkpoint?",
+                        prefix.n_tuples(),
+                        dataset.len()
+                    ),
+                });
+            }
+            Ok((prefix, RecoveryStats::default()))
+        })
     }
 
     /// The one body behind every session constructor: plans the grid
     /// under the memory budget, builds the binner for the configured
     /// strategy (`dataset` supplies the columns equi-depth and
     /// homogeneity need; the binner validates the criterion and holds
-    /// its labels), checks the targeted group, then times `bin` and
-    /// `sample` (which bins the verification sample) into the session's
-    /// report.
+    /// its labels), checks the targeted group, then times `bin` into the
+    /// session's report.
     fn build_session(
         &self,
         schema: &Schema,
         dataset: Option<&Dataset>,
         request: SegmentRequest,
         bin: impl FnOnce(&Binner, usize) -> Result<(BinArray, RecoveryStats), ArcsError>,
-        sample: impl FnOnce(&Binner) -> Result<BinArray, ArcsError>,
     ) -> Result<Session, ArcsError> {
         if dataset.is_some_and(Dataset::is_empty) {
             return Err(ArcsError::InvalidConfig("dataset is empty".into()));
@@ -342,30 +314,15 @@ impl Arcs {
         report.counters.tuples_binned = array.n_tuples();
         report.counters.record_recovery(&recovery);
 
-        let start = Instant::now();
-        let sample = sample(&binner)?;
-        report.timings.record(Stage::Sampling, start.elapsed());
-
         Ok(Session {
             config: self.config().clone(),
             request,
             binner,
             array,
-            sample,
             index: None,
             budget_coarsening: plan.coarsening_steps,
             report,
         })
-    }
-
-    /// Draws the seeded verification sample [`Arcs::open`] verifies
-    /// against — `sample_size` rows of `dataset` (all of them when fewer)
-    /// — and bins it with `binner`, straight from the drawn references.
-    fn bin_sample(&self, binner: &Binner, dataset: &Dataset) -> Result<BinArray, ArcsError> {
-        let mut rng = StdRng::seed_from_u64(self.config().seed);
-        let k = self.config().sample_size.min(dataset.len());
-        let rows = sample_rows(dataset, k, &mut rng).map_err(ArcsError::Data)?;
-        binner.bin_rows(rows)
     }
 }
 
@@ -406,7 +363,7 @@ impl Session {
         let start = Instant::now();
         let outcome = {
             let index = lazy_index(&mut self.index, &self.array);
-            run_search(&self.config, &self.array, index, gk, &self.sample)
+            run_search(&self.config, &self.array, index, gk)
         };
         self.record_stage(Stage::Search, start.elapsed());
         let outcome = outcome?;
@@ -450,7 +407,7 @@ impl Session {
     }
 
     /// Segments every criterion group against the one shared bin array
-    /// and sample (paper §3.1). Returns `(group label, result)` per group;
+    /// (paper §3.1). Returns `(group label, result)` per group;
     /// groups for which no segmentation exists report their error.
     pub fn segment_all(&mut self) -> Result<GroupSegmentations, ArcsError> {
         let labels = self.binner.labels().to_vec();
@@ -891,10 +848,8 @@ mod tests {
         let arcs = Arcs::new(small_config()).unwrap();
         let request = SegmentRequest::new("x", "y", "g").group("A");
         let mut a = arcs.open(&ds, request.clone()).unwrap();
-        let mut b = arcs.open_stream(ds.schema(), ds.iter().cloned(), request, &ds).unwrap();
+        let mut b = arcs.open_stream(ds.schema(), ds.iter().cloned(), request).unwrap();
         assert_eq!(a.bin_array().checksum(), b.bin_array().checksum());
-        let seg_a = a.segment().unwrap();
-        let seg_b = b.segment().unwrap();
-        assert_eq!(seg_a.clusters, seg_b.clusters);
+        assert_eq!(a.segment().unwrap(), b.segment().unwrap());
     }
 }

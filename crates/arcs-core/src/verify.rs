@@ -10,7 +10,10 @@
 //! A cluster covers whole cells, so the tuples it covers are those its
 //! cells count: [`verify_counts`] reads the error off a [`BinArray`] of
 //! the verified tuples without visiting a tuple, and equals
-//! [`verify_tuples`] on the tuples that array was binned from.
+//! [`verify_tuples`] on the tuples that array was binned from. A
+//! session's search reads it off the session's own array, so its errors
+//! are exact over every tuple it binned, where the paper's §3.6 estimates
+//! them on a sample.
 
 // Public-API paths must fail with typed errors, never panic.
 #![warn(clippy::unwrap_used)]

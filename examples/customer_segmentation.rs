@@ -84,7 +84,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             println!("  {rule}   (support {:.3}, confidence {:.2})", rule.support, rule.confidence);
         }
         println!(
-            "  -> {} clusters, MDL cost {:.3}, sample error rate {:.2}%",
+            "  -> {} clusters, MDL cost {:.3}, error rate {:.2}%",
             seg.rules.len(),
             seg.score.cost,
             seg.errors.rate() * 100.0

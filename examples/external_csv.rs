@@ -67,7 +67,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!("  {rule}   (support {:.3}, confidence {:.2})", rule.support, rule.confidence);
     }
     println!(
-        "\n{} clusters, sample error rate {:.2}% — the premium pocket \
+        "\n{} clusters, error rate {:.2}% — the premium pocket \
          (usage > 250 GB, tenure 24-84 months) recovered from raw CSV with \
          zero manual schema work.",
         seg.rules.len(),

@@ -16,9 +16,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let dataset = gen.generate(50_000);
     println!("generated {} tuples over {} attributes", dataset.len(), dataset.schema().arity());
 
-    // 2. Open a session: one parallel binning pass (50x50) plus one
-    //    verification sample. The session owns the populated BinArray —
-    //    everything below runs without touching the dataset again.
+    // 2. Open a session: one parallel binning pass (50x50). The session
+    //    owns the populated BinArray — everything below, verification
+    //    included, runs without touching the dataset again.
     let arcs = Arcs::with_defaults();
     let mut session =
         arcs.open(&dataset, SegmentRequest::new("age", "salary", "group").group("A"))?;
@@ -36,7 +36,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         seg.thresholds.min_support, seg.thresholds.min_confidence
     );
     println!(
-        "MDL cost {:.3} ({} clusters, {} sample errors, error rate {:.2}%)",
+        "MDL cost {:.3} ({} clusters, {} errors over all tuples, error rate {:.2}%)",
         seg.score.cost,
         seg.score.n_clusters,
         seg.score.errors,

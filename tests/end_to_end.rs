@@ -61,29 +61,20 @@ fn arcs_withstands_ten_percent_outliers() {
 }
 
 /// Streaming over the generator must match the in-memory path given the
-/// same data (constant-memory one-pass claim, §4.3).
+/// same data (constant-memory one-pass claim, §4.3): the stream is never
+/// collected, and the whole segmentation — errors and score included —
+/// equals the dataset path's.
 #[test]
 fn stream_and_dataset_paths_agree() {
-    let mut gen = AgrawalGenerator::new(GeneratorConfig::paper_defaults(3)).unwrap();
-    let ds = gen.generate(15_000);
+    let config = GeneratorConfig::paper_defaults(3);
+    let ds = AgrawalGenerator::new(config.clone()).unwrap().generate(15_000);
     let arcs = Arcs::with_defaults();
-    let by_dataset = arcs
-        .open(&ds, SegmentRequest::new("age", "salary", "group").group("A"))
-        .unwrap()
-        .segment()
-        .unwrap();
-    let by_stream = arcs
-        .open_stream(
-            ds.schema(),
-            ds.iter().cloned(),
-            SegmentRequest::new("age", "salary", "group").group("A"),
-            &ds,
-        )
-        .unwrap()
-        .segment()
-        .unwrap();
-    assert_eq!(by_dataset.clusters, by_stream.clusters);
-    assert_eq!(by_dataset.thresholds, by_stream.thresholds);
+    let request = SegmentRequest::new("age", "salary", "group").group("A");
+    let by_dataset = arcs.open(&ds, request.clone()).unwrap().segment().unwrap();
+    let stream = AgrawalGenerator::new(config).unwrap().take(15_000);
+    let by_stream = arcs.open_stream(ds.schema(), stream, request).unwrap().segment().unwrap();
+    assert_eq!(by_dataset, by_stream);
+    assert_eq!(by_stream.errors.n_examined, 15_000);
 }
 
 /// Segmenting the *other* group works off the same bin array semantics and

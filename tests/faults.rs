@@ -204,11 +204,11 @@ fn stream_chunk_panics_disarm_and_the_stream_completes() {
     let _g = guard();
     let ds = f2_dataset(20_000);
     let clean =
-        arcs_with_threads(4).open_stream(ds.schema(), ds.iter().cloned(), request(), &ds).unwrap();
+        arcs_with_threads(4).open_stream(ds.schema(), ds.iter().cloned(), request()).unwrap();
 
     faults::configure_from_spec("binner.stream-chunk=panic@1+").unwrap();
     let faulted =
-        arcs_with_threads(4).open_stream(ds.schema(), ds.iter().cloned(), request(), &ds).unwrap();
+        arcs_with_threads(4).open_stream(ds.schema(), ds.iter().cloned(), request()).unwrap();
     faults::clear();
 
     assert_eq!(faulted.bin_array().checksum(), clean.bin_array().checksum());

@@ -140,7 +140,10 @@ proptest! {
 
     /// The count verifier on an array binned from a sample reports the
     /// errors the tuple verifier finds on that sample, for the BitOp
-    /// clusters of any grid and for the empty cluster set.
+    /// clusters of any grid and for the empty cluster set. On a session's
+    /// own bin array — opened over the dataset, or resumed from a binned
+    /// prefix with the other rows appended — it reports the errors over
+    /// every row the session binned, and so does each `Segmentation`.
     #[test]
     fn count_verifier_matches_the_tuple_verifier(
         data in (vec((0.0f64..10.0, 0.0f64..10.0, 0u32..3), 0..300), 1usize..12, 1usize..12),
@@ -166,6 +169,42 @@ proptest! {
                     verify_tuples(c, &binner, sample.iter().copied(), gk),
                     "clusters {:?}, group {}", c, gk
                 );
+            }
+        }
+
+        if ds.is_empty() {
+            return Ok(()); // a session needs rows
+        }
+        let arcs = Arcs::new(ArcsConfig { n_x_bins: nx, n_y_bins: ny, ..ArcsConfig::default() })
+            .unwrap();
+        let request = SegmentRequest::new("x", "y", "g");
+        let opened = arcs.open(&ds, request.clone()).unwrap();
+        // Resume after as many rows as the sample holds.
+        let split = sample.len();
+        let prefix = binner.bin_rows(&ds.rows()[..split]).unwrap();
+        let mut resumed = arcs.open_binned(&ds, Some(prefix), request).unwrap();
+        resumed.append_rows(&ds.rows()[split..]).unwrap();
+        for mut session in [opened, resumed] {
+            for gk in 0..3u32 {
+                for c in [&clusters[..], &[]] {
+                    prop_assert_eq!(
+                        verify_counts(c, session.bin_array(), gk),
+                        verify_tuples(c, &binner, ds.iter(), gk),
+                        "session array, clusters {:?}, group {}", c, gk
+                    );
+                }
+            }
+            for (gk, (label, seg)) in session.segment_all().unwrap().into_iter().enumerate() {
+                match seg {
+                    Ok(seg) => prop_assert_eq!(
+                        seg.errors,
+                        verify_tuples(&seg.clusters, &binner, ds.iter(), gk as u32),
+                        "segmentation of group {}", label
+                    ),
+                    // Nothing clusters for a group without rows.
+                    Err(ArcsError::NoSegmentation) => {}
+                    Err(e) => prop_assert!(false, "unexpected error {e}"),
+                }
             }
         }
     }

@@ -17,7 +17,6 @@ proptest! {
     fn pipeline_never_panics(
         rows in vec((0.0f64..10.0, 0.0f64..10.0, 0u32..2), 1..200),
         bins in 2usize..12,
-        sample_size in 1usize..100,
     ) {
         let schema = Schema::new(vec![
             Attribute::quantitative("x", 0.0, 10.0),
@@ -31,7 +30,6 @@ proptest! {
         let arcs = Arcs::new(ArcsConfig {
             n_x_bins: bins,
             n_y_bins: bins,
-            sample_size,
             ..ArcsConfig::default()
         }).unwrap();
         match arcs.open(&ds, SegmentRequest::new("x", "y", "g").group("A"))
