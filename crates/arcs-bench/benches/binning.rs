@@ -1,5 +1,5 @@
 //! Criterion micro-benchmarks for the binner: tuples/second through the
-//! single streaming pass (the dominant cost of ARCS at scale, Figure 15).
+//! single binning pass (the dominant cost of ARCS at scale, Figure 15).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
@@ -28,15 +28,6 @@ fn bench_binning(c: &mut Criterion) {
         });
     }
     group.finish();
-
-    // Generation + binning fused (the Figure 15 streaming path).
-    c.bench_function("binning/stream_100k", |b| {
-        b.iter(|| {
-            let gen =
-                AgrawalGenerator::new(GeneratorConfig::paper_defaults(1)).expect("valid config");
-            binner.bin_stream(gen.take(100_000)).expect("binning succeeds")
-        });
-    });
 }
 
 criterion_group!(benches, bench_binning);

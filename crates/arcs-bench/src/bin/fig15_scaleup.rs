@@ -6,9 +6,10 @@
 //! differ, the *shape* is the claim). This harness pre-generates each
 //! dataset outside the timed region and measures only the pipeline —
 //! parallel binning, threshold search (verified against the bin array),
-//! decode — so thread scaling is visible. (The constant-memory streaming mode of §4.3 is
-//! still exercised by `Arcs::open_stream`; here the data is in memory so
-//! generation cost cannot mask the pipeline.)
+//! decode — so thread scaling is visible. (The constant-memory mode of
+//! §4.3 is `arcs daemon --datasets`, which bins a CSV file without
+//! holding its rows; here the data is in memory so generation cost cannot
+//! mask the pipeline.)
 //!
 //! ```sh
 //! cargo run --release -p arcs-bench --bin fig15_scaleup -- \

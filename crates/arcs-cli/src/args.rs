@@ -50,6 +50,22 @@ impl std::fmt::Display for ArgsError {
 
 impl std::error::Error for ArgsError {}
 
+/// The flags one command accepts, declared beside its usage text.
+#[derive(Debug, Clone, Copy)]
+pub struct Flags {
+    /// Flags that take a value (`--flag value` or `--flag=value`).
+    pub values: &'static [&'static str],
+    /// Valueless switches.
+    pub switches: &'static [&'static str],
+}
+
+impl Flags {
+    /// Parses a command's arguments against these flags ([`Args::parse`]).
+    pub fn parse(&self, argv: &[String]) -> Result<Args, ArgsError> {
+        Args::parse(argv.iter().cloned(), self.values, self.switches)
+    }
+}
+
 impl Args {
     /// Parses raw arguments. `value_flags` lists flags that take a value;
     /// `bool_flags` lists valueless switches. Anything else starting with

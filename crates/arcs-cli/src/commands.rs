@@ -10,14 +10,13 @@ use arcs_core::metrics::default_threads;
 use arcs_core::optimizer::ThresholdLattice;
 use arcs_core::render::render_clusters;
 use arcs_core::select::{rank_attributes, select_pair_joint};
-use arcs_core::wal::write_atomic;
-use arcs_core::{Arcs, ArcsConfig, ArcsError, BinArray, Binner, GroupRef, SegmentRequest, Session};
+use arcs_core::{Arcs, ArcsConfig, ArcsError, Binner, GroupRef, SegmentRequest};
 use arcs_daemon::protocol::{CODE_NOT_PRIMARY, CODE_NO_DATASET, CODE_UNKNOWN_DATASET};
 use arcs_data::csv::{load_csv_inferred_with_policy, save_csv};
 use arcs_data::generator::{AgrawalGenerator, GeneratorConfig};
 use arcs_data::{Dataset, IngestPolicy, IngestReport};
 
-use crate::args::{Args, ArgsError};
+use crate::args::{Args, ArgsError, Flags};
 
 /// Top-level CLI error. The variants map to distinct process exit codes
 /// (see [`CliError::exit_code`]) so scripts can tell a typo from a
@@ -126,6 +125,9 @@ arcs generate --out <FILE> [--n 50000] [--function 2] [--perturbation 0.05]
 
 Writes |D| labelled tuples of the chosen Agrawal function (1-10) to CSV.";
 
+const GENERATE_FLAGS: Flags =
+    Flags { values: &["out", "n", "function", "perturbation", "outliers", "seed"], switches: &[] };
+
 const SEGMENT_USAGE: &str = "\
 arcs segment <FILE> --criterion <ATTR> --group <LABEL>
              [--x <ATTR> --y <ATTR>]      (default: auto-select by joint MI)
@@ -133,13 +135,12 @@ arcs segment <FILE> --criterion <ATTR> --group <LABEL>
              [--threads <N>] [--stats json] [--memory-budget <BYTES>]
              [--max-categories 16] [--grid] [--svg <FILE>] [--categorical <ATTR>]
              [--on-bad-row fail|skip|quarantine=<FILE>] [--max-bad-fraction 1.0]
-             [--checkpoint <FILE>] [--resume <FILE>] [--checkpoint-every 100000]
 
 Loads a CSV (schema inferred), segments the (x, y) space for the group,
 and prints the clustered association rules with their error over every
 tuple. With --categorical, uses the density-ordered categorical x-axis
-extension instead of --x; the budget, stats, grid, SVG and checkpoint
-flags do not apply to it and are refused.
+extension instead of --x; the budget, stats, grid and SVG flags do not
+apply to it and are refused.
 
 Execution and observability:
   --threads N         worker threads for the CSV load, binning and the
@@ -156,23 +157,61 @@ Robustness options:
   --memory-budget B   cap the bin array at B bytes; when the requested grid
                       does not fit, bins are halved until it does (the run
                       then exits with code 5), and a budget too small for
-                      even the coarsest grid refuses to start
-  --checkpoint FILE   periodically checkpoint binning progress to FILE
-  --resume FILE       resume binning from an earlier checkpoint of the same
-                      run (the file must exist)";
+                      even the coarsest grid refuses to start";
+
+const SEGMENT_FLAGS: Flags = Flags {
+    values: &[
+        "x",
+        "y",
+        "criterion",
+        "group",
+        "bins",
+        "threads",
+        "stats",
+        "memory-budget",
+        "max-categories",
+        "categorical",
+        "svg",
+        "on-bad-row",
+        "max-bad-fraction",
+    ],
+    switches: &["grid"],
+};
 
 const EXPLORE_USAGE: &str = "\
 arcs explore <FILE> --x <ATTR> --y <ATTR> --criterion <ATTR> --group <LABEL>
              [--bins 50] [--levels 10] [--max-categories 16]
+             [--on-bad-row fail|skip|quarantine=<FILE>] [--max-bad-fraction 1.0]
 
 Prints the threshold lattice: the support levels occurring in the binned
 data and the spread of rule counts across them.";
 
+const EXPLORE_FLAGS: Flags = Flags {
+    values: &[
+        "x",
+        "y",
+        "criterion",
+        "group",
+        "bins",
+        "levels",
+        "max-categories",
+        "on-bad-row",
+        "max-bad-fraction",
+    ],
+    switches: &[],
+};
+
 const RANK_USAGE: &str = "\
 arcs rank <FILE> --criterion <ATTR> [--bins 20] [--max-categories 16]
+          [--on-bad-row fail|skip|quarantine=<FILE>] [--max-bad-fraction 1.0]
 
 Ranks quantitative attributes by mutual information with the criterion and
 suggests the best pair by joint MI.";
+
+const RANK_FLAGS: Flags = Flags {
+    values: &["criterion", "bins", "max-categories", "on-bad-row", "max-bad-fraction"],
+    switches: &[],
+};
 
 /// Exit code for runs that completed, but only because the memory budget
 /// forced the grid to a coarser resolution than requested.
@@ -213,11 +252,7 @@ pub fn generate(argv: &[String]) -> Result<String, CliError> {
     if wants_help(argv) {
         return Ok(GENERATE_USAGE.to_string());
     }
-    let args = Args::parse(
-        argv.iter().cloned(),
-        &["out", "n", "function", "perturbation", "outliers", "seed"],
-        &[],
-    )?;
+    let args = GENERATE_FLAGS.parse(argv)?;
     let out = args.require("out")?;
     let n: usize = args.get_or("n", 50_000)?;
     let function_no: usize = args.get_or("function", 2)?;
@@ -350,41 +385,11 @@ fn segment_with_status(argv: &[String]) -> Result<(String, u8), CliError> {
     if wants_help(argv) {
         return Ok((SEGMENT_USAGE.to_string(), 0));
     }
-    let args = Args::parse(
-        argv.iter().cloned(),
-        &[
-            "x",
-            "y",
-            "criterion",
-            "group",
-            "bins",
-            "threads",
-            "stats",
-            "memory-budget",
-            "max-categories",
-            "categorical",
-            "svg",
-            "on-bad-row",
-            "max-bad-fraction",
-            "checkpoint",
-            "resume",
-            "checkpoint-every",
-        ],
-        &["grid"],
-    )?;
+    let args = SEGMENT_FLAGS.parse(argv)?;
     // The categorical search bins and verifies on its own: these flags
     // only drive the quantitative pipeline, so refuse them up front.
     if args.get("categorical").is_some() {
-        let quantitative_only = [
-            "x",
-            "stats",
-            "memory-budget",
-            "grid",
-            "svg",
-            "checkpoint",
-            "resume",
-            "checkpoint-every",
-        ];
+        let quantitative_only = ["x", "stats", "memory-budget", "grid", "svg"];
         if let Some(flag) =
             quantitative_only.iter().find(|&&f| args.get(f).is_some() || args.has(f))
         {
@@ -394,7 +399,6 @@ fn segment_with_status(argv: &[String]) -> Result<(String, u8), CliError> {
     let threads = args.positive("threads")?;
     let bins = args.positive("bins")?.unwrap_or(50);
     let memory_budget = args.positive("memory-budget")?;
-    let checkpoint_every = args.positive("checkpoint-every")?.unwrap_or(100_000);
     let want_stats = stats_flag(&args)?;
     let criterion = args.require("criterion")?;
     let group = args.require("group")?;
@@ -410,7 +414,11 @@ fn segment_with_status(argv: &[String]) -> Result<(String, u8), CliError> {
     // Categorical x-axis mode (§5 extension).
     if let Some(cat_attr) = args.get("categorical") {
         let y_attr = args.require("y")?;
-        let config = CategoricalConfig { n_quant_bins: bins, ..CategoricalConfig::default() };
+        let mut config = CategoricalConfig { n_quant_bins: bins, ..CategoricalConfig::default() };
+        if let Some(t) = threads {
+            config.optimizer.threads = t;
+            config.optimizer.bitop.threads = t;
+        }
         let seg = segment_categorical(&ds, cat_attr, y_attr, criterion, group, &config)
             .map_err(pipeline_err)?;
         let _ = writeln!(
@@ -445,34 +453,8 @@ fn segment_with_status(argv: &[String]) -> Result<(String, u8), CliError> {
         config.optimizer.bitop.threads = t;
     }
     let arcs = Arcs::new(config).map_err(run_err)?;
-
-    // Checkpointed binning: bin in chunks with a snapshot after each, so
-    // an interrupted run restarts from the last snapshot instead of row 0.
-    let ckpt_path = match (args.get("checkpoint"), args.get("resume")) {
-        (Some(c), Some(r)) if c != r => {
-            return Err(CliError::Usage(
-                "--checkpoint and --resume must name the same file \
-                 (resume continues checkpointing in place)"
-                    .into(),
-            ))
-        }
-        (c, r) => {
-            if let Some(r) = r {
-                if !std::path::Path::new(r).exists() {
-                    return Err(CliError::Data(format!(
-                        "--resume checkpoint `{r}` does not exist"
-                    )));
-                }
-            }
-            r.or(c)
-        }
-    };
-
     let request = SegmentRequest::new(&x_attr, &y_attr, criterion).group(group);
-    let mut session = match ckpt_path {
-        Some(ckpt) => open_checkpointed(&arcs, &ds, request, ckpt, checkpoint_every, &mut out)?,
-        None => arcs.open(&ds, request).map_err(pipeline_err)?,
-    };
+    let mut session = arcs.open(&ds, request).map_err(pipeline_err)?;
     let seg = session.segment().map_err(pipeline_err)?;
     let budget_steps = session.budget_coarsening_steps();
 
@@ -546,59 +528,12 @@ fn segment_with_status(argv: &[String]) -> Result<(String, u8), CliError> {
     Ok((out, status))
 }
 
-/// Opens the session of a `--checkpoint`/`--resume` run. The checkpoint
-/// is a [`BinArray`] snapshot of the dataset's first `n_tuples` rows:
-/// when `path` holds one the run resumes after those rows, then it bins
-/// the rest `every` rows at a time, replacing the snapshot through the
-/// fsyncing [`write_atomic`] after each chunk.
-fn open_checkpointed(
-    arcs: &Arcs,
-    ds: &Dataset,
-    request: SegmentRequest,
-    path: &str,
-    every: usize,
-    out: &mut String,
-) -> Result<Session, CliError> {
-    let prefix = match std::fs::read(path) {
-        Ok(bytes) => Some(BinArray::read_from(&mut bytes.as_slice()).map_err(pipeline_err)?),
-        Err(err) if err.kind() == std::io::ErrorKind::NotFound => None,
-        Err(err) => return Err(run_err(err)),
-    };
-    let mut session = arcs.open_binned(ds, prefix, request).map_err(pipeline_err)?;
-    let resume_at = session.bin_array().n_tuples() as usize;
-    if resume_at > 0 {
-        let _ = writeln!(out, "resumed from checkpoint {path} covering {resume_at} tuples");
-    }
-    let mut bytes = Vec::new();
-    for chunk in ds.rows()[resume_at..].chunks(every) {
-        session.append_rows(chunk).map_err(pipeline_err)?;
-        bytes.clear();
-        session.bin_array().write_to(&mut bytes).map_err(pipeline_err)?;
-        write_atomic(std::path::Path::new(path), &bytes).map_err(pipeline_err)?;
-    }
-    Ok(session)
-}
-
 /// `arcs explore`: print the Figure 10 threshold lattice.
 pub fn explore(argv: &[String]) -> Result<String, CliError> {
     if wants_help(argv) {
         return Ok(EXPLORE_USAGE.to_string());
     }
-    let args = Args::parse(
-        argv.iter().cloned(),
-        &[
-            "x",
-            "y",
-            "criterion",
-            "group",
-            "bins",
-            "levels",
-            "max-categories",
-            "on-bad-row",
-            "max-bad-fraction",
-        ],
-        &[],
-    )?;
+    let args = EXPLORE_FLAGS.parse(argv)?;
     let x = args.require("x")?;
     let y = args.require("y")?;
     let criterion = args.require("criterion")?;
@@ -639,11 +574,7 @@ pub fn rank(argv: &[String]) -> Result<String, CliError> {
     if wants_help(argv) {
         return Ok(RANK_USAGE.to_string());
     }
-    let args = Args::parse(
-        argv.iter().cloned(),
-        &["criterion", "bins", "max-categories", "on-bad-row", "max-bad-fraction"],
-        &[],
-    )?;
+    let args = RANK_FLAGS.parse(argv)?;
     let criterion = args.require("criterion")?;
     let bins = args.positive("bins")?.unwrap_or(20);
     let (ds, report) = load(&args, RANK_USAGE, default_threads())?;
@@ -735,6 +666,38 @@ mod tests {
         for cmd in ["generate", "segment", "explore", "rank"] {
             let out = dispatch(&argv(&[cmd, "--help"])).unwrap();
             assert!(out.contains(cmd), "{cmd} help: {out}");
+        }
+    }
+
+    /// Each command's usage text names exactly the flags its parser
+    /// accepts: no accepted flag goes undocumented, and no documented
+    /// flag is refused as unknown.
+    #[test]
+    fn usage_texts_name_exactly_the_accepted_flags() {
+        use crate::daemon_cmd::{
+            CLIENT_FLAGS, CLIENT_USAGE, DAEMON_FLAGS, DAEMON_USAGE, FSCK_FLAGS, FSCK_USAGE,
+            REPL_STATUS_FLAGS, REPL_STATUS_USAGE,
+        };
+        use std::collections::BTreeSet;
+
+        for (command, usage, flags) in [
+            ("generate", GENERATE_USAGE, GENERATE_FLAGS),
+            ("segment", SEGMENT_USAGE, SEGMENT_FLAGS),
+            ("explore", EXPLORE_USAGE, EXPLORE_FLAGS),
+            ("rank", RANK_USAGE, RANK_FLAGS),
+            ("daemon", DAEMON_USAGE, DAEMON_FLAGS),
+            ("fsck", FSCK_USAGE, FSCK_FLAGS),
+            ("client", CLIENT_USAGE, CLIENT_FLAGS),
+            ("repl-status", REPL_STATUS_USAGE, REPL_STATUS_FLAGS),
+        ] {
+            let named: BTreeSet<&str> = usage
+                .split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+                .filter_map(|word| word.strip_prefix("--"))
+                .filter(|flag| !flag.is_empty())
+                .collect();
+            let accepted: BTreeSet<&str> =
+                flags.values.iter().chain(flags.switches).copied().collect();
+            assert_eq!(named, accepted, "{command}");
         }
     }
 
@@ -960,9 +923,6 @@ mod tests {
         let path = tmp("f2_cat_flags.csv");
         let path_str = path.to_str().expect("utf-8 path");
         dispatch(&argv(&["generate", "--out", path_str, "--n", "500", "--seed", "3"])).unwrap();
-        let ckpt = tmp("f2_cat_flags.ckpt");
-        std::fs::remove_file(&ckpt).ok();
-        let ckpt_str = ckpt.to_str().expect("utf-8 path");
         let base = [
             "segment",
             path_str,
@@ -981,15 +941,11 @@ mod tests {
             &["--memory-budget", "100000"],
             &["--grid"],
             &["--svg", "plot.svg"],
-            &["--checkpoint", ckpt_str],
-            &["--resume", ckpt_str],
-            &["--checkpoint-every", "100"],
         ] {
             let err = dispatch(&argv(&[&base[..], extra].concat())).unwrap_err();
             assert!(matches!(err, CliError::Usage(_)), "{extra:?}: {err}");
             assert!(err.to_string().starts_with(&format!("{} ", extra[0])), "{extra:?}: {err}");
         }
-        assert!(!ckpt.exists());
         std::fs::remove_file(&path).ok();
     }
 
@@ -1039,6 +995,8 @@ mod tests {
             (&segment, &["--categorical", "elevel", "--y", "elevel"]),
             (&segment, &["--sample", "100"]),
             (&segment, &["--seed", "1"]),
+            (&segment, &["--checkpoint", "run.ckpt"]),
+            (&segment, &["--resume", "run.ckpt"]),
             (&explore, &["--bins", "0"]),
             (&explore, &["--max-categories", "0"]),
             (&explore, &["--y", "age"]),
@@ -1049,29 +1007,7 @@ mod tests {
             assert!(matches!(err, CliError::Usage(_)), "{base:?} {extra:?}: {err}");
             assert!(err.to_string().contains(extra[0]), "{base:?} {extra:?}: {err}");
         }
-        // A zero checkpoint interval.
-        let ckpt = tmp("f2_bad.ckpt");
-        assert!(matches!(
-            dispatch(&argv(&[
-                "segment",
-                path_str,
-                "--x",
-                "age",
-                "--y",
-                "salary",
-                "--criterion",
-                "group",
-                "--group",
-                "A",
-                "--checkpoint",
-                ckpt.to_str().expect("utf-8 path"),
-                "--checkpoint-every",
-                "0",
-            ])),
-            Err(CliError::Usage(_))
-        ));
         std::fs::remove_file(&path).ok();
-        std::fs::remove_file(&ckpt).ok();
     }
 
     #[test]
@@ -1287,6 +1223,11 @@ mod tests {
         ] {
             assert!(json_line.contains(key), "missing {key} in: {json_line}");
         }
+        let stats = arcs_core::jsonio::parse(json_line).unwrap();
+        let timings = stats.get("timings_ms").expect("timings");
+        let ms = timings.get("binning").and_then(|v| v.as_f64());
+        assert!(ms.is_some_and(|ms| ms > 0.0), "binning untimed in: {json_line}");
+        assert!(timings.get("sampling").is_none(), "{json_line}");
 
         // Same rules at 1 and 4 threads; stats line stripped (timings vary).
         let body = |s: &str| -> String {
@@ -1306,20 +1247,6 @@ mod tests {
             let got = stats.get("counters").and_then(|c| c.get(counter)).and_then(|v| v.as_u64());
             assert_eq!(got, Some(want), "{counter} in: {json_line}");
         }
-
-        // A checkpointed run times its binning too.
-        let ckpt = tmp("f2_stats.ckpt");
-        std::fs::remove_file(&ckpt).ok();
-        let mut ck_args = base.to_vec();
-        ck_args.extend(["--stats", "json", "--checkpoint", ckpt.to_str().expect("utf-8 path")]);
-        let out = dispatch(&argv(&ck_args)).unwrap();
-        let json_line = out.lines().find(|l| l.starts_with('{')).expect("stats line");
-        let stats = arcs_core::jsonio::parse(json_line).unwrap();
-        let timings = stats.get("timings_ms").expect("timings");
-        let ms = timings.get("binning").and_then(|v| v.as_f64());
-        assert!(ms.is_some_and(|ms| ms > 0.0), "binning untimed in: {json_line}");
-        assert!(timings.get("sampling").is_none(), "{json_line}");
-        std::fs::remove_file(&ckpt).ok();
 
         // Bad values are usage errors.
         let mut bad_stats = base.to_vec();
@@ -1366,19 +1293,6 @@ mod tests {
         assert!(out.contains("\"budget_coarsening_steps\":2"), "{out}");
         assert!(out.contains("=>  group = A"), "{out}");
 
-        // A checkpointed run bins onto the same coarsened grid: the same
-        // output and the same degraded status as the plain run.
-        let ckpt = tmp("f2_budget.ckpt");
-        std::fs::remove_file(&ckpt).ok();
-        let mut plain = base.to_vec();
-        plain.extend(["--memory-budget", "10000"]);
-        let mut checkpointed = plain.clone();
-        checkpointed.extend(["--checkpoint", ckpt.to_str().expect("utf-8 path")]);
-        let expected = dispatch_with_status(&argv(&plain)).unwrap();
-        assert_eq!(expected.1, EXIT_BUDGET_DEGRADED);
-        assert_eq!(dispatch_with_status(&argv(&checkpointed)).unwrap(), expected);
-        std::fs::remove_file(&ckpt).ok();
-
         // Below even the coarsest useful grid: refused, not coarsened away.
         let mut impossible = base.to_vec();
         impossible.extend(["--memory-budget", "10"]);
@@ -1391,63 +1305,5 @@ mod tests {
         assert!(matches!(dispatch(&argv(&zero)), Err(CliError::Usage(_))));
 
         std::fs::remove_file(&path).ok();
-    }
-
-    /// The --checkpoint/--resume flags: an interrupted binning pass picks
-    /// up from the snapshot and yields the same segmentation as a clean
-    /// run.
-    #[test]
-    fn segment_checkpoint_and_resume() {
-        let path = tmp("ckpt_data.csv");
-        let path_str = path.to_str().expect("utf-8 path");
-        dispatch(&argv(&["generate", "--out", path_str, "--n", "12000", "--seed", "3"])).unwrap();
-        let ckpt = tmp("ckpt_file.bin");
-        let ckpt_str = ckpt.to_str().expect("utf-8 path");
-        std::fs::remove_file(&ckpt).ok();
-
-        let base = [
-            "segment",
-            path_str,
-            "--x",
-            "age",
-            "--y",
-            "salary",
-            "--criterion",
-            "group",
-            "--group",
-            "A",
-            "--bins",
-            "30",
-        ];
-        let reference = dispatch(&argv(&base)).unwrap();
-
-        // Full checkpointed run: same rules as the plain run.
-        let mut ck_args = base.to_vec();
-        ck_args.extend(["--checkpoint", ckpt_str, "--checkpoint-every", "4000"]);
-        let checkpointed = dispatch(&argv(&ck_args)).unwrap();
-        assert_eq!(checkpointed, reference);
-
-        // The checkpoint now covers the whole file: a --resume run skips
-        // all binning work and reproduces the result.
-        let mut re_args = base.to_vec();
-        re_args.extend(["--resume", ckpt_str]);
-        let resumed = dispatch(&argv(&re_args)).unwrap();
-        assert!(resumed.contains("resumed from checkpoint"), "{resumed}");
-        assert!(resumed.contains("=>  group = A"), "{resumed}");
-        // Identical modulo the resume banner.
-        let resumed_body: String = resumed
-            .lines()
-            .filter(|l| !l.starts_with("resumed from checkpoint"))
-            .map(|l| format!("{l}\n"))
-            .collect();
-        assert_eq!(resumed_body, reference);
-
-        // Resuming from a missing file is a data error.
-        let mut missing_args = base.to_vec();
-        missing_args.extend(["--resume", "/nonexistent/ckpt.bin"]);
-        assert!(matches!(dispatch(&argv(&missing_args)).unwrap_err(), CliError::Data(_)));
-
-        std::fs::remove_file(&path).ok();
-        std::fs::remove_file(&ckpt).ok();
     }
 }

@@ -21,7 +21,7 @@ use arcs_daemon::registry::{Registry, Tenant, TenantConfig};
 use arcs_daemon::repl::ReplicationConfig;
 use arcs_daemon::{Client, ClientError, Feeder};
 
-use crate::args::Args;
+use crate::args::{Args, Flags};
 use crate::commands::{classify, distinct_attributes, CliError};
 use crate::signals;
 
@@ -89,6 +89,36 @@ Readiness and scripting:
                       WAL and a restart resumes exactly after the last
                       durable batch";
 
+pub(crate) const DAEMON_FLAGS: Flags = Flags {
+    values: &[
+        "listen",
+        "datasets",
+        "x",
+        "y",
+        "criterion",
+        "data-dir",
+        "bins",
+        "max-categories",
+        "workers",
+        "max-pending",
+        "max-inflight",
+        "max-queued",
+        "cache",
+        "deadline-ms",
+        "idle-timeout-ms",
+        "read-timeout-ms",
+        "checkpoint-every",
+        "checkpoint-interval-ms",
+        "feed",
+        "feed-interval-ms",
+        "replicate-from",
+        "repl-poll-ms",
+        "port-file",
+        "max-seconds",
+    ],
+    switches: &[],
+};
+
 pub const FSCK_USAGE: &str = "\
 arcs fsck --data-dir <DIR> [--repair]
 
@@ -103,6 +133,8 @@ recreates a destroyed log from the checkpoint's sequence number, and
 removes stale temporary files. It never deletes checkpoints and never
 invents data: anything beyond that (a missing checkpoint, a record that
 no longer applies) stays an error in the report.";
+
+pub(crate) const FSCK_FLAGS: Flags = Flags { values: &["data-dir"], switches: &["repair"] };
 
 pub const CLIENT_USAGE: &str = "\
 arcs client --addr <HOST:PORT> <OP> [OPTIONS]
@@ -133,6 +165,21 @@ Wire error codes map onto the CLI exit classes: data-shaped failures
 expired deadlines and overload shedding exit 6, protocol or internal
 failures exit 4.";
 
+pub(crate) const CLIENT_FLAGS: Flags = Flags {
+    values: &[
+        "addr",
+        "dataset",
+        "group",
+        "support",
+        "confidence",
+        "deadline-ms",
+        "rows",
+        "rows-file",
+        "retry",
+    ],
+    switches: &["cluster"],
+};
+
 pub const REPL_STATUS_USAGE: &str = "\
 arcs repl-status --addr <HOST:PORT> [--dataset <NAME>] [--retry N]
 
@@ -141,6 +188,9 @@ standby), the primary it tails (standbys only), the datasets it serves,
 and the replication counters (records shipped/applied, gaps refused,
 re-syncs, heartbeats). With --dataset, also that tenant's durability
 positions (last WAL seq, checkpoint epoch/seq, WAL bytes).";
+
+pub(crate) const REPL_STATUS_FLAGS: Flags =
+    Flags { values: &["addr", "dataset", "retry"], switches: &[] };
 
 /// Classifies a client-side failure by its wire code through the CLI's
 /// one exit-class table ([`classify`]); a failure without a code (socket
@@ -187,36 +237,7 @@ pub fn daemon(argv: &[String]) -> Result<String, CliError> {
     if argv.iter().any(|a| a == "--help" || a == "-h") {
         return Ok(DAEMON_USAGE.to_string());
     }
-    let args = Args::parse(
-        argv.iter().cloned(),
-        &[
-            "listen",
-            "datasets",
-            "x",
-            "y",
-            "criterion",
-            "data-dir",
-            "bins",
-            "max-categories",
-            "workers",
-            "max-pending",
-            "max-inflight",
-            "max-queued",
-            "cache",
-            "deadline-ms",
-            "idle-timeout-ms",
-            "read-timeout-ms",
-            "checkpoint-every",
-            "checkpoint-interval-ms",
-            "feed",
-            "feed-interval-ms",
-            "replicate-from",
-            "repl-poll-ms",
-            "port-file",
-            "max-seconds",
-        ],
-        &[],
-    )?;
+    let args = DAEMON_FLAGS.parse(argv)?;
     let listen = args.require("listen")?;
     let data_dir = args.get("data-dir").map(PathBuf::from);
     let datasets = args.get("datasets");
@@ -457,7 +478,7 @@ pub fn fsck(argv: &[String]) -> Result<(String, u8), CliError> {
     if argv.iter().any(|a| a == "--help" || a == "-h") {
         return Ok((FSCK_USAGE.to_string(), 0));
     }
-    let args = Args::parse(argv.iter().cloned(), &["data-dir"], &["repair"])?;
+    let args = FSCK_FLAGS.parse(argv)?;
     let data_dir = PathBuf::from(args.require("data-dir")?);
     let report = arcs_daemon::store::fsck(&data_dir, args.has("repair"))
         .map_err(|err| CliError::Data(err.to_string()))?;
@@ -470,21 +491,7 @@ pub fn client(argv: &[String]) -> Result<String, CliError> {
     if argv.iter().any(|a| a == "--help" || a == "-h") {
         return Ok(CLIENT_USAGE.to_string());
     }
-    let args = Args::parse(
-        argv.iter().cloned(),
-        &[
-            "addr",
-            "dataset",
-            "group",
-            "support",
-            "confidence",
-            "deadline-ms",
-            "rows",
-            "rows-file",
-            "retry",
-        ],
-        &["cluster"],
-    )?;
+    let args = CLIENT_FLAGS.parse(argv)?;
     let [op] = args.positional() else {
         return Err(CliError::Usage(format!("expected exactly one operation\n\n{CLIENT_USAGE}")));
     };
@@ -561,7 +568,7 @@ pub fn repl_status(argv: &[String]) -> Result<String, CliError> {
     if argv.iter().any(|a| a == "--help" || a == "-h") {
         return Ok(REPL_STATUS_USAGE.to_string());
     }
-    let args = Args::parse(argv.iter().cloned(), &["addr", "dataset", "retry"], &[])?;
+    let args = REPL_STATUS_FLAGS.parse(argv)?;
     let mut client = connect(&args)?;
     let body = client.repl_heartbeat(args.get("dataset")).map_err(client_err)?;
     Ok(body.to_string())

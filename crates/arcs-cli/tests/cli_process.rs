@@ -77,56 +77,6 @@ fn generate_and_segment_end_to_end() {
     std::fs::remove_file(&csv).ok();
 }
 
-/// `--checkpoint` with a bare file name writes the snapshot into the
-/// working directory, and `--resume` from it reproduces the run's body.
-#[test]
-fn bare_checkpoint_name_writes_and_resumes_in_the_working_directory() {
-    let dir = tmp("bare-ckpt");
-    std::fs::remove_dir_all(&dir).ok();
-    std::fs::create_dir_all(&dir).expect("temp dir");
-    let out = arcs()
-        .current_dir(&dir)
-        .args(["generate", "--out", "data.csv", "--n", "5000", "--seed", "3"])
-        .output()
-        .expect("binary runs");
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
-
-    let segment = |flag: &str| {
-        let out = arcs()
-            .current_dir(&dir)
-            .args([
-                "segment",
-                "data.csv",
-                "--x",
-                "age",
-                "--y",
-                "salary",
-                "--criterion",
-                "group",
-                "--group",
-                "A",
-                "--bins",
-                "30",
-                "--checkpoint-every",
-                "2000",
-                flag,
-                "run.ckpt",
-            ])
-            .output()
-            .expect("binary runs");
-        assert!(out.status.success(), "{flag}: {}", String::from_utf8_lossy(&out.stderr));
-        String::from_utf8(out.stdout).unwrap()
-    };
-    let written = segment("--checkpoint");
-    assert!(dir.join("run.ckpt").exists());
-    let resumed = segment("--resume");
-    assert!(resumed.starts_with("resumed from checkpoint run.ckpt covering 5000 tuples\n"));
-    let body: String = resumed.lines().skip(1).map(|l| format!("{l}\n")).collect();
-    assert_eq!(body, written);
-
-    std::fs::remove_dir_all(&dir).ok();
-}
-
 #[test]
 fn bad_flag_value_reports_usage_error() {
     let out = arcs()

@@ -1,4 +1,4 @@
-//! The binner (paper Figure 2, §3.1): streams tuples into a [`BinArray`].
+//! The binner (paper Figure 2, §3.1): counts tuples into a [`BinArray`].
 //!
 //! The binner is the only component that touches the source data, and it
 //! does so in a single pass, so ARCS memory use is bounded by the bin array
@@ -12,8 +12,8 @@ use crate::binning::BinMap;
 use crate::error::ArcsError;
 use crate::metrics::RecoveryStats;
 
-/// Maximum times a panicked shard or stream chunk is retried before the
-/// sequential fallback takes over. Re-exported from the execution
+/// Maximum times a panicked shard is retried before the sequential
+/// fallback takes over. Re-exported from the execution
 /// engine, which owns the shared recovery contract.
 pub use crate::exec::MAX_SHARD_RETRIES;
 
@@ -198,20 +198,8 @@ impl Binner {
         array.add(x, y, g);
     }
 
-    /// Streams `tuples` into a fresh [`BinArray`] — the paper's single data
-    /// pass.
-    pub fn bin_stream<I>(&self, tuples: I) -> Result<BinArray, ArcsError>
-    where
-        I: IntoIterator<Item = Tuple>,
-    {
-        let mut array = self.new_bin_array()?;
-        for tuple in tuples {
-            self.bin_into(&tuple, &mut array);
-        }
-        Ok(array)
-    }
-
-    /// Bins every row of an in-memory dataset slice.
+    /// Bins every row of an in-memory dataset slice — the paper's single
+    /// data pass.
     pub fn bin_rows<'a, I>(&self, rows: I) -> Result<BinArray, ArcsError>
     where
         I: IntoIterator<Item = &'a Tuple>,
@@ -259,23 +247,12 @@ impl Binner {
         const MIN_ROWS_PER_WORKER: usize = 4_096;
         let workers = threads.min(rows.len() / MIN_ROWS_PER_WORKER).max(1);
         let shards: Vec<&[Tuple]> = rows.chunks(rows.len().div_ceil(workers).max(1)).collect();
-        self.bin_shards("binner.shard", workers, &shards)
-    }
-
-    /// Bins `shards` as isolated units behind `failpoint` and merges them
-    /// in shard order into one array.
-    fn bin_shards(
-        &self,
-        failpoint: &'static str,
-        threads: usize,
-        shards: &[&[Tuple]],
-    ) -> Result<(BinArray, RecoveryStats), ArcsError> {
         let (arrays, stats) = crate::exec::ExecPool::global().run_isolated(
             "binning",
-            threads,
-            shards,
+            workers,
+            &shards,
             |shard| {
-                crate::faults::check(failpoint)?;
+                crate::faults::check("binner.shard")?;
                 self.bin_rows(shard.iter())
             },
             |shard| self.bin_rows(shard.iter()),
@@ -289,47 +266,6 @@ impl Binner {
             merged.merge(&array)?;
         }
         Ok((merged, stats))
-    }
-
-    /// Streams `tuples` into a fresh [`BinArray`] using up to `threads`
-    /// persistent pool workers, returning it with the panic-isolation
-    /// tallies.
-    ///
-    /// The calling thread pulls the iterator in windows of `threads`
-    /// 16 384-tuple chunks, bins each window's chunks as shards (see
-    /// [`Binner::bin_rows_parallel`]) and merges them in chunk order, so
-    /// the result is bit-identical to [`Binner::bin_stream`] for any
-    /// thread count. Each chunk is an isolated unit behind the `binner.stream-chunk`
-    /// failpoint, under the same contract as the row shards: the window
-    /// is held in memory until it is merged, so a panic anywhere in a
-    /// chunk replays that chunk from scratch.
-    pub fn bin_stream_parallel_with_stats<I>(
-        &self,
-        tuples: I,
-        threads: usize,
-    ) -> Result<(BinArray, RecoveryStats), ArcsError>
-    where
-        I: IntoIterator<Item = Tuple>,
-    {
-        if threads == 0 {
-            return Err(ArcsError::InvalidConfig("binning thread count must be positive".into()));
-        }
-        const CHUNK: usize = 16_384;
-        let window_len = threads.saturating_mul(CHUNK);
-        let mut iter = tuples.into_iter();
-        let mut array = self.new_bin_array()?;
-        let mut stats = RecoveryStats::default();
-        loop {
-            let window: Vec<Tuple> = iter.by_ref().take(window_len).collect();
-            let chunks: Vec<&[Tuple]> = window.chunks(CHUNK).collect();
-            let (binned, window_stats) =
-                self.bin_shards("binner.stream-chunk", threads, &chunks)?;
-            array.merge(&binned)?;
-            stats.merge(&window_stats);
-            if window.len() < window_len {
-                return Ok((array, stats));
-            }
-        }
     }
 }
 
@@ -385,33 +321,6 @@ mod tests {
     }
 
     #[test]
-    fn bin_stream_counts_everything() {
-        let s = schema();
-        let b = Binner::equi_width(&s, "age", "salary", "group", 6, 10).unwrap();
-        let tuples = vec![
-            tuple(25.0, 5_000.0, 0),
-            tuple(25.0, 5_000.0, 0),
-            tuple(25.0, 5_000.0, 1),
-            tuple(75.0, 95_000.0, 1),
-        ];
-        let ba = b.bin_stream(tuples).unwrap();
-        assert_eq!(ba.n_tuples(), 4);
-        assert_eq!(ba.group_count(0, 0, 0), 2);
-        assert_eq!(ba.group_count(0, 0, 1), 1);
-        assert_eq!(ba.cell_total(5, 9), 1);
-    }
-
-    #[test]
-    fn bin_rows_matches_bin_stream() {
-        let s = schema();
-        let b = Binner::equi_width(&s, "age", "salary", "group", 4, 4).unwrap();
-        let tuples = vec![tuple(30.0, 10_000.0, 0), tuple(60.0, 80_000.0, 1)];
-        let by_rows = b.bin_rows(tuples.iter()).unwrap();
-        let by_stream = b.bin_stream(tuples).unwrap();
-        assert_eq!(by_rows, by_stream);
-    }
-
-    #[test]
     fn parallel_rows_match_sequential_bitwise() {
         let s = schema();
         let b = Binner::equi_width(&s, "age", "salary", "group", 6, 10).unwrap();
@@ -429,20 +338,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_stream_matches_sequential_bitwise() {
-        let s = schema();
-        let b = Binner::equi_width(&s, "age", "salary", "group", 6, 10).unwrap();
-        let make =
-            || (0..50_000).map(|i| tuple(20.0 + (i % 60) as f64, (i * 31 % 100_000) as f64, i % 2));
-        let sequential = b.bin_stream(make()).unwrap();
-        for threads in [1, 2, 4] {
-            let parallel = b.bin_stream_parallel_with_stats(make(), threads).unwrap().0;
-            assert_eq!(parallel, sequential, "threads = {threads}");
-        }
-        assert!(b.bin_stream_parallel_with_stats(make(), 0).is_err());
-    }
-
-    #[test]
     fn parallel_rows_handle_tiny_and_empty_inputs() {
         let s = schema();
         let b = Binner::equi_width(&s, "age", "salary", "group", 6, 10).unwrap();
@@ -451,7 +346,6 @@ mod tests {
         let few = vec![tuple(25.0, 5_000.0, 0), tuple(75.0, 95_000.0, 1)];
         let parallel = b.bin_rows_parallel(&few, 8).unwrap();
         assert_eq!(parallel, b.bin_rows(few.iter()).unwrap());
-        assert_eq!(b.bin_stream_parallel_with_stats(Vec::new(), 4).unwrap().0.n_tuples(), 0);
     }
 
     #[test]

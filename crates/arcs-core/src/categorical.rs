@@ -9,11 +9,11 @@
 //!
 //! Implementation: the categorical axis is *re-ordered by density* — the
 //! per-category confidence of the criterion group — so that categories
-//! likely to co-occur in a cluster become adjacent columns. The standard
-//! machinery (the shared query body `serve::answer`: mine → rule grid →
-//! smoothing → BitOp → pruning, then MDL) runs on the reordered grid, and
-//! each cluster's column span decodes to a *set* of category values
-//! rather than a range.
+//! likely to co-occur in a cluster become adjacent columns. The crate's
+//! one threshold search (paper §3.7, the one
+//! [`Session::segment`](crate::session::Session::segment) runs) walks the
+//! reordered grid, and each cluster's column span decodes to a *set* of
+//! category values rather than a range.
 
 use arcs_data::schema::AttrKind;
 use arcs_data::Dataset;
@@ -25,9 +25,8 @@ use crate::engine::Thresholds;
 use crate::error::ArcsError;
 use crate::index::OccupancyIndex;
 use crate::mdl::MdlScore;
-use crate::optimizer::{OptimizerConfig, ThresholdLattice};
-use crate::serve::{answer, ClusterSpec};
-use crate::verify::{verify_counts, ErrorCounts};
+use crate::optimizer::{search, OptimizerConfig};
+use crate::verify::ErrorCounts;
 
 /// A clustered rule whose LHS combines a category *set* with a
 /// quantitative range:
@@ -98,13 +97,14 @@ pub struct CategoricalSegmentation {
     pub errors: ErrorCounts,
 }
 
-/// Configuration for categorical segmentation — reuses the optimizer's
-/// component parameters plus the quantitative axis bin count.
+/// Configuration for categorical segmentation — the threshold search's
+/// configuration plus the quantitative axis bin count.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CategoricalConfig {
     /// Number of bins on the quantitative axis.
     pub n_quant_bins: usize,
-    /// Evaluation parameters (smoothing, BitOp, MDL weights, budget).
+    /// The threshold search's parameters (smoothing, BitOp, MDL weights,
+    /// budget, threads).
     pub optimizer: OptimizerConfig,
 }
 
@@ -116,7 +116,10 @@ impl Default for CategoricalConfig {
 
 /// Segments `(cat_attr, quant_attr)` space for the tuples whose
 /// `criterion_attr` equals `group_label`, with the categorical axis
-/// density-ordered.
+/// density-ordered. Errors with [`ArcsError::NoSegmentation`] when the
+/// search evaluates no point that clusters (an expired
+/// `max_wall_time` evaluates none), and with
+/// [`ArcsError::InvalidConfig`] on an invalid search configuration.
 pub fn segment_categorical(
     dataset: &Dataset,
     cat_attr: &str,
@@ -195,53 +198,17 @@ pub fn segment_categorical(
         array.add(x, y, t.cat(criterion_idx));
     }
 
-    // Threshold search over the lattice (same shape as the §3.7 loop).
-    // `array` holds every tuple, so its counts verify against the whole
-    // dataset.
-    let lattice = ThresholdLattice::build(&array, gk);
-    if lattice.is_empty() {
-        return Err(ArcsError::NoSegmentation);
-    }
-
-    let opt = &config.optimizer;
+    // The §3.7 search, verifying every point against `array`, which
+    // holds every tuple, so its errors are over the whole dataset.
     let index = OccupancyIndex::build(&array);
-    let spec = ClusterSpec { smoothing: opt.smoothing, bitop: opt.bitop };
-    type Candidate = (Thresholds, Vec<Rect>, ErrorCounts, MdlScore);
-    let mut best: Option<Candidate> = None;
-    let mut best_any: Option<Candidate> = None;
-    let mut evaluations = 0usize;
-    'search: for (si, &s) in lattice.supports().iter().enumerate() {
-        for &c in lattice.confidences_for(si) {
-            if evaluations >= opt.max_evaluations {
-                break 'search;
-            }
-            let thresholds = Thresholds::new((s - 1e-12).max(0.0), (c - 1e-12).max(0.0))?;
-            let clusters =
-                answer(&index, gk, thresholds, Some(&spec), None)?.clusters.unwrap_or_default();
-            evaluations += 1;
-            if clusters.is_empty() {
-                continue;
-            }
-            let errors = verify_counts(&clusters, &array, gk);
-            let score = MdlScore::compute(clusters.len(), errors.total(), opt.mdl_weights);
-            if best_any.as_ref().is_none_or(|(_, _, _, b)| score.cost < b.cost) {
-                best_any = Some((thresholds, clusters.clone(), errors, score));
-            }
-            // Same recall guard as the 2-D optimizer.
-            if errors.recall() >= crate::optimizer::MIN_GROUP_RECALL
-                && best.as_ref().is_none_or(|(_, _, _, b)| score.cost < b.cost)
-            {
-                best = Some((thresholds, clusters, errors, score));
-            }
-        }
-    }
-    let (thresholds, clusters, errors, score) =
-        best.or(best_any).ok_or(ArcsError::NoSegmentation)?;
+    let best = search(&array, &index, gk, &array, &config.optimizer)?
+        .best
+        .ok_or(ArcsError::NoSegmentation)?;
 
     // Decode clusters: column span -> category set; row span -> range.
     let n = array.n_tuples();
-    let mut rules = Vec::with_capacity(clusters.len());
-    for rect in clusters {
+    let mut rules = Vec::with_capacity(best.clusters.len());
+    for &rect in &best.clusters {
         let category_codes: Vec<u32> = (rect.x0..=rect.x1).map(|col| ordering[col]).collect();
         let category_labels =
             category_codes.iter().map(|&c| cat_labels[c as usize].clone()).collect();
@@ -271,7 +238,13 @@ pub fn segment_categorical(
         });
     }
 
-    Ok(CategoricalSegmentation { rules, ordering, thresholds, score, errors })
+    Ok(CategoricalSegmentation {
+        rules,
+        ordering,
+        thresholds: best.thresholds,
+        score: best.score,
+        errors: best.errors,
+    })
 }
 
 #[cfg(test)]

@@ -12,7 +12,6 @@
 //! | name | site |
 //! |------|------|
 //! | `binner.shard` | inside each `bin_rows_parallel` shard, the single shard of a one-worker run included |
-//! | `binner.stream-chunk` | inside each `bin_stream_parallel_with_stats` chunk, at any thread count |
 //! | `engine.mine` | at the rule-bitmap build: [`rule_grid`]/[`rule_grid_into`] entry, each optimizer evaluation, and the clustering step of the shared query body `serve::answer` |
 //! | `smooth.pass` | before each smoothing pass |
 //! | `bitop.enumerate` | at [`cluster_with_stats`] entry |

@@ -24,9 +24,7 @@
 //! never modifies its array after construction, so a session-held index
 //! lives for the session. Callers mutating an array (e.g. via
 //! [`BinArray::merge`](crate::binarray::BinArray::merge)) must rebuild
-//! the index; [`OccupancyIndex::matches`] is a cheap structural guard
-//! (dimensions and tuple count) against gross mismatches, not a content
-//! check.
+//! the index.
 
 // Public-API paths must fail with typed errors, never panic.
 #![warn(clippy::unwrap_used)]
@@ -175,17 +173,6 @@ impl OccupancyIndex {
     /// Total tuples of group `gk` (0 for an out-of-range group).
     pub fn group_total(&self, gk: u32) -> u64 {
         self.groups.get(gk as usize).map_or(0, |g| g.group_total)
-    }
-
-    /// Cheap structural staleness guard: whether `array` has the same
-    /// shape and tuple count the index was built from. Does **not**
-    /// detect in-place count edits at constant size — see the module-level
-    /// invalidation contract.
-    pub fn matches(&self, array: &BinArray) -> bool {
-        self.nx == array.nx()
-            && self.ny == array.ny()
-            && self.nseg == array.nseg()
-            && self.n_tuples == array.n_tuples()
     }
 
     fn group(&self, gk: u32) -> Option<&GroupIndex> {
@@ -351,7 +338,6 @@ mod tests {
     fn index_snapshots_occupied_cells() {
         let ba = demo_array();
         let index = OccupancyIndex::build(&ba);
-        assert!(index.matches(&ba));
         assert_eq!(index.occupied(), &[(0, 0), (1, 0), (2, 2), (3, 3)]);
         let g0 = index.group_cells(0);
         assert_eq!(g0.len(), 4);

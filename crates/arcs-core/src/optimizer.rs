@@ -128,8 +128,9 @@ const PATIENCE: usize = 4;
 /// count. A segmentation that fails to identify the group is useless for
 /// the paper's stated purpose (segmenting the data), so candidates below
 /// this recall only win when *no* candidate reaches it. Documented
-/// deviation from the paper's literal formula; the §5 categorical search
-/// and arcs-bench's experiment-only searches apply the same guard.
+/// deviation from the paper's literal formula; the §5 categorical
+/// segmentation runs this same search, and arcs-bench's experiment-only
+/// searches apply the same guard.
 pub const MIN_GROUP_RECALL: f64 = 0.5;
 
 /// Cap on distinct support levels searched (evenly subsampled).
@@ -375,11 +376,13 @@ pub(crate) struct Search {
     pub(crate) stats: PipelineCounters,
 }
 
-/// The search behind [`optimize`] and [`Session::segment`], over a
-/// prebuilt `index` of `array`, verifying every point against `verify`'s
-/// counts: a session passes `array` itself, `optimize` the binned sample.
+/// The search behind [`optimize`], [`Session::segment`] and
+/// [`segment_categorical`], over a prebuilt `index` of `array`, verifying
+/// every point against `verify`'s counts: a session and the categorical
+/// segmentation pass `array` itself, `optimize` the binned sample.
 ///
 /// [`Session::segment`]: crate::session::Session::segment
+/// [`segment_categorical`]: crate::categorical::segment_categorical
 pub(crate) fn search(
     array: &BinArray,
     index: &OccupancyIndex,

@@ -4,12 +4,11 @@
 //! (smooth + BitOp + prune) → verifier → heuristic optimizer, and decodes
 //! the winning clusters into user-facing [`ClusteredRule`]s.
 //!
-//! The entry points are the session constructors — [`Arcs::open`],
-//! [`Arcs::open_stream`] and [`Arcs::open_binned`] — which bin once and
-//! return a [`Session`](crate::session::Session) for mining, re-mining,
-//! and re-clustering.
+//! The entry point is the one session constructor, [`Arcs::open`], which
+//! bins once and returns a [`Session`](crate::session::Session) for
+//! mining, re-mining, and re-clustering.
 
-use arcs_data::{Dataset, Schema};
+use arcs_data::Dataset;
 
 use crate::binner::{Binner, BinningStrategy};
 use crate::binning::BinMap;
@@ -43,12 +42,6 @@ pub struct ArcsConfig {
     /// parallelism; the optimizer's search parallelism is configured
     /// separately via [`OptimizerConfig::threads`].
     pub threads: usize,
-    /// When the optimizer finds no segmentation, walk the degradation
-    /// ladder (floor thresholds, then disable smoothing, then disable
-    /// pruning) instead of failing. The resulting [`Segmentation`] is
-    /// marked [`degraded`](Segmentation::degraded). Disable for strict
-    /// paper-faithful behaviour.
-    pub degrade_on_no_segmentation: bool,
     /// Memory budget in bytes for the bin array. `None` (the default)
     /// only guards against address-space overflow. With a budget set,
     /// the resource governor halves the larger bin axis until the grid
@@ -68,7 +61,6 @@ impl Default for ArcsConfig {
             sample_size: 2_000,
             seed: 0,
             threads: crate::metrics::default_threads(),
-            degrade_on_no_segmentation: true,
             memory_budget: None,
         }
     }
@@ -137,44 +129,34 @@ impl Arcs {
         &self.config
     }
 
-    /// Builds the binner for `(x_attr, y_attr, criterion_attr)`, realising
-    /// the configured binning strategy at the bin counts the (possibly
-    /// budget-coarsened) `plan` settled on. Equi-depth and homogeneity
-    /// need the data columns, hence the optional `dataset`.
+    /// Builds the binner for `(x_attr, y_attr, criterion_attr)` over
+    /// `dataset`'s schema, realising the configured binning strategy at
+    /// the bin counts the (possibly budget-coarsened) `plan` settled on.
+    /// Equi-depth and homogeneity read the dataset's columns.
     pub(crate) fn build_binner(
         &self,
-        schema: &Schema,
+        dataset: &Dataset,
         x_attr: &str,
         y_attr: &str,
         criterion_attr: &str,
-        dataset: Option<&Dataset>,
         plan: &crate::budget::BinPlan,
     ) -> Result<Binner, ArcsError> {
+        let schema = dataset.schema();
         let (n_x_bins, n_y_bins) = (plan.nx, plan.ny);
         match self.config.strategy {
             BinningStrategy::EquiWidth => {
                 Binner::equi_width(schema, x_attr, y_attr, criterion_attr, n_x_bins, n_y_bins)
             }
             BinningStrategy::EquiDepth => {
-                let ds = dataset.ok_or_else(|| {
-                    ArcsError::InvalidConfig(
-                        "equi-depth binning requires in-memory data (use Arcs::open)".into(),
-                    )
-                })?;
-                let x_col = ds.quant_column(schema.require(x_attr)?)?;
-                let y_col = ds.quant_column(schema.require(y_attr)?)?;
+                let x_col = dataset.quant_column(schema.require(x_attr)?)?;
+                let y_col = dataset.quant_column(schema.require(y_attr)?)?;
                 let x_map = BinMap::equi_depth(&x_col, n_x_bins)?;
                 let y_map = BinMap::equi_depth(&y_col, n_y_bins)?;
                 Binner::with_maps(schema, x_attr, y_attr, criterion_attr, x_map, y_map)
             }
             BinningStrategy::Homogeneity { tolerance } => {
-                let ds = dataset.ok_or_else(|| {
-                    ArcsError::InvalidConfig(
-                        "homogeneity binning requires in-memory data (use Arcs::open)".into(),
-                    )
-                })?;
-                let x_col = ds.quant_column(schema.require(x_attr)?)?;
-                let y_col = ds.quant_column(schema.require(y_attr)?)?;
+                let x_col = dataset.quant_column(schema.require(x_attr)?)?;
+                let y_col = dataset.quant_column(schema.require(y_attr)?)?;
                 let x_map = BinMap::homogeneity(&x_col, n_x_bins, tolerance)?;
                 let y_map = BinMap::homogeneity(&y_col, n_y_bins, tolerance)?;
                 Binner::with_maps(schema, x_attr, y_attr, criterion_attr, x_map, y_map)
@@ -190,7 +172,7 @@ mod tests {
     use arcs_data::agrawal::{self, AgrawalFunction};
     use arcs_data::generator::{AgrawalGenerator, GeneratorConfig};
     use arcs_data::schema::Attribute;
-    use arcs_data::Value;
+    use arcs_data::{Schema, Value};
 
     fn small_schema() -> Schema {
         Schema::new(vec![
@@ -287,23 +269,6 @@ mod tests {
     }
 
     #[test]
-    fn stream_and_dataset_agree() {
-        let ds = blocky_dataset();
-        let arcs = Arcs::new(small_config()).unwrap();
-        let from_ds = segment_once(&arcs, &ds, "x", "y", "g", "A").unwrap();
-        let from_stream = arcs
-            .open_stream(
-                ds.schema(),
-                ds.iter().cloned(),
-                SegmentRequest::new("x", "y", "g").group("A"),
-            )
-            .unwrap()
-            .segment()
-            .unwrap();
-        assert_eq!(from_ds, from_stream);
-    }
-
-    #[test]
     fn equi_depth_strategy_works_in_memory() {
         let ds = blocky_dataset();
         let config = ArcsConfig { strategy: BinningStrategy::EquiDepth, ..small_config() };
@@ -328,22 +293,6 @@ mod tests {
         assert!(!seg.clusters.is_empty());
         // The block must be identified despite data-driven bin edges.
         assert!(seg.errors.recall() > 0.8, "recall {}", seg.errors.recall());
-    }
-
-    #[test]
-    fn equi_depth_strategy_rejected_for_streams() {
-        let ds = blocky_dataset();
-        let config = ArcsConfig { strategy: BinningStrategy::EquiDepth, ..small_config() };
-        let arcs = Arcs::new(config).unwrap();
-        let err = arcs
-            .open_stream(
-                ds.schema(),
-                ds.iter().cloned(),
-                SegmentRequest::new("x", "y", "g").group("A"),
-            )
-            .map(|_| ())
-            .unwrap_err();
-        assert!(matches!(err, ArcsError::InvalidConfig(_)));
     }
 
     #[test]
@@ -421,18 +370,6 @@ mod tests {
     }
 
     #[test]
-    fn degradation_can_be_disabled() {
-        let ds = speck_dataset();
-        let mut config = strict_pruning_config();
-        config.degrade_on_no_segmentation = false;
-        let arcs = Arcs::new(config).unwrap();
-        assert!(matches!(
-            segment_once(&arcs, &ds, "x", "y", "g", "A"),
-            Err(ArcsError::NoSegmentation)
-        ));
-    }
-
-    #[test]
     fn ladder_cannot_conjure_rules_from_an_absent_group() {
         // No group-A tuple at all: even the fully relaxed ladder must
         // report NoSegmentation rather than invent clusters.
@@ -450,26 +387,6 @@ mod tests {
             segment_once(&arcs, &ds, "x", "y", "g", "A"),
             Err(ArcsError::NoSegmentation)
         ));
-    }
-
-    #[test]
-    fn open_binned_matches_open() {
-        let ds = blocky_dataset();
-        let arcs = Arcs::new(small_config()).unwrap();
-        let direct = segment_once(&arcs, &ds, "x", "y", "g", "A").unwrap();
-
-        // The checkpoint/resume path: a prefix binned elsewhere (as a
-        // snapshot would hold it), the remaining rows appended.
-        let half = ds.len() / 2;
-        let binner = Binner::equi_width(ds.schema(), "x", "y", "g", 10, 10).unwrap();
-        let prefix = binner.bin_rows(&ds.rows()[..half]).unwrap();
-        let mut session = arcs
-            .open_binned(&ds, Some(prefix), SegmentRequest::new("x", "y", "g").group("A"))
-            .unwrap();
-        session.append_rows(&ds.rows()[half..]).unwrap();
-        let seg = session.segment().unwrap();
-        assert_eq!(seg.clusters, direct.clusters);
-        assert_eq!(seg.thresholds, direct.thresholds);
     }
 
     /// The paper's headline qualitative result (§4.2): on Function 2 data

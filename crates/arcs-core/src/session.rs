@@ -21,7 +21,7 @@
 //! explicit-threshold operations — [`Session::query`] and
 //! [`Session::remine`] — run `serve::answer`, the query body the serving
 //! core ([`Server`](crate::serve::Server)) runs too. Both run over the
-//! session's one lazily built [`OccupancyIndex`]. Every answer depends
+//! [`OccupancyIndex`] the session builds at open. Every answer depends
 //! only on the bin array and the call's own arguments, never on which
 //! call came before.
 //!
@@ -30,7 +30,7 @@
 
 use std::time::{Duration, Instant};
 
-use arcs_data::{Dataset, Schema, Tuple};
+use arcs_data::Dataset;
 
 use crate::binarray::BinArray;
 use crate::binner::Binner;
@@ -38,7 +38,7 @@ use crate::cluster::{ClusteredRule, Rect};
 use crate::engine::{self, BinnedRule, Thresholds};
 use crate::error::ArcsError;
 use crate::index::OccupancyIndex;
-use crate::metrics::{PipelineCounters, PipelineReport, RecoveryStats, Stage};
+use crate::metrics::{PipelineCounters, PipelineReport, Stage};
 use crate::optimizer::{evaluate_indexed, search, Evaluation, OptimizerConfig};
 use crate::pipeline::{Arcs, ArcsConfig, GroupSegmentations, Segmentation};
 use crate::serve::{answer, Answer, ClusterSpec, QueryResult};
@@ -47,8 +47,7 @@ use crate::serve::{answer, Answer, ClusterSpec, QueryResult};
 /// LHS attributes (`x`, `y`), the categorical segmentation criterion, and
 /// optionally the criterion group to target.
 ///
-/// Built once and handed to [`Arcs::open`] (or its stream and binned
-/// variants).
+/// Built once and handed to [`Arcs::open`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SegmentRequest {
     x: String,
@@ -105,14 +104,13 @@ struct SearchOutcome {
 
 /// Runs the threshold search over the session's `index` of `array`,
 /// verifying every point against `array`'s own counts, so each error is
-/// exact over all N tuples; when it finds nothing and degradation is
-/// enabled, walks a bounded ladder of relaxations: (1) floor the
-/// support/confidence thresholds at zero, (2) additionally disable
-/// smoothing (whose low-pass filter can erase every sparse qualifying
-/// cell), (3) additionally disable cluster pruning. The first step
-/// yielding any cluster wins; each evaluation still runs the full
-/// smooth → cluster → verify → score path, and the search's and the
-/// ladder's work both count in the outcome.
+/// exact over all N tuples; when it finds nothing, walks a bounded
+/// ladder of relaxations: (1) floor the support/confidence thresholds at
+/// zero, (2) additionally disable smoothing (whose low-pass filter can
+/// erase every sparse qualifying cell), (3) additionally disable cluster
+/// pruning. The first step yielding any cluster wins; each evaluation
+/// still runs the full smooth → cluster → verify → score path, and the
+/// search's and the ladder's work both count in the outcome.
 fn run_search(
     config: &ArcsConfig,
     array: &BinArray,
@@ -126,7 +124,7 @@ fn run_search(
         stats: search.stats,
         best: search.best,
     };
-    if outcome.best.is_some() || !config.degrade_on_no_segmentation {
+    if outcome.best.is_some() {
         return Ok(outcome);
     }
     let floor = Thresholds::new(0.0, 0.0)?;
@@ -158,23 +156,18 @@ fn run_search(
 /// [`SegmentRequest`], independent of the source data. The threshold
 /// search verifies against the bin array itself.
 ///
-/// Created by [`Arcs::open`], [`Arcs::open_stream`] or
-/// [`Arcs::open_binned`]. Mining operations ([`segment`](Session::segment),
-/// [`remine`](Session::remine), [`query`](Session::query)) borrow the
-/// session mutably only to update its [`PipelineReport`]; the bin array is
-/// only ever modified through [`append_rows`](Session::append_rows), so
-/// results are reproducible across repeated calls between appends.
+/// Created by [`Arcs::open`]. Mining operations
+/// ([`segment`](Session::segment), [`remine`](Session::remine),
+/// [`query`](Session::query)) borrow the session mutably only to update
+/// its [`PipelineReport`]; the bin array never changes after the open, so
+/// every call's result is reproducible.
 pub struct Session {
     config: ArcsConfig,
     request: SegmentRequest,
     binner: Binner,
     array: BinArray,
-    /// Occupancy index over `array`, built lazily on the first search or
-    /// re-mine.
-    /// Per the index invalidation contract, every mutation of `array`
-    /// (`merge_delta`) must reset this to `None` so the next re-mine
-    /// rebuilds it.
-    index: Option<OccupancyIndex>,
+    /// Occupancy index over `array`, built with it at open.
+    index: OccupancyIndex,
     /// Bin-halving steps the resource governor took at open time; `> 0`
     /// marks every segmentation from this session degraded.
     budget_coarsening: u32,
@@ -193,95 +186,21 @@ impl std::fmt::Debug for Session {
 }
 
 impl Arcs {
-    /// Opens a session over an in-memory dataset: builds the binner and
-    /// bins every tuple (in parallel across [`ArcsConfig::threads`]
-    /// workers). The returned [`Session`] owns everything it needs;
-    /// `dataset` may be dropped afterwards.
+    /// Opens a session over `dataset` — the only way to make a
+    /// [`Session`]: plans the grid under the memory budget, builds the
+    /// binner for the configured strategy (it validates the criterion and
+    /// holds its labels), checks the targeted group, then bins every tuple
+    /// (in parallel across [`ArcsConfig::threads`] workers) and indexes
+    /// the array's occupied cells, timing both as the binning stage. The
+    /// returned session owns everything it needs; `dataset` may be
+    /// dropped afterwards.
     pub fn open(&self, dataset: &Dataset, request: SegmentRequest) -> Result<Session, ArcsError> {
-        self.build_session(dataset.schema(), Some(dataset), request, |binner, threads| {
-            binner.bin_rows_parallel_with_stats(dataset.rows(), threads)
-        })
-    }
-
-    /// Opens a session over a tuple stream in one pass. Only
-    /// [`crate::binner::BinningStrategy::EquiWidth`] is possible here —
-    /// the alternatives need a second look at the data.
-    pub fn open_stream<I>(
-        &self,
-        schema: &Schema,
-        tuples: I,
-        request: SegmentRequest,
-    ) -> Result<Session, ArcsError>
-    where
-        I: IntoIterator<Item = Tuple>,
-    {
-        self.build_session(schema, None, request, |binner, threads| {
-            binner.bin_stream_parallel_with_stats(tuples, threads)
-        })
-    }
-
-    /// Opens a session over `dataset` whose bin array starts as `prefix`
-    /// (a snapshot of the dataset's first `prefix.n_tuples()` rows, e.g.
-    /// one resumed from a checkpoint) or, without one, empty. It plans
-    /// and builds the binner exactly as [`Arcs::open`] does, but bins
-    /// nothing: the caller appends the rows the prefix does not cover
-    /// with [`Session::append_rows`].
-    ///
-    /// A `prefix` whose grid is not the planned one, or that covers more
-    /// rows than `dataset` holds, is refused with
-    /// [`ArcsError::Checkpoint`].
-    pub fn open_binned(
-        &self,
-        dataset: &Dataset,
-        prefix: Option<BinArray>,
-        request: SegmentRequest,
-    ) -> Result<Session, ArcsError> {
-        self.build_session(dataset.schema(), Some(dataset), request, |binner, _| {
-            let Some(prefix) = prefix else {
-                return Ok((binner.new_bin_array()?, RecoveryStats::default()));
-            };
-            let planned = (binner.x_map().n_bins(), binner.y_map().n_bins(), binner.nseg());
-            let grid = (prefix.nx(), prefix.ny(), prefix.nseg());
-            if grid != planned {
-                return Err(ArcsError::Checkpoint {
-                    message: format!(
-                        "checkpoint grid (nx, ny, nseg) = {grid:?} does not match the planned \
-                         grid {planned:?}"
-                    ),
-                });
-            }
-            if prefix.n_tuples() > dataset.len() as u64 {
-                return Err(ArcsError::Checkpoint {
-                    message: format!(
-                        "checkpoint covers {} tuples but the input holds only {} — wrong input \
-                         for this checkpoint?",
-                        prefix.n_tuples(),
-                        dataset.len()
-                    ),
-                });
-            }
-            Ok((prefix, RecoveryStats::default()))
-        })
-    }
-
-    /// The one body behind every session constructor: plans the grid
-    /// under the memory budget, builds the binner for the configured
-    /// strategy (`dataset` supplies the columns equi-depth and
-    /// homogeneity need; the binner validates the criterion and holds
-    /// its labels), checks the targeted group, then times `bin` into the
-    /// session's report.
-    fn build_session(
-        &self,
-        schema: &Schema,
-        dataset: Option<&Dataset>,
-        request: SegmentRequest,
-        bin: impl FnOnce(&Binner, usize) -> Result<(BinArray, RecoveryStats), ArcsError>,
-    ) -> Result<Session, ArcsError> {
-        if dataset.is_some_and(Dataset::is_empty) {
+        if dataset.is_empty() {
             return Err(ArcsError::InvalidConfig("dataset is empty".into()));
         }
         // The grid's group count; a criterion that is missing or not
         // categorical plans with none and the binner below refuses it.
+        let schema = dataset.schema();
         let nseg = schema
             .require(request.criterion_attr())
             .ok()
@@ -295,45 +214,35 @@ impl Arcs {
             config.memory_budget,
         )?;
         let binner = self.build_binner(
-            schema,
+            dataset,
             request.x_attr(),
             request.y_attr(),
             request.criterion_attr(),
-            dataset,
             &plan,
         )?;
         check_group(binner.labels(), &request)?;
 
-        let threads = self.config().threads;
+        let threads = config.threads;
         let mut report = PipelineReport { threads, ..PipelineReport::default() };
         report.counters.budget_coarsening_steps = plan.coarsening_steps as u64;
 
         let start = Instant::now();
-        let (array, recovery) = bin(&binner, threads)?;
+        let (array, recovery) = binner.bin_rows_parallel_with_stats(dataset.rows(), threads)?;
+        let index = OccupancyIndex::build(&array);
         report.timings.record(Stage::Binning, start.elapsed());
         report.counters.tuples_binned = array.n_tuples();
         report.counters.record_recovery(&recovery);
 
         Ok(Session {
-            config: self.config().clone(),
+            config: config.clone(),
             request,
             binner,
             array,
-            index: None,
+            index,
             budget_coarsening: plan.coarsening_steps,
             report,
         })
     }
-}
-
-/// The session's occupancy index over `array`, built on first use and
-/// rebuilt after any append (which resets `slot` to `None` — the
-/// invalidation contract). A free function so callers can borrow the
-/// session's other fields alongside it.
-fn lazy_index<'a>(slot: &'a mut Option<OccupancyIndex>, array: &BinArray) -> &'a OccupancyIndex {
-    let index = slot.get_or_insert_with(|| OccupancyIndex::build(array));
-    debug_assert!(index.matches(array));
-    index
 }
 
 /// Fails fast when the request targets a group the criterion does not have.
@@ -361,10 +270,7 @@ impl Session {
         let gk = self.group_code(group_label)?;
 
         let start = Instant::now();
-        let outcome = {
-            let index = lazy_index(&mut self.index, &self.array);
-            run_search(&self.config, &self.array, index, gk)
-        };
+        let outcome = run_search(&self.config, &self.array, &self.index, gk);
         self.record_stage(Stage::Search, start.elapsed());
         let outcome = outcome?;
 
@@ -378,10 +284,7 @@ impl Session {
 
         let start = Instant::now();
         let rules = self.decode(&best.clusters, gk, group_label)?;
-        let (mined, visited) = {
-            let index = lazy_index(&mut self.index, &self.array);
-            engine::mine_rules_indexed(index, gk, best.thresholds)
-        };
+        let (mined, visited) = engine::mine_rules_indexed(&self.index, gk, best.thresholds);
         self.report.counters.rules_emitted += mined.len() as u64;
         self.report.counters.cells_visited += visited;
         self.record_stage(Stage::Decode, start.elapsed());
@@ -424,9 +327,9 @@ impl Session {
     /// already-populated bin array — the paper's §3.2 instant re-mining;
     /// no pass over the source data. Targets the request's group.
     ///
-    /// The first re-mine builds the session's [`OccupancyIndex`]; from
-    /// then on each call iterates only the group's occupied cells, never
-    /// the full `nx · ny` grid (tracked by the `cells_visited` counter).
+    /// Each call iterates only the group's occupied cells through the
+    /// session's [`OccupancyIndex`], never the full `nx · ny` grid
+    /// (tracked by the `cells_visited` counter).
     pub fn remine(&mut self, thresholds: Thresholds) -> Result<Vec<BinnedRule>, ArcsError> {
         let label = self.request_group()?;
         let gk = self.group_code(&label)?;
@@ -462,12 +365,11 @@ impl Session {
             }
         };
         let answer = self.query_body(gk, thresholds, request.cluster.as_ref())?;
-        let index = lazy_index(&mut self.index, &self.array);
         Ok(QueryResult {
             epoch: 0,
             group: gk,
-            n_tuples: index.n_tuples(),
-            group_total: index.group_total(gk),
+            n_tuples: self.index.n_tuples(),
+            group_total: self.index.group_total(gk),
             rules: answer.rules,
             clusters: answer.clusters,
             coarsening_steps: self.budget_coarsening,
@@ -484,8 +386,7 @@ impl Session {
         cluster: Option<&ClusterSpec>,
     ) -> Result<Answer, ArcsError> {
         let start = Instant::now();
-        let index = lazy_index(&mut self.index, &self.array);
-        let answer = answer(index, gk, thresholds, cluster, None)?;
+        let answer = answer(&self.index, gk, thresholds, cluster, None)?;
         self.record_stage(Stage::Search, start.elapsed());
         let c = &mut self.report.counters;
         c.rules_emitted += answer.rules.len() as u64;
@@ -529,37 +430,6 @@ impl Session {
             )?);
         }
         Ok(rules)
-    }
-
-    /// Bins `rows` with the session's binner and merges them into the
-    /// bin array — streaming append without reopening the session.
-    /// Returns the array's new total tuple count.
-    ///
-    /// Appending invalidates the lazily-built [`OccupancyIndex`] (the
-    /// documented invalidation contract): the next
-    /// [`remine`](Session::remine) rebuilds it over the merged counts, so
-    /// re-mining after an append sees every appended tuple.
-    pub fn append_rows(&mut self, rows: &[Tuple]) -> Result<u64, ArcsError> {
-        let start = Instant::now();
-        let (delta, recovery) =
-            self.binner.bin_rows_parallel_with_stats(rows, self.config.threads)?;
-        self.report.counters.record_recovery(&recovery);
-        let total = self.merge_delta(&delta)?;
-        self.record_stage(Stage::Binning, start.elapsed());
-        Ok(total)
-    }
-
-    /// Merges an already-binned delta array (same grid shape) into the
-    /// session's bin array via [`BinArray::merge`], invalidating the
-    /// occupancy index so subsequent re-mines rebuild it. Returns the
-    /// array's new total tuple count.
-    fn merge_delta(&mut self, delta: &BinArray) -> Result<u64, ArcsError> {
-        self.array.merge(delta)?;
-        // The invalidation contract: the index (when built) describes the
-        // pre-merge array; drop it so the next re-mine rebuilds.
-        self.index = None;
-        self.report.counters.tuples_binned = self.array.n_tuples();
-        Ok(self.array.n_tuples())
     }
 
     /// The populated bin array.
@@ -619,7 +489,7 @@ mod tests {
     use crate::bitop::BitOpConfig;
     use crate::optimizer::OptimizerConfig;
     use arcs_data::schema::Attribute;
-    use arcs_data::Value;
+    use arcs_data::{Schema, Value};
 
     fn small_schema() -> Schema {
         Schema::new(vec![
@@ -760,47 +630,6 @@ mod tests {
     }
 
     #[test]
-    fn append_invalidates_the_occupancy_index() {
-        let ds = blocky_dataset();
-        let arcs = Arcs::new(small_config()).unwrap();
-        let mut session = arcs.open(&ds, SegmentRequest::new("x", "y", "g").group("A")).unwrap();
-
-        // Build the lazy index and establish a pre-append baseline.
-        let floor = Thresholds::new(0.0, 0.0).unwrap();
-        let before = session.remine(floor).unwrap();
-        let n_before = session.bin_array().n_tuples();
-
-        // Append rows for group "A" into a cell that was previously
-        // all-"other" — the index's occupied-cell list for group A must
-        // grow, which only happens if the merge invalidated it.
-        let rows: Vec<Tuple> = (0..50)
-            .map(|_| Tuple::new(vec![Value::Quant(8.5), Value::Quant(8.5), Value::Cat(0)]))
-            .collect();
-        let total = session.append_rows(&rows).unwrap();
-        assert_eq!(total, n_before + 50);
-        assert_eq!(session.report().counters.tuples_binned, total);
-
-        // Re-mining must see the appended mass: the stale index would
-        // still report the old counts (or trip its debug structural
-        // guard). Compare bit-identically against sequential mining on
-        // the merged array.
-        let after = session.remine(floor).unwrap();
-        let oracle = engine::mine_rules(session.bin_array(), 0, floor);
-        assert_eq!(after, oracle);
-        assert_ne!(before, after, "appended tuples must change the rules");
-        assert!(
-            after.iter().any(|r| r.x == 8 && r.y == 8 && r.count > 0),
-            "the appended cell must now mine for group A: {after:?}"
-        );
-
-        // merge_delta with a mismatched grid is rejected and leaves the
-        // session usable.
-        let bad = BinArray::new(3, 3, 2).unwrap();
-        assert!(session.merge_delta(&bad).is_err());
-        assert_eq!(session.remine(floor).unwrap(), oracle);
-    }
-
-    #[test]
     fn unified_query_matches_server_and_remine() {
         use crate::request::Request;
         use crate::serve::{ServeConfig, Server};
@@ -840,16 +669,5 @@ mod tests {
         ));
         let defaulted = session.query(&Request::new().thresholds(thresholds)).unwrap();
         assert_eq!(defaulted.rules, local.rules);
-    }
-
-    #[test]
-    fn open_stream_matches_open() {
-        let ds = blocky_dataset();
-        let arcs = Arcs::new(small_config()).unwrap();
-        let request = SegmentRequest::new("x", "y", "g").group("A");
-        let mut a = arcs.open(&ds, request.clone()).unwrap();
-        let mut b = arcs.open_stream(ds.schema(), ds.iter().cloned(), request).unwrap();
-        assert_eq!(a.bin_array().checksum(), b.bin_array().checksum());
-        assert_eq!(a.segment().unwrap(), b.segment().unwrap());
     }
 }

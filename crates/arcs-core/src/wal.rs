@@ -1046,4 +1046,12 @@ mod tests {
         assert_eq!(writer.len(), before);
         std::fs::remove_dir_all(&dir).ok();
     }
+
+    /// A bare file name's parent is empty: the directory fsync after a
+    /// rename then syncs the working directory, `.`, and succeeds.
+    #[test]
+    fn a_bare_file_name_syncs_the_working_directory() {
+        assert_eq!(Path::new("bare.name").parent(), Some(Path::new("")));
+        sync_parent(Path::new("bare.name")).unwrap();
+    }
 }

@@ -1,7 +1,7 @@
 //! End-to-end integration tests: the full ARCS pipeline against the
 //! paper's synthetic workload, spanning `arcs-data` and `arcs-core`.
 
-use arcs::core::categorical::{segment_categorical, CategoricalConfig};
+use arcs::core::categorical::{segment_categorical, CategoricalConfig, CategoricalSegmentation};
 use arcs::core::optimizer::OptimizerConfig;
 use arcs::core::verify::region_error;
 use arcs::prelude::*;
@@ -60,23 +60,6 @@ fn arcs_withstands_ten_percent_outliers() {
     }
 }
 
-/// Streaming over the generator must match the in-memory path given the
-/// same data (constant-memory one-pass claim, §4.3): the stream is never
-/// collected, and the whole segmentation — errors and score included —
-/// equals the dataset path's.
-#[test]
-fn stream_and_dataset_paths_agree() {
-    let config = GeneratorConfig::paper_defaults(3);
-    let ds = AgrawalGenerator::new(config.clone()).unwrap().generate(15_000);
-    let arcs = Arcs::with_defaults();
-    let request = SegmentRequest::new("age", "salary", "group").group("A");
-    let by_dataset = arcs.open(&ds, request.clone()).unwrap().segment().unwrap();
-    let stream = AgrawalGenerator::new(config).unwrap().take(15_000);
-    let by_stream = arcs.open_stream(ds.schema(), stream, request).unwrap().segment().unwrap();
-    assert_eq!(by_dataset, by_stream);
-    assert_eq!(by_stream.errors.n_examined, 15_000);
-}
-
 /// Segmenting the *other* group works off the same bin array semantics and
 /// produces complementary coverage.
 #[test]
@@ -102,30 +85,49 @@ fn other_group_segmentation_is_complementary() {
     assert!(!other.rules.iter().any(|r| r.covers(a_core.0, a_core.1)));
 }
 
-/// Categorical × quantitative segmentation (§5 extension) on Agrawal data:
-/// Group A by Function 10 depends on elevel, so (elevel, salary) space has
-/// signal; the run must simply succeed and produce sane rules.
-#[test]
-fn categorical_segmentation_on_agrawal_data() {
+/// The (elevel, salary) workload of the categorical tests: Agrawal
+/// Function 8, whose Group A depends on elevel.
+fn f8_dataset() -> Dataset {
     let config =
         GeneratorConfig { function: AgrawalFunction::F8, ..GeneratorConfig::paper_defaults(5) };
-    let mut gen = AgrawalGenerator::new(config).unwrap();
-    let ds = gen.generate(20_000);
-    let seg = segment_categorical(
-        &ds,
-        "elevel",
-        "salary",
-        "group",
-        "A",
-        &CategoricalConfig { n_quant_bins: 20, optimizer: OptimizerConfig::default() },
-    )
-    .unwrap();
+    AgrawalGenerator::new(config).unwrap().generate(20_000)
+}
+
+fn segment_f8(
+    ds: &Dataset,
+    optimizer: OptimizerConfig,
+) -> Result<CategoricalSegmentation, ArcsError> {
+    let config = CategoricalConfig { n_quant_bins: 20, optimizer };
+    segment_categorical(ds, "elevel", "salary", "group", "A", &config)
+}
+
+/// Categorical × quantitative segmentation (§5 extension) on Agrawal data:
+/// (elevel, salary) space has signal for Group A under Function 8; the
+/// run must simply succeed and produce sane rules.
+#[test]
+fn categorical_segmentation_on_agrawal_data() {
+    let seg = segment_f8(&f8_dataset(), OptimizerConfig::default()).unwrap();
     assert!(!seg.rules.is_empty());
     for rule in &seg.rules {
         assert!(!rule.category_codes.is_empty());
         assert!(rule.quant_range.0 < rule.quant_range.1);
         assert!(rule.confidence > 0.5, "{rule}");
     }
+}
+
+/// The categorical segmentation runs the one threshold search, under its
+/// whole configuration: an expired wall-clock budget evaluates no point,
+/// so nothing segments, and zero search threads is refused.
+#[test]
+fn categorical_segmentation_honours_the_search_configuration() {
+    let ds = f8_dataset();
+    let expired = OptimizerConfig {
+        max_wall_time: Some(std::time::Duration::ZERO),
+        ..OptimizerConfig::default()
+    };
+    assert!(matches!(segment_f8(&ds, expired), Err(ArcsError::NoSegmentation)));
+    let no_threads = OptimizerConfig { threads: 0, ..OptimizerConfig::default() };
+    assert!(matches!(segment_f8(&ds, no_threads), Err(ArcsError::InvalidConfig(_))));
 }
 
 /// The paper's §1 motivating scenario end to end: a three-way

@@ -197,28 +197,8 @@ fn a_degraded_segmentation_reports_the_failed_search() {
     assert!(c.candidates_enumerated > 0, "{c:?}");
 }
 
-/// Persistent panics at the stream-chunk failpoint: every chunk retries,
-/// disarms, and completes; the streamed array matches the fault-free one.
-#[test]
-fn stream_chunk_panics_disarm_and_the_stream_completes() {
-    let _g = guard();
-    let ds = f2_dataset(20_000);
-    let clean =
-        arcs_with_threads(4).open_stream(ds.schema(), ds.iter().cloned(), request()).unwrap();
-
-    faults::configure_from_spec("binner.stream-chunk=panic@1+").unwrap();
-    let faulted =
-        arcs_with_threads(4).open_stream(ds.schema(), ds.iter().cloned(), request()).unwrap();
-    faults::clear();
-
-    assert_eq!(faulted.bin_array().checksum(), clean.bin_array().checksum());
-    let c = &faulted.report().counters;
-    assert!(c.worker_panics > 0, "{c:?}");
-    assert!(c.sequential_fallbacks > 0, "{c:?}");
-}
-
 /// The retry-accounting contract documented on `RecoveryStats`: the
-/// binner's rows and streams and BitOp route recovery through the same
+/// binner and BitOp route recovery through the same
 /// `ExecPool::run_isolated` entry, so an identical persistent fault
 /// schedule produces identical tallies in every stage — per failing
 /// unit, `1 + MAX_SHARD_RETRIES` worker panics, `MAX_SHARD_RETRIES`
@@ -231,9 +211,7 @@ fn binner_and_bitop_tally_identical_fault_schedules_identically() {
 
     let _g = guard();
     // 12_000 rows / MIN_ROWS_PER_WORKER (4_096) → exactly 2 binning
-    // shards at 2 threads; streaming the rows twice (24_000 tuples) fills
-    // exactly 2 chunks of 16_384; the 4-row grid splits into exactly 2
-    // stripes.
+    // shards at 2 threads; the 4-row grid splits into exactly 2 stripes.
     let ds = f2_dataset(12_000);
     let schema = ds.schema().clone();
     let binner = Binner::equi_width(&schema, "age", "salary", "group", 8, 8).unwrap();
@@ -244,18 +222,11 @@ fn binner_and_bitop_tally_identical_fault_schedules_identically() {
     let (_, binner_stats) = binner.bin_rows_parallel_with_stats(ds.rows(), 2).unwrap();
     faults::clear();
 
-    faults::configure_from_spec("binner.stream-chunk=panic@1+").unwrap();
-    let twice = ds.rows().iter().chain(ds.rows()).cloned();
-    let (_, stream_stats) = binner.bin_stream_parallel_with_stats(twice, 2).unwrap();
-    faults::clear();
-
     faults::configure_from_spec("bitop.stripe=panic@1+").unwrap();
     let (_, bitop_stats) = bitop::enumerate_candidates_parallel_with_stats(&grid, 2);
     faults::clear();
 
-    for (stage, stats) in
-        [("binner", &binner_stats), ("stream", &stream_stats), ("bitop", &bitop_stats)]
-    {
+    for (stage, stats) in [("binner", &binner_stats), ("bitop", &bitop_stats)] {
         assert_eq!(
             stats.worker_panics,
             units * (1 + MAX_SHARD_RETRIES as u64),
@@ -268,11 +239,6 @@ fn binner_and_bitop_tally_identical_fault_schedules_identically() {
         binner_stats.faults_only(),
         bitop_stats.faults_only(),
         "the two stages diverged on an identical schedule"
-    );
-    assert_eq!(
-        binner_stats.faults_only(),
-        stream_stats.faults_only(),
-        "rows and streams diverged on an identical schedule"
     );
 }
 
