@@ -11,14 +11,45 @@
 //! where slots `0..nseg` are group counts and slot `nseg` is the cell
 //! total. One cell's counts are contiguous, so the engine touches one cache
 //! line per cell.
+//!
+//! # Byte form (version 2)
+//!
+//! [`BinArray::write_to`] and [`BinArray::read_from`] are the array's one
+//! byte form: a checkpoint holds it, a WAL record holds an append's delta
+//! in it, a standby receives both, and [`BinArray::checksum`] hashes it.
+//! It is sparse: only the nonzero group counts are written, each as
+//! unsigned LEB128 varints.
+//!
+//! ```text
+//! size  field
+//! 8     magic  b"ARCSBA\0" + version byte (2)
+//! var   nx, ny, nseg
+//! var   entries: the number of nonzero group counts that follow
+//!       per entry, in increasing slot order, where a group slot is
+//!       (y * nx + x) * nseg + g:
+//! var     gap: the slot minus the slot after the previous entry's
+//!         (the first entry: the slot itself)
+//! var     count, 1 ..= u32::MAX
+//! 8     FNV-1a 64 checksum over every byte before it, u64 LE
+//! ```
+//!
+//! Cell totals and the tuple count are sums of group counts, so they are
+//! not written. The form is canonical: every varint is minimal, counts
+//! are nonzero and slots increase, so one array has exactly one form and
+//! re-encoding a decoded form gives its bytes back.
 
-use std::io::{Read, Write};
+use std::io::Write;
 
 use crate::error::ArcsError;
 
-/// Magic prefix of the snapshot format; the trailing byte is the format
+/// Magic prefix of the byte form; the trailing byte is the format
 /// version, bumped on any incompatible layout change.
-const SNAPSHOT_MAGIC: [u8; 8] = *b"ARCSBA\x00\x01";
+const FORM_MAGIC: [u8; 8] = *b"ARCSBA\x00\x02";
+
+/// Most counters (`nx * ny * (nseg + 1)`) a form may ask for. The checksum
+/// is verified only after the entries are read, so a damaged header must
+/// not be able to demand terabytes first.
+const MAX_CELLS: u64 = 1 << 28;
 
 /// 64-bit FNV-1a, the checksum guarding snapshots against truncation and
 /// bit rot. Not cryptographic — it detects corruption, not tampering.
@@ -33,16 +64,56 @@ pub(crate) fn fnv1a64(chunks: &[&[u8]]) -> u64 {
     hash
 }
 
-fn read_exact_or<R: Read>(r: &mut R, buf: &mut [u8], what: &str) -> Result<(), ArcsError> {
-    r.read_exact(buf).map_err(|e| ArcsError::Checkpoint {
-        message: format!("truncated while reading {what}: {e}"),
-    })
+fn form_err(message: impl Into<String>) -> ArcsError {
+    ArcsError::Checkpoint { message: message.into() }
 }
 
-fn read_u64<R: Read>(r: &mut R, what: &str) -> Result<u64, ArcsError> {
-    let mut buf = [0u8; 8];
-    read_exact_or(r, &mut buf, what)?;
-    Ok(u64::from_le_bytes(buf))
+/// Appends `value` as an unsigned LEB128 varint: seven bits a byte, low
+/// bits first, the high bit set on every byte but the last.
+fn put_varint(out: &mut Vec<u8>, mut value: u64) {
+    while value >= 0x80 {
+        out.push(value as u8 | 0x80);
+        value >>= 7;
+    }
+    out.push(value as u8);
+}
+
+/// A read position in a byte form.
+struct Cursor<'a> {
+    bytes: &'a [u8],
+    pos: usize,
+}
+
+impl Cursor<'_> {
+    fn take(&mut self, n: usize, what: &str) -> Result<&[u8], ArcsError> {
+        let end = self.pos.checked_add(n).filter(|&end| end <= self.bytes.len());
+        let end =
+            end.ok_or_else(|| form_err(format!("bin array form truncated while reading {what}")))?;
+        let taken = &self.bytes[self.pos..end];
+        self.pos = end;
+        Ok(taken)
+    }
+
+    /// Reads one varint, refusing a truncated one, an overlong one (a
+    /// zero final byte after the first: not minimal, so not canonical)
+    /// and one past `u64::MAX`.
+    fn varint(&mut self, what: &str) -> Result<u64, ArcsError> {
+        let mut value = 0u64;
+        for i in 0..10 {
+            let byte = self.take(1, what)?[0];
+            if i == 9 && byte > 1 {
+                return Err(form_err(format!("bin array {what} varint overflows 64 bits")));
+            }
+            value |= u64::from(byte & 0x7f) << (7 * i);
+            if byte & 0x80 == 0 {
+                if byte == 0 && i > 0 {
+                    return Err(form_err(format!("bin array {what} varint is overlong")));
+                }
+                return Ok(value);
+            }
+        }
+        unreachable!("the tenth byte either ends the varint or overflows")
+    }
 }
 
 /// Per-cell, per-group tuple counts over a 2-D binned grid.
@@ -235,12 +306,12 @@ impl BinArray {
         Ok(out)
     }
 
-    /// FNV-1a checksum over the array's canonical serialised form
-    /// (dimensions, tuple count, and every cell counter). Two arrays have
-    /// equal checksums iff their snapshots are byte-identical — the
-    /// determinism suite uses this to assert parallel ≡ sequential.
+    /// FNV-1a checksum over the array's byte form
+    /// ([`write_to`](BinArray::write_to)). Two arrays have equal checksums
+    /// iff their forms are byte-identical — the determinism suite uses
+    /// this to assert parallel ≡ sequential.
     pub fn checksum(&self) -> u64 {
-        let mut bytes = Vec::with_capacity(self.memory_bytes() + 48);
+        let mut bytes = Vec::new();
         self.write_to(&mut bytes).expect("Vec write cannot fail");
         fnv1a64(&[&bytes])
     }
@@ -252,88 +323,113 @@ impl BinArray {
         self.counts.len() * std::mem::size_of::<u32>()
     }
 
-    /// Serialises the array into `writer` in the versioned snapshot
-    /// format: an 8-byte magic+version header, the dimensions and tuple
-    /// count as little-endian `u64`s, the raw counts as little-endian
-    /// `u32`s, and a trailing FNV-1a checksum over everything before it.
+    /// The nonzero group counts as `(group slot, count)`, in slot order,
+    /// where a cell's group slots are `(y * nx + x) * nseg + g`.
+    fn nonzero_groups(&self) -> impl Iterator<Item = (u64, u32)> + '_ {
+        self.counts
+            .chunks_exact(self.nseg + 1)
+            .flat_map(|cell| &cell[..self.nseg])
+            .enumerate()
+            .filter(|&(_, &count)| count != 0)
+            .map(|(slot, &count)| (slot as u64, count))
+    }
+
+    /// Writes the array's byte form (module docs): the dimensions and
+    /// every nonzero group count, varint-coded, under an FNV-1a checksum.
     pub fn write_to<W: Write>(&self, writer: &mut W) -> Result<(), ArcsError> {
-        let mut header = Vec::with_capacity(8 + 4 * 8);
-        header.extend_from_slice(&SNAPSHOT_MAGIC);
-        header.extend_from_slice(&(self.nx as u64).to_le_bytes());
-        header.extend_from_slice(&(self.ny as u64).to_le_bytes());
-        header.extend_from_slice(&(self.nseg as u64).to_le_bytes());
-        header.extend_from_slice(&self.n_tuples.to_le_bytes());
-        let mut payload = Vec::with_capacity(self.counts.len() * 4);
-        for &count in &self.counts {
-            payload.extend_from_slice(&count.to_le_bytes());
+        let entries = self.nonzero_groups().count();
+        let mut bytes = Vec::with_capacity(FORM_MAGIC.len() + 24 + 4 * entries);
+        bytes.extend_from_slice(&FORM_MAGIC);
+        for value in [self.nx, self.ny, self.nseg, entries] {
+            put_varint(&mut bytes, value as u64);
         }
-        let checksum = fnv1a64(&[&header, &payload]);
-        writer.write_all(&header)?;
-        writer.write_all(&payload)?;
-        writer.write_all(&checksum.to_le_bytes())?;
+        let mut next = 0;
+        for (slot, count) in self.nonzero_groups() {
+            put_varint(&mut bytes, slot - next);
+            put_varint(&mut bytes, u64::from(count));
+            next = slot + 1;
+        }
+        let checksum = fnv1a64(&[&bytes]);
+        bytes.extend_from_slice(&checksum.to_le_bytes());
+        writer.write_all(&bytes)?;
         Ok(())
     }
 
-    /// Deserialises an array written by [`BinArray::write_to`],
-    /// verifying the magic, format version, dimensions, and checksum.
-    /// Corruption or version mismatch reports [`ArcsError::Checkpoint`].
-    pub fn read_from<R: Read>(reader: &mut R) -> Result<Self, ArcsError> {
-        let mut magic = [0u8; 8];
-        read_exact_or(reader, &mut magic, "snapshot header")?;
-        if magic[..7] != SNAPSHOT_MAGIC[..7] {
-            return Err(ArcsError::Checkpoint {
-                message: "not a BinArray snapshot (bad magic)".into(),
-            });
+    /// Reads exactly one byte form written by
+    /// [`write_to`](BinArray::write_to). A bad magic, another format
+    /// version (named in the error), a grid past 2^28 counters,
+    /// a truncated, overlong or overflowing varint, a slot past the grid,
+    /// a zero count, a cell total past `u32::MAX`, a checksum mismatch and
+    /// trailing bytes are each an [`ArcsError::Checkpoint`].
+    pub fn read_from(bytes: &[u8]) -> Result<Self, ArcsError> {
+        let mut cursor = Cursor { bytes, pos: 0 };
+        let magic = cursor.take(FORM_MAGIC.len(), "the header")?;
+        if magic[..7] != FORM_MAGIC[..7] {
+            return Err(form_err("not a bin array form (bad magic)"));
         }
-        if magic[7] != SNAPSHOT_MAGIC[7] {
-            return Err(ArcsError::Checkpoint {
-                message: format!(
-                    "unsupported snapshot version {} (this build reads version {})",
-                    magic[7], SNAPSHOT_MAGIC[7]
-                ),
-            });
+        if magic[7] != FORM_MAGIC[7] {
+            return Err(form_err(format!(
+                "unsupported bin array version {} (this build reads version {})",
+                magic[7], FORM_MAGIC[7]
+            )));
         }
-        let nx = read_u64(reader, "nx")? as usize;
-        let ny = read_u64(reader, "ny")? as usize;
-        let nseg = read_u64(reader, "nseg")? as usize;
-        let n_tuples = read_u64(reader, "n_tuples")?;
-        // Cap the allocation a header can request *before* trusting it —
-        // the checksum is only verifiable after the payload is read, so a
-        // corrupt header must not be able to demand terabytes first.
-        const MAX_CELLS: u64 = 1 << 28;
-        let cells = (nx as u64).saturating_mul(ny as u64).saturating_mul(nseg as u64 + 1);
+        let nx = cursor.varint("nx")?;
+        let ny = cursor.varint("ny")?;
+        let nseg = cursor.varint("nseg")?;
+        let cells = nx.saturating_mul(ny).saturating_mul(nseg.saturating_add(1));
         if cells > MAX_CELLS {
-            return Err(ArcsError::Checkpoint {
-                message: format!(
-                    "snapshot header requests {cells} counters (cap {MAX_CELLS}); refusing"
-                ),
-            });
+            return Err(form_err(format!(
+                "bin array form requests {cells} counters (cap {MAX_CELLS}); refusing"
+            )));
         }
-        // Re-validate dimensions through the constructor so a corrupt
-        // header cannot request an absurd allocation unchecked.
-        let mut array = BinArray::new(nx, ny, nseg).map_err(|e| ArcsError::Checkpoint {
-            message: format!("snapshot header holds invalid dimensions: {e}"),
-        })?;
-        array.n_tuples = n_tuples;
-        let mut payload = vec![0u8; array.counts.len() * 4];
-        read_exact_or(reader, &mut payload, "count payload")?;
-        for (slot, chunk) in array.counts.iter_mut().zip(payload.chunks_exact(4)) {
-            *slot = u32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
+        // Below the cap every dimension fits a usize; the constructor
+        // still refuses a zero one.
+        let (nx, ny, nseg) = (nx as usize, ny as usize, nseg as usize);
+        let mut array = BinArray::new(nx, ny, nseg)
+            .map_err(|e| form_err(format!("bin array form holds invalid dimensions: {e}")))?;
+        let slots = (nx * ny * nseg) as u64;
+        let entries = cursor.varint("the entry count")?;
+        if entries > slots {
+            return Err(form_err(format!(
+                "bin array form lists {entries} counts for {slots} group slots"
+            )));
         }
-        let stored = read_u64(reader, "checksum")?;
-        let mut header = Vec::with_capacity(8 + 4 * 8);
-        header.extend_from_slice(&magic);
-        header.extend_from_slice(&(nx as u64).to_le_bytes());
-        header.extend_from_slice(&(ny as u64).to_le_bytes());
-        header.extend_from_slice(&(nseg as u64).to_le_bytes());
-        header.extend_from_slice(&n_tuples.to_le_bytes());
-        let computed = fnv1a64(&[&header, &payload]);
+        let mut next = 0u64;
+        for _ in 0..entries {
+            let gap = cursor.varint("a slot gap")?;
+            let slot = next.checked_add(gap).filter(|&slot| slot < slots).ok_or_else(|| {
+                form_err(format!("bin array slot past the grid's {slots} group slots"))
+            })?;
+            let count = cursor.varint("a count")?;
+            if count == 0 {
+                return Err(form_err(format!("bin array slot {slot} holds a zero count")));
+            }
+            let count = u32::try_from(count)
+                .map_err(|_| form_err(format!("bin array count {count} overflows u32")))?;
+            let (cell, g) = ((slot / nseg as u64) as usize, (slot % nseg as u64) as usize);
+            let base = cell * (nseg + 1);
+            array.counts[base + g] = count;
+            array.counts[base + nseg] = array.counts[base + nseg]
+                .checked_add(count)
+                .ok_or_else(|| form_err(format!("bin array cell {cell}'s total overflows u32")))?;
+            array.n_tuples += u64::from(count);
+            next = slot + 1;
+        }
+        let body_len = cursor.pos;
+        let stored = u64::from_le_bytes(
+            cursor.take(8, "the checksum")?.try_into().expect("an 8-byte slice"),
+        );
+        let computed = fnv1a64(&[&bytes[..body_len]]);
         if stored != computed {
-            return Err(ArcsError::Checkpoint {
-                message: format!(
-                    "checksum mismatch: stored {stored:#018x}, computed {computed:#018x}"
-                ),
-            });
+            return Err(form_err(format!(
+                "bin array checksum mismatch: stored {stored:#018x}, computed {computed:#018x}"
+            )));
+        }
+        if cursor.pos != bytes.len() {
+            return Err(form_err(format!(
+                "{} trailing bytes after the bin array form",
+                bytes.len() - cursor.pos
+            )));
         }
         Ok(array)
     }
@@ -427,17 +523,35 @@ mod tests {
         ba
     }
 
+    /// Arrays built by `add`, `merge` and `coarsened`, and an empty one
+    /// (the delta of an append that binned no rows).
+    fn built_arrays() -> Vec<BinArray> {
+        let added = populated_array();
+        let mut merged = populated_array();
+        merged.merge(&added).unwrap();
+        let mut wide = BinArray::new(300, 2, 2).unwrap();
+        wide.add(299, 1, 1); // a slot gap past one varint byte
+        wide.add(0, 0, 0);
+        wide.merge(&wide.clone()).unwrap();
+        vec![added.coarsened(3, 2).unwrap(), added, merged, wide, BinArray::new(4, 3, 2).unwrap()]
+    }
+
     #[test]
     fn snapshot_roundtrip_is_bit_identical() {
-        let ba = populated_array();
-        let mut bytes = Vec::new();
-        ba.write_to(&mut bytes).unwrap();
-        let back = BinArray::read_from(&mut &bytes[..]).unwrap();
-        assert_eq!(ba, back);
-        // Re-serialising the loaded array reproduces the same bytes.
-        let mut bytes2 = Vec::new();
-        back.write_to(&mut bytes2).unwrap();
-        assert_eq!(bytes, bytes2);
+        for ba in built_arrays() {
+            let mut bytes = Vec::new();
+            ba.write_to(&mut bytes).unwrap();
+            let back = BinArray::read_from(&bytes).unwrap();
+            assert_eq!(ba, back);
+            // Re-serialising the loaded array reproduces the same bytes.
+            let mut bytes2 = Vec::new();
+            back.write_to(&mut bytes2).unwrap();
+            assert_eq!(bytes, bytes2);
+        }
+        // The form is sparse: an empty 50 x 50 array is its header alone.
+        let mut empty = Vec::new();
+        BinArray::new(50, 50, 2).unwrap().write_to(&mut empty).unwrap();
+        assert_eq!(empty.len(), 8 + 3 + 1 + 8);
     }
 
     #[test]
@@ -450,30 +564,103 @@ mod tests {
         let mut corrupt = bytes.clone();
         let mid = corrupt.len() / 2;
         corrupt[mid] ^= 0xFF;
-        let err = BinArray::read_from(&mut &corrupt[..]).unwrap_err();
+        let err = BinArray::read_from(&corrupt).unwrap_err();
         assert!(matches!(err, ArcsError::Checkpoint { .. }), "{err:?}");
 
         // Truncation.
-        let err = BinArray::read_from(&mut &bytes[..bytes.len() - 9]).unwrap_err();
+        let err = BinArray::read_from(&bytes[..bytes.len() - 9]).unwrap_err();
         assert!(matches!(err, ArcsError::Checkpoint { .. }));
 
         // Wrong magic.
         let mut bad_magic = bytes.clone();
         bad_magic[0] = b'X';
-        let err = BinArray::read_from(&mut &bad_magic[..]).unwrap_err();
+        let err = BinArray::read_from(&bad_magic).unwrap_err();
         assert!(err.to_string().contains("magic"), "{err}");
 
-        // Future format version.
-        let mut future = bytes.clone();
-        future[7] = 2;
-        let err = BinArray::read_from(&mut &future[..]).unwrap_err();
-        assert!(err.to_string().contains("version"), "{err}");
+        // Another format version, named in the error.
+        for version in [1, 3] {
+            let mut other = bytes.clone();
+            other[7] = version;
+            let err = BinArray::read_from(&other).unwrap_err();
+            assert!(err.to_string().contains(&format!("version {version}")), "{err}");
+        }
 
         // Absurd header dimensions are refused before allocation.
-        let mut huge = bytes;
-        huge[8..16].copy_from_slice(&u64::MAX.to_le_bytes());
-        let err = BinArray::read_from(&mut &huge[..]).unwrap_err();
+        let huge = form(&[u64::MAX, 2, 2], &[]);
+        let err = BinArray::read_from(&huge).unwrap_err();
         assert!(matches!(err, ArcsError::Checkpoint { .. }));
+        assert!(err.to_string().contains("refusing"), "{err}");
+    }
+
+    /// A form from raw varint fields: the dimensions, the entry count,
+    /// `(gap, count)` pairs, and a valid checksum, so each case below is
+    /// refused by the rule it breaks and not by the checksum.
+    fn form(dims: &[u64], entries: &[(u64, u64)]) -> Vec<u8> {
+        let mut fields: Vec<u8> = Vec::new();
+        for &dim in dims {
+            put_varint(&mut fields, dim);
+        }
+        put_varint(&mut fields, entries.len() as u64);
+        for &(gap, count) in entries {
+            put_varint(&mut fields, gap);
+            put_varint(&mut fields, count);
+        }
+        raw_form(&fields)
+    }
+
+    /// The magic, `fields` as they are, and a checksum over both.
+    fn raw_form(fields: &[u8]) -> Vec<u8> {
+        let mut bytes = FORM_MAGIC.to_vec();
+        bytes.extend_from_slice(fields);
+        let checksum = fnv1a64(&[&bytes]);
+        bytes.extend_from_slice(&checksum.to_le_bytes());
+        bytes
+    }
+
+    #[test]
+    fn malformed_forms_are_typed_errors() {
+        // A 2 x 2 grid of 2 groups has 8 group slots.
+        let valid = form(&[2, 2, 2], &[(0, 3), (6, 1)]);
+        let array = BinArray::read_from(&valid).unwrap();
+        assert_eq!((array.group_count(0, 0, 0), array.group_count(1, 1, 1)), (3, 1));
+        assert_eq!((array.cell_total(1, 1), array.n_tuples()), (1, 4));
+
+        let refused = |bytes: &[u8], what: &str| {
+            let err = BinArray::read_from(bytes).unwrap_err();
+            assert!(matches!(err, ArcsError::Checkpoint { .. }), "{what}: {err:?}");
+            assert!(err.to_string().contains(what), "{what}: {err}");
+        };
+        refused(&form(&[2, 2, 2], &[(8, 1)]), "past the grid");
+        refused(&form(&[2, 2, 2], &[(3, 1), (4, 1)]), "past the grid");
+        refused(&form(&[2, 2, 2], &[(u64::MAX, 1), (u64::MAX, 1)]), "past the grid");
+        refused(&form(&[2, 2, 2], &[(1, 0)]), "zero count");
+        refused(&form(&[2, 2, 2], &[(1, 1 << 32)]), "overflows u32");
+        refused(&form(&[1, 1, 2], &[(0, u64::from(u32::MAX)), (0, 1)]), "total overflows");
+        refused(&form(&[2, 2, 2], &[(0, 1); 9]), "9 counts for 8 group slots");
+        refused(&form(&[0, 2, 2], &[]), "invalid dimensions");
+        // Overlong: 3 as [0x83, 0x00] instead of [0x03].
+        refused(&raw_form(&[2, 2, 2, 1, 0x83, 0x00, 1]), "overlong");
+        // Overflowing: ten bytes whose last carries bits past 64, and an
+        // eleventh continuation.
+        let mut past = vec![0xff; 9];
+        past.push(0x02);
+        refused(&raw_form(&[&[2, 2, 2, 1][..], &past].concat()), "overflows 64 bits");
+        refused(&raw_form(&[&[2, 2, 2, 1][..], &[0xff; 11]].concat()), "overflows 64 bits");
+        for cut in 0..valid.len() {
+            refused(&valid[..cut], "truncated");
+        }
+        let mut trailing = valid.clone();
+        trailing.push(0);
+        refused(&trailing, "1 trailing bytes");
+        // Any flipped byte of a valid form is refused, by the rule it
+        // breaks or by the checksum, and never panics.
+        for i in 0..valid.len() {
+            for mask in [0x01, 0x80, 0xff] {
+                let mut flipped = valid.clone();
+                flipped[i] ^= mask;
+                assert!(BinArray::read_from(&flipped).is_err(), "flip {mask:#x} at {i}");
+            }
+        }
     }
 
     #[test]

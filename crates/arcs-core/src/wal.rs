@@ -1,18 +1,18 @@
 //! Crash-safe durability: a per-tenant write-ahead append log plus
 //! periodic [`BinArray`] checkpoints.
 //!
-//! The serving stack (PR 6/7) keeps every tenant in memory; this module
-//! supplies the persistence layer under it. Durability is the classic
-//! WAL contract: a row batch is written (and fsynced) to the log *before*
-//! it is merged into the in-memory snapshot, so an acknowledged append
-//! survives any crash, and a crash mid-write loses at most the
+//! The serving stack keeps every tenant in memory; this module supplies
+//! the persistence layer under it. Durability is the classic WAL
+//! contract: an append's binned delta is written (and fsynced) to the log
+//! *before* it is merged into the in-memory snapshot, so an acknowledged
+//! append survives any crash, and a crash mid-write loses at most the
 //! unacknowledged tail.
 //!
-//! # Log format (version 1)
+//! # Log format (version 2)
 //!
 //! ```text
 //! offset  size  field
-//! 0       8     magic  b"ARCSWL\0" + version byte (1)
+//! 0       8     magic  b"ARCSWL\0" + version byte (2)
 //! 8       8     start_seq, u64 LE — seq of the first record in this file
 //! 16      ...   records
 //! ```
@@ -25,9 +25,14 @@
 //! n     body: kind (u8, 1 = append batch)
 //!             seq (u64 LE, contiguous from the file's start_seq)
 //!             feeder byte-offset (u64 LE, u64::MAX = none)
-//!             payload (header-less CSV row batch, UTF-8)
+//!             payload (the append's delta array, BinArray::write_to)
 //! 8     FNV-1a 64 checksum over the length prefix + body, u64 LE
 //! ```
+//!
+//! The log treats a payload as opaque bytes; the daemon's store writes
+//! each append's delta in the bin array's one byte form and decodes it
+//! with [`BinArray::read_from`] on replay. Version 1 logs held CSV rows
+//! and are refused, not migrated.
 //!
 //! # Recovery semantics
 //!
@@ -46,7 +51,7 @@
 //! # Checkpoint format (version 1)
 //!
 //! A checkpoint is one file: a header binding the array to the log, the
-//! `ARCSBA` [`BinArray`] snapshot, and one checksum over both.
+//! array in its `ARCSBA` byte form, and one checksum over both.
 //!
 //! ```text
 //! offset  size  field
@@ -54,7 +59,7 @@
 //! 8       8     epoch, u64 LE
 //! 16      8     last_seq, u64 LE
 //! 24      8     feeder byte-offset, u64 LE (u64::MAX = none)
-//! 32      n     BinArray snapshot (BinArray::write_to)
+//! 32      n     the array's byte form (BinArray::write_to)
 //! 32+n    8     FNV-1a 64 checksum over bytes 0 .. 32+n, u64 LE
 //! ```
 //!
@@ -98,16 +103,18 @@ use crate::error::ArcsError;
 use crate::faults;
 
 /// Magic prefix of the log format; the trailing byte is the version.
-pub const WAL_MAGIC: [u8; 8] = *b"ARCSWL\x00\x01";
+pub const WAL_MAGIC: [u8; 8] = *b"ARCSWL\x00\x02";
 /// Bytes of file header before the first record.
 pub const WAL_HEADER_LEN: u64 = 16;
 /// Fixed bytes of a record body before its payload (kind + seq + offset).
 const BODY_PREFIX_LEN: usize = 1 + 8 + 8;
-/// Largest accepted record body. The wire protocol caps append frames at
-/// 8 MiB, so a length prefix beyond this is corruption, not data — and
-/// the cap keeps a corrupt prefix from demanding an absurd allocation.
+/// Largest accepted record body. A record holds one append's delta
+/// array, whose byte form lists at most one count per appended row, at
+/// most 9 bytes each, and a wire append's rows fit one 8 MiB frame: a
+/// length prefix beyond this is corruption, not data, and the cap keeps
+/// a corrupt prefix from demanding an absurd allocation.
 pub const MAX_RECORD_BODY: usize = 32 * 1024 * 1024;
-/// Record kind: one validated row batch to merge.
+/// Record kind: one delta array to merge.
 const KIND_APPEND: u8 = 1;
 /// On-disk encoding of "no feeder offset recorded".
 const NO_OFFSET: u64 = u64::MAX;
@@ -116,15 +123,16 @@ fn checkpoint_err(message: impl Into<String>) -> ArcsError {
     ArcsError::Checkpoint { message: message.into() }
 }
 
-/// One durable append: a validated row batch, its log sequence number,
-/// and (for feeder-driven appends) the CSV byte offset consumed by it.
+/// One durable append: its binned delta, its log sequence number, and
+/// (for feeder-driven appends) the CSV byte offset consumed by it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WalRecord {
     /// Log sequence number, contiguous within a file.
     pub seq: u64,
     /// Feeder byte offset durably consumed once this record is applied.
     pub feeder_offset: Option<u64>,
-    /// The header-less CSV row batch, exactly as validated before write.
+    /// The append's delta array in its byte form
+    /// ([`BinArray::write_to`]), exactly as merged.
     pub payload: Vec<u8>,
 }
 
@@ -606,10 +614,10 @@ pub struct CheckpointMeta {
     pub feeder_offset: Option<u64>,
 }
 
-/// Encodes a checkpoint file: the header, the array's [`BinArray::write_to`]
-/// snapshot, and an FNV-1a-64 checksum over both.
+/// Encodes a checkpoint file: the header, the array's byte form
+/// ([`BinArray::write_to`]), and an FNV-1a-64 checksum over both.
 pub fn encode_checkpoint(meta: &CheckpointMeta, array: &BinArray) -> Result<Vec<u8>, ArcsError> {
-    let mut bytes = Vec::with_capacity(CHECKPOINT_HEADER_LEN + array.memory_bytes() + 64);
+    let mut bytes = Vec::new();
     bytes.extend_from_slice(&CHECKPOINT_MAGIC);
     bytes.extend_from_slice(&meta.epoch.to_le_bytes());
     bytes.extend_from_slice(&meta.last_seq.to_le_bytes());
@@ -654,14 +662,7 @@ pub fn decode_checkpoint(bytes: &[u8]) -> Result<(CheckpointMeta, BinArray), Arc
         last_seq: field(16),
         feeder_offset: (offset != NO_OFFSET).then_some(offset),
     };
-    let mut snapshot = &body[CHECKPOINT_HEADER_LEN..];
-    let array = BinArray::read_from(&mut snapshot)?;
-    if !snapshot.is_empty() {
-        return Err(checkpoint_err(format!(
-            "{} stray bytes after the checkpoint's array snapshot",
-            snapshot.len()
-        )));
-    }
+    let array = BinArray::read_from(&body[CHECKPOINT_HEADER_LEN..])?;
     Ok((meta, array))
 }
 

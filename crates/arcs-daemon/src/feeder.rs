@@ -6,18 +6,18 @@
 //! was built from) and polls on a fixed interval. Each tick consumes the
 //! bytes present when it starts, keeps only *complete* lines (a
 //! partially written last line stays buffered on disk until its newline
-//! arrives), and merges them via [`Tenant::append_csv`] in batches of
-//! whole lines of at most [`FEED_CHUNK_BYTES`] each. A burst after
-//! downtime therefore merges as several batches within one tick, and
-//! each batch's WAL record stays small enough to ship to a standby in
-//! one frame; the budget also bounds what a tick holds in memory.
+//! arrives), and merges them in batches of whole lines of at most
+//! [`FEED_CHUNK_BYTES`] each: each batch is binned ([`bin_batch`]) and
+//! its delta appended with [`Tenant::append_delta`]. A burst after
+//! downtime therefore merges as several batches within one tick; the
+//! budget bounds what a tick holds in memory.
 //!
 //! Failure model, per batch:
 //! * **Injected fault** (`daemon.feeder-merge` failpoint) or **I/O
 //!   error**: nothing more is consumed this tick; the same bytes are
 //!   retried next tick.
-//! * **Malformed batch**: the batch is rejected atomically by
-//!   [`Tenant::append_csv`]; the feeder *skips* it (advancing past the
+//! * **Malformed batch**: the batch is rejected atomically, before
+//!   anything is appended; the feeder *skips* it (advancing past the
 //!   poison rows, counting them in [`FeederStats::batches_failed`])
 //!   rather than retrying forever — a poison row must not wedge the
 //!   feed. A single line longer than [`FEED_CHUNK_BYTES`] is skipped the
@@ -26,11 +26,11 @@
 //!   resumes from there.
 //!
 //! On a **durable** tenant, each merged batch's post-batch byte offset
-//! rides inside the tenant's WAL record (via
-//! [`Tenant::append_csv_with_offset`]) and into every checkpoint, so a
-//! restarted daemon spawns the feeder with [`Feeder::spawn_at`] at the
-//! last durable offset — never re-reading from byte 0, never
-//! double-appending a batch that is already in the log.
+//! rides inside the tenant's WAL record (via [`Tenant::append_delta`])
+//! and into every checkpoint, so a restarted daemon spawns the feeder
+//! with [`Feeder::spawn_at`] at the last durable offset — never
+//! re-reading from byte 0, never double-appending a batch that is
+//! already in the log.
 
 use std::fs::File;
 use std::io::{BufRead, BufReader, Read, Seek, SeekFrom};
@@ -43,6 +43,7 @@ use std::time::Duration;
 use arcs_core::faults;
 
 use crate::registry::Tenant;
+use crate::store::bin_batch;
 
 /// Monotonic counters of a feeder's lifetime, readable while it runs.
 #[derive(Debug, Default)]
@@ -117,9 +118,9 @@ impl Feeder {
     }
 }
 
-/// Most bytes of whole lines merged as one batch. Twice this (the hex
-/// armour of a WAL record) plus framing stays under the replication
-/// frame cap, [`crate::protocol::MAX_FRAME`].
+/// Most bytes of whole lines merged as one batch: the most of the feed
+/// file a tick holds in memory at once. A batch's WAL record holds its
+/// binned delta, not these bytes, so the budget does not size a record.
 pub const FEED_CHUNK_BYTES: usize = 1 << 20;
 
 /// One poll: merge the complete lines present at the start of the tick,
@@ -187,8 +188,12 @@ fn merge(
     }
     // Record the post-batch offset in the WAL (durable tenants): a
     // restarted feeder resumes exactly past the batches already logged.
-    match tenant.append_csv_with_offset(batch, Some(consumed)) {
-        Ok((_epoch, rows)) => {
+    let merged = bin_batch(tenant.schema(), tenant.binner(), batch).and_then(|delta| {
+        tenant.append_delta(&delta, Some(consumed))?;
+        Ok(delta.n_tuples())
+    });
+    match merged {
+        Ok(rows) => {
             stats.rows_merged.fetch_add(rows, Ordering::Relaxed);
             stats.batches_merged.fetch_add(1, Ordering::Relaxed);
         }

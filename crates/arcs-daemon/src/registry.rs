@@ -189,7 +189,7 @@ impl Tenant {
     }
 
     /// Recovers a durable tenant from `<data_dir>/<name>`: checkpoint
-    /// load, WAL torn-tail healing, replay of logged batches past the
+    /// load, WAL torn-tail healing, a merge of the logged deltas past the
     /// checkpoint. The server resumes at the recovered epoch, so query
     /// responses are bit-identical to an uninterrupted run that stopped
     /// at the same durable prefix.
@@ -266,34 +266,29 @@ impl Tenant {
     }
 
     /// Parses header-less CSV `rows` against the tenant's schema, bins
-    /// them into a delta array, and merges it as a copy-on-write snapshot
-    /// swap. Returns the new epoch and the number of rows merged. The
-    /// whole batch is rejected on the first malformed row — a partial
-    /// merge would leave the epoch unreproducible.
-    ///
-    /// On a durable tenant the batch is written ahead to the WAL
-    /// (fsynced) before the merge: once this returns `Ok`, the batch
-    /// survives a crash.
+    /// them into a delta array ([`bin_batch`]), and appends it with
+    /// [`append_delta`](Tenant::append_delta). Returns the new epoch and
+    /// the number of rows merged. The whole batch is rejected on the
+    /// first malformed row — a partial merge would leave the epoch
+    /// unreproducible.
     pub fn append_csv(&self, rows: &str) -> Result<(u64, u64), ArcsError> {
-        self.append_csv_with_offset(rows, None)
+        let delta = bin_batch(&self.schema, &self.binner, rows)?;
+        Ok((self.append_delta(&delta, None)?, delta.n_tuples()))
     }
 
-    /// [`append_csv`](Tenant::append_csv) with a feeder byte offset
-    /// recorded in the WAL record: `offset` is the position in the feed
-    /// file *after* this batch, so a restarted feeder resumes there and
-    /// never double-appends.
-    pub fn append_csv_with_offset(
-        &self,
-        rows: &str,
-        offset: Option<u64>,
-    ) -> Result<(u64, u64), ArcsError> {
-        let delta = bin_batch(&self.schema, &self.binner, rows)?;
-        let n_rows = delta.n_tuples();
-        let epoch = match &self.store {
-            None => self.server.append(&delta)?,
-            Some(store) => store.append(rows.as_bytes(), offset, || self.server.append(&delta))?,
-        };
-        Ok((epoch, n_rows))
+    /// Merges a binned `delta` as a copy-on-write snapshot swap and
+    /// returns the new epoch: the one append routine, behind wire and
+    /// feeder appends and a standby's apply alike. On a durable tenant
+    /// the delta's byte form ([`BinArray::write_to`]) is written ahead to
+    /// the WAL (fsynced) first, with `offset` — for a feeder append, the
+    /// position in the feed file *after* its batch, so a restarted feeder
+    /// resumes there and never double-appends. Once this returns `Ok`,
+    /// the delta survives a crash.
+    pub fn append_delta(&self, delta: &BinArray, offset: Option<u64>) -> Result<u64, ArcsError> {
+        let Some(store) = &self.store else { return self.server.append(delta) };
+        let mut payload = Vec::new();
+        delta.write_to(&mut payload)?;
+        store.append(&payload, offset, || self.server.append(delta))
     }
 }
 
@@ -503,7 +498,8 @@ mod tests {
             Tenant::from_dataset_durable("tiny", &ds, &tiny_config(), &data_dir, None).unwrap();
         assert!(tenant.is_durable());
         tenant.append_csv("2.5,2.5,A\n3.5,3.5,A\n").unwrap();
-        tenant.append_csv_with_offset("4.5,4.5,other\n", Some(64)).unwrap();
+        let delta = bin_batch(tenant.schema(), tenant.binner(), "4.5,4.5,other\n").unwrap();
+        tenant.append_delta(&delta, Some(64)).unwrap();
         let live = tenant.server().snapshot();
         drop(tenant);
 

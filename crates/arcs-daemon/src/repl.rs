@@ -18,9 +18,12 @@
 //!   live log is told to re-sync.
 //! * **The tailer** — a standby runs one background thread that polls
 //!   the primary: heartbeat → discover tenants → fetch record batches →
-//!   [`apply_batch`] through the *same* `Tenant::append_csv_with_offset`
-//!   path live writes take, so the standby's WAL, checkpoints, and
-//!   epochs obey exactly the durability invariants of a primary. Each
+//!   [`apply_batch`], which decodes each record's delta array and appends
+//!   it through [`Tenant::append_delta`], the routine live writes take,
+//!   so the standby's WAL, checkpoints, and epochs obey exactly the
+//!   durability invariants of a primary. The array's byte form is
+//!   canonical, so the standby logs each record with the primary's seq,
+//!   feeder offset and payload bytes, and parses no CSV. Each
 //!   shipped seq is checked against the standby log's next seq: a lower
 //!   one is a duplicate to skip, a higher one a gap. A gap or checksum
 //!   failure refuses the batch (never a partial apply past the valid
@@ -43,6 +46,7 @@ use arcs_core::faults;
 use arcs_core::jsonio::{obj, Json};
 use arcs_core::repl::{from_hex, to_hex, ReplMetrics, ShippedRecord};
 use arcs_core::serve::ServeConfig;
+use arcs_core::BinArray;
 
 use crate::client::Client;
 use crate::protocol::{ok_response, DurabilityStats, WireError, DEFAULT_REPL_BATCH, MAX_FRAME};
@@ -357,8 +361,9 @@ pub enum BatchOutcome {
     },
 }
 
-/// Applies one shipped batch to a standby tenant through the same
-/// durable append path live writes take. Each record's seq is compared
+/// Applies one shipped batch to a standby tenant: each record's delta is
+/// decoded and appended through [`Tenant::append_delta`], the durable
+/// append path live writes take. Each record's seq is compared
 /// with the standby log's next seq (`last_wal_seq() + 1`): a lower seq
 /// is an already-applied duplicate and is skipped, a higher one is a
 /// gap that stops everything with [`BatchOutcome::Gap`] (applying past
@@ -401,17 +406,9 @@ pub fn apply_batch(
                 return BatchOutcome::Refused { applied, reason: err.to_string() };
             }
         };
-        let rows = match std::str::from_utf8(&record.payload) {
-            Ok(rows) => rows,
-            Err(_) => {
-                ReplMetrics::add(&metrics.gaps_refused, 1);
-                return BatchOutcome::Refused {
-                    applied,
-                    reason: format!("record {} payload is not UTF-8", record.seq),
-                };
-            }
-        };
-        if let Err(err) = tenant.append_csv_with_offset(rows, record.feeder_offset) {
+        let merged = BinArray::read_from(&record.payload)
+            .and_then(|delta| tenant.append_delta(&delta, record.feeder_offset));
+        if let Err(err) = merged {
             ReplMetrics::add(&metrics.gaps_refused, 1);
             return BatchOutcome::Refused {
                 applied,

@@ -8,8 +8,8 @@
 //! <data-dir>/
 //!   <tenant>/
 //!     tenant.json     — x, y, criterion, bin counts, schema (how to rebuild the Binner)
-//!     checkpoint.meta — header (epoch, last_seq, feeder offset) + BinArray snapshot
-//!     wal.log         — write-ahead append log since the checkpoint
+//!     checkpoint.meta — header (epoch, last_seq, feeder offset) + the array's byte form
+//!     wal.log         — write-ahead log since the checkpoint: one delta array per append
 //! ```
 //!
 //! A checkpoint is one file under one checksum (format in
@@ -17,10 +17,14 @@
 //! crash leaves either the old checkpoint or the new one.
 //!
 //! `tenant.json` makes a directory self-describing: a restarted daemon
-//! rebuilds the tenant's [`Binner`] from it without the original CSV.
-//! The checkpoint and the log implement the checkpoint ⇄ WAL epoch
-//! contract documented in [`arcs_core::wal`]; [`TenantStore::open`] and
-//! [`fsck`]'s deep audit apply it through one routine.
+//! rebuilds the tenant's [`Binner`] from it without the original CSV, to
+//! bin the rows of later appends. Nothing on disk holds a row: each WAL
+//! record is the append's binned delta in the array's one byte form
+//! ([`BinArray::write_to`]), so recovery, [`fsck`]'s deep audit and a
+//! standby decode it and merge it, and none of them parses CSV or builds
+//! a binner. The checkpoint and the log implement the checkpoint ⇄ WAL
+//! epoch contract documented in [`arcs_core::wal`]; [`TenantStore::open`]
+//! and [`fsck`]'s deep audit apply it through one routine.
 //!
 //! # Write-ahead ordering
 //!
@@ -29,7 +33,12 @@
 //! is epoch order, an acknowledged batch is always durable, and a merge
 //! failure rolls the just-written record back so disk and memory never
 //! disagree about which batches exist.
+//!
+//! A directory written in an earlier format (a version 1 log of CSV rows,
+//! or a checkpoint holding a version 1 array) is refused with an error
+//! naming the version, and [`fsck`] leaves it byte for byte as it is.
 
+use std::io::Read;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -37,7 +46,7 @@ use arcs_core::jsonio::{obj, Json};
 use arcs_core::repl::ShippedRecord;
 use arcs_core::wal::{
     decode_checkpoint, load_checkpoint, replay, save_checkpoint, write_atomic, CheckpointMeta,
-    WalRecord, WalReplay, WalTail, WalWriter,
+    WalRecord, WalReplay, WalTail, WalWriter, WAL_MAGIC,
 };
 use arcs_core::{faults, ArcsError, BinArray, Binner};
 use arcs_data::{AttrKind, Attribute, Schema};
@@ -290,7 +299,7 @@ impl TenantStore {
                 ))
             })?;
         let (mut wal, log) = WalWriter::recover(&dir.join(WAL_FILE))?;
-        let replayed = replay_onto(&meta, &checkpoint, &log, &mut array)?;
+        let replayed = replay_onto(&checkpoint, &log, &mut array)?;
         // An empty log (including a zero-byte file recover just rebuilt a
         // header for) carries no sequence information of its own: anchor
         // it to the checkpoint, or fresh appends would receive sequence
@@ -346,7 +355,9 @@ impl TenantStore {
     /// offset, when driven by the feeder), then runs `merge` — the
     /// in-memory snapshot swap — under the same lock. A merge failure
     /// rolls the record back; a log failure never reaches the merge.
-    /// Returns `merge`'s result (the new epoch).
+    /// Returns `merge`'s result (the new epoch). The payload is logged as
+    /// it is handed over; recovery reads it as the delta's byte form
+    /// ([`BinArray::write_to`]), so a tenant hands over exactly that.
     pub fn append(
         &self,
         payload: &[u8],
@@ -524,7 +535,6 @@ struct Replayed {
 /// with `seq > last_seq` into `array`, and counts the epoch and feeder
 /// offset it ends at.
 fn replay_onto(
-    meta: &TenantMeta,
     checkpoint: &CheckpointMeta,
     log: &WalReplay,
     array: &mut BinArray,
@@ -535,11 +545,10 @@ fn replay_onto(
             log.start_seq, checkpoint.last_seq
         )));
     }
-    let binner = meta.build_binner()?;
     let mut replayed =
         Replayed { records: 0, epoch: checkpoint.epoch, feeder_offset: checkpoint.feeder_offset };
     for record in log.records.iter().filter(|r| r.seq > checkpoint.last_seq) {
-        apply_record(&meta.schema, &binner, array, record)?;
+        apply_record(array, record)?;
         replayed.records += 1;
         replayed.epoch += 1;
         if record.feeder_offset.is_some() {
@@ -549,27 +558,19 @@ fn replay_onto(
     Ok(replayed)
 }
 
-/// Parses and merges one WAL record into `array` — the replay half of
-/// [`TenantStore::append`]: same parse, same binner, deterministically
-/// bit-identical to the original merge.
-fn apply_record(
-    schema: &Schema,
-    binner: &Binner,
-    array: &mut BinArray,
-    record: &WalRecord,
-) -> Result<(), ArcsError> {
-    let rows = std::str::from_utf8(&record.payload)
-        .map_err(|_| checkpoint_err(format!("WAL record {} payload is not UTF-8", record.seq)))?;
-    let delta = bin_batch(schema, binner, rows).map_err(|err| {
-        checkpoint_err(format!("WAL record {} does not apply: {err}", record.seq))
-    })?;
-    array.merge(&delta)?;
-    Ok(())
+/// Decodes one WAL record's delta and merges it into `array` — the
+/// replay half of [`TenantStore::append`], bit-identical to the merge
+/// the append made. A record whose payload is not a delta of `array`'s
+/// grid does not apply.
+fn apply_record(array: &mut BinArray, record: &WalRecord) -> Result<(), ArcsError> {
+    BinArray::read_from(&record.payload)
+        .and_then(|delta| array.merge(&delta))
+        .map_err(|err| checkpoint_err(format!("WAL record {} does not apply: {err}", record.seq)))
 }
 
 /// Scans header-less CSV `rows` against `schema` in place and bins them
-/// — the single code path shared by live appends, WAL replay, and fsck,
-/// so all three agree on what a batch means. The first bad row rejects
+/// into a delta array: where appended rows arrive (wire appends and the
+/// feeder), the only place a batch is parsed. The first bad row rejects
 /// the batch with a [`arcs_data::DataError::Parse`] naming its line
 /// within the batch (the first row is line 1).
 pub fn bin_batch(schema: &Schema, binner: &Binner, rows: &str) -> Result<BinArray, ArcsError> {
@@ -707,13 +708,9 @@ fn audit_tenant(dir: &Path, name: String, repair: bool) -> TenantAudit {
         }
     }
 
-    let meta = match TenantMeta::load(dir) {
-        Ok(meta) => Some(meta),
-        Err(err) => {
-            audit.errors.push(format!("tenant.json: {err}"));
-            None
-        }
-    };
+    if let Err(err) = TenantMeta::load(dir) {
+        audit.errors.push(format!("tenant.json: {err}"));
+    }
 
     let checkpoint = match load_checkpoint(&dir.join(CHECKPOINT_META_FILE)) {
         Ok(Some((meta, array))) => {
@@ -735,6 +732,12 @@ fn audit_tenant(dir: &Path, name: String, repair: bool) -> TenantAudit {
     let replayed = if wal_path.is_file() {
         match replay(&wal_path) {
             Ok(replayed) => Some(replayed),
+            Err(err) if other_wal_version(&wal_path) => {
+                // A log this build cannot read is not damage: recreating
+                // it would drop every record in it.
+                audit.errors.push(format!("wal: {err}"));
+                None
+            }
             Err(err) => {
                 // An unreadable header: repair can only recreate an empty
                 // log continuing from the checkpoint.
@@ -811,14 +814,23 @@ fn audit_tenant(dir: &Path, name: String, repair: bool) -> TenantAudit {
 
         // Deep audit: the surviving records must apply on top of the
         // checkpoint through the routine recovery runs.
-        if let (Some(meta), Some((checkpoint, mut array))) = (&meta, checkpoint) {
-            if let Err(err) = replay_onto(meta, &checkpoint, &replayed, &mut array) {
+        if let Some((checkpoint, mut array)) = checkpoint {
+            if let Err(err) = replay_onto(&checkpoint, &replayed, &mut array) {
                 audit.errors.push(err.to_string());
             }
         }
     }
 
     audit
+}
+
+/// `true` when the file at `path` starts with the WAL magic but names a
+/// format version other than this build's.
+fn other_wal_version(path: &Path) -> bool {
+    let mut header = [0u8; 8];
+    std::fs::File::open(path).and_then(|mut file| file.read_exact(&mut header)).is_ok()
+        && header[..7] == WAL_MAGIC[..7]
+        && header[7] != WAL_MAGIC[7]
 }
 
 fn truncate_file(path: &Path, len: u64) -> std::io::Result<()> {
@@ -885,6 +897,15 @@ mod tests {
         dir
     }
 
+    /// The delta of header-less CSV `rows` and its byte form: what a
+    /// tenant's append hands [`TenantStore::append`].
+    fn delta_of(meta: &TenantMeta, rows: &str) -> (BinArray, Vec<u8>) {
+        let delta = bin_batch(&meta.schema, &meta.build_binner().unwrap(), rows).unwrap();
+        let mut bytes = Vec::new();
+        delta.write_to(&mut bytes).unwrap();
+        (delta, bytes)
+    }
+
     #[test]
     fn tenant_meta_round_trips() {
         let meta = tiny_meta();
@@ -913,12 +934,11 @@ mod tests {
 
         // Two durable appends, as the serving path would issue them.
         let mut live = array.clone();
-        let binner = meta.build_binner().unwrap();
         let mut epoch = 0u64;
         for (rows, offset) in [("2.5,2.5,A\n", None), ("3.5,3.5,other\n", Some(250u64))] {
-            let delta = bin_batch(&meta.schema, &binner, rows).unwrap();
+            let (delta, bytes) = delta_of(&meta, rows);
             epoch = store
-                .append(rows.as_bytes(), offset, || {
+                .append(&bytes, offset, || {
                     live.merge(&delta)?;
                     epoch += 1;
                     Ok(epoch)
@@ -944,8 +964,9 @@ mod tests {
         let array = tiny_array(&meta);
         let store = TenantStore::create(&dir, &meta, &array, None).unwrap();
 
+        let (_, bytes) = delta_of(&meta, "9.5,9.5,A\n");
         let err = store
-            .append(b"9.5,9.5,A\n", None, || Err(ArcsError::InvalidConfig("merge failed".into())))
+            .append(&bytes, None, || Err(ArcsError::InvalidConfig("merge failed".into())))
             .unwrap_err();
         assert!(matches!(err, ArcsError::InvalidConfig(_)));
         assert_eq!(store.records_since_checkpoint(), 0);
@@ -964,14 +985,13 @@ mod tests {
         let meta = tiny_meta();
         let array = tiny_array(&meta);
         let store = TenantStore::create(&dir, &meta, &array, None).unwrap();
-        let binner = meta.build_binner().unwrap();
 
         let mut live = array.clone();
         let mut epoch = 0u64;
         let push = |store: &TenantStore, live: &mut BinArray, epoch: &mut u64, rows: &str| {
-            let delta = bin_batch(&meta.schema, &binner, rows).unwrap();
+            let (delta, bytes) = delta_of(&meta, rows);
             store
-                .append(rows.as_bytes(), None, || {
+                .append(&bytes, None, || {
                     live.merge(&delta)?;
                     *epoch += 1;
                     Ok(*epoch)
@@ -1003,7 +1023,7 @@ mod tests {
         let meta = tiny_meta();
         let array = tiny_array(&meta);
         let store = TenantStore::create(&dir, &meta, &array, None).unwrap();
-        store.append(b"1.5,1.5,A\n", None, || Ok(1)).unwrap();
+        store.append(&delta_of(&meta, "1.5,1.5,A\n").1, None, || Ok(1)).unwrap();
         let snapshot = Arc::new(array.clone());
         let err = store.checkpoint_with(1, || (7, Arc::clone(&snapshot))).unwrap_err();
         assert!(err.to_string().contains("epoch drift"), "{err}");
@@ -1017,13 +1037,12 @@ mod tests {
         let meta = tiny_meta();
         let array = tiny_array(&meta);
         let store = TenantStore::create(&dir, &meta, &array, None).unwrap();
-        let binner = meta.build_binner().unwrap();
         let mut live = array.clone();
         let mut epoch = 0;
         for rows in ["1.5,1.5,A\n", "2.5,2.5,other\n"] {
-            let delta = bin_batch(&meta.schema, &binner, rows).unwrap();
+            let (delta, bytes) = delta_of(&meta, rows);
             store
-                .append(rows.as_bytes(), None, || {
+                .append(&bytes, None, || {
                     live.merge(&delta)?;
                     epoch += 1;
                     Ok(epoch)
@@ -1089,13 +1108,12 @@ mod tests {
         array: &BinArray,
         rows: &[&str],
     ) -> (BinArray, u64) {
-        let binner = meta.build_binner().unwrap();
         let mut live = array.clone();
         let mut epoch = 0u64;
         for batch in rows {
-            let delta = bin_batch(&meta.schema, &binner, batch).unwrap();
+            let (delta, bytes) = delta_of(meta, batch);
             epoch = store
-                .append(batch.as_bytes(), None, || {
+                .append(&bytes, None, || {
                     live.merge(&delta)?;
                     epoch += 1;
                     Ok(epoch)
@@ -1121,7 +1139,7 @@ mod tests {
         assert_eq!(all.len(), 3);
         for (i, shipped) in all.iter().enumerate() {
             assert_eq!(shipped.seq, i as u64 + 1);
-            assert_eq!(shipped.decode().unwrap().payload, batches[i].as_bytes());
+            assert_eq!(shipped.decode().unwrap().payload, delta_of(&meta, batches[i]).1);
         }
 
         // A mid-log cursor gets the suffix; `max` bounds the batch; a
@@ -1207,7 +1225,7 @@ mod tests {
         // records 3 and 4.
         let wal_path = dir.join(WAL_FILE);
         let mut wal = WalWriter::create(&wal_path, 5).unwrap();
-        wal.append(b"3.5,3.5,A\n", None).unwrap();
+        wal.append(&delta_of(&meta, "3.5,3.5,A\n").1, None).unwrap();
         drop(wal);
         let wal_bytes = std::fs::read(&wal_path).unwrap();
 
@@ -1248,6 +1266,78 @@ mod tests {
         assert!(report.tenants[0].errors[0].starts_with("checkpoint: "), "{report:?}");
         assert_eq!(std::fs::read(dir.join("checkpoint.0.bin")).unwrap(), array_bytes);
         assert_eq!(std::fs::read_to_string(dir.join(CHECKPOINT_META_FILE)).unwrap(), sidecar);
+        std::fs::remove_dir_all(&data_dir).ok();
+    }
+
+    /// The previous format's checkpoint file for `array` at epoch 0: the
+    /// same header, holding the array's version 1 dense form (the
+    /// dimensions and tuple count as `u64`s, every counter as a `u32`,
+    /// an FNV-1a checksum), under the file's FNV-1a checksum.
+    fn v1_checkpoint(array: &BinArray) -> Vec<u8> {
+        let fnv = |bytes: &[u8]| {
+            bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |hash, &byte| {
+                (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
+            })
+        };
+        let mut dense = b"ARCSBA\x00\x01".to_vec();
+        for value in [array.nx() as u64, array.ny() as u64, array.nseg() as u64, array.n_tuples()] {
+            dense.extend_from_slice(&value.to_le_bytes());
+        }
+        for y in 0..array.ny() {
+            for x in 0..array.nx() {
+                for g in 0..array.nseg() as u32 {
+                    dense.extend_from_slice(&array.group_count(x, y, g).to_le_bytes());
+                }
+                dense.extend_from_slice(&array.cell_total(x, y).to_le_bytes());
+            }
+        }
+        let checksum = fnv(&dense);
+        dense.extend_from_slice(&checksum.to_le_bytes());
+        let mut file = b"ARCSCP\x00\x01".to_vec();
+        for value in [0, 0, u64::MAX] {
+            file.extend_from_slice(&value.to_le_bytes());
+        }
+        file.extend_from_slice(&dense);
+        let checksum = fnv(&file);
+        file.extend_from_slice(&checksum.to_le_bytes());
+        file
+    }
+
+    /// What the previous format wrote — a version 1 log of CSV rows, or a
+    /// checkpoint holding a version 1 array — is refused by `open` with
+    /// an error naming the version, and `fsck` reports it and leaves it
+    /// byte for byte, `--repair` included.
+    #[test]
+    fn earlier_format_versions_are_refused_and_left_on_disk() {
+        let data_dir = temp_dir("v1");
+        let dir = data_dir.join("t");
+        let meta = tiny_meta();
+        let array = tiny_array(&meta);
+        TenantStore::create(&dir, &meta, &array, None).unwrap();
+        let (wal_path, checkpoint_path) = (dir.join(WAL_FILE), dir.join(CHECKPOINT_META_FILE));
+
+        let mut v1_log = b"ARCSWL\x00\x01".to_vec();
+        v1_log.extend_from_slice(&1u64.to_le_bytes());
+        v1_log.extend_from_slice(&arcs_core::wal::encode_record(1, None, b"1.5,1.5,A\n"));
+        let cases = [
+            (v1_log, std::fs::read(&checkpoint_path).unwrap(), "WAL version 1"),
+            (std::fs::read(&wal_path).unwrap(), v1_checkpoint(&array), "bin array version 1"),
+        ];
+        for (log, checkpoint, version) in cases {
+            std::fs::write(&wal_path, &log).unwrap();
+            std::fs::write(&checkpoint_path, &checkpoint).unwrap();
+            let err = TenantStore::open(&dir).unwrap_err();
+            assert!(matches!(err, ArcsError::Checkpoint { .. }), "{err}");
+            assert!(err.to_string().contains(version), "{version}: {err}");
+            for repair in [false, true] {
+                let report = fsck(&data_dir, repair).unwrap();
+                assert!(!report.clean(), "{report:?}");
+                let errors = &report.tenants[0].errors;
+                assert!(errors.iter().any(|e| e.contains(version)), "{version}: {errors:?}");
+                assert_eq!(std::fs::read(&wal_path).unwrap(), log, "{version}: the log moved");
+                assert_eq!(std::fs::read(&checkpoint_path).unwrap(), checkpoint, "{version}");
+            }
+        }
         std::fs::remove_dir_all(&data_dir).ok();
     }
 

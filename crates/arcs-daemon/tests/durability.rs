@@ -19,6 +19,7 @@ use arcs_core::engine::Thresholds;
 use arcs_core::jsonio::{self, Json};
 use arcs_core::request::Request;
 use arcs_core::serve::ServeConfig;
+use arcs_core::BinArray;
 use arcs_daemon::daemon::{Daemon, DaemonConfig};
 use arcs_daemon::feeder::FEED_CHUNK_BYTES;
 use arcs_daemon::protocol::{read_frame, write_frame, CODE_PROTOCOL};
@@ -306,9 +307,9 @@ fn feeder_merges_a_burst_larger_than_its_budget_in_chunks() {
 
     let log = arcs_core::wal::replay(&data.path().join("b").join(WAL_FILE)).unwrap();
     assert_eq!(log.records.len() as u64, batches);
-    assert!(log.records.iter().all(|r| r.payload.len() <= FEED_CHUNK_BYTES));
-    let logged: usize = log.records.iter().map(|r| r.payload.len()).sum();
-    assert_eq!(logged, burst.len(), "every byte is in exactly one record");
+    let logged: u64 =
+        log.records.iter().map(|r| BinArray::read_from(&r.payload).unwrap().n_tuples()).sum();
+    assert_eq!(logged, rows, "every row is in exactly one record");
     assert_eq!(tenant.store().unwrap().feeder_offset(), Some(burst.len() as u64));
 
     let oracle = Tenant::from_dataset("b", &grid_dataset(), &tenant_config()).unwrap();

@@ -14,6 +14,7 @@ use arcs_core::engine::Thresholds;
 use arcs_core::jsonio::Json;
 use arcs_core::request::Request;
 use arcs_core::serve::ServeConfig;
+use arcs_core::BinArray;
 use arcs_daemon::daemon::{Daemon, DaemonConfig, DaemonHandle};
 use arcs_daemon::protocol::MAX_FRAME;
 use arcs_daemon::registry::{Registry, Tenant, TenantConfig};
@@ -96,11 +97,10 @@ fn wait_for(what: &str, mut done: impl FnMut() -> bool) {
     }
 }
 
-fn spawn_primary(data: &Path) -> (DaemonHandle, Arc<Registry>) {
+fn spawn_primary(data: &Path, config: &TenantConfig) -> (DaemonHandle, Arc<Registry>) {
     let registry = Arc::new(Registry::new());
     registry.insert(
-        Tenant::from_dataset_durable("trades", &grid_dataset(), &tenant_config(), data, None)
-            .unwrap(),
+        Tenant::from_dataset_durable("trades", &grid_dataset(), config, data, None).unwrap(),
     );
     let handle = Daemon::bind(
         "127.0.0.1:0",
@@ -148,7 +148,7 @@ fn standby_wal_seq(client: &mut Client, dataset: &str) -> Option<u64> {
 fn standby_bootstraps_tails_serves_reads_and_promotes() {
     let primary_data = TempDir::new("primary");
     let standby_data = TempDir::new("standby");
-    let (primary, _primary_registry) = spawn_primary(primary_data.path());
+    let (primary, _primary_registry) = spawn_primary(primary_data.path(), &tenant_config());
     let (standby, _standby_registry) =
         spawn_standby(&primary.addr().to_string(), standby_data.path());
 
@@ -218,7 +218,7 @@ fn standby_bootstraps_tails_serves_reads_and_promotes() {
 fn lagging_standby_resyncs_from_a_checkpoint_transfer() {
     let primary_data = TempDir::new("lag-primary");
     let standby_data = TempDir::new("lag-standby");
-    let (primary, primary_registry) = spawn_primary(primary_data.path());
+    let (primary, primary_registry) = spawn_primary(primary_data.path(), &tenant_config());
     let oracle = Tenant::from_dataset("trades", &grid_dataset(), &tenant_config()).unwrap();
 
     let mut writer = Client::connect(primary.addr()).unwrap();
@@ -272,12 +272,14 @@ fn lagging_standby_resyncs_from_a_checkpoint_transfer() {
 /// A standby 40 large records behind — more than one frame's worth once
 /// hex-armoured — catches up by tailing: the primary splits the backlog
 /// over several `repl.records` replies, each under the frame cap, and
-/// never forces a checkpoint re-sync.
+/// never forces a checkpoint re-sync. The standby logs each record with
+/// the primary's bytes.
 #[test]
 fn a_backlog_larger_than_one_frame_is_tailed_over_several_replies() {
     let primary_data = TempDir::new("backlog-primary");
     let standby_data = TempDir::new("backlog-standby");
-    let (primary, primary_registry) = spawn_primary(primary_data.path());
+    let wide = TenantConfig { n_x_bins: 200, n_y_bins: 200, ..tenant_config() };
+    let (primary, primary_registry) = spawn_primary(primary_data.path(), &wide);
     let tenant = primary_registry.get("trades").unwrap().unwrap();
 
     // The standby already holds the epoch-0 checkpoint, so it resumes
@@ -285,17 +287,23 @@ fn a_backlog_larger_than_one_frame_is_tailed_over_several_replies() {
     let transfer = tenant.store().unwrap().checkpoint_transfer().unwrap();
     install_transfer(&standby_data.path().join("trades"), &transfer).unwrap();
 
-    // 1,000 rows of ~130 bytes per record: ~260 KB of hex each, so the
-    // 40 records need more than one 8 MiB frame.
+    // A record holds its delta's nonzero counts, so each delta touches
+    // nine in ten of the 80,000 group slots of a 200 x 200 grid: ~144 KB
+    // a record, ~290 KB of hex, and the 40 records need more than one
+    // 8 MiB frame.
     let records = 40u64;
     for k in 0..records {
-        let mut rows = String::new();
-        for i in 0..1_000u64 {
-            let x = ((k + i) % 10) as f64 + 0.5;
-            let y = ((k * 3 + i) % 10) as f64 + 0.5;
-            rows.push_str(&format!("{x:.60},{y:.60},{}\n", if i % 2 == 0 { "A" } else { "other" }));
+        let mut delta = BinArray::new(200, 200, 2).unwrap();
+        for x in 0..200 {
+            for y in 0..200 {
+                for g in 0..2 {
+                    if !(x * 7 + y + g + k as usize).is_multiple_of(10) {
+                        delta.add(x, y, g as u32);
+                    }
+                }
+            }
         }
-        tenant.append_csv(&rows).unwrap();
+        tenant.append_delta(&delta, None).unwrap();
     }
     let hex_bytes: usize = match tenant.store().unwrap().ship_records(1, 1_000).unwrap() {
         ShipPlan::Records(shipped) => shipped.iter().map(|r| r.to_hex().len()).sum(),
@@ -314,6 +322,11 @@ fn a_backlog_larger_than_one_frame_is_tailed_over_several_replies() {
     let replica = standby_registry.get("trades").unwrap().unwrap();
     assert_eq!(replica.server().snapshot().epoch(), records);
     assert_eq!(replica.server().snapshot().checksum(), tenant.server().snapshot().checksum());
+    assert_eq!(
+        replica.store().unwrap().ship_records(1, 1_000).unwrap(),
+        tenant.store().unwrap().ship_records(1, 1_000).unwrap(),
+        "the standby's log holds the primary's records byte for byte"
+    );
 
     reader.close().unwrap();
     standby.shutdown();

@@ -9,9 +9,10 @@
 //!    [`replay`] returns the longest whole-record prefix and classifies
 //!    the rest; it never invents records and never panics.
 //! 2. **Checkpoint + WAL replay is bit-identical to the direct state.**
-//!    Folding a checkpointed array plus its surviving log records
-//!    produces exactly the array you would get by binning every batch
-//!    in order — same checksum, same epoch arithmetic.
+//!    Folding a checkpointed array plus its surviving log records, each
+//!    an append's delta array in its byte form, produces exactly the
+//!    array you would get by binning every batch in order — same
+//!    checksum, same epoch arithmetic.
 //!
 //! The checkpoint file itself must round-trip bit-identically, and any
 //! truncation or single-byte flip of it must load as a typed error.
@@ -211,8 +212,7 @@ fn demo_schema() -> Schema {
     .unwrap()
 }
 
-/// Bins one header-less CSV batch the way the daemon's store does: the
-/// shared parse path that live appends, WAL replay, and fsck all use.
+/// Bins one header-less CSV batch: the delta an append logs.
 fn bin_batch(schema: &Schema, binner: &Binner, rows: &str) -> BinArray {
     let text = format!("x,y,g\n{rows}");
     let ds = arcs::data::csv::read_csv(schema.clone(), text.as_bytes()).unwrap();
@@ -259,14 +259,18 @@ proptest! {
         let meta = CheckpointMeta { epoch: k as u64, last_seq: k as u64, feeder_offset: None };
         save_checkpoint(file.path(), &meta, &checkpointed).unwrap();
 
-        // …and the remaining batches appended to the WAL.
+        // …and the remaining batches' deltas appended to the WAL, each in
+        // the array's byte form.
         let log = TempFile::new("ckpt-wal");
         let mut writer = WalWriter::create(log.path(), meta.last_seq + 1).unwrap();
         for rows in &batches[k..] {
-            writer.append(batch_csv(rows).as_bytes(), None).unwrap();
+            let mut delta = Vec::new();
+            bin_batch(&schema, &binner, &batch_csv(rows)).write_to(&mut delta).unwrap();
+            writer.append(&delta, None).unwrap();
         }
 
-        // Recover: load the checkpoint, replay the log, fold records in.
+        // Recover: load the checkpoint, replay the log, decode each
+        // record's delta and fold it in.
         let (loaded_meta, mut recovered) =
             load_checkpoint(file.path()).unwrap().expect("checkpoint exists");
         prop_assert_eq!(loaded_meta, meta);
@@ -275,8 +279,7 @@ proptest! {
         let mut epoch = loaded_meta.epoch;
         for rec in &scan.records {
             prop_assert!(rec.seq > loaded_meta.last_seq);
-            let rows = std::str::from_utf8(&rec.payload).unwrap();
-            recovered.merge(&bin_batch(&schema, &binner, rows)).unwrap();
+            recovered.merge(&BinArray::read_from(&rec.payload).unwrap()).unwrap();
             epoch += 1;
         }
 
