@@ -11,6 +11,7 @@
 use std::collections::BTreeMap;
 
 use arcs_core::cluster::fmt_bound;
+use arcs_core::request::group_code;
 use arcs_core::sql::{range_predicate, SqlPredicate};
 use arcs_core::verify::ErrorCounts;
 use arcs_core::{ArcsError, ClusteredRule};
@@ -148,15 +149,12 @@ pub fn box_errors(
 ) -> Result<ErrorCounts, ArcsError> {
     let schema = dataset.schema();
     let criterion_idx = schema.require(criterion_attr)?;
-    let gk = schema
-        .attribute(criterion_idx)
-        .and_then(|a| match &a.kind {
-            arcs_data::schema::AttrKind::Categorical { labels } => {
-                labels.iter().position(|l| l == group_label)
-            }
-            _ => None,
-        })
-        .ok_or_else(|| ArcsError::UnknownGroup(group_label.to_string()))? as u32;
+    let gk = match schema.attribute(criterion_idx).map(|a| &a.kind) {
+        Some(arcs_data::schema::AttrKind::Categorical { labels }) => {
+            group_code(labels, group_label)?
+        }
+        _ => return Err(ArcsError::UnknownGroup(group_label.to_string())),
+    };
 
     let mut counts = ErrorCounts::default();
     for tuple in dataset.iter() {

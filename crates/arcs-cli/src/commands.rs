@@ -9,8 +9,9 @@ use arcs_core::engine::rule_grid;
 use arcs_core::metrics::default_threads;
 use arcs_core::optimizer::ThresholdLattice;
 use arcs_core::render::render_clusters;
+use arcs_core::request::group_code;
 use arcs_core::select::{rank_attributes, select_pair_joint};
-use arcs_core::{Arcs, ArcsConfig, ArcsError, Binner, GroupRef, SegmentRequest};
+use arcs_core::{Arcs, ArcsConfig, ArcsError, Binner, SegmentRequest};
 use arcs_daemon::protocol::{CODE_NOT_PRIMARY, CODE_NO_DATASET, CODE_UNKNOWN_DATASET};
 use arcs_data::csv::{load_csv_inferred_with_policy, save_csv};
 use arcs_data::generator::{AgrawalGenerator, GeneratorConfig};
@@ -323,13 +324,6 @@ fn ingest_summary(out: &mut String, report: &IngestReport) {
     }
 }
 
-/// Resolves `--group` to its code on the binner's criterion attribute.
-/// An unknown label is a data error (exit 3), as [`pipeline_err`] maps
-/// every [`ArcsError::UnknownGroup`].
-fn group_code(binner: &Binner, group: &str) -> Result<u32, CliError> {
-    GroupRef::Label(group.to_string()).resolve(binner.labels()).map_err(pipeline_err)
-}
-
 /// `--stats`: `json` appends the machine-readable report; any other
 /// value is a usage error.
 fn stats_flag(args: &Args) -> Result<bool, CliError> {
@@ -509,7 +503,7 @@ fn segment_with_status(argv: &[String]) -> Result<(String, u8), CliError> {
     if args.has("grid") || args.get("svg").is_some() {
         // Render the grid that was clustered: the session's own array,
         // which a memory budget may have coarsened below `--bins`.
-        let gk = group_code(session.binner(), group)?;
+        let gk = group_code(session.binner().labels(), group).map_err(pipeline_err)?;
         let grid = rule_grid(session.bin_array(), gk, seg.thresholds).map_err(run_err)?;
         if args.has("grid") {
             let _ = writeln!(out, "\nrule grid ({y_attr} rows x {x_attr} columns):");
@@ -544,7 +538,9 @@ pub fn explore(argv: &[String]) -> Result<String, CliError> {
     let (ds, report) = load(&args, EXPLORE_USAGE, default_threads())?;
 
     let binner = Binner::equi_width(ds.schema(), x, y, criterion, bins, bins).map_err(run_err)?;
-    let gk = group_code(&binner, group)?;
+    // An unknown label is a data error (exit 3), as `pipeline_err` maps
+    // every `UnknownGroup`.
+    let gk = group_code(binner.labels(), group).map_err(pipeline_err)?;
     let array = binner.bin_rows(ds.iter()).map_err(run_err)?;
     let lattice = ThresholdLattice::build(&array, gk);
 

@@ -268,44 +268,6 @@ impl BinArray {
         Ok(())
     }
 
-    /// Returns a copy of the array downsampled to `new_nx × new_ny` bins:
-    /// each source cell's counts are added into the target cell
-    /// `(x · new_nx / nx, y · new_ny / ny)`, so column/row sums and the
-    /// total tuple count are preserved exactly. This is the resource
-    /// governor's per-request coarsening ladder applied *after* binning —
-    /// a query under a memory budget trades grid resolution for footprint
-    /// without re-reading any data.
-    pub fn coarsened(&self, new_nx: usize, new_ny: usize) -> Result<BinArray, ArcsError> {
-        if new_nx == 0 || new_ny == 0 || new_nx > self.nx || new_ny > self.ny {
-            return Err(ArcsError::InvalidConfig(format!(
-                "cannot coarsen a {}x{} bin array to {new_nx}x{new_ny}",
-                self.nx, self.ny
-            )));
-        }
-        let mut out = BinArray::new(new_nx, new_ny, self.nseg)?;
-        let slots = self.nseg + 1;
-        for y in 0..self.ny {
-            let ty = y * new_ny / self.ny;
-            for x in 0..self.nx {
-                let tx = x * new_nx / self.nx;
-                let src = self.base(x, y);
-                let dst = out.base(tx, ty);
-                for slot in 0..slots {
-                    let sum = out.counts[dst + slot]
-                        .checked_add(self.counts[src + slot])
-                        .ok_or_else(|| {
-                            ArcsError::InvalidConfig(
-                                "cell counter overflow while coarsening a bin array".into(),
-                            )
-                        })?;
-                    out.counts[dst + slot] = sum;
-                }
-            }
-        }
-        out.n_tuples = self.n_tuples;
-        Ok(out)
-    }
-
     /// FNV-1a checksum over the array's byte form
     /// ([`write_to`](BinArray::write_to)). Two arrays have equal checksums
     /// iff their forms are byte-identical — the determinism suite uses
@@ -523,8 +485,8 @@ mod tests {
         ba
     }
 
-    /// Arrays built by `add`, `merge` and `coarsened`, and an empty one
-    /// (the delta of an append that binned no rows).
+    /// Arrays built by `add` and `merge`, and an empty one (the delta of
+    /// an append that binned no rows).
     fn built_arrays() -> Vec<BinArray> {
         let added = populated_array();
         let mut merged = populated_array();
@@ -533,7 +495,11 @@ mod tests {
         wide.add(299, 1, 1); // a slot gap past one varint byte
         wide.add(0, 0, 0);
         wide.merge(&wide.clone()).unwrap();
-        vec![added.coarsened(3, 2).unwrap(), added, merged, wide, BinArray::new(4, 3, 2).unwrap()]
+        let mut dense = BinArray::new(3, 2, 3).unwrap();
+        for i in 0..3_000u32 {
+            dense.add((i % 3) as usize, (i % 2) as usize, i % 3); // counts past one varint byte
+        }
+        vec![dense, added, merged, wide, BinArray::new(4, 3, 2).unwrap()]
     }
 
     #[test]
@@ -702,36 +668,6 @@ mod tests {
         // Force the cell total to the brink of overflow.
         a.counts[1] = u32::MAX - 1;
         assert!(matches!(a.merge(&b), Err(ArcsError::InvalidConfig(_))));
-    }
-
-    #[test]
-    fn coarsened_preserves_totals_and_validates() {
-        let ba = populated_array(); // 7 x 5, 3 groups, N = 1037
-        let coarse = ba.coarsened(3, 2).unwrap();
-        assert_eq!(coarse.nx(), 3);
-        assert_eq!(coarse.ny(), 2);
-        assert_eq!(coarse.nseg(), ba.nseg());
-        assert_eq!(coarse.n_tuples(), ba.n_tuples());
-        for g in 0..ba.nseg() as u32 {
-            assert_eq!(coarse.group_total(g), ba.group_total(g), "group {g}");
-        }
-        let cell_sum = |a: &BinArray| -> u64 {
-            (0..a.ny())
-                .flat_map(|y| (0..a.nx()).map(move |x| (x, y)))
-                .map(|(x, y)| a.cell_total(x, y) as u64)
-                .sum()
-        };
-        assert_eq!(cell_sum(&coarse), cell_sum(&ba));
-
-        // Identity coarsening is a plain copy.
-        let same = ba.coarsened(7, 5).unwrap();
-        assert_eq!(same, ba);
-
-        // Upsampling and empty targets are refused.
-        assert!(ba.coarsened(8, 5).is_err());
-        assert!(ba.coarsened(7, 6).is_err());
-        assert!(ba.coarsened(0, 5).is_err());
-        assert!(ba.coarsened(7, 0).is_err());
     }
 
     #[test]

@@ -62,13 +62,6 @@ pub struct BinPlan {
     pub coarsening_steps: u32,
 }
 
-impl BinPlan {
-    /// `true` when the planner had to coarsen the requested grid.
-    pub fn degraded(&self) -> bool {
-        self.coarsening_steps > 0
-    }
-}
-
 /// Plans bin counts for an `nx × ny` grid with `nseg` groups under an
 /// optional memory budget.
 ///
@@ -138,7 +131,6 @@ mod tests {
     fn plan_without_budget_is_identity() {
         let plan = plan_bins(50, 50, 2, None).unwrap();
         assert_eq!(plan, BinPlan { nx: 50, ny: 50, coarsening_steps: 0 });
-        assert!(!plan.degraded());
         assert!(plan_bins(usize::MAX, 2, 2, None).is_err());
     }
 
@@ -146,7 +138,6 @@ mod tests {
     fn plan_halves_larger_axis_until_fit() {
         // 50x50 with 1 group = 20_000 bytes; budget 6_000 forces halving.
         let plan = plan_bins(50, 50, 1, Some(6_000)).unwrap();
-        assert!(plan.degraded());
         assert!(grid_bytes(plan.nx, plan.ny, 1).unwrap() <= 6_000);
         // Halving is deterministic: 50x50 -> 25x50 -> 25x25 (fits: 5000).
         assert_eq!((plan.nx, plan.ny), (25, 25));

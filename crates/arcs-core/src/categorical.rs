@@ -26,6 +26,7 @@ use crate::error::ArcsError;
 use crate::index::OccupancyIndex;
 use crate::mdl::MdlScore;
 use crate::optimizer::{search, OptimizerConfig};
+use crate::request::group_code;
 use crate::verify::ErrorCounts;
 
 /// A clustered rule whose LHS combines a category *set* with a
@@ -157,10 +158,7 @@ pub fn segment_categorical(
             expected: "a categorical criterion attribute",
         });
     };
-    let gk = group_labels
-        .iter()
-        .position(|l| l == group_label)
-        .ok_or_else(|| ArcsError::UnknownGroup(group_label.to_string()))? as u32;
+    let gk = group_code(group_labels, group_label)?;
 
     // Density ordering: per-category confidence of the criterion group,
     // descending, so dense categories pack into adjacent columns.

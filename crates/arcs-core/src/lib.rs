@@ -55,7 +55,7 @@ pub use metrics::{PipelineCounters, PipelineReport, RecoveryStats, Stage, StageT
 pub use optimizer::{optimize, OptimizerConfig, ThresholdLattice};
 pub use pipeline::{Arcs, ArcsConfig, Segmentation};
 pub use repl::{ReplMetrics, ShippedRecord};
-pub use request::{GroupRef, Request};
+pub use request::Request;
 pub use serve::{
     AdmissionGate, ClusterSpec, QueryRequest, QueryResponse, QueryResult, ServeConfig, Server,
     ServerStats, Snapshot, SnapshotStore,

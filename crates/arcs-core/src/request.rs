@@ -3,9 +3,9 @@
 //! [`Request`] is the one serde-able shape of a query
 //! ([`Request::to_json`] / [`Request::from_json`]): the daemon's wire
 //! protocol, the CLI client and the library all carry it, so the wire
-//! payload *is* the request. It names a criterion group (by label or
-//! code), explicit thresholds, an optional [`ClusterSpec`], a deadline
-//! and a memory budget.
+//! payload *is* the request. It names a criterion group by its label,
+//! explicit thresholds, an optional [`ClusterSpec`] and a deadline, and
+//! each of these means the same at every front door.
 //!
 //! [`ClusterSpec`] has one canonical encoding,
 //! `{"smoothing":{"passes":P},"bitop":{"min_area_fraction":F}}`
@@ -18,17 +18,21 @@
 //! part of a query's identity. Both decoders ignore unknown keys, so a
 //! payload that still names a setting which is now a constant (the
 //! smoothing kernel, threshold or border mode, the BitOp cell floor or
-//! cluster cap) decodes with that key dropped.
+//! cluster cap) or a per-request memory budget, which earlier clients
+//! could send, decodes with that key dropped.
 //!
 //! Two narrower shapes remain beside it. [`SegmentRequest`] binds the
 //! attributes when a session is opened, and [`QueryRequest`] is what the
 //! serving core runs once the group is resolved to a code
 //! ([`Request::to_query_request`]). Both stay public because downstream
-//! code, the benchmark among it, builds them directly.
+//! code, the benchmark among it, builds them directly. A label becomes a
+//! code in one place, [`group_code`].
 //!
 //! Entry points over a `Request`: [`crate::serve::Server::query_unified`]
 //! for the serving core and [`crate::session::Session::query`] for an
-//! owned session. Both end in the same query body, `serve::answer`.
+//! owned session. Both end in the same query body, `serve::answer`, and
+//! both require explicit thresholds: the threshold search is
+//! [`crate::session::Session::segment`].
 //!
 //! [`SegmentRequest`]: crate::session::SegmentRequest
 
@@ -46,58 +50,41 @@ fn bad(message: impl Into<String>) -> ArcsError {
     ArcsError::InvalidConfig(message.into())
 }
 
-/// A criterion group referenced either by label (human-facing: CLI, wire)
-/// or by code (execution-facing: the serving core mines by code).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum GroupRef {
-    /// The group's label on the criterion attribute.
-    Label(String),
-    /// The group's code (its index in the criterion's label table).
-    Code(u32),
-}
-
-impl GroupRef {
-    /// Resolves the reference to a group code against a label table (the
-    /// criterion attribute's labels in code order).
-    pub fn resolve(&self, labels: &[String]) -> Result<u32, ArcsError> {
-        match self {
-            GroupRef::Code(code) => {
-                if (*code as usize) < labels.len() {
-                    Ok(*code)
-                } else {
-                    Err(ArcsError::UnknownGroup(format!("code {code}")))
-                }
-            }
-            GroupRef::Label(label) => labels
-                .iter()
-                .position(|l| l == label)
-                .map(|p| p as u32)
-                .ok_or_else(|| ArcsError::UnknownGroup(label.clone())),
-        }
-    }
+/// The code of the criterion group labelled `label`: its index in
+/// `labels`, the criterion attribute's labels in code order. Every front
+/// door resolves a group name here; an unknown label is
+/// [`ArcsError::UnknownGroup`].
+pub fn group_code(labels: &[String], label: &str) -> Result<u32, ArcsError> {
+    labels
+        .iter()
+        .position(|l| l == label)
+        .map(|p| p as u32)
+        .ok_or_else(|| ArcsError::UnknownGroup(label.to_string()))
 }
 
 /// One query — the canonical shape shared by the library entry points,
 /// the daemon wire protocol, and the CLI.
 ///
 /// Every field is optional: a session falls back to the group it was
-/// opened with, while the serving core needs `group` and `thresholds`
-/// ([`Request::to_query_request`] states what it requires); `cluster`,
-/// `deadline`, and `memory_budget` refine either.
+/// opened with, while the serving core needs `group`; both need
+/// `thresholds` ([`Request::to_query_request`] states what the serving
+/// core requires). `cluster` and `deadline` refine either alike.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct Request {
-    /// The criterion group to mine.
-    pub group: Option<GroupRef>,
-    /// Explicit thresholds. `None` means "run the threshold search"
-    /// (library sessions only — the wire protocol requires explicit
-    /// thresholds so responses are cacheable and deterministic).
+    /// The label of the criterion group to mine.
+    pub group: Option<String>,
+    /// Explicit thresholds. Both [`Session::query`] and the serving core
+    /// refuse a request without them: the threshold search is
+    /// [`Session::segment`], and has no wire op yet.
+    ///
+    /// [`Session::query`]: crate::session::Session::query
+    /// [`Session::segment`]: crate::session::Session::segment
     pub thresholds: Option<Thresholds>,
     /// When set, also smooth + cluster the rule grid.
     pub cluster: Option<ClusterSpec>,
-    /// Per-request deadline.
+    /// Per-request deadline, checked before mining and before
+    /// clustering (and, by the serving core, at admission).
     pub deadline: Option<Duration>,
-    /// Per-request memory budget in bytes.
-    pub memory_budget: Option<usize>,
 }
 
 impl Request {
@@ -108,13 +95,7 @@ impl Request {
 
     /// Targets a criterion group by label.
     pub fn group(mut self, label: impl Into<String>) -> Self {
-        self.group = Some(GroupRef::Label(label.into()));
-        self
-    }
-
-    /// Targets a criterion group by code.
-    pub fn group_code(mut self, code: u32) -> Self {
-        self.group = Some(GroupRef::Code(code));
+        self.group = Some(label.into());
         self
     }
 
@@ -136,23 +117,17 @@ impl Request {
         self
     }
 
-    /// Sets the per-request memory budget in bytes.
-    pub fn memory_budget(mut self, bytes: usize) -> Self {
-        self.memory_budget = Some(bytes);
-        self
-    }
-
     /// Lowers to the serving core's [`QueryRequest`], resolving the group
-    /// reference against `labels`. Requires `group` and `thresholds`.
+    /// label against `labels` ([`group_code`]). Requires `group` and
+    /// `thresholds`.
     pub fn to_query_request(&self, labels: &[String]) -> Result<QueryRequest, ArcsError> {
-        let group = self.group.as_ref().ok_or_else(|| bad("request names no group"))?;
+        let group = self.group.as_deref().ok_or_else(|| bad("request names no group"))?;
         let thresholds = self
             .thresholds
             .ok_or_else(|| bad("request has no thresholds (required for serving queries)"))?;
-        let mut query = QueryRequest::new(group.resolve(labels)?, thresholds);
+        let mut query = QueryRequest::new(group_code(labels, group)?, thresholds);
         query.cluster = self.cluster.clone();
         query.deadline = self.deadline;
-        query.memory_budget = self.memory_budget;
         Ok(query)
     }
 
@@ -162,14 +137,8 @@ impl Request {
     /// Absent fields are omitted, so the encoding is minimal and stable.
     pub fn to_json(&self) -> Json {
         let mut pairs: Vec<(&str, Json)> = Vec::new();
-        match &self.group {
-            Some(GroupRef::Label(label)) => {
-                pairs.push(("group", obj(vec![("label", Json::Str(label.clone()))])));
-            }
-            Some(GroupRef::Code(code)) => {
-                pairs.push(("group", obj(vec![("code", Json::Num(*code as f64))])));
-            }
-            None => {}
+        if let Some(label) = &self.group {
+            pairs.push(("group", obj(vec![("label", Json::Str(label.clone()))])));
         }
         if let Some(t) = self.thresholds {
             pairs.push(("thresholds", thresholds_to_json(t)));
@@ -183,33 +152,29 @@ impl Request {
             let millis = deadline.as_nanos().div_ceil(1_000_000);
             pairs.push(("deadline_ms", Json::Num(millis as f64)));
         }
-        if let Some(bytes) = self.memory_budget {
-            pairs.push(("memory_budget", Json::Num(bytes as f64)));
-        }
         obj(pairs)
     }
 
     /// Decodes the canonical JSON object. Unknown keys are ignored
     /// (forward compatibility); known keys with wrong types, invalid
-    /// threshold ranges, or malformed group references are typed
-    /// [`ArcsError::InvalidConfig`] errors.
+    /// threshold ranges, or a group that is not `{"label": L}` (a group
+    /// named by `code` among them) are typed [`ArcsError::InvalidConfig`]
+    /// errors.
     pub fn from_json(json: &Json) -> Result<Self, ArcsError> {
         if !matches!(json, Json::Obj(_)) {
             return Err(bad("request must be a JSON object"));
         }
         let group = match json.get("group") {
             None => None,
-            Some(g) => Some(match (g.get("label"), g.get("code")) {
-                (Some(label), None) => GroupRef::Label(
-                    label.as_str().ok_or_else(|| bad("group.label must be a string"))?.to_string(),
-                ),
-                (None, Some(code)) => GroupRef::Code(
-                    code.as_u64()
-                        .and_then(|c| u32::try_from(c).ok())
-                        .ok_or_else(|| bad("group.code must be a u32"))?,
-                ),
-                _ => return Err(bad("group must carry exactly one of `label` or `code`")),
-            }),
+            Some(g) if g.get("code").is_some() => {
+                return Err(bad("group.code is not accepted: name the group by its `label`"));
+            }
+            Some(g) => Some(
+                g.get("label")
+                    .and_then(Json::as_str)
+                    .ok_or_else(|| bad("group.label must be a string"))?
+                    .to_string(),
+            ),
         };
         let thresholds = json.get("thresholds").map(thresholds_from_json).transpose()?;
         let cluster = json.get("cluster").map(ClusterSpec::from_json).transpose()?;
@@ -219,15 +184,7 @@ impl Request {
                 ms.as_u64().ok_or_else(|| bad("deadline_ms must be a non-negative integer"))?,
             )),
         };
-        let memory_budget = match json.get("memory_budget") {
-            None => None,
-            Some(bytes) => Some(
-                bytes
-                    .as_usize()
-                    .ok_or_else(|| bad("memory_budget must be a non-negative integer"))?,
-            ),
-        };
-        Ok(Request { group, thresholds, cluster, deadline, memory_budget })
+        Ok(Request { group, thresholds, cluster, deadline })
     }
 }
 
@@ -310,8 +267,7 @@ impl ClusterSpec {
 ///
 /// ```text
 /// {"epoch":E,"group":G,"n_tuples":N,"group_total":T,
-///  "rules":[[x,y,count,total],…],"clusters":[[x0,y0,x1,y1],…],
-///  "coarsening_steps":S}
+///  "rules":[[x,y,count,total],…],"clusters":[[x0,y0,x1,y1],…]}
 /// ```
 ///
 /// with `clusters` present only when the query clustered. A rule's
@@ -334,7 +290,6 @@ pub fn query_result_to_json(result: &QueryResult) -> Json {
     if let Some(clusters) = &result.clusters {
         pairs.push(("clusters", quads(&mut clusters.iter().map(rect_quad))));
     }
-    pairs.push(("coarsening_steps", Json::Num(result.coarsening_steps as f64)));
     obj(pairs)
 }
 
@@ -372,7 +327,6 @@ pub fn query_result_from_json(json: &Json) -> Result<QueryResult, ArcsError> {
         group_total: number("group_total"),
         rules,
         clusters,
-        coarsening_steps: number("coarsening_steps"),
     }
     .into_result()
 }
@@ -401,8 +355,6 @@ pub fn write_query_result(result: &QueryResult, out: &mut String) {
         out.push_str(",\"clusters\":");
         write_quads(clusters.iter().map(rect_quad), out);
     }
-    out.push_str(",\"coarsening_steps\":");
-    write_number(result.coarsening_steps as f64, out);
     out.push('}');
 }
 
@@ -437,8 +389,7 @@ fn write_quads(quads: impl Iterator<Item = [u64; 4]>, out: &mut String) {
 /// any order, unknown members skipped, and of a repeated key the first
 /// occurrence, as `Json::get` finds it.
 pub fn read_query_result(reader: &mut Reader<'_>) -> Result<QueryResult, ArcsError> {
-    let (mut epoch, mut group, mut n_tuples, mut group_total, mut steps) =
-        (None, None, None, None, None);
+    let (mut epoch, mut group, mut n_tuples, mut group_total) = (None, None, None, None);
     let (mut rules, mut clusters) = (None, None);
     reader.begin_object()?;
     while let Some(key) = reader.key()? {
@@ -447,7 +398,6 @@ pub fn read_query_result(reader: &mut Reader<'_>) -> Result<QueryResult, ArcsErr
             "group" => read_first_number(reader, &mut group)?,
             "n_tuples" => read_first_number(reader, &mut n_tuples)?,
             "group_total" => read_first_number(reader, &mut group_total)?,
-            "coarsening_steps" => read_first_number(reader, &mut steps)?,
             "rules" if rules.is_none() => {
                 rules = Some(read_quads(reader, "result missing `rules` array", "rule", cell)?);
             }
@@ -465,7 +415,6 @@ pub fn read_query_result(reader: &mut Reader<'_>) -> Result<QueryResult, ArcsErr
         group_total: group_total.flatten(),
         rules: rules.ok_or_else(|| bad("result missing `rules` array"))?,
         clusters,
-        coarsening_steps: steps.flatten(),
     }
     .into_result()
 }
@@ -559,7 +508,6 @@ struct ResultMembers {
     group_total: Option<f64>,
     rules: Vec<Cell>,
     clusters: Option<Vec<Rect>>,
-    coarsening_steps: Option<f64>,
 }
 
 impl ResultMembers {
@@ -594,15 +542,7 @@ impl ResultMembers {
                 Ok(BinnedRule::from_counts(x, y, group, count, total, n_tuples, group_total))
             })
             .collect::<Result<Vec<_>, ArcsError>>()?;
-        Ok(QueryResult {
-            epoch,
-            group,
-            n_tuples,
-            group_total,
-            rules,
-            clusters: self.clusters,
-            coarsening_steps: index_u32(self.coarsening_steps, "coarsening_steps")?,
-        })
+        Ok(QueryResult { epoch, group, n_tuples, group_total, rules, clusters: self.clusters })
     }
 }
 
@@ -650,7 +590,6 @@ mod tests {
                 bitop: BitOpConfig { min_area_fraction: 0.013, threads: 4 },
             })
             .deadline(Duration::from_millis(250))
-            .memory_budget(1 << 20)
     }
 
     #[test]
@@ -682,16 +621,25 @@ mod tests {
 
     #[test]
     fn minimal_request_round_trips() {
-        let request = Request::new().group_code(3).thresholds(Thresholds::new(0.0, 0.0).unwrap());
+        let request = Request::new().group("A").thresholds(Thresholds::new(0.0, 0.0).unwrap());
         let text = request.to_json().to_string();
+        assert_eq!(
+            text,
+            r#"{"group":{"label":"A"},"thresholds":{"min_support":0,"min_confidence":0}}"#
+        );
         let back = Request::from_json(&crate::jsonio::parse(&text).unwrap()).unwrap();
         assert_eq!(back, request);
         assert!(back.cluster.is_none());
 
-        // Unknown keys are ignored, such as the `attrs` binding older
-        // clients still send.
-        let older = crate::jsonio::parse(r#"{"attrs": {"x": "a"}, "group": {"code": 3}}"#).unwrap();
-        assert_eq!(Request::from_json(&older).unwrap(), Request::new().group_code(3));
+        // Unknown keys are ignored, such as the `attrs` binding and the
+        // per-request memory budget older clients still send.
+        for older in [
+            r#"{"attrs": {"x": "a"}, "group": {"label": "A"}}"#,
+            r#"{"memory_budget": 1048576, "group": {"label": "A"}}"#,
+        ] {
+            let older = crate::jsonio::parse(older).unwrap();
+            assert_eq!(Request::from_json(&older).unwrap(), Request::new().group("A"));
+        }
         // So are the cluster-spec keys that are now constants.
         let older = crate::jsonio::parse(
             r#"{"cluster": {"smoothing": {"kernel": "box3", "threshold": 0.4, "passes": 1, "border": "full_kernel"}, "bitop": {"min_area_fraction": 0.01, "min_area_cells": 1, "max_clusters": 10000}}}"#,
@@ -744,7 +692,7 @@ mod tests {
         assert_eq!(query.gk, 0);
         assert_eq!(query.thresholds, request.thresholds.unwrap());
         assert_eq!(query.deadline, request.deadline);
-        assert_eq!(query.memory_budget, request.memory_budget);
+        assert_eq!(query.cluster, request.cluster);
 
         // Missing required halves are typed errors.
         assert!(Request::new().to_query_request(&labels).is_err());
@@ -756,13 +704,6 @@ mod tests {
                 .to_query_request(&labels),
             Err(ArcsError::UnknownGroup(_))
         ));
-        assert!(matches!(
-            Request::new()
-                .group_code(9)
-                .thresholds(Thresholds::new(0.1, 0.1).unwrap())
-                .to_query_request(&labels),
-            Err(ArcsError::UnknownGroup(_))
-        ));
     }
 
     #[test]
@@ -770,7 +711,9 @@ mod tests {
         for bad_doc in [
             "[]",
             r#"{"group": {}}"#,
+            r#"{"group": {"label": 7}}"#,
             r#"{"group": {"label": "a", "code": 1}}"#,
+            r#"{"group": {"code": 3}}"#,
             r#"{"group": {"code": -1}}"#,
             r#"{"thresholds": {"min_support": 2.0, "min_confidence": 0.5}}"#,
             r#"{"thresholds": {"min_support": 0.1}}"#,
@@ -779,7 +722,6 @@ mod tests {
             r#"{"cluster": {"smoothing": {"passes": 1}}}"#,
             r#"{"cluster": {}}"#,
             r#"{"deadline_ms": -5}"#,
-            r#"{"memory_budget": 0.5}"#,
         ] {
             let parsed = crate::jsonio::parse(bad_doc).unwrap();
             assert!(
@@ -801,7 +743,6 @@ mod tests {
                 BinnedRule::from_counts(3, 5, 1, 7, 7, n_tuples, group_total),
             ],
             clusters: Some(vec![Rect::new(1, 2, 3, 4).unwrap()]),
-            coarsening_steps: 1,
         }
     }
 
@@ -839,22 +780,20 @@ mod tests {
         write_query_result(&demo_result(), &mut text);
         assert_eq!(
             text,
-            r#"{"epoch":3,"group":1,"n_tuples":3000,"group_total":1234,"rules":[[2,5,41,97],[3,5,7,7]],"clusters":[[1,2,3,4]],"coarsening_steps":1}"#
+            r#"{"epoch":3,"group":1,"n_tuples":3000,"group_total":1234,"rules":[[2,5,41,97],[3,5,7,7]],"clusters":[[1,2,3,4]]}"#
         );
     }
 
     #[test]
     fn out_of_range_integers_are_errors() {
-        let doc = |group: &str, count: &str, steps: &str| {
+        let doc = |group: &str, count: &str| {
             format!(
-                r#"{{"epoch":1,"group":{group},"n_tuples":9007199254740992,"group_total":9007199254740992,"rules":[[1,2,{count},{count}]],"coarsening_steps":{steps}}}"#
+                r#"{{"epoch":1,"group":{group},"n_tuples":9007199254740992,"group_total":9007199254740992,"rules":[[1,2,{count},{count}]]}}"#
             )
         };
-        assert!(decode_both(&doc("0", "7", "0")).is_ok());
-        assert!(decode_both(&doc("0", "4294967295", "0")).is_ok());
-        for text in
-            [doc("0", "4294967296", "0"), doc("4294967296", "7", "0"), doc("0", "7", "4294967296")]
-        {
+        assert!(decode_both(&doc("0", "7")).is_ok());
+        assert!(decode_both(&doc("0", "4294967295")).is_ok());
+        for text in [doc("0", "4294967296"), doc("4294967296", "7")] {
             assert!(decode_both(&text).is_err(), "{text}");
         }
     }
@@ -864,9 +803,7 @@ mod tests {
     #[test]
     fn impossible_counts_are_errors() {
         let doc = |n: u64, gt: u64, rule: &str| {
-            format!(
-                r#"{{"epoch":0,"group":0,"n_tuples":{n},"group_total":{gt},"rules":[{rule}],"coarsening_steps":0}}"#
-            )
+            format!(r#"{{"epoch":0,"group":0,"n_tuples":{n},"group_total":{gt},"rules":[{rule}]}}"#)
         };
         assert!(decode_both(&doc(10, 5, "[0,0,5,10]")).is_ok());
         for text in [

@@ -26,15 +26,14 @@
 //!   1 ms and then 2 ms of backoff (clamped to the deadline), before
 //!   surfacing [`ArcsError::WorkerPanicked`]. Deterministic (typed)
 //!   errors are never retried.
-//! * Per-request memory budgets — [`QueryRequest::memory_budget`] runs
-//!   the resource governor's coarsening ladder
-//!   ([`plan_bins`]) against the snapshot's
-//!   grid and serves a degraded, coarser answer
-//!   ([`BinArray::coarsened`]) instead of refusing service outright.
 //! * `ResultCache` — an LRU keyed by `(epoch, group, thresholds,
-//!   cluster config, coarsening)`. Repeated lattice points across users
-//!   are free; because the epoch is part of the key, a snapshot swap can
-//!   never serve a stale entry even if active invalidation is faulted.
+//!   cluster config)`. Repeated lattice points across users are free;
+//!   because the epoch is part of the key, a snapshot swap can never
+//!   serve a stale entry even if active invalidation is faulted.
+//!
+//! Memory is bounded once, before binning, by the pipeline's one budget
+//! ([`ArcsConfig`](crate::pipeline::ArcsConfig)): every query reads the
+//! snapshot's own array at its own resolution.
 //!
 //! Inside that envelope the query itself is `answer`, the one query
 //! body of the crate: mine through the snapshot's [`OccupancyIndex`],
@@ -60,7 +59,6 @@ use std::time::{Duration, Instant};
 
 use crate::binarray::BinArray;
 use crate::bitop::{self, BitOpConfig, ClusterStats};
-use crate::budget::{plan_bins, BinPlan};
 use crate::cluster::Rect;
 use crate::engine::{self, BinnedRule, Thresholds};
 use crate::error::{panic_message, ArcsError};
@@ -330,18 +328,16 @@ struct CacheKey {
     /// empty for mine-only queries. Exact string equality — no hashing
     /// collisions can alias two different configurations.
     cluster: String,
-    coarsening_steps: u32,
 }
 
 impl CacheKey {
-    fn new(epoch: u64, request: &QueryRequest, plan: &BinPlan) -> Self {
+    fn new(epoch: u64, request: &QueryRequest) -> Self {
         CacheKey {
             epoch,
             gk: request.gk,
             support_bits: request.thresholds.min_support.to_bits(),
             confidence_bits: request.thresholds.min_confidence.to_bits(),
             cluster: request.cluster.as_ref().map(ClusterSpec::cache_token).unwrap_or_default(),
-            coarsening_steps: plan.coarsening_steps,
         }
     }
 }
@@ -422,7 +418,7 @@ pub struct ClusterSpec {
 
 /// One serving request: re-mine (and optionally re-cluster) the current
 /// snapshot for a criterion group at explicit thresholds, under an
-/// optional deadline and memory budget.
+/// optional deadline.
 #[derive(Debug, Clone)]
 pub struct QueryRequest {
     /// Criterion group code to mine.
@@ -433,17 +429,12 @@ pub struct QueryRequest {
     pub cluster: Option<ClusterSpec>,
     /// Per-request deadline, overriding [`ServeConfig::default_deadline`].
     pub deadline: Option<Duration>,
-    /// Per-request memory budget in bytes: when the snapshot's grid
-    /// exceeds it, the coarsening ladder serves a degraded (coarser)
-    /// answer; a budget below even the coarsest useful grid refuses with
-    /// [`ArcsError::BudgetExceeded`].
-    pub memory_budget: Option<usize>,
 }
 
 impl QueryRequest {
     /// A mine-only request for group `gk` at `thresholds`.
     pub fn new(gk: u32, thresholds: Thresholds) -> Self {
-        QueryRequest { gk, thresholds, cluster: None, deadline: None, memory_budget: None }
+        QueryRequest { gk, thresholds, cluster: None, deadline: None }
     }
 
     /// Also smooth + cluster with `spec`.
@@ -455,12 +446,6 @@ impl QueryRequest {
     /// Sets the per-request deadline.
     pub fn deadline(mut self, deadline: Duration) -> Self {
         self.deadline = Some(deadline);
-        self
-    }
-
-    /// Sets the per-request memory budget in bytes.
-    pub fn memory_budget(mut self, bytes: usize) -> Self {
-        self.memory_budget = Some(bytes);
         self
     }
 }
@@ -485,17 +470,6 @@ pub struct QueryResult {
     pub rules: Vec<BinnedRule>,
     /// Cluster rectangles, when the request asked for clustering.
     pub clusters: Option<Vec<Rect>>,
-    /// Coarsening steps the per-request memory budget forced (0 = the
-    /// full-resolution grid was served).
-    pub coarsening_steps: u32,
-}
-
-impl QueryResult {
-    /// `true` when the memory budget forced a coarser grid than the
-    /// snapshot holds.
-    pub fn degraded(&self) -> bool {
-        self.coarsening_steps > 0
-    }
 }
 
 /// A served response: the (possibly cached) result plus per-request
@@ -560,7 +534,6 @@ struct ServeCounters {
     cache_misses: AtomicU64,
     rules_emitted: AtomicU64,
     cells_visited: AtomicU64,
-    budget_coarsening_steps: AtomicU64,
 }
 
 /// A point-in-time view of the server's health and workload.
@@ -608,7 +581,7 @@ impl ServerStats {
 
 /// The concurrent serving core: an immutable-snapshot store, an admission
 /// gate, a result cache, and the per-request robustness envelope
-/// (deadline, budget ladder, panic isolation). All methods take `&self`;
+/// (deadline, panic isolation). All methods take `&self`;
 /// share a server across threads with `Arc<Server>`.
 #[derive(Debug)]
 pub struct Server {
@@ -718,13 +691,7 @@ impl Server {
         let _permit = permit;
 
         let snapshot = self.store.current();
-        let plan = plan_bins(
-            snapshot.array().nx(),
-            snapshot.array().ny(),
-            snapshot.array().nseg(),
-            request.memory_budget,
-        )?;
-        let key = CacheKey::new(snapshot.epoch(), request, &plan);
+        let key = CacheKey::new(snapshot.epoch(), request);
         if let Some(hit) = lock(&self.cache).get(&key) {
             self.counters.cache_hits.fetch_add(1, Ordering::Relaxed);
             self.counters.completed.fetch_add(1, Ordering::Relaxed);
@@ -740,9 +707,8 @@ impl Server {
         let mut retries = 0u32;
         let (result, visited) = loop {
             self.check_deadline(deadline, "serve.execute")?;
-            let attempt = catch_unwind(AssertUnwindSafe(|| {
-                Self::execute(&snapshot, request, &plan, deadline)
-            }));
+            let attempt =
+                catch_unwind(AssertUnwindSafe(|| Self::execute(&snapshot, request, deadline)));
             match attempt {
                 Ok(Ok(outcome)) => break outcome,
                 Ok(Err(err)) => {
@@ -770,9 +736,6 @@ impl Server {
 
         self.counters.rules_emitted.fetch_add(result.rules.len() as u64, Ordering::Relaxed);
         self.counters.cells_visited.fetch_add(visited, Ordering::Relaxed);
-        self.counters
-            .budget_coarsening_steps
-            .fetch_add(plan.coarsening_steps as u64, Ordering::Relaxed);
 
         let result = Arc::new(result);
         if faults::check("serve.cache-insert").is_ok() {
@@ -782,25 +745,15 @@ impl Server {
         Ok(QueryResponse { result, cache_hit: false, retries, elapsed: start.elapsed() })
     }
 
-    /// The query body under the serving envelope: coarsen under the
-    /// budget plan if needed, then [`answer`]. Runs inside
-    /// `catch_unwind`.
+    /// The query body under the serving envelope: [`answer`] over the
+    /// snapshot's index. Runs inside `catch_unwind`.
     fn execute(
         snapshot: &Snapshot,
         request: &QueryRequest,
-        plan: &BinPlan,
         deadline: Option<Instant>,
     ) -> Result<(QueryResult, u64), ArcsError> {
         faults::check("serve.worker")?;
-        // The budget ladder: serve a coarser grid rather than refuse. The
-        // coarsened index is per-request scratch; repeated budgeted
-        // queries hit the cache (coarsening is part of the key).
-        let coarse = if plan.degraded() {
-            Some(OccupancyIndex::build(&snapshot.array().coarsened(plan.nx, plan.ny)?))
-        } else {
-            None
-        };
-        let index = coarse.as_ref().unwrap_or(snapshot.index());
+        let index = snapshot.index();
         let answer =
             answer(index, request.gk, request.thresholds, request.cluster.as_ref(), deadline)?;
         Ok((
@@ -811,7 +764,6 @@ impl Server {
                 group_total: index.group_total(request.gk),
                 rules: answer.rules,
                 clusters: answer.clusters,
-                coarsening_steps: plan.coarsening_steps,
             },
             answer.cells_visited,
         ))
@@ -876,7 +828,6 @@ impl Server {
             rules_emitted: c.rules_emitted.load(Ordering::Relaxed),
             cells_visited: c.cells_visited.load(Ordering::Relaxed),
             worker_panics: s.worker_panics,
-            budget_coarsening_steps: c.budget_coarsening_steps.load(Ordering::Relaxed),
             requests_admitted: s.admitted,
             requests_shed: s.shed,
             requests_timed_out: s.timed_out,
@@ -1067,7 +1018,6 @@ mod tests {
             assert_eq!(resp.result.rules, mine_rules(&array, 0, t), "({s}, {c})");
             assert_eq!(resp.result.epoch, 0);
             assert_eq!(resp.retries, 0);
-            assert!(!resp.result.degraded());
         }
     }
 
@@ -1178,35 +1128,6 @@ mod tests {
     }
 
     #[test]
-    fn memory_budget_serves_a_degraded_coarser_answer() {
-        // demo array: 4x4, 2 groups = 4*4*3*4 = 192 bytes. A 100-byte
-        // budget forces halvings: (2,4)=96 bytes fits after one step.
-        let server = Server::new(demo_array(), test_config()).unwrap();
-        let request = QueryRequest::new(0, thresholds(0.0, 0.0)).memory_budget(100);
-        let resp = server.query(&request).unwrap();
-        assert!(resp.result.degraded());
-        assert_eq!(resp.result.coarsening_steps, 1);
-        // The degraded result matches sequential mining on the coarsened
-        // array — the ladder changes resolution, never correctness.
-        let coarse = demo_array().coarsened(2, 4).unwrap();
-        assert_eq!(resp.result.rules, mine_rules(&coarse, 0, request.thresholds));
-
-        // An impossible budget refuses admission with the typed error.
-        let impossible = QueryRequest::new(0, thresholds(0.0, 0.0)).memory_budget(10);
-        let err = server.query(&impossible).unwrap_err();
-        assert!(matches!(err, ArcsError::BudgetExceeded { .. }), "{err:?}");
-
-        // Budgeted and unbudgeted requests key separately in the cache.
-        let full = server.query(&QueryRequest::new(0, thresholds(0.0, 0.0))).unwrap();
-        assert!(!full.cache_hit);
-        assert!(!full.result.degraded());
-        // Re-issuing the budgeted request hits its own entry.
-        let again = server.query(&request).unwrap();
-        assert!(again.cache_hit);
-        assert!(again.result.degraded());
-    }
-
-    #[test]
     fn lru_cache_evicts_the_oldest_entry() {
         let mut cache = ResultCache::new(2);
         let result = |epoch| {
@@ -1217,7 +1138,6 @@ mod tests {
                 group_total: 0,
                 rules: Vec::new(),
                 clusters: None,
-                coarsening_steps: 0,
             })
         };
         let key = |support: u64| CacheKey {
@@ -1226,7 +1146,6 @@ mod tests {
             support_bits: support,
             confidence_bits: 0,
             cluster: String::new(),
-            coarsening_steps: 0,
         };
         cache.insert(key(1), result(0));
         cache.insert(key(2), result(0));

@@ -41,6 +41,7 @@ use crate::index::OccupancyIndex;
 use crate::metrics::{PipelineCounters, PipelineReport, Stage};
 use crate::optimizer::{evaluate_indexed, search, Evaluation, OptimizerConfig};
 use crate::pipeline::{Arcs, ArcsConfig, GroupSegmentations, Segmentation};
+use crate::request::{group_code, Request};
 use crate::serve::{answer, Answer, ClusterSpec, QueryResult};
 
 /// Names the attributes of one segmentation task: the two quantitative
@@ -220,7 +221,10 @@ impl Arcs {
             request.criterion_attr(),
             &plan,
         )?;
-        check_group(binner.labels(), &request)?;
+        // Fail fast on a group the criterion does not have.
+        if let Some(group) = request.group_label() {
+            group_code(binner.labels(), group)?;
+        }
 
         let threads = config.threads;
         let mut report = PipelineReport { threads, ..PipelineReport::default() };
@@ -245,29 +249,19 @@ impl Arcs {
     }
 }
 
-/// Fails fast when the request targets a group the criterion does not have.
-fn check_group(labels: &[String], request: &SegmentRequest) -> Result<(), ArcsError> {
-    if let Some(group) = request.group_label() {
-        if !labels.iter().any(|l| l == group) {
-            return Err(ArcsError::UnknownGroup(group.to_string()));
-        }
-    }
-    Ok(())
-}
-
 impl Session {
     /// Segments the group named in the request. Errors with
     /// [`ArcsError::InvalidConfig`] when the request has no group — use
     /// [`SegmentRequest::group`] or [`segment_all`](Session::segment_all).
     pub fn segment(&mut self) -> Result<Segmentation, ArcsError> {
-        let label = self.request_group()?;
+        let label = self.request_group()?.to_string();
         self.segment_group(&label)
     }
 
     /// Runs the threshold search and decodes the winning clusters for one
     /// criterion group, updating the session's timings and counters.
     fn segment_group(&mut self, group_label: &str) -> Result<Segmentation, ArcsError> {
-        let gk = self.group_code(group_label)?;
+        let gk = group_code(self.binner.labels(), group_label)?;
 
         let start = Instant::now();
         let outcome = run_search(&self.config, &self.array, &self.index, gk);
@@ -331,25 +325,25 @@ impl Session {
     /// session's [`OccupancyIndex`], never the full `nx · ny` grid
     /// (tracked by the `cells_visited` counter).
     pub fn remine(&mut self, thresholds: Thresholds) -> Result<Vec<BinnedRule>, ArcsError> {
-        let label = self.request_group()?;
-        let gk = self.group_code(&label)?;
-        Ok(self.query_body(gk, thresholds, None)?.rules)
+        let gk = group_code(self.binner.labels(), self.request_group()?)?;
+        Ok(self.query_body(gk, thresholds, None, None)?.rules)
     }
 
-    /// Serves a canonical [`Request`](crate::request::Request) against
-    /// the session's owned bin array — the same request shape the daemon
-    /// serves over the wire, answered by the same query body
-    /// (`serve::answer`), so a library caller and a wire client asking
-    /// the same question get bit-identical answers.
+    /// Serves a canonical [`Request`] against the session's owned bin
+    /// array — the same request shape the daemon serves over the wire,
+    /// answered by the same query body (`serve::answer`), so a library
+    /// caller and a wire client asking the same question get
+    /// bit-identical answers.
     ///
-    /// Requires explicit `thresholds` (threshold *search* stays on
-    /// [`segment`](Session::segment), which returns the richer
-    /// [`Segmentation`]); the group comes from the request, falling back
-    /// to the group the session was opened with. `deadline` and
-    /// `memory_budget` are serving-core admission concerns and are
-    /// ignored here — the session caller owns its own resources. The
+    /// Requires explicit `thresholds`, as the serving core does: the
+    /// threshold search is [`segment`](Session::segment), which returns
+    /// the richer [`Segmentation`]. The group comes from the request,
+    /// falling back to the group the session was opened with. The
+    /// `deadline` is checked before mining and before clustering, and
+    /// past it the query fails with [`ArcsError::DeadlineExceeded`]. The
     /// returned result's `epoch` is 0: sessions are not epoch-versioned.
-    pub fn query(&mut self, request: &crate::request::Request) -> Result<QueryResult, ArcsError> {
+    pub fn query(&mut self, request: &Request) -> Result<QueryResult, ArcsError> {
+        let deadline = request.deadline.map(|limit| Instant::now() + limit);
         let thresholds = request.thresholds.ok_or_else(|| {
             ArcsError::InvalidConfig(
                 "session query needs explicit thresholds — use segment() for \
@@ -357,14 +351,12 @@ impl Session {
                     .into(),
             )
         })?;
-        let gk = match &request.group {
-            Some(group) => group.resolve(self.binner.labels())?,
-            None => {
-                let label = self.request_group()?;
-                self.group_code(&label)?
-            }
+        let label = match &request.group {
+            Some(label) => label,
+            None => self.request_group()?,
         };
-        let answer = self.query_body(gk, thresholds, request.cluster.as_ref())?;
+        let gk = group_code(self.binner.labels(), label)?;
+        let answer = self.query_body(gk, thresholds, request.cluster.as_ref(), deadline)?;
         Ok(QueryResult {
             epoch: 0,
             group: gk,
@@ -372,7 +364,6 @@ impl Session {
             group_total: self.index.group_total(gk),
             rules: answer.rules,
             clusters: answer.clusters,
-            coarsening_steps: self.budget_coarsening,
         })
     }
 
@@ -384,9 +375,10 @@ impl Session {
         gk: u32,
         thresholds: Thresholds,
         cluster: Option<&ClusterSpec>,
+        deadline: Option<Instant>,
     ) -> Result<Answer, ArcsError> {
         let start = Instant::now();
-        let answer = answer(&self.index, gk, thresholds, cluster, None)?;
+        let answer = answer(&self.index, gk, thresholds, cluster, deadline)?;
         self.record_stage(Stage::Search, start.elapsed());
         let c = &mut self.report.counters;
         c.rules_emitted += answer.rules.len() as u64;
@@ -459,23 +451,14 @@ impl Session {
         &self.report
     }
 
-    fn request_group(&self) -> Result<String, ArcsError> {
-        self.request.group_label().map(str::to_string).ok_or_else(|| {
+    fn request_group(&self) -> Result<&str, ArcsError> {
+        self.request.group_label().ok_or_else(|| {
             ArcsError::InvalidConfig(
                 "the segment request names no group — add .group(..) to the \
                  request, use segment_all, or name the group in the query"
                     .into(),
             )
         })
-    }
-
-    fn group_code(&self, label: &str) -> Result<u32, ArcsError> {
-        self.binner
-            .labels()
-            .iter()
-            .position(|l| l == label)
-            .map(|p| p as u32)
-            .ok_or_else(|| ArcsError::UnknownGroup(label.to_string()))
     }
 
     fn record_stage(&mut self, stage: Stage, elapsed: Duration) {
@@ -631,7 +614,6 @@ mod tests {
 
     #[test]
     fn unified_query_matches_server_and_remine() {
-        use crate::request::Request;
         use crate::serve::{ServeConfig, Server};
 
         let ds = blocky_dataset();
@@ -669,5 +651,16 @@ mod tests {
         ));
         let defaulted = session.query(&Request::new().thresholds(thresholds)).unwrap();
         assert_eq!(defaulted.rules, local.rules);
+
+        // The deadline means the same at both front doors: expired, it is
+        // a typed error; with time left, the answer is unchanged.
+        let expired = request.clone().deadline(Duration::ZERO);
+        assert!(matches!(session.query(&expired), Err(ArcsError::DeadlineExceeded { .. })));
+        assert!(matches!(
+            server.query_unified(&expired, &labels),
+            Err(ArcsError::DeadlineExceeded { .. })
+        ));
+        let timely = session.query(&request.deadline(Duration::from_secs(3600))).unwrap();
+        assert_eq!(timely, local);
     }
 }

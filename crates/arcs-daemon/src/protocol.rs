@@ -692,7 +692,7 @@ mod tests {
             WireRequest::Query {
                 dataset: None,
                 request: Request::new()
-                    .group_code(2)
+                    .group("Z \"2\"")
                     .thresholds(Thresholds::new(0.0, 0.25).unwrap()),
             },
             WireRequest::Append { dataset: None, rows: "1.5,2.5,A\n".into() },
@@ -721,6 +721,7 @@ mod tests {
             "{\"op\": \"open\", \"dataset\": 7}",
             "{\"op\": \"query\"}",
             "{\"op\": \"query\", \"request\": {\"thresholds\": \"high\"}}",
+            "{\"op\": \"query\", \"request\": {\"group\": {\"code\": 3}}}",
             "{\"op\": \"append\"}",
             "{\"op\": \"append\", \"rows\": []}",
             "{\"op\": \"repl.subscribe\"}",
@@ -754,7 +755,7 @@ mod tests {
     #[test]
     fn out_of_range_retries_are_errors() {
         let reply = |retries: &str| {
-            let result = r#"{"epoch":0,"group":0,"n_tuples":0,"group_total":0,"rules":[],"coarsening_steps":0}"#;
+            let result = r#"{"epoch":0,"group":0,"n_tuples":0,"group_total":0,"rules":[]}"#;
             format!(r#"{{"ok":true,"result":{result},"retries":{retries}}}"#)
         };
         let tree = |text: &str| query_outcome_from_json(&arcs_core::jsonio::parse(text).unwrap());

@@ -87,7 +87,6 @@ fn response(seed: u64, n_rules: usize) -> QueryResponse {
             group_total,
             rules,
             clusters,
-            coarsening_steps: rng.gen::<u32>(),
         }),
         cache_hit: rng.gen::<bool>(),
         retries: rng.gen::<u32>(),
@@ -200,7 +199,7 @@ proptest! {
     fn query_requests_round_trip(
         support_millis in 0u32..=1000,
         confidence_millis in 0u32..=1000,
-        code in 0u32..8,
+        label in "[A-Za-z0-9 _\"\\\\\u{e9}]{1,12}",
     ) {
         let thresholds = Thresholds::new(
             support_millis as f64 / 1000.0,
@@ -208,7 +207,7 @@ proptest! {
         ).unwrap();
         let request = WireRequest::Query {
             dataset: Some("d".into()),
-            request: Request::new().group_code(code).thresholds(thresholds),
+            request: Request::new().group(label).thresholds(thresholds),
         };
         let mut wire = Vec::new();
         write_frame(&mut wire, request.to_json().to_string().as_bytes()).unwrap();
@@ -288,6 +287,18 @@ proptest! {
         prop_assert_eq!(read_query_reply(&text), Ok(want.clone()));
         prop_assert_eq!(tree_decode(&text), Ok(want.clone()));
 
+        // A reply whose result still carries the retired
+        // `coarsening_steps` member reads as the same outcome.
+        let Json::Obj(mut members) = jsonio::parse(&text).unwrap() else { unreachable!() };
+        let Some((_, Json::Obj(result))) = members.iter_mut().find(|(key, _)| key == "result")
+        else {
+            unreachable!()
+        };
+        result.push(("coarsening_steps".into(), Json::Num(0.0)));
+        let older = Json::Obj(members).to_string();
+        prop_assert_eq!(read_query_reply(&older), Ok(want.clone()), "{}", older);
+        prop_assert_eq!(tree_decode(&older), Ok(want.clone()), "{}", older);
+
         let mut rng = StdRng::seed_from_u64(seed ^ 0x5EED);
         let tree = jsonio::parse(&text).unwrap();
         for insert in [false, true] {
@@ -320,7 +331,7 @@ fn finite(rule: &BinnedRule) -> bool {
 #[test]
 fn malformed_result_documents_are_protocol_errors() {
     const HEAD: &str = r#""epoch":0,"group":0,"n_tuples":100,"group_total":40"#;
-    let with_rules = |rules: &str| format!(r#"{{{HEAD},"rules":[{rules}],"coarsening_steps":0}}"#);
+    let with_rules = |rules: &str| format!(r#"{{{HEAD},"rules":[{rules}]}}"#);
     let well_formed = with_rules("[1,2,5,10]");
     let mut documents = vec![
         with_rules("[1,2,0,10]"),  // count 0
@@ -338,19 +349,16 @@ fn malformed_result_documents_are_protocol_errors() {
         with_rules("[-1,2,5,10]"),
         with_rules("[1,2,5,1e300]"),
         with_rules("7"),
-        format!(r#"{{{HEAD},"rules":[],"clusters":[[1,2,3]],"coarsening_steps":0}}"#),
-        format!(r#"{{{HEAD},"rules":[],"clusters":[[3,2,1,4]],"coarsening_steps":0}}"#),
-        format!(r#"{{{HEAD},"rules":{{}},"coarsening_steps":0}}"#),
-        r#"{"epoch":0,"group":0.5,"n_tuples":100,"group_total":40,"rules":[],"coarsening_steps":0}"#
-            .to_string(),
-        r#"{"epoch":0,"group":0,"n_tuples":"100","group_total":40,"rules":[],"coarsening_steps":0}"#
-            .to_string(),
-        r#"{"epoch":0,"group":0,"n_tuples":10,"group_total":40,"rules":[],"coarsening_steps":0}"#
-            .to_string(),
+        format!(r#"{{{HEAD},"rules":[],"clusters":[[1,2,3]]}}"#),
+        format!(r#"{{{HEAD},"rules":[],"clusters":[[3,2,1,4]]}}"#),
+        format!(r#"{{{HEAD},"rules":{{}}}}"#),
+        r#"{"epoch":0,"group":0.5,"n_tuples":100,"group_total":40,"rules":[]}"#.to_string(),
+        r#"{"epoch":0,"group":0,"n_tuples":"100","group_total":40,"rules":[]}"#.to_string(),
+        r#"{"epoch":0,"group":0,"n_tuples":10,"group_total":40,"rules":[]}"#.to_string(),
     ];
-    // Each header member missing in turn: `n_tuples` and `group_total`
-    // among them.
-    for key in ["epoch", "group", "n_tuples", "group_total", "rules", "coarsening_steps"] {
+    // Each member missing in turn: `n_tuples` and `group_total` among
+    // them.
+    for key in ["epoch", "group", "n_tuples", "group_total", "rules"] {
         let tree = jsonio::parse(&well_formed).unwrap();
         let Json::Obj(pairs) = tree else { unreachable!() };
         let kept = pairs.into_iter().filter(|(k, _)| k != key).collect();
@@ -367,6 +375,11 @@ fn malformed_result_documents_are_protocol_errors() {
     let outcome = read_query_reply(&reply(&well_formed)).unwrap();
     assert_eq!(tree_decode(&reply(&well_formed)).unwrap(), outcome);
     assert_eq!(outcome.result.rules, vec![BinnedRule::from_counts(1, 2, 0, 5, 10, 100, 40)]);
+    // A result that still carries the retired `coarsening_steps` member
+    // reads the same through both decoders.
+    let older = reply(&format!(r#"{{{HEAD},"rules":[[1,2,5,10]],"coarsening_steps":0}}"#));
+    assert_eq!(read_query_reply(&older).unwrap(), outcome);
+    assert_eq!(tree_decode(&older).unwrap(), outcome);
     for document in documents {
         let text = reply(&document);
         for (decoder, decoded) in

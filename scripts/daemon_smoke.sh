@@ -50,19 +50,23 @@ wait_for_port_file "$dir/port.txt"
 addr=$(cat "$dir/port.txt")
 echo "arcsd up on $addr"
 
-# Both tenants answer queries with the expected shape.
+# Both tenants answer queries with the expected shape. A reply's result
+# holds exactly these members (`clusters` only when the query clustered),
+# so a stray or lost member fails here.
 "$ARCS" client --addr "$addr" open --dataset alpha \
     | jq -e '.epoch == 0 and .n_tuples == 5000 and (.labels | index("A") != null)'
 "$ARCS" client --addr "$addr" query --dataset alpha \
     --group A --support 0 --confidence 0 --cluster \
-    | jq -e '.result.epoch == 0 and (.result.rules | length) > 0 and .cache_hit == false'
+    | jq -e '.result.epoch == 0 and (.result.rules | length) > 0 and .cache_hit == false
+        and (.result | keys == ["clusters","epoch","group","group_total","n_tuples","rules"])'
 # Identical query again: served from the result cache.
 "$ARCS" client --addr "$addr" query --dataset alpha \
     --group A --support 0 --confidence 0 --cluster \
     | jq -e '.cache_hit == true'
 "$ARCS" client --addr "$addr" query --dataset beta \
     --group A --support 0.01 --confidence 0.5 \
-    | jq -e '.result.epoch == 0'
+    | jq -e '.result.epoch == 0
+        and (.result | keys == ["epoch","group","group_total","n_tuples","rules"])'
 
 # One append over the wire: epoch bumps, stats agree.
 head -3 "$dir/b.csv" | tail -2 > "$dir/delta.csv"

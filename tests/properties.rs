@@ -8,11 +8,10 @@ use proptest::collection::vec;
 use proptest::prelude::*;
 
 use arcs::core::bitop::{self, BitOpConfig};
-use arcs::core::budget::{grid_bytes, plan_bins, MIN_BINS};
 use arcs::core::engine::{mine_rules, mine_rules_indexed, rule_grid, support_grid};
 use arcs::core::grid::{for_each_run, for_each_run_reference};
 use arcs::core::index::{DeltaMiner, OccupancyIndex};
-use arcs::core::jsonio::Reader;
+use arcs::core::jsonio::{parse, Reader};
 use arcs::core::mdl::{mdl_cost, MdlWeights};
 use arcs::core::request::{read_query_result, write_query_result};
 use arcs::core::smooth::{smooth, smooth_reference, SmoothConfig};
@@ -641,17 +640,16 @@ proptest! {
         }
     }
 
-    /// One formula: every rule either miner emits, on an array and on a
-    /// budget-coarsened copy of it, is `BinnedRule::from_counts` of its own
-    /// cell counts and the array's totals, bit for bit. And a served
-    /// result written and read back is `==` to the result: the round trip
-    /// the daemon's wire answers rest on.
+    /// One formula: every rule either miner emits is
+    /// `BinnedRule::from_counts` of its own cell counts and the array's
+    /// totals, bit for bit. And a served result written and read back is
+    /// `==` to the result: the round trip the daemon's wire answers rest
+    /// on.
     #[test]
     fn every_rule_is_built_from_its_counts(
         adds in vec((0usize..9, 0usize..7, 0u32..3), 0..300),
         query in (0u32..3, 0.0f64..0.2, 0.0f64..1.0),
         spec in cluster_spec_strategy(),
-        budget_share in 0.0f64..1.0,
     ) {
         let (gk, s, c) = query;
         let t = Thresholds::new(s, c).unwrap();
@@ -659,42 +657,31 @@ proptest! {
         for &(x, y, g) in &adds {
             ba.add(x, y, g);
         }
-        let (floor, full) = (grid_bytes(MIN_BINS, MIN_BINS, 3).unwrap(), grid_bytes(9, 7, 3).unwrap());
-        let budget = floor + ((full - 1 - floor) as f64 * budget_share) as usize;
-        let plan = plan_bins(9, 7, 3, Some(budget)).unwrap();
-        prop_assert!(plan.coarsening_steps >= 1);
-        let coarse = ba.coarsened(plan.nx, plan.ny).unwrap();
-        for array in [&ba, &coarse] {
-            let (n, group_total) = (array.n_tuples(), array.group_total(gk));
-            let (indexed, _) = mine_rules_indexed(&OccupancyIndex::build(array), gk, t);
-            let full_scan = mine_rules(array, gk, t);
-            prop_assert_eq!(indexed.len(), full_scan.len());
-            for rule in full_scan.iter().chain(&indexed) {
-                prop_assert_eq!(rule.group, gk);
-                prop_assert_eq!(rule.count, array.group_count(rule.x, rule.y, gk));
-                prop_assert_eq!(rule.total, array.cell_total(rule.x, rule.y));
-                let rebuilt = BinnedRule::from_counts(
-                    rule.x, rule.y, gk, rule.count, rule.total, n, group_total,
-                );
-                prop_assert_eq!(rule_bits(rule), rule_bits(&rebuilt));
-            }
+        let (n, group_total) = (ba.n_tuples(), ba.group_total(gk));
+        let (indexed, _) = mine_rules_indexed(&OccupancyIndex::build(&ba), gk, t);
+        let full_scan = mine_rules(&ba, gk, t);
+        prop_assert_eq!(indexed.len(), full_scan.len());
+        for rule in full_scan.iter().chain(&indexed) {
+            prop_assert_eq!(rule.group, gk);
+            prop_assert_eq!(rule.count, ba.group_count(rule.x, rule.y, gk));
+            prop_assert_eq!(rule.total, ba.cell_total(rule.x, rule.y));
+            let rebuilt =
+                BinnedRule::from_counts(rule.x, rule.y, gk, rule.count, rule.total, n, group_total);
+            prop_assert_eq!(rule_bits(rule), rule_bits(&rebuilt));
         }
 
         let server = Server::new(ba, ServeConfig::default()).unwrap();
-        for budget in [None, Some(budget)] {
-            let mut request = QueryRequest::new(gk, t);
-            request.cluster = spec.clone();
-            request.memory_budget = budget;
-            let served = server.query(&request).unwrap();
-            let mut text = String::new();
-            write_query_result(&served.result, &mut text);
-            let mut reader = Reader::new(&text);
-            let back = read_query_result(&mut reader).unwrap();
-            reader.finish().unwrap();
-            prop_assert_eq!(&back, &*served.result);
-            let pairs = back.rules.iter().zip(&served.result.rules);
-            prop_assert!(pairs.into_iter().all(|(a, b)| rule_bits(a) == rule_bits(b)));
-        }
+        let mut request = QueryRequest::new(gk, t);
+        request.cluster = spec;
+        let served = server.query(&request).unwrap();
+        let mut text = String::new();
+        write_query_result(&served.result, &mut text);
+        let mut reader = Reader::new(&text);
+        let back = read_query_result(&mut reader).unwrap();
+        reader.finish().unwrap();
+        prop_assert_eq!(&back, &*served.result);
+        let pairs = back.rules.iter().zip(&served.result.rules);
+        prop_assert!(pairs.into_iter().all(|(a, b)| rule_bits(a) == rule_bits(b)));
     }
 
     /// The word-parallel smoothing kernel is bit-identical to the scalar
@@ -726,16 +713,15 @@ proptest! {
         }
     }
 
-    /// One query body behind both front doors: `Session::query` and
-    /// `Server::query` answer exactly what the reference composition
-    /// computes, and a server under a memory budget answers what the same
-    /// reference computes on the coarsened array.
+    /// One request, one answer: a label-named `Request`, sent through
+    /// its JSON form as the wire carries it, gets `==` results from
+    /// `Session::query` and `Server::query_unified`, and both hold what
+    /// the reference composition computes.
     #[test]
     fn session_and_server_answer_like_the_reference_composition(
         data in (vec((0.0f64..10.0, 0.0f64..10.0, 0u32..3), 1..300), 4usize..12, 4usize..12),
         query in (0u32..3, 0.0f64..0.3, 0.0f64..1.0),
         spec in cluster_spec_strategy(),
-        budget_share in 0.0f64..1.0,
     ) {
         let (rows, nx, ny) = data;
         let (gk, s, c) = query;
@@ -744,34 +730,21 @@ proptest! {
         let mut session = Arcs::new(config).unwrap()
             .open(&ds, SegmentRequest::new("x", "y", "g")).unwrap();
         let array = session.bin_array().clone();
+        let labels = session.binner().labels().to_vec();
         let t = Thresholds::new(s, c).unwrap();
 
-        let mut request = Request::new().group_code(gk).thresholds(t);
-        let mut query = QueryRequest::new(gk, t);
+        let mut request = Request::new().group(labels[gk as usize].clone()).thresholds(t);
         if let Some(spec) = &spec {
             request = request.cluster(spec.clone());
-            query = query.cluster(spec.clone());
         }
+        let request = Request::from_json(&parse(&request.to_json().to_string()).unwrap()).unwrap();
         let (rules, clusters) = reference_answer(&array, gk, t, spec.as_ref());
         let local = session.query(&request).unwrap();
+        prop_assert_eq!(local.group, gk);
         prop_assert_eq!(&local.rules, &rules);
         prop_assert_eq!(&local.clusters, &clusters);
-        let server = Server::new(array.clone(), ServeConfig::default()).unwrap();
-        let served = server.query(&query).unwrap();
-        prop_assert_eq!(&served.result.rules, &rules);
-        prop_assert_eq!(&served.result.clusters, &clusters);
-
-        // A budget between the coarsest grid and the full one makes the
-        // ladder coarsen at least once.
-        let (floor, full) = (grid_bytes(MIN_BINS, MIN_BINS, 3).unwrap(), grid_bytes(nx, ny, 3).unwrap());
-        let budget = floor + ((full - 1 - floor) as f64 * budget_share) as usize;
-        let plan = plan_bins(nx, ny, 3, Some(budget)).unwrap();
-        let coarse = array.coarsened(plan.nx, plan.ny).unwrap();
-        let (rules, clusters) = reference_answer(&coarse, gk, t, spec.as_ref());
-        let degraded = server.query(&query.memory_budget(budget)).unwrap();
-        prop_assert!(plan.coarsening_steps >= 1);
-        prop_assert_eq!(degraded.result.coarsening_steps, plan.coarsening_steps);
-        prop_assert_eq!(&degraded.result.rules, &rules);
-        prop_assert_eq!(&degraded.result.clusters, &clusters);
+        let server = Server::new(array, ServeConfig::default()).unwrap();
+        let served = server.query_unified(&request, &labels).unwrap();
+        prop_assert_eq!(&*served.result, &local);
     }
 }
