@@ -1,5 +1,6 @@
 //! Criterion micro-benchmarks for the binner: tuples/second through the
-//! single binning pass (the dominant cost of ARCS at scale, Figure 15).
+//! single binning pass over a dataset's columns, on one thread (the
+//! dominant cost of ARCS at scale, Figure 15).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
@@ -18,13 +19,13 @@ fn bench_binning(c: &mut Criterion) {
     let binner = Binner::equi_width(&schema, "age", "salary", "group", 50, 50)
         .expect("schema attributes exist");
 
-    let mut group = c.benchmark_group("binning/bin_rows");
+    let mut group = c.benchmark_group("binning/bin_rows_parallel");
     group.sample_size(30);
     for n in [10_000usize, 100_000] {
         let ds = dataset(n);
         group.throughput(Throughput::Elements(n as u64));
         group.bench_with_input(BenchmarkId::from_parameter(n), &ds, |b, ds| {
-            b.iter(|| binner.bin_rows(ds.iter()).expect("binning succeeds"));
+            b.iter(|| binner.bin_rows_parallel(ds.rows(), 1).expect("binning succeeds"));
         });
     }
     group.finish();

@@ -181,7 +181,7 @@ mod tests {
     use super::*;
     use arcs_core::Binner;
     use arcs_data::schema::{Attribute, Schema};
-    use arcs_data::{Dataset, Tuple, Value};
+    use arcs_data::{Tuple, Value};
 
     fn schema() -> Schema {
         Schema::new(vec![
@@ -192,8 +192,8 @@ mod tests {
         .unwrap()
     }
 
-    fn blocky_dataset() -> Dataset {
-        let mut ds = Dataset::new(schema());
+    fn blocky_dataset() -> Vec<Tuple> {
+        let mut ds = Vec::new();
         for ix in 0..10 {
             for iy in 0..10 {
                 let x = ix as f64 + 0.5;
@@ -201,17 +201,17 @@ mod tests {
                 let in_block = (2..5).contains(&ix) && (2..5).contains(&iy);
                 let (n_a, n_other) = if in_block { (20, 2) } else { (0, 5) };
                 for _ in 0..n_a {
-                    ds.push(vec![Value::Quant(x), Value::Quant(y), Value::Cat(0)]).unwrap();
+                    ds.push(Tuple::new(vec![Value::Quant(x), Value::Quant(y), Value::Cat(0)]));
                 }
                 for _ in 0..n_other {
-                    ds.push(vec![Value::Quant(x), Value::Quant(y), Value::Cat(1)]).unwrap();
+                    ds.push(Tuple::new(vec![Value::Quant(x), Value::Quant(y), Value::Cat(1)]));
                 }
             }
         }
         ds
     }
 
-    fn setup() -> (Dataset, Binner) {
+    fn setup() -> (Vec<Tuple>, Binner) {
         let ds = blocky_dataset();
         let b = Binner::equi_width(&schema(), "x", "y", "g", 10, 10).unwrap();
         (ds, b)

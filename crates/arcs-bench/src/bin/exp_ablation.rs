@@ -27,7 +27,7 @@ use arcs_core::engine::{rule_grid, support_grid};
 use arcs_core::mdl::{MdlScore, MdlWeights};
 use arcs_core::optimizer::{optimize, OptimizerConfig};
 use arcs_core::smooth::{smooth, smooth_support, SmoothConfig};
-use arcs_core::verify::{verify_counts, verify_tuples};
+use arcs_core::verify::verify_counts;
 use arcs_core::{Arcs, ArcsConfig, Binner, Rect, SegmentRequest, Segmentation};
 use arcs_data::sample::sample_rows;
 
@@ -40,13 +40,15 @@ fn main() {
     let (train, test) = workload(n, 0.10, seed);
     let binner = Binner::equi_width(train.schema(), "age", "salary", "group", 50, 50)
         .expect("schema attributes exist");
-    let array = binner.bin_rows(train.iter()).expect("binning succeeds");
+    let threads = ArcsConfig::default().threads;
+    let array = binner.bin_rows_parallel(train.rows(), threads).expect("binning succeeds");
+    let test_array = binner.bin_rows_parallel(test.rows(), threads).expect("binning succeeds");
 
     let mut table = Table::new(["variant", "rules", "MDL", "train err%", "test err%"]);
 
     let mut record = |name: &str, clusters: &[Rect]| {
         let train_err = verify_counts(clusters, &array, 0);
-        let test_err = verify_tuples(clusters, &binner, test.iter(), 0);
+        let test_err = verify_counts(clusters, &test_array, 0);
         let score = MdlScore::compute(clusters.len(), train_err.total(), MdlWeights::default());
         table.row([
             name.to_string(),

@@ -41,8 +41,7 @@ fn dataset(seed: u64) -> (Dataset, Vec<u32>) {
         let in_pocket = hot.contains(&zip) && (30.0..60.0).contains(&salary);
         let p_a = if in_pocket { 0.9 } else { 0.03 };
         let g = u32::from(!rng.gen_bool(p_a));
-        ds.push(vec![Value::Cat(zip), Value::Quant(salary), Value::Cat(g)])
-            .expect("tuple conforms");
+        ds.push(&[Value::Cat(zip), Value::Quant(salary), Value::Cat(g)]).expect("tuple conforms");
     }
     (ds, hot)
 }
@@ -58,13 +57,12 @@ fn natural_order(ds: &Dataset) -> Dataset {
     ])
     .expect("valid schema");
     let mut out = Dataset::with_capacity(schema, ds.len());
-    for t in ds.iter() {
-        out.push(vec![
-            Value::Quant(t.cat(0) as f64),
-            Value::Quant(t.quant(1)),
-            Value::Cat(t.cat(2)),
-        ])
-        .expect("tuple conforms");
+    let kind = "the tuples' schema";
+    let (zips, salaries, groups) =
+        (ds.cat(0).expect(kind), ds.quant(1).expect(kind), ds.cat(2).expect(kind));
+    for ((&zip, &salary), &g) in zips.iter().zip(salaries).zip(groups) {
+        out.push(&[Value::Quant(zip as f64), Value::Quant(salary), Value::Cat(g)])
+            .expect("tuple conforms");
     }
     out
 }

@@ -22,7 +22,7 @@ fn main() {
     let (train, _) = workload(n, 0.10, seed);
     let binner = Binner::equi_width(train.schema(), "age", "salary", "group", 50, 50)
         .expect("schema attributes exist");
-    let array = binner.bin_rows(train.iter()).expect("binning succeeds");
+    let array = binner.bin_rows_parallel(train.rows(), 1).expect("binning succeeds");
     let thresholds = Thresholds::new(0.0002, 0.45).expect("valid thresholds");
     let raw = rule_grid(&array, 0, thresholds).expect("grid builds");
     let smoothed = smooth(&raw, &SmoothConfig::default()).expect("smoothing succeeds");

@@ -142,7 +142,7 @@ fn main() {
     let ds = gen.generate(tuples);
     let binner = Binner::equi_width(ds.schema(), "age", "salary", "group", 50, 50)
         .expect("schema has the Agrawal attributes");
-    let agrawal = binner.bin_rows(ds.iter()).expect("binning succeeds");
+    let agrawal = binner.bin_rows_parallel(ds.rows(), 1).expect("binning succeeds");
 
     let sparse = sparse_array(200, 200, if quick { 60 } else { 120 });
 

@@ -75,11 +75,17 @@ fn main() {
     let ds = gen.generate(tuples);
     let binner = Binner::equi_width(ds.schema(), "age", "salary", "group", 50, 50)
         .expect("schema has the Agrawal attributes");
-    let sample: Vec<&Tuple> = ds.iter().take(4_000).collect();
+    // The same rows as tuples, from the same stream: the reference the
+    // column pass must equal, and the search's sample.
+    let stream: Vec<Tuple> = AgrawalGenerator::new(GeneratorConfig::paper_defaults(seed))
+        .expect("valid config")
+        .take(tuples)
+        .collect();
+    let sample: Vec<&Tuple> = stream.iter().take(4_000).collect();
     let grid = blocky_grid(1024, 256, if quick { 120 } else { 400 }, seed);
 
     // ---- correctness gate: bit-identical at every thread count ---------
-    let base_array = binner.bin_rows(ds.iter()).expect("sequential binning");
+    let base_array = binner.bin_rows(&stream).expect("sequential binning");
     let base_rects = bitop::enumerate_candidates(&grid);
     let opt_config = |threads: usize| OptimizerConfig {
         threads,

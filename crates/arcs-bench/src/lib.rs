@@ -22,7 +22,7 @@ pub mod multidim;
 use std::time::{Duration, Instant};
 
 use arcs_classifier::{DecisionTree, RuleSet, RulesConfig, TreeConfig};
-use arcs_core::verify::verify_tuples;
+use arcs_core::verify::verify_counts;
 use arcs_core::{Arcs, ArcsConfig, Binner, SegmentRequest, Segmentation};
 use arcs_data::generator::{AgrawalGenerator, GeneratorConfig};
 use arcs_data::schema::{Attribute, Schema};
@@ -99,7 +99,7 @@ pub fn cube_workload(n: usize, seed: u64) -> Dataset {
         let in_box = (2.0..5.0).contains(&a) && (2.0..5.0).contains(&b) && (2.0..5.0).contains(&c);
         let p_x = if in_box { 0.95 } else { 0.02 };
         let g = if rng.gen_bool(p_x) { 0 } else { 1 };
-        ds.push(vec![Value::Quant(a), Value::Quant(b), Value::Quant(c), Value::Cat(g)])
+        ds.push(&[Value::Quant(a), Value::Quant(b), Value::Quant(c), Value::Cat(g)])
             .expect("tuple conforms");
     }
     ds
@@ -124,7 +124,10 @@ pub fn run_arcs(train: &Dataset, test: &Dataset, config: ArcsConfig) -> ArcsRun 
         arcs.config().n_y_bins,
     )
     .expect("schema attributes exist");
-    let errors = verify_tuples(&segmentation.clusters, &binner, test.iter(), 0);
+    let test_array = binner
+        .bin_rows_parallel(test.rows(), arcs.config().threads)
+        .expect("the test set shares the training schema");
+    let errors = verify_counts(&segmentation.clusters, &test_array, 0);
     ArcsRun { segmentation, test_error: errors.rate(), elapsed }
 }
 

@@ -15,7 +15,7 @@ use arcs_core::request::group_code;
 use arcs_core::sql::{range_predicate, SqlPredicate};
 use arcs_core::verify::ErrorCounts;
 use arcs_core::{ArcsError, ClusteredRule};
-use arcs_data::{Dataset, Tuple};
+use arcs_data::Dataset;
 
 /// An axis-aligned box over any number of named quantitative attributes.
 #[derive(Debug, Clone, PartialEq)]
@@ -46,17 +46,13 @@ impl ClusterBox {
         self.ranges.len()
     }
 
-    /// Whether `tuple` (interpreted against `dataset`'s schema) satisfies
-    /// every range of the box.
-    pub fn covers(&self, tuple: &Tuple, dataset: &Dataset) -> Result<bool, ArcsError> {
-        for (attr, (lo, hi)) in &self.ranges {
-            let idx = dataset.schema().require(attr)?;
-            let v = tuple.quant(idx);
-            if !(*lo..*hi).contains(&v) {
-                return Ok(false);
-            }
-        }
-        Ok(true)
+    /// Each range's attribute column in `dataset`, with the range.
+    fn columns<'a>(&self, dataset: &'a Dataset) -> Result<Vec<RangeColumn<'a>>, ArcsError> {
+        let schema = dataset.schema();
+        self.ranges
+            .iter()
+            .map(|(attr, &(lo, hi))| Ok((dataset.quant(schema.require(attr)?)?, lo..hi)))
+            .collect()
     }
 
     /// Joins with `other` on their shared attributes: shared ranges must
@@ -120,6 +116,9 @@ impl SqlPredicate for ClusterBox {
     }
 }
 
+/// An attribute's column with the range a box allows it.
+type RangeColumn<'a> = (&'a [f64], std::ops::Range<f64>);
+
 /// Joins every compatible pair across two rule sets (the paper's one
 /// combination step). Results are deduplicated.
 pub fn combine_rule_sets(a: &[ClusteredRule], b: &[ClusteredRule]) -> Vec<ClusterBox> {
@@ -156,16 +155,13 @@ pub fn box_errors(
         _ => return Err(ArcsError::UnknownGroup(group_label.to_string())),
     };
 
+    let boxes: Vec<_> = boxes.iter().map(|b| b.columns(dataset)).collect::<Result<_, _>>()?;
     let mut counts = ErrorCounts::default();
-    for tuple in dataset.iter() {
-        let mut covered = false;
-        for b in boxes {
-            if b.covers(tuple, dataset)? {
-                covered = true;
-                break;
-            }
-        }
-        let in_group = tuple.cat(criterion_idx) == gk;
+    for (row, &g) in dataset.cat(criterion_idx)?.iter().enumerate() {
+        let covered = boxes
+            .iter()
+            .any(|ranges| ranges.iter().all(|(values, range)| range.contains(&values[row])));
+        let in_group = g == gk;
         match (covered, in_group) {
             (true, false) => counts.false_positives += 1,
             (false, true) => counts.false_negatives += 1,
@@ -293,8 +289,7 @@ mod tests {
         let mut ds = Dataset::new(schema);
         // In-box group-A tuple, in-box other (FP), out-of-box group-A (FN).
         for (a, b, c, g) in [(1.0, 1.0, 1.0, 0u32), (1.0, 1.0, 1.0, 1), (9.0, 9.0, 9.0, 0)] {
-            ds.push(vec![Value::Quant(a), Value::Quant(b), Value::Quant(c), Value::Cat(g)])
-                .unwrap();
+            ds.push(&[Value::Quant(a), Value::Quant(b), Value::Quant(c), Value::Cat(g)]).unwrap();
         }
         let mut ranges = BTreeMap::new();
         ranges.insert("a".to_string(), (0.0, 5.0));

@@ -7,21 +7,22 @@
 use arcs_bench::anneal::{anneal, AnnealConfig};
 use arcs_bench::factorial::{factorial_search, FactorialConfig};
 use arcs_core::{optimize, Binner, OptimizerConfig};
+use arcs_data::agrawal;
 use arcs_data::generator::{AgrawalGenerator, GeneratorConfig};
-use arcs_data::{Dataset, Tuple};
+use arcs_data::Tuple;
 
-fn setup() -> (Dataset, Binner) {
-    let mut gen = AgrawalGenerator::new(GeneratorConfig::paper_defaults(31)).unwrap();
-    let ds = gen.generate(25_000);
-    let binner = Binner::equi_width(ds.schema(), "age", "salary", "group", 50, 50).unwrap();
-    (ds, binner)
+fn setup() -> (Vec<Tuple>, Binner) {
+    let gen = AgrawalGenerator::new(GeneratorConfig::paper_defaults(31)).unwrap();
+    let tuples = gen.take(25_000).collect();
+    let binner = Binner::equi_width(&agrawal::schema(), "age", "salary", "group", 50, 50).unwrap();
+    (tuples, binner)
 }
 
 #[test]
 fn all_three_searches_recover_compact_segmentations_on_f2() {
-    let (ds, binner) = setup();
-    let array = binner.bin_rows(ds.iter()).unwrap();
-    let every: Vec<&Tuple> = ds.iter().collect();
+    let (tuples, binner) = setup();
+    let array = binner.bin_rows(&tuples).unwrap();
+    let every: Vec<&Tuple> = tuples.iter().collect();
 
     // Depending on label noise a search may legitimately prefer a
     // slightly coarser or finer MDL optimum than the three generating
@@ -56,9 +57,9 @@ fn all_three_searches_recover_compact_segmentations_on_f2() {
 
 #[test]
 fn factorial_needs_fewer_evaluations() {
-    let (ds, binner) = setup();
-    let array = binner.bin_rows(ds.iter()).unwrap();
-    let every: Vec<&Tuple> = ds.iter().collect();
+    let (tuples, binner) = setup();
+    let array = binner.bin_rows(&tuples).unwrap();
+    let every: Vec<&Tuple> = tuples.iter().collect();
 
     let hill = optimize(&array, 0, &binner, &every, &OptimizerConfig::default()).unwrap();
     let factorial = factorial_search(&array, 0, &FactorialConfig::default()).unwrap();
@@ -79,9 +80,9 @@ fn factorial_needs_fewer_evaluations() {
 
 #[test]
 fn traces_expose_the_search_path() {
-    let (ds, binner) = setup();
-    let array = binner.bin_rows(ds.iter()).unwrap();
-    let sample: Vec<&Tuple> = ds.rows().iter().take(1_000).collect();
+    let (tuples, binner) = setup();
+    let array = binner.bin_rows(&tuples).unwrap();
+    let sample: Vec<&Tuple> = tuples.iter().take(1_000).collect();
     let result = optimize(&array, 0, &binner, &sample, &OptimizerConfig::default()).unwrap();
     assert!(!result.trace.is_empty());
     // The best evaluation appears in the trace.

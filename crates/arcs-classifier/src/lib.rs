@@ -23,9 +23,11 @@
 #![warn(rust_2018_idioms)]
 
 pub mod error;
+pub mod row;
 pub mod rules;
 pub mod tree;
 
 pub use error::ClassifierError;
+pub use row::Row;
 pub use rules::{Condition, Rule, RuleSet, RulesConfig};
 pub use tree::{DecisionTree, Node, SplitTest, TreeConfig};

@@ -13,10 +13,11 @@
 //!    accuracy, and a default class (the majority among training tuples
 //!    not covered by any rule) completes the set.
 
-use arcs_data::{Dataset, Tuple};
+use arcs_data::Dataset;
 
 use crate::error::ClassifierError;
-use crate::tree::{pessimistic_errors, DecisionTree, Node, SplitTest};
+use crate::row::{Columns, Row};
+use crate::tree::{error_rate, pessimistic_errors, DecisionTree, Node, SplitTest};
 
 /// One atomic condition on an attribute.
 #[derive(Debug, Clone, PartialEq)]
@@ -45,12 +46,12 @@ pub enum Condition {
 }
 
 impl Condition {
-    /// Whether `tuple` satisfies the condition.
-    pub fn matches(&self, tuple: &Tuple) -> bool {
+    /// Whether `row` satisfies the condition.
+    pub fn matches(&self, row: &impl Row) -> bool {
         match self {
-            Condition::LessEq { attr, threshold } => tuple.quant(*attr) <= *threshold,
-            Condition::Greater { attr, threshold } => tuple.quant(*attr) > *threshold,
-            Condition::Equals { attr, code } => tuple.cat(*attr) == *code,
+            Condition::LessEq { attr, threshold } => row.quant(*attr) <= *threshold,
+            Condition::Greater { attr, threshold } => row.quant(*attr) > *threshold,
+            Condition::Equals { attr, code } => row.cat(*attr) == *code,
         }
     }
 }
@@ -67,9 +68,9 @@ pub struct Rule {
 }
 
 impl Rule {
-    /// Whether the rule's LHS covers `tuple`.
-    pub fn covers(&self, tuple: &Tuple) -> bool {
-        self.conditions.iter().all(|c| c.matches(tuple))
+    /// Whether the rule's LHS covers `row`.
+    pub fn covers(&self, row: &impl Row) -> bool {
+        self.conditions.iter().all(|c| c.matches(row))
     }
 }
 
@@ -126,8 +127,10 @@ impl RuleSet {
         collect_paths(tree.root(), &mut Vec::new(), &mut paths);
 
         // Strided evaluation subsample for the generalization step.
+        let columns = Columns::new(training);
         let stride = training.len().div_ceil(config.max_eval_tuples).max(1);
-        let eval_rows: Vec<&Tuple> = training.iter().step_by(stride).collect();
+        let eval_rows: Vec<_> =
+            (0..training.len()).step_by(stride).map(|r| columns.row(r)).collect();
 
         let mut rules: Vec<Rule> = Vec::new();
         for (conditions, class) in paths {
@@ -202,10 +205,10 @@ impl RuleSet {
 
         let mut uncovered = vec![0usize; n_classes];
         let mut overall = vec![0usize; n_classes];
-        for t in training.iter() {
+        for t in (0..training.len()).map(|r| columns.row(r)) {
             let class = t.cat(target) as usize;
             overall[class] += 1;
-            if !rules.iter().any(|r| r.covers(t)) {
+            if !rules.iter().any(|r| r.covers(&t)) {
                 uncovered[class] += 1;
             }
         }
@@ -221,19 +224,15 @@ impl RuleSet {
         Ok(RuleSet { rules, default_class, target })
     }
 
-    /// Predicts the class of one tuple: the first covering rule wins, the
-    /// default class otherwise.
-    pub fn predict(&self, tuple: &Tuple) -> u32 {
-        self.rules.iter().find(|r| r.covers(tuple)).map_or(self.default_class, |r| r.class)
+    /// Predicts the class of one row (a [`Tuple`](arcs_data::Tuple), say):
+    /// the first covering rule wins, the default class otherwise.
+    pub fn predict(&self, row: &impl Row) -> u32 {
+        self.rules.iter().find(|r| r.covers(row)).map_or(self.default_class, |r| r.class)
     }
 
     /// Fraction of `dataset` rows the rule set misclassifies.
     pub fn error_rate(&self, dataset: &Dataset) -> f64 {
-        if dataset.is_empty() {
-            return 0.0;
-        }
-        let wrong = dataset.iter().filter(|t| self.predict(t) != t.cat(self.target)).count();
-        wrong as f64 / dataset.len() as f64
+        error_rate(dataset, self.target, |row| self.predict(row))
     }
 
     /// Number of rules (excluding the default).
@@ -296,7 +295,7 @@ fn pessimism_rate(errors: usize, covered: usize, cf: f64) -> f64 {
 fn generalize(
     mut conditions: Vec<Condition>,
     class: u32,
-    eval_rows: &[&Tuple],
+    eval_rows: &[impl Row],
     target: usize,
     cf: f64,
 ) -> Rule {
@@ -360,7 +359,7 @@ mod tests {
     use super::*;
     use crate::tree::TreeConfig;
     use arcs_data::schema::{Attribute, Schema};
-    use arcs_data::{Dataset, Value};
+    use arcs_data::{Dataset, Tuple, Value};
 
     fn schema() -> Schema {
         Schema::new(vec![
@@ -378,7 +377,7 @@ mod tests {
             let x = (i % 20) as f64 / 2.0;
             let y = ((i * 13 + 3) % 20) as f64 / 2.0;
             let class = u32::from(x > 5.0);
-            ds.push(vec![Value::Quant(x), Value::Quant(y), Value::Cat(class)]).unwrap();
+            ds.push(&[Value::Quant(x), Value::Quant(y), Value::Cat(class)]).unwrap();
         }
         ds
     }
@@ -397,7 +396,8 @@ mod tests {
         // Hand-build an over-specific condition list: the y condition is
         // redundant for predicting class from x.
         let ds = threshold_dataset();
-        let rows: Vec<&Tuple> = ds.iter().collect();
+        let columns = Columns::new(&ds);
+        let rows: Vec<_> = (0..ds.len()).map(|r| columns.row(r)).collect();
         let conditions = vec![
             Condition::LessEq { attr: 0, threshold: 5.0 },
             Condition::LessEq { attr: 1, threshold: 9.0 },
@@ -466,7 +466,7 @@ mod tests {
         // set degenerates to the unconditional rule / default class.
         let mut ds = Dataset::new(schema());
         for i in 0..50 {
-            ds.push(vec![Value::Quant(i as f64 / 5.0), Value::Quant(0.0), Value::Cat(1)]).unwrap();
+            ds.push(&[Value::Quant(i as f64 / 5.0), Value::Quant(0.0), Value::Cat(1)]).unwrap();
         }
         let tree = DecisionTree::train(&ds, "class", TreeConfig::default()).unwrap();
         assert_eq!(tree.n_leaves(), 1);

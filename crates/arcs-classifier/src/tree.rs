@@ -19,9 +19,10 @@
 
 use arcs_data::schema::AttrKind;
 use arcs_data::stats::entropy;
-use arcs_data::{Dataset, Tuple};
+use arcs_data::Dataset;
 
 use crate::error::ClassifierError;
+use crate::row::{ColumnRow, Columns, Row};
 
 /// Training parameters.
 #[derive(Debug, Clone, PartialEq)]
@@ -240,7 +241,9 @@ fn normal_quantile(p: f64) -> f64 {
 
 struct Trainer<'a> {
     dataset: &'a Dataset,
-    target: usize,
+    columns: Columns<'a>,
+    /// The target's class codes, by row.
+    classes: &'a [u32],
     n_classes: usize,
     config: TreeConfig,
     /// Attribute positions usable for splitting (everything but the target).
@@ -260,14 +263,9 @@ impl<'a> Trainer<'a> {
     fn class_counts(&self, rows: &[u32]) -> Vec<usize> {
         let mut counts = vec![0usize; self.n_classes];
         for &r in rows {
-            counts[self.row(r).cat(self.target) as usize] += 1;
+            counts[self.classes[r as usize] as usize] += 1;
         }
         counts
-    }
-
-    #[inline]
-    fn row(&self, r: u32) -> &Tuple {
-        self.dataset.row(r as usize).expect("row index valid")
     }
 
     fn majority(counts: &[usize]) -> u32 {
@@ -338,13 +336,9 @@ impl<'a> Trainer<'a> {
 
     fn threshold_split(&self, rows: &[u32], attr: usize, base_entropy: f64) -> Option<Candidate> {
         let n = rows.len();
-        let mut sorted: Vec<(f64, u32, u32)> = rows
-            .iter()
-            .map(|&r| {
-                let t = self.row(r);
-                (t.quant(attr), t.cat(self.target), r)
-            })
-            .collect();
+        let values = self.columns.quant(attr);
+        let mut sorted: Vec<(f64, u32, u32)> =
+            rows.iter().map(|&r| (values[r as usize], self.classes[r as usize], r)).collect();
         sorted.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite values"));
 
         // Sweep: maintain left/right class counts; evaluate a cut between
@@ -396,8 +390,9 @@ impl<'a> Trainer<'a> {
         base_entropy: f64,
     ) -> Option<Candidate> {
         let mut parts: Vec<Vec<u32>> = vec![Vec::new(); cardinality];
+        let codes = self.columns.cat(attr);
         for &r in rows {
-            parts[self.row(r).cat(attr) as usize].push(r);
+            parts[codes[r as usize] as usize].push(r);
         }
         let non_empty = parts.iter().filter(|p| !p.is_empty()).count();
         if non_empty < 2 {
@@ -475,17 +470,34 @@ impl<'a> Trainer<'a> {
     fn partition(&self, rows: &[u32], test: &SplitTest, n_branches: usize) -> Vec<Vec<u32>> {
         let mut parts: Vec<Vec<u32>> = vec![Vec::new(); n_branches];
         for &r in rows {
-            let t = self.row(r);
-            let branch = match test {
-                SplitTest::Threshold { attr, threshold } => {
-                    usize::from(t.quant(*attr) > *threshold)
-                }
-                SplitTest::Category { attr } => t.cat(*attr) as usize,
-            };
-            parts[branch].push(r);
+            parts[branch(test, &self.columns.row(r as usize))].push(r);
         }
         parts
     }
+}
+
+/// The branch `test` sends `row` down.
+fn branch(test: &SplitTest, row: &impl Row) -> usize {
+    match test {
+        SplitTest::Threshold { attr, threshold } => usize::from(row.quant(*attr) > *threshold),
+        SplitTest::Category { attr } => row.cat(*attr) as usize,
+    }
+}
+
+/// Fraction of `dataset` rows whose `predict`ed class is not their class
+/// at `target`; 0 for an empty dataset.
+pub(crate) fn error_rate(
+    dataset: &Dataset,
+    target: usize,
+    predict: impl Fn(&ColumnRow<'_, '_>) -> u32,
+) -> f64 {
+    if dataset.is_empty() {
+        return 0.0;
+    }
+    let columns = Columns::new(dataset);
+    let classes = columns.cat(target);
+    let wrong = (0..dataset.len()).filter(|&r| predict(&columns.row(r)) != classes[r]).count();
+    wrong as f64 / dataset.len() as f64
 }
 
 impl DecisionTree {
@@ -511,8 +523,10 @@ impl DecisionTree {
             }
         };
         let attrs: Vec<usize> = (0..schema.arity()).filter(|&i| i != target_idx).collect();
+        let columns = Columns::new(dataset);
+        let classes = columns.cat(target_idx);
         let trainer =
-            Trainer { dataset, target: target_idx, n_classes, config: config.clone(), attrs };
+            Trainer { dataset, columns, classes, n_classes, config: config.clone(), attrs };
         let rows: Vec<u32> = (0..dataset.len() as u32).collect();
         let mut root = trainer.build(rows.clone(), 0);
         if let Some(cf) = config.confidence {
@@ -521,20 +535,15 @@ impl DecisionTree {
         Ok(DecisionTree { root, target: target_idx, n_classes })
     }
 
-    /// Predicts the class code of one tuple.
-    pub fn predict(&self, tuple: &Tuple) -> u32 {
+    /// Predicts the class code of one row (a [`Tuple`](arcs_data::Tuple),
+    /// say).
+    pub fn predict(&self, row: &impl Row) -> u32 {
         let mut node = &self.root;
         loop {
             match node {
                 Node::Leaf { class, .. } => return *class,
                 Node::Split { test, children, majority } => {
-                    let branch = match test {
-                        SplitTest::Threshold { attr, threshold } => {
-                            usize::from(tuple.quant(*attr) > *threshold)
-                        }
-                        SplitTest::Category { attr } => tuple.cat(*attr) as usize,
-                    };
-                    match children.get(branch) {
+                    match children.get(branch(test, row)) {
                         Some(child) => node = child,
                         // Unseen category code: fall back to the node's
                         // majority class.
@@ -547,11 +556,7 @@ impl DecisionTree {
 
     /// Fraction of `dataset` rows the tree misclassifies.
     pub fn error_rate(&self, dataset: &Dataset) -> f64 {
-        if dataset.is_empty() {
-            return 0.0;
-        }
-        let wrong = dataset.iter().filter(|t| self.predict(t) != t.cat(self.target)).count();
-        wrong as f64 / dataset.len() as f64
+        error_rate(dataset, self.target, |row| self.predict(row))
     }
 
     /// The tree's root node.
@@ -584,7 +589,7 @@ impl DecisionTree {
 mod tests {
     use super::*;
     use arcs_data::schema::{Attribute, Schema};
-    use arcs_data::Value;
+    use arcs_data::{Tuple, Value};
 
     fn xy_schema() -> Schema {
         Schema::new(vec![
@@ -602,7 +607,7 @@ mod tests {
         for i in 0..100 {
             let x = i as f64 / 10.0;
             let class = u32::from(x > 5.0);
-            ds.push(vec![Value::Quant(x), Value::Cat(0), Value::Cat(class)]).unwrap();
+            ds.push(&[Value::Quant(x), Value::Cat(0), Value::Cat(class)]).unwrap();
         }
         let tree = DecisionTree::train(&ds, "class", TreeConfig::default()).unwrap();
         assert_eq!(tree.error_rate(&ds), 0.0);
@@ -620,7 +625,7 @@ mod tests {
         for i in 0..100 {
             let x = (i % 10) as f64;
             let color = (i % 2) as u32;
-            ds.push(vec![Value::Quant(x), Value::Cat(color), Value::Cat(color)]).unwrap();
+            ds.push(&[Value::Quant(x), Value::Cat(color), Value::Cat(color)]).unwrap();
         }
         let tree = DecisionTree::train(&ds, "class", TreeConfig::default()).unwrap();
         assert_eq!(tree.error_rate(&ds), 0.0);
@@ -641,7 +646,7 @@ mod tests {
                 let x = ix as f64 / 2.0;
                 let y = iy as f64 / 2.0;
                 let class = u32::from((x > 5.0) ^ (y > 5.0));
-                ds.push(vec![Value::Quant(x), Value::Quant(y), Value::Cat(class)]).unwrap();
+                ds.push(&[Value::Quant(x), Value::Quant(y), Value::Cat(class)]).unwrap();
             }
         }
         let tree = DecisionTree::train(&ds, "class", TreeConfig::default()).unwrap();
@@ -657,7 +662,7 @@ mod tests {
         for i in 0..200 {
             let x = (i % 17) as f64 / 1.7;
             let class = ((i * 31 + 7) % 2) as u32;
-            ds.push(vec![Value::Quant(x), Value::Cat((i % 2) as u32), Value::Cat(class)]).unwrap();
+            ds.push(&[Value::Quant(x), Value::Cat((i % 2) as u32), Value::Cat(class)]).unwrap();
         }
         let pruned = DecisionTree::train(&ds, "class", TreeConfig::default()).unwrap();
         let unpruned = DecisionTree::train(
@@ -683,7 +688,7 @@ mod tests {
             ClassifierError::EmptyTrainingSet
         );
         let mut ds = Dataset::new(xy_schema());
-        ds.push(vec![Value::Quant(1.0), Value::Cat(0), Value::Cat(0)]).unwrap();
+        ds.push(&[Value::Quant(1.0), Value::Cat(0), Value::Cat(0)]).unwrap();
         assert!(DecisionTree::train(&ds, "missing", TreeConfig::default()).is_err());
         assert!(DecisionTree::train(&ds, "x", TreeConfig::default()).is_err());
         assert!(DecisionTree::train(
@@ -704,7 +709,7 @@ mod tests {
     fn single_class_data_is_one_leaf() {
         let mut ds = Dataset::new(xy_schema());
         for i in 0..50 {
-            ds.push(vec![Value::Quant(i as f64 / 5.0), Value::Cat(0), Value::Cat(0)]).unwrap();
+            ds.push(&[Value::Quant(i as f64 / 5.0), Value::Cat(0), Value::Cat(0)]).unwrap();
         }
         let tree = DecisionTree::train(&ds, "class", TreeConfig::default()).unwrap();
         assert_eq!(tree.n_leaves(), 1);
@@ -739,7 +744,7 @@ mod tests {
         for i in 0..256 {
             let x = i as f64 / 25.6;
             let class = ((i / 2) % 2) as u32; // needs many splits
-            ds.push(vec![Value::Quant(x), Value::Cat(0), Value::Cat(class)]).unwrap();
+            ds.push(&[Value::Quant(x), Value::Cat(0), Value::Cat(class)]).unwrap();
         }
         let tree = DecisionTree::train(
             &ds,

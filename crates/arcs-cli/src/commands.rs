@@ -541,7 +541,7 @@ pub fn explore(argv: &[String]) -> Result<String, CliError> {
     // An unknown label is a data error (exit 3), as `pipeline_err` maps
     // every `UnknownGroup`.
     let gk = group_code(binner.labels(), group).map_err(pipeline_err)?;
-    let array = binner.bin_rows(ds.iter()).map_err(run_err)?;
+    let array = binner.bin_rows_parallel(ds.rows(), default_threads()).map_err(run_err)?;
     let lattice = ThresholdLattice::build(&array, gk);
 
     let mut out = String::new();

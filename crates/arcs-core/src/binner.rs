@@ -2,13 +2,17 @@
 //!
 //! The binner is the only component that touches the source data, and it
 //! does so in a single pass, so ARCS memory use is bounded by the bin array
-//! regardless of database size (§4.3).
+//! regardless of database size (§4.3). A dataset is binned from its
+//! columns: each shard reads its rows' x, y and criterion slices
+//! ([`Binner::bin_rows_parallel`]). A scanned CSV row is binned as it
+//! arrives ([`Binner::bin_values`]), and tuples one by one
+//! ([`Binner::bin_rows`], the reference the column pass is tested against).
 
 use arcs_data::schema::AttrKind;
-use arcs_data::{Schema, Tuple, Value};
+use arcs_data::{Rows, Schema, Tuple, Value};
 
 use crate::binarray::BinArray;
-use crate::binning::BinMap;
+use crate::binning::{BinMap, Resolved};
 use crate::error::ArcsError;
 use crate::metrics::RecoveryStats;
 
@@ -58,15 +62,16 @@ impl Binner {
         n_x_bins: usize,
         n_y_bins: usize,
     ) -> Result<Self, ArcsError> {
-        let x_idx = schema.require(x_attr)?;
-        let y_idx = schema.require(y_attr)?;
-        let x_map = Self::quant_map(schema, x_idx, n_x_bins)?;
-        let y_map = Self::quant_map(schema, y_idx, n_y_bins)?;
+        let (x_idx, x_min, x_max) = Self::lhs_attribute(schema, x_attr)?;
+        let (y_idx, y_min, y_max) = Self::lhs_attribute(schema, y_attr)?;
+        let x_map = BinMap::equi_width(x_min, x_max, n_x_bins)?;
+        let y_map = BinMap::equi_width(y_min, y_max, n_y_bins)?;
         Self::assemble(schema, x_idx, y_idx, criterion_attr, x_map, y_map)
     }
 
     /// Builds a binner with explicit, pre-computed [`BinMap`]s (used for
-    /// equi-depth / homogeneity binning, or custom boundaries).
+    /// equi-depth / homogeneity binning, or custom boundaries). Like
+    /// [`Binner::equi_width`], it refuses a categorical x or y.
     pub fn with_maps(
         schema: &Schema,
         x_attr: &str,
@@ -75,15 +80,18 @@ impl Binner {
         x_map: BinMap,
         y_map: BinMap,
     ) -> Result<Self, ArcsError> {
-        let x_idx = schema.require(x_attr)?;
-        let y_idx = schema.require(y_attr)?;
+        let (x_idx, ..) = Self::lhs_attribute(schema, x_attr)?;
+        let (y_idx, ..) = Self::lhs_attribute(schema, y_attr)?;
         Self::assemble(schema, x_idx, y_idx, criterion_attr, x_map, y_map)
     }
 
-    fn quant_map(schema: &Schema, idx: usize, n_bins: usize) -> Result<BinMap, ArcsError> {
+    /// The index and declared domain of the LHS attribute `name`, which
+    /// must be quantitative.
+    fn lhs_attribute(schema: &Schema, name: &str) -> Result<(usize, f64, f64), ArcsError> {
+        let idx = schema.require(name)?;
         let attr = schema.attribute(idx).expect("index from require");
-        match &attr.kind {
-            AttrKind::Quantitative { min, max } => BinMap::equi_width(*min, *max, n_bins),
+        match attr.kind {
+            AttrKind::Quantitative { min, max } => Ok((idx, min, max)),
             AttrKind::Categorical { .. } => Err(ArcsError::AttributeKind {
                 attribute: attr.name.clone(),
                 expected: "a quantitative LHS attribute",
@@ -163,12 +171,16 @@ impl Binner {
 
     /// Bins one row's `(x, y, group)` projection. `values` is a whole
     /// schema row — a tuple's values, or a row the CSV scanner hands over
-    /// without building a tuple; panics if the criterion position holds a
-    /// quantitative value.
+    /// without building a tuple; panics if the x or y position holds a
+    /// categorical value or the criterion position a quantitative one.
     #[inline]
     pub fn bin_values(&self, values: &[Value]) -> (usize, usize, u32) {
-        let x = self.x_map.bin_of(values[self.x_idx]);
-        let y = self.y_map.bin_of(values[self.y_idx]);
+        let quant = |idx: usize| match values[idx] {
+            Value::Quant(v) => v,
+            Value::Cat(_) => panic!("attribute {idx} is categorical, expected quantitative"),
+        };
+        let x = self.x_map.bin_of_value(quant(self.x_idx));
+        let y = self.y_map.bin_of_value(quant(self.y_idx));
         let g = match values[self.criterion_idx] {
             Value::Cat(c) => c,
             Value::Quant(_) => {
@@ -198,8 +210,8 @@ impl Binner {
         array.add(x, y, g);
     }
 
-    /// Bins every row of an in-memory dataset slice — the paper's single
-    /// data pass.
+    /// Bins tuples one by one — the paper's single data pass over rows,
+    /// and the reference [`Binner::bin_rows_parallel`] is tested against.
     pub fn bin_rows<'a, I>(&self, rows: I) -> Result<BinArray, ArcsError>
     where
         I: IntoIterator<Item = &'a Tuple>,
@@ -211,16 +223,23 @@ impl Binner {
         Ok(array)
     }
 
-    /// Bins an in-memory slice of rows across up to `threads` persistent
-    /// pool workers (see [`ExecPool`](crate::exec::ExecPool)).
+    /// Bins a dataset's rows across up to `threads` persistent pool
+    /// workers (see [`ExecPool`](crate::exec::ExecPool)).
     ///
-    /// Each worker fills a *private* [`BinArray`] over one contiguous
-    /// chunk of `rows`; the shards are then merged in chunk order via
-    /// [`BinArray::merge`]. Because the merge is an element-wise sum, the
-    /// result is bit-identical to [`Binner::bin_rows`] regardless of
-    /// thread count or scheduling. Small inputs bin as a single shard —
+    /// `rows` is cut into contiguous shards, and each worker fills a
+    /// *private* [`BinArray`] from one shard's x, y and criterion column
+    /// slices, with each axis's [`BinMap`] resolved once for the shard
+    /// (an equi-width map's bin width is computed once, not per value).
+    /// The shards are then merged in shard order via [`BinArray::merge`].
+    /// Because a value lands in the bin [`BinMap::bin_of_value`] gives it
+    /// and the merge is an element-wise sum, the result is bit-identical
+    /// to [`Binner::bin_rows`] over the same rows regardless of thread
+    /// count or scheduling. Small inputs bin as a single shard —
     /// sharding has no payoff below a few chunks' worth of tuples.
-    pub fn bin_rows_parallel(&self, rows: &[Tuple], threads: usize) -> Result<BinArray, ArcsError> {
+    ///
+    /// Errors if `rows`' schema gives x or y a categorical attribute or
+    /// the criterion a quantitative one.
+    pub fn bin_rows_parallel(&self, rows: Rows<'_>, threads: usize) -> Result<BinArray, ArcsError> {
         Ok(self.bin_rows_parallel_with_stats(rows, threads)?.0)
     }
 
@@ -235,27 +254,29 @@ impl Binner {
     /// merged result stays bit-identical to the fault-free run.
     pub fn bin_rows_parallel_with_stats(
         &self,
-        rows: &[Tuple],
+        rows: Rows<'_>,
         threads: usize,
     ) -> Result<(BinArray, RecoveryStats), ArcsError> {
         if threads == 0 {
             return Err(ArcsError::InvalidConfig("binning thread count must be positive".into()));
         }
+        // The columns' kinds, checked once: a shard's lookups then hold.
+        self.columns(rows)?;
         // Below this many rows per worker, queue + merge overhead exceeds
         // the binning work itself. The clamp is observable: a `threads > 1`
         // request that ran as one shard reports `effective_workers == 1`.
         const MIN_ROWS_PER_WORKER: usize = 4_096;
         let workers = threads.min(rows.len() / MIN_ROWS_PER_WORKER).max(1);
-        let shards: Vec<&[Tuple]> = rows.chunks(rows.len().div_ceil(workers).max(1)).collect();
+        let shards: Vec<Rows<'_>> = rows.chunks(rows.len().div_ceil(workers).max(1)).collect();
         let (arrays, stats) = crate::exec::ExecPool::global().run_isolated(
             "binning",
             workers,
             &shards,
             |shard| {
                 crate::faults::check("binner.shard")?;
-                self.bin_rows(shard.iter())
+                self.bin_shard(*shard)
             },
-            |shard| self.bin_rows(shard.iter()),
+            |shard| self.bin_shard(*shard),
         )?;
         let mut arrays = arrays.into_iter();
         let mut merged = match arrays.next() {
@@ -267,12 +288,52 @@ impl Binner {
         }
         Ok((merged, stats))
     }
+
+    /// The x, y and criterion columns of `rows`.
+    fn columns<'a>(&self, rows: Rows<'a>) -> Result<Columns<'a>, ArcsError> {
+        Ok((rows.quant(self.x_idx)?, rows.quant(self.y_idx)?, rows.cat(self.criterion_idx)?))
+    }
+
+    /// Bins one shard from its column slices, each axis's map resolved
+    /// once: one loop per pair of map kinds.
+    fn bin_shard(&self, rows: Rows<'_>) -> Result<BinArray, ArcsError> {
+        let (xs, ys, groups) = self.columns(rows)?;
+        let mut array = self.new_bin_array()?;
+        let a = &mut array;
+        match (self.x_map.resolve(), self.y_map.resolve()) {
+            (Resolved::Width(x), Resolved::Width(y)) => count(a, xs, ys, groups, x.bin(), y.bin()),
+            (Resolved::Width(x), Resolved::Edges(y)) => count(a, xs, ys, groups, x.bin(), y.bin()),
+            (Resolved::Edges(x), Resolved::Width(y)) => count(a, xs, ys, groups, x.bin(), y.bin()),
+            (Resolved::Edges(x), Resolved::Edges(y)) => count(a, xs, ys, groups, x.bin(), y.bin()),
+        }
+        Ok(array)
+    }
+}
+
+/// A row range's x, y and criterion columns.
+type Columns<'a> = (&'a [f64], &'a [f64], &'a [u32]);
+
+/// Adds row `i` of the columns `xs`, `ys`, `groups` to `array`, for every
+/// `i`, at bin `(x_bin(xs[i]), y_bin(ys[i]))`.
+#[inline]
+fn count(
+    array: &mut BinArray,
+    xs: &[f64],
+    ys: &[f64],
+    groups: &[u32],
+    x_bin: impl Fn(f64) -> usize,
+    y_bin: impl Fn(f64) -> usize,
+) {
+    for ((&x, &y), &g) in xs.iter().zip(ys).zip(groups) {
+        array.add(x_bin(x), y_bin(y), g);
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use arcs_data::schema::Attribute;
+    use arcs_data::Dataset;
 
     fn schema() -> Schema {
         Schema::new(vec![
@@ -283,8 +344,21 @@ mod tests {
         .unwrap()
     }
 
-    fn tuple(age: f64, salary: f64, g: u32) -> Tuple {
-        Tuple::new(vec![Value::Quant(age), Value::Quant(salary), Value::Cat(g)])
+    fn dataset(rows: &[(f64, f64, u32)]) -> Dataset {
+        let mut ds = Dataset::with_capacity(schema(), rows.len());
+        for &(age, salary, g) in rows {
+            ds.push(&[Value::Quant(age), Value::Quant(salary), Value::Cat(g)]).unwrap();
+        }
+        ds
+    }
+
+    /// The dataset's rows as tuples, in order.
+    fn tuples(rows: &[(f64, f64, u32)]) -> Vec<Tuple> {
+        rows.iter()
+            .map(|&(age, salary, g)| {
+                Tuple::new(vec![Value::Quant(age), Value::Quant(salary), Value::Cat(g)])
+            })
+            .collect()
     }
 
     #[test]
@@ -310,42 +384,96 @@ mod tests {
     }
 
     #[test]
+    fn with_maps_refuses_a_categorical_lhs_attribute() {
+        let s = Schema::new(vec![
+            Attribute::quantitative("age", 20.0, 80.0),
+            Attribute::categorical("elevel", ["0", "1", "2"]),
+            Attribute::categorical("group", ["A", "other"]),
+        ])
+        .unwrap();
+        let map = || BinMap::equi_width(0.0, 3.0, 3).unwrap();
+        for (x, y) in [("elevel", "age"), ("age", "elevel")] {
+            let err = Binner::with_maps(&s, x, y, "group", map(), map()).unwrap_err();
+            assert!(
+                matches!(&err, ArcsError::AttributeKind { attribute, .. } if attribute == "elevel"),
+                "{x}, {y}: {err:?}"
+            );
+            let err = Binner::equi_width(&s, x, y, "group", 3, 3).unwrap_err();
+            assert!(matches!(err, ArcsError::AttributeKind { .. }), "{x}, {y}: {err:?}");
+        }
+    }
+
+    #[test]
     fn bins_tuples_into_expected_cells() {
         let s = schema();
         let b = Binner::equi_width(&s, "age", "salary", "group", 6, 10).unwrap();
         // age 20..80 in 6 bins of width 10; salary 0..100k in 10 bins of 10k.
-        assert_eq!(b.bin_tuple(&tuple(25.0, 5_000.0, 0)), (0, 0, 0));
-        assert_eq!(b.bin_tuple(&tuple(35.0, 95_000.0, 1)), (1, 9, 1));
-        assert_eq!(b.bin_tuple(&tuple(80.0, 100_000.0, 0)), (5, 9, 0));
+        let rows = [(25.0, 5_000.0, 0), (35.0, 95_000.0, 1), (80.0, 100_000.0, 0)];
+        let cells = [(0, 0, 0), (1, 9, 1), (5, 9, 0)];
+        for (tuple, cell) in tuples(&rows).iter().zip(cells) {
+            assert_eq!(b.bin_tuple(tuple), cell);
+        }
+        let array = b.bin_rows_parallel(dataset(&rows).rows(), 1).unwrap();
+        assert_eq!(array.n_tuples(), 3);
+        for (x, y, g) in cells {
+            assert_eq!(array.group_count(x, y, g), 1, "cell ({x}, {y}, {g})");
+        }
         assert_eq!(b.bin_point(45.0, 52_000.0), (2, 5));
     }
 
     #[test]
     fn parallel_rows_match_sequential_bitwise() {
         let s = schema();
-        let b = Binner::equi_width(&s, "age", "salary", "group", 6, 10).unwrap();
+        let equi_width = Binner::equi_width(&s, "age", "salary", "group", 6, 10).unwrap();
         // Enough rows to clear the per-worker minimum and use real shards.
-        let tuples: Vec<Tuple> = (0..20_000)
-            .map(|i| tuple(20.0 + (i % 60) as f64, (i * 997 % 100_000) as f64, i % 2))
+        let rows: Vec<(f64, f64, u32)> = (0..20_000)
+            .map(|i| (20.0 + (i % 60) as f64, (i * 997 % 100_000) as f64, i % 2))
             .collect();
-        let sequential = b.bin_rows(tuples.iter()).unwrap();
-        for threads in [1, 2, 3, 4, 7] {
-            let parallel = b.bin_rows_parallel(&tuples, threads).unwrap();
-            assert_eq!(parallel, sequential, "threads = {threads}");
-            assert_eq!(parallel.checksum(), sequential.checksum());
+        let ds = dataset(&rows);
+        let ages = ds.quant(0).unwrap();
+        let edges = |values: &[f64], n| BinMap::equi_depth(values, n).unwrap();
+        let equi_depth = Binner::with_maps(
+            &s,
+            "age",
+            "salary",
+            "group",
+            edges(ages, 7),
+            BinMap::equi_width(0.0, 100_000.0, 10).unwrap(),
+        )
+        .unwrap();
+        for b in [equi_width, equi_depth] {
+            let sequential = b.bin_rows(tuples(&rows).iter()).unwrap();
+            for threads in [1, 2, 3, 4, 7] {
+                let parallel = b.bin_rows_parallel(ds.rows(), threads).unwrap();
+                assert_eq!(parallel, sequential, "threads = {threads}");
+                assert_eq!(parallel.checksum(), sequential.checksum());
+            }
+            assert!(b.bin_rows_parallel(ds.rows(), 0).is_err());
         }
-        assert!(b.bin_rows_parallel(&tuples, 0).is_err());
     }
 
     #[test]
     fn parallel_rows_handle_tiny_and_empty_inputs() {
         let s = schema();
         let b = Binner::equi_width(&s, "age", "salary", "group", 6, 10).unwrap();
-        let empty: Vec<Tuple> = Vec::new();
-        assert_eq!(b.bin_rows_parallel(&empty, 4).unwrap().n_tuples(), 0);
-        let few = vec![tuple(25.0, 5_000.0, 0), tuple(75.0, 95_000.0, 1)];
-        let parallel = b.bin_rows_parallel(&few, 8).unwrap();
-        assert_eq!(parallel, b.bin_rows(few.iter()).unwrap());
+        assert_eq!(b.bin_rows_parallel(dataset(&[]).rows(), 4).unwrap().n_tuples(), 0);
+        let few = [(25.0, 5_000.0, 0), (75.0, 95_000.0, 1)];
+        let parallel = b.bin_rows_parallel(dataset(&few).rows(), 8).unwrap();
+        assert_eq!(parallel, b.bin_rows(tuples(&few).iter()).unwrap());
+    }
+
+    #[test]
+    fn parallel_rows_refuse_columns_of_the_wrong_kind() {
+        let b = Binner::equi_width(&schema(), "age", "salary", "group", 6, 10).unwrap();
+        let swapped = Schema::new(vec![
+            Attribute::categorical("age", ["young", "old"]),
+            Attribute::quantitative("salary", 0.0, 100_000.0),
+            Attribute::categorical("group", ["A", "other"]),
+        ])
+        .unwrap();
+        let mut ds = Dataset::new(swapped);
+        ds.push(&[Value::Cat(0), Value::Quant(5_000.0), Value::Cat(0)]).unwrap();
+        assert!(matches!(b.bin_rows_parallel(ds.rows(), 2), Err(ArcsError::Data(_))));
     }
 
     #[test]
@@ -355,6 +483,9 @@ mod tests {
         let y_map = BinMap::equi_width(0.0, 100_000.0, 5).unwrap();
         let b = Binner::with_maps(&s, "age", "salary", "group", x_map, y_map).unwrap();
         assert_eq!(b.x_map().n_bins(), 3);
-        assert_eq!(b.bin_tuple(&tuple(45.0, 1_000.0, 0)).0, 1);
+        let rows = [(45.0, 1_000.0, 0)];
+        assert_eq!(b.bin_tuple(&tuples(&rows)[0]).0, 1);
+        let array = b.bin_rows_parallel(dataset(&rows).rows(), 1).unwrap();
+        assert_eq!(array.group_count(1, 0, 0), 1);
     }
 }

@@ -1,16 +1,15 @@
 //! Attribute binning (paper §2.1 and §3.1).
 //!
 //! Quantitative attributes are partitioned into intervals ("bins") and
-//! values replaced by consecutive bin integers before mining; categorical
-//! attributes map their codes directly onto bins. The paper evaluates
-//! *equi-width* bins and names equi-depth and homogeneity-based binning as
-//! drop-in alternatives — all three are implemented here behind one
-//! [`BinMap`] representation, so the rest of the system is agnostic to the
-//! strategy (the binning process is "transparent to the association rule
-//! engine").
+//! values replaced by consecutive bin integers before mining. The paper
+//! evaluates *equi-width* bins and names equi-depth and homogeneity-based
+//! binning as drop-in alternatives — all three are implemented here behind
+//! one [`BinMap`] representation, so the rest of the system is agnostic to
+//! the strategy (the binning process is "transparent to the association
+//! rule engine"). The two LHS attributes a map bins are quantitative; a
+//! categorical criterion's codes are its groups and need no map.
 
 use crate::error::ArcsError;
-use arcs_data::Value;
 
 /// A realised binning of one attribute: value → bin index and
 /// bin index → value range.
@@ -31,11 +30,6 @@ pub enum BinMap {
     Boundaries {
         /// `n_bins + 1` ascending edge values.
         edges: Vec<f64>,
-    },
-    /// Identity mapping for categorical attributes: code `c` → bin `c`.
-    Categorical {
-        /// Number of category codes.
-        cardinality: usize,
     },
 }
 
@@ -160,20 +154,11 @@ impl BinMap {
         Ok(BinMap::Boundaries { edges: merged })
     }
 
-    /// Builds the identity map for a categorical attribute.
-    pub fn categorical(cardinality: usize) -> Result<Self, ArcsError> {
-        if cardinality == 0 {
-            return Err(ArcsError::InvalidConfig("cardinality must be > 0".into()));
-        }
-        Ok(BinMap::Categorical { cardinality })
-    }
-
     /// Number of bins.
     pub fn n_bins(&self) -> usize {
         match self {
             BinMap::EquiWidth { n_bins, .. } => *n_bins,
             BinMap::Boundaries { edges } => edges.len() - 1,
-            BinMap::Categorical { cardinality } => *cardinality,
         }
     }
 
@@ -181,49 +166,29 @@ impl BinMap {
     /// clamped to the first/last bin (streamed data may exceed the declared
     /// domain slightly, e.g. after perturbation).
     pub fn bin_of_value(&self, v: f64) -> usize {
-        match self {
-            BinMap::EquiWidth { lo, hi, n_bins } => {
-                // Branchless: Rust's f64→usize cast saturates (negatives
-                // and NaN to 0, overflow to usize::MAX), so the two
-                // boundary branches collapse into the arithmetic — `v ≤
-                // lo` lands at 0 via the cast, `v ≥ hi` lands at `n_bins
-                // - 1` via the min. `bin_of_value_reference` keeps the
-                // branchy form; a test sweeps both for bit-identity.
-                let width = (hi - lo) / *n_bins as f64;
-                (((v - *lo) / width) as usize).min(n_bins - 1)
-            }
-            BinMap::Boundaries { edges } => {
-                let n = edges.len() - 1;
-                if v <= edges[0] {
-                    return 0;
-                }
-                if v >= edges[n] {
-                    return n - 1;
-                }
-                // partition_point: first edge > v, minus one, gives the bin.
-                edges.partition_point(|e| *e <= v).saturating_sub(1).min(n - 1)
-            }
-            BinMap::Categorical { cardinality } => {
-                // Categorical attributes should use bin_of(Value::Cat).
-                (v as usize).min(cardinality - 1)
-            }
+        match self.resolve() {
+            Resolved::Width(width) => width.bin()(v),
+            Resolved::Edges(edges) => edges.bin()(v),
         }
     }
 
-    /// Maps any attribute [`Value`] to its bin.
-    pub fn bin_of(&self, value: Value) -> usize {
-        match (self, value) {
-            (BinMap::Categorical { cardinality }, Value::Cat(c)) => {
-                (c as usize).min(cardinality - 1)
-            }
-            (_, Value::Quant(v)) => self.bin_of_value(v),
-            (_, Value::Cat(c)) => self.bin_of_value(c as f64),
+    /// The map in the form a pass over many values uses: an equi-width
+    /// map's bin width computed once, a boundary map's edges borrowed.
+    /// [`bin_of_value`](BinMap::bin_of_value) bins through it too, so a
+    /// value lands in the same bin either way.
+    pub(crate) fn resolve(&self) -> Resolved<'_> {
+        match self {
+            BinMap::EquiWidth { lo, hi, n_bins } => Resolved::Width(Width {
+                lo: *lo,
+                width: (hi - lo) / *n_bins as f64,
+                last: n_bins - 1,
+            }),
+            BinMap::Boundaries { edges } => Resolved::Edges(Edges(edges)),
         }
     }
 
     /// The half-open value range `[lo, hi)` covered by `bin`
-    /// (`None` for out-of-range bins). For categorical maps the range is
-    /// `[code, code + 1)`.
+    /// (`None` for out-of-range bins).
     pub fn range(&self, bin: usize) -> Option<(f64, f64)> {
         if bin >= self.n_bins() {
             return None;
@@ -234,7 +199,59 @@ impl BinMap {
                 Some((lo + width * bin as f64, lo + width * (bin + 1) as f64))
             }
             BinMap::Boundaries { edges } => Some((edges[bin], edges[bin + 1])),
-            BinMap::Categorical { .. } => Some((bin as f64, bin as f64 + 1.0)),
+        }
+    }
+}
+
+/// A [`BinMap`] resolved for a pass over many values.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Resolved<'a> {
+    /// An equi-width map.
+    Width(Width),
+    /// A boundary map.
+    Edges(Edges<'a>),
+}
+
+/// An equi-width map with its bin width computed.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Width {
+    lo: f64,
+    width: f64,
+    /// The last bin.
+    last: usize,
+}
+
+impl Width {
+    /// A value's bin, branchless: Rust's f64→usize cast saturates
+    /// (negatives and NaN to 0, overflow to usize::MAX), so the two
+    /// boundary branches collapse into the arithmetic — `v ≤ lo` lands
+    /// at 0 via the cast, `v ≥ hi` at the last bin via the min.
+    /// `equi_width_bin_reference` keeps the branchy form; a test sweeps
+    /// both for bit-identity.
+    pub(crate) fn bin(self) -> impl Fn(f64) -> usize {
+        move |v| (((v - self.lo) / self.width) as usize).min(self.last)
+    }
+}
+
+/// A boundary map's `n_bins + 1` ascending edges.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Edges<'a>(&'a [f64]);
+
+impl<'a> Edges<'a> {
+    /// A value's bin: bin `i` covers `[edges[i], edges[i+1])`, the last
+    /// bin is closed above, and values outside are clamped.
+    pub(crate) fn bin(self) -> impl Fn(f64) -> usize + 'a {
+        let edges = self.0;
+        let n = edges.len() - 1;
+        move |v| {
+            if v <= edges[0] {
+                return 0;
+            }
+            if v >= edges[n] {
+                return n - 1;
+            }
+            // partition_point: first edge > v, minus one, gives the bin.
+            edges.partition_point(|e| *e <= v).saturating_sub(1).min(n - 1)
         }
     }
 }
@@ -362,16 +379,6 @@ mod tests {
     }
 
     #[test]
-    fn categorical_identity() {
-        let m = BinMap::categorical(5).unwrap();
-        assert_eq!(m.n_bins(), 5);
-        assert_eq!(m.bin_of(Value::Cat(3)), 3);
-        assert_eq!(m.bin_of(Value::Cat(99)), 4); // clamped
-        assert_eq!(m.range(2), Some((2.0, 3.0)));
-        assert!(BinMap::categorical(0).is_err());
-    }
-
-    #[test]
     fn bin_of_value_matches_boundaries() {
         let m = BinMap::Boundaries { edges: vec![0.0, 10.0, 20.0, 50.0] };
         assert_eq!(m.n_bins(), 3);
@@ -384,13 +391,6 @@ mod tests {
         assert_eq!(m.bin_of_value(50.0), 2);
         assert_eq!(m.bin_of_value(1_000.0), 2);
         assert_eq!(m.range(1), Some((10.0, 20.0)));
-    }
-
-    #[test]
-    fn quant_value_through_bin_of() {
-        let m = BinMap::equi_width(0.0, 10.0, 5).unwrap();
-        assert_eq!(m.bin_of(Value::Quant(3.0)), 1);
-        assert_eq!(m.bin_of(Value::Cat(3)), 1); // coerced code
     }
 
     /// The branchy equi-width bin-id that `bin_of_value` shipped with

@@ -7,9 +7,7 @@
 //! group cardinality are data-driven. This module provides
 //!
 //! * checked sizing arithmetic ([`grid_bytes`]) that reports
-//!   [`ArcsError::GridTooLarge`] instead of overflowing,
-//! * an admission check ([`admit`]) against a configurable byte budget,
-//!   and
+//!   [`ArcsError::GridTooLarge`] instead of overflowing, and
 //! * a degradation planner ([`plan_bins`]) that coarsens the requested
 //!   grid — halving the larger axis, one step at a time — until it fits
 //!   the budget, mirroring the pipeline's existing threshold degradation
@@ -36,18 +34,6 @@ pub fn grid_bytes(nx: usize, ny: usize, nseg: usize) -> Result<usize, ArcsError>
         .and_then(|slots| nx.checked_mul(ny)?.checked_mul(slots))
         .and_then(|cells| cells.checked_mul(std::mem::size_of::<u32>()))
         .ok_or_else(too_large)
-}
-
-/// Admission check before a large allocation: `Ok` when `required_bytes`
-/// fits in `budget_bytes` (or no budget is configured), otherwise
-/// [`ArcsError::BudgetExceeded`].
-pub fn admit(required_bytes: usize, budget_bytes: Option<usize>) -> Result<(), ArcsError> {
-    match budget_bytes {
-        Some(budget) if required_bytes > budget => {
-            Err(ArcsError::BudgetExceeded { required_bytes, budget_bytes: budget })
-        }
-        _ => Ok(()),
-    }
 }
 
 /// The outcome of planning a grid under a memory budget.
@@ -114,17 +100,6 @@ mod tests {
         assert!(matches!(err, ArcsError::GridTooLarge { .. }), "{err:?}");
         let err = grid_bytes(1, 1, usize::MAX).unwrap_err();
         assert!(matches!(err, ArcsError::GridTooLarge { .. }), "{err:?}");
-    }
-
-    #[test]
-    fn admit_respects_budget() {
-        assert!(admit(1024, None).is_ok());
-        assert!(admit(1024, Some(1024)).is_ok());
-        let err = admit(1025, Some(1024)).unwrap_err();
-        assert!(
-            matches!(err, ArcsError::BudgetExceeded { required_bytes: 1025, budget_bytes: 1024 }),
-            "{err:?}"
-        );
     }
 
     #[test]

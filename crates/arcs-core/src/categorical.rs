@@ -163,12 +163,12 @@ pub fn segment_categorical(
     // Density ordering: per-category confidence of the criterion group,
     // descending, so dense categories pack into adjacent columns.
     let k = cat_labels.len();
+    let (codes, groups) = (dataset.cat(cat_idx)?, dataset.cat(criterion_idx)?);
     let mut per_cat = vec![(0u64, 0u64); k]; // (group count, total)
-    for t in dataset.iter() {
-        let c = t.cat(cat_idx) as usize;
-        per_cat[c].1 += 1;
-        if t.cat(criterion_idx) == gk {
-            per_cat[c].0 += 1;
+    for (&c, &g) in codes.iter().zip(groups) {
+        per_cat[c as usize].1 += 1;
+        if g == gk {
+            per_cat[c as usize].0 += 1;
         }
     }
     let density = |c: usize| -> f64 {
@@ -190,10 +190,8 @@ pub fn segment_categorical(
     // Bin into the reordered array.
     let quant_map = BinMap::equi_width(min, max, config.n_quant_bins)?;
     let mut array = BinArray::new(k, quant_map.n_bins(), group_labels.len())?;
-    for t in dataset.iter() {
-        let x = column_of[t.cat(cat_idx) as usize];
-        let y = quant_map.bin_of_value(t.quant(quant_idx));
-        array.add(x, y, t.cat(criterion_idx));
+    for ((&c, &v), &g) in codes.iter().zip(dataset.quant(quant_idx)?).zip(groups) {
+        array.add(column_of[c as usize], quant_map.bin_of_value(v), g);
     }
 
     // The §3.7 search, verifying every point against `array`, which
@@ -270,10 +268,10 @@ mod tests {
                 let hot = (zip == 1 || zip == 4) && (20.0..50.0).contains(&salary);
                 let (n_a, n_other) = if hot { (30, 2) } else { (0, 6) };
                 for _ in 0..n_a {
-                    ds.push(vec![Value::Cat(zip), Value::Quant(salary), Value::Cat(0)]).unwrap();
+                    ds.push(&[Value::Cat(zip), Value::Quant(salary), Value::Cat(0)]).unwrap();
                 }
                 for _ in 0..n_other {
-                    ds.push(vec![Value::Cat(zip), Value::Quant(salary), Value::Cat(1)]).unwrap();
+                    ds.push(&[Value::Cat(zip), Value::Quant(salary), Value::Cat(1)]).unwrap();
                 }
             }
         }

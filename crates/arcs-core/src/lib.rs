@@ -43,7 +43,6 @@ pub use binarray::BinArray;
 pub use binner::{Binner, BinningStrategy};
 pub use binning::BinMap;
 pub use bitop::BitOpConfig;
-pub use budget::{BinPlan, MIN_BINS};
 pub use cluster::{ClusteredRule, Rect};
 pub use engine::{mine_rules, mine_rules_indexed, BinnedRule, Thresholds};
 pub use error::ArcsError;

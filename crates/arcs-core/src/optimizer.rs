@@ -509,7 +509,7 @@ fn level_thresholds(s: f64, c: f64) -> Result<Thresholds, ArcsError> {
 mod tests {
     use super::*;
     use arcs_data::schema::{Attribute, Schema};
-    use arcs_data::{Dataset, Value};
+    use arcs_data::Value;
 
     fn schema() -> Schema {
         Schema::new(vec![
@@ -520,10 +520,10 @@ mod tests {
         .unwrap()
     }
 
-    /// A dataset with a dense Group-A block in x,y ∈ [2, 5) and background
+    /// Tuples with a dense Group-A block in x,y ∈ [2, 5) and background
     /// "other" tuples everywhere.
-    fn blocky_dataset() -> Dataset {
-        let mut ds = Dataset::new(schema());
+    fn blocky_dataset() -> Vec<Tuple> {
+        let mut ds = Vec::new();
         for ix in 0..10 {
             for iy in 0..10 {
                 let x = ix as f64 + 0.5;
@@ -531,10 +531,10 @@ mod tests {
                 let in_block = (2..5).contains(&ix) && (2..5).contains(&iy);
                 let (n_a, n_other) = if in_block { (20, 2) } else { (0, 5) };
                 for _ in 0..n_a {
-                    ds.push(vec![Value::Quant(x), Value::Quant(y), Value::Cat(0)]).unwrap();
+                    ds.push(Tuple::new(vec![Value::Quant(x), Value::Quant(y), Value::Cat(0)]));
                 }
                 for _ in 0..n_other {
-                    ds.push(vec![Value::Quant(x), Value::Quant(y), Value::Cat(1)]).unwrap();
+                    ds.push(Tuple::new(vec![Value::Quant(x), Value::Quant(y), Value::Cat(1)]));
                 }
             }
         }
@@ -766,7 +766,7 @@ mod tests {
         // inside the block keeps its confidence moderate; the tiny cell is
         // pure. Without the guard the 1-cluster "pure speck" solution can
         // win on MDL.
-        let mut ds = Dataset::new(schema());
+        let mut ds = Vec::new();
         for ix in 0..10 {
             for iy in 0..10 {
                 let x = ix as f64 + 0.5;
@@ -781,10 +781,10 @@ mod tests {
                     (0, 5)
                 };
                 for _ in 0..n_a {
-                    ds.push(vec![Value::Quant(x), Value::Quant(y), Value::Cat(0)]).unwrap();
+                    ds.push(Tuple::new(vec![Value::Quant(x), Value::Quant(y), Value::Cat(0)]));
                 }
                 for _ in 0..n_other {
-                    ds.push(vec![Value::Quant(x), Value::Quant(y), Value::Cat(1)]).unwrap();
+                    ds.push(Tuple::new(vec![Value::Quant(x), Value::Quant(y), Value::Cat(1)]));
                 }
             }
         }
@@ -820,24 +820,23 @@ mod tests {
         // block's 40% of the group: nothing reaches the 0.5 recall guard
         // and the optimizer must fall back to the best unguarded
         // segmentation (the block).
-        let mut ds = Dataset::new(schema());
+        let mut ds = Vec::new();
         for (ix, iy) in [(2, 2), (2, 3), (3, 2), (3, 3)] {
             for _ in 0..30 {
-                ds.push(vec![
+                ds.push(Tuple::new(vec![
                     Value::Quant(ix as f64 + 0.5),
                     Value::Quant(iy as f64 + 0.5),
                     Value::Cat(0),
-                ])
-                .unwrap();
+                ]));
             }
         }
         for (x, y) in [(7.5, 1.5), (1.5, 7.5), (8.5, 8.5), (0.5, 0.5), (5.5, 8.5), (8.5, 5.5)] {
             for _ in 0..30 {
-                ds.push(vec![Value::Quant(x), Value::Quant(y), Value::Cat(0)]).unwrap();
+                ds.push(Tuple::new(vec![Value::Quant(x), Value::Quant(y), Value::Cat(0)]));
             }
         }
         for _ in 0..100 {
-            ds.push(vec![Value::Quant(5.5), Value::Quant(5.5), Value::Cat(1)]).unwrap();
+            ds.push(Tuple::new(vec![Value::Quant(5.5), Value::Quant(5.5), Value::Cat(1)]));
         }
         let b = binner();
         let ba = b.bin_rows(ds.iter()).unwrap();

@@ -148,17 +148,17 @@ impl Arcs {
                 Binner::equi_width(schema, x_attr, y_attr, criterion_attr, n_x_bins, n_y_bins)
             }
             BinningStrategy::EquiDepth => {
-                let x_col = dataset.quant_column(schema.require(x_attr)?)?;
-                let y_col = dataset.quant_column(schema.require(y_attr)?)?;
-                let x_map = BinMap::equi_depth(&x_col, n_x_bins)?;
-                let y_map = BinMap::equi_depth(&y_col, n_y_bins)?;
+                let x_col = dataset.quant(schema.require(x_attr)?)?;
+                let y_col = dataset.quant(schema.require(y_attr)?)?;
+                let x_map = BinMap::equi_depth(x_col, n_x_bins)?;
+                let y_map = BinMap::equi_depth(y_col, n_y_bins)?;
                 Binner::with_maps(schema, x_attr, y_attr, criterion_attr, x_map, y_map)
             }
             BinningStrategy::Homogeneity { tolerance } => {
-                let x_col = dataset.quant_column(schema.require(x_attr)?)?;
-                let y_col = dataset.quant_column(schema.require(y_attr)?)?;
-                let x_map = BinMap::homogeneity(&x_col, n_x_bins, tolerance)?;
-                let y_map = BinMap::homogeneity(&y_col, n_y_bins, tolerance)?;
+                let x_col = dataset.quant(schema.require(x_attr)?)?;
+                let y_col = dataset.quant(schema.require(y_attr)?)?;
+                let x_map = BinMap::homogeneity(x_col, n_x_bins, tolerance)?;
+                let y_map = BinMap::homogeneity(y_col, n_y_bins, tolerance)?;
                 Binner::with_maps(schema, x_attr, y_attr, criterion_attr, x_map, y_map)
             }
         }
@@ -192,10 +192,10 @@ mod tests {
                 let in_block = (2..5).contains(&ix) && (2..5).contains(&iy);
                 let (n_a, n_other) = if in_block { (20, 2) } else { (0, 5) };
                 for _ in 0..n_a {
-                    ds.push(vec![Value::Quant(x), Value::Quant(y), Value::Cat(0)]).unwrap();
+                    ds.push(&[Value::Quant(x), Value::Quant(y), Value::Cat(0)]).unwrap();
                 }
                 for _ in 0..n_other {
-                    ds.push(vec![Value::Quant(x), Value::Quant(y), Value::Cat(1)]).unwrap();
+                    ds.push(&[Value::Quant(x), Value::Quant(y), Value::Cat(1)]).unwrap();
                 }
             }
         }
@@ -331,12 +331,12 @@ mod tests {
     fn speck_dataset() -> Dataset {
         let mut ds = Dataset::new(small_schema());
         for _ in 0..30 {
-            ds.push(vec![Value::Quant(5.5), Value::Quant(5.5), Value::Cat(0)]).unwrap();
+            ds.push(&[Value::Quant(5.5), Value::Quant(5.5), Value::Cat(0)]).unwrap();
         }
         for ix in 0..10 {
             for iy in 0..10 {
                 for _ in 0..3 {
-                    ds.push(vec![
+                    ds.push(&[
                         Value::Quant(ix as f64 + 0.5),
                         Value::Quant(iy as f64 + 0.5),
                         Value::Cat(1),
@@ -375,7 +375,7 @@ mod tests {
         // report NoSegmentation rather than invent clusters.
         let mut ds = Dataset::new(small_schema());
         for i in 0..100 {
-            ds.push(vec![
+            ds.push(&[
                 Value::Quant((i % 10) as f64 + 0.5),
                 Value::Quant((i / 10) as f64 + 0.5),
                 Value::Cat(1),

@@ -49,7 +49,7 @@ pub fn rank_attributes(
             })
         }
     };
-    let classes = dataset.cat_column(criterion_idx)?;
+    let classes = dataset.cat(criterion_idx)?;
 
     let mut scores = Vec::new();
     for (idx, attr) in schema.attributes().iter().enumerate() {
@@ -57,9 +57,9 @@ pub fn rank_attributes(
             continue;
         };
         let map = BinMap::equi_width(min, max, n_bins)?;
-        let col = dataset.quant_column(idx)?;
+        let col = dataset.quant(idx)?;
         let mut joint = vec![vec![0usize; nseg]; n_bins];
-        for (v, &c) in col.iter().zip(&classes) {
+        for (v, &c) in col.iter().zip(classes) {
             joint[map.bin_of_value(*v)][c as usize] += 1;
         }
         scores.push(AttributeScore {
@@ -142,10 +142,10 @@ fn pair_mutual_information(
     let y_map = map_for(y_idx)?;
 
     let mut joint = vec![vec![0usize; nseg]; n_bins * n_bins];
-    for t in dataset.iter() {
-        let bx = x_map.bin_of_value(t.quant(x_idx));
-        let by = y_map.bin_of_value(t.quant(y_idx));
-        joint[by * n_bins + bx][t.cat(criterion_idx) as usize] += 1;
+    let (xs, ys) = (dataset.quant(x_idx)?, dataset.quant(y_idx)?);
+    for ((&x, &y), &c) in xs.iter().zip(ys).zip(dataset.cat(criterion_idx)?) {
+        let (bx, by) = (x_map.bin_of_value(x), y_map.bin_of_value(y));
+        joint[by * n_bins + bx][c as usize] += 1;
     }
     Ok(mutual_information(&joint))
 }
@@ -173,7 +173,7 @@ mod tests {
             // y cycles independently of x (and of the class).
             let y = ((i / 10) % 10) as f64 + 0.5;
             let g = u32::from(x > 5.0);
-            ds.push(vec![Value::Quant(x), Value::Quant(y), Value::Cat(g)]).unwrap();
+            ds.push(&[Value::Quant(x), Value::Quant(y), Value::Cat(g)]).unwrap();
         }
         let ranked = rank_attributes(&ds, "g", 10).unwrap();
         assert_eq!(ranked.len(), 2);
@@ -215,7 +215,7 @@ mod tests {
                 let x = ix as f64 + 0.5;
                 let y = iy as f64 + 0.5;
                 let g = u32::from((x > 5.0) ^ (y > 5.0));
-                ds.push(vec![Value::Quant(x), Value::Quant(y), Value::Cat(g)]).unwrap();
+                ds.push(&[Value::Quant(x), Value::Quant(y), Value::Cat(g)]).unwrap();
             }
         }
         let singles = rank_attributes(&ds, "g", 10).unwrap();
@@ -253,7 +253,7 @@ mod tests {
                 let y = iy as f64 / 2.0;
                 let noise = ((ix * 13 + iy * 7) % 20) as f64 / 2.0;
                 let g = u32::from((x > 5.0) ^ (y > 5.0));
-                ds.push(vec![Value::Quant(x), Value::Quant(y), Value::Quant(noise), Value::Cat(g)])
+                ds.push(&[Value::Quant(x), Value::Quant(y), Value::Quant(noise), Value::Cat(g)])
                     .unwrap();
             }
         }
@@ -274,7 +274,7 @@ mod tests {
         assert!(rank_attributes(&empty, "g", 5).is_err());
 
         let mut ds = Dataset::new(schema);
-        ds.push(vec![Value::Quant(0.5), Value::Cat(0)]).unwrap();
+        ds.push(&[Value::Quant(0.5), Value::Cat(0)]).unwrap();
         assert!(rank_attributes(&ds, "missing", 5).is_err());
         assert!(rank_attributes(&ds, "x", 5).is_err()); // quantitative criterion
         assert!(select_pair_joint(&ds, "g", 5, 2).is_err()); // only one quant attribute

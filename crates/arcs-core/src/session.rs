@@ -492,10 +492,10 @@ mod tests {
                 let in_block = (2..5).contains(&ix) && (2..5).contains(&iy);
                 let (n_a, n_other) = if in_block { (20, 2) } else { (0, 5) };
                 for _ in 0..n_a {
-                    ds.push(vec![Value::Quant(x), Value::Quant(y), Value::Cat(0)]).unwrap();
+                    ds.push(&[Value::Quant(x), Value::Quant(y), Value::Cat(0)]).unwrap();
                 }
                 for _ in 0..n_other {
-                    ds.push(vec![Value::Quant(x), Value::Quant(y), Value::Cat(1)]).unwrap();
+                    ds.push(&[Value::Quant(x), Value::Quant(y), Value::Cat(1)]).unwrap();
                 }
             }
         }

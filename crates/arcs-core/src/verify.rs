@@ -284,15 +284,15 @@ mod tests {
         // 500 perfect tuples, 100 FPs, 100 FNs -> true rate = 200/700.
         for i in 0..500 {
             let v = (i % 5) as f64;
-            ds.push(vec![Value::Quant(v), Value::Quant(v), Value::Cat(0)]).unwrap();
+            ds.push(&[Value::Quant(v), Value::Quant(v), Value::Cat(0)]).unwrap();
         }
         for _ in 0..100 {
-            ds.push(vec![Value::Quant(1.0), Value::Quant(1.0), Value::Cat(1)]).unwrap();
+            ds.push(&[Value::Quant(1.0), Value::Quant(1.0), Value::Cat(1)]).unwrap();
         }
         for _ in 0..100 {
-            ds.push(vec![Value::Quant(9.0), Value::Quant(9.0), Value::Cat(0)]).unwrap();
+            ds.push(&[Value::Quant(9.0), Value::Quant(9.0), Value::Cat(0)]).unwrap();
         }
-        let full = verify_tuples(&clusters, &b, ds.iter(), 0);
+        let full = verify_counts(&clusters, &b.bin_rows_parallel(ds.rows(), 1).unwrap(), 0);
         assert!((full.rate() - 200.0 / 700.0).abs() < 1e-12);
 
         let sampling = RepeatedSampling { k: 200, repetitions: 10, seed: 3 };
@@ -310,10 +310,10 @@ mod tests {
         let mut ds = Dataset::new(schema());
         for i in 0..20 {
             let v = (i % 5) as f64;
-            ds.push(vec![Value::Quant(v), Value::Quant(v), Value::Cat(0)]).unwrap();
+            ds.push(&[Value::Quant(v), Value::Quant(v), Value::Cat(0)]).unwrap();
         }
-        ds.push(vec![Value::Quant(9.0), Value::Quant(9.0), Value::Cat(0)]).unwrap();
-        let full = verify_tuples(&clusters, &b, ds.iter(), 0);
+        ds.push(&[Value::Quant(9.0), Value::Quant(9.0), Value::Cat(0)]).unwrap();
+        let full = verify_counts(&clusters, &b.bin_rows_parallel(ds.rows(), 1).unwrap(), 0);
         let sampling = RepeatedSampling { k: 10_000, repetitions: 5, seed: 1 };
         let (mean, sd) = verify_sampled(&clusters, &b, &ds, 0, sampling).unwrap();
         assert!((mean - full.rate()).abs() < 1e-12, "mean {mean} vs {}", full.rate());
@@ -333,9 +333,9 @@ mod tests {
         // Sample with no group members: FP-only rate, recall vacuously 1.
         let mut ds = Dataset::new(schema());
         for _ in 0..10 {
-            ds.push(vec![Value::Quant(1.0), Value::Quant(1.0), Value::Cat(1)]).unwrap();
+            ds.push(&[Value::Quant(1.0), Value::Quant(1.0), Value::Cat(1)]).unwrap();
         }
-        let counts = verify_tuples(&clusters, &b, ds.iter(), 0);
+        let counts = verify_counts(&clusters, &b.bin_rows_parallel(ds.rows(), 1).unwrap(), 0);
         assert_eq!(counts.group_total, 0);
         assert_eq!(counts.recall(), 1.0);
         let sampling = RepeatedSampling { k: 100, repetitions: 3, seed: 1 };

@@ -446,7 +446,7 @@ mod tests {
         for i in 0..100 {
             let (x, y) = ((i % 10) as f64 + 0.5, ((i / 10) % 10) as f64 + 0.5);
             let g = u32::from(!(2.0..5.0).contains(&x) || !(2.0..5.0).contains(&y));
-            ds.push(vec![Value::Quant(x), Value::Quant(y), Value::Cat(g)]).unwrap();
+            ds.push(&[Value::Quant(x), Value::Quant(y), Value::Cat(g)]).unwrap();
         }
         ds
     }

@@ -885,9 +885,9 @@ mod tests {
         let mut ds = Dataset::new(meta.schema.clone());
         for i in 0..40 {
             let (x, y) = ((i % 10) as f64 + 0.5, ((i / 10) % 10) as f64 + 0.5);
-            ds.push(vec![Value::Quant(x), Value::Quant(y), Value::Cat((i % 2) as u32)]).unwrap();
+            ds.push(&[Value::Quant(x), Value::Quant(y), Value::Cat((i % 2) as u32)]).unwrap();
         }
-        meta.build_binner().unwrap().bin_rows(ds.iter()).unwrap()
+        meta.build_binner().unwrap().bin_rows_parallel(ds.rows(), 1).unwrap()
     }
 
     fn temp_dir(name: &str) -> PathBuf {

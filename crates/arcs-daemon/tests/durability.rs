@@ -63,7 +63,7 @@ fn grid_dataset() -> Dataset {
         for iy in 0..10usize {
             let inside = (2..5).contains(&ix) && (2..5).contains(&iy);
             for _ in 0..if inside { 6 } else { 1 } {
-                ds.push(vec![
+                ds.push(&[
                     Value::Quant(ix as f64 + 0.5),
                     Value::Quant(iy as f64 + 0.5),
                     Value::Cat(u32::from(!inside)),

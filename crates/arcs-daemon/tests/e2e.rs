@@ -32,7 +32,7 @@ fn grid_dataset(shift: usize) -> Dataset {
             let inside = (2 + shift..5 + shift).contains(&ix) && (2..5).contains(&iy);
             let copies = if inside { 8 } else { 1 };
             for _ in 0..copies {
-                ds.push(vec![
+                ds.push(&[
                     Value::Quant(ix as f64 + 0.5),
                     Value::Quant(iy as f64 + 0.5),
                     Value::Cat(u32::from(!inside)),

@@ -39,41 +39,43 @@ use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::mpsc;
 
-use crate::dataset::Dataset;
+use crate::dataset::{Columns, Dataset};
 use crate::error::DataError;
 use crate::ingest::{IngestPolicy, IngestReport, IssueKind};
 use crate::schema::{AttrKind, Attribute, Schema};
 use crate::tuple::{Tuple, Value};
 
-/// Serialises `dataset` as CSV into `writer`.
+/// Serialises `dataset` as CSV into `writer`, row by row from its
+/// columns.
 pub fn write_csv<W: Write>(dataset: &Dataset, writer: W) -> Result<(), DataError> {
+    /// One attribute's column, with the labels a categorical one writes.
+    enum Field<'a> {
+        Quant(&'a [f64]),
+        Cat(&'a [u32], &'a [String]),
+    }
     let mut w = BufWriter::new(writer);
     let schema = dataset.schema();
     let header: Vec<&str> = schema.attributes().iter().map(|a| a.name.as_str()).collect();
     writeln!(w, "{}", header.join(","))?;
-    for tuple in dataset.iter() {
-        let mut first = true;
-        for (idx, attr) in schema.attributes().iter().enumerate() {
-            if !first {
+    let fields = schema
+        .attributes()
+        .iter()
+        .enumerate()
+        .map(|(idx, attr)| match &attr.kind {
+            AttrKind::Quantitative { .. } => dataset.quant(idx).map(Field::Quant),
+            AttrKind::Categorical { labels } => {
+                dataset.cat(idx).map(|codes| Field::Cat(codes, labels))
+            }
+        })
+        .collect::<Result<Vec<_>, _>>()?;
+    for row in 0..dataset.len() {
+        for (idx, field) in fields.iter().enumerate() {
+            if idx > 0 {
                 write!(w, ",")?;
             }
-            first = false;
-            match (&attr.kind, tuple.get(idx)) {
-                (AttrKind::Quantitative { .. }, Some(Value::Quant(v))) => write!(w, "{v}")?,
-                (AttrKind::Categorical { .. }, Some(Value::Cat(c))) => {
-                    let label = attr.label(c).ok_or_else(|| DataError::CategoryOutOfRange {
-                        attribute: attr.name.clone(),
-                        code: c,
-                        cardinality: attr.kind.cardinality().unwrap_or(0),
-                    })?;
-                    write!(w, "{label}")?;
-                }
-                _ => {
-                    return Err(DataError::TypeMismatch {
-                        attribute: attr.name.clone(),
-                        expected: "a value matching the attribute kind",
-                    })
-                }
+            match *field {
+                Field::Quant(values) => write!(w, "{}", values[row])?,
+                Field::Cat(codes, labels) => write!(w, "{}", labels[codes[row] as usize])?,
             }
         }
         writeln!(w)?;
@@ -335,7 +337,7 @@ pub fn read_csv_with_policy<R: BufRead>(
     quarantine: Option<&mut dyn Write>,
 ) -> Result<(Dataset, IngestReport), DataError> {
     let mut ds = Dataset::new(schema.clone());
-    let report = scan_csv(&schema, reader, policy, quarantine, |row| ds.push(row.to_vec()))?;
+    let report = scan_csv(&schema, reader, policy, quarantine, |row| ds.push(row))?;
     Ok((ds, report))
 }
 
@@ -577,34 +579,31 @@ pub trait RowSink: Sized + Send + Sync {
 }
 
 /// A load's sink. The caller's holds the dataset, and a one-range scan
-/// pushes rows straight into it. A range's part keeps its rows' values
-/// back to back, and absorbing the part boxes them into tuples on the
-/// calling thread. With glibc's per-thread arenas, tuples boxed on a
-/// worker would stay resident in the worker's arena after the dataset is
-/// dropped, out of reach of the calling thread's next allocations.
-struct Rows<'a> {
+/// pushes rows straight into it. A range's part fills typed columns of
+/// its own, and absorbing the part appends them to the dataset's columns
+/// on the calling thread, so the dataset's memory is the calling
+/// thread's: with glibc's per-thread arenas, memory a worker allocated
+/// stays in the worker's arena after it is freed, out of reach of the
+/// calling thread's next allocations.
+struct Load<'a> {
     schema: &'a Schema,
     /// The dataset, in the caller's sink; `None` in a range's part.
     ds: Option<&'a mut Dataset>,
-    /// A part's rows, each value as an `f64`, half the size of a
-    /// [`Value`]: a categorical code is exact as one.
-    values: Vec<f64>,
+    /// A part's rows.
+    part: Columns,
 }
 
-impl RowSink for Rows<'_> {
+impl RowSink for Load<'_> {
     fn part(&self) -> Self {
-        Rows { schema: self.schema, ds: None, values: Vec::new() }
+        Load { schema: self.schema, ds: None, part: Columns::with_capacity(self.schema, 0) }
     }
 
     fn accept(&mut self, row: &[Value]) -> Result<(), DataError> {
         match &mut self.ds {
-            Some(ds) => ds.push(row.to_vec()),
+            Some(ds) => ds.push(row),
             None => {
                 Tuple::check_values(row, self.schema)?;
-                self.values.extend(row.iter().map(|value| match *value {
-                    Value::Quant(v) => v,
-                    Value::Cat(code) => f64::from(code),
-                }));
+                self.part.push_checked(row);
                 Ok(())
             }
         }
@@ -612,27 +611,16 @@ impl RowSink for Rows<'_> {
 
     fn absorb(&mut self, part: Self) -> Result<(), DataError> {
         if let Some(ds) = &mut self.ds {
-            let attributes = self.schema.attributes();
-            for row in part.values.chunks_exact(attributes.len().max(1)) {
-                let values: Vec<Value> = row
-                    .iter()
-                    .zip(attributes)
-                    .map(|(&v, attr)| match attr.kind {
-                        AttrKind::Quantitative { .. } => Value::Quant(v),
-                        AttrKind::Categorical { .. } => Value::Cat(v as u32),
-                    })
-                    .collect();
-                ds.push_tuple(Tuple::new(values));
-            }
+            ds.append(&part.part);
         }
         Ok(())
     }
 }
 
 /// The size a [`CsvFile`] cuts its data into. A range's part lives from
-/// its scan to its merge, and a load's part holds its rows' values, 80
+/// its scan to its merge, and a load's part holds its rows' columns, 64
 /// bytes for an Agrawal F2 row. A worker's parts (one in the making, one
-/// waiting in its channel, one being merged) then come to about 300 KB.
+/// waiting in its channel, one being merged) then come to about 250 KB.
 /// A range's own costs (a seek, a channel hand-off, a merge) stay small
 /// beside parsing its ~1,200 rows. A 110 MB file makes 845 ranges.
 const RANGE_BYTES: u64 = 128 << 10;
@@ -801,8 +789,9 @@ impl CsvFile {
         threads: usize,
     ) -> Result<IngestReport, DataError> {
         let schema = ds.schema().clone();
-        let mut rows = Rows { schema: &schema, ds: Some(ds), values: Vec::new() };
-        self.scan(&schema, policy, quarantine, threads, &mut rows)
+        let mut load =
+            Load { schema: &schema, ds: Some(ds), part: Columns::with_capacity(&schema, 0) };
+        self.scan(&schema, policy, quarantine, threads, &mut load)
     }
 
     /// Whether a scan on `threads` workers reads the data as one range.
@@ -1011,7 +1000,7 @@ mod tests {
             let line_no = i + 1;
             report.rows_read += 1;
             let issue = match parse_row(ds.schema(), line) {
-                Ok((values, clamps)) => match ds.push(values) {
+                Ok((values, clamps)) => match ds.push(&values) {
                     Ok(()) => {
                         report.rows_kept += 1;
                         report.clamped_values += clamps;
@@ -1156,9 +1145,9 @@ mod tests {
         }
     }
 
-    /// What a load hands back, in a comparable form: the rows and report,
-    /// or the error, and the quarantine sink's bytes.
-    type Loaded = (Result<(Vec<Tuple>, IngestReport), DataError>, Vec<u8>);
+    /// What a load hands back: the dataset and report, or the error, and
+    /// the quarantine sink's bytes.
+    type Loaded = (Result<(Dataset, IngestReport), DataError>, Vec<u8>);
 
     /// `path` loaded against `schema` as a file cut into ranges of
     /// `range_bytes`, on `threads` workers.
@@ -1175,7 +1164,7 @@ mod tests {
             let mut ds = Dataset::new(schema.clone());
             let quarantine = with_sink.then_some(&mut sink as &mut dyn Write);
             let report = file.load_into(&mut ds, policy, quarantine, threads)?;
-            Ok((ds.rows().to_vec(), report))
+            Ok((ds, report))
         });
         (loaded, sink)
     }
@@ -1185,7 +1174,7 @@ mod tests {
         let mut sink = Vec::new();
         let quarantine = with_sink.then_some(&mut sink as &mut dyn Write);
         let loaded = read_csv_with_policy(schema.clone(), bytes, policy, quarantine);
-        (loaded.map(|(ds, report)| (ds.rows().to_vec(), report)), sink)
+        (loaded, sink)
     }
 
     /// Checks that `bytes`, cut into ranges of every size from 1 byte to
@@ -1257,7 +1246,8 @@ mod tests {
 
         /// The scanner accepts, rejects, clamps and quarantines exactly
         /// the rows the previous row loop did, with the same report and
-        /// the same error, under every policy.
+        /// the same error, under every policy: the loaded datasets are
+        /// equal, schema and columns.
         #[test]
         fn scanner_matches_the_reference_loader(seed in any::<u64>()) {
             use rand::{Rng, SeedableRng};
@@ -1280,7 +1270,7 @@ mod tests {
             );
             match (scanned, reference) {
                 (Ok((ds, report)), Ok((ref_ds, ref_report))) => {
-                    prop_assert_eq!(ds.rows(), ref_ds.rows());
+                    prop_assert_eq!(ds, ref_ds);
                     prop_assert_eq!(report, ref_report);
                 }
                 (Err(err), Err(ref_err)) => prop_assert_eq!(err, ref_err),
@@ -1339,8 +1329,8 @@ mod tests {
 
     fn dataset() -> Dataset {
         let mut ds = Dataset::new(schema());
-        ds.push(vec![Value::Quant(30.5), Value::Cat(0)]).unwrap();
-        ds.push(vec![Value::Quant(62.0), Value::Cat(1)]).unwrap();
+        ds.push(&[Value::Quant(30.5), Value::Cat(0)]).unwrap();
+        ds.push(&[Value::Quant(62.0), Value::Cat(1)]).unwrap();
         ds
     }
 
@@ -1356,9 +1346,9 @@ mod tests {
 
         let back = read_csv(schema(), &buf[..]).unwrap();
         assert_eq!(back.len(), 2);
-        assert_eq!(back.row(0).unwrap().quant(0), 30.5);
-        assert_eq!(back.row(0).unwrap().cat(1), 0);
-        assert_eq!(back.row(1).unwrap().cat(1), 1);
+        assert_eq!(back.quant(0).unwrap()[0], 30.5);
+        assert_eq!(back.cat(1).unwrap()[0], 0);
+        assert_eq!(back.cat(1).unwrap()[1], 1);
     }
 
     #[test]
@@ -1421,7 +1411,7 @@ mod tests {
         let input = b"age,group\r\n1.0,A\r\n   \n\r\n2.0,other\r\n" as &[u8];
         let ds = read_csv(schema(), input).unwrap();
         assert_eq!(ds.len(), 2);
-        assert_eq!(ds.row(1).unwrap().quant(0), 2.0);
+        assert_eq!(ds.quant(0).unwrap()[1], 2.0);
     }
 
     #[test]
@@ -1503,9 +1493,9 @@ mod tests {
         .unwrap();
         assert_eq!(ds.len(), 3);
         assert_eq!(report.clamped_values, 2);
-        assert_eq!(ds.row(0).unwrap().quant(0), 100.0);
-        assert_eq!(ds.row(1).unwrap().quant(0), 0.0);
-        assert_eq!(ds.row(2).unwrap().quant(0), 50.0);
+        assert_eq!(ds.quant(0).unwrap()[0], 100.0);
+        assert_eq!(ds.quant(0).unwrap()[1], 0.0);
+        assert_eq!(ds.quant(0).unwrap()[2], 50.0);
         // Clamping is a repair, not a bad row.
         assert_eq!(report.rows_skipped, 0);
         assert!(!report.is_clean());
@@ -1685,8 +1675,8 @@ mod tests {
         let schema = infer_schema(text.as_bytes(), 5).unwrap();
         let ds = read_csv(schema, text.as_bytes()).unwrap();
         assert_eq!(ds.len(), 25);
-        assert_eq!(ds.row(0).unwrap().quant(0), 20.0);
-        assert_eq!(ds.row(1).unwrap().cat(1), 1);
+        assert_eq!(ds.quant(0).unwrap()[0], 20.0);
+        assert_eq!(ds.cat(1).unwrap()[1], 1);
     }
 
     /// A range boundary between the `\r` and `\n` of a CRLF ending

@@ -96,9 +96,9 @@ impl GeneratorConfig {
 
 /// A deterministic, infinite stream of labelled Agrawal tuples.
 ///
-/// Implements [`Iterator`]; the scale-up harness feeds millions of tuples
-/// straight into the binner without materialising them, mirroring the
-/// paper's constant-memory streaming claim (§4.3).
+/// [`generate`](AgrawalGenerator::generate) writes `n` of them into a
+/// [`Dataset`]'s columns; the [`Iterator`] yields them one [`Tuple`] at
+/// a time, the same stream.
 #[derive(Debug, Clone)]
 pub struct AgrawalGenerator {
     config: GeneratorConfig,
@@ -170,7 +170,7 @@ impl AgrawalGenerator {
         let mut ds = Dataset::with_capacity(crate::agrawal::schema(), n);
         for _ in 0..n {
             let (person, label, _) = self.next_person();
-            ds.push_tuple(person_to_tuple(&person, label));
+            ds.push(&person_values(&person, label)).expect("a generated row fits the schema");
         }
         ds
     }
@@ -244,12 +244,12 @@ pub fn generate_three_way(n: usize, perturbation: f64, seed: u64) -> Result<Data
         outlier_fraction: 0.0,
         seed,
     })?;
-    let mut ds = Dataset::new(three_way_schema());
+    let mut ds = Dataset::with_capacity(three_way_schema(), n);
     for _ in 0..n {
         let mut person = Person::random(&mut inner.rng);
         let rating = three_way_rating(&person);
         inner.perturb(&mut person);
-        ds.push_tuple(person_to_tuple(&person, rating));
+        ds.push(&person_values(&person, rating)).expect("a generated row fits the schema");
     }
     Ok(ds)
 }
@@ -257,7 +257,13 @@ pub fn generate_three_way(n: usize, perturbation: f64, seed: u64) -> Result<Data
 /// Converts a labelled [`Person`] to a [`Tuple`] positionally matching
 /// [`agrawal::schema`](crate::agrawal::schema).
 pub fn person_to_tuple(p: &Person, label: u32) -> Tuple {
-    let mut values = vec![Value::Quant(0.0); 10];
+    Tuple::new(person_values(p, label).to_vec())
+}
+
+/// A labelled [`Person`]'s row, positionally matching
+/// [`agrawal::schema`](crate::agrawal::schema).
+fn person_values(p: &Person, label: u32) -> [Value; 10] {
+    let mut values = [Value::Quant(0.0); 10];
     values[attr::SALARY] = Value::Quant(p.salary);
     values[attr::COMMISSION] = Value::Quant(p.commission);
     values[attr::AGE] = Value::Quant(p.age);
@@ -268,7 +274,7 @@ pub fn person_to_tuple(p: &Person, label: u32) -> Tuple {
     values[attr::HYEARS] = Value::Quant(p.hyears);
     values[attr::LOAN] = Value::Quant(p.loan);
     values[attr::GROUP] = Value::Cat(label);
-    Tuple::new(values)
+    values
 }
 
 #[cfg(test)]
@@ -302,7 +308,7 @@ mod tests {
     fn group_fraction_close_to_target() {
         let mut g = AgrawalGenerator::new(GeneratorConfig::paper_defaults(7)).unwrap();
         let ds = g.generate(10_000);
-        let n_a = ds.iter().filter(|t| t.cat(attr::GROUP) == GROUP_A).count();
+        let n_a = ds.cat(attr::GROUP).unwrap().iter().filter(|&&g| g == GROUP_A).count();
         let frac = n_a as f64 / ds.len() as f64;
         assert!((frac - 0.40).abs() < 0.02, "fracA = {frac}");
     }
@@ -396,11 +402,11 @@ mod tests {
         // never needs a label it cannot produce).
         let all_other = GeneratorConfig { frac_group_a: 0.0, ..GeneratorConfig::paper_defaults(1) };
         let mut g = AgrawalGenerator::new(all_other).unwrap();
-        assert!(g.generate(200).iter().all(|t| t.cat(attr::GROUP) == GROUP_OTHER));
+        assert!(g.generate(200).cat(attr::GROUP).unwrap().iter().all(|&g| g == GROUP_OTHER));
 
         let all_a = GeneratorConfig { frac_group_a: 1.0, ..GeneratorConfig::paper_defaults(1) };
         let mut g = AgrawalGenerator::new(all_a).unwrap();
-        assert!(g.generate(200).iter().all(|t| t.cat(attr::GROUP) == GROUP_A));
+        assert!(g.generate(200).cat(attr::GROUP).unwrap().iter().all(|&g| g == GROUP_A));
     }
 
     #[test]
@@ -429,20 +435,23 @@ mod tests {
         assert_eq!(rating.label(0), Some("excellent"));
         // Labels are consistent with the rating function (no perturbation).
         let mut counts = [0usize; 3];
-        for t in ds.iter() {
+        let quant = |idx| ds.quant(idx).unwrap();
+        let cat = |idx| ds.cat(idx).unwrap();
+        for row in 0..ds.len() {
             let p = Person {
-                salary: t.quant(attr::SALARY),
-                commission: t.quant(attr::COMMISSION),
-                age: t.quant(attr::AGE),
-                elevel: t.cat(attr::ELEVEL),
-                car: t.cat(attr::CAR),
-                zipcode: t.cat(attr::ZIPCODE),
-                hvalue: t.quant(attr::HVALUE),
-                hyears: t.quant(attr::HYEARS),
-                loan: t.quant(attr::LOAN),
+                salary: quant(attr::SALARY)[row],
+                commission: quant(attr::COMMISSION)[row],
+                age: quant(attr::AGE)[row],
+                elevel: cat(attr::ELEVEL)[row],
+                car: cat(attr::CAR)[row],
+                zipcode: cat(attr::ZIPCODE)[row],
+                hvalue: quant(attr::HVALUE)[row],
+                hyears: quant(attr::HYEARS)[row],
+                loan: quant(attr::LOAN)[row],
             };
-            assert_eq!(three_way_rating(&p), t.cat(rating_idx));
-            counts[t.cat(rating_idx) as usize] += 1;
+            let rating = cat(rating_idx)[row];
+            assert_eq!(three_way_rating(&p), rating);
+            counts[rating as usize] += 1;
         }
         // All three groups are populated, with "average" the largest.
         assert!(counts.iter().all(|&c| c > 100), "counts = {counts:?}");

@@ -15,7 +15,7 @@
 //! let mut gen = AgrawalGenerator::new(GeneratorConfig::paper_defaults(42)).unwrap();
 //! let dataset = gen.generate(1_000);
 //! assert_eq!(dataset.len(), 1_000);
-//! let ages = dataset.quant_column(attr::AGE).unwrap();
+//! let ages = dataset.quant(attr::AGE).unwrap();
 //! assert!(ages.iter().all(|a| (20.0..=80.0).contains(a)));
 //! # let _ = AgrawalFunction::F2;
 //! ```
@@ -35,7 +35,7 @@ pub mod stats;
 pub mod transform;
 pub mod tuple;
 
-pub use dataset::Dataset;
+pub use dataset::{Dataset, Rows};
 pub use error::DataError;
 pub use ingest::{IngestIssue, IngestPolicy, IngestReport, IssueKind};
 pub use schema::{AttrKind, Attribute, Schema};

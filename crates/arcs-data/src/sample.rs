@@ -35,13 +35,18 @@ pub fn sample_indices(n: usize, k: usize, rng: &mut StdRng) -> Result<Vec<usize>
 }
 
 /// A simple random sample of `k` rows from `dataset`, without replacement.
+///
+/// A dataset stores columns, not tuples: the first call builds every
+/// row's [`Tuple`] and the dataset keeps them for later calls, so the
+/// first sample of an `n`-row dataset costs `n` tuples' time and memory.
 pub fn sample_rows<'a>(
     dataset: &'a Dataset,
     k: usize,
     rng: &mut StdRng,
 ) -> Result<Vec<&'a Tuple>, DataError> {
     let idx = sample_indices(dataset.len(), k, rng)?;
-    Ok(idx.into_iter().map(|i| dataset.row(i).expect("index in range")).collect())
+    let tuples = dataset.tuples();
+    Ok(idx.into_iter().map(|i| &tuples[i]).collect())
 }
 
 /// Configuration for repeated k-out-of-n sampling.
@@ -88,7 +93,7 @@ mod tests {
         let schema = Schema::new(vec![Attribute::quantitative("x", 0.0, 1e9)]).unwrap();
         let mut ds = Dataset::new(schema);
         for i in 0..n {
-            ds.push(vec![Value::Quant(i as f64)]).unwrap();
+            ds.push(&[Value::Quant(i as f64)]).unwrap();
         }
         ds
     }

@@ -10,7 +10,6 @@
 use crate::dataset::Dataset;
 use crate::error::DataError;
 use crate::schema::{AttrKind, Attribute, Schema};
-use crate::tuple::{Tuple, Value};
 
 /// How to discretize a quantitative attribute into a categorical one.
 #[derive(Debug, Clone, PartialEq)]
@@ -77,7 +76,7 @@ pub fn discretize(
                     "equi-depth discretization needs data".into(),
                 ));
             }
-            let mut values = dataset.quant_column(idx)?;
+            let mut values = dataset.quant(idx)?.to_vec();
             values.sort_by(f64::total_cmp);
             let len = values.len();
             let mut cuts: Vec<f64> = (1..*n).map(|i| values[(i * len / *n).min(len - 1)]).collect();
@@ -136,23 +135,14 @@ pub fn discretize(
         .collect();
     let new_schema = Schema::new(attributes)?;
 
-    let code_of = |v: f64| -> u32 { cuts.partition_point(|c| *c <= v) as u32 };
-    let mut out = Dataset::new(new_schema);
-    for tuple in dataset.iter() {
-        let values: Vec<Value> = tuple
-            .values()
-            .iter()
-            .enumerate()
-            .map(|(i, &v)| if i == idx { Value::Cat(code_of(tuple.quant(idx))) } else { v })
-            .collect();
-        out.push_tuple(Tuple::new(values));
-    }
-    Ok(out)
+    let codes = dataset.quant(idx)?.iter().map(|&v| cuts.partition_point(|c| *c <= v) as u32);
+    Ok(dataset.with_cat_column(new_schema, idx, codes.collect()))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tuple::Value;
 
     fn dataset() -> Dataset {
         let schema = Schema::new(vec![
@@ -162,7 +152,7 @@ mod tests {
         .unwrap();
         let mut ds = Dataset::new(schema);
         for i in 0..100 {
-            ds.push(vec![Value::Quant(i as f64), Value::Quant(30.0)]).unwrap();
+            ds.push(&[Value::Quant(i as f64), Value::Quant(30.0)]).unwrap();
         }
         ds
     }
@@ -183,11 +173,11 @@ mod tests {
         assert_eq!(attr.label(0), Some("average"));
         assert_eq!(attr.label(2), Some("excellent"));
         assert_eq!(out.len(), 100);
-        assert_eq!(out.row(0).unwrap().cat(0), 0);
-        assert_eq!(out.row(50).unwrap().cat(0), 1);
-        assert_eq!(out.row(99).unwrap().cat(0), 2);
+        assert_eq!(out.cat(0).unwrap()[0], 0);
+        assert_eq!(out.cat(0).unwrap()[50], 1);
+        assert_eq!(out.cat(0).unwrap()[99], 2);
         // The other attribute is untouched.
-        assert_eq!(out.row(0).unwrap().quant(1), 30.0);
+        assert_eq!(out.quant(1).unwrap()[0], 30.0);
     }
 
     #[test]
@@ -195,8 +185,8 @@ mod tests {
         let ds = dataset(); // uniform 0..99
         let out = discretize(&ds, "sales", &Discretization::EquiDepth { n: 4 }, &[]).unwrap();
         let mut counts = [0usize; 4];
-        for t in out.iter() {
-            counts[t.cat(0) as usize] += 1;
+        for &code in out.cat(0).unwrap() {
+            counts[code as usize] += 1;
         }
         for &c in &counts {
             assert!((20..=30).contains(&c), "counts = {counts:?}");
@@ -213,10 +203,10 @@ mod tests {
             &["low", "mid", "high"],
         )
         .unwrap();
-        assert_eq!(out.row(5).unwrap().cat(0), 0);
-        assert_eq!(out.row(10).unwrap().cat(0), 1); // boundary goes up
-        assert_eq!(out.row(89).unwrap().cat(0), 1);
-        assert_eq!(out.row(95).unwrap().cat(0), 2);
+        assert_eq!(out.cat(0).unwrap()[5], 0);
+        assert_eq!(out.cat(0).unwrap()[10], 1); // boundary goes up
+        assert_eq!(out.cat(0).unwrap()[89], 1);
+        assert_eq!(out.cat(0).unwrap()[95], 2);
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! ```
 
 use arcs::core::select::select_pair_joint;
-use arcs::core::verify::verify_tuples;
+use arcs::core::verify::verify_counts;
 use arcs::prelude::*;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -41,7 +41,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         match arcs.open(&train, request).and_then(|mut s| s.segment()) {
             Ok(seg) => {
                 let binner = Binner::equi_width(train.schema(), x_attr, y_attr, "group", 50, 50)?;
-                let err = verify_tuples(&seg.clusters, &binner, test.iter(), 0);
+                let test_array = binner.bin_rows_parallel(test.rows(), 1)?;
+                let err = verify_counts(&seg.clusters, &test_array, 0);
                 let avg_conf = seg.rules.iter().map(|r| r.confidence).sum::<f64>()
                     / seg.rules.len().max(1) as f64;
                 println!(

@@ -30,7 +30,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Error on held-out data: a tuple is misclassified when cluster
     // membership disagrees with its group label.
     let binner = Binner::equi_width(train.schema(), "age", "salary", "group", 50, 50)?;
-    let arcs_errors = arcs::core::verify::verify_tuples(&seg.clusters, &binner, test.iter(), 0);
+    let test_array = binner.bin_rows_parallel(test.rows(), 1)?;
+    let arcs_errors = arcs::core::verify::verify_counts(&seg.clusters, &test_array, 0);
 
     println!("\nARCS:");
     println!("  rules:      {}", seg.rules.len());

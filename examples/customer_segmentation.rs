@@ -47,7 +47,7 @@ fn synthesize_customers(n: usize, seed: u64) -> Dataset {
             (_, true) if !noise => 1,
             _ => 2,
         };
-        ds.push(vec![
+        ds.push(&[
             Value::Quant(age),
             Value::Quant(income),
             Value::Quant(tenure),
@@ -95,7 +95,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!(
         "\nA mailing targeting the `excellent` segments above reaches the \
          profitable pockets while skipping the {} `average` customers.",
-        customers.iter().filter(|t| t.cat(3) == 2).count()
+        customers.cat(3)?.iter().filter(|&&rating| rating == 2).count()
     );
     Ok(())
 }

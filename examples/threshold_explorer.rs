@@ -26,7 +26,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // One pass over the data builds the BinArray...
     let binner = Binner::equi_width(dataset.schema(), "age", "salary", "group", 50, 50)?;
     let start = Instant::now();
-    let array = binner.bin_rows(dataset.iter())?;
+    let array = binner.bin_rows_parallel(dataset.rows(), 1)?;
     println!(
         "binned {} tuples into a {}x{} array in {:?} ({} KiB resident)",
         array.n_tuples(),

@@ -1,8 +1,9 @@
 //! Integration of the C4.5 baseline with the ARCS pipeline — the paper's
 //! §4.2 comparison claims, at test-suite scale.
 
-use arcs::core::verify::verify_tuples;
+use arcs::core::verify::verify_counts;
 use arcs::prelude::*;
+use rand::SeedableRng;
 
 fn workload(n: usize, u: f64, seed: u64) -> (Dataset, Dataset) {
     let config = GeneratorConfig { outlier_fraction: u, ..GeneratorConfig::paper_defaults(seed) };
@@ -21,7 +22,8 @@ fn both_systems_learn_f2_without_noise() {
         .segment()
         .unwrap();
     let binner = Binner::equi_width(train.schema(), "age", "salary", "group", 50, 50).unwrap();
-    let arcs_err = verify_tuples(&seg.clusters, &binner, test.iter(), 0).rate();
+    let test_array = binner.bin_rows_parallel(test.rows(), 1).unwrap();
+    let arcs_err = verify_counts(&seg.clusters, &test_array, 0).rate();
 
     let tree = DecisionTree::train(&train, "group", TreeConfig::default()).unwrap();
     let tree_err = tree.error_rate(&test);
@@ -66,7 +68,8 @@ fn with_outliers_arcs_is_competitive() {
         .segment()
         .unwrap();
     let binner = Binner::equi_width(train.schema(), "age", "salary", "group", 50, 50).unwrap();
-    let arcs_err = verify_tuples(&seg.clusters, &binner, test.iter(), 0).rate();
+    let test_array = binner.bin_rows_parallel(test.rows(), 1).unwrap();
+    let arcs_err = verify_counts(&seg.clusters, &test_array, 0).rate();
 
     let tree = DecisionTree::train(&train, "group", TreeConfig::default()).unwrap();
     let rules = RuleSet::from_tree(&tree, &train, RulesConfig::default()).unwrap();
@@ -88,7 +91,9 @@ fn rules_approximate_their_tree() {
     let (train, test) = workload(8_000, 0.0, 4);
     let tree = DecisionTree::train(&train, "group", TreeConfig::default()).unwrap();
     let rules = RuleSet::from_tree(&tree, &train, RulesConfig::default()).unwrap();
-    let agree = test.iter().filter(|t| tree.predict(t) == rules.predict(t)).count() as f64
+    let mut rng = rand::rngs::StdRng::seed_from_u64(0);
+    let tuples = arcs::data::sample::sample_rows(&test, test.len(), &mut rng).unwrap();
+    let agree = tuples.iter().filter(|&&t| tree.predict(t) == rules.predict(t)).count() as f64
         / test.len() as f64;
     assert!(agree > 0.85, "tree/rules agreement {agree}");
 }

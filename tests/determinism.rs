@@ -45,8 +45,11 @@ fn generator_streams_are_reproducible_across_iterator_and_generate() {
     let config = GeneratorConfig::paper_defaults(55);
     let mut by_generate = AgrawalGenerator::new(config.clone()).unwrap();
     let ds = by_generate.generate(500);
-    let by_iter: Vec<Tuple> = AgrawalGenerator::new(config).unwrap().take(500).collect();
-    assert_eq!(ds.rows(), &by_iter[..]);
+    let mut by_iter = Dataset::new(ds.schema().clone());
+    for tuple in AgrawalGenerator::new(config).unwrap().take(500) {
+        by_iter.push(tuple.values()).unwrap();
+    }
+    assert_eq!(ds, by_iter);
 }
 
 /// Builds an `Arcs` with every thread knob pinned to `threads`.
@@ -135,7 +138,7 @@ fn parallel_binning_is_bit_identical_on_a_clumped_dataset() {
         let x = (cell as f64) * 13.0 + 1.5;
         let y = ((i % 3) as f64) * 30.0 + 2.5;
         let g = (i % 5).min(2) as u32;
-        ds.push(vec![Value::Quant(x), Value::Quant(y), Value::Cat(g)]).unwrap();
+        ds.push(&[Value::Quant(x), Value::Quant(y), Value::Cat(g)]).unwrap();
     }
     let request = SegmentRequest::new("x", "y", "g");
     let base = arcs_with_threads(1).open(&ds, request.clone()).unwrap();

@@ -196,8 +196,8 @@ fn segmentation_diagnostics_are_consistent() {
     assert!(seg.evaluations >= 1);
     assert_eq!(seg.n_tuples, 10_000);
     // Support of each rule is bounded by the group's share of tuples.
-    let frac_a =
-        ds.iter().filter(|t| t.cat(attr::GROUP) == GROUP_A).count() as f64 / ds.len() as f64;
+    let frac_a = ds.cat(attr::GROUP).unwrap().iter().filter(|&&g| g == GROUP_A).count() as f64
+        / ds.len() as f64;
     for rule in &seg.rules {
         assert!(rule.support <= frac_a + 1e-9);
         assert!((0.0..=1.0).contains(&rule.confidence));

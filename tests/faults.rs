@@ -154,13 +154,13 @@ fn speck_session(threads: usize) -> Session {
     .unwrap();
     let mut ds = Dataset::new(schema);
     for _ in 0..30 {
-        ds.push(vec![Value::Quant(5.5), Value::Quant(5.5), Value::Cat(0)]).unwrap();
+        ds.push(&[Value::Quant(5.5), Value::Quant(5.5), Value::Cat(0)]).unwrap();
     }
     for ix in 0..10 {
         for iy in 0..10 {
             for _ in 0..3 {
                 let (x, y) = (ix as f64 + 0.5, iy as f64 + 0.5);
-                ds.push(vec![Value::Quant(x), Value::Quant(y), Value::Cat(1)]).unwrap();
+                ds.push(&[Value::Quant(x), Value::Quant(y), Value::Cat(1)]).unwrap();
             }
         }
     }

@@ -155,10 +155,10 @@ fn too_tight_thresholds_degrade_instead_of_failing() {
     .unwrap();
     let mut ds = Dataset::new(schema);
     for _ in 0..30 {
-        ds.push(vec![Value::Quant(5.5), Value::Quant(5.5), Value::Cat(0)]).unwrap();
+        ds.push(&[Value::Quant(5.5), Value::Quant(5.5), Value::Cat(0)]).unwrap();
     }
     for i in 0..300 {
-        ds.push(vec![
+        ds.push(&[
             Value::Quant((i % 10) as f64 + 0.5),
             Value::Quant(((i / 10) % 10) as f64 + 0.5),
             Value::Cat(1),

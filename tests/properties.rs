@@ -94,6 +94,13 @@ fn rule_bits(r: &BinnedRule) -> (usize, usize, u32, u32, u32, [u64; 4]) {
 }
 
 /// A dataset over `x, y ∈ [0, 10)` and a three-group criterion `g`.
+/// `rows` as tuples, in order.
+fn xyg_tuples(rows: &[(f64, f64, u32)]) -> Vec<Tuple> {
+    rows.iter()
+        .map(|&(x, y, g)| Tuple::new(vec![Value::Quant(x), Value::Quant(y), Value::Cat(g)]))
+        .collect()
+}
+
 fn xyg_dataset(rows: &[(f64, f64, u32)]) -> Dataset {
     let schema = Schema::new(vec![
         Attribute::quantitative("x", 0.0, 10.0),
@@ -103,7 +110,7 @@ fn xyg_dataset(rows: &[(f64, f64, u32)]) -> Dataset {
     .unwrap();
     let mut ds = Dataset::new(schema);
     for &(x, y, g) in rows {
-        ds.push(vec![Value::Quant(x), Value::Quant(y), Value::Cat(g)]).unwrap();
+        ds.push(&[Value::Quant(x), Value::Quant(y), Value::Cat(g)]).unwrap();
     }
     ds
 }
@@ -151,8 +158,9 @@ proptest! {
     ) {
         let (rows, nx, ny) = data;
         let ds = xyg_dataset(&rows);
+        let tuples = xyg_tuples(&rows);
         let binner = Binner::equi_width(ds.schema(), "x", "y", "g", nx, ny).unwrap();
-        let sample: Vec<&Tuple> = ds.iter().zip(&picks).filter(|(_, &p)| p).map(|(t, _)| t).collect();
+        let sample: Vec<&Tuple> = tuples.iter().zip(&picks).filter(|(_, &p)| p).map(|(t, _)| t).collect();
         let array = binner.bin_rows(sample.iter().copied()).unwrap();
         let mut grid = Grid::new(nx, ny).unwrap();
         for (i, _) in bits.iter().enumerate().take(nx * ny).filter(|(_, &b)| b) {
@@ -180,7 +188,7 @@ proptest! {
             for c in [&clusters[..], &[]] {
                 prop_assert_eq!(
                     verify_counts(c, session.bin_array(), gk),
-                    verify_tuples(c, &binner, ds.iter(), gk),
+                    verify_tuples(c, &binner, tuples.iter(), gk),
                     "session array, clusters {:?}, group {}", c, gk
                 );
             }
@@ -189,7 +197,7 @@ proptest! {
             match seg {
                 Ok(seg) => prop_assert_eq!(
                     seg.errors,
-                    verify_tuples(&seg.clusters, &binner, ds.iter(), gk as u32),
+                    verify_tuples(&seg.clusters, &binner, tuples.iter(), gk as u32),
                     "segmentation of group {}", label
                 ),
                 // Nothing clusters for a group without rows.
@@ -211,9 +219,10 @@ proptest! {
         threads in 1usize..4,
     ) {
         let ds = xyg_dataset(&rows);
+        let tuples = xyg_tuples(&rows);
         let binner = Binner::equi_width(ds.schema(), "x", "y", "g", bins, bins).unwrap();
-        let array = binner.bin_rows(ds.iter()).unwrap();
-        let sample: Vec<&Tuple> = ds.iter().zip(&picks).filter(|(_, &p)| p).map(|(t, _)| t).collect();
+        let array = binner.bin_rows(&tuples).unwrap();
+        let sample: Vec<&Tuple> = tuples.iter().zip(&picks).filter(|(_, &p)| p).map(|(t, _)| t).collect();
         let gk = rows[0].2;
         let config = OptimizerConfig {
             smoothing: SmoothConfig { passes },
@@ -548,12 +557,12 @@ proptest! {
         ]).unwrap();
         let mut ds = Dataset::new(schema.clone());
         for &(x, g) in &rows {
-            ds.push(vec![Value::Quant(x), Value::Cat(g)]).unwrap();
+            ds.push(&[Value::Quant(x), Value::Cat(g)]).unwrap();
         }
         let mut buf = Vec::new();
         arcs::data::csv::write_csv(&ds, &mut buf).unwrap();
         let back = arcs::data::csv::read_csv(schema, &buf[..]).unwrap();
-        prop_assert_eq!(back.rows(), ds.rows());
+        prop_assert_eq!(back, ds);
     }
 
     /// SQL predicates always quote the attribute names and bound both
@@ -578,30 +587,6 @@ proptest! {
         prop_assert!(sql.contains(&quoted), "{sql}");
         prop_assert!(sql.contains(">= 1"));
         prop_assert!(sql.contains("< 2"));
-    }
-
-    /// Sharded parallel binning merges to the exact same `BinArray` as the
-    /// sequential pass — same counts, same checksum — for arbitrary
-    /// datasets and thread counts.
-    #[test]
-    fn parallel_binning_matches_sequential(
-        rows in vec((0.0f64..50.0, 0.0f64..50.0, 0u32..3), 1..400),
-        threads in 2usize..6,
-    ) {
-        let schema = Schema::new(vec![
-            Attribute::quantitative("x", 0.0, 50.0),
-            Attribute::quantitative("y", 0.0, 50.0),
-            Attribute::categorical("g", ["a", "b", "c"]),
-        ]).unwrap();
-        let mut ds = Dataset::new(schema.clone());
-        for &(x, y, g) in &rows {
-            ds.push(vec![Value::Quant(x), Value::Quant(y), Value::Cat(g)]).unwrap();
-        }
-        let binner = Binner::equi_width(&schema, "x", "y", "g", 8, 8).unwrap();
-        let sequential = binner.bin_rows(ds.iter()).unwrap();
-        let parallel = binner.bin_rows_parallel(ds.rows(), threads).unwrap();
-        prop_assert_eq!(&parallel, &sequential);
-        prop_assert_eq!(parallel.checksum(), sequential.checksum());
     }
 
     /// The output-sensitive miners agree bit-for-bit with the naive
@@ -746,5 +731,52 @@ proptest! {
         let server = Server::new(array, ServeConfig::default()).unwrap();
         let served = server.query_unified(&request, &labels).unwrap();
         prop_assert_eq!(&*served.result, &local);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Sharded binning over a dataset's columns merges to the exact
+    /// `BinArray` the sequential pass over its tuples builds — same
+    /// counts, same checksum — under equi-width and equi-depth maps, at 1
+    /// to 8 threads. A case holds up to 22,000 rows, so it bins as 1 to 5
+    /// shards of at least 4,096 rows, and some values sit on a bin edge
+    /// or outside the declared domain.
+    #[test]
+    fn parallel_binning_matches_sequential(seed in any::<u64>()) {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let schema = Schema::new(vec![
+            Attribute::quantitative("x", 0.0, 50.0),
+            Attribute::quantitative("y", 0.0, 50.0),
+            Attribute::categorical("g", ["a", "b", "c"]),
+        ]).unwrap();
+        let n = rng.gen_range(1..=22_000);
+        let mut ds = Dataset::with_capacity(schema.clone(), n);
+        for _ in 0..n {
+            let mut value = || match rng.gen_range(0..10) {
+                0 => rng.gen_range(0..=10) as f64 * 5.0,
+                1 => rng.gen_range(-10.0..60.0),
+                _ => rng.gen_range(0.0..50.0),
+            };
+            let (x, y) = (value(), value());
+            ds.push(&[Value::Quant(x), Value::Quant(y), Value::Cat(rng.gen_range(0..3))]).unwrap();
+        }
+        let (x_bins, y_bins) = (rng.gen_range(1..60), rng.gen_range(1..60));
+        let depth = |idx, bins| BinMap::equi_depth(ds.quant(idx).unwrap(), bins).unwrap();
+        let binners = [
+            Binner::equi_width(&schema, "x", "y", "g", x_bins, y_bins).unwrap(),
+            Binner::with_maps(&schema, "x", "y", "g", depth(0, x_bins), depth(1, y_bins)).unwrap(),
+        ];
+        let tuples = arcs::data::sample::sample_rows(&ds, n, &mut rng).unwrap();
+        for binner in &binners {
+            let sequential = binner.bin_rows(tuples.iter().copied()).unwrap();
+            for threads in 1..=8 {
+                let parallel = binner.bin_rows_parallel(ds.rows(), threads).unwrap();
+                prop_assert_eq!(&parallel, &sequential, "threads {}", threads);
+                prop_assert_eq!(parallel.checksum(), sequential.checksum());
+            }
+        }
     }
 }

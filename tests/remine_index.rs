@@ -27,7 +27,7 @@ fn sparse_dataset() -> Dataset {
     ];
     for (i, &(x, y, g)) in spots.iter().cycle().take(600).enumerate() {
         let jitter = (i % 5) as f64 * 0.1;
-        ds.push(vec![Value::Quant(x + jitter), Value::Quant(y + jitter), Value::Cat(g)]).unwrap();
+        ds.push(&[Value::Quant(x + jitter), Value::Quant(y + jitter), Value::Cat(g)]).unwrap();
     }
     ds
 }

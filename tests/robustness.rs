@@ -25,7 +25,7 @@ proptest! {
         ]).unwrap();
         let mut ds = Dataset::new(schema);
         for &(x, y, g) in &rows {
-            ds.push(vec![Value::Quant(x), Value::Quant(y), Value::Cat(g)]).unwrap();
+            ds.push(&[Value::Quant(x), Value::Quant(y), Value::Cat(g)]).unwrap();
         }
         let arcs = Arcs::new(ArcsConfig {
             n_x_bins: bins,
@@ -68,7 +68,7 @@ proptest! {
         let mut ds = Dataset::new(schema);
         // Heavily quantised values: equi-depth edges collapse.
         for &(x, y, g) in &rows {
-            ds.push(vec![
+            ds.push(&[
                 Value::Quant(x as f64 * 2.0),
                 Value::Quant(y as f64 * 2.0),
                 Value::Cat(g),
@@ -105,7 +105,7 @@ proptest! {
         ]).unwrap();
         let mut ds = Dataset::new(schema);
         for &(x, c, class) in &rows {
-            ds.push(vec![Value::Quant(x), Value::Cat(c), Value::Cat(class)]).unwrap();
+            ds.push(&[Value::Quant(x), Value::Cat(c), Value::Cat(class)]).unwrap();
         }
         let tree = DecisionTree::train(&ds, "class", TreeConfig::default()).unwrap();
         let err = tree.error_rate(&ds);

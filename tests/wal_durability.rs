@@ -216,7 +216,7 @@ fn demo_schema() -> Schema {
 fn bin_batch(schema: &Schema, binner: &Binner, rows: &str) -> BinArray {
     let text = format!("x,y,g\n{rows}");
     let ds = arcs::data::csv::read_csv(schema.clone(), text.as_bytes()).unwrap();
-    binner.bin_rows(ds.iter()).unwrap()
+    binner.bin_rows_parallel(ds.rows(), 1).unwrap()
 }
 
 /// Renders generated row tuples as a header-less CSV batch.
