@@ -13,7 +13,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use arcs_core::jsonio::Json;
-use arcs_core::request::{query_result_to_json, Request};
+use arcs_core::request::{write_query_result, Request};
 use arcs_core::serve::{ClusterSpec, ServeConfig};
 use arcs_core::ArcsError;
 use arcs_daemon::daemon::{Daemon, DaemonConfig};
@@ -530,12 +530,13 @@ pub fn client(argv: &[String]) -> Result<String, CliError> {
                     request.deadline(Duration::from_millis(args.get_or("deadline-ms", 0u64)?));
             }
             let outcome = client.query_on(Some(dataset), &request).map_err(client_err)?;
-            Ok(Json::Obj(vec![
-                ("result".into(), query_result_to_json(&outcome.result)),
-                ("cache_hit".into(), Json::Bool(outcome.cache_hit)),
-                ("retries".into(), Json::Num(outcome.retries as f64)),
-            ])
-            .to_string())
+            let mut result = String::new();
+            write_query_result(&outcome.result, &mut result);
+            Ok(format!(
+                "{{\"result\":{result},\"cache_hit\":{},\"retries\":{}}}",
+                Json::Bool(outcome.cache_hit),
+                Json::Num(outcome.retries as f64)
+            ))
         }
         "append" => {
             let rows = match (args.get("rows"), args.get("rows-file")) {

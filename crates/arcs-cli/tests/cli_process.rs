@@ -406,7 +406,8 @@ fn daemon_opens_a_large_csv_in_memory_below_the_file_size() {
 /// 0 ms, or a daemon whose `--deadline-ms 0` default applies to every
 /// query, expires at admission and exits 6 with `deadline` on stderr,
 /// also when the daemon holds a cached answer at those thresholds; the
-/// same query without a deadline is answered.
+/// same query without a deadline is answered, and printed in the tree
+/// codec's bytes, rules and clusters alike.
 #[cfg(unix)]
 #[test]
 fn expired_deadlines_exit_6_through_the_daemon() {
@@ -436,6 +437,20 @@ fn expired_deadlines_exit_6_through_the_daemon() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("deadline"));
     let out = query(&addr, &[]);
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    // A reply is printed through the direct writer, in the bytes of the
+    // tree codec it replaced.
+    let clustered = query(&addr, &["--cluster"]);
+    assert!(clustered.status.success(), "{}", String::from_utf8_lossy(&clustered.stderr));
+    let printed = String::from_utf8(clustered.stdout).unwrap();
+    let reply = arcs_core::jsonio::parse(printed.trim_end()).unwrap();
+    let result = arcs_core::request::query_result_from_json(reply.get("result").unwrap()).unwrap();
+    assert!(!result.rules.is_empty() && result.clusters.as_ref().is_some_and(|c| !c.is_empty()));
+    let tree = arcs_core::jsonio::Json::Obj(vec![
+        ("result".into(), arcs_core::request::query_result_to_json(&result)),
+        ("cache_hit".into(), reply.get("cache_hit").unwrap().clone()),
+        ("retries".into(), reply.get("retries").unwrap().clone()),
+    ]);
+    assert_eq!(printed, format!("{tree}\n"));
     // The answer at these thresholds is cached now; it is not served to an
     // expired request.
     let out = query(&addr, &["--deadline-ms", "0"]);

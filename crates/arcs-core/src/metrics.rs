@@ -1,7 +1,7 @@
 //! Stage-level observability for the execution layer.
 //!
-//! The pipeline runs in well-defined stages (bin → threshold search →
-//! decode); this module gives each a wall-clock timing, a set of
+//! The pipeline runs in well-defined stages (ingest → bin → threshold
+//! search → decode); this module gives each a wall-clock timing, a set of
 //! work counters that make the parallel execution layer's speedups
 //! measurable, and a JSON rendering (through [`crate::jsonio`]) for
 //! `arcs segment --stats json` and the benchmark harness.
@@ -20,8 +20,12 @@ pub fn default_threads() -> usize {
 /// The pipeline stages a [`StageTimings`] times.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Stage {
-    /// Streaming tuples into the `BinArray` (the only stage that touches
-    /// the source data).
+    /// Loading the source data. A session opens on a dataset already
+    /// loaded, so only a caller that records its load fills this stage
+    /// (`arcs segment` records its CSV load).
+    Ingest,
+    /// Streaming tuples into the `BinArray` (the only stage of a session
+    /// that touches the source data).
     Binning,
     /// The threshold search: mine → smooth → cluster → verify per lattice
     /// cell.
@@ -34,6 +38,7 @@ impl Stage {
     /// Stable lowercase stage name (used as the JSON key).
     pub fn name(&self) -> &'static str {
         match self {
+            Stage::Ingest => "ingest",
             Stage::Binning => "binning",
             Stage::Search => "search",
             Stage::Decode => "decode",
@@ -45,6 +50,8 @@ impl Stage {
 /// session (e.g. `segment_all`) accumulate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct StageTimings {
+    /// Time loading the source data (zero unless the caller recorded it).
+    pub ingest: Duration,
     /// Time binning tuples into the `BinArray`.
     pub binning: Duration,
     /// Time in the threshold search (mine/smooth/cluster/verify).
@@ -56,12 +63,13 @@ pub struct StageTimings {
 impl StageTimings {
     /// Sum of all stage timings.
     pub fn total(&self) -> Duration {
-        self.binning + self.search + self.decode
+        self.ingest + self.binning + self.search + self.decode
     }
 
     /// Adds `elapsed` to the given stage's tally.
     pub fn record(&mut self, stage: Stage, elapsed: Duration) {
         let slot = match stage {
+            Stage::Ingest => &mut self.ingest,
             Stage::Binning => &mut self.binning,
             Stage::Search => &mut self.search,
             Stage::Decode => &mut self.decode,
@@ -326,7 +334,8 @@ pub struct PipelineReport {
 /// Version of the JSON schema emitted by [`PipelineReport::to_json`];
 /// bumped on any incompatible key change (CI validates against it).
 /// Version 2 dropped `timings_ms.sampling` with the verification sample.
-pub const REPORT_SCHEMA_VERSION: u32 = 2;
+/// Version 3 added `timings_ms.ingest`, which `total` now includes.
+pub const REPORT_SCHEMA_VERSION: u32 = 3;
 
 impl PipelineReport {
     /// Renders the report as a single-line JSON object. Keys and their
@@ -341,6 +350,7 @@ impl PipelineReport {
             (
                 "timings_ms",
                 obj(vec![
+                    ("ingest", ms(t.ingest)),
                     ("binning", ms(t.binning)),
                     ("search", ms(t.search)),
                     ("decode", ms(t.decode)),
@@ -363,8 +373,10 @@ mod tests {
         t.record(Stage::Binning, Duration::from_millis(10));
         t.record(Stage::Binning, Duration::from_millis(5));
         t.record(Stage::Search, Duration::from_millis(20));
+        t.record(Stage::Ingest, Duration::from_millis(7));
         assert_eq!(t.binning, Duration::from_millis(15));
-        assert_eq!(t.total(), Duration::from_millis(35));
+        assert_eq!(t.ingest, Duration::from_millis(7));
+        assert_eq!(t.total(), Duration::from_millis(42));
     }
 
     #[test]
@@ -403,9 +415,10 @@ mod tests {
         };
         let json = report.to_json();
         let keys = [
-            "\"schema_version\":2",
+            "\"schema_version\":3",
             "\"threads\":4",
             "\"timings_ms\"",
+            "\"ingest\"",
             "\"binning\":12",
             "\"search\"",
             "\"decode\"",
@@ -459,6 +472,7 @@ mod tests {
 
     #[test]
     fn stage_names_are_stable() {
+        assert_eq!(Stage::Ingest.name(), "ingest");
         assert_eq!(Stage::Binning.name(), "binning");
         assert_eq!(Stage::Search.name(), "search");
         assert_eq!(Stage::Decode.name(), "decode");

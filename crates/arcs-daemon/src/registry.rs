@@ -117,9 +117,12 @@ impl Tenant {
 
     /// Opens the CSV file at `path` as an ephemeral tenant in two passes
     /// that never hold the file or a [`Dataset`]: pass 1 infers the schema
-    /// (as [`arcs_data::csv::load_csv_inferred`] does, with the same
-    /// `max_categories`), pass 2 validates every row and bins it straight
-    /// into the epoch-0 array. Both passes scan the file's ranges on the
+    /// with the inference loop [`arcs_data::csv::load_csv_inferred`] runs,
+    /// with the same `max_categories` but keeping no values, and pass 2
+    /// validates every row and bins it straight into the epoch-0 array.
+    /// Equi-width bins need each domain before the first row is binned,
+    /// so the passes stay two (paper §4.3: the bin array, not the data,
+    /// is what a tenant holds). Both passes scan the file's ranges on the
     /// default worker count ([`CsvFile`]). The tenant equals
     /// [`from_dataset`](Tenant::from_dataset) over the loaded file, and a
     /// malformed file fails with the same [`arcs_data::DataError`].

@@ -29,9 +29,13 @@
 //! the one-range case of that scan.
 //!
 //! The loaders are built on these: [`read_csv_with_policy`] is the
-//! scanner plus [`Dataset::push`], [`infer_schema`] reads through the
-//! same line buffer, and [`load_csv_inferred`] runs a [`CsvFile`]'s two
-//! passes — infer, then load — instead of reading its text into memory.
+//! scanner plus [`Dataset::push`]. Schema inference has one loop of its
+//! own, which reads through the same line buffer. [`infer_schema`] runs
+//! it over a reader, keeping no values, and [`load_csv_inferred`] runs it
+//! once over a [`CsvFile`], keeping every row's values as it goes: a
+//! column holds label codes while it has at most `max_categories`
+//! distinct values and numbers once it has more, so each field is parsed
+//! once and the schema is known when the last row is in.
 
 use std::fs::File;
 use std::io::{BufRead, BufReader, BufWriter, Read, Seek, SeekFrom, Take, Write};
@@ -39,11 +43,11 @@ use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::mpsc;
 
-use crate::dataset::{Columns, Dataset};
+use crate::dataset::{Column, Dataset};
 use crate::error::DataError;
-use crate::ingest::{IngestPolicy, IngestReport, IssueKind};
+use crate::ingest::{IngestPolicy, IngestReport, IssueKind, MAX_RECORDED_ISSUES};
 use crate::schema::{AttrKind, Attribute, Schema};
-use crate::tuple::{Tuple, Value};
+use crate::tuple::Value;
 
 /// Serialises `dataset` as CSV into `writer`, row by row from its
 /// columns.
@@ -142,7 +146,7 @@ impl<R: BufRead> Lines<R> {
 
 /// Whether a line is blank (empty or whitespace-only) and must be skipped.
 /// The scanner and [`infer_schema`] share this definition, so the two
-/// passes always agree on which physical lines carry data.
+/// loops always agree on which physical lines carry data.
 fn is_blank(line: &str) -> bool {
     line.trim().is_empty()
 }
@@ -204,6 +208,28 @@ fn parse_row(
     Ok(clamped)
 }
 
+/// Handles one bad row under `policy`: a strict scan fails with its line,
+/// a lenient one counts and records it and quarantines the line.
+fn reject(
+    report: &mut IngestReport,
+    policy: IngestPolicy,
+    quarantine: &mut Option<&mut dyn Write>,
+    line_no: usize,
+    line: &str,
+    (kind, message): (IssueKind, String),
+) -> Result<(), DataError> {
+    if policy.is_strict() {
+        return Err(DataError::Parse { line: line_no, message });
+    }
+    report.rows_skipped += 1;
+    report.record(line_no, kind, message);
+    if let (IngestPolicy::Quarantine { .. }, Some(sink)) = (&policy, quarantine.as_mut()) {
+        writeln!(sink, "{line}")?;
+        report.rows_quarantined += 1;
+    }
+    Ok(())
+}
+
 /// The one CSV row loop: validates every data row left in `lines`
 /// against `schema` and hands each accepted row to `accept` through one
 /// reused buffer. A row `accept` refuses is a bad row of kind
@@ -223,7 +249,7 @@ fn scan_lines<R: BufRead>(
             continue;
         }
         report.rows_read += 1;
-        let (kind, message) = match parse_row(schema, line, &mut values) {
+        let issue = match parse_row(schema, line, &mut values) {
             Ok(clamps) => match accept(&values) {
                 Ok(()) => {
                     report.rows_kept += 1;
@@ -234,15 +260,7 @@ fn scan_lines<R: BufRead>(
             },
             Err(issue) => issue,
         };
-        if policy.is_strict() {
-            return Err(DataError::Parse { line: line_no, message });
-        }
-        report.rows_skipped += 1;
-        report.record(line_no, kind, message);
-        if let (IngestPolicy::Quarantine { .. }, Some(sink)) = (&policy, quarantine.as_mut()) {
-            writeln!(sink, "{line}")?;
-            report.rows_quarantined += 1;
-        }
+        reject(&mut report, policy, &mut quarantine, line_no, line, issue)?;
     }
     Ok(report)
 }
@@ -359,7 +377,7 @@ struct ColumnProbe {
     min: f64,
     max: f64,
     /// Distinct values in first-appearance order, at most
-    /// `max_categories` of them.
+    /// `max_categories` of them; none once the column has overflowed.
     distinct: Vec<String>,
     /// Whether more than `max_categories` distinct values appeared.
     overflowed: bool,
@@ -386,41 +404,166 @@ impl ColumnProbe {
             self.max = max;
         }
     }
+}
 
-    /// Notes a value: a new one joins `distinct`, or overflows the column
-    /// when `distinct` already holds `max_categories` values.
-    fn note(&mut self, value: &str, max_categories: usize) {
-        if !self.overflowed && !self.distinct.iter().any(|d| d == value) {
-            if self.distinct.len() >= max_categories {
-                self.overflowed = true;
-            } else {
-                self.distinct.push(value.to_string());
-            }
+/// The field as a finite number, if it is one.
+fn finite(field: &str) -> Option<f64> {
+    field.parse::<f64>().ok().filter(|v| v.is_finite())
+}
+
+/// One column as the inference loop fills it: its [`ColumnProbe`] and,
+/// when the loop keeps values, each row's value in one form at a time.
+/// While the column has at most `max_categories` distinct values it
+/// holds each row's label code, and parses a label once, when it first
+/// appears. The value that overflows it turns the codes into their
+/// labels' numbers, and from then on each field is parsed as a number.
+/// A field that is not a finite number is held as NaN: if the column
+/// ends quantitative, its row is a bad row.
+struct Filling {
+    probe: ColumnProbe,
+    /// Each label's finite value, in `probe.distinct`'s order.
+    numbers: Vec<Option<f64>>,
+    /// Each row's label code, until the column overflows.
+    codes: Vec<u32>,
+    /// Each row's value, once the column has overflowed.
+    values: Vec<f64>,
+}
+
+impl Filling {
+    fn new() -> Self {
+        Filling {
+            probe: ColumnProbe::new(),
+            numbers: Vec::new(),
+            codes: Vec::new(),
+            values: Vec::new(),
         }
     }
 
-    /// Folds in the same column's probe over the input that follows.
-    fn absorb(&mut self, later: ColumnProbe, max_categories: usize) {
-        self.numeric += later.numeric;
-        self.non_numeric += later.non_numeric;
-        self.bound(later.min, later.max);
-        self.overflowed |= later.overflowed;
-        for value in &later.distinct {
-            self.note(value, max_categories);
+    /// Takes one row's field, keeping its value when `keep` is set.
+    fn take(&mut self, field: &str, max_categories: usize, keep: bool) {
+        if self.probe.overflowed {
+            return self.take_number(field, keep);
         }
+        let code = match self.probe.distinct.iter().position(|label| label == field) {
+            Some(code) => code,
+            None if self.probe.distinct.len() < max_categories => {
+                let number = finite(field);
+                if let Some(v) = number {
+                    self.probe.bound(v, v);
+                }
+                self.probe.distinct.push(field.to_string());
+                self.numbers.push(number);
+                self.numbers.len() - 1
+            }
+            None => {
+                self.overflow();
+                return self.take_number(field, keep);
+            }
+        };
+        self.count(self.numbers[code].is_some());
+        if keep {
+            self.codes.push(code as u32);
+        }
+    }
+
+    /// Takes a field of an overflowed column.
+    fn take_number(&mut self, field: &str, keep: bool) {
+        let number = finite(field);
+        if let Some(v) = number {
+            self.probe.bound(v, v);
+        }
+        self.count(number.is_some());
+        if keep {
+            self.values.push(number.unwrap_or(f64::NAN));
+        }
+    }
+
+    fn count(&mut self, numeric: bool) {
+        if numeric {
+            self.probe.numeric += 1;
+        } else {
+            self.probe.non_numeric += 1;
+        }
+    }
+
+    /// Overflows the column: each row's code becomes its label's number,
+    /// in room for as many rows as the codes had.
+    fn overflow(&mut self) {
+        self.probe.overflowed = true;
+        let codes = std::mem::take(&mut self.codes);
+        self.values.reserve_exact(codes.capacity());
+        self.values.extend(codes.iter().map(|&code| number(&self.numbers, code)));
+        self.probe.distinct = Vec::new();
+        self.numbers = Vec::new();
+    }
+
+    /// Appends `later`, the same column over the input that follows:
+    /// counts add up, bounds fold, labels unite in first-appearance order
+    /// with `later`'s codes remapped into the union's, and the column
+    /// overflows when either did or the union passes `max_categories`.
+    fn absorb(&mut self, later: Filling, max_categories: usize) {
+        self.probe.numeric += later.probe.numeric;
+        self.probe.non_numeric += later.probe.non_numeric;
+        self.probe.bound(later.probe.min, later.probe.max);
+        if !self.probe.overflowed && !later.probe.overflowed {
+            let mut remap = Vec::with_capacity(later.numbers.len());
+            for (label, &number) in later.probe.distinct.iter().zip(&later.numbers) {
+                let code = match self.probe.distinct.iter().position(|known| known == label) {
+                    Some(code) => code,
+                    None if self.probe.distinct.len() < max_categories => {
+                        self.probe.distinct.push(label.clone());
+                        self.numbers.push(number);
+                        self.numbers.len() - 1
+                    }
+                    None => break,
+                };
+                remap.push(code as u32);
+            }
+            if remap.len() == later.numbers.len() {
+                self.codes.extend(later.codes.iter().map(|&code| remap[code as usize]));
+                return;
+            }
+        }
+        if !self.probe.overflowed {
+            self.overflow();
+        }
+        if later.probe.overflowed {
+            self.values.extend_from_slice(&later.values);
+        } else {
+            self.values.extend(later.codes.iter().map(|&code| number(&later.numbers, code)));
+        }
+    }
+
+    /// The probe, and the kept values as the dataset's column: codes
+    /// while the column has not overflowed, numbers once it has.
+    fn into_parts(self) -> (ColumnProbe, Column) {
+        let column = if self.probe.overflowed {
+            Column::Quant(self.values)
+        } else {
+            Column::Cat(self.codes)
+        };
+        (self.probe, column)
     }
 }
 
-/// The one inference loop: probes every data row left in `lines`, one
-/// [`ColumnProbe`] per column. A row with the wrong field count is a bad
-/// row under `policy`; the bad-row ceiling is left to the caller.
-fn probe_lines<R: BufRead>(
+/// The number a label code stands for: its label's finite value, or NaN.
+fn number(numbers: &[Option<f64>], code: u32) -> f64 {
+    numbers[code as usize].unwrap_or(f64::NAN)
+}
+
+/// The one inference loop: fills one [`Filling`] per column from every
+/// data row left in `lines`, keeping each row's values when `keep` is
+/// set. A row with the wrong field count is a bad row under `policy`;
+/// the bad-row ceiling and the column kinds are left to the caller.
+fn fill_lines<R: BufRead>(
     lines: &mut Lines<R>,
     n_cols: usize,
     max_categories: usize,
     policy: IngestPolicy,
-) -> Result<(IngestReport, Vec<ColumnProbe>), DataError> {
-    let mut probes: Vec<ColumnProbe> = (0..n_cols).map(|_| ColumnProbe::new()).collect();
+    keep: bool,
+    mut quarantine: Option<&mut dyn Write>,
+) -> Result<(IngestReport, Vec<Filling>), DataError> {
+    let mut columns: Vec<Filling> = (0..n_cols).map(|_| Filling::new()).collect();
     let mut report = IngestReport::default();
     while let Some((line_no, line)) = lines.next_line()? {
         if is_blank(line) {
@@ -429,44 +572,34 @@ fn probe_lines<R: BufRead>(
         report.rows_read += 1;
         let fields = field_count(line);
         if fields != n_cols {
-            let message = format!("expected {n_cols} fields, found {fields}");
-            if policy.is_strict() {
-                return Err(DataError::Parse { line: line_no, message });
-            }
-            report.rows_skipped += 1;
-            report.record(line_no, IssueKind::FieldCount, message);
+            let issue =
+                (IssueKind::FieldCount, format!("expected {n_cols} fields, found {fields}"));
+            reject(&mut report, policy, &mut quarantine, line_no, line, issue)?;
             continue;
         }
         report.rows_kept += 1;
-        for (probe, field) in probes.iter_mut().zip(line.split(',')) {
-            match field.parse::<f64>() {
-                Ok(v) if v.is_finite() => {
-                    probe.numeric += 1;
-                    probe.bound(v, v);
-                }
-                _ => probe.non_numeric += 1,
-            }
-            probe.note(field, max_categories);
+        for (column, field) in columns.iter_mut().zip(line.split(',')) {
+            column.take(field, max_categories, keep);
         }
     }
-    Ok((report, probes))
+    Ok((report, columns))
 }
 
 /// The schema a whole input's probes describe, once the input is known to
-/// hold a data row and to pass the bad-row ceiling.
+/// hold a data row and its field counts pass the bad-row ceiling.
 fn probed_schema(
     names: Vec<String>,
     probes: Vec<ColumnProbe>,
-    report: IngestReport,
+    report: &IngestReport,
     policy: IngestPolicy,
-) -> Result<(Schema, IngestReport), DataError> {
+) -> Result<Schema, DataError> {
     if report.rows_kept == 0 {
         return Err(DataError::Parse {
             line: 1,
             message: "cannot infer a schema from a header-only file".into(),
         });
     }
-    check_bad_fraction(&report, policy)?;
+    check_bad_fraction(report, policy)?;
 
     let attributes = names
         .into_iter()
@@ -475,7 +608,7 @@ fn probed_schema(
             // Strict inference demands a fully numeric column; lenient
             // policies tolerate a minority of garbage values in an
             // otherwise-numeric high-cardinality column (the garbage rows
-            // are rejected per-row by the load pass).
+            // are rejected per-row by the load).
             let mostly_numeric = probe.non_numeric == 0
                 || (!policy.is_strict() && probe.numeric > probe.non_numeric);
             let treat_quantitative = mostly_numeric && probe.numeric > 0 && probe.overflowed;
@@ -492,7 +625,7 @@ fn probed_schema(
             }
         })
         .collect();
-    Schema::new(attributes).map(|schema| (schema, report))
+    Schema::new(attributes)
 }
 
 /// Infers a [`Schema`] from raw CSV text: a column whose every value
@@ -510,13 +643,14 @@ pub fn infer_schema<R: BufRead>(reader: R, max_categories: usize) -> Result<Sche
 /// rows with the wrong field count are skipped and counted instead of
 /// aborting the probe when the policy is lenient, and a high-cardinality
 /// column whose values are *mostly* numeric stays quantitative despite
-/// stray garbage values (those rows surface as non-numeric issues during
-/// the load pass instead of silently flipping the column categorical).
+/// stray garbage values (a load rejects those rows as non-numeric or
+/// non-finite instead of silently flipping the column categorical).
 /// Quarantine sinks are *not* written here — inference is a read-only
-/// probe; the subsequent [`scan_csv`] pass owns the sink so each bad
-/// line is quarantined exactly once. The probe streams its input through
-/// the scanner's reused line buffer; it keeps only per-column bounds and
-/// at most `max_categories` distinct values per column.
+/// probe, and a load owns the sink so each bad line is quarantined
+/// exactly once. This is the loop [`load_csv_inferred_with_policy`] runs,
+/// keeping no values: it streams its input through the scanner's reused
+/// line buffer and keeps only per-column bounds and at most
+/// `max_categories` distinct values per column.
 pub fn infer_schema_with_policy<R: BufRead>(
     reader: R,
     max_categories: usize,
@@ -524,14 +658,16 @@ pub fn infer_schema_with_policy<R: BufRead>(
 ) -> Result<(Schema, IngestReport), DataError> {
     let mut lines = Lines::new(reader);
     let names: Vec<String> = lines.header()?.into_iter().map(str::to_string).collect();
-    let (report, probes) = probe_lines(&mut lines, names.len(), max_categories, policy)?;
-    probed_schema(names, probes, report, policy)
+    let (report, columns) =
+        fill_lines(&mut lines, names.len(), max_categories, policy, false, None)?;
+    let probes = columns.into_iter().map(|column| column.probe).collect();
+    probed_schema(names, probes, &report, policy).map(|schema| (schema, report))
 }
 
-/// Infers a schema (see [`infer_schema`]) and loads the data, reading
-/// the file in two passes rather than holding its text beside the
-/// [`Dataset`]: [`load_csv_inferred_with_policy`] under
-/// [`IngestPolicy::Strict`], on every available core.
+/// Infers a schema (see [`infer_schema`]) and loads the data in one pass
+/// over the file, without holding its text beside the [`Dataset`]:
+/// [`load_csv_inferred_with_policy`] under [`IngestPolicy::Strict`], on
+/// every available core.
 pub fn load_csv_inferred(
     path: impl AsRef<Path>,
     max_categories: usize,
@@ -541,13 +677,23 @@ pub fn load_csv_inferred(
         .map(|(ds, _)| ds)
 }
 
-/// Infers a schema and loads the data under an [`IngestPolicy`], in a
-/// [`CsvFile`]'s two passes on up to `threads` workers. The returned
-/// report is the *load* pass's report; the inference probe shares the
-/// same policy but never writes to the quarantine sink. The dataset
-/// reserves the rows the probe kept, an upper bound on the rows the load
-/// keeps, so its row vector is allocated once. The result is the same at
-/// any thread count.
+/// Infers a schema and loads the data under an [`IngestPolicy`], in one
+/// pass over a [`CsvFile`] on up to `threads` workers that parses each
+/// field once: the inference loop keeps every row's values, each column
+/// as label codes while it may still be categorical and as numbers once
+/// it has more than `max_categories` distinct values. Each column is
+/// reserved once, for the data's lines, in the form the first range gave
+/// it.
+///
+/// The dataset, the report, the quarantine bytes and any error are those
+/// of inferring the schema ([`infer_schema_with_policy`]) and then
+/// loading the file against it ([`read_csv_with_policy`]), at any thread
+/// count. Under a lenient policy a row whose field is not a finite number
+/// in a column that ends quantitative is a bad row, known only once the
+/// kinds are: the range holding it is scanned again against the schema
+/// for its issues and rejected lines, so only data with such rows parses
+/// a field twice. The quarantine sink is written once the kinds are
+/// known, in file order.
 pub fn load_csv_inferred_with_policy(
     path: impl AsRef<Path>,
     max_categories: usize,
@@ -555,11 +701,7 @@ pub fn load_csv_inferred_with_policy(
     quarantine: Option<&mut dyn Write>,
     threads: usize,
 ) -> Result<(Dataset, IngestReport), DataError> {
-    let file = CsvFile::open(path)?;
-    let (schema, probe) = file.infer_schema(max_categories, policy, threads)?;
-    let mut ds = Dataset::with_capacity(schema, probe.rows_kept);
-    let report = file.load_into(&mut ds, policy, quarantine, threads)?;
-    Ok((ds, report))
+    CsvFile::open(path)?.load_inferred(max_categories, policy, quarantine, threads)
 }
 
 /// What a [`CsvFile::scan`] builds from the rows it accepts. A scan over
@@ -578,45 +720,6 @@ pub trait RowSink: Sized + Send + Sync {
     fn absorb(&mut self, part: Self) -> Result<(), DataError>;
 }
 
-/// A load's sink. The caller's holds the dataset, and a one-range scan
-/// pushes rows straight into it. A range's part fills typed columns of
-/// its own, and absorbing the part appends them to the dataset's columns
-/// on the calling thread, so the dataset's memory is the calling
-/// thread's: with glibc's per-thread arenas, memory a worker allocated
-/// stays in the worker's arena after it is freed, out of reach of the
-/// calling thread's next allocations.
-struct Load<'a> {
-    schema: &'a Schema,
-    /// The dataset, in the caller's sink; `None` in a range's part.
-    ds: Option<&'a mut Dataset>,
-    /// A part's rows.
-    part: Columns,
-}
-
-impl RowSink for Load<'_> {
-    fn part(&self) -> Self {
-        Load { schema: self.schema, ds: None, part: Columns::with_capacity(self.schema, 0) }
-    }
-
-    fn accept(&mut self, row: &[Value]) -> Result<(), DataError> {
-        match &mut self.ds {
-            Some(ds) => ds.push(row),
-            None => {
-                Tuple::check_values(row, self.schema)?;
-                self.part.push_checked(row);
-                Ok(())
-            }
-        }
-    }
-
-    fn absorb(&mut self, part: Self) -> Result<(), DataError> {
-        if let Some(ds) = &mut self.ds {
-            ds.append(&part.part);
-        }
-        Ok(())
-    }
-}
-
 /// The size a [`CsvFile`] cuts its data into. A range's part lives from
 /// its scan to its merge, and a load's part holds its rows' columns, 64
 /// bytes for an Agrawal F2 row. A worker's parts (one in the making, one
@@ -629,8 +732,8 @@ const RANGE_BYTES: u64 = 128 << 10;
 ///
 /// Opening reads the header and the file's length once, and cuts the
 /// data after the header into line-aligned byte ranges of about 128 KiB.
-/// Every scan reads those bytes and no more, so the two passes of an
-/// inferred load read the same data even if the file grows between them.
+/// Every scan reads those bytes and no more, so a second scan of the file
+/// reads the same data even if the file grows in between.
 ///
 /// A scan runs the ranges on up to `threads` scoped workers, each with
 /// one file handle, one buffered reader and one line buffer, through the
@@ -640,15 +743,16 @@ const RANGE_BYTES: u64 = 128 << 10;
 /// * an issue's or an error's line is offset by the lines of all earlier
 ///   ranges (the header is line 1);
 /// * report counts are summed and issues appended up to
-///   [`MAX_RECORDED_ISSUES`](crate::ingest::MAX_RECORDED_ISSUES); the
-///   bad-row ceiling and the header-only check run on the merged result;
+///   [`MAX_RECORDED_ISSUES`]; the bad-row ceiling and the header-only
+///   check run on the merged result;
 /// * each range buffers its rejected lines, and the quarantine sink gets
 ///   them in range order;
 /// * the earliest range's error wins: the ranges before it run to the
 ///   end, and ranges after it may be skipped;
-/// * inferred columns sum their counts, fold their bounds and union their
-///   distinct values in first-appearance order, overflowing when any
-///   range did or when the union passes `max_categories`;
+/// * inferred columns sum their counts, fold their bounds and unite their
+///   labels in first-appearance order, remapping each range's codes into
+///   the union's; a column overflows, and holds numbers from then on,
+///   when any range's did or the union passes `max_categories`;
 /// * each range's accepted rows go to a part of the [`RowSink`], absorbed
 ///   into it in range order.
 ///
@@ -656,7 +760,7 @@ const RANGE_BYTES: u64 = 128 << 10;
 /// of a one-range scan at any thread count. At most `2 × threads`
 /// finished ranges wait to be merged. With one thread, or data that fits
 /// in one range, a scan is one range on the calling thread, as a reader's
-/// is: no worker, no buffered quarantine.
+/// is: no worker.
 #[derive(Debug)]
 pub struct CsvFile {
     path: PathBuf,
@@ -667,6 +771,21 @@ pub struct CsvFile {
     data: Range<u64>,
     /// `data`, cut into line-aligned ranges.
     ranges: Vec<Range<u64>>,
+}
+
+/// One range's share of an inference pass, held until the column kinds
+/// are known.
+struct RangeFill {
+    /// The range's bytes.
+    bytes: Range<u64>,
+    /// The lines before the range: the header's and every earlier range's.
+    lines_before: usize,
+    /// The range's report, its lines counted from the range's first.
+    report: IngestReport,
+    /// The range's rejected lines, for the quarantine sink.
+    quarantined: Vec<u8>,
+    /// Whether a quantitative column rejects one of the range's rows.
+    late: bool,
 }
 
 impl CsvFile {
@@ -714,28 +833,170 @@ impl CsvFile {
         policy: IngestPolicy,
         threads: usize,
     ) -> Result<(Schema, IngestReport), DataError> {
-        let n_cols = self.names.len();
-        let (report, probes) = if self.is_one_range(threads) {
-            probe_lines(&mut self.whole()?, n_cols, max_categories, policy)?
-        } else {
-            let mut merge = Merge::new(None);
-            let mut probes: Vec<ColumnProbe> = (0..n_cols).map(|_| ColumnProbe::new()).collect();
-            self.run_ranges(
-                threads,
-                |lines| {
-                    let outcome = probe_lines(lines, n_cols, max_categories, policy);
-                    RangeScan { outcome, lines: lines.line_no, quarantined: Vec::new() }
-                },
-                |scan| {
-                    for (probe, later) in probes.iter_mut().zip(merge.fold(scan)?) {
-                        probe.absorb(later, max_categories);
-                    }
-                    Ok(())
-                },
-            )?;
-            (merge.report, probes)
+        let (columns, ranges) = self.fill(max_categories, policy, false, false, threads)?;
+        let mut report = IngestReport::default();
+        for range in ranges {
+            report.absorb(range.report, range.lines_before);
+        }
+        let probes = columns.into_iter().map(|column| column.probe).collect();
+        probed_schema(self.names.clone(), probes, &report, policy).map(|schema| (schema, report))
+    }
+
+    /// Infers the file's schema and loads its rows in one pass, as
+    /// [`load_csv_inferred_with_policy`] does.
+    fn load_inferred(
+        &self,
+        max_categories: usize,
+        policy: IngestPolicy,
+        mut quarantine: Option<&mut dyn Write>,
+        threads: usize,
+    ) -> Result<(Dataset, IngestReport), DataError> {
+        let buffered = quarantine.is_some();
+        let (columns, mut ranges) = self.fill(max_categories, policy, buffered, true, threads)?;
+        let mut read = IngestReport::default();
+        for range in &ranges {
+            read.rows_read += range.report.rows_read;
+            read.rows_kept += range.report.rows_kept;
+            read.rows_skipped += range.report.rows_skipped;
+        }
+        let (probes, mut columns): (Vec<_>, Vec<_>) =
+            columns.into_iter().map(Filling::into_parts).unzip();
+        // Only a lenient load keeps an overflowed column that held a
+        // field other than a finite number; such a column is quantitative
+        // and rejects those rows.
+        let late = probes.iter().any(|probe| probe.overflowed && probe.non_numeric > 0);
+        let schema = probed_schema(self.names.clone(), probes, &read, policy)?;
+
+        let mut rescan = Vec::new();
+        if late {
+            let late_rows = late_rows(&columns, read.rows_kept);
+            let mut start = 0;
+            for range in &mut ranges {
+                let end = start + range.report.rows_kept;
+                range.late = late_rows[start..end].contains(&true);
+                if range.late {
+                    rescan.push(range.bytes.clone());
+                }
+                start = end;
+            }
+            for column in &mut columns {
+                drop_rows(column, &late_rows);
+            }
+        }
+
+        // Every range's report and rejected lines in file order; a range
+        // holding a late row gives those of its scan against the schema.
+        let mut report = IngestReport::default();
+        let mut emit = |range: RangeFill| -> Result<(), DataError> {
+            report.absorb(range.report, range.lines_before);
+            if let Some(sink) = quarantine.as_mut() {
+                sink.write_all(&range.quarantined)?;
+            }
+            Ok(())
         };
-        probed_schema(self.names.clone(), probes, report, policy)
+        let mut ranges = ranges.into_iter();
+        self.run_ranges(
+            &rescan,
+            threads,
+            |lines| {
+                let mut rejected = Vec::new();
+                let quarantine = buffered.then_some(&mut rejected as &mut dyn Write);
+                (scan_lines(&schema, lines, policy, quarantine, |_| Ok(())), rejected)
+            },
+            |(scanned, rejected)| {
+                for mut range in ranges.by_ref() {
+                    if range.late {
+                        range.report = scanned?;
+                        range.quarantined = rejected;
+                        return emit(range);
+                    }
+                    emit(range)?;
+                }
+                unreachable!("every range scanned again holds a late row")
+            },
+        )?;
+        for range in ranges {
+            emit(range)?;
+        }
+        check_bad_fraction(&report, policy)?;
+        Ok((Dataset::from_columns(schema, columns), report))
+    }
+
+    /// The inference loop ([`fill_lines`]) over the file's data on up to
+    /// `threads` workers, keeping values when `keep` is set and rejected
+    /// lines when `buffered` is. Each range fills columns of its own,
+    /// which the calling thread merges in file order into columns it
+    /// allocates itself (the arena rule of [`CsvFile::scan`]'s loads):
+    /// when the first range arrives, each is reserved once for the data's
+    /// lines, in the form that range gave it. Data read as one range is
+    /// filled on the calling thread and kept as it is. Each range's report and rejected lines are returned
+    /// in file order, the issues only up to [`MAX_RECORDED_ISSUES`] in
+    /// all: no later issue can be among the first that many.
+    fn fill(
+        &self,
+        max_categories: usize,
+        policy: IngestPolicy,
+        buffered: bool,
+        keep: bool,
+        threads: usize,
+    ) -> Result<(Vec<Filling>, Vec<RangeFill>), DataError> {
+        let n_cols = self.names.len();
+        let ranges = if self.is_one_range(threads) {
+            std::slice::from_ref(&self.data)
+        } else {
+            &self.ranges[..]
+        };
+        let mut columns: Vec<Filling> = (0..n_cols).map(|_| Filling::new()).collect();
+        // Not reserved up front: a block taken before the columns can
+        // split the free space a dropped dataset left, and the columns
+        // then no longer fit in it.
+        let mut filled: Vec<RangeFill> = Vec::new();
+        let (mut lines_before, mut recorded) = (1, 0);
+        self.run_ranges(
+            ranges,
+            threads,
+            |lines| {
+                let mut rejected = Vec::new();
+                let quarantine = buffered.then_some(&mut rejected as &mut dyn Write);
+                let outcome = fill_lines(lines, n_cols, max_categories, policy, keep, quarantine);
+                RangeScan { outcome, lines: lines.line_no, quarantined: rejected }
+            },
+            |scan| {
+                let bytes = ranges[filled.len()].clone();
+                let offset = lines_before;
+                lines_before += scan.lines;
+                let (mut report, part) = scan.outcome.map_err(|err| offset_line(err, offset))?;
+                if ranges.len() == 1 {
+                    columns = part;
+                } else {
+                    if keep && filled.is_empty() {
+                        let rows = self.data_lines()?;
+                        for (column, later) in columns.iter_mut().zip(&part) {
+                            if later.probe.overflowed {
+                                column.values.reserve_exact(rows);
+                            } else {
+                                column.codes.reserve_exact(rows);
+                            }
+                        }
+                    }
+                    for (column, later) in columns.iter_mut().zip(part) {
+                        column.absorb(later, max_categories);
+                    }
+                }
+                report.truncate_issues(MAX_RECORDED_ISSUES - recorded);
+                recorded += report.issues().len();
+                let quarantined = scan.quarantined;
+                filled.push(RangeFill {
+                    bytes,
+                    lines_before: offset,
+                    report,
+                    quarantined,
+                    late: false,
+                });
+                Ok(())
+            },
+        )?;
+        Ok((columns, filled))
     }
 
     /// Scans every data row against `schema` as [`scan_csv`] scans a
@@ -760,6 +1021,7 @@ impl CsvFile {
         let empty = sink.part();
         let mut merge = Merge::new(quarantine);
         self.run_ranges(
+            &self.ranges,
             threads,
             |lines| {
                 let (mut part, mut rejected) = (empty.part(), Vec::new());
@@ -779,19 +1041,23 @@ impl CsvFile {
         Ok(merge.report)
     }
 
-    /// Loads every row [`scan`](CsvFile::scan) accepts against `ds`'s
-    /// schema into `ds`, as [`read_csv_with_policy`] loads a reader.
-    fn load_into(
-        &self,
-        ds: &mut Dataset,
-        policy: IngestPolicy,
-        quarantine: Option<&mut dyn Write>,
-        threads: usize,
-    ) -> Result<IngestReport, DataError> {
-        let schema = ds.schema().clone();
-        let mut load =
-            Load { schema: &schema, ds: Some(ds), part: Columns::with_capacity(&schema, 0) };
-        self.scan(&schema, policy, quarantine, threads, &mut load)
+    /// The data's lines: its newlines, and one more for a last line
+    /// without one. No more rows than that can hold values. The buffer
+    /// is on the stack: a heap block freed between two datasets' columns
+    /// is a hole the next columns cannot use.
+    fn data_lines(&self) -> Result<usize, DataError> {
+        let mut reader = File::open(&self.path)?;
+        reader.seek(SeekFrom::Start(self.data.start))?;
+        let mut reader = reader.take(self.data.end - self.data.start);
+        let (mut buf, mut lines, mut last) = ([0; 64 << 10], 0, b'\n');
+        loop {
+            let n = reader.read(&mut buf)?;
+            if n == 0 {
+                return Ok(lines + usize::from(last != b'\n'));
+            }
+            lines += newlines(&buf[..n]);
+            last = buf[n - 1];
+        }
     }
 
     /// Whether a scan on `threads` workers reads the data as one range.
@@ -809,21 +1075,30 @@ impl CsvFile {
         Ok(lines)
     }
 
-    /// Runs `scan` over every range on up to `threads` scoped workers and
-    /// hands the results to `fold` on the calling thread, strictly in file
-    /// order. Of `w` workers, worker `i` scans ranges `i`, `i + w`, `i +
-    /// 2w`, … and sends each result down its own channel, which holds one:
-    /// a worker waits once it has finished two ranges the merge has not
-    /// taken. A range's lines are numbered from 1. Once `fold` fails, the
-    /// channels close, each worker stops at its next hand-off, and the
-    /// error is returned.
+    /// Runs `scan` over each of `ranges` on up to `threads` scoped workers
+    /// and hands the results to `fold` on the calling thread, strictly in
+    /// the ranges' order. Of `w` workers, worker `i` scans ranges `i`,
+    /// `i + w`, `i + 2w`, … and sends each result down its own channel,
+    /// which holds one: a worker waits once it has finished two ranges
+    /// the merge has not taken. With one worker the calling thread scans
+    /// the ranges itself. A range's lines are numbered from 1. Once `fold`
+    /// fails, the channels close, each worker stops at its next hand-off,
+    /// and the error is returned.
     fn run_ranges<T: Send>(
         &self,
+        ranges: &[Range<u64>],
         threads: usize,
         scan: impl Fn(&mut Lines<Take<&mut BufReader<File>>>) -> T + Sync,
         mut fold: impl FnMut(T) -> Result<(), DataError>,
     ) -> Result<(), DataError> {
-        let workers = threads.min(self.ranges.len());
+        let workers = threads.min(ranges.len());
+        if workers < 2 {
+            let (mut reader, mut buf) = (BufReader::new(File::open(&self.path)?), Vec::new());
+            for range in ranges {
+                fold(scan_range(&mut reader, range, &mut buf, &scan)?)?;
+            }
+            return Ok(());
+        }
         let readers = (0..workers)
             .map(|_| File::open(&self.path).map(BufReader::new))
             .collect::<Result<Vec<_>, _>>()?;
@@ -835,21 +1110,15 @@ impl CsvFile {
                 let scan = &scan;
                 scope.spawn(move || {
                     let mut buf = Vec::new();
-                    for range in self.ranges.iter().skip(i).step_by(workers) {
-                        let scanned = reader.seek(SeekFrom::Start(range.start)).map(|_| {
-                            let mut lines = Lines::new((&mut reader).take(range.end - range.start));
-                            lines.buf = std::mem::take(&mut buf);
-                            let scanned = scan(&mut lines);
-                            buf = lines.buf;
-                            scanned
-                        });
+                    for range in ranges.iter().skip(i).step_by(workers) {
+                        let scanned = scan_range(&mut reader, range, &mut buf, scan);
                         if sender.send(scanned.map_err(DataError::from)).is_err() {
                             return; // the merge has ended
                         }
                     }
                 });
             }
-            for k in 0..self.ranges.len() {
+            for k in 0..ranges.len() {
                 // Only a worker that panicked hangs up early; the scope
                 // raises its panic once the other workers are done.
                 let Ok(scanned) = results[k % workers].recv() else { break };
@@ -857,6 +1126,70 @@ impl CsvFile {
             }
             Ok(())
         })
+    }
+}
+
+/// Runs `scan` over `range` of the file `reader` reads, its lines
+/// numbered from 1, through `buf`, a line buffer reused from range to
+/// range.
+fn scan_range<T>(
+    reader: &mut BufReader<File>,
+    range: &Range<u64>,
+    buf: &mut Vec<u8>,
+    scan: impl Fn(&mut Lines<Take<&mut BufReader<File>>>) -> T,
+) -> std::io::Result<T> {
+    reader.seek(SeekFrom::Start(range.start))?;
+    let mut lines = Lines::new(reader.take(range.end - range.start));
+    lines.buf = std::mem::take(buf);
+    let scanned = scan(&mut lines);
+    *buf = lines.buf;
+    Ok(scanned)
+}
+
+/// The newlines in `bytes`, counted in 64 byte-wide lanes the compiler
+/// vectorizes: a lane is summed before it can pass 255.
+fn newlines(bytes: &[u8]) -> usize {
+    let block = |block: &[u8]| {
+        let mut lanes = [0u8; 64];
+        for chunk in block.chunks(64) {
+            for (lane, &byte) in lanes.iter_mut().zip(chunk) {
+                *lane += u8::from(byte == b'\n');
+            }
+        }
+        lanes.iter().map(|&n| usize::from(n)).sum::<usize>()
+    };
+    bytes.chunks(64 * 255).map(block).sum()
+}
+
+/// Which of `rows` rows hold a field that is not a finite number in a
+/// quantitative column.
+fn late_rows(columns: &[Column], rows: usize) -> Vec<bool> {
+    let mut late = vec![false; rows];
+    for column in columns {
+        if let Column::Quant(values) = column {
+            for (late, value) in late.iter_mut().zip(values) {
+                *late |= !value.is_finite();
+            }
+        }
+    }
+    late
+}
+
+/// Removes the rows `late` marks from `column`.
+fn drop_rows(column: &mut Column, late: &[bool]) {
+    let mut late = late.iter();
+    let mut keep = || !late.next().copied().unwrap_or(false);
+    match column {
+        Column::Quant(values) => values.retain(|_| keep()),
+        Column::Cat(codes) => codes.retain(|_| keep()),
+    }
+}
+
+/// A range's error with its line counted from the top of the file.
+fn offset_line(err: DataError, offset: usize) -> DataError {
+    match err {
+        DataError::Parse { line, message } => DataError::Parse { line: line + offset, message },
+        err => err,
     }
 }
 
@@ -894,16 +1227,9 @@ impl<'q> Merge<'q> {
         }
         let offset = self.lines_before;
         self.lines_before += scan.lines;
-        match scan.outcome {
-            Ok((report, part)) => {
-                self.report.absorb(report, offset);
-                Ok(part)
-            }
-            Err(DataError::Parse { line, message }) => {
-                Err(DataError::Parse { line: line + offset, message })
-            }
-            Err(err) => Err(err),
-        }
+        let (report, part) = scan.outcome.map_err(|err| offset_line(err, offset))?;
+        self.report.absorb(report, offset);
+        Ok(part)
     }
 }
 
@@ -911,7 +1237,169 @@ impl<'q> Merge<'q> {
 mod tests {
     use super::*;
     use crate::schema::Attribute;
+    use crate::tuple::Tuple;
     use proptest::prelude::*;
+
+    impl ColumnProbe {
+        /// Notes a value: a new one joins `distinct`, or overflows the
+        /// column when `distinct` already holds `max_categories` values.
+        fn note(&mut self, value: &str, max_categories: usize) {
+            if !self.overflowed && !self.distinct.iter().any(|d| d == value) {
+                if self.distinct.len() >= max_categories {
+                    self.overflowed = true;
+                } else {
+                    self.distinct.push(value.to_string());
+                }
+            }
+        }
+    }
+
+    /// The inference loop the one pass replaced: every field parsed as a
+    /// number and noted as a label. Kept as the reference for the one
+    /// pass's schema.
+    fn probe_lines<R: BufRead>(
+        lines: &mut Lines<R>,
+        n_cols: usize,
+        max_categories: usize,
+        policy: IngestPolicy,
+    ) -> Result<(IngestReport, Vec<ColumnProbe>), DataError> {
+        let mut probes: Vec<ColumnProbe> = (0..n_cols).map(|_| ColumnProbe::new()).collect();
+        let mut report = IngestReport::default();
+        while let Some((line_no, line)) = lines.next_line()? {
+            if is_blank(line) {
+                continue;
+            }
+            report.rows_read += 1;
+            let fields = field_count(line);
+            if fields != n_cols {
+                let message = format!("expected {n_cols} fields, found {fields}");
+                if policy.is_strict() {
+                    return Err(DataError::Parse { line: line_no, message });
+                }
+                report.rows_skipped += 1;
+                report.record(line_no, IssueKind::FieldCount, message);
+                continue;
+            }
+            report.rows_kept += 1;
+            for (probe, field) in probes.iter_mut().zip(line.split(',')) {
+                match field.parse::<f64>() {
+                    Ok(v) if v.is_finite() => {
+                        probe.numeric += 1;
+                        probe.bound(v, v);
+                    }
+                    _ => probe.non_numeric += 1,
+                }
+                probe.note(field, max_categories);
+            }
+        }
+        Ok((report, probes))
+    }
+
+    /// The second pass's sink in the load the one pass replaced: a
+    /// one-range scan pushes rows straight into the dataset, and a
+    /// range's part keeps its checked rows until the merge pushes them.
+    struct Load<'a> {
+        schema: &'a Schema,
+        /// The dataset, in the caller's sink; `None` in a range's part.
+        ds: Option<&'a mut Dataset>,
+        /// A part's rows.
+        rows: Vec<Vec<Value>>,
+    }
+
+    impl RowSink for Load<'_> {
+        fn part(&self) -> Self {
+            Load { schema: self.schema, ds: None, rows: Vec::new() }
+        }
+
+        fn accept(&mut self, row: &[Value]) -> Result<(), DataError> {
+            match &mut self.ds {
+                Some(ds) => ds.push(row),
+                None => {
+                    Tuple::check_values(row, self.schema)?;
+                    self.rows.push(row.to_vec());
+                    Ok(())
+                }
+            }
+        }
+
+        fn absorb(&mut self, part: Self) -> Result<(), DataError> {
+            if let Some(ds) = &mut self.ds {
+                for row in &part.rows {
+                    ds.push(row)?;
+                }
+            }
+            Ok(())
+        }
+    }
+
+    /// Loads every row [`CsvFile::scan`] accepts against `ds`'s schema
+    /// into `ds`, as [`read_csv_with_policy`] loads a reader.
+    fn load_into(
+        file: &CsvFile,
+        ds: &mut Dataset,
+        policy: IngestPolicy,
+        quarantine: Option<&mut dyn Write>,
+        threads: usize,
+    ) -> Result<IngestReport, DataError> {
+        let schema = ds.schema().clone();
+        let mut load = Load { schema: &schema, ds: Some(ds), rows: Vec::new() };
+        file.scan(&schema, policy, quarantine, threads, &mut load)
+    }
+
+    /// The inferred load the one pass replaced, kept as its reference:
+    /// [`probe_lines`] infers the schema over the whole file, then the
+    /// file, cut into ranges of `range_bytes`, is loaded against it on
+    /// `threads` workers through [`CsvFile::scan`] into a dataset
+    /// reserved for the rows the probe kept.
+    fn reference_load_inferred(
+        path: &Path,
+        range_bytes: u64,
+        max_categories: usize,
+        policy: IngestPolicy,
+        with_sink: bool,
+        threads: usize,
+    ) -> Loaded {
+        let mut sink = Vec::new();
+        let mut two_passes = || -> Result<(Dataset, IngestReport), DataError> {
+            let bytes = std::fs::read(path)?;
+            let mut lines = Lines::new(&bytes[..]);
+            let names: Vec<String> = lines.header()?.into_iter().map(str::to_string).collect();
+            let (probe, probes) = probe_lines(&mut lines, names.len(), max_categories, policy)?;
+            let schema = probed_schema(names, probes, &probe, policy)?;
+            let file = CsvFile::with_range_bytes(path, range_bytes)?;
+            let mut ds = Dataset::with_capacity(schema, probe.rows_kept);
+            let quarantine = with_sink.then_some(&mut sink as &mut dyn Write);
+            let report = load_into(&file, &mut ds, policy, quarantine, threads)?;
+            Ok((ds, report))
+        };
+        let loaded = two_passes();
+        (loaded, sink)
+    }
+
+    /// `path` cut into ranges of `range_bytes` and loaded in one pass on
+    /// `threads` workers, inferring its schema.
+    fn load_one_pass(
+        path: &Path,
+        range_bytes: u64,
+        max_categories: usize,
+        policy: IngestPolicy,
+        with_sink: bool,
+        threads: usize,
+    ) -> Loaded {
+        let mut sink = Vec::new();
+        let loaded = CsvFile::with_range_bytes(path, range_bytes).and_then(|file| {
+            let quarantine = with_sink.then_some(&mut sink as &mut dyn Write);
+            file.load_inferred(max_categories, policy, quarantine, threads)
+        });
+        (loaded, sink)
+    }
+
+    /// Checks that two loads agree: `==`, and byte for byte in their
+    /// debug form, which tells `-0` from `0` in a domain or a value.
+    fn assert_same_load(got: &Loaded, want: &Loaded, context: &str) {
+        assert_eq!(got, want, "{context}");
+        assert_eq!(format!("{got:?}"), format!("{want:?}"), "{context}");
+    }
 
     /// The row loop `read_csv_with_policy` ran before the scanner: every
     /// line through `BufRead::lines`, a `Vec<&str>` of fields and a fresh
@@ -1163,7 +1651,7 @@ mod tests {
         let loaded = CsvFile::with_range_bytes(path, range_bytes).and_then(|file| {
             let mut ds = Dataset::new(schema.clone());
             let quarantine = with_sink.then_some(&mut sink as &mut dyn Write);
-            let report = file.load_into(&mut ds, policy, quarantine, threads)?;
+            let report = load_into(&file, &mut ds, policy, quarantine, threads)?;
             Ok((ds, report))
         });
         (loaded, sink)
@@ -1179,8 +1667,9 @@ mod tests {
 
     /// Checks that `bytes`, cut into ranges of every size from 1 byte to
     /// the whole file and scanned on 2 and 3 workers, infers and loads
-    /// as one reader does, and that every range starts a line. Returns
-    /// the one-range load.
+    /// as one reader does, that the one-pass load equals the two-pass
+    /// reference, and that every range starts a line. Returns the
+    /// one-range load.
     fn assert_ranges_match_one_reader(
         bytes: &[u8],
         schema: &Schema,
@@ -1192,6 +1681,9 @@ mod tests {
         let file = TempCsv::new(&format!("sweep-{sweep}"), bytes);
         let inferred = infer_schema_with_policy(bytes, max_categories, policy);
         let want = load_reader(bytes, schema, policy, true);
+        let whole = bytes.len() as u64 + 1;
+        let want_inferred =
+            reference_load_inferred(&file.0, whole, max_categories, policy, true, 1);
         for range_bytes in 1..=bytes.len() as u64 {
             let csv = CsvFile::with_range_bytes(&file.0, range_bytes).unwrap();
             for range in &csv.ranges {
@@ -1199,10 +1691,14 @@ mod tests {
                 assert!(start == csv.data.start as usize || bytes[start - 1] == b'\n', "{range:?}");
             }
             for threads in [2, 3] {
+                let context = format!("{range_bytes}-byte ranges, {threads} threads");
                 let got = csv.infer_schema(max_categories, policy, threads);
-                assert_eq!(got, inferred, "infer, {range_bytes}-byte ranges, {threads} threads");
+                assert_eq!(got, inferred, "infer, {context}");
                 let got = load_ranges(&file.0, schema, policy, true, range_bytes, threads);
-                assert_eq!(got, want, "load, {range_bytes}-byte ranges, {threads} threads");
+                assert_eq!(got, want, "load, {context}");
+                let got =
+                    load_one_pass(&file.0, range_bytes, max_categories, policy, true, threads);
+                assert_same_load(&got, &want_inferred, &format!("one pass, {context}"));
             }
         }
         want
@@ -1238,6 +1734,76 @@ mod tests {
                 let chunked = load_ranges(&file.0, schema, policy, with_sink, range_bytes, threads);
                 prop_assert_eq!(chunked, load_reader(&csv, schema, policy, with_sink));
             }
+        }
+    }
+
+    /// A random CSV of one to four numeric columns, each drawing from
+    /// its own pool of 1-14 values that opens up as the rows go on, so a
+    /// column overflows `max_categories` part way through the file, in
+    /// one range or only in the union of several. Cells hold stray text,
+    /// `inf` and `NaN`, and `0` and `-0` ties at the pool's end; a row
+    /// may have the wrong field count and a line may be blank.
+    fn wide_numeric_csv(rng: &mut rand::rngs::StdRng) -> Vec<u8> {
+        use rand::Rng;
+        let n_cols = rng.gen_range(1..=4);
+        let names: Vec<String> = (0..n_cols).map(|c| format!("n{c}")).collect();
+        // Per column: pool size, rows per newly opened value, and sign.
+        let pools: Vec<(usize, usize, f64)> = (0..n_cols)
+            .map(|_| {
+                (rng.gen_range(1..=14), rng.gen_range(1..=6), [1.0, -1.0][rng.gen_range(0..2)])
+            })
+            .collect();
+        let mut out = names.join(",").into_bytes();
+        out.push(b'\n');
+        for row in 0..rng.gen_range(0..60) {
+            let cells: Vec<String> = match rng.gen_range(0..30) {
+                0 => Vec::new(),
+                1 => (0..n_cols + [1, n_cols][rng.gen_range(0..2)]).map(|_| "7".into()).collect(),
+                _ => pools
+                    .iter()
+                    .map(|&(pool, climb, sign)| match rng.gen_range(0..20) {
+                        0 => ["x", "", "n/a", " 1"][rng.gen_range(0..4)].into(),
+                        1 => ["inf", "-inf", "NaN"][rng.gen_range(0..3)].into(),
+                        2 => ["0", "-0", "0.0", "-0.0"][rng.gen_range(0..4)].into(),
+                        _ => {
+                            let open = (row / climb).min(pool - 1);
+                            format!("{}", sign * 1.5 * rng.gen_range(0..=open) as f64)
+                        }
+                    })
+                    .collect(),
+            };
+            out.extend_from_slice(cells.join(",").as_bytes());
+            out.push(b'\n');
+        }
+        out
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The one-pass inferred load returns the dataset, report,
+        /// quarantine bytes and error of the two-pass reference, under
+        /// every policy with and without a sink, any category cap from 0
+        /// to 8, ranges of 1-47 bytes and 1-8 workers: on dirty CSVs of
+        /// mixed columns and on wide numeric ones whose columns overflow
+        /// mid-range and across ranges.
+        #[test]
+        fn one_pass_load_matches_the_two_pass_reference(seed in any::<u64>()) {
+            use rand::{Rng, SeedableRng};
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let csv = if rng.gen_bool(0.5) { random_csv(&mut rng) } else { wide_numeric_csv(&mut rng) };
+            let policy = random_policy(&mut rng);
+            let with_sink = rng.gen_bool(0.5);
+            let max_categories = rng.gen_range(0..=8);
+            let range_bytes = rng.gen_range(1..48);
+            let threads = rng.gen_range(1..=8);
+            let file = TempCsv::new("one-pass-prop", &csv);
+            let want = reference_load_inferred(
+                &file.0, range_bytes, max_categories, policy, with_sink, threads,
+            );
+            let got = load_one_pass(&file.0, range_bytes, max_categories, policy, with_sink, threads);
+            prop_assert_eq!(&got, &want);
+            prop_assert_eq!(format!("{got:?}"), format!("{want:?}"));
         }
     }
 
@@ -1679,6 +2245,95 @@ mod tests {
         assert_eq!(ds.cat(1).unwrap()[1], 1);
     }
 
+    /// Twelve distinct ages overflow a cap of 4 and make `age`
+    /// quantitative, with two stray values, one before the overflow and
+    /// one after. Lines 3 and 9 have the wrong field count.
+    fn late_rows_csv() -> Vec<u8> {
+        let mut bytes = b"age,group\n1,A\n2\noops,B\n".to_vec();
+        for age in 3..9 {
+            bytes.extend_from_slice(format!("{age},A\n").as_bytes());
+        }
+        bytes.extend_from_slice(b"9,A,x\ninf,B\n");
+        for age in 10..16 {
+            bytes.extend_from_slice(format!("{age},B\n").as_bytes());
+        }
+        bytes
+    }
+
+    /// A row that only the final kinds reject, decided after the pass,
+    /// takes its place among the field-count issues recorded during it:
+    /// line 4's non-numeric age sits between the field-count issues of
+    /// lines 3 and 11, and line 12's `inf` comes after them, as in the
+    /// two-pass load at every range size and worker count.
+    #[test]
+    fn a_late_rows_issue_falls_between_earlier_field_count_issues() {
+        let bytes = late_rows_csv();
+        let skip = IngestPolicy::Skip { max_bad_fraction: 1.0 };
+        let (fixed_schema, _) = assert_ranges_match_one_reader(&bytes, &schema(), skip, 4);
+        assert!(fixed_schema.is_ok());
+        let file = TempCsv::new("late-issues", &bytes);
+        let (loaded, sink) = load_one_pass(&file.0, 1 << 20, 4, skip, true, 1);
+        let (ds, report) = loaded.unwrap();
+        assert!(sink.is_empty());
+        assert!(ds.schema().attribute(0).unwrap().kind.is_quantitative());
+        assert_eq!(ds.len(), 13);
+        assert_eq!((report.rows_read, report.rows_kept, report.rows_skipped), (17, 13, 4));
+        let issues: Vec<(usize, IssueKind)> =
+            report.issues().iter().map(|issue| (issue.line, issue.kind)).collect();
+        assert_eq!(
+            issues,
+            [
+                (3, IssueKind::FieldCount),
+                (4, IssueKind::NonNumeric),
+                (11, IssueKind::FieldCount),
+                (12, IssueKind::NonFinite)
+            ]
+        );
+        assert_eq!(report.issues()[1].message, "`oops` is not a number for attribute `age`");
+    }
+
+    /// The quarantine sink gets the late rows' lines in file order among
+    /// the field-count rejects, as the two-pass load wrote them, at every
+    /// range size and worker count; a load that then fails its bad-row
+    /// ceiling has written the same lines.
+    #[test]
+    fn late_rows_are_quarantined_in_file_order() {
+        let bytes = late_rows_csv();
+        let quarantine = IngestPolicy::Quarantine { max_bad_fraction: 1.0 };
+        let (fixed_schema, _) = assert_ranges_match_one_reader(&bytes, &schema(), quarantine, 4);
+        assert!(fixed_schema.is_ok());
+        let file = TempCsv::new("late-quarantine", &bytes);
+        let (loaded, sink) = load_one_pass(&file.0, 1 << 20, 4, quarantine, true, 1);
+        assert_eq!(loaded.unwrap().1.rows_quarantined, 4);
+        assert_eq!(sink, b"2\noops,B\n9,A,x\ninf,B\n");
+        let tight = IngestPolicy::Quarantine { max_bad_fraction: 0.2 };
+        for (range_bytes, threads) in [(1 << 20, 1), (7, 2), (13, 3)] {
+            let got = load_one_pass(&file.0, range_bytes, 4, tight, true, threads);
+            let want = reference_load_inferred(&file.0, range_bytes, 4, tight, true, threads);
+            assert_same_load(&got, &want, &format!("{range_bytes}-byte ranges"));
+            assert_eq!(got.1, sink);
+            assert_eq!(
+                got.0.unwrap_err(),
+                DataError::TooManyBadRows { skipped: 4, read: 17, max_bad_fraction: 0.2 }
+            );
+        }
+    }
+
+    /// The lane counter counts what a plain count counts, with every
+    /// lane at its 255 limit and past it, and a last line without a
+    /// newline is a line.
+    #[test]
+    fn newlines_are_counted_lane_by_lane() {
+        let mut bytes = vec![b'\n'; 64 * 255 * 2 + 7];
+        bytes.extend_from_slice(b"1,A\r\n\n2,B");
+        let plain = bytes.iter().filter(|&&b| b == b'\n').count();
+        assert_eq!(newlines(&bytes), plain);
+        let mut text = b"age,group\n".to_vec();
+        text.extend_from_slice(&bytes);
+        let file = TempCsv::new("newlines", &text);
+        assert_eq!(CsvFile::open(&file.0).unwrap().data_lines().unwrap(), plain + 1);
+    }
+
     /// A range boundary between the `\r` and `\n` of a CRLF ending
     /// moves past the `\n`: the row keeps its ending.
     #[test]
@@ -1793,8 +2448,8 @@ mod tests {
         );
     }
 
-    /// Both passes read the length read at open: a row appended after
-    /// the file was opened is in neither.
+    /// Every scan reads the length read at open: a row appended after
+    /// the file was opened is in no inference and no load.
     #[test]
     fn every_pass_reads_the_length_read_at_open() {
         let bytes = b"age,group\n1.0,A\n2.0,other\n3.0,A\n";
@@ -1805,9 +2460,8 @@ mod tests {
             let mut grown = bytes.to_vec();
             grown.extend_from_slice(b"4.0,Z\n");
             std::fs::write(&file.0, &grown).unwrap();
-            let (schema, probe) = csv.infer_schema(2, IngestPolicy::Strict, threads).unwrap();
-            let mut ds = Dataset::new(schema);
-            let report = csv.load_into(&mut ds, IngestPolicy::Strict, None, threads).unwrap();
+            let (_, probe) = csv.infer_schema(2, IngestPolicy::Strict, threads).unwrap();
+            let (ds, report) = csv.load_inferred(2, IngestPolicy::Strict, None, threads).unwrap();
             assert_eq!((probe.rows_kept, report.rows_kept, ds.len()), (3, 3, 3));
         }
     }

@@ -62,10 +62,17 @@ impl Dataset {
         Ok(())
     }
 
-    /// Appends the rows of `part`, columns of this dataset's schema.
-    pub(crate) fn append(&mut self, part: &Columns) {
-        self.columns.append(part);
-        self.tuples.take();
+    /// A dataset over `schema` holding `columns`, one per attribute, of
+    /// the attribute's kind and all of one length, with every value one
+    /// [`push`](Dataset::push) would accept: the columns a CSV load fills.
+    pub(crate) fn from_columns(schema: Schema, columns: Vec<Column>) -> Self {
+        let len = columns.first().map_or(0, Column::len);
+        debug_assert!(columns.iter().all(|column| column.len() == len));
+        debug_assert!((0..len).all(|row| {
+            let values: Vec<Value> = columns.iter().map(|column| column.value(row)).collect();
+            Tuple::check_values(&values, &schema).is_ok()
+        }));
+        Dataset { schema, columns: Columns { columns, len }, tuples: OnceLock::new() }
     }
 
     /// The dataset's schema.
@@ -192,7 +199,7 @@ impl<'a> Rows<'a> {
 
 /// One attribute's values.
 #[derive(Debug, Clone, PartialEq)]
-enum Column {
+pub(crate) enum Column {
     Quant(Vec<f64>),
     Cat(Vec<u32>),
 }
@@ -204,19 +211,25 @@ impl Column {
             Column::Cat(codes) => Value::Cat(codes[row]),
         }
     }
+
+    fn len(&self) -> usize {
+        match self {
+            Column::Quant(values) => values.len(),
+            Column::Cat(codes) => codes.len(),
+        }
+    }
 }
 
-/// A dataset's columns without its schema: what a CSV load's range fills
-/// on a worker and the calling thread appends to the dataset.
+/// A dataset's columns without its schema.
 #[derive(Debug, Clone, PartialEq)]
-pub(crate) struct Columns {
+struct Columns {
     columns: Vec<Column>,
     len: usize,
 }
 
 impl Columns {
     /// Empty columns of `schema`'s kinds, each with room for `rows` rows.
-    pub(crate) fn with_capacity(schema: &Schema, rows: usize) -> Self {
+    fn with_capacity(schema: &Schema, rows: usize) -> Self {
         let columns = schema
             .attributes()
             .iter()
@@ -230,7 +243,7 @@ impl Columns {
 
     /// Appends a row that [`Tuple::check_values`] accepted against the
     /// columns' schema.
-    pub(crate) fn push_checked(&mut self, row: &[Value]) {
+    fn push_checked(&mut self, row: &[Value]) {
         for (column, value) in self.columns.iter_mut().zip(row) {
             match (column, *value) {
                 (Column::Quant(values), Value::Quant(v)) => values.push(v),
@@ -239,18 +252,6 @@ impl Columns {
             }
         }
         self.len += 1;
-    }
-
-    /// Appends the rows of `later`, columns of the same schema.
-    fn append(&mut self, later: &Columns) {
-        for (column, more) in self.columns.iter_mut().zip(&later.columns) {
-            match (column, more) {
-                (Column::Quant(values), Column::Quant(more)) => values.extend_from_slice(more),
-                (Column::Cat(codes), Column::Cat(more)) => codes.extend_from_slice(more),
-                _ => unreachable!("columns of one schema have one layout"),
-            }
-        }
-        self.len += later.len;
     }
 }
 

@@ -175,6 +175,12 @@ impl IngestReport {
         }));
     }
 
+    /// Forgets every recorded issue past the first `len`; the counts stay
+    /// exact.
+    pub(crate) fn truncate_issues(&mut self, len: usize) {
+        self.issues.truncate(len);
+    }
+
     /// Exact number of issues of the given kind.
     pub fn count_of(&self, kind: IssueKind) -> usize {
         self.kind_counts[kind.slot()]
