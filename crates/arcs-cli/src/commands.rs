@@ -301,7 +301,8 @@ fn ingest_policy(args: &Args) -> Result<(IngestPolicy, Option<String>), CliError
 
 /// Loads the input file in one pass on `threads` workers, inferring its
 /// schema. The quarantine file is written through a buffer, flushed
-/// before the load's outcome is returned.
+/// before the load's outcome is returned: data read as one range is
+/// quarantined a line at a time.
 fn load(args: &Args, usage: &str, threads: usize) -> Result<(Dataset, IngestReport), CliError> {
     let [path] = args.positional() else {
         return Err(CliError::Usage(format!("expected exactly one input file\n\n{usage}")));
